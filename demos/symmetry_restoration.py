@@ -26,7 +26,7 @@ spec = LatticeSpec(num_sites=args.num_sites, mass=-1.0, coupling=3.0)
 from cosmodirac import self_consistent_ground_state
 
 _, cond = self_consistent_ground_state(spec, 0.7)
-report = symmetry_report(spec.mass * 0.7 + cond.sigma, cond.sigma, cond.pi, spec)
+report = symmetry_report(spec.mass * 0.7 + cond.sigma, 0.0, cond.pi, spec)
 print(report.table())
 print()
 

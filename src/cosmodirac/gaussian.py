@@ -10,6 +10,12 @@ Internally a block is handled through its Bloch vector,
 Gamma_k = (1 + n_k . sigma)/2 with real n_k; the map is affine, so
 Runge-Kutta trajectories in either parameterisation coincide.  Trace is
 then conserved identically and purity is just ||n_k| - 1|.
+
+Both integrators share one field kernel that works on component rows,
+(n_x, n_y, n_z) each over the whole grid, in preallocated buffers; the
+fixed-step integrator evaluates the scale factor for a block of steps at
+once.  The order of every floating-point operation is fixed, so runs are
+bit-reproducible.  Snapshots keep the (N_S, 3) layout.
 """
 
 from __future__ import annotations
@@ -18,13 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (
-    GAMMA0,
-    GAMMA1,
-    LatticeSpec,
-    bloch_vector,
-    hamiltonian_block,
-)
+from .lattice import GAMMA0, GAMMA1, LatticeSpec, bloch_vector
 
 
 class DegenerateGroundStateError(RuntimeError):
@@ -301,21 +301,79 @@ def mass_quench_prepare(spec: LatticeSpec, m_pre: float, a_val: float):
 # ---------------------------------------------------------------------------
 
 
-def _rhs(bloch, sin_term, wilson_term, ma_t, pref):
-    """d n_k / d eta = 2 b_k x n_k with the self-consistent field b_k."""
-    sig = -pref * np.sum(bloch[:, 2])
-    pi = pref * np.sum(bloch[:, 1])
-    bz = ma_t + sig + wilson_term
-    # cross product written out; b = (sin_term, pi, bz)
-    nx, ny, nz = bloch[:, 0], bloch[:, 1], bloch[:, 2]
-    return np.stack(
-        [
-            2.0 * (pi * nz - bz * ny),
-            2.0 * (bz * nx - sin_term * nz),
-            2.0 * (sin_term * ny - pi * nx),
-        ],
-        axis=-1,
-    )
+# RK4 steps whose stage scale factors come from one vectorised profile call;
+# bounds the per-block arrays independently of the run length.
+_BLOCK_STEPS = 256
+
+
+class _BlockField:
+    """The self-consistent field b_k and d n_k/d eta = 2 b_k x n_k, in place.
+
+    Built once per run from the lattice.  The state being differentiated
+    sits in a buffer ``v`` of component rows (n_x, n_y, n_z, n_x, n_y) and
+    the field in ``b`` as (b_x, b_y, b_z, b_x, b_y), with b = (-sin(ka)/a, Pi,
+    m a + Sigma + (1 - cos ka)/a).  The repeated rows make the cross
+    product (b x n)_i = b_{i+1} n_{i+2} - b_{i+2} n_{i+1} two shifted
+    row slices.  Every view is taken once here, so an evaluation
+    allocates no arrays.
+    """
+
+    def __init__(self, spec: LatticeSpec):
+        ks = spec.momentum_grid()
+        a = spec.spacing
+        self.pref = spec.coupling / (2.0 * a * spec.num_sites)
+        self.wilson = (1.0 - np.cos(ks * a)) / a
+        b = np.empty((5, spec.num_sites))
+        b[0::3] = -np.sin(ks * a) / a
+        v = np.empty((5, spec.num_sites))
+        self._n, self._wrap_to, self._wrap_from = v[:3], v[3:], v[:2]
+        self._ny, self._nz = v[1], v[2]
+        self._by, self._bz = b[1::3], b[2]
+        self._cross = (b[1:4], v[2:5], b[2:5], v[1:4])
+        self._tmp = np.empty((3, spec.num_sites))
+
+    def load(self, n):
+        """Copy the (3, N_S) component rows ``n`` into ``v``."""
+        self._n[...] = n
+        self._wrap_to[...] = self._wrap_from
+
+    def stage(self, n, c, k):
+        """Load the Runge-Kutta stage input n + c * k into ``v``."""
+        np.multiply(k, c, out=self._n)
+        np.add(n, self._n, out=self._n)
+        self._wrap_to[...] = self._wrap_from
+
+    def rate(self, ma, out):
+        """out <- 2 b x n for the state in ``v`` at effective mass ``ma``."""
+        sig = -self.pref * self._nz.sum()
+        self._by.fill(self.pref * self._ny.sum())
+        np.add(ma + sig, self.wilson, out=self._bz)
+        b_lead, n_lead, b_lag, n_lag = self._cross
+        np.multiply(b_lead, n_lead, out=out)
+        np.multiply(b_lag, n_lag, out=self._tmp)
+        np.subtract(out, self._tmp, out=out)
+        np.multiply(out, 2.0, out=out)
+
+
+def _check_span(eta_span):
+    eta0, eta1 = float(eta_span[0]), float(eta_span[1])
+    if eta1 <= eta0:
+        raise ValueError("eta_span must be increasing")
+    return eta0, eta1
+
+
+def _snapshot(spec, n, eta, a_val, purity_tol, remedy):
+    """State and condensates at one sample; raises if the purity gate fails.
+
+    ``not (defect <= tol)`` so that a NaN state fails the gate too.
+    """
+    snap = CorrelationState(spec, n, eta, a_val)
+    defect = snap.purity_defect()
+    if not (defect <= purity_tol):
+        raise StepSizeError(
+            f"purity defect {defect:.3e} at eta = {eta:.6g}; {remedy}"
+        )
+    return snap, _condensates_from_bloch(n, spec)
 
 
 def evolve(
@@ -330,58 +388,69 @@ def evolve(
 
     Classical fixed-step RK4 on d Gamma_k/d eta = -i [h_k(m a(eta),
     Sigma(Gamma), Pi(Gamma)), Gamma_k]; the condensates are recomputed
-    from the full set of blocks at every stage.  Snapshots (state plus
-    condensates) are kept every ``sample_every`` steps and at the final
-    time.  The condensate reduction is a fixed-order numpy sum, so runs
-    are bit-reproducible.
+    from the full set of blocks at every stage.  The state is stepped in
+    place as (3, N_S) component rows, and the stage scale factors of each
+    block of ``_BLOCK_STEPS`` steps come from one vectorised
+    ``profile.scale_factor`` call.  Snapshots (state plus condensates)
+    are kept every ``sample_every`` steps and at the final time.  Every
+    elementwise operation and the fixed-order condensate sums are the
+    same on every run, so runs are bit-reproducible.
 
     Raises :class:`StepSizeError` if the purity defect of any sample
-    exceeds ``purity_tol``.
+    exceeds ``purity_tol`` or is not finite.
     """
     if deta <= 0:
         raise ValueError("deta must be positive")
-    eta0, eta1 = float(eta_span[0]), float(eta_span[1])
-    if eta1 <= eta0:
-        raise ValueError("eta_span must be increasing")
+    eta0, eta1 = _check_span(eta_span)
     spec = initial.spec
-    ks = spec.momentum_grid()
-    a = spec.spacing
-    sin_term = -np.sin(ks * a) / a
-    wilson_term = (1.0 - np.cos(ks * a)) / a
-    pref = spec.coupling / (2.0 * a * spec.num_sites)
+    field = _BlockField(spec)
 
     n_steps = int(np.ceil((eta1 - eta0) / deta - 1e-12))
     h = (eta1 - eta0) / n_steps
+    half, sixth = 0.5 * h, h / 6.0
 
-    def ma_at(eta):
-        return spec.mass * float(profile.scale_factor(eta))
-
-    n = initial.bloch.copy()
+    n = initial.bloch.T.copy()
+    k1, k2, k3, k4 = np.empty((4,) + n.shape)
     etas = [eta0]
-    states = [CorrelationState(spec, n.copy(), eta0, float(profile.scale_factor(eta0)))]
-    conds = [_condensates_from_bloch(n, spec)]
-    eta = eta0
-    for step in range(n_steps):
-        k1 = _rhs(n, sin_term, wilson_term, ma_at(eta), pref)
-        k2 = _rhs(n + 0.5 * h * k1, sin_term, wilson_term, ma_at(eta + 0.5 * h), pref)
-        k3 = _rhs(n + 0.5 * h * k2, sin_term, wilson_term, ma_at(eta + 0.5 * h), pref)
-        k4 = _rhs(n + h * k3, sin_term, wilson_term, ma_at(eta + h), pref)
-        n = n + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        eta = eta0 + (step + 1) * h
-        if (step + 1) % sample_every == 0 or step == n_steps - 1:
-            if etas[-1] < eta:  # final step may coincide with a stride sample
-                snap = CorrelationState(
-                    spec, n.copy(), eta, float(profile.scale_factor(eta))
-                )
-                defect = snap.purity_defect()
-                if defect > purity_tol:
-                    raise StepSizeError(
-                        f"purity defect {defect:.3e} at eta = {eta:.6g}; "
-                        f"reduce deta (currently {h:.3e})"
+    states = [CorrelationState(spec, initial.bloch.copy(), eta0,
+                               float(profile.scale_factor(eta0)))]
+    conds = [_condensates_from_bloch(states[0].bloch, spec)]
+    for start in range(0, n_steps, _BLOCK_STEPS):
+        stop = min(start + _BLOCK_STEPS, n_steps)
+        m = stop - start
+        # e[j] = eta0 + (start + j)*h starts step start + j; e[m] ends the block
+        e = eta0 + np.arange(start, stop + 1) * h
+        a = profile.scale_factor(np.concatenate([e, e[:-1] + half, e[:-1] + h]))
+        ma = (spec.mass * a).tolist()
+        ma_start, ma_mid, ma_end = ma[:m], ma[m + 1 : 2 * m + 1], ma[2 * m + 1 :]
+        for j in range(m):
+            field.load(n)
+            field.rate(ma_start[j], k1)
+            field.stage(n, half, k1)
+            field.rate(ma_mid[j], k2)
+            field.stage(n, half, k2)
+            field.rate(ma_mid[j], k3)
+            field.stage(n, h, k3)
+            field.rate(ma_end[j], k4)
+            # n + (h/6) * (((k1 + 2 k2) + 2 k3) + k4), in that order
+            np.multiply(k2, 2.0, out=k2)
+            np.add(k1, k2, out=k1)
+            np.multiply(k3, 2.0, out=k3)
+            np.add(k1, k3, out=k1)
+            np.add(k1, k4, out=k1)
+            np.multiply(k1, sixth, out=k1)
+            np.add(n, k1, out=n)
+            step = start + j
+            if (step + 1) % sample_every == 0 or step == n_steps - 1:
+                eta = float(e[j + 1])
+                if etas[-1] < eta:  # final step may coincide with a stride sample
+                    snap, cond = _snapshot(
+                        spec, n.T.copy(), eta, float(a[j + 1]), purity_tol,
+                        f"reduce deta (currently {h:.3e})",
                     )
-                etas.append(eta)
-                states.append(snap)
-                conds.append(_condensates_from_bloch(n, spec))
+                    etas.append(eta)
+                    states.append(snap)
+                    conds.append(cond)
     return Trajectory(np.array(etas), states, conds, profile)
 
 
@@ -397,27 +466,24 @@ def evolve_adaptive(
 ) -> Trajectory:
     """Adaptive-step integration of the self-consistent block equations.
 
-    Same dynamics as :func:`evolve`, delegated to scipy's DOP853 with
-    tight tolerances.  Essential for de Sitter profiles, where the
-    effective mass m a(eta) = -m/(H eta) diverges towards eta -> 0^- and
-    a fixed step either wastes the early window or blows up at the end;
-    the step-size controller tracks the local frequency, so the cost is
-    logarithmic in the final scale factor.
+    Same dynamics and field kernel as :func:`evolve`, delegated to
+    scipy's DOP853 with tight tolerances.  Essential for de Sitter
+    profiles, where the effective mass m a(eta) = -m/(H eta) diverges
+    towards eta -> 0^- and a fixed step either wastes the early window or
+    blows up at the end; the step-size controller tracks the local
+    frequency, so the cost is logarithmic in the final scale factor.
+    The integrator's state vector keeps the (N_S, 3) order, so its error
+    norm and step control see the same numbers.
 
     ``sample_etas`` fixes the output grid explicitly; otherwise
     ``n_samples`` points are spread uniformly over ``eta_span``.
     """
     from scipy.integrate import solve_ivp
 
-    eta0, eta1 = float(eta_span[0]), float(eta_span[1])
-    if eta1 <= eta0:
-        raise ValueError("eta_span must be increasing")
+    eta0, eta1 = _check_span(eta_span)
     spec = initial.spec
-    ks = spec.momentum_grid()
-    a = spec.spacing
-    sin_term = -np.sin(ks * a) / a
-    wilson_term = (1.0 - np.cos(ks * a)) / a
-    pref = spec.coupling / (2.0 * a * spec.num_sites)
+    field = _BlockField(spec)
+    out = np.empty((3, spec.num_sites))
 
     if sample_etas is None:
         sample_etas = np.linspace(eta0, eta1, int(n_samples))
@@ -426,10 +492,9 @@ def evolve_adaptive(
         raise ValueError("sample_etas must lie within eta_span")
 
     def rhs(eta, y):
-        n = y.reshape(-1, 3)
-        return _rhs(
-            n, sin_term, wilson_term, spec.mass * float(profile.scale_factor(eta)), pref
-        ).ravel()
+        field.load(y.reshape(-1, 3).T)
+        field.rate(spec.mass * float(profile.scale_factor(eta)), out)
+        return out.T.ravel()
 
     sol = solve_ivp(
         rhs,
@@ -445,16 +510,12 @@ def evolve_adaptive(
         raise StepSizeError(f"adaptive integration failed: {sol.message}")
     states, conds = [], []
     for eta, y in zip(sol.t, sol.y.T):
-        n = y.reshape(-1, 3)
-        snap = CorrelationState(spec, n.copy(), float(eta),
-                                float(profile.scale_factor(eta)))
-        defect = snap.purity_defect()
-        if defect > purity_tol:
-            raise StepSizeError(
-                f"purity defect {defect:.3e} at eta = {eta:.6g}; tighten rtol"
-            )
+        snap, cond = _snapshot(
+            spec, y.reshape(-1, 3).copy(), float(eta),
+            float(profile.scale_factor(eta)), purity_tol, "tighten rtol",
+        )
         states.append(snap)
-        conds.append(_condensates_from_bloch(n, spec))
+        conds.append(cond)
     return Trajectory(np.array(sol.t), states, conds, profile)
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .entanglement import BlockSpec, block_entropy, contour_trajectory
 from .gaussian import (
     CondensatePair,
@@ -31,7 +31,7 @@ from .gaussian import (
     self_consistent_ground_state,
 )
 from .lattice import LatticeSpec, cosmological_time, preparation_scale
-from .production import bogoliubov_spectrum, mode_pair_entropy, particle_density
+from .production import bogoliubov_spectrum, mode_pair_entropy
 from .quasiparticle import condensate_persistence, qp_entropy, qp_input_from_spectrum
 from .symmetry import spectrum_symmetry_check, symmetry_report
 
@@ -179,6 +179,12 @@ def _qp_reference(traj, lattice, window=None):
     if window is None:
         window = (etas[0] + 0.75 * (etas[-1] - etas[0]), etas[-1])
     mask = (etas >= window[0]) & (etas <= window[1])
+    if not mask.any():
+        raise ConfigError(
+            "analyses[].window",
+            f"{list(window)} holds no sample; samples span "
+            f"[{etas[0]:.6g}, {etas[-1]:.6g}]",
+        )
     sig = float(np.mean([c.sigma for c, m in zip(traj.condensates, mask) if m]))
     pi = float(np.mean([c.pi for c, m in zip(traj.condensates, mask) if m]))
     a_f = traj.states[-1].a_val

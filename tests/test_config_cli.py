@@ -101,6 +101,16 @@ class TestCLI:
         assert code == EXIT_NUMERICAL
         assert "StepSizeError" in capsys.readouterr().err
 
+    def test_qp_window_without_samples_exits_1(self, tmp_path, capsys):
+        # a window past the end of eta_span used to average an empty slice
+        # and write an all-zero entropy_qp.csv with exit 0
+        cfg = tmp_path / "qp.yaml"
+        cfg.write_text(SMALL_RUN + "  - {kind: qp, block: {length: 6}, "
+                                   "window: [50.0, 60.0]}\n")
+        code = main(["run", str(cfg), "--output", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "analyses[].window" in capsys.readouterr().err
+
     def test_run_plots_and_bit_reproducibility(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(SMALL_RUN)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from cosmodirac.gaussian import (
     ConvergenceError,
@@ -21,9 +24,11 @@ from cosmodirac.gaussian import (
     total_energy,
 )
 from cosmodirac.lattice import (
+    ExponentialProfile,
     LatticeSpec,
     QuenchProfile,
     StaticProfile,
+    TabulatedProfile,
     dispersion,
 )
 
@@ -158,6 +163,15 @@ class TestEvolution:
         with pytest.raises(StepSizeError):
             evolve(state, QuenchProfile(0.01, 10.0), (0.0, 5.0), 0.3)
 
+    def test_diverged_run_fails_the_purity_gate(self):
+        # RK4 at deta = 1 after a quench to a_f = 1e3 overflows to NaN; a
+        # NaN defect must fail the gate, not compare False against it
+        spec = LatticeSpec(num_sites=16, mass=1.0)
+        state = free_ground_state(spec, 0.01, a_val=0.01)
+        with np.errstate(all="ignore"), pytest.raises(StepSizeError, match="nan"):
+            evolve(state, QuenchProfile(0.01, 1e3), (0.0, 200.0), 1.0,
+                   sample_every=50)
+
     def test_rejects_bad_spans(self):
         spec = LatticeSpec(num_sites=8, mass=1.0)
         state = free_ground_state(spec, 1.0)
@@ -189,3 +203,113 @@ class TestRealSpace:
         state = free_ground_state(spec, 1.0)
         gamma = real_space_correlation(state)
         assert np.trace(gamma).real == pytest.approx(8.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Bit identity against the plain per-step formulation
+# ---------------------------------------------------------------------------
+
+
+def _reference_field(spec, profile):
+    """d n_k/d eta for (N_S, 3) Bloch vectors, one numpy expression per term."""
+    ks = spec.momentum_grid()
+    a = spec.spacing
+    sin_term = -np.sin(ks * a) / a
+    wilson_term = (1.0 - np.cos(ks * a)) / a
+    pref = spec.coupling / (2.0 * a * spec.num_sites)
+
+    def rhs(eta, n):
+        sig = -pref * np.sum(n[:, 2])
+        pi = pref * np.sum(n[:, 1])
+        bz = spec.mass * float(profile.scale_factor(eta)) + sig + wilson_term
+        nx, ny, nz = n[:, 0], n[:, 1], n[:, 2]
+        return np.stack([2.0 * (pi * nz - bz * ny), 2.0 * (bz * nx - sin_term * nz),
+                         2.0 * (sin_term * ny - pi * nx)], axis=-1)
+
+    return rhs
+
+
+def _reference_rk4(initial, profile, eta_span, deta, sample_every):
+    rhs = _reference_field(initial.spec, profile)
+    eta0, eta1 = eta_span
+    n_steps = int(np.ceil((eta1 - eta0) / deta - 1e-12))
+    h = (eta1 - eta0) / n_steps
+    n, eta = initial.bloch.copy(), eta0
+    etas, blochs = [eta0], [n]
+    for step in range(n_steps):
+        k1 = rhs(eta, n)
+        k2 = rhs(eta + 0.5 * h, n + 0.5 * h * k1)
+        k3 = rhs(eta + 0.5 * h, n + 0.5 * h * k2)
+        k4 = rhs(eta + h, n + h * k3)
+        n = n + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        eta = eta0 + (step + 1) * h
+        if ((step + 1) % sample_every == 0 or step == n_steps - 1) and etas[-1] < eta:
+            etas.append(eta)
+            blochs.append(n)
+    return np.array(etas), blochs
+
+
+def _reference_condensates(spec, n):
+    pref = spec.coupling / (2.0 * spec.spacing * spec.num_sites)
+    return (float(-pref * np.sum(n[:, 2])), float(pref * np.sum(n[:, 1])))
+
+
+def _assert_trajectory_equals(traj, etas, blochs, spec, profile):
+    assert np.array_equal(traj.etas, etas)
+    assert len(traj.states) == len(blochs)
+    for state, cond, eta, n in zip(traj.states, traj.condensates, etas, blochs):
+        assert state.bloch.shape == n.shape
+        assert np.array_equal(state.bloch, n)
+        assert state.eta == eta
+        assert state.a_val == float(profile.scale_factor(eta))
+        assert (cond.sigma, cond.pi) == _reference_condensates(spec, n)
+
+
+# The cases: free and interacting quench, a continuous ramp, a tabulated a.
+BIT_IDENTITY_PROFILES = {
+    "quench": QuenchProfile(0.5, 1.5),
+    "exponential": ExponentialProfile(0.5, 2.0, hubble=1.0),
+    "tabulated": TabulatedProfile((0.0, 1.0, 3.0), (0.5, 1.2, 0.9)),
+}
+BIT_IDENTITY_CASES = dict(
+    num_sites=st.integers(2, 32).map(lambda half: 2 * half),
+    coupling=st.sampled_from([0.0, 1.0, 3.0]),
+    mass=st.sampled_from([1.0, -1.0]),
+    kind=st.sampled_from(sorted(BIT_IDENTITY_PROFILES)),
+)
+
+
+def _quenched_vacuum(num_sites, coupling, mass):
+    spec = LatticeSpec(num_sites=num_sites, mass=mass, coupling=coupling)
+    return spec, free_ground_state(spec, 0.3 * mass, a_val=0.5)
+
+
+class TestBitIdentity:
+    """The in-place block-field kernel reproduces the per-step formulation."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_steps=st.integers(30, 700), sample_every=st.integers(1, 300),
+           **BIT_IDENTITY_CASES)
+    def test_rk4(self, num_sites, coupling, mass, kind, n_steps, sample_every):
+        spec, state = _quenched_vacuum(num_sites, coupling, mass)
+        profile = BIT_IDENTITY_PROFILES[kind]
+        deta = 3.0 / n_steps
+        traj = evolve(state.copy(), profile, (0.0, 3.0), deta,
+                      sample_every=sample_every, purity_tol=np.inf)
+        etas, blochs = _reference_rk4(state, profile, (0.0, 3.0), deta, sample_every)
+        _assert_trajectory_equals(traj, etas, blochs, spec, profile)
+
+    @settings(max_examples=15, deadline=None)
+    @given(**BIT_IDENTITY_CASES)
+    def test_dop853(self, num_sites, coupling, mass, kind):
+        spec, state = _quenched_vacuum(num_sites, coupling, mass)
+        profile = BIT_IDENTITY_PROFILES[kind]
+        sample_etas = np.linspace(0.0, 1.0, 5)
+        traj = evolve_adaptive(state.copy(), profile, (0.0, 1.0),
+                               sample_etas=sample_etas, purity_tol=np.inf)
+        rhs = _reference_field(spec, profile)
+        sol = solve_ivp(lambda eta, y: rhs(eta, y.reshape(-1, 3)).ravel(), (0.0, 1.0),
+                        state.bloch.ravel().copy(), method="DOP853", t_eval=sample_etas,
+                        rtol=1e-10, atol=1e-12)
+        _assert_trajectory_equals(traj, sol.t, [y.reshape(-1, 3) for y in sol.y.T],
+                                  spec, profile)
