@@ -48,7 +48,7 @@ traj = evolve(vacuum, QuenchProfile(A_0, A_F), (0.0, ETA_END), 5e-4,
 block = BlockSpec.centered(BLOCK, N_SITES)
 etas = np.asarray(traj.etas)
 measured = np.array(
-    [block_entropy(real_space_correlation(s), block) for s in traj.states]
+    [block_entropy(real_space_correlation(s, block), block) for s in traj.states]
 )
 
 # quasi-particle prediction from the production spectrum

@@ -165,16 +165,24 @@ def _build_preparation(section) -> dict:
     return out
 
 
+def _interval(values, path):
+    """(eta_start, eta_end) from a list of two finite, increasing numbers."""
+    if len(values) != 2 or not all(
+        isinstance(x, (int, float)) and np.isfinite(x) for x in values
+    ):
+        raise ConfigError(path, f"expected [eta_start, eta_end], two finite "
+                                f"numbers, got {values!r}")
+    if not float(values[1]) > float(values[0]):
+        raise ConfigError(path, "eta_end must exceed eta_start")
+    return float(values[0]), float(values[1])
+
+
 def _build_evolution(section) -> dict:
     path = "evolution"
-    span = _require(section, "eta_span", path, (list,))
-    if len(span) != 2 or not all(isinstance(x, (int, float)) for x in span):
-        raise ConfigError(f"{path}.eta_span", "expected [eta_start, eta_end]")
-    if not float(span[1]) > float(span[0]):
-        raise ConfigError(f"{path}.eta_span", "eta_end must exceed eta_start")
+    span = _interval(_require(section, "eta_span", path, (list,)), f"{path}.eta_span")
     method = _check_choice(_optional(section, "method", "rk4", path, (str,)),
                            EVOLUTION_METHODS, f"{path}.method")
-    out = {"eta_span": (float(span[0]), float(span[1])), "method": method}
+    out = {"eta_span": span, "method": method}
     if method == "rk4":
         deta = float(_require(section, "deta", path, (int, float)))
         if deta <= 0:
@@ -229,7 +237,10 @@ def _build_analyses(section, lattice: LatticeSpec) -> list:
                 REFERENCE_MODES, f"{path}.reference_mode",
             )
         if kind == "qp":
-            opts["window"] = _optional(entry, "window", None, path, (list,))
+            window = _optional(entry, "window", None, path, (list,))
+            if window is not None:
+                window = _interval(window, f"{path}.window")
+            opts["window"] = window
         if kind == "symmetry":
             hv = _require(entry, "hubble_values", path, (list,))
             if not hv or not all(isinstance(x, (int, float)) and x > 0 for x in hv):

@@ -2,7 +2,10 @@
 
 The block density-matrix spectrum follows from the restricted real-space
 correlation matrix; its eigenmodes carry binary entropies that the
-contour redistributes over sites and spinor components.
+contour redistributes over sites and spinor components.  Trajectory
+analyses build only the block's own 2L x 2L matrix (Peschel, J. Phys. A
+36, L205 (2003)); the contour follows Chen & Vidal, J. Stat. Mech.
+P10011 (2014).
 """
 
 from __future__ import annotations
@@ -77,8 +80,22 @@ def _mode_entropies(nu):
 
 
 def _restricted(gamma: np.ndarray, block: BlockSpec) -> np.ndarray:
-    rows = block.row_indices()
-    return gamma[np.ix_(rows, rows)]
+    """The block's 2L x 2L correlation matrix.
+
+    ``gamma`` is either the chain's dense 2N_S x 2N_S matrix, which is
+    sliced to the block's rows, or the block's own 2L x 2L matrix from
+    ``real_space_correlation(state, block)``, which is returned as is.
+    """
+    n_block, n_chain = 2 * block.length, 2 * block.num_sites
+    if gamma.shape == (n_block, n_block):
+        return gamma
+    if gamma.shape == (n_chain, n_chain):
+        rows = block.row_indices()
+        return gamma[np.ix_(rows, rows)]
+    raise ValueError(
+        f"correlation matrix of shape {gamma.shape} fits neither the block "
+        f"({n_block} x {n_block}) nor the chain ({n_chain} x {n_chain})"
+    )
 
 
 def _check_spectrum(nu):
@@ -90,7 +107,11 @@ def _check_spectrum(nu):
 
 
 def block_entropy(gamma: np.ndarray, block: BlockSpec) -> float:
-    """von Neumann entropy of the block from the restricted correlation matrix."""
+    """von Neumann entropy of the block from the restricted correlation matrix.
+
+    ``gamma`` is the chain's 2N_S x 2N_S or the block's own 2L x 2L
+    correlation matrix.
+    """
     nu = np.linalg.eigvalsh(_restricted(gamma, block))
     _check_spectrum(nu)
     return float(np.sum(_mode_entropies(nu)))
@@ -102,7 +123,8 @@ def entanglement_contour(gamma: np.ndarray, block: BlockSpec) -> np.ndarray:
     Diagonalise the restricted matrix, U^dag Gamma_A U = diag(nu); each
     eigenmode's binary entropy s_m is distributed with weights
     |U_{(i,alpha),m}|^2, so the values are nonnegative and sum to the
-    block entropy.
+    block entropy.  ``gamma`` is the chain's 2N_S x 2N_S or the block's
+    own 2L x 2L correlation matrix.
     """
     nu, u = np.linalg.eigh(_restricted(gamma, block))
     _check_spectrum(nu)
@@ -124,7 +146,7 @@ def contour_trajectory(
     etas = trajectory.etas[idx]
     vals = np.empty((len(idx), block.length, 2))
     for row, i in enumerate(idx):
-        gamma = real_space_correlation(trajectory.states[i])
+        gamma = real_space_correlation(trajectory.states[i], block)
         vals[row] = entanglement_contour(gamma, block)
     times = None
     if with_cosmological_time and trajectory.profile is not None:

@@ -524,19 +524,29 @@ def evolve_adaptive(
 # ---------------------------------------------------------------------------
 
 
-def real_space_correlation(state: CorrelationState) -> np.ndarray:
-    """Dense 2N_S x 2N_S correlation matrix, site-major spinor ordering.
+def real_space_correlation(state: CorrelationState, block=None) -> np.ndarray:
+    """Real-space correlation matrix, site-major spinor ordering.
 
     Gamma_{(i,alpha),(j,beta)} = (1/N_S) sum_k exp(i k (x_i - x_j))
-    (Gamma_k)_{alpha beta}, evaluated with an FFT over the block array.
-    Row index is 2*i + alpha with alpha in {u, d} = {0, 1}.
+    (Gamma_k)_{alpha beta}, evaluated with an FFT over the block array and
+    indexed by the separation (i - j) mod N_S.  Row index is 2*i + alpha
+    with alpha in {u, d} = {0, 1}, counted from the first site kept.
+
+    With ``block=None`` the dense 2N_S x 2N_S matrix of the whole chain
+    is built.  Given a block (anything with ``start`` and ``length``,
+    such as :class:`~cosmodirac.entanglement.BlockSpec`), only its
+    2L x 2L restriction is built; its entries are bit-identical to the
+    block's rows and columns of the dense matrix.
     """
     ns = state.spec.num_sites
     blocks = state.blocks  # (N, 2, 2), ordered along the momentum grid
     # k_n = -pi/a + 2 pi n/(N a):  exp(i k_n d a) = (-1)^d exp(2 pi i n d / N)
     g = np.fft.ifft(blocks, axis=0)  # (N, 2, 2) indexed by separation d
     g *= ((-1.0) ** np.arange(ns))[:, None, None]
-    d = (np.arange(ns)[:, None] - np.arange(ns)[None, :]) % ns
-    full = g[d]  # (N, N, 2, 2)
-    out = full.transpose(0, 2, 1, 3).reshape(2 * ns, 2 * ns)
+    if block is None:
+        sites = np.arange(ns)
+    else:
+        sites = np.arange(block.start, block.start + block.length)
+    d = (sites[:, None] - sites[None, :]) % ns
+    out = g[d].transpose(0, 2, 1, 3).reshape(2 * sites.size, 2 * sites.size)
     return 0.5 * (out + out.conj().T)

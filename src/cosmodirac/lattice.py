@@ -19,9 +19,7 @@ GAMMA0 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 GAMMA1 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 GAMMA5 = GAMMA0 @ GAMMA1
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 class DomainError(ValueError):

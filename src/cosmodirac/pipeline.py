@@ -152,7 +152,7 @@ def _emit_entropy(traj, block: BlockSpec, directory, name="entropy_measured.csv"
     times = np.asarray(cosmological_time(traj.profile, traj.etas), dtype=float)
     rows = []
     for eta, t, state in zip(traj.etas, times, traj.states):
-        gamma = real_space_correlation(state)
+        gamma = real_space_correlation(state, block)
         rows.append((float(eta), float(t), block_entropy(gamma, block)))
     _write_csv(directory / name, ["eta[a]", "t[a]", "entropy[nats]"], rows)
     return [name]
@@ -216,8 +216,7 @@ def _emit_spectrum(traj, lattice, reference_mode, directory, name="spectrum.csv"
 
 def _emit_qp(traj, lattice, block: BlockSpec, window, directory,
              name="entropy_qp.csv"):
-    ma_ref, pi_ref, a_f = _qp_reference(traj, lattice,
-                                        tuple(window) if window else None)
+    ma_ref, pi_ref, a_f = _qp_reference(traj, lattice, window)
     spectrum = bogoliubov_spectrum(
         traj.states[-1], lattice.mass * a_f,
         sigma=ma_ref - lattice.mass * a_f, pi=pi_ref, a_ref=a_f,

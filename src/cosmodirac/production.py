@@ -26,7 +26,7 @@ class ProductionSpectrum:
     spec: LatticeSpec = None
 
     def __post_init__(self):
-        if np.any(self.beta_sq < -1e-12) or np.any(self.beta_sq > 1.0 + 1e-12):
+        if not np.all((-1e-12 <= self.beta_sq) & (self.beta_sq <= 1.0 + 1e-12)):
             raise ValueError("|beta_k|^2 must lie in [0, 1]")
         self.beta_sq = np.clip(self.beta_sq, 0.0, 1.0)
 
@@ -75,8 +75,9 @@ def mode_pair_entropy(beta_sq):
     and s_pair = 2 S_mode, the entropy a quasi-particle pair carries.
     """
     b = np.asarray(beta_sq, dtype=float)
-    if np.any(b < -1e-12) or np.any(b > 1.0 + 1e-12):
-        raise ValueError(f"beta_sq outside [0, 1]: {b[(b < -1e-12) | (b > 1 + 1e-12)]}")
+    inside = (-1e-12 <= b) & (b <= 1.0 + 1e-12)
+    if not np.all(inside):
+        raise ValueError(f"beta_sq outside [0, 1]: {b[~inside]}")
     b = np.clip(b, 0.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         s = -np.where(b > 0, b * np.log(b), 0.0) - np.where(

@@ -38,9 +38,9 @@ class QPInput:
     out_of_validity: bool = False
 
     def __post_init__(self):
-        if np.any(self.v < 0):
+        if not np.all(self.v >= 0):
             raise ValueError("velocities must be nonnegative")
-        if np.any(self.s_pair < -1e-12) or np.any(self.s_pair > 2 * np.log(2) + 1e-9):
+        if not np.all((-1e-12 <= self.s_pair) & (self.s_pair <= 2 * np.log(2) + 1e-9)):
             raise ValueError("pair entropies must lie in [0, 2 log 2]")
 
     @property

@@ -10,6 +10,7 @@ blocks per momentum.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,10 @@ P_MATRIX = GAMMA0
 CP_MATRIX = GAMMA1
 
 HOLDS_THRESHOLD = 1e-10  # fraction of max block norm separating exact algebra from O(Pi)
+
+# A sample stride no run reaches: evolve then keeps only the final state,
+# the one state the sweep reads.
+_FINAL_SAMPLE_ONLY = sys.maxsize
 
 
 @dataclass
@@ -136,6 +141,9 @@ def spectrum_symmetry_check(
     tracks the interacting quasi-particles but mixes the condensate
     dynamics into the +-k comparison).
 
+    Only the final state of each evolution is sampled, so the purity gate
+    checks that state alone.
+
     Returns a list of dicts {hubble, asymmetry, beta_sq_sum}.
     """
     from .lattice import ExponentialProfile, QuenchProfile
@@ -154,12 +162,14 @@ def spectrum_symmetry_check(
             state.a_val = a_f
             profile = QuenchProfile(a_0=a_0, a_f=a_f)
             if settle_eta > 0:
-                traj = evolve(state, profile, (0.0, settle_eta), deta_fn(hubble))
+                traj = evolve(state, profile, (0.0, settle_eta), deta_fn(hubble),
+                              sample_every=_FINAL_SAMPLE_ONLY)
                 state = traj.states[-1]
         else:
             profile = ExponentialProfile(a_0=a_0, a_f=a_f, hubble=hubble)
             eta_end = profile.eta_clamp + settle_eta
-            traj = evolve(initial.copy(), profile, (0.0, eta_end), deta_fn(hubble))
+            traj = evolve(initial.copy(), profile, (0.0, eta_end), deta_fn(hubble),
+                          sample_every=_FINAL_SAMPLE_ONLY)
             state = traj.states[-1]
         if reference_mode == "dressed":
             cond = state_condensates(state)

@@ -38,6 +38,8 @@ class TestSchema:
             (lambda d: d["lattice"].pop("num_sites"), "lattice.num_sites"),
             (lambda d: d["profile"].update(kind="warp"), "profile.kind"),
             (lambda d: d["evolution"].update(eta_span=[1.0, 0.0]), "evolution.eta_span"),
+            (lambda d: d["evolution"].update(eta_span=[0.0, float("inf")]),
+             "evolution.eta_span"),
             (lambda d: d["evolution"].update(deta=-1.0), "evolution.deta"),
             (lambda d: d.update(extra={}), "extra"),
             (lambda d: d.update(output={"formats": ["xlsx"]}), "output.formats"),
@@ -53,6 +55,23 @@ class TestSchema:
             with pytest.raises(ConfigError) as err:
                 config_from_dict(raw)
             assert err.value.path == expected_path
+
+    def test_qp_window_must_be_an_increasing_finite_pair(self):
+        raw = {
+            "lattice": {"num_sites": 16},
+            "profile": {"kind": "static", "a_val": 1.0},
+            "evolution": {"eta_span": [0.0, 1.0], "deta": 1e-3},
+        }
+        bad = (["a"], [0.5], [0.5, 0.2], [0.5, 0.5], [0.0, float("nan")],
+               [float("-inf"), 1.0], [0.0, "1"], [0.0, 1.0, 2.0])
+        for window in bad:
+            raw["analyses"] = [{"kind": "spectrum"},
+                               {"kind": "qp", "block": {"length": 4}, "window": window}]
+            with pytest.raises(ConfigError) as err:
+                config_from_dict(raw)
+            assert err.value.path == "analyses[1].window", window
+        raw["analyses"][1]["window"] = [0, 0.75]
+        assert config_from_dict(raw).analyses[1].options["window"] == (0.0, 0.75)
 
     def test_span_outside_profile_domain(self):
         raw = {
@@ -110,6 +129,18 @@ class TestCLI:
         code = main(["run", str(cfg), "--output", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "analyses[].window" in capsys.readouterr().err
+
+    def test_malformed_qp_window_exits_1_before_evolving(self, tmp_path, capsys):
+        # a non-numeric window used to run the whole evolution and then die
+        # with a numpy traceback
+        cfg = tmp_path / "qp.yaml"
+        cfg.write_text(SMALL_RUN + "  - {kind: qp, block: {length: 6}, window: [a]}\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "analyses[2].window" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_run_plots_and_bit_reproducibility(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"

@@ -20,7 +20,7 @@ from cosmodirac.gaussian import (
     free_ground_state,
     real_space_correlation,
 )
-from cosmodirac.lattice import LatticeSpec, QuenchProfile
+from cosmodirac.lattice import ExponentialProfile, LatticeSpec, QuenchProfile
 
 
 def _binary(nu):
@@ -81,6 +81,24 @@ class TestEntropy:
         with pytest.raises(InvalidStateError):
             block_entropy(gamma, BlockSpec(0, 4, 8))
 
+    def test_matrix_of_neither_block_nor_chain_size_rejected(self):
+        blk = BlockSpec(2, 3, 8)
+        for n in (4, 10, 14):
+            with pytest.raises(ValueError, match="fits neither"):
+                block_entropy(np.eye(n, dtype=complex), blk)
+        with pytest.raises(ValueError, match="fits neither"):
+            entanglement_contour(np.eye(16, dtype=complex)[:6], blk)
+
+    def test_block_matrix_and_dense_matrix_agree(self):
+        spec = LatticeSpec(num_sites=24, mass=1.0)
+        state = free_ground_state(spec, 0.3, a_val=0.3)
+        blk = BlockSpec(5, 7, 24)
+        dense = real_space_correlation(state)
+        own = real_space_correlation(state, blk)
+        assert block_entropy(own, blk) == block_entropy(dense, blk)
+        assert np.array_equal(entanglement_contour(own, blk),
+                              entanglement_contour(dense, blk))
+
 
 class TestContourField:
     def test_mirror_and_spinor_structure_without_parity_breaking(self):
@@ -93,6 +111,21 @@ class TestContourField:
         summed = field.spinor_summed()
         assert np.max(np.abs(summed - summed[:, ::-1])) < 1e-10
         assert np.allclose(field.block_entropies(), field.values.sum(axis=(1, 2)))
+
+    def test_equals_contour_of_dense_matrix(self):
+        # the block-local route is bit-identical to slicing the dense matrix,
+        # for blocks at both chain edges and in the middle
+        spec = LatticeSpec(num_sites=32, mass=-1.0, coupling=3.0)
+        state = free_ground_state(spec, -0.4, a_val=0.5)
+        traj = evolve(state, ExponentialProfile(0.5, 1.5, hubble=1.0), (0.0, 2.0),
+                      1e-2, sample_every=40)
+        assert len(traj.states) == 6
+        for blk in (BlockSpec(0, 9, 32), BlockSpec(23, 9, 32),
+                    BlockSpec.centered(12, 32), BlockSpec(0, 32, 32)):
+            field = contour_trajectory(traj, blk, time_stride=2)
+            dense = [entanglement_contour(real_space_correlation(traj.states[i]), blk)
+                     for i in (0, 2, 4, 5)]
+            assert np.array_equal(field.values, np.array(dense))
 
     def test_shape_validation_and_time_stride(self):
         spec = LatticeSpec(num_sites=16, mass=1.0)

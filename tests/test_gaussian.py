@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from cosmodirac.entanglement import BlockSpec
 from cosmodirac.gaussian import (
     ConvergenceError,
     CorrelationState,
@@ -203,6 +204,24 @@ class TestRealSpace:
         state = free_ground_state(spec, 1.0)
         gamma = real_space_correlation(state)
         assert np.trace(gamma).real == pytest.approx(8.0, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(num_sites=st.integers(2, 32).map(lambda half: 2 * half),
+           coupling=st.sampled_from([0.0, 1.0, 3.0]), n_steps=st.integers(1, 60),
+           length=st.integers(1, 64), start=st.integers(0, 64))
+    def test_block_equals_dense_sub_block(self, num_sites, coupling, n_steps,
+                                          length, start):
+        # starts past the last fitting one clamp to blocks ending at N_S
+        length = min(length, num_sites)
+        block = BlockSpec(min(start, num_sites - length), length, num_sites)
+        spec = LatticeSpec(num_sites=num_sites, mass=1.0, coupling=coupling)
+        state = free_ground_state(spec, 0.3, a_val=0.5)
+        state = evolve(state, QuenchProfile(0.5, 1.5), (0.0, 1.0), 1.0 / n_steps,
+                       sample_every=n_steps, purity_tol=np.inf).states[-1]
+        rows = block.row_indices()
+        dense = real_space_correlation(state)
+        assert np.array_equal(real_space_correlation(state, block),
+                              dense[np.ix_(rows, rows)])
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,13 @@ class TestSpectrum:
                 reference=(1.0, 0.0, 0.0), a_ref=1.0,
             )
 
+    def test_rejects_nan_occupations(self):
+        with pytest.raises(ValueError):
+            ProductionSpectrum(
+                k=np.array([0.0, 1.0]), beta_sq=np.array([0.2, np.nan]),
+                reference=(1.0, 0.0, 0.0), a_ref=1.0,
+            )
+
 
 class TestDerivedQuantities:
     def test_particle_density_normalization(self):
@@ -101,6 +108,13 @@ class TestDerivedQuantities:
         assert np.allclose(pairs, 2.0 * arr)
         with pytest.raises(ValueError):
             mode_pair_entropy(1.2)
+
+    def test_mode_pair_entropy_rejects_nan(self):
+        # NaN used to be mapped to zero entropy
+        with pytest.raises(ValueError):
+            mode_pair_entropy(np.nan)
+        with pytest.raises(ValueError):
+            mode_pair_entropy(np.array([0.5, np.nan]))
 
     def test_spectrum_asymmetry(self):
         spec = LatticeSpec(num_sites=8, mass=1.0)

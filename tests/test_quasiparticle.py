@@ -80,6 +80,12 @@ class TestQuadratures:
         with pytest.raises(ValueError):
             qp_contour(qp, 1.0, 40.0)
 
+    def test_validation_rejects_nan(self):
+        with pytest.raises(ValueError):
+            _flat_qp(v0=np.nan)
+        with pytest.raises(ValueError):
+            _flat_qp(s0=np.nan)
+
 
 def _synthetic_trajectory(damping, n=400, eta_max=40.0):
     etas = np.linspace(0.0, eta_max, n)

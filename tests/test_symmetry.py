@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cosmodirac import symmetry
 from cosmodirac.entanglement import BlockSpec, ContourField, contour_trajectory
 from cosmodirac.gaussian import evolve, free_ground_state
 from cosmodirac.lattice import ExponentialProfile, LatticeSpec, QuenchProfile
@@ -104,3 +105,17 @@ class TestSpectrumSweep:
         with pytest.raises(ValueError):
             spectrum_symmetry_check(spec, 0.7, 1.3, [100.0],
                                     reference_mode="nope")
+
+    def test_sweep_rows_match_sampling_every_step(self, monkeypatch):
+        # the sweep samples only the final state; sampling every step (as it
+        # once did) must give the same rows bit for bit
+        spec = LatticeSpec(num_sites=16, mass=-1.0, coupling=3.0)
+        args = (spec, 0.7, 1.3, [0.3, 2.0, 100.0])
+        opts = dict(deta_fn=lambda h: 1e-2, settle_eta=0.5, reference_mode="dressed")
+        rows = spectrum_symmetry_check(*args, **opts)
+
+        def every_step(*a, **kw):
+            return evolve(*a, **{**kw, "sample_every": 1})
+
+        monkeypatch.setattr(symmetry, "evolve", every_step)
+        assert spectrum_symmetry_check(*args, **opts) == rows
