@@ -37,15 +37,15 @@ print(f"prepared at a_0 = {profile.a_0:.4f} with Sigma = {cond.sigma:+.4f}, "
       f"Pi = {cond.pi:+.4f}")
 
 traj = evolve_adaptive(state, profile, (ETA_0, profile.eta_max), n_samples=121)
-print(f"scale factor grew {profile.a_0:.3f} -> {traj.states[-1].a_val:.1f} "
+print(f"scale factor grew {profile.a_0:.3f} -> {traj.a_vals[-1]:.1f} "
       f"({len(traj.etas)} samples, adaptive)")
 
 field = contour_trajectory(traj, BlockSpec.centered(BLOCK, N_SITES))
 
 # dressed group velocity averaged over the run
 vs = [
-    group_velocity(spec.mass * s.a_val + c.sigma, 0.0, c.pi, spec.spacing)
-    for s, c in zip(traj.states, traj.condensates)
+    group_velocity(spec.mass * a + sigma, 0.0, pi, spec.spacing)
+    for a, sigma, pi in zip(traj.a_vals, traj.sigma, traj.pi)
 ]
 v_bar = np.trapezoid(vs, traj.etas) / (traj.etas[-1] - traj.etas[0])
 predicted = horizon_width(float(BLOCK), v_bar, HUBBLE, profile.a_0)

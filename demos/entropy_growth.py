@@ -48,11 +48,12 @@ traj = evolve(vacuum, QuenchProfile(A_0, A_F), (0.0, ETA_END), 5e-4,
 block = BlockSpec.centered(BLOCK, N_SITES)
 etas = np.asarray(traj.etas)
 measured = np.array(
-    [block_entropy(real_space_correlation(s, block), block) for s in traj.states]
+    [block_entropy(real_space_correlation(traj.state(i), block), block)
+     for i in range(len(etas))]
 )
 
 # quasi-particle prediction from the production spectrum
-spectrum = bogoliubov_spectrum(traj.states[-1], spec.mass * A_F, a_ref=A_F)
+spectrum = bogoliubov_spectrum(traj.state(-1), spec.mass * A_F, a_ref=A_F)
 qp = qp_input_from_spectrum(spectrum, spec, float(BLOCK))
 predicted = np.array([qp_entropy(qp, e) for e in etas])
 

@@ -3,7 +3,8 @@
 One config file describes one reproducible experiment: lattice, scale
 factor, preparation, evolution, the list of analyses, and output options.
 Validation errors name the offending field path so a broken config fails
-before any computation starts.
+before any computation starts.  Every section rejects keys it does not
+read, and every number must be finite.
 """
 
 from __future__ import annotations
@@ -22,11 +23,29 @@ from .lattice import (
     TabulatedProfile,
 )
 
-PROFILE_KINDS = ("static", "exponential", "quench", "de_sitter", "tabulated")
-PREPARATION_KINDS = ("vacuum", "mass_quench")
-ANALYSIS_KINDS = ("entropy", "contour", "spectrum", "qp", "condensates", "symmetry")
-EVOLUTION_METHODS = ("rk4", "adaptive")
-SPINOR_MODES = ("split", "summed", "zigzag")
+# kind (or method) -> the fields a section of that kind reads besides its kind
+PROFILE_FIELDS = {
+    "static": ("a_val",),
+    "exponential": ("a_0", "a_f", "hubble"),
+    "quench": ("a_0", "a_f", "eta_switch"),
+    "de_sitter": ("hubble", "eta_0", "eta_max"),
+    "tabulated": ("samples",),
+}
+ANALYSIS_FIELDS = {
+    "entropy": ("block",),
+    "contour": ("block", "time_stride"),
+    "spectrum": ("reference_mode",),
+    "qp": ("block", "window"),
+    "condensates": (),
+    "symmetry": ("reference_mode", "hubble_values", "a_0", "a_f"),
+}
+PREPARATION_FIELDS = {"vacuum": ("coupling_pre",),
+                      "mass_quench": ("m_pre", "coupling_pre")}
+EVOLUTION_FIELDS = {"rk4": ("deta", "sample_every"), "adaptive": ("n_samples", "rtol")}
+PROFILE_KINDS = tuple(PROFILE_FIELDS)
+PREPARATION_KINDS = tuple(PREPARATION_FIELDS)
+ANALYSIS_KINDS = tuple(ANALYSIS_FIELDS)
+EVOLUTION_METHODS = tuple(EVOLUTION_FIELDS)
 REFERENCE_MODES = ("bare", "dressed")
 
 
@@ -54,11 +73,27 @@ def _require(mapping, key, path, types=None):
 
 
 def _optional(mapping, key, default, path, types=None):
-    if not isinstance(mapping, dict):
-        raise ConfigError(path, f"expected a mapping, got {type(mapping).__name__}")
-    if key not in mapping or mapping[key] is None:
+    if isinstance(mapping, dict) and mapping.get(key) is None:
         return default
     return _require(mapping, key, path, types)
+
+
+def _number(mapping, key, path, *default):
+    """A finite int or float field as a float; optional if a default is given."""
+    if default and isinstance(mapping, dict) and mapping.get(key) is None:
+        return default[0]
+    val = float(_require(mapping, key, path, (int, float)))
+    if not np.isfinite(val):
+        raise ConfigError(f"{path}.{key}", f"must be finite, got {val}")
+    return val
+
+
+def _reject_unknown(section, known, path):
+    """Fail on a key the builder does not read, such as a misspelt field."""
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}",
+                              f"unknown field; expected one of {sorted(known)}")
 
 
 def _check_choice(value, choices, path):
@@ -98,10 +133,11 @@ class RunConfig:
 
 def _build_lattice(section) -> LatticeSpec:
     path = "lattice"
+    _reject_unknown(section, ("num_sites", "spacing", "mass", "coupling"), path)
     n = _require(section, "num_sites", path, (int,))
-    spacing = float(_optional(section, "spacing", 1.0, path, (int, float)))
-    mass = float(_optional(section, "mass", 0.0, path, (int, float)))
-    coupling = float(_optional(section, "coupling", 0.0, path, (int, float)))
+    spacing = _number(section, "spacing", path, 1.0)
+    mass = _number(section, "mass", path, 0.0)
+    coupling = _number(section, "coupling", path, 0.0)
     if coupling < 0:
         raise ConfigError("lattice.coupling", "must be nonnegative")
     try:
@@ -113,35 +149,33 @@ def _build_lattice(section) -> LatticeSpec:
 def _build_profile(section):
     path = "profile"
     kind = _check_choice(_require(section, "kind", path, (str,)), PROFILE_KINDS, f"{path}.kind")
+    _reject_unknown(section, ("kind",) + PROFILE_FIELDS[kind], path)
+
+    def num(key, *default):
+        return _number(section, key, path, *default)
+
     try:
         if kind == "static":
-            return StaticProfile(a_val=float(_require(section, "a_val", path, (int, float))))
+            return StaticProfile(a_val=num("a_val"))
         if kind == "exponential":
-            return ExponentialProfile(
-                a_0=float(_require(section, "a_0", path, (int, float))),
-                a_f=float(_require(section, "a_f", path, (int, float))),
-                hubble=float(_require(section, "hubble", path, (int, float))),
-            )
+            return ExponentialProfile(a_0=num("a_0"), a_f=num("a_f"), hubble=num("hubble"))
         if kind == "quench":
-            return QuenchProfile(
-                a_0=float(_require(section, "a_0", path, (int, float))),
-                a_f=float(_require(section, "a_f", path, (int, float))),
-                eta_switch=float(_optional(section, "eta_switch", 0.0, path, (int, float))),
-            )
+            return QuenchProfile(a_0=num("a_0"), a_f=num("a_f"),
+                                 eta_switch=num("eta_switch", 0.0))
         if kind == "de_sitter":
-            eta_max = _optional(section, "eta_max", None, path, (int, float))
-            return DeSitterProfile(
-                hubble=float(_require(section, "hubble", path, (int, float))),
-                eta_0=float(_require(section, "eta_0", path, (int, float))),
-                eta_max=None if eta_max is None else float(eta_max),
-            )
+            return DeSitterProfile(hubble=num("hubble"), eta_0=num("eta_0"),
+                                   eta_max=num("eta_max", None))
         samples = _require(section, "samples", path, (list,))
         try:
             etas, values = zip(*samples)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}.samples", "expected [eta, a] pairs") from exc
+        if not np.all(np.isfinite(np.asarray(etas + values, dtype=float))):
+            raise ConfigError(f"{path}.samples", "expected finite numbers")
         return TabulatedProfile(etas=tuple(map(float, etas)),
                                 values=tuple(map(float, values)))
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -152,16 +186,17 @@ def _build_preparation(section) -> dict:
         return {"kind": "vacuum"}
     kind = _check_choice(_require(section, "kind", path, (str,)),
                          PREPARATION_KINDS, f"{path}.kind")
+    _reject_unknown(section, ("kind",) + PREPARATION_FIELDS[kind], path)
     out = {"kind": kind}
     if kind == "mass_quench":
-        out["m_pre"] = float(_require(section, "m_pre", path, (int, float)))
-    coupling_pre = _optional(section, "coupling_pre", None, path, (int, float))
+        out["m_pre"] = _number(section, "m_pre", path)
+    coupling_pre = _number(section, "coupling_pre", path, None)
     if coupling_pre is not None:
         if coupling_pre < 0:
             raise ConfigError(f"{path}.coupling_pre", "must be nonnegative")
         # prepare in a different interaction strength than the evolution
         # (e.g. parity-broken vacuum released into free dynamics)
-        out["coupling_pre"] = float(coupling_pre)
+        out["coupling_pre"] = coupling_pre
     return out
 
 
@@ -182,9 +217,10 @@ def _build_evolution(section) -> dict:
     span = _interval(_require(section, "eta_span", path, (list,)), f"{path}.eta_span")
     method = _check_choice(_optional(section, "method", "rk4", path, (str,)),
                            EVOLUTION_METHODS, f"{path}.method")
+    _reject_unknown(section, ("eta_span", "method") + EVOLUTION_FIELDS[method], path)
     out = {"eta_span": span, "method": method}
     if method == "rk4":
-        deta = float(_require(section, "deta", path, (int, float)))
+        deta = _number(section, "deta", path)
         if deta <= 0:
             raise ConfigError(f"{path}.deta", "must be positive")
         out["deta"] = deta
@@ -193,13 +229,14 @@ def _build_evolution(section) -> dict:
             raise ConfigError(f"{path}.sample_every", "must be >= 1")
     else:
         out["n_samples"] = int(_optional(section, "n_samples", 201, path, (int,)))
-        out["rtol"] = float(_optional(section, "rtol", 1e-10, path, (int, float)))
+        out["rtol"] = _number(section, "rtol", path, 1e-10)
         if out["n_samples"] < 2:
             raise ConfigError(f"{path}.n_samples", "must be >= 2")
     return out
 
 
 def _build_block(section, num_sites, path):
+    _reject_unknown(section, ("start", "length"), path)
     length = _require(section, "length", path, (int,))
     if not (1 <= length <= num_sites):
         raise ConfigError(f"{path}.length", f"must lie in [1, {num_sites}]")
@@ -219,6 +256,7 @@ def _build_analyses(section, lattice: LatticeSpec) -> list:
         path = f"analyses[{i}]"
         kind = _check_choice(_require(entry, "kind", path, (str,)),
                              ANALYSIS_KINDS, f"{path}.kind")
+        _reject_unknown(entry, ("kind",) + ANALYSIS_FIELDS[kind], path)
         opts = {}
         if kind in ("entropy", "contour", "qp"):
             opts["block"] = _build_block(
@@ -226,11 +264,9 @@ def _build_analyses(section, lattice: LatticeSpec) -> list:
                 f"{path}.block",
             )
         if kind == "contour":
-            opts["spinor_mode"] = _check_choice(
-                _optional(entry, "spinor_mode", "split", path, (str,)),
-                SPINOR_MODES, f"{path}.spinor_mode",
-            )
             opts["time_stride"] = int(_optional(entry, "time_stride", 1, path, (int,)))
+            if opts["time_stride"] < 1:
+                raise ConfigError(f"{path}.time_stride", "must be >= 1")
         if kind in ("spectrum", "symmetry"):
             opts["reference_mode"] = _check_choice(
                 _optional(entry, "reference_mode", "bare", path, (str,)),
@@ -247,23 +283,19 @@ def _build_analyses(section, lattice: LatticeSpec) -> list:
                 raise ConfigError(f"{path}.hubble_values",
                                   "expected a nonempty list of positive rates")
             opts["hubble_values"] = [float(x) for x in hv]
-            opts["a_0"] = float(_require(entry, "a_0", path, (int, float)))
-            opts["a_f"] = float(_require(entry, "a_f", path, (int, float)))
+            opts["a_0"] = _number(entry, "a_0", path)
+            opts["a_f"] = _number(entry, "a_f", path)
         out.append(AnalysisSpec(kind=kind, options=opts))
     return out
 
 
 def _build_output(section) -> dict:
     path = "output"
-    if section is None:
-        section = {}
+    section = {} if section is None else section
     directory = _optional(section, "directory", None, path, (str,))
-    formats = _optional(section, "formats", ["csv"], path, (list,))
-    for fmt in formats:
-        if fmt not in ("csv", "npy"):
-            raise ConfigError(f"{path}.formats", f"unknown format {fmt!r}")
-    return {"directory": directory, "formats": list(formats),
-            "binary": bool(_optional(section, "binary", False, path, (bool,)))}
+    _reject_unknown(section, ("directory", "binary"), path)
+    return {"directory": directory,
+            "binary": _optional(section, "binary", False, path, (bool,))}
 
 
 def load_config(source) -> RunConfig:

@@ -133,10 +133,8 @@ def entanglement_contour(gamma: np.ndarray, block: BlockSpec) -> np.ndarray:
     return vals.reshape(block.length, 2)
 
 
-def contour_trajectory(
-    trajectory: Trajectory, block: BlockSpec, time_stride: int = 1,
-    with_cosmological_time: bool = True,
-) -> ContourField:
+def contour_trajectory(trajectory: Trajectory, block: BlockSpec,
+                       time_stride: int = 1) -> ContourField:
     """Contour field along a trajectory, one slice per strided sample."""
     if time_stride < 1:
         raise ValueError("time_stride must be >= 1")
@@ -146,10 +144,10 @@ def contour_trajectory(
     etas = trajectory.etas[idx]
     vals = np.empty((len(idx), block.length, 2))
     for row, i in enumerate(idx):
-        gamma = real_space_correlation(trajectory.states[i], block)
+        gamma = real_space_correlation(trajectory.state(i), block)
         vals[row] = entanglement_contour(gamma, block)
     times = None
-    if with_cosmological_time and trajectory.profile is not None:
+    if trajectory.profile is not None:
         times = np.asarray(cosmological_time(trajectory.profile, etas), dtype=float)
     return ContourField(etas=etas, values=vals, block=block, times=times)
 

@@ -15,7 +15,8 @@ Both integrators share one field kernel that works on component rows,
 (n_x, n_y, n_z) each over the whole grid, in preallocated buffers; the
 fixed-step integrator evaluates the scale factor for a block of steps at
 once.  The order of every floating-point operation is fixed, so runs are
-bit-reproducible.  Snapshots keep the (N_S, 3) layout.
+bit-reproducible.  A :class:`Trajectory` stores its samples as arrays,
+the Bloch vectors as (T, N_S, 3).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import GAMMA0, GAMMA1, LatticeSpec, bloch_vector
+from .lattice import LatticeSpec, bloch_vector
 
 
 class DegenerateGroundStateError(RuntimeError):
@@ -44,7 +45,7 @@ class StepSizeError(RuntimeError):
 
 
 class InternalConsistencyError(RuntimeError):
-    """A quantity that must be real came out with a large imaginary part."""
+    """A quantity that must be Hermitian or real is not."""
 
 
 @dataclass(frozen=True)
@@ -80,17 +81,9 @@ class CorrelationState:
         """Stacked (N_S, 2, 2) complex Hermitian blocks Gamma_k."""
         return blocks_from_bloch(self.bloch)
 
-    @classmethod
-    def from_blocks(cls, spec, blocks, eta=0.0, a_val=1.0):
-        return cls(spec=spec, bloch=bloch_from_blocks(blocks), eta=eta, a_val=a_val)
-
     def purity_defect(self) -> float:
         """max_k ||Gamma_k^2 - Gamma_k|| = max_k | |n_k|^2 - 1 | / 4."""
-        return float(np.max(np.abs(np.sum(self.bloch**2, axis=-1) - 1.0)) / 4.0)
-
-    def trace_defect(self) -> float:
-        """max_k |tr Gamma_k - 1|; identically zero in the Bloch representation."""
-        return 0.0
+        return float(_purity_defects(self.bloch))
 
     def copy(self) -> "CorrelationState":
         return CorrelationState(self.spec, self.bloch.copy(), self.eta, self.a_val)
@@ -116,20 +109,39 @@ def bloch_from_blocks(blocks: np.ndarray) -> np.ndarray:
     return np.stack([nx, ny, nz], axis=-1)
 
 
+def _purity_defects(bloch):
+    """max_k | |n_k|^2 - 1 | / 4 over the last two axes of (..., N_S, 3)."""
+    return np.max(np.abs(np.sum(bloch**2, axis=-1) - 1.0), axis=-1) / 4.0
+
+
 @dataclass
 class Trajectory:
-    """Sampled output of :func:`evolve`."""
+    """Sampled output of :func:`evolve` and :func:`evolve_adaptive`.
+
+    Arrays over the T samples: strictly increasing conformal times
+    ``etas`` (T,), scale factors ``a_vals`` (T,), Bloch vectors ``bloch``
+    (T, N_S, 3) and condensates ``sigma`` and ``pi`` (T,).
+    """
 
     etas: np.ndarray
-    states: list  # CorrelationState snapshots
-    condensates: list  # CondensatePair per sample
+    a_vals: np.ndarray
+    bloch: np.ndarray
+    sigma: np.ndarray
+    pi: np.ndarray
+    spec: LatticeSpec
     profile: object = None
 
     def __post_init__(self):
-        if len(self.states) != len(self.etas):
-            raise ValueError("snapshot count must equal time count")
+        t = len(self.etas)
+        if any(len(x) != t for x in (self.a_vals, self.bloch, self.sigma, self.pi)):
+            raise ValueError("every sampled array must have one entry per time")
         if np.any(np.diff(self.etas) <= 0):
             raise ValueError("sample times must be strictly increasing")
+
+    def state(self, i) -> CorrelationState:
+        """Sample ``i`` as a :class:`CorrelationState` viewing ``bloch[i]``."""
+        return CorrelationState(self.spec, self.bloch[i], float(self.etas[i]),
+                                float(self.a_vals[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -137,33 +149,26 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _condensates_from_bloch(bloch, spec: LatticeSpec) -> CondensatePair:
-    # <psi^dag gamma0 psi> summed over k reduces to -sum n_z; the gamma1
-    # channel to -i * (i sum n_y) after the Hermiticity check.
+def _condensate_sums(bloch, spec: LatticeSpec):
+    """(Sigma, Pi) of Bloch vectors (..., N_S, 3), over the leading axes.
+
+    A C-contiguous stack has each state's k axis summed pairwise, exactly
+    as for that state alone.
+    """
     pref = spec.coupling / (2.0 * spec.spacing * spec.num_sites)
-    return CondensatePair(
-        sigma=float(-pref * np.sum(bloch[:, 2])),
-        pi=float(pref * np.sum(bloch[:, 1])),
-    )
+    return -pref * np.sum(bloch[..., 2], axis=-1), pref * np.sum(bloch[..., 1], axis=-1)
 
 
 def condensates(state: CorrelationState) -> CondensatePair:
     """Scalar and pseudo-scalar condensates of a state.
 
-    Sigma = g0^2/(2 a N_S) sum_k [Tr(gamma0) - Tr(Gamma_k gamma0)],
-    Pi    = i g0^2/(2 a N_S) sum_k [Tr(gamma1) - Tr(Gamma_k gamma1)],
-    using <psi^dag A psi> = Tr A - Tr(Gamma A).
+    Sigma = g0^2/(2 a N_S) sum_k [Tr(gamma0) - Tr(Gamma_k gamma0)]
+          = -g0^2/(2 a N_S) sum_k n_{k,z},
+    Pi    = i g0^2/(2 a N_S) sum_k [Tr(gamma1) - Tr(Gamma_k gamma1)]
+          =  g0^2/(2 a N_S) sum_k n_{k,y}.
     """
-    blocks = state.blocks
-    pref = state.spec.coupling / (2.0 * state.spec.spacing * state.spec.num_sites)
-    sig = pref * np.sum(np.trace(GAMMA0) - np.einsum("kab,ba->k", blocks, GAMMA0))
-    pi = 1j * pref * np.sum(np.trace(GAMMA1) - np.einsum("kab,ba->k", blocks, GAMMA1))
-    for name, val in (("Sigma", sig), ("Pi", pi)):
-        if abs(val.imag) > 1e-12:
-            raise InternalConsistencyError(
-                f"{name} acquired imaginary part {val.imag:.3e}"
-            )
-    return CondensatePair(sigma=float(sig.real), pi=float(pi.real))
+    sigma, pi = _condensate_sums(state.bloch, state.spec)
+    return CondensatePair(sigma=float(sigma), pi=float(pi))
 
 
 def free_ground_state(
@@ -207,10 +212,8 @@ def mean_field_energy(state: CorrelationState, ma_eff) -> float:
     spec = state.spec
     e = total_energy(state, ma_eff)
     if spec.coupling != 0.0:
-        c = _condensates_from_bloch(state.bloch, spec)
-        e += (spec.spacing * spec.num_sites / spec.coupling) * (
-            c.sigma**2 - c.pi**2
-        )
+        sigma, pi = _condensate_sums(state.bloch, spec)
+        e += (spec.spacing * spec.num_sites / spec.coupling) * (sigma**2 - pi**2)
     return float(e)
 
 
@@ -240,7 +243,6 @@ def self_consistent_ground_state(
         state = free_ground_state(spec, ma_eff, a_val=a_val)
         return state, CondensatePair(0.0, 0.0)
 
-    ks = spec.momentum_grid()
     best = None
     failures = []
     for pi0 in pi_seeds:
@@ -248,13 +250,7 @@ def self_consistent_ground_state(
         history = []
         converged = False
         for _ in range(max_iter):
-            b = bloch_vector(ks, ma_eff, sig, pi, spec.spacing)
-            eps = np.linalg.norm(b, axis=-1)
-            if np.any(eps < 1e-12):
-                raise DegenerateGroundStateError(
-                    f"gap closes at k = {ks[eps < 1e-12]} during iteration"
-                )
-            new = _condensates_from_bloch(b / eps[:, None], spec)
+            new = condensates(free_ground_state(spec, ma_eff, sig, pi))
             d_sig = new.sigma - sig
             d_pi = new.pi - pi
             history.append(max(abs(d_sig), abs(d_pi)))
@@ -266,10 +262,7 @@ def self_consistent_ground_state(
         if not converged:
             failures.append((pi0, history[-10:]))
             continue
-        b = bloch_vector(ks, ma_eff, sig, pi, spec.spacing)
-        state = CorrelationState(
-            spec, b / np.linalg.norm(b, axis=-1)[:, None], a_val=a_val
-        )
+        state = free_ground_state(spec, ma_eff, sig, pi, a_val=a_val)
         energy = mean_field_energy(state, ma_eff)
         if best is None or energy < best[0] - 1e-12:
             best = (energy, state, CondensatePair(sig, pi))
@@ -362,18 +355,18 @@ def _check_span(eta_span):
     return eta0, eta1
 
 
-def _snapshot(spec, n, eta, a_val, purity_tol, remedy):
-    """State and condensates at one sample; raises if the purity gate fails.
+def _purity_gate(etas, bloch, purity_tol, remedy):
+    """Raise at the first sample whose purity defect exceeds ``purity_tol``.
 
     ``not (defect <= tol)`` so that a NaN state fails the gate too.
     """
-    snap = CorrelationState(spec, n, eta, a_val)
-    defect = snap.purity_defect()
-    if not (defect <= purity_tol):
+    defects = _purity_defects(bloch)
+    bad = np.flatnonzero(~(defects <= purity_tol))
+    if bad.size:
+        i = bad[0]
         raise StepSizeError(
-            f"purity defect {defect:.3e} at eta = {eta:.6g}; {remedy}"
+            f"purity defect {defects[i]:.3e} at eta = {etas[i]:.6g}; {remedy}"
         )
-    return snap, _condensates_from_bloch(n, spec)
 
 
 def evolve(
@@ -391,8 +384,8 @@ def evolve(
     from the full set of blocks at every stage.  The state is stepped in
     place as (3, N_S) component rows, and the stage scale factors of each
     block of ``_BLOCK_STEPS`` steps come from one vectorised
-    ``profile.scale_factor`` call.  Snapshots (state plus condensates)
-    are kept every ``sample_every`` steps and at the final time.  Every
+    ``profile.scale_factor`` call.  Samples are written into preallocated
+    arrays every ``sample_every`` steps and at the final time.  Every
     elementwise operation and the fixed-order condensate sums are the
     same on every run, so runs are bit-reproducible.
 
@@ -411,10 +404,12 @@ def evolve(
 
     n = initial.bloch.T.copy()
     k1, k2, k3, k4 = np.empty((4,) + n.shape)
-    etas = [eta0]
-    states = [CorrelationState(spec, initial.bloch.copy(), eta0,
-                               float(profile.scale_factor(eta0)))]
-    conds = [_condensates_from_bloch(states[0].bloch, spec)]
+    # the initial state plus ceil(n_steps / sample_every) sampled steps
+    n_samples = 1 - (-n_steps // sample_every)
+    etas, a_vals = np.empty(n_samples), np.empty(n_samples)
+    bloch = np.empty((n_samples,) + initial.bloch.shape)
+    etas[0], a_vals[0], bloch[0] = eta0, profile.scale_factor(eta0), initial.bloch
+    t = 1
     for start in range(0, n_steps, _BLOCK_STEPS):
         stop = min(start + _BLOCK_STEPS, n_steps)
         m = stop - start
@@ -442,16 +437,14 @@ def evolve(
             np.add(n, k1, out=n)
             step = start + j
             if (step + 1) % sample_every == 0 or step == n_steps - 1:
-                eta = float(e[j + 1])
-                if etas[-1] < eta:  # final step may coincide with a stride sample
-                    snap, cond = _snapshot(
-                        spec, n.T.copy(), eta, float(a[j + 1]), purity_tol,
-                        f"reduce deta (currently {h:.3e})",
-                    )
-                    etas.append(eta)
-                    states.append(snap)
-                    conds.append(cond)
-    return Trajectory(np.array(etas), states, conds, profile)
+                # rounding can leave eta0 + step*h unmoved for h << eta0
+                if etas[t - 1] < e[j + 1]:
+                    etas[t], a_vals[t], bloch[t] = e[j + 1], a[j + 1], n.T
+                    _purity_gate(etas[t:t + 1], bloch[t:t + 1], purity_tol,
+                                 f"reduce deta (currently {h:.3e})")
+                    t += 1
+    etas, a_vals, bloch = etas[:t], a_vals[:t], bloch[:t]
+    return Trajectory(etas, a_vals, bloch, *_condensate_sums(bloch, spec), spec, profile)
 
 
 def evolve_adaptive(
@@ -508,15 +501,11 @@ def evolve_adaptive(
     )
     if not sol.success:
         raise StepSizeError(f"adaptive integration failed: {sol.message}")
-    states, conds = [], []
-    for eta, y in zip(sol.t, sol.y.T):
-        snap, cond = _snapshot(
-            spec, y.reshape(-1, 3).copy(), float(eta),
-            float(profile.scale_factor(eta)), purity_tol, "tighten rtol",
-        )
-        states.append(snap)
-        conds.append(cond)
-    return Trajectory(np.array(sol.t), states, conds, profile)
+    # C order, so that the stacked condensate sums equal the per-state ones
+    bloch = np.ascontiguousarray(sol.y.T).reshape(len(sol.t), spec.num_sites, 3)
+    _purity_gate(sol.t, bloch, purity_tol, "tighten rtol")
+    a_vals = np.asarray(profile.scale_factor(sol.t), dtype=float)
+    return Trajectory(sol.t, a_vals, bloch, *_condensate_sums(bloch, spec), spec, profile)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,6 @@ from . import __version__
 from .config import ConfigError, RunConfig
 from .entanglement import BlockSpec, block_entropy, contour_trajectory
 from .gaussian import (
-    CondensatePair,
-    condensates,
     evolve,
     evolve_adaptive,
     free_ground_state,
@@ -95,11 +93,13 @@ def _sha256(path) -> str:
 
 
 def _write_csv(path, header, rows):
+    """Write ``rows`` under ``header``; returns ``[path.name]`` for the inventory."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([f"{x:.17g}" if isinstance(x, float) else x for x in row])
+    return [path.name]
 
 
 def _prepare(config: RunConfig):
@@ -113,16 +113,15 @@ def _prepare(config: RunConfig):
         prep_lattice = LatticeSpec(lattice.num_sites, lattice.spacing,
                                    lattice.mass, prep["coupling_pre"])
     if prep["kind"] == "mass_quench":
-        state, cond = mass_quench_prepare(prep_lattice, prep["m_pre"], a_start)
+        state, _ = mass_quench_prepare(prep_lattice, prep["m_pre"], a_start)
     elif prep_lattice.coupling == 0.0:
         state = free_ground_state(prep_lattice, prep_lattice.mass * a_start,
                                   a_val=a_start)
-        cond = CondensatePair(0.0, 0.0)
     else:
-        state, cond = self_consistent_ground_state(prep_lattice, a_start)
+        state, _ = self_consistent_ground_state(prep_lattice, a_start)
     state.spec = lattice
     state.eta = eta0
-    return state, cond
+    return state
 
 
 def _evolve(config: RunConfig, state):
@@ -138,43 +137,44 @@ def _evolve(config: RunConfig, state):
     )
 
 
-def _emit_condensates(traj, directory, name="condensates.csv"):
+def _emit_condensates(traj, directory):
     times = np.asarray(cosmological_time(traj.profile, traj.etas), dtype=float)
     rows = [
-        (float(e), float(t), c.sigma, c.pi)
-        for e, t, c in zip(traj.etas, times, traj.condensates)
+        (float(e), float(t), float(sig), float(pi))
+        for e, t, sig, pi in zip(traj.etas, times, traj.sigma, traj.pi)
     ]
-    _write_csv(directory / name, ["eta[a]", "t[a]", "sigma[1/a]", "pi[1/a]"], rows)
-    return [name]
+    return _write_csv(directory / "condensates.csv",
+                      ["eta[a]", "t[a]", "sigma[1/a]", "pi[1/a]"], rows)
 
 
-def _emit_entropy(traj, block: BlockSpec, directory, name="entropy_measured.csv"):
+# An analysis emitter writes its files and returns their names; ``block`` is
+# the analysis's BlockSpec (None if it has none), ``opts`` its validated options.
+
+
+def _emit_entropy(traj, lattice, block, opts, directory, workers):
     times = np.asarray(cosmological_time(traj.profile, traj.etas), dtype=float)
     rows = []
-    for eta, t, state in zip(traj.etas, times, traj.states):
-        gamma = real_space_correlation(state, block)
+    for i, (eta, t) in enumerate(zip(traj.etas, times)):
+        gamma = real_space_correlation(traj.state(i), block)
         rows.append((float(eta), float(t), block_entropy(gamma, block)))
-    _write_csv(directory / name, ["eta[a]", "t[a]", "entropy[nats]"], rows)
-    return [name]
+    return _write_csv(directory / "entropy_measured.csv",
+                      ["eta[a]", "t[a]", "entropy[nats]"], rows)
 
 
-def _emit_contour(traj, block: BlockSpec, directory, time_stride=1,
-                  name="contour.csv"):
-    field = contour_trajectory(traj, block, time_stride=time_stride)
+def _emit_contour(traj, lattice, block, opts, directory, workers):
+    field = contour_trajectory(traj, block, time_stride=opts["time_stride"])
     times = field.times if field.times is not None else np.zeros_like(field.etas)
-    rows = []
-    for i, (eta, t) in enumerate(zip(field.etas, times)):
-        for j in range(block.length):
-            rows.append((float(eta), float(t), j,
-                         float(field.values[i, j, 0]), float(field.values[i, j, 1])))
-    _write_csv(directory / name,
-               ["eta[a]", "t[a]", "site[block index]", "S_u[nats]", "S_d[nats]"],
-               rows)
-    return [name], field
+    rows = [(float(eta), float(t), j, float(s_u), float(s_d))
+            for eta, t, values in zip(field.etas, times, field.values)
+            for j, (s_u, s_d) in enumerate(values)]
+    return _write_csv(directory / "contour.csv",
+                      ["eta[a]", "t[a]", "site[block index]", "S_u[nats]", "S_d[nats]"],
+                      rows)
 
 
-def _qp_reference(traj, lattice, window=None):
-    """Late-window mean condensates and the dressed reference parameters."""
+def _dressed_spectrum(traj, lattice, window=None):
+    """Final-state spectrum against the vacuum dressed by the mean condensates
+    over ``window`` (by default the last quarter of the run)."""
     etas = traj.etas
     if window is None:
         window = (etas[0] + 0.75 * (etas[-1] - etas[0]), etas[-1])
@@ -185,42 +185,33 @@ def _qp_reference(traj, lattice, window=None):
             f"{list(window)} holds no sample; samples span "
             f"[{etas[0]:.6g}, {etas[-1]:.6g}]",
         )
-    sig = float(np.mean([c.sigma for c, m in zip(traj.condensates, mask) if m]))
-    pi = float(np.mean([c.pi for c, m in zip(traj.condensates, mask) if m]))
-    a_f = traj.states[-1].a_val
-    return lattice.mass * a_f + sig, pi, a_f
+    a_f = float(traj.a_vals[-1])
+    # (m a_f + Sigma) - m a_f, not Sigma: the rounding the CSVs were written with
+    ma_ref = lattice.mass * a_f + float(np.mean(traj.sigma[mask]))
+    return bogoliubov_spectrum(
+        traj.state(-1), lattice.mass * a_f, sigma=ma_ref - lattice.mass * a_f,
+        pi=float(np.mean(traj.pi[mask])), a_ref=a_f,
+    )
 
 
-def _emit_spectrum(traj, lattice, reference_mode, directory, name="spectrum.csv"):
-    a_f = traj.states[-1].a_val
-    if reference_mode == "dressed" and lattice.coupling != 0.0:
-        ma_ref, pi_ref, a_f = _qp_reference(traj, lattice)
-        spectrum = bogoliubov_spectrum(
-            traj.states[-1], lattice.mass * a_f,
-            sigma=ma_ref - lattice.mass * a_f, pi=pi_ref, a_ref=a_f,
-        )
+def _emit_spectrum(traj, lattice, block, opts, directory, workers):
+    if opts["reference_mode"] == "dressed" and lattice.coupling != 0.0:
+        spectrum = _dressed_spectrum(traj, lattice)
     else:
-        spectrum = bogoliubov_spectrum(
-            traj.states[-1], lattice.mass * a_f, a_ref=a_f
-        )
+        a_f = float(traj.a_vals[-1])
+        spectrum = bogoliubov_spectrum(traj.state(-1), lattice.mass * a_f, a_ref=a_f)
     s_mode, s_pair = mode_pair_entropy(spectrum.beta_sq)
     rows = [
         (float(k), float(b), float(sm), float(sp))
         for k, b, sm, sp in zip(spectrum.k, spectrum.beta_sq, s_mode, s_pair)
     ]
-    _write_csv(directory / name,
-               ["k[1/a]", "beta_sq[dimensionless]", "s_mode[nats]", "s_pair[nats]"],
-               rows)
-    return [name], spectrum
+    return _write_csv(directory / "spectrum.csv",
+                      ["k[1/a]", "beta_sq[dimensionless]", "s_mode[nats]", "s_pair[nats]"],
+                      rows)
 
 
-def _emit_qp(traj, lattice, block: BlockSpec, window, directory,
-             name="entropy_qp.csv"):
-    ma_ref, pi_ref, a_f = _qp_reference(traj, lattice, window)
-    spectrum = bogoliubov_spectrum(
-        traj.states[-1], lattice.mass * a_f,
-        sigma=ma_ref - lattice.mass * a_f, pi=pi_ref, a_ref=a_f,
-    )
+def _emit_qp(traj, lattice, block, opts, directory, workers):
+    spectrum = _dressed_spectrum(traj, lattice, opts["window"])
     out_of_validity = False
     if lattice.coupling != 0.0:
         try:
@@ -233,22 +224,19 @@ def _emit_qp(traj, lattice, block: BlockSpec, window, directory,
     )
     eta0 = traj.etas[0]
     rows = [(float(e), qp_entropy(qp, float(e - eta0))) for e in traj.etas]
-    _write_csv(directory / name, ["eta[a]", "entropy[nats]"], rows)
-    return [name], qp
+    return _write_csv(directory / "entropy_qp.csv", ["eta[a]", "entropy[nats]"], rows)
 
 
-def _emit_symmetry(traj, lattice, opts, directory, workers=1):
-    names = []
-    cond = condensates(traj.states[-1])
-    a_f = traj.states[-1].a_val
-    report = symmetry_report(lattice.mass * a_f + cond.sigma, 0.0, cond.pi, lattice)
+def _emit_symmetry(traj, lattice, block, opts, directory, workers):
+    a_f = float(traj.a_vals[-1])
+    report = symmetry_report(lattice.mass * a_f + float(traj.sigma[-1]), 0.0,
+                             float(traj.pi[-1]), lattice)
     rows = [(nm, report.residuals[nm], report.holds[nm])
             for nm in ("T", "C", "S", "P", "CP")]
     _write_csv(directory / "symmetry_report.csv",
                ["symmetry", "residual[1/a]", "holds"], rows)
     with open(directory / "symmetry_report.txt", "w") as fh:
         fh.write(report.table() + "\n")
-    names += ["symmetry_report.csv", "symmetry_report.txt"]
 
     hubble_values = opts["hubble_values"]
     if workers > 1:
@@ -268,8 +256,7 @@ def _emit_symmetry(traj, lattice, opts, directory, workers=1):
     _write_csv(directory / "symmetry_sweep.csv",
                ["hubble[1/a]", "asymmetry[dimensionless]", "beta_sq_sum[dimensionless]"],
                [(r["hubble"], r["asymmetry"], r["beta_sq_sum"]) for r in sweep])
-    names.append("symmetry_sweep.csv")
-    return names
+    return ["symmetry_report.csv", "symmetry_report.txt", "symmetry_sweep.csv"]
 
 
 def _symmetry_single(args):
@@ -277,6 +264,16 @@ def _symmetry_single(args):
     return spectrum_symmetry_check(
         lattice, a_0, a_f, [hubble], reference_mode=reference_mode
     )[0]
+
+
+_EMITTERS = {
+    "entropy": _emit_entropy,
+    "contour": _emit_contour,
+    "spectrum": _emit_spectrum,
+    "qp": _emit_qp,
+    "condensates": lambda *args: [],  # emitted for every run
+    "symmetry": _emit_symmetry,
+}
 
 
 def run(config: RunConfig, output_dir=None, workers: int = 1) -> RunManifest:
@@ -289,41 +286,21 @@ def run(config: RunConfig, output_dir=None, workers: int = 1) -> RunManifest:
     directory = Path(output_dir or config.output["directory"] or ".")
     directory.mkdir(parents=True, exist_ok=True)
 
-    state, _ = _prepare(config)
-    traj = _evolve(config, state)
+    lattice = config.lattice
+    traj = _evolve(config, _prepare(config))
 
-    files = []
-    files += _emit_condensates(traj, directory)
+    files = _emit_condensates(traj, directory)
     for analysis in config.analyses:
         opts = analysis.options
-        if analysis.kind == "entropy":
-            blk = BlockSpec(opts["block"]["start"], opts["block"]["length"],
-                            config.lattice.num_sites)
-            files += _emit_entropy(traj, blk, directory)
-        elif analysis.kind == "contour":
-            blk = BlockSpec(opts["block"]["start"], opts["block"]["length"],
-                            config.lattice.num_sites)
-            names, _ = _emit_contour(traj, blk, directory,
-                                     time_stride=opts.get("time_stride", 1))
-            files += names
-        elif analysis.kind == "spectrum":
-            names, spectrum = _emit_spectrum(traj, config.lattice,
-                                             opts["reference_mode"], directory)
-            files += names
-        elif analysis.kind == "qp":
-            blk = BlockSpec(opts["block"]["start"], opts["block"]["length"],
-                            config.lattice.num_sites)
-            names, _ = _emit_qp(traj, config.lattice, blk, opts.get("window"),
-                                directory)
-            files += names
-        elif analysis.kind == "condensates":
-            pass  # always emitted
-        elif analysis.kind == "symmetry":
-            files += _emit_symmetry(traj, config.lattice, opts, directory,
-                                    workers=workers)
-    if config.output.get("binary"):
+        block = None
+        if "block" in opts:
+            block = BlockSpec(opts["block"]["start"], opts["block"]["length"],
+                              lattice.num_sites)
+        files += _EMITTERS[analysis.kind](traj, lattice, block, opts, directory,
+                                          workers)
+    if config.output["binary"]:
         # final-state Bloch vectors, shape (N_S, 3) little-endian float64
-        final = traj.states[-1].bloch.astype("<f8")
+        final = traj.bloch[-1].astype("<f8")
         np.save(directory / "state_final.npy", final)
         files.append("state_final.npy")
 

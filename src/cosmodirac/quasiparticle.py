@@ -135,8 +135,10 @@ def condensate_persistence(trajectory: Trajectory, which: str = "sigma") -> floa
     a small ratio; the synchronized non-equilibrating oscillations of the
     parity-broken regime keep it near one.
     """
+    if which not in ("sigma", "pi"):
+        raise ValueError(f"which must be 'sigma' or 'pi', got {which!r}")
     etas = trajectory.etas
-    vals = np.array([getattr(c, which) for c in trajectory.condensates])
+    vals = getattr(trajectory, which)
     t0, t1 = etas[0], etas[-1]
     span = t1 - t0
     early = (etas >= t0 + 0.05 * span) & (etas <= t0 + 0.30 * span)
@@ -175,10 +177,9 @@ def renormalized_velocity(
             f"Sigma oscillations persist (late/early amplitude ratio "
             f"{persistence:.2f}); the quasi-particle picture does not apply"
         )
-    sig = np.array([c.sigma for c in trajectory.condensates])[mask]
-    pi = np.array([c.pi for c in trajectory.condensates])[mask]
     return group_velocity(
-        spec.mass * a_f, float(np.mean(sig)), float(np.mean(pi)), spec.spacing
+        spec.mass * a_f, float(np.mean(trajectory.sigma[mask])),
+        float(np.mean(trajectory.pi[mask])), spec.spacing,
     )
 
 

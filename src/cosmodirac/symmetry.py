@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import GAMMA0, GAMMA1, LatticeSpec, SIGMA_Y, hamiltonian_block
-from .gaussian import evolve, self_consistent_ground_state
+from .lattice import (GAMMA0, GAMMA1, SIGMA_Y, ExponentialProfile, LatticeSpec,
+                      QuenchProfile, hamiltonian_block)
+from .gaussian import condensates, evolve, self_consistent_ground_state
 from .production import bogoliubov_spectrum, spectrum_asymmetry
 
 T_MATRIX = GAMMA0
@@ -146,9 +147,6 @@ def spectrum_symmetry_check(
 
     Returns a list of dicts {hubble, asymmetry, beta_sq_sum}.
     """
-    from .lattice import ExponentialProfile, QuenchProfile
-    from .gaussian import condensates as state_condensates
-
     if reference_mode not in ("bare", "dressed"):
         raise ValueError(f"unknown reference_mode {reference_mode!r}")
     if deta_fn is None:
@@ -164,15 +162,15 @@ def spectrum_symmetry_check(
             if settle_eta > 0:
                 traj = evolve(state, profile, (0.0, settle_eta), deta_fn(hubble),
                               sample_every=_FINAL_SAMPLE_ONLY)
-                state = traj.states[-1]
+                state = traj.state(-1)
         else:
             profile = ExponentialProfile(a_0=a_0, a_f=a_f, hubble=hubble)
             eta_end = profile.eta_clamp + settle_eta
             traj = evolve(initial.copy(), profile, (0.0, eta_end), deta_fn(hubble),
                           sample_every=_FINAL_SAMPLE_ONLY)
-            state = traj.states[-1]
+            state = traj.state(-1)
         if reference_mode == "dressed":
-            cond = state_condensates(state)
+            cond = condensates(state)
             sigma_ref, pi_ref = cond.sigma, cond.pi
         else:
             sigma_ref = pi_ref = 0.0

@@ -25,8 +25,7 @@ def preset_run(name):
     """(config, trajectory) for a shipped preset, computed once per session."""
     if name not in _RUNS:
         config = preset_config(name)
-        state, _ = _prepare(config)
-        traj = _evolve(config, state)
+        traj = _evolve(config, _prepare(config))
         _RUNS[name] = (config, traj)
     return _RUNS[name]
 

@@ -44,7 +44,8 @@ def _entropy_series(name, length):
     config, traj = preset_run(name)
     block = BlockSpec.centered(length, config.lattice.num_sites)
     s = np.array(
-        [block_entropy(real_space_correlation(st), block) for st in traj.states]
+        [block_entropy(real_space_correlation(traj.state(i)), block)
+         for i in range(len(traj.etas))]
     )
     return config, traj, np.asarray(traj.etas), s
 
@@ -53,7 +54,7 @@ def _qp_prediction(config, traj, length, sigma=0.0, pi=0.0):
     spec = config.lattice
     a_f = float(config.profile.scale_factor(traj.etas[-1]))
     spectrum = bogoliubov_spectrum(
-        traj.states[-1], spec.mass * a_f, sigma=sigma, pi=pi, a_ref=a_f
+        traj.state(-1), spec.mass * a_f, sigma=sigma, pi=pi, a_ref=a_f
     )
     return qp_input_from_spectrum(spectrum, spec, float(length))
 
@@ -131,8 +132,8 @@ def test_criterion_3_de_sitter_horizon_and_curved_cones():
     assert dark.size > 0 and np.all(np.diff(dark) == 1)  # one contiguous band
 
     vs = [
-        group_velocity(spec.mass * st.a_val + c.sigma, 0.0, c.pi, spec.spacing)
-        for st, c in zip(traj.states, traj.condensates)
+        group_velocity(spec.mass * a + sig, 0.0, pi, spec.spacing)
+        for a, sig, pi in zip(traj.a_vals, traj.sigma, traj.pi)
     ]
     v_bar = np.trapezoid(vs, traj.etas) / (traj.etas[-1] - traj.etas[0])
     predicted = horizon_width(float(field.block.length), v_bar, profile.hubble,
@@ -202,7 +203,7 @@ def test_criterion_6_production_spectra_against_oracles():
     config, traj = preset_run("fig1b")
     spec = config.lattice
     ks = spec.momentum_grid()
-    out = bogoliubov_spectrum(traj.states[0], 10.0, a_ref=10.0)
+    out = bogoliubov_spectrum(traj.state(0), 10.0, a_ref=10.0)
     b_i = bloch_vector(ks, 0.01, 0.0, 0.0, spec.spacing)
     b_f = bloch_vector(ks, 10.0, 0.0, 0.0, spec.spacing)
     cos = np.sum(b_i * b_f, axis=-1) / (
@@ -216,7 +217,7 @@ def test_criterion_6_production_spectra_against_oracles():
     ramp_traj = evolve(free_ground_state(small, 0.7, a_val=0.7), ramp,
                        (0.0, ramp.eta_clamp + 10.0), 1e-3, sample_every=10**9)
     ramp_max = float(np.max(
-        bogoliubov_spectrum(ramp_traj.states[-1], 1.3, a_ref=1.3).beta_sq
+        bogoliubov_spectrum(ramp_traj.state(-1), 1.3, a_ref=1.3).beta_sq
     ))
     assert ramp_max < 2e-2
 
@@ -239,7 +240,7 @@ def test_criterion_6_production_spectra_against_oracles():
     gauss = evolve(free_ground_state(ed_spec, fo.MA_I),
                    fo.QuenchProfile(fo.MA_I, fo.MA_F), (0.0, eta), 1e-4,
                    sample_every=10**9)
-    gamma = real_space_correlation(gauss.states[-1])
+    gamma = real_space_correlation(gauss.state(-1))
     exact = np.empty_like(gamma)
     for q in range(fo.N_MODES):
         col = ops[q].conj().T @ psi
@@ -254,23 +255,25 @@ def test_criterion_6_production_spectra_against_oracles():
 def test_criterion_7_numerical_health_of_all_runs():
     """Every cached preset run conserves purity and total charge.
 
-    Purity defect < 1e-8 on every sample; trace defect identically 0;
-    contour values nonnegative and summing to the block entropy.
+    Purity defect < 1e-8 and real-space charge tr Gamma = N_S on every
+    sample; contour values nonnegative and summing to the block entropy.
     """
     from conftest import _RUNS, _FIELDS
 
     assert len(_RUNS) >= 6  # the cached presets from the criteria above
     worst = 0.0
     for name, (config, traj) in _RUNS.items():
-        purity = max(st.purity_defect() for st in traj.states)
-        trace = max(st.trace_defect() for st in traj.states)
+        states = [traj.state(i) for i in range(len(traj.etas))]
+        purity = max(st.purity_defect() for st in states)
         assert purity < 1e-8, name
-        assert trace == 0.0, name
+        for st in states:
+            charge = np.trace(real_space_correlation(st)).real
+            assert charge == pytest.approx(config.lattice.num_sites, rel=1e-12), name
         worst = max(worst, purity)
     for (name, length, _), field in _FIELDS.items():
         assert np.all(field.values >= -1e-12), name
         config, traj = preset_run(name)
-        gamma = real_space_correlation(traj.states[-1])
+        gamma = real_space_correlation(traj.state(-1))
         block = BlockSpec.centered(length, config.lattice.num_sites)
         assert np.sum(field.values[-1]) == pytest.approx(
             block_entropy(gamma, block), abs=1e-10
@@ -289,8 +292,8 @@ def test_criterion_8_validity_boundary_is_flagged():
     """
     config, traj, etas, s = _entropy_series("fig3c", 64)
     quarter = etas >= etas[0] + 0.75 * (etas[-1] - etas[0])
-    sigma = float(np.mean([c.sigma for c, m in zip(traj.condensates, quarter) if m]))
-    pi = float(np.mean([c.pi for c, m in zip(traj.condensates, quarter) if m]))
+    sigma = float(np.mean(traj.sigma[quarter]))
+    pi = float(np.mean(traj.pi[quarter]))
     qp = _qp_prediction(config, traj, 64, sigma=sigma, pi=pi)
     i3 = int(np.argmin(np.abs(etas - 3.0)))
     predicted = qp_entropy(qp, float(etas[i3]))

@@ -20,6 +20,10 @@ analyses:
 """
 
 
+NAN = float("nan")
+CONTOUR = {"kind": "contour", "block": {"length": 4}}
+
+
 class TestSchema:
     def test_all_shipped_presets_validate(self):
         names = preset_names()
@@ -48,6 +52,40 @@ class TestSchema:
                                               "block": {"length": 99}}]),
                 "analyses[0].block.length",
             ),
+            # a key the section does not read, misspelt or of another kind
+            (lambda d: d["lattice"].update(masss=5.0), "lattice.masss"),
+            (lambda d: d["profile"].update(hubble=1.0), "profile.hubble"),
+            (lambda d: d.update(preparation={"kind": "vacuum", "m_pre": 1.0}),
+             "preparation.m_pre"),
+            (lambda d: d["evolution"].update(n_samples=11), "evolution.n_samples"),
+            (lambda d: d["evolution"].update(method="adaptive"), "evolution.deta"),
+            (lambda d: d.update(analyses=[dict(CONTOUR, spinor_mode="split")]),
+             "analyses[0].spinor_mode"),
+            (lambda d: d.update(analyses=[{"kind": "spectrum"},
+                                          {"kind": "entropy", "block": {"length": 4},
+                                           "time_stride": 2}]),
+             "analyses[1].time_stride"),
+            (lambda d: d.update(analyses=[dict(CONTOUR, block={"length": 4, "end": 8})]),
+             "analyses[0].block.end"),
+            # numbers that are not finite
+            (lambda d: d["evolution"].update(deta=NAN), "evolution.deta"),
+            (lambda d: d["lattice"].update(mass=NAN), "lattice.mass"),
+            (lambda d: d["lattice"].update(spacing=float("inf")), "lattice.spacing"),
+            (lambda d: d["profile"].update(a_val=float("inf")), "profile.a_val"),
+            (lambda d: d.update(evolution={"eta_span": [0.0, 1.0],
+                                           "method": "adaptive", "rtol": NAN}),
+             "evolution.rtol"),
+            (lambda d: d.update(analyses=[{"kind": "symmetry", "a_0": 0.7, "a_f": NAN,
+                                           "hubble_values": [1.0]}]),
+             "analyses[0].a_f"),
+            (lambda d: d.update(profile={"kind": "tabulated",
+                                         "samples": [[0.0, 1.0], [1.0, NAN]]}),
+             "profile.samples"),
+            # a contour stride below one
+            (lambda d: d.update(analyses=[dict(CONTOUR, time_stride=0)]),
+             "analyses[0].time_stride"),
+            (lambda d: d.update(analyses=[dict(CONTOUR, time_stride=-2)]),
+             "analyses[0].time_stride"),
         ]
         for mutate, expected_path in cases:
             raw = json.loads(json.dumps(base))
@@ -87,7 +125,6 @@ class TestSchema:
         config = load_config(SMALL_RUN)
         assert config.preparation == {"kind": "vacuum"}
         assert config.evolution["method"] == "rk4"
-        assert config.output["formats"] == ["csv"]
         assert config.eta_span == (0.0, 2.0)
         # centered by default
         assert config.analyses[0].options["block"] == {"start": 5, "length": 6}
@@ -139,6 +176,27 @@ class TestCLI:
         assert main(["run", str(cfg), "--output", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "analyses[2].window" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda t: t.replace("deta: 1.0e-3", "deta: .nan"), "evolution.deta"),
+        (lambda t: t.replace("mass: 1.0", "mass: .nan"), "lattice.mass"),
+        (lambda t: t.replace("mass: 1.0", "masss: 5.0"), "lattice.masss"),
+        (lambda t: t + "  - {kind: symmetry, a_0: 0.7, a_f: .nan, "
+                       "hubble_values: [1.0]}\n", "analyses[2].a_f"),
+        (lambda t: t + "  - {kind: contour, block: {length: 6}, time_stride: 0}\n",
+         "analyses[2].time_stride"),
+    ], ids=["deta_nan", "mass_nan", "mass_typo", "symmetry_a_f_nan", "time_stride_0"])
+    def test_bad_fields_exit_1_before_evolving(self, tmp_path, capsys, edit, field):
+        # each of these used to evolve (or start to) and then die with a
+        # traceback, blame the step size, or run with the field ignored
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(edit(SMALL_RUN))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert field in err
         assert "Traceback" not in err
         assert not out.exists()
 

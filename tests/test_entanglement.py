@@ -57,7 +57,7 @@ class TestEntropy:
         state = free_ground_state(spec, 0.01, a_val=0.01)
         traj = evolve(state, QuenchProfile(0.01, 10.0), (0.0, 3.0), 1e-3,
                       sample_every=10**9)
-        gamma = real_space_correlation(traj.states[-1])
+        gamma = real_space_correlation(traj.state(-1))
         blk = BlockSpec.centered(10, 32)
         contour = entanglement_contour(gamma, blk)
         assert np.all(contour >= 0.0)
@@ -119,11 +119,11 @@ class TestContourField:
         state = free_ground_state(spec, -0.4, a_val=0.5)
         traj = evolve(state, ExponentialProfile(0.5, 1.5, hubble=1.0), (0.0, 2.0),
                       1e-2, sample_every=40)
-        assert len(traj.states) == 6
+        assert len(traj.etas) == 6
         for blk in (BlockSpec(0, 9, 32), BlockSpec(23, 9, 32),
                     BlockSpec.centered(12, 32), BlockSpec(0, 32, 32)):
             field = contour_trajectory(traj, blk, time_stride=2)
-            dense = [entanglement_contour(real_space_correlation(traj.states[i]), blk)
+            dense = [entanglement_contour(real_space_correlation(traj.state(i)), blk)
                      for i in (0, 2, 4, 5)]
             assert np.array_equal(field.values, np.array(dense))
 

@@ -136,14 +136,15 @@ def evolved(fock):
 
 class TestQuenchDynamics:
     def test_correlation_matrix_tracks_exact_evolution(self, fock, evolved):
-        for snap in evolved.states[1:]:
+        for i in range(1, len(evolved.etas)):
+            snap = evolved.state(i)
             psi = _exact_evolved(fock, snap.eta)
             gamma = real_space_correlation(snap)
             assert np.max(np.abs(gamma - fock["correlation"](psi))) < 1e-8
 
     def test_block_entropy_tracks_exact_evolution(self, fock, evolved):
         psi = _exact_evolved(fock, evolved.etas[-1])
-        gamma = real_space_correlation(evolved.states[-1])
+        gamma = real_space_correlation(evolved.state(-1))
         s_gauss = block_entropy(gamma, BlockSpec(0, 2, N_SITES))
         s_exact = fock["leading_block_entropy"](psi, 2)
         assert s_exact > 0.1  # the quench really entangles the block
@@ -151,7 +152,7 @@ class TestQuenchDynamics:
 
     def test_contour_sums_to_exact_entropy(self, fock, evolved):
         psi = _exact_evolved(fock, evolved.etas[-1])
-        gamma = real_space_correlation(evolved.states[-1])
+        gamma = real_space_correlation(evolved.state(-1))
         contour = entanglement_contour(gamma, BlockSpec(0, 2, N_SITES))
         s_exact = fock["leading_block_entropy"](psi, 2)
         assert np.sum(contour) == pytest.approx(s_exact, abs=1e-8)
@@ -166,7 +167,7 @@ class TestQuenchDynamics:
         ks = spec.momentum_grid()
         h_k = hamiltonian_block(ks, MA_F, 0.0, 0.0, spec.spacing)
         _, evecs = np.linalg.eigh(h_k)
-        out = bogoliubov_spectrum(evolved.states[-1], MA_F, a_ref=1.0)
+        out = bogoliubov_spectrum(evolved.state(-1), MA_F, a_ref=1.0)
         for n, k in enumerate(ks):
             u_plus = evecs[n, :, 1]
             # Fourier transform the exact correlation to momentum k

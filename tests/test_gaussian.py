@@ -58,7 +58,6 @@ class TestStateRepresentation:
         assert state.purity_defect() == pytest.approx(0.0, abs=1e-15)
         n[0, 2] = 1.1  # |n|^2 = 1.21 -> defect 0.21/4
         assert CorrelationState(spec, n).purity_defect() == pytest.approx(0.0525)
-        assert state.trace_defect() == 0.0
 
 
 class TestGroundStates:
@@ -125,8 +124,12 @@ class TestEvolution:
         state = free_ground_state(spec, 0.01, a_val=0.01)
         traj = evolve(state, QuenchProfile(0.01, 10.0), (0.0, 5.0), 5e-4,
                       sample_every=1000)
-        assert max(s.purity_defect() for s in traj.states) < 1e-10
-        assert max(s.trace_defect() for s in traj.states) == 0.0
+        states = [traj.state(i) for i in range(len(traj.etas))]
+        assert max(s.purity_defect() for s in states) < 1e-10
+        # total charge: tr Gamma = N_S at half filling
+        for s in states:
+            charge = np.trace(real_space_correlation(s)).real
+            assert charge == pytest.approx(spec.num_sites, rel=1e-12)
 
     def test_mean_field_energy_conserved_by_interacting_flow(self):
         # static-background self-consistent dynamics conserves the
@@ -137,7 +140,8 @@ class TestEvolution:
         state.a_val = 1.3
         traj = evolve(state, StaticProfile(a_val=1.3), (0.0, 4.0), 2e-4,
                       sample_every=2000)
-        energies = [mean_field_energy(s, -1.3) for s in traj.states]
+        energies = [mean_field_energy(traj.state(i), -1.3)
+                    for i in range(len(traj.etas))]
         drift = np.max(np.abs(np.diff(energies))) / abs(energies[0])
         assert drift < 1e-10
 
@@ -145,7 +149,7 @@ class TestEvolution:
         spec = LatticeSpec(num_sites=32, mass=1.0, coupling=2.0)
         state, _ = self_consistent_ground_state(spec, 1.0)
         traj = evolve(state.copy(), StaticProfile(a_val=1.0), (0.0, 2.0), 1e-3)
-        assert np.max(np.abs(traj.states[-1].bloch - state.bloch)) < 1e-8
+        assert np.max(np.abs(traj.bloch[-1] - state.bloch)) < 1e-8
 
     def test_adaptive_matches_fixed_step(self):
         spec = LatticeSpec(num_sites=32, mass=1.0, coupling=1.0)
@@ -156,7 +160,7 @@ class TestEvolution:
         fixed = evolve(state.copy(), prof, (0.0, 3.0), 1e-4, sample_every=30000)
         adaptive = evolve_adaptive(state.copy(), prof, (0.0, 3.0),
                                    sample_etas=[0.0, 3.0])
-        assert np.max(np.abs(fixed.states[-1].bloch - adaptive.states[-1].bloch)) < 1e-8
+        assert np.max(np.abs(fixed.bloch[-1] - adaptive.bloch[-1])) < 1e-8
 
     def test_large_step_raises_step_size_error(self):
         spec = LatticeSpec(num_sites=32, mass=1.0)
@@ -217,7 +221,7 @@ class TestRealSpace:
         spec = LatticeSpec(num_sites=num_sites, mass=1.0, coupling=coupling)
         state = free_ground_state(spec, 0.3, a_val=0.5)
         state = evolve(state, QuenchProfile(0.5, 1.5), (0.0, 1.0), 1.0 / n_steps,
-                       sample_every=n_steps, purity_tol=np.inf).states[-1]
+                       sample_every=n_steps, purity_tol=np.inf).state(-1)
         rows = block.row_indices()
         dense = real_space_correlation(state)
         assert np.array_equal(real_space_correlation(state, block),
@@ -275,13 +279,15 @@ def _reference_condensates(spec, n):
 
 def _assert_trajectory_equals(traj, etas, blochs, spec, profile):
     assert np.array_equal(traj.etas, etas)
-    assert len(traj.states) == len(blochs)
-    for state, cond, eta, n in zip(traj.states, traj.condensates, etas, blochs):
-        assert state.bloch.shape == n.shape
+    assert traj.bloch.shape == (len(blochs),) + blochs[0].shape
+    for i, (eta, n) in enumerate(zip(etas, blochs)):
+        assert np.array_equal(traj.bloch[i], n)
+        assert traj.etas[i] == eta
+        assert traj.a_vals[i] == float(profile.scale_factor(eta))
+        assert (traj.sigma[i], traj.pi[i]) == _reference_condensates(spec, n)
+        state = traj.state(i)
         assert np.array_equal(state.bloch, n)
-        assert state.eta == eta
-        assert state.a_val == float(profile.scale_factor(eta))
-        assert (cond.sigma, cond.pi) == _reference_condensates(spec, n)
+        assert (state.eta, state.a_val) == (traj.etas[i], traj.a_vals[i])
 
 
 # The cases: free and interacting quench, a continuous ramp, a tabulated a.

@@ -60,7 +60,7 @@ class TestSpectrum:
         state = free_ground_state(spec, 0.7, a_val=0.7)
         traj = evolve(state, prof, (0.0, prof.eta_clamp + 20.0), 1e-3,
                       sample_every=10**9)
-        out = bogoliubov_spectrum(traj.states[-1], 1.3, a_ref=1.3)
+        out = bogoliubov_spectrum(traj.state(-1), 1.3, a_ref=1.3)
         assert np.max(out.beta_sq) < 1e-3
 
     def test_reference_gap_closure_raises(self):
@@ -132,5 +132,5 @@ class TestDerivedQuantities:
         state = free_ground_state(spec, 0.01, a_val=0.01)
         traj = evolve(state, QuenchProfile(0.01, 10.0), (0.0, 2.0), 5e-4,
                       sample_every=10**9)
-        out = bogoliubov_spectrum(traj.states[-1], 10.0, a_ref=10.0)
+        out = bogoliubov_spectrum(traj.state(-1), 10.0, a_ref=10.0)
         assert spectrum_asymmetry(out) < 1e-12

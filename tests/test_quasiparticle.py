@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from cosmodirac.gaussian import (
-    CondensatePair,
-    Trajectory,
-    evolve,
-    free_ground_state,
-)
+from cosmodirac.gaussian import Trajectory, evolve, free_ground_state
 from cosmodirac.lattice import LatticeSpec, QuenchProfile, band_velocity
 from cosmodirac.production import bogoliubov_spectrum, mode_pair_entropy
 from cosmodirac.quasiparticle import (
@@ -87,11 +82,16 @@ class TestQuadratures:
             _flat_qp(s0=np.nan)
 
 
+def _condensate_series(etas, sigma, pi):
+    """A trajectory carrying only condensates; its states are never read."""
+    n = len(etas)
+    return Trajectory(etas, np.ones(n), np.zeros((n, 0, 3)), sigma, pi, spec=None)
+
+
 def _synthetic_trajectory(damping, n=400, eta_max=40.0):
     etas = np.linspace(0.0, eta_max, n)
     sig = 0.3 * np.cos(2.0 * etas) * np.exp(-damping * etas) - 0.8
-    conds = [CondensatePair(s, 0.0) for s in sig]
-    return Trajectory(etas, [None] * n, conds, None)
+    return _condensate_series(etas, sig, np.zeros(n))
 
 
 class TestEquilibrationGate:
@@ -103,12 +103,12 @@ class TestEquilibrationGate:
 
     def test_constant_series_gives_zero(self):
         n = 50
-        traj = Trajectory(np.linspace(0, 10, n), [None] * n,
-                          [CondensatePair(-0.5, 0.1)] * n, None)
+        traj = _condensate_series(np.linspace(0, 10, n), np.full(n, -0.5),
+                                  np.full(n, 0.1))
         assert condensate_persistence(traj) == 0.0
         with pytest.raises(ValueError):
-            condensate_persistence(Trajectory(np.array([0.0, 1.0]), [None] * 2,
-                                              [CondensatePair(0, 0)] * 2, None))
+            condensate_persistence(_condensate_series(np.array([0.0, 1.0]),
+                                                      np.zeros(2), np.zeros(2)))
 
     def test_free_quench_returns_bare_group_velocity(self):
         spec = LatticeSpec(num_sites=64, mass=-1.0, coupling=0.0)
