@@ -18,14 +18,12 @@ from .lattice import (  # noqa: F401
     StaticProfile,
     TabulatedProfile,
     band_velocity,
-    conformal_time,
     cosmological_time,
     dispersion,
     dispersion_and_velocity,
     preparation_scale,
     group_velocity,
     hamiltonian_block,
-    scale_factor,
 )
 from .gaussian import (  # noqa: F401
     CondensatePair,

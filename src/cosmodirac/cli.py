@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--preset", help="name of a shipped figure preset")
     run_p.add_argument("--output", help="output directory (overrides config)")
     run_p.add_argument("--workers", type=int, default=1,
-                       help="parallel jobs for parameter sweeps")
+                       help="processes for the Hubble rates of a symmetry sweep")
 
     plots_p = sub.add_parser("plots", help="emit plot scripts for a finished run")
     plots_p.add_argument("manifest", help="manifest.json of a finished run")

@@ -46,6 +46,9 @@ PROFILE_KINDS = tuple(PROFILE_FIELDS)
 PREPARATION_KINDS = tuple(PREPARATION_FIELDS)
 ANALYSIS_KINDS = tuple(ANALYSIS_FIELDS)
 EVOLUTION_METHODS = tuple(EVOLUTION_FIELDS)
+# The vacuum a spectrum is measured against: "bare" is the free one at m a_f;
+# "dressed" adds condensates, for `spectrum` their mean over the last quarter
+# of the run (bare when g = 0), for `symmetry` the final state's own.
 REFERENCE_MODES = ("bare", "dressed")
 
 
@@ -285,6 +288,10 @@ def _build_analyses(section, lattice: LatticeSpec) -> list:
             opts["hubble_values"] = [float(x) for x in hv]
             opts["a_0"] = _number(entry, "a_0", path)
             opts["a_f"] = _number(entry, "a_f", path)
+            if not opts["a_0"] > 0:
+                raise ConfigError(f"{path}.a_0", "must be positive")
+            if not opts["a_f"] >= opts["a_0"]:
+                raise ConfigError(f"{path}.a_f", "the ramp expands: need a_f >= a_0")
         out.append(AnalysisSpec(kind=kind, options=opts))
     return out
 

@@ -88,10 +88,6 @@ class StaticProfile:
         if self.a_val <= 0:
             raise ValueError("a_val must be positive")
 
-    @property
-    def eta_start(self):
-        return self.eta_ref
-
     def scale_factor(self, eta):
         return self.a_val * np.ones_like(np.asarray(eta, dtype=float))
 
@@ -123,10 +119,6 @@ class ExponentialProfile:
             raise ValueError("require a_f >= a_0 > 0")
         if self.hubble <= 0:
             raise ValueError("hubble rate must be positive")
-
-    @property
-    def eta_start(self):
-        return 0.0
 
     @property
     def eta_clamp(self) -> float:
@@ -180,10 +172,6 @@ class QuenchProfile:
         if self.a_0 <= 0 or self.a_f <= 0:
             raise ValueError("scale factors must be positive")
 
-    @property
-    def eta_start(self):
-        return self.eta_switch
-
     def scale_factor(self, eta):
         eta = np.asarray(eta, dtype=float)
         return np.where(eta < self.eta_switch, self.a_0, self.a_f)
@@ -231,10 +219,6 @@ class DeSitterProfile:
             raise ValueError("require eta_0 < eta_max < 0")
 
     @property
-    def eta_start(self):
-        return self.eta_0
-
-    @property
     def a_0(self) -> float:
         return -1.0 / (self.hubble * self.eta_0)
 
@@ -275,10 +259,6 @@ class TabulatedProfile:
         object.__setattr__(self, "etas", tuple(etas))
         object.__setattr__(self, "values", tuple(vals))
 
-    @property
-    def eta_start(self):
-        return self.etas[0]
-
     def scale_factor(self, eta):
         eta = np.asarray(eta, dtype=float)
         lo, hi = self.etas[0], self.etas[-1]
@@ -304,19 +284,11 @@ class TabulatedProfile:
         return out if out.size > 1 else out[0]
 
 
-def scale_factor(profile, eta):
-    """a(eta) for any profile kind."""
-    return profile.scale_factor(eta)
-
-
 def cosmological_time(profile, eta):
-    """t(eta) = integral of a, with the convention t(eta_start) = 0."""
+    """t(eta) = integral of a, zero at the profile's reference time: eta = 0
+    (exponential), ``eta_switch`` (quench), ``eta_0`` (de Sitter), the first
+    sample (tabulated) or ``eta_ref`` (static)."""
     return profile.cosmological_time(eta)
-
-
-def conformal_time(profile, t):
-    """Inverse of :func:`cosmological_time`."""
-    return profile.conformal_time(t)
 
 
 # ---------------------------------------------------------------------------

@@ -238,32 +238,14 @@ def _emit_symmetry(traj, lattice, block, opts, directory, workers):
     with open(directory / "symmetry_report.txt", "w") as fh:
         fh.write(report.table() + "\n")
 
-    hubble_values = opts["hubble_values"]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        args = [
-            (lattice, opts["a_0"], opts["a_f"], h, opts["reference_mode"])
-            for h in hubble_values
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            sweep = list(pool.map(_symmetry_single, args))
-    else:
-        sweep = spectrum_symmetry_check(
-            lattice, opts["a_0"], opts["a_f"], hubble_values,
-            reference_mode=opts["reference_mode"],
-        )
+    sweep = spectrum_symmetry_check(
+        lattice, opts["a_0"], opts["a_f"], opts["hubble_values"],
+        reference_mode=opts["reference_mode"], workers=workers,
+    )
     _write_csv(directory / "symmetry_sweep.csv",
                ["hubble[1/a]", "asymmetry[dimensionless]", "beta_sq_sum[dimensionless]"],
                [(r["hubble"], r["asymmetry"], r["beta_sq_sum"]) for r in sweep])
     return ["symmetry_report.csv", "symmetry_report.txt", "symmetry_sweep.csv"]
-
-
-def _symmetry_single(args):
-    lattice, a_0, a_f, hubble, reference_mode = args
-    return spectrum_symmetry_check(
-        lattice, a_0, a_f, [hubble], reference_mode=reference_mode
-    )[0]
 
 
 _EMITTERS = {

@@ -78,6 +78,13 @@ class TestSchema:
             (lambda d: d.update(analyses=[{"kind": "symmetry", "a_0": 0.7, "a_f": NAN,
                                            "hubble_values": [1.0]}]),
              "analyses[0].a_f"),
+            # a symmetry ramp must expand from a positive a_0
+            (lambda d: d.update(analyses=[{"kind": "symmetry", "a_0": 1.3, "a_f": 0.7,
+                                           "hubble_values": [1.0]}]),
+             "analyses[0].a_f"),
+            (lambda d: d.update(analyses=[{"kind": "symmetry", "a_0": 0.0, "a_f": 0.7,
+                                           "hubble_values": [1.0]}]),
+             "analyses[0].a_0"),
             (lambda d: d.update(profile={"kind": "tabulated",
                                          "samples": [[0.0, 1.0], [1.0, NAN]]}),
              "profile.samples"),
@@ -187,7 +194,10 @@ class TestCLI:
                        "hubble_values: [1.0]}\n", "analyses[2].a_f"),
         (lambda t: t + "  - {kind: contour, block: {length: 6}, time_stride: 0}\n",
          "analyses[2].time_stride"),
-    ], ids=["deta_nan", "mass_nan", "mass_typo", "symmetry_a_f_nan", "time_stride_0"])
+        (lambda t: t + "  - {kind: symmetry, a_0: 1.3, a_f: 0.7, "
+                       "hubble_values: [1.0]}\n", "analyses[2].a_f"),
+    ], ids=["deta_nan", "mass_nan", "mass_typo", "symmetry_a_f_nan", "time_stride_0",
+            "symmetry_a_f_below_a_0"])
     def test_bad_fields_exit_1_before_evolving(self, tmp_path, capsys, edit, field):
         # each of these used to evolve (or start to) and then die with a
         # traceback, blame the step size, or run with the field ignored
@@ -208,7 +218,7 @@ class TestCLI:
         assert main(["run", str(cfg), "--output", str(out2)]) == EXIT_OK
         m1 = RunManifest.load(out1 / "manifest.json")
         m2 = RunManifest.load(out2 / "manifest.json")
-        m1.verify()
+        assert m1.verify() == []
         assert {"entropy_measured.csv", "spectrum.csv", "condensates.csv"} <= set(
             m1.files
         )
@@ -227,5 +237,5 @@ class TestCLI:
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--output", str(out)]) == EXIT_OK
         manifest = RunManifest.load(out / "manifest.json")
-        manifest.verify()
+        assert manifest.verify() == []
         assert "condensates.csv" in manifest.files

@@ -1,5 +1,7 @@
 """Discrete-symmetry relations, residual patterns, and spectrum checks."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -111,11 +113,53 @@ class TestSpectrumSweep:
         # once did) must give the same rows bit for bit
         spec = LatticeSpec(num_sites=16, mass=-1.0, coupling=3.0)
         args = (spec, 0.7, 1.3, [0.3, 2.0, 100.0])
-        opts = dict(deta_fn=lambda h: 1e-2, settle_eta=0.5, reference_mode="dressed")
-        rows = spectrum_symmetry_check(*args, **opts)
+        rows = spectrum_symmetry_check(*args, reference_mode="dressed")
 
         def every_step(*a, **kw):
             return evolve(*a, **{**kw, "sample_every": 1})
 
         monkeypatch.setattr(symmetry, "evolve", every_step)
-        assert spectrum_symmetry_check(*args, **opts) == rows
+        assert spectrum_symmetry_check(*args, reference_mode="dressed") == rows
+
+    @pytest.mark.parametrize("reference_mode", ["bare", "dressed"])
+    def test_pooled_rows_equal_serial_rows(self, reference_mode):
+        spec = LatticeSpec(num_sites=16, mass=-1.0, coupling=3.0)
+        args = (spec, 0.7, 1.3, [100.0, 2.0, 0.3])
+        serial = spectrum_symmetry_check(*args, reference_mode=reference_mode)
+        pooled = spectrum_symmetry_check(*args, reference_mode=reference_mode,
+                                         workers=2)
+        assert pooled == serial
+
+    def test_pool_capped_at_the_rates_with_one_vacuum_solve(self, monkeypatch):
+        # a real pool forks all of its processes up front, so a fake records
+        # the size asked for and maps in this process
+        asked = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        solves = []
+
+        def counted_solve(*a, **kw):
+            solves.append(a)
+            return solve(*a, **kw)
+
+        solve = symmetry.self_consistent_ground_state
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(symmetry, "self_consistent_ground_state", counted_solve)
+        spec = LatticeSpec(num_sites=8, mass=-1.0, coupling=3.0)
+        hubbles = [100.0, 200.0, 300.0]
+        rows = spectrum_symmetry_check(spec, 0.7, 1.3, hubbles, workers=64)
+        assert asked == [3]
+        assert len(solves) == 1  # one vacuum for the whole sweep
+        assert rows == spectrum_symmetry_check(spec, 0.7, 1.3, hubbles)
