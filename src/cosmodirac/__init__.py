@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 from .lattice import (  # noqa: F401
     GAMMA0,
     GAMMA1,
-    GAMMA5,
     DeSitterProfile,
     DomainError,
     ExponentialProfile,
@@ -35,6 +34,7 @@ from .gaussian import (  # noqa: F401
     condensates,
     evolve,
     evolve_adaptive,
+    evolve_free,
     free_ground_state,
     mass_quench_prepare,
     mean_field_energy,
@@ -46,7 +46,6 @@ from .production import (  # noqa: F401
     ProductionSpectrum,
     bogoliubov_spectrum,
     mode_pair_entropy,
-    particle_density,
     spectrum_asymmetry,
 )
 from .entanglement import (  # noqa: F401
@@ -58,7 +57,6 @@ from .entanglement import (  # noqa: F401
     contour_trajectory,
     entanglement_contour,
     front_slope,
-    zigzag_inverse,
     zigzag_view,
 )
 from .quasiparticle import (  # noqa: F401
@@ -75,7 +73,6 @@ from .quasiparticle import (  # noqa: F401
 from .symmetry import (  # noqa: F401
     SymmetryReport,
     contour_cp_check,
-    operator_squares,
     spectrum_symmetry_check,
     symmetry_report,
     time_reversal_condition_residual,

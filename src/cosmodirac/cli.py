@@ -21,7 +21,6 @@ from .config import ConfigError, load_config
 from .gaussian import (
     ConvergenceError,
     DegenerateGroundStateError,
-    InternalConsistencyError,
     StepSizeError,
 )
 from .entanglement import InvalidStateError
@@ -35,7 +34,6 @@ NUMERICAL_ERRORS = (
     ConvergenceError,
     DegenerateGroundStateError,
     StepSizeError,
-    InternalConsistencyError,
     InvalidStateError,
     NonEquilibratedWindowError,
     FloatingPointError,

@@ -214,8 +214,3 @@ def zigzag_view(field: ContourField) -> np.ndarray:
     per-spinor views are individually lopsided.
     """
     return field.values.reshape(len(field.etas), 2 * field.block.length)
-
-
-def zigzag_inverse(flat: np.ndarray, block: BlockSpec) -> np.ndarray:
-    """Undo :func:`zigzag_view`, back to (n_times, length, 2)."""
-    return flat.reshape(flat.shape[0], block.length, 2)

@@ -15,8 +15,11 @@ Both integrators share one field kernel that works on component rows,
 (n_x, n_y, n_z) each over the whole grid, in preallocated buffers; the
 fixed-step integrator evaluates the scale factor for a block of steps at
 once.  The order of every floating-point operation is fixed, so runs are
-bit-reproducible.  A :class:`Trajectory` stores its samples as arrays,
-the Bloch vectors as (T, N_S, 3).
+bit-reproducible.  A free run (g = 0) on a piecewise-constant a(eta)
+needs no integrator: :func:`evolve_free` rotates each Bloch vector
+exactly about its fixed field, so the step only sets the sample grid.
+A :class:`Trajectory` stores its samples as arrays, the Bloch vectors as
+(T, N_S, 3).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeSpec, bloch_vector
+from .lattice import LatticeSpec, QuenchProfile, StaticProfile, bloch_vector
 
 
 class DegenerateGroundStateError(RuntimeError):
@@ -42,10 +45,6 @@ class ConvergenceError(RuntimeError):
 
 class StepSizeError(RuntimeError):
     """Purity drifted beyond tolerance during integration; reduce deta."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """A quantity that must be Hermitian or real is not."""
 
 
 @dataclass(frozen=True)
@@ -96,17 +95,6 @@ def blocks_from_bloch(n: np.ndarray) -> np.ndarray:
     g[..., 0, 1] = (n[..., 0] - 1j * n[..., 1]) / 2.0
     g[..., 1, 0] = (n[..., 0] + 1j * n[..., 1]) / 2.0
     return g
-
-
-def bloch_from_blocks(blocks: np.ndarray) -> np.ndarray:
-    blocks = np.asarray(blocks, dtype=complex)
-    herm = np.max(np.abs(blocks - np.conj(np.swapaxes(blocks, -1, -2))))
-    if herm > 1e-10:
-        raise InternalConsistencyError(f"blocks not Hermitian, defect {herm:.3e}")
-    nx = 2.0 * blocks[..., 1, 0].real
-    ny = 2.0 * blocks[..., 1, 0].imag
-    nz = (blocks[..., 0, 0] - blocks[..., 1, 1]).real
-    return np.stack([nx, ny, nz], axis=-1)
 
 
 def _purity_defects(bloch):
@@ -369,6 +357,30 @@ def _purity_gate(etas, bloch, purity_tol, remedy):
         )
 
 
+def step_grid(eta_span, deta: float, sample_every: int = 1):
+    """The fixed-step grid of :func:`evolve` and the steps it samples.
+
+    ``deta`` is rounded down to h = (eta1 - eta0)/n_steps with n_steps =
+    ceil((eta1 - eta0)/deta), at least one.  A sample is taken at the start, after
+    every ``sample_every``-th step and after the last one, at
+    eta0 + j*h for the j steps taken; a sample whose time rounding
+    leaves equal to the previous one (h << eta0) is dropped.
+
+    Returns ``(h, steps, etas)``: the step, the sampled step counts j
+    (int array from 0) and the sample times.
+    """
+    if deta <= 0:
+        raise ValueError("deta must be positive")
+    eta0, eta1 = _check_span(eta_span)
+    n_steps = max(1, int(np.ceil((eta1 - eta0) / deta - 1e-12)))
+    h = (eta1 - eta0) / n_steps
+    steps = np.append(np.arange(0, n_steps, sample_every), n_steps)
+    etas = eta0 + steps * h
+    etas[0] = eta0
+    moved = np.concatenate([[True], etas[1:] > etas[:-1]])
+    return h, steps[moved], etas[moved]
+
+
 def evolve(
     initial: CorrelationState,
     profile,
@@ -385,31 +397,27 @@ def evolve(
     place as (3, N_S) component rows, and the stage scale factors of each
     block of ``_BLOCK_STEPS`` steps come from one vectorised
     ``profile.scale_factor`` call.  Samples are written into preallocated
-    arrays every ``sample_every`` steps and at the final time.  Every
-    elementwise operation and the fixed-order condensate sums are the
-    same on every run, so runs are bit-reproducible.
+    arrays on the grid of :func:`step_grid`.  Every elementwise operation
+    and the fixed-order condensate sums are the same on every run, so
+    runs are bit-reproducible.
 
     Raises :class:`StepSizeError` if the purity defect of any sample
     exceeds ``purity_tol`` or is not finite.
     """
-    if deta <= 0:
-        raise ValueError("deta must be positive")
-    eta0, eta1 = _check_span(eta_span)
+    h, steps, etas = step_grid(eta_span, deta, sample_every)
+    eta0 = etas[0]
+    half, sixth = 0.5 * h, h / 6.0
     spec = initial.spec
     field = _BlockField(spec)
 
-    n_steps = int(np.ceil((eta1 - eta0) / deta - 1e-12))
-    h = (eta1 - eta0) / n_steps
-    half, sixth = 0.5 * h, h / 6.0
-
     n = initial.bloch.T.copy()
     k1, k2, k3, k4 = np.empty((4,) + n.shape)
-    # the initial state plus ceil(n_steps / sample_every) sampled steps
-    n_samples = 1 - (-n_steps // sample_every)
-    etas, a_vals = np.empty(n_samples), np.empty(n_samples)
-    bloch = np.empty((n_samples,) + initial.bloch.shape)
-    etas[0], a_vals[0], bloch[0] = eta0, profile.scale_factor(eta0), initial.bloch
-    t = 1
+    a_vals = np.empty(etas.size)
+    bloch = np.empty((etas.size,) + initial.bloch.shape)
+    a_vals[0], bloch[0] = profile.scale_factor(eta0), initial.bloch
+    t, sampled = 1, steps.tolist()
+    # steps after the last sampled one would never be seen
+    n_steps = sampled[-1]
     for start in range(0, n_steps, _BLOCK_STEPS):
         stop = min(start + _BLOCK_STEPS, n_steps)
         m = stop - start
@@ -435,16 +443,74 @@ def evolve(
             np.add(k1, k4, out=k1)
             np.multiply(k1, sixth, out=k1)
             np.add(n, k1, out=n)
-            step = start + j
-            if (step + 1) % sample_every == 0 or step == n_steps - 1:
-                # rounding can leave eta0 + step*h unmoved for h << eta0
-                if etas[t - 1] < e[j + 1]:
-                    etas[t], a_vals[t], bloch[t] = e[j + 1], a[j + 1], n.T
-                    _purity_gate(etas[t:t + 1], bloch[t:t + 1], purity_tol,
-                                 f"reduce deta (currently {h:.3e})")
-                    t += 1
-    etas, a_vals, bloch = etas[:t], a_vals[:t], bloch[:t]
+            if start + j + 1 == sampled[t]:
+                a_vals[t], bloch[t] = a[j + 1], n.T
+                _purity_gate(etas[t:t + 1], bloch[t:t + 1], purity_tol,
+                             f"reduce deta (currently {h:.3e})")
+                t += 1
     return Trajectory(etas, a_vals, bloch, *_condensate_sums(bloch, spec), spec, profile)
+
+
+def evolve_free(
+    initial: CorrelationState,
+    profile,
+    etas,
+    purity_tol: float = 1e-6,
+) -> Trajectory:
+    """Exact samples of a free run on a static or sudden-quench background.
+
+    With g = 0 there are no condensates, and while a(eta) is constant
+    the field b_k = (-sin(ka)/a, 0, m a(eta) + (1 - cos ka)/a) is fixed,
+    so d n_k/d eta = 2 b_k x n_k rotates n_k rigidly about b_k/|b_k| by
+    the angle 2|b_k|(eta - eta_0) (Rodrigues' formula), for all samples
+    and momenta at once.  ``initial`` is the state at ``etas[0]``.  A
+    :class:`QuenchProfile` whose ``eta_switch`` lies after ``etas[0]``
+    gets one rotation under a_0 up to the switch and one under a_f from
+    the rotated state on.  Every sample is rotated from the initial or
+    the switch state, so no error accumulates.
+
+    Raises :class:`StepSizeError` if the purity defect of any sample
+    exceeds ``purity_tol`` or is not finite, and ``ValueError`` for a
+    coupled lattice or another profile.
+    """
+    spec = initial.spec
+    if spec.coupling != 0.0:
+        raise ValueError("evolve_free needs a free lattice (coupling 0)")
+    if not isinstance(profile, (StaticProfile, QuenchProfile)):
+        raise ValueError("evolve_free needs a static or quench profile")
+    etas = np.asarray(etas, dtype=float)
+    eta0 = etas[0]
+    # (start, a) of each stretch of constant a over the samples
+    pieces = [(eta0, float(profile.scale_factor(eta0)))]
+    if isinstance(profile, QuenchProfile) and eta0 < profile.eta_switch:
+        pieces = [(eta0, float(profile.a_0)), (profile.eta_switch, float(profile.a_f))]
+    ks = spec.momentum_grid()
+    bloch = np.empty((etas.size,) + initial.bloch.shape)
+    n = initial.bloch
+    for i, (start, a) in enumerate(pieces):
+        end = pieces[i + 1][0] if i + 1 < len(pieces) else np.inf
+        rows = (etas >= start) & (etas < end)
+        b = bloch_vector(ks, spec.mass * a, 0.0, 0.0, spec.spacing)
+        bloch[rows] = _rotate(n, b, etas[rows] - start)
+        if i + 1 < len(pieces):
+            n = _rotate(n, b, [end - start])[0]
+    _purity_gate(etas, bloch, purity_tol, "check the initial state")
+    a_vals = np.asarray(profile.scale_factor(etas), dtype=float)
+    return Trajectory(etas, a_vals, bloch, *_condensate_sums(bloch, spec), spec, profile)
+
+
+def _rotate(n, b, durations):
+    """(T, N_S, 3) Bloch vectors n rotated for ``durations`` about fields b.
+
+    n(t) = n cos(w t) + (b^ x n) sin(w t) + b^ (b^ . n)(1 - cos(w t))
+    with w = 2|b|, exactly n at t = 0; a mode with b = 0 stays put.
+    """
+    eps = np.linalg.norm(b, axis=-1)
+    unit = np.divide(b, eps[:, None], out=np.zeros_like(b), where=eps[:, None] > 0)
+    angle = 2.0 * np.asarray(durations, dtype=float)[:, None] * eps
+    cos, sin = np.cos(angle)[..., None], np.sin(angle)[..., None]
+    axial = unit * np.sum(unit * n, axis=-1, keepdims=True)
+    return n * cos + np.cross(unit, n) * sin + axial * (1.0 - cos)
 
 
 def evolve_adaptive(

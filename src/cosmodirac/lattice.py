@@ -17,7 +17,6 @@ from scipy.optimize import brentq, minimize_scalar
 # gamma0 = sigma_z, gamma1 = i sigma_y, gamma5 = gamma0 gamma1 = sigma_x.
 GAMMA0 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 GAMMA1 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-GAMMA5 = GAMMA0 @ GAMMA1
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
@@ -65,11 +64,6 @@ class LatticeSpec:
         """
         n = np.arange(self.num_sites)
         return -np.pi / self.spacing + 2.0 * np.pi * n / (self.num_sites * self.spacing)
-
-    def reflected_indices(self) -> np.ndarray:
-        """Index permutation realising k -> -k on the grid."""
-        n = np.arange(self.num_sites)
-        return (-n) % self.num_sites
 
 
 # ---------------------------------------------------------------------------

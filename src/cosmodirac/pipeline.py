@@ -23,12 +23,20 @@ from .entanglement import BlockSpec, block_entropy, contour_trajectory
 from .gaussian import (
     evolve,
     evolve_adaptive,
+    evolve_free,
     free_ground_state,
     mass_quench_prepare,
     real_space_correlation,
     self_consistent_ground_state,
+    step_grid,
 )
-from .lattice import LatticeSpec, cosmological_time, preparation_scale
+from .lattice import (
+    LatticeSpec,
+    QuenchProfile,
+    StaticProfile,
+    cosmological_time,
+    preparation_scale,
+)
 from .production import bogoliubov_spectrum, mode_pair_entropy
 from .quasiparticle import condensate_persistence, qp_entropy, qp_input_from_spectrum
 from .symmetry import spectrum_symmetry_check, symmetry_report
@@ -44,6 +52,7 @@ class RunManifest:
     wall_time: float
     version: str = __version__
     workers: int = 1
+    propagator: str | None = None  # "closed_form", "rk4" or "dop853"
 
     def path(self) -> Path:
         return self.directory / "manifest.json"
@@ -53,6 +62,7 @@ class RunManifest:
             "version": self.version,
             "wall_time_s": self.wall_time,
             "workers": self.workers,
+            "propagator": self.propagator,
             "config": self.config,
             "files": self.files,
         }
@@ -72,6 +82,7 @@ class RunManifest:
             wall_time=payload["wall_time_s"],
             version=payload["version"],
             workers=payload.get("workers", 1),
+            propagator=payload.get("propagator"),
         )
 
     def verify(self) -> list:
@@ -124,9 +135,36 @@ def _prepare(config: RunConfig):
     return state
 
 
+def propagator(config: RunConfig) -> str:
+    """The propagator :func:`run` evolves ``config`` with.
+
+    ``"closed_form"`` (:func:`~cosmodirac.gaussian.evolve_free`) for a free
+    lattice on a static or quench profile, otherwise ``"dop853"`` or
+    ``"rk4"`` as ``evolution.method`` asks.
+    """
+    if config.lattice.coupling == 0.0 and isinstance(
+        config.profile, (StaticProfile, QuenchProfile)
+    ):
+        return "closed_form"
+    return "dop853" if config.evolution["method"] == "adaptive" else "rk4"
+
+
 def _evolve(config: RunConfig, state):
+    """Evolve the prepared state with the :func:`propagator` of ``config``.
+
+    A free run on a static or quench profile is rotated exactly to each
+    sample; the samples are the ones its method would take (``deta`` and
+    ``sample_every``, or ``n_samples``), so ``deta`` only sets the grid.
+    """
     ev = config.evolution
-    if ev["method"] == "adaptive":
+    kind = propagator(config)
+    if kind == "closed_form":
+        if ev["method"] == "adaptive":
+            etas = np.linspace(*config.eta_span, ev["n_samples"])
+        else:
+            _, _, etas = step_grid(config.eta_span, ev["deta"], ev["sample_every"])
+        return evolve_free(state, config.profile, etas)
+    if kind == "dop853":
         return evolve_adaptive(
             state, config.profile, config.eta_span,
             n_samples=ev["n_samples"], rtol=ev["rtol"],
@@ -293,6 +331,7 @@ def run(config: RunConfig, output_dir=None, workers: int = 1) -> RunManifest:
         files=inventory,
         wall_time=time.perf_counter() - t_start,
         workers=workers,
+        propagator=propagator(config),
     )
     manifest.save()
     return manifest

@@ -60,13 +60,6 @@ def bogoliubov_spectrum(
     )
 
 
-def particle_density(spectrum: ProductionSpectrum, spec: LatticeSpec) -> float:
-    """n_a = n_b = sum_k |beta_k|^2 / (a N_S a_f)."""
-    return float(
-        np.sum(spectrum.beta_sq) / (spec.spacing * spec.num_sites * spectrum.a_ref)
-    )
-
-
 def mode_pair_entropy(beta_sq):
     """Particle-antiparticle mode entropy for one (or many) |beta_k|^2.
 

@@ -84,15 +84,6 @@ def symmetry_report(ma_eff, sigma, pi, spec: LatticeSpec) -> SymmetryReport:
                           parameters=(float(ma_eff), float(sigma), float(pi)))
 
 
-def operator_squares() -> dict:
-    """T^2, C^2 (with conjugation composed, i.e. M M^*) and S^2 as matrices."""
-    return {
-        "T": T_MATRIX @ T_MATRIX.conj(),
-        "C": C_MATRIX @ C_MATRIX.conj(),
-        "S": S_MATRIX @ S_MATRIX,
-    }
-
-
 def time_reversal_condition_residual(profile, eta_0, eta, ma_coeff=1.0,
                                      sigma=0.0, pi=0.0, spec=None):
     """Residual of T^dag h_{-k}^*(eta) T = h_k(2 eta_0 - eta).

@@ -1,9 +1,12 @@
 """Config validation, shipped presets, CLI exit codes, and reproducibility."""
 
+import csv
 import json
 
+import numpy as np
 import pytest
 
+from cosmodirac import pipeline
 from cosmodirac.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, preset_names
 from cosmodirac.config import ConfigError, config_from_dict, load_config
 from cosmodirac.pipeline import RunManifest
@@ -158,11 +161,65 @@ class TestCLI:
         assert "error" in capsys.readouterr().err
 
     def test_numerical_failure_exits_2(self, tmp_path, capsys):
+        # interacting, so that RK4 steps it: a free run is rotated exactly
         cfg = tmp_path / "unstable.yaml"
-        cfg.write_text(SMALL_RUN.replace("1.0e-3", "0.5"))
-        code = main(["run", str(cfg), "--output", str(tmp_path / "out")])
+        cfg.write_text(SMALL_RUN.replace("1.0e-3", "0.5").replace(
+            "mass: 1.0}", "mass: 1.0, coupling: 1.0}"))
+        with np.errstate(all="ignore"):  # RK4 overflows on its way to NaN
+            code = main(["run", str(cfg), "--output", str(tmp_path / "out")])
         assert code == EXIT_NUMERICAL
         assert "StepSizeError" in capsys.readouterr().err
+
+    def test_coarse_free_run_is_exact(self, tmp_path):
+        # deta = 0.5 blew RK4 up on this free quench; in closed form it only
+        # sets the sample grid, so every shared sample matches a fine run
+        tables = {}
+        for deta in ("0.5", "1.0e-3"):
+            cfg = tmp_path / f"{deta}.yaml"
+            cfg.write_text(SMALL_RUN.replace("1.0e-3", deta))
+            out = tmp_path / deta
+            assert main(["run", str(cfg), "--output", str(out)]) == EXIT_OK
+            for name in ("entropy_measured.csv", "spectrum.csv", "condensates.csv"):
+                with open(out / name) as fh:
+                    rows = np.array([[float(x) for x in row]
+                                     for row in list(csv.reader(fh))[1:]])
+                assert np.all(np.isfinite(rows)), (deta, name)
+                tables[deta, name] = rows
+        for name in ("entropy_measured.csv", "condensates.csv"):
+            coarse, fine = tables["0.5", name], tables["1.0e-3", name]
+            assert list(coarse[:, 0]) == [0.0, 2.0]
+            fine = fine[np.isin(fine[:, 0], coarse[:, 0])]
+            assert np.allclose(coarse, fine, rtol=0.0, atol=1e-6), name
+        assert np.allclose(tables["0.5", "spectrum.csv"],
+                           tables["1.0e-3", "spectrum.csv"], rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("edit, expected", [
+        (lambda t: t, "closed_form"),
+        (lambda t: t.replace("deta: 1.0e-3, sample_every: 200",
+                             "method: adaptive, n_samples: 5"), "closed_form"),
+        (lambda t: t.replace("mass: 1.0}", "mass: 1.0, coupling: 1.0}"), "rk4"),
+        (lambda t: t.replace("mass: 1.0}", "mass: 1.0, coupling: 1.0}").replace(
+            "deta: 1.0e-3, sample_every: 200", "method: adaptive, n_samples: 5"),
+         "dop853"),
+    ], ids=["free_rk4", "free_adaptive", "interacting_rk4", "interacting_adaptive"])
+    def test_manifest_names_the_propagator_that_ran(self, tmp_path, monkeypatch,
+                                                    edit, expected):
+        ran = []
+        for name, kind in (("evolve_free", "closed_form"), ("evolve", "rk4"),
+                           ("evolve_adaptive", "dop853")):
+            def record(*args, _kind=kind, _func=getattr(pipeline, name), **kwargs):
+                ran.append(_kind)
+                return _func(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, record)
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(edit(SMALL_RUN))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output", str(out)]) == EXIT_OK
+        assert ran == [expected]
+        assert json.loads((out / "manifest.json").read_text())["propagator"] == expected
+        manifest = RunManifest.load(out / "manifest.json")
+        assert manifest.propagator == expected
+        assert manifest.verify() == []
 
     def test_qp_window_without_samples_exits_1(self, tmp_path, capsys):
         # a window past the end of eta_span used to average an empty slice

@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 
 from cosmodirac.entanglement import BlockSpec, block_entropy, entanglement_contour
-from cosmodirac.gaussian import evolve, free_ground_state, real_space_correlation
+from cosmodirac.gaussian import (
+    evolve,
+    evolve_free,
+    free_ground_state,
+    real_space_correlation,
+)
 from cosmodirac.lattice import LatticeSpec, QuenchProfile, hamiltonian_block
 from cosmodirac.production import bogoliubov_spectrum
 
@@ -141,6 +146,15 @@ class TestQuenchDynamics:
             psi = _exact_evolved(fock, snap.eta)
             gamma = real_space_correlation(snap)
             assert np.max(np.abs(gamma - fock["correlation"](psi))) < 1e-8
+
+    def test_closed_form_matches_exact_evolution(self, fock):
+        state = free_ground_state(fock["spec"], MA_I)
+        etas = np.linspace(0.0, 1.5, 7)
+        traj = evolve_free(state, QuenchProfile(MA_I, MA_F), etas)
+        for i, eta in enumerate(etas):
+            gamma = real_space_correlation(traj.state(i))
+            exact = fock["correlation"](_exact_evolved(fock, eta))
+            assert np.max(np.abs(gamma - exact)) < 1e-10
 
     def test_block_entropy_tracks_exact_evolution(self, fock, evolved):
         psi = _exact_evolved(fock, evolved.etas[-1])

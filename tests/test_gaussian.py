@@ -12,16 +12,17 @@ from cosmodirac.gaussian import (
     CorrelationState,
     DegenerateGroundStateError,
     StepSizeError,
-    bloch_from_blocks,
     blocks_from_bloch,
     condensates,
     evolve,
     evolve_adaptive,
+    evolve_free,
     free_ground_state,
     mass_quench_prepare,
     mean_field_energy,
     real_space_correlation,
     self_consistent_ground_state,
+    step_grid,
     total_energy,
 )
 from cosmodirac.lattice import (
@@ -30,6 +31,7 @@ from cosmodirac.lattice import (
     QuenchProfile,
     StaticProfile,
     TabulatedProfile,
+    bloch_vector,
     dispersion,
 )
 
@@ -41,10 +43,6 @@ AOKI_PI = 1.11376224
 
 
 class TestStateRepresentation:
-    def test_bloch_block_round_trip(self, rng):
-        n = rng.normal(size=(10, 3))
-        assert np.allclose(bloch_from_blocks(blocks_from_bloch(n)), n, atol=1e-14)
-
     def test_blocks_have_unit_trace(self, rng):
         n = rng.normal(size=(6, 3))
         g = blocks_from_bloch(n)
@@ -176,6 +174,15 @@ class TestEvolution:
         with np.errstate(all="ignore"), pytest.raises(StepSizeError, match="nan"):
             evolve(state, QuenchProfile(0.01, 1e3), (0.0, 200.0), 1.0,
                    sample_every=50)
+
+    def test_step_longer_than_the_span_takes_one_step(self):
+        # ceil(span/deta - 1e-12) is 0 once deta >= 1e12 span: a division by zero
+        h, steps, etas = step_grid((0.0, 1.0), 1e13)
+        assert (h, steps.tolist(), etas.tolist()) == (1.0, [0, 1], [0.0, 1.0])
+        spec = LatticeSpec(num_sites=8, mass=1.0)
+        state = free_ground_state(spec, 1.0)
+        traj = evolve(state, StaticProfile(), (0.0, 1.0), 1e13, purity_tol=np.inf)
+        assert list(traj.etas) == [0.0, 1.0]
 
     def test_rejects_bad_spans(self):
         spec = LatticeSpec(num_sites=8, mass=1.0)
@@ -338,3 +345,87 @@ class TestBitIdentity:
                         rtol=1e-10, atol=1e-12)
         _assert_trajectory_equals(traj, sol.t, [y.reshape(-1, 3) for y in sol.y.T],
                                   spec, profile)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form free evolution against RK4
+# ---------------------------------------------------------------------------
+
+
+class TestClosedForm:
+    """evolve_free is the exact flow that RK4 approximates to O(h^4)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(num_sites=st.integers(2, 32).map(lambda half: 2 * half),
+           mass=st.sampled_from([1.0, -1.0]), a_val=st.floats(0.6, 2.0),
+           switch=st.one_of(st.none(), st.floats(-2.0, 0.0)),
+           n_steps=st.integers(100, 200))
+    def test_rk4_converges_to_it_at_fourth_order(self, num_sites, mass, a_val,
+                                                 switch, n_steps):
+        # a static profile, or a quench that has already happened at eta_0
+        spec, state = _quenched_vacuum(num_sites, 0.0, mass)
+        profile = (StaticProfile(a_val) if switch is None
+                   else QuenchProfile(0.5, a_val, eta_switch=switch))
+        span = (0.0, 2.0)
+        gaps = []
+        for n in (n_steps, 2 * n_steps):
+            rk4 = evolve(state.copy(), profile, span, 2.0 / n, sample_every=n // 4)
+            exact = evolve_free(state.copy(), profile, rk4.etas)
+            assert np.array_equal(exact.etas, rk4.etas)
+            gaps.append(np.max(np.abs(exact.bloch - rk4.bloch)))
+        # RK4 turns n by w h - (w h)^5/120 per step, w = 2|b_k|
+        omega = 2.0 * np.max(np.linalg.norm(
+            bloch_vector(spec.momentum_grid(), mass * a_val, 0.0, 0.0), axis=-1))
+        h = 2.0 / n_steps
+        assert gaps[0] <= 2.0 * (span[1] - span[0]) * omega**5 * h**4 / 120.0
+        assert gaps[1] <= gaps[0] / 8.0
+
+    def test_mid_span_switch_matches_chained_rk4(self):
+        # RK4 across the jump in a is only first-order accurate there, so
+        # the reference is one RK4 run per side, the switch on the step grid
+        spec, state = _quenched_vacuum(32, 0.0, -1.0)
+        before = evolve(state.copy(), StaticProfile(0.5), (0.0, 1.0), 1e-3,
+                        sample_every=100)
+        after = evolve(before.state(-1), StaticProfile(1.5), (1.0, 3.0), 1e-3,
+                       sample_every=100)
+        etas = np.concatenate([before.etas, after.etas[1:]])
+        exact = evolve_free(state.copy(), QuenchProfile(0.5, 1.5, eta_switch=1.0),
+                            etas)
+        chained = np.concatenate([before.bloch, after.bloch[1:]])
+        assert np.max(np.abs(exact.bloch - chained)) < 1e-10
+        assert np.array_equal(exact.a_vals, np.where(etas < 1.0, 0.5, 1.5))
+
+    @pytest.mark.parametrize("eta0, length, deta, sample_every", [
+        (0.0, 3.0, 1e-2, 7),
+        (-0.0, 1.0, 1e-2, 10),
+        (-1.0, 2.0, 3e-3, 50),
+        # h far below the spacing of floats near eta0: repeated times drop out
+        (1e8, 1e-6, 1e-9, 1),
+        (1e8, 1e-6, 1e-9, 3),
+    ])
+    def test_sample_grid_is_the_rk4_grid(self, eta0, length, deta, sample_every):
+        spec, state = _quenched_vacuum(8, 0.0, 1.0)
+        profile = QuenchProfile(0.5, 1.5, eta_switch=eta0 + 0.5 * length)
+        span = (eta0, eta0 + length)
+        rk4 = evolve(state.copy(), profile, span, deta, sample_every=sample_every,
+                     purity_tol=np.inf)
+        _, steps, etas = step_grid(span, deta, sample_every)
+        exact = evolve_free(state.copy(), profile, etas)
+        assert np.array_equal(exact.etas, rk4.etas)
+        assert np.array_equal(exact.a_vals, rk4.a_vals)
+        assert np.array_equal(exact.bloch[0], state.bloch)
+        # the first time is eta0 as given, down to the sign of a zero
+        assert np.signbit(etas[0]) == np.signbit(eta0)
+        if eta0 == 1e8:
+            assert etas.size < steps[-1] // sample_every
+
+    def test_rejects_what_it_cannot_rotate(self):
+        spec, state = _quenched_vacuum(8, 1.0, 1.0)
+        with pytest.raises(ValueError, match="coupling"):
+            evolve_free(state, StaticProfile(), [0.0, 1.0])
+        spec, state = _quenched_vacuum(8, 0.0, 1.0)
+        with pytest.raises(ValueError, match="profile"):
+            evolve_free(state, ExponentialProfile(0.5, 2.0, hubble=1.0), [0.0, 1.0])
+        with np.errstate(invalid="ignore"), pytest.raises(StepSizeError, match="nan"):
+            state.bloch[0] = np.nan
+            evolve_free(state, StaticProfile(), [0.0, 1.0])

@@ -18,7 +18,6 @@ from cosmodirac.production import (
     ProductionSpectrum,
     bogoliubov_spectrum,
     mode_pair_entropy,
-    particle_density,
     spectrum_asymmetry,
 )
 
@@ -87,16 +86,6 @@ class TestSpectrum:
 
 
 class TestDerivedQuantities:
-    def test_particle_density_normalization(self):
-        spec = LatticeSpec(num_sites=16, spacing=0.5, mass=1.0)
-        spect = ProductionSpectrum(
-            k=spec.momentum_grid(), beta_sq=np.full(16, 0.25),
-            reference=(2.0, 0.0, 0.0), a_ref=2.0,
-        )
-        assert particle_density(spect, spec) == pytest.approx(
-            16 * 0.25 / (0.5 * 16 * 2.0)
-        )
-
     def test_mode_pair_entropy_values(self):
         s, pair = mode_pair_entropy(0.5)
         assert s == pytest.approx(np.log(2.0))

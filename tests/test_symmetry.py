@@ -11,17 +11,10 @@ from cosmodirac.gaussian import evolve, free_ground_state
 from cosmodirac.lattice import ExponentialProfile, LatticeSpec, QuenchProfile
 from cosmodirac.symmetry import (
     contour_cp_check,
-    operator_squares,
     spectrum_symmetry_check,
     symmetry_report,
     time_reversal_condition_residual,
 )
-
-
-class TestOperators:
-    def test_squares_are_identity(self):
-        for name, sq in operator_squares().items():
-            assert np.allclose(sq, np.eye(2)), name
 
 
 class TestReport:
