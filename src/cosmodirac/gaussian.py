@@ -381,6 +381,13 @@ def step_grid(eta_span, deta: float, sample_every: int = 1):
     return h, steps[moved], etas[moved]
 
 
+def sample_grid(eta_span, n_samples: int):
+    """The sample times of :func:`evolve_adaptive`: ``n_samples`` points
+    spread uniformly over ``eta_span``, both ends included."""
+    eta0, eta1 = _check_span(eta_span)
+    return np.linspace(eta0, eta1, int(n_samples))
+
+
 def evolve(
     initial: CorrelationState,
     profile,
@@ -455,7 +462,6 @@ def evolve_free(
     initial: CorrelationState,
     profile,
     etas,
-    purity_tol: float = 1e-6,
 ) -> Trajectory:
     """Exact samples of a free run on a static or sudden-quench background.
 
@@ -470,8 +476,8 @@ def evolve_free(
     the switch state, so no error accumulates.
 
     Raises :class:`StepSizeError` if the purity defect of any sample
-    exceeds ``purity_tol`` or is not finite, and ``ValueError`` for a
-    coupled lattice or another profile.
+    exceeds 1e-6 or is not finite, and ``ValueError`` for a coupled
+    lattice or another profile.
     """
     spec = initial.spec
     if spec.coupling != 0.0:
@@ -494,7 +500,7 @@ def evolve_free(
         bloch[rows] = _rotate(n, b, etas[rows] - start)
         if i + 1 < len(pieces):
             n = _rotate(n, b, [end - start])[0]
-    _purity_gate(etas, bloch, purity_tol, "check the initial state")
+    _purity_gate(etas, bloch, 1e-6, "check the initial state")
     a_vals = np.asarray(profile.scale_factor(etas), dtype=float)
     return Trajectory(etas, a_vals, bloch, *_condensate_sums(bloch, spec), spec, profile)
 
@@ -534,8 +540,8 @@ def evolve_adaptive(
     The integrator's state vector keeps the (N_S, 3) order, so its error
     norm and step control see the same numbers.
 
-    ``sample_etas`` fixes the output grid explicitly; otherwise
-    ``n_samples`` points are spread uniformly over ``eta_span``.
+    ``sample_etas`` fixes the output grid explicitly; otherwise it is
+    :func:`sample_grid` of ``eta_span`` and ``n_samples``.
     """
     from scipy.integrate import solve_ivp
 
@@ -545,7 +551,7 @@ def evolve_adaptive(
     out = np.empty((3, spec.num_sites))
 
     if sample_etas is None:
-        sample_etas = np.linspace(eta0, eta1, int(n_samples))
+        sample_etas = sample_grid((eta0, eta1), n_samples)
     sample_etas = np.asarray(sample_etas, dtype=float)
     if sample_etas[0] < eta0 - 1e-12 or sample_etas[-1] > eta1 + 1e-12:
         raise ValueError("sample_etas must lie within eta_span")

@@ -27,6 +27,7 @@ from .gaussian import (
     free_ground_state,
     mass_quench_prepare,
     real_space_correlation,
+    sample_grid,
     self_consistent_ground_state,
     step_grid,
 )
@@ -160,7 +161,7 @@ def _evolve(config: RunConfig, state):
     kind = propagator(config)
     if kind == "closed_form":
         if ev["method"] == "adaptive":
-            etas = np.linspace(*config.eta_span, ev["n_samples"])
+            etas = sample_grid(config.eta_span, ev["n_samples"])
         else:
             _, _, etas = step_grid(config.eta_span, ev["deta"], ev["sample_every"])
         return evolve_free(state, config.profile, etas)

@@ -21,6 +21,7 @@ from cosmodirac.gaussian import (
     mass_quench_prepare,
     mean_field_energy,
     real_space_correlation,
+    sample_grid,
     self_consistent_ground_state,
     step_grid,
     total_energy,
@@ -418,6 +419,20 @@ class TestClosedForm:
         assert np.signbit(etas[0]) == np.signbit(eta0)
         if eta0 == 1e8:
             assert etas.size < steps[-1] // sample_every
+
+    @pytest.mark.parametrize("span, n_samples", [
+        ((0.0, 2.0), 5),
+        ((-0.3, 0.7), 13),
+        ((5.0, 5.25), 7),
+    ])
+    def test_adaptive_sample_grid_is_the_dop853_grid(self, span, n_samples):
+        spec, state = _quenched_vacuum(8, 0.0, 1.0)
+        profile = QuenchProfile(0.5, 1.5, eta_switch=0.5 * (span[0] + span[1]))
+        dop853 = evolve_adaptive(state.copy(), profile, span, n_samples=n_samples,
+                                 purity_tol=np.inf)
+        exact = evolve_free(state.copy(), profile, sample_grid(span, n_samples))
+        assert np.array_equal(exact.etas, dop853.etas)
+        assert np.array_equal(exact.a_vals, dop853.a_vals)
 
     def test_rejects_what_it_cannot_rotate(self):
         spec, state = _quenched_vacuum(8, 1.0, 1.0)
