@@ -25,13 +25,14 @@ from cosmodirac import (
     QuenchProfile,
     block_entropy,
     bogoliubov_spectrum,
-    evolve,
+    evolve_free,
     free_ground_state,
     qp_entropy,
     qp_input_from_spectrum,
     qp_plateau,
     real_space_correlation,
 )
+from cosmodirac.gaussian import step_grid
 
 N_SITES = 128
 BLOCK = 32
@@ -42,8 +43,10 @@ spec = LatticeSpec(num_sites=N_SITES, mass=1.0)
 vacuum = free_ground_state(spec, spec.mass * A_0, a_val=A_0)
 
 print(f"evolving {N_SITES} sites to eta = {ETA_END} ...")
-traj = evolve(vacuum, QuenchProfile(A_0, A_F), (0.0, ETA_END), 5e-4,
-              sample_every=500)
+# g = 0 and a constant after the switch, so each sample is an exact
+# rotation; the times are those of RK4 at deta = 5e-4, every 500 steps
+_, _, sample_etas = step_grid((0.0, ETA_END), 5e-4, 500)
+traj = evolve_free(vacuum, QuenchProfile(A_0, A_F), sample_etas)
 
 block = BlockSpec.centered(BLOCK, N_SITES)
 etas = np.asarray(traj.etas)

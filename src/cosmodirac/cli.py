@@ -24,6 +24,7 @@ from .gaussian import (
     StepSizeError,
 )
 from .entanglement import InvalidStateError
+from .lattice import DomainError
 from .quasiparticle import NonEquilibratedWindowError
 
 EXIT_OK = 0
@@ -37,6 +38,7 @@ NUMERICAL_ERRORS = (
     InvalidStateError,
     NonEquilibratedWindowError,
     FloatingPointError,
+    DomainError,
 )
 
 

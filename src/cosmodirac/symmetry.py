@@ -10,7 +10,6 @@ blocks per momentum.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .lattice import (GAMMA0, GAMMA1, SIGMA_Y, ExponentialProfile, LatticeSpec,
                       hamiltonian_block)
-from .gaussian import condensates, evolve, self_consistent_ground_state
+from .gaussian import condensates, evolve_adaptive, self_consistent_ground_state
 from .production import bogoliubov_spectrum, spectrum_asymmetry
 
 T_MATRIX = GAMMA0
@@ -34,9 +33,9 @@ HOLDS_THRESHOLD = 1e-10  # fraction of max block norm separating exact algebra f
 # time scales, so the vacuum at a_0 is measured at a_f with no evolution.
 QUENCH_LIMIT_HUBBLE = 100.0
 
-# A sample stride no run reaches: evolve then keeps only the final state,
-# the one state the sweep reads.
-_FINAL_SAMPLE_ONLY = sys.maxsize
+# DOP853 relative tolerance of each ramp: the fig6 rows then agree with
+# RK4 at deta = 1e-4 to 1e-9 relative.
+SWEEP_RTOL = 1e-12
 
 
 @dataclass
@@ -115,18 +114,13 @@ def contour_cp_check(field) -> float:
     return float(np.max(np.abs(up - down_mirrored)))
 
 
-def _deta(hubble):
-    """RK4 step for the ramp at rate ``hubble``: finer for ramps faster than H = 1."""
-    return 1e-3 if hubble <= 1.0 else 1e-4
-
-
 def _sweep_row(spec, a_0, a_f, vacuum, reference_mode, hubble):
     """One sweep row: ``vacuum`` taken through the ramp at ``hubble`` to a_f."""
     state = vacuum
     if hubble < QUENCH_LIMIT_HUBBLE:
         profile = ExponentialProfile(a_0=a_0, a_f=a_f, hubble=hubble)
-        traj = evolve(vacuum, profile, (0.0, profile.eta_clamp), _deta(hubble),
-                      sample_every=_FINAL_SAMPLE_ONLY)
+        traj = evolve_adaptive(vacuum, profile, (0.0, profile.eta_clamp),
+                               sample_etas=[profile.eta_clamp], rtol=SWEEP_RTOL)
         state = traj.state(-1)
     sigma_ref = pi_ref = 0.0
     if reference_mode == "dressed":
@@ -167,10 +161,12 @@ def spectrum_symmetry_check(
     tracks the interacting quasi-particles but mixes the condensate
     dynamics into the +-k comparison).
 
-    Only the final state of each evolution is sampled, so the purity gate
-    checks that state alone.  With ``workers`` > 1 the rates are shared
-    among at most that many processes (never more than there are rates);
-    the rows are the same as with one.
+    Each ramp is one DOP853 solve (:func:`evolve_adaptive` at rtol
+    :data:`SWEEP_RTOL`) over [0, eta_clamp]: the clamp's kink in a(eta)
+    ends the span, so no step straddles it.  Only the final state is
+    sampled, so the purity gate checks that state alone.  With
+    ``workers`` > 1 the rates are shared among at most that many processes
+    (never more than there are rates); the rows are the same as with one.
 
     Returns a list of dicts {hubble, asymmetry, beta_sq_sum}.
     """

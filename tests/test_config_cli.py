@@ -170,6 +170,18 @@ class TestCLI:
         assert code == EXIT_NUMERICAL
         assert "StepSizeError" in capsys.readouterr().err
 
+    def test_step_rounded_past_the_profile_domain_exits_2(self, tmp_path, capsys):
+        # six steps of h = 1e5/6 end at 6 h = 1e5 + 1.5e-11, past the
+        # tabulated domain's 1e-12 slack: this used to end in a traceback
+        cfg = tmp_path / "tabulated.yaml"
+        cfg.write_text(
+            "lattice: {num_sites: 4, mass: 1.0}\n"
+            "profile: {kind: tabulated, samples: [[0.0, 1.0], [1.0e+5, 1.0]]}\n"
+            "evolution: {eta_span: [0.0, 1.0e+5], deta: 16666.67}\n")
+        code = main(["run", str(cfg), "--output", str(tmp_path / "out")])
+        assert code == EXIT_NUMERICAL
+        assert "DomainError" in capsys.readouterr().err
+
     def test_coarse_free_run_is_exact(self, tmp_path):
         # deta = 0.5 blew RK4 up on this free quench; in closed form it only
         # sets the sample grid, so every shared sample matches a fine run

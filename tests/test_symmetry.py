@@ -4,11 +4,15 @@ import concurrent.futures
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosmodirac import symmetry
 from cosmodirac.entanglement import BlockSpec, ContourField, contour_trajectory
-from cosmodirac.gaussian import evolve, free_ground_state
+from cosmodirac.gaussian import (condensates, evolve, evolve_adaptive,
+                                  free_ground_state, self_consistent_ground_state)
 from cosmodirac.lattice import ExponentialProfile, LatticeSpec, QuenchProfile
+from cosmodirac.production import bogoliubov_spectrum, spectrum_asymmetry
 from cosmodirac.symmetry import (
     contour_cp_check,
     spectrum_symmetry_check,
@@ -86,6 +90,24 @@ class TestContourCP:
         assert contour_cp_check(field) < 1e-10
 
 
+@pytest.fixture(scope="module")
+def rk4_sweep_states():
+    """(spec, a_0, a_f, {hubble: final state}) of a small sweep, each ramp
+    stepped by RK4 (the independent integrator) at deta = 1e-4 over
+    [0, eta_clamp]; the sudden-limit rate keeps the vacuum."""
+    spec = LatticeSpec(num_sites=16, mass=-1.0, coupling=3.0)
+    a_0, a_f = 0.7, 1.3
+    vacuum, _ = self_consistent_ground_state(spec, a_0)
+    states = {}
+    for hubble in (0.3, 2.0, 100.0):
+        states[hubble] = vacuum
+        if hubble < symmetry.QUENCH_LIMIT_HUBBLE:
+            profile = ExponentialProfile(a_0=a_0, a_f=a_f, hubble=hubble)
+            states[hubble] = evolve(vacuum, profile, (0.0, profile.eta_clamp),
+                                    1e-4).state(-1)
+    return spec, a_0, a_f, states
+
+
 class TestSpectrumSweep:
     def test_quench_limit_symmetric_slow_ramp_not(self):
         spec = LatticeSpec(num_sites=64, mass=-1.0, coupling=3.0)
@@ -101,18 +123,40 @@ class TestSpectrumSweep:
             spectrum_symmetry_check(spec, 0.7, 1.3, [100.0],
                                     reference_mode="nope")
 
-    def test_sweep_rows_match_sampling_every_step(self, monkeypatch):
-        # the sweep samples only the final state; sampling every step (as it
-        # once did) must give the same rows bit for bit
-        spec = LatticeSpec(num_sites=16, mass=-1.0, coupling=3.0)
-        args = (spec, 0.7, 1.3, [0.3, 2.0, 100.0])
-        rows = spectrum_symmetry_check(*args, reference_mode="dressed")
+    @pytest.mark.parametrize("reference_mode", ["bare", "dressed"])
+    def test_sweep_rows_match_rk4_reference(self, rk4_sweep_states,
+                                            reference_mode):
+        spec, a_0, a_f, states = rk4_sweep_states
+        rows = spectrum_symmetry_check(spec, a_0, a_f, list(states),
+                                       reference_mode=reference_mode)
+        for row, (hubble, state) in zip(rows, states.items(), strict=True):
+            cond = condensates(state)
+            sigma, pi = ((cond.sigma, cond.pi) if reference_mode == "dressed"
+                         else (0.0, 0.0))
+            spectrum = bogoliubov_spectrum(state, spec.mass * a_f, sigma=sigma,
+                                           pi=pi, a_ref=a_f)
+            assert row["hubble"] == hubble
+            assert row["asymmetry"] == pytest.approx(
+                spectrum_asymmetry(spectrum), rel=1e-8)
+            assert row["beta_sq_sum"] == pytest.approx(
+                float(np.sum(spectrum.beta_sq)), rel=1e-8)
 
-        def every_step(*a, **kw):
-            return evolve(*a, **{**kw, "sample_every": 1})
-
-        monkeypatch.setattr(symmetry, "evolve", every_step)
-        assert spectrum_symmetry_check(*args, reference_mode="dressed") == rows
+    @settings(max_examples=25, deadline=None)
+    @given(num_sites=st.integers(2, 16).map(lambda half: 2 * half),
+           mass=st.sampled_from([1.0, -1.0]), coupling=st.sampled_from([0.0, 3.0]),
+           hubble=st.floats(0.05, 50.0))
+    def test_ramp_keeps_unit_bloch_vectors(self, num_sites, mass, coupling,
+                                           hubble):
+        # the sweep's propagator: one DOP853 solve over a ramp to its clamp
+        spec = LatticeSpec(num_sites=num_sites, mass=mass, coupling=coupling)
+        profile = ExponentialProfile(a_0=0.7, a_f=1.3, hubble=hubble)
+        vacuum, _ = self_consistent_ground_state(spec, profile.a_0)
+        traj = evolve_adaptive(vacuum, profile, (0.0, profile.eta_clamp),
+                               sample_etas=[profile.eta_clamp],
+                               rtol=symmetry.SWEEP_RTOL)
+        norms = np.linalg.norm(traj.state(-1).bloch, axis=-1)
+        np.testing.assert_allclose(norms, 1.0, rtol=0.0, atol=1e-9)
+        assert traj.a_vals[-1] == pytest.approx(profile.a_f, rel=1e-14)
 
     @pytest.mark.parametrize("reference_mode", ["bare", "dressed"])
     def test_pooled_rows_equal_serial_rows(self, reference_mode):
