@@ -56,7 +56,7 @@ measured = np.array(
 )
 
 # quasi-particle prediction from the production spectrum
-spectrum = bogoliubov_spectrum(traj.state(-1), spec.mass * A_F, a_ref=A_F)
+spectrum = bogoliubov_spectrum(traj.state(-1), spec.mass * A_F)
 qp = qp_input_from_spectrum(spectrum, spec, float(BLOCK))
 predicted = np.array([qp_entropy(qp, e) for e in etas])
 

@@ -19,7 +19,6 @@ from .lattice import (  # noqa: F401
     band_velocity,
     cosmological_time,
     dispersion,
-    dispersion_and_velocity,
     preparation_scale,
     group_velocity,
     hamiltonian_block,
@@ -57,7 +56,6 @@ from .entanglement import (  # noqa: F401
     contour_trajectory,
     entanglement_contour,
     front_slope,
-    zigzag_view,
 )
 from .quasiparticle import (  # noqa: F401
     NonEquilibratedWindowError,

@@ -66,7 +66,9 @@ def _require(mapping, key, path, types=None):
     if key not in mapping:
         raise ConfigError(f"{path}.{key}", "missing required field")
     val = mapping[key]
-    if types is not None and not isinstance(val, types):
+    # YAML reads true/no/on as bools, and bool is a subclass of int
+    if types is not None and (not isinstance(val, types)
+                              or isinstance(val, bool) and bool not in types):
         raise ConfigError(
             f"{path}.{key}",
             f"expected {' or '.join(t.__name__ for t in types)}, "
@@ -89,6 +91,10 @@ def _number(mapping, key, path, *default):
     if not np.isfinite(val):
         raise ConfigError(f"{path}.{key}", f"must be finite, got {val}")
     return val
+
+
+def _is_finite_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and np.isfinite(x)
 
 
 def _reject_unknown(section, known, path):
@@ -205,9 +211,7 @@ def _build_preparation(section) -> dict:
 
 def _interval(values, path):
     """(eta_start, eta_end) from a list of two finite, increasing numbers."""
-    if len(values) != 2 or not all(
-        isinstance(x, (int, float)) and np.isfinite(x) for x in values
-    ):
+    if len(values) != 2 or not all(_is_finite_number(x) for x in values):
         raise ConfigError(path, f"expected [eta_start, eta_end], two finite "
                                 f"numbers, got {values!r}")
     if not float(values[1]) > float(values[0]):
@@ -282,16 +286,16 @@ def _build_analyses(section, lattice: LatticeSpec) -> list:
             opts["window"] = window
         if kind == "symmetry":
             hv = _require(entry, "hubble_values", path, (list,))
-            if not hv or not all(isinstance(x, (int, float)) and x > 0 for x in hv):
+            if not hv or not all(_is_finite_number(x) and x > 0 for x in hv):
                 raise ConfigError(f"{path}.hubble_values",
-                                  "expected a nonempty list of positive rates")
+                                  "expected a nonempty list of finite positive rates")
             opts["hubble_values"] = [float(x) for x in hv]
             opts["a_0"] = _number(entry, "a_0", path)
             opts["a_f"] = _number(entry, "a_f", path)
             if not opts["a_0"] > 0:
                 raise ConfigError(f"{path}.a_0", "must be positive")
-            if not opts["a_f"] >= opts["a_0"]:
-                raise ConfigError(f"{path}.a_f", "the ramp expands: need a_f >= a_0")
+            if not opts["a_f"] > opts["a_0"]:
+                raise ConfigError(f"{path}.a_f", "the ramp expands: need a_f > a_0")
         out.append(AnalysisSpec(kind=kind, options=opts))
     return out
 

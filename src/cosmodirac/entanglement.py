@@ -18,6 +18,7 @@ from .gaussian import Trajectory, real_space_correlation
 from .lattice import cosmological_time
 
 _NU_CLIP = 1e-14  # restricted spectra pile up exponentially at 0 and 1
+EDGE_MARGIN = 4  # sites at each block edge that the cone front skips
 
 
 class InvalidStateError(ValueError):
@@ -69,9 +70,6 @@ class ContourField:
     def spinor_summed(self) -> np.ndarray:
         """(n_times, length) site contour S_i = S_iu + S_id."""
         return self.values.sum(axis=-1)
-
-    def block_entropies(self) -> np.ndarray:
-        return self.values.sum(axis=(1, 2))
 
 
 def _mode_entropies(nu):
@@ -152,13 +150,12 @@ def contour_trajectory(trajectory: Trajectory, block: BlockSpec,
     return ContourField(etas=etas, values=vals, block=block, times=times)
 
 
-def cone_front(field: ContourField, threshold_frac: float = 0.2,
-               edge_margin: int = 4):
+def cone_front(field: ContourField, threshold_frac: float = 0.2):
     """Arrival times of the entanglement front entering from the block edges.
 
     The threshold is ``threshold_frac`` of the median nonzero contour at
     the final sample.  For each depth d (sites, measured inward from the
-    nearer boundary, skipping ``edge_margin`` sites at each end) the
+    nearer boundary, skipping :data:`EDGE_MARGIN` sites at each end) the
     arrival time is the first threshold crossing of the spinor-summed
     contour, linearly interpolated between samples.  Averages the left-
     and right-moving fronts, which coincide for parity-symmetric runs.
@@ -176,7 +173,7 @@ def cone_front(field: ContourField, threshold_frac: float = 0.2,
     L = field.block.length
     etas = field.etas
     depths, arrivals = [], []
-    for d in range(edge_margin, L // 2 - edge_margin):
+    for d in range(EDGE_MARGIN, L // 2 - EDGE_MARGIN):
         eta_d = []
         for col in (S[:, d], S[:, L - 1 - d]):
             idx = int(np.argmax(col > thr))
@@ -191,8 +188,7 @@ def cone_front(field: ContourField, threshold_frac: float = 0.2,
     return np.array(depths), np.array(arrivals)
 
 
-def front_slope(field: ContourField, threshold_frac: float = 0.2,
-                edge_margin: int = 4) -> float:
+def front_slope(field: ContourField, threshold_frac: float = 0.2) -> float:
     """Cone slope d(eta)/d(depth) from a least-squares fit of the front.
 
     This is the slope as drawn in a time-versus-site rendering: the
@@ -200,17 +196,7 @@ def front_slope(field: ContourField, threshold_frac: float = 0.2,
     Slower quasi-particles give a steeper (larger) slope — a compressed
     cone.
     """
-    depths, arrivals = cone_front(field, threshold_frac, edge_margin)
+    depths, arrivals = cone_front(field, threshold_frac)
     if depths.size < 4:
         raise InvalidStateError("front crossed fewer than four depths; evolve longer")
     return float(np.polyfit(depths, arrivals, 1)[0])
-
-
-def zigzag_view(field: ContourField) -> np.ndarray:
-    """Contour entries ordered (1,u), (1,d), (2,u), (2,d), ...
-
-    Returns an (n_times, 2*length) array.  With CP intact this ordering
-    restores the mirror symmetry of the light cones even when the
-    per-spinor views are individually lopsided.
-    """
-    return field.values.reshape(len(field.etas), 2 * field.block.length)

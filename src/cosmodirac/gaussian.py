@@ -205,27 +205,29 @@ def mean_field_energy(state: CorrelationState, ma_eff) -> float:
     return float(e)
 
 
+# Linear mixing of the gap-equation iteration: the share of each update taken.
+GAP_MIXING = 0.5
+
+
 def self_consistent_ground_state(
     spec: LatticeSpec,
     a_val: float,
     tol: float = 1e-10,
-    mixing: float = 0.5,
     max_iter: int = 10_000,
     pi_seeds=(0.0, 0.1, -0.1, 0.5, -0.5),
 ):
     """Gap-equation-consistent vacuum at scale factor a_val.
 
     Iterates (Sigma, Pi) -> condensates(free_ground_state(...)) with
-    linear mixing until the update falls below ``tol``.  Several Pi seeds
-    probe the parity-broken (Aoki) branches; the lowest-energy fixed point
-    wins and the sign of Pi is reported as found.
+    linear mixing (:data:`GAP_MIXING`) until the update falls below
+    ``tol``.  Several Pi seeds probe the parity-broken (Aoki) branches;
+    the lowest-energy fixed point wins and the sign of Pi is reported as
+    found.
 
     Returns (CorrelationState, CondensatePair).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if not (0.0 < mixing <= 1.0):
-        raise ValueError("mixing must lie in (0, 1]")
     ma_eff = spec.mass * a_val
     if spec.coupling == 0.0:
         state = free_ground_state(spec, ma_eff, a_val=a_val)
@@ -242,8 +244,8 @@ def self_consistent_ground_state(
             d_sig = new.sigma - sig
             d_pi = new.pi - pi
             history.append(max(abs(d_sig), abs(d_pi)))
-            sig += mixing * d_sig
-            pi += mixing * d_pi
+            sig += GAP_MIXING * d_sig
+            pi += GAP_MIXING * d_pi
             if history[-1] < tol:
                 converged = True
                 break
@@ -412,7 +414,7 @@ def evolve(
     exceeds ``purity_tol`` or is not finite.
     """
     h, steps, etas = step_grid(eta_span, deta, sample_every)
-    eta0 = etas[0]
+    eta0, eta1 = etas[0], float(eta_span[1])
     half, sixth = 0.5 * h, h / 6.0
     spec = initial.spec
     field = _BlockField(spec)
@@ -430,7 +432,9 @@ def evolve(
         m = stop - start
         # e[j] = eta0 + (start + j)*h starts step start + j; e[m] ends the block
         e = eta0 + np.arange(start, stop + 1) * h
-        a = profile.scale_factor(np.concatenate([e, e[:-1] + half, e[:-1] + h]))
+        # the last end stage e + h can round past eta1, out of a profile's domain
+        a = profile.scale_factor(
+            np.concatenate([e, e[:-1] + half, np.minimum(e[:-1] + h, eta1)]))
         ma = (spec.mass * a).tolist()
         ma_start, ma_mid, ma_end = ma[:m], ma[m + 1 : 2 * m + 1], ma[2 * m + 1 :]
         for j in range(m):

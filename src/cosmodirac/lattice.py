@@ -1,7 +1,7 @@
 """Lattice geometry, scale factors, and the single-particle Wilson Hamiltonian.
 
 Everything here is a pure function of its value inputs: momentum grids,
-gamma matrices, conformal/cosmological time conversions, 2x2 Hamiltonian
+gamma matrices, cosmological time from conformal time, 2x2 Hamiltonian
 blocks, and the dispersion relation with its group velocity.
 """
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 # Gamma matrices in the 2x2 irreducible representation:
 # gamma0 = sigma_z, gamma1 = i sigma_y, gamma5 = gamma0 gamma1 = sigma_x.
@@ -76,7 +76,6 @@ class StaticProfile:
     """Flat background, a(eta) = a_val."""
 
     a_val: float = 1.0
-    eta_ref: float = 0.0  # convention t(eta_ref) = 0
 
     def __post_init__(self):
         if self.a_val <= 0:
@@ -86,10 +85,7 @@ class StaticProfile:
         return self.a_val * np.ones_like(np.asarray(eta, dtype=float))
 
     def cosmological_time(self, eta):
-        return self.a_val * (np.asarray(eta, dtype=float) - self.eta_ref)
-
-    def conformal_time(self, t):
-        return self.eta_ref + np.asarray(t, dtype=float) / self.a_val
+        return self.a_val * np.asarray(eta, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -118,11 +114,6 @@ class ExponentialProfile:
     def eta_clamp(self) -> float:
         return (1.0 - self.a_0 / self.a_f) / (self.a_0 * self.hubble)
 
-    @property
-    def duration(self) -> float:
-        """Cosmological duration of the ramp, (1/H) log(a_f/a_0)."""
-        return np.log(self.a_f / self.a_0) / self.hubble
-
     def scale_factor(self, eta):
         eta = np.asarray(eta, dtype=float)
         ramp = self.a_0 / (1.0 - self.a_0 * self.hubble * np.minimum(eta, self.eta_clamp))
@@ -139,18 +130,6 @@ class ExponentialProfile:
             0.0,
         )
         post = self.a_f * np.maximum(eta - eta_c, 0.0)
-        return pre + mid + post
-
-    def conformal_time(self, t):
-        t = np.asarray(t, dtype=float)
-        t_c = self.duration
-        pre = np.minimum(t, 0.0) / self.a_0
-        mid = np.where(
-            t > 0,
-            -np.expm1(-self.hubble * np.clip(t, 0.0, t_c)) / (self.a_0 * self.hubble),
-            0.0,
-        )
-        post = np.maximum(t - t_c, 0.0) / self.a_f
         return pre + mid + post
 
 
@@ -174,10 +153,6 @@ class QuenchProfile:
         eta = np.asarray(eta, dtype=float)
         d = eta - self.eta_switch
         return np.where(d < 0, self.a_0 * d, self.a_f * d)
-
-    def conformal_time(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.eta_switch + np.where(t < 0, t / self.a_0, t / self.a_f)
 
 
 def preparation_scale(profile, eta0) -> float:
@@ -229,10 +204,6 @@ class DeSitterProfile:
         self.scale_factor(eta)  # domain check
         return np.log(self.eta_0 / eta) / self.hubble
 
-    def conformal_time(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.eta_0 * np.exp(-self.hubble * t)
-
 
 @dataclass(frozen=True)
 class TabulatedProfile:
@@ -268,20 +239,11 @@ class TabulatedProfile:
         )
         return out if out.size > 1 else out[0]
 
-    def conformal_time(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        lo, hi = self.etas[0], self.etas[-1]
-        out = np.array(
-            [brentq(lambda e: float(self.cosmological_time(e)) - ti, lo, hi)
-             for ti in t]
-        )
-        return out if out.size > 1 else out[0]
-
 
 def cosmological_time(profile, eta):
     """t(eta) = integral of a, zero at the profile's reference time: eta = 0
     (exponential), ``eta_switch`` (quench), ``eta_0`` (de Sitter), the first
-    sample (tabulated) or ``eta_ref`` (static)."""
+    sample (tabulated) or eta = 0 (static)."""
     return profile.cosmological_time(eta)
 
 
@@ -357,20 +319,3 @@ def group_velocity(ma_eff, sigma=0.0, pi=0.0, a=1.0):
         options={"xatol": 1e-12},
     )
     return max(float(-res.fun), float(vs[i]))
-
-
-def dispersion_and_velocity(spec: LatticeSpec, ma_eff, sigma=0.0, pi=0.0):
-    """Per-grid-momentum (eps_k, v_k) plus the continuum group velocity.
-
-    Returns a dict with arrays ``k``, ``energy``, ``velocity`` and the
-    scalar ``v_g``.
-    """
-    ks = spec.momentum_grid()
-    eps = dispersion(ks, ma_eff, sigma, pi, spec.spacing)
-    vel = band_velocity(ks, ma_eff, sigma, pi, spec.spacing)
-    return {
-        "k": ks,
-        "energy": eps,
-        "velocity": vel,
-        "v_g": group_velocity(ma_eff, sigma, pi, spec.spacing),
-    }

@@ -39,7 +39,8 @@ from .lattice import (
     preparation_scale,
 )
 from .production import bogoliubov_spectrum, mode_pair_entropy
-from .quasiparticle import condensate_persistence, qp_entropy, qp_input_from_spectrum
+from .quasiparticle import (PERSISTENCE_LIMIT, condensate_persistence, qp_entropy,
+                            qp_input_from_spectrum)
 from .symmetry import spectrum_symmetry_check, symmetry_report
 
 
@@ -202,9 +203,8 @@ def _emit_entropy(traj, lattice, block, opts, directory, workers):
 
 def _emit_contour(traj, lattice, block, opts, directory, workers):
     field = contour_trajectory(traj, block, time_stride=opts["time_stride"])
-    times = field.times if field.times is not None else np.zeros_like(field.etas)
     rows = [(float(eta), float(t), j, float(s_u), float(s_d))
-            for eta, t, values in zip(field.etas, times, field.values)
+            for eta, t, values in zip(field.etas, field.times, field.values)
             for j, (s_u, s_d) in enumerate(values)]
     return _write_csv(directory / "contour.csv",
                       ["eta[a]", "t[a]", "site[block index]", "S_u[nats]", "S_d[nats]"],
@@ -229,8 +229,7 @@ def _dressed_spectrum(traj, lattice, window=None):
     ma_ref = lattice.mass * a_f + float(np.mean(traj.sigma[mask]))
     return bogoliubov_spectrum(
         traj.state(-1), lattice.mass * a_f, sigma=ma_ref - lattice.mass * a_f,
-        pi=float(np.mean(traj.pi[mask])), a_ref=a_f,
-    )
+        pi=float(np.mean(traj.pi[mask])))
 
 
 def _emit_spectrum(traj, lattice, block, opts, directory, workers):
@@ -238,7 +237,7 @@ def _emit_spectrum(traj, lattice, block, opts, directory, workers):
         spectrum = _dressed_spectrum(traj, lattice)
     else:
         a_f = float(traj.a_vals[-1])
-        spectrum = bogoliubov_spectrum(traj.state(-1), lattice.mass * a_f, a_ref=a_f)
+        spectrum = bogoliubov_spectrum(traj.state(-1), lattice.mass * a_f)
     s_mode, s_pair = mode_pair_entropy(spectrum.beta_sq)
     rows = [
         (float(k), float(b), float(sm), float(sp))
@@ -254,7 +253,7 @@ def _emit_qp(traj, lattice, block, opts, directory, workers):
     out_of_validity = False
     if lattice.coupling != 0.0:
         try:
-            out_of_validity = condensate_persistence(traj, "sigma") > 0.5
+            out_of_validity = condensate_persistence(traj, "sigma") > PERSISTENCE_LIMIT
         except ValueError:
             pass
     qp = qp_input_from_spectrum(

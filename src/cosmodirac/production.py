@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import CorrelationState, DegenerateGroundStateError
-from .lattice import LatticeSpec, hamiltonian_block
+from .lattice import hamiltonian_block
 
 
 @dataclass
@@ -15,15 +15,12 @@ class ProductionSpectrum:
     """Per-momentum produced-pair occupations |beta_k|^2.
 
     ``reference`` records the instantaneous-vacuum parameters
-    (ma_eff, sigma, pi) the spectrum is measured against; ``a_ref`` the
-    scale-factor value there.
+    (ma_eff, sigma, pi) the spectrum is measured against.
     """
 
     k: np.ndarray
     beta_sq: np.ndarray
     reference: tuple
-    a_ref: float
-    spec: LatticeSpec = None
 
     def __post_init__(self):
         if not np.all((-1e-12 <= self.beta_sq) & (self.beta_sq <= 1.0 + 1e-12)):
@@ -31,9 +28,8 @@ class ProductionSpectrum:
         self.beta_sq = np.clip(self.beta_sq, 0.0, 1.0)
 
 
-def bogoliubov_spectrum(
-    state: CorrelationState, ma_eff, sigma=0.0, pi=0.0, a_ref=1.0
-) -> ProductionSpectrum:
+def bogoliubov_spectrum(state: CorrelationState, ma_eff, sigma=0.0,
+                        pi=0.0) -> ProductionSpectrum:
     """Occupation of the positive-energy reference band in ``state``.
 
     For each grid momentum, |beta_k|^2 = u_+^dag(k) (1 - Gamma_k) u_+(k)
@@ -55,8 +51,6 @@ def bogoliubov_spectrum(
         k=ks,
         beta_sq=np.clip(beta_sq, 0.0, 1.0),
         reference=(float(ma_eff), float(sigma), float(pi)),
-        a_ref=float(a_ref),
-        spec=spec,
     )
 
 

@@ -16,6 +16,11 @@ from .lattice import LatticeSpec, group_velocity, band_velocity
 from .production import ProductionSpectrum, mode_pair_entropy
 
 
+# Late/early amplitude ratio of the Sigma oscillations above which they
+# count as persistent: the regime where the picture is known to fail.
+PERSISTENCE_LIMIT = 0.5
+
+
 class NonEquilibratedWindowError(RuntimeError):
     """Condensates still oscillate over the requested averaging window."""
 
@@ -42,11 +47,6 @@ class QPInput:
             raise ValueError("velocities must be nonnegative")
         if not np.all((-1e-12 <= self.s_pair) & (self.s_pair <= 2 * np.log(2) + 1e-9)):
             raise ValueError("pair entropies must lie in [0, 2 log 2]")
-
-    @property
-    def v_max(self) -> float:
-        """Maximum entanglement-spreading speed, 2 max_k v_k."""
-        return 2.0 * float(np.max(self.v))
 
     def refined(self, n_points=4096):
         """Periodic interpolation of v and s onto >= n_points BZ momenta."""
@@ -109,9 +109,13 @@ def qp_contour(qp: QPInput, eta: float, x, n_points: int = 4096):
     """Quasi-particle contour at depth x into the block (spinor-summed).
 
     S_A(x) = int dk/2pi s(k) [Theta(2 v_k eta - x)
-                              + Theta(2 v_k eta - (l_A - x))],
-    with sharp step functions.  The per-spinor prediction is half this
-    value.  ``x`` may be an array; values are clipped to [0, l_A].
+                              + Theta(2 v_k eta - (l_A - x))] / 2,
+    with sharp step functions.  A quasi-particle at x carries its pair's
+    entropy once its partner, 2 v_k eta behind it, has left the block;
+    half the modes at each |k| move right, with partners beyond the left
+    edge, and half move left.  Integrated over x this is
+    :func:`qp_entropy`.  The per-spinor prediction is half this value.
+    ``x`` may be an array and must lie in [0, l_A].
     """
     if eta < 0:
         raise ValueError("eta must be nonnegative")
@@ -123,7 +127,7 @@ def qp_contour(qp: QPInput, eta: float, x, n_points: int = 4096):
     reach = 2.0 * v * eta
     left = reach[None, :] >= x.reshape(-1, 1)
     right = reach[None, :] >= (qp.block_length - x).reshape(-1, 1)
-    out = (s[None, :] * (left.astype(float) + right)).sum(axis=1) * dk / (2.0 * np.pi)
+    out = (s[None, :] * (left.astype(float) + right)).sum(axis=1) * dk / (4.0 * np.pi)
     return out if x.ndim else float(out[0])
 
 
@@ -151,28 +155,23 @@ def condensate_persistence(trajectory: Trajectory, which: str = "sigma") -> floa
     return float(np.std(vals[late])) / early_amp
 
 
-def renormalized_velocity(
-    trajectory: Trajectory,
-    spec: LatticeSpec,
-    a_f: float,
-    window,
-    persistence_threshold: float = 0.5,
-):
+def renormalized_velocity(trajectory: Trajectory, spec: LatticeSpec, a_f: float,
+                          window):
     """Group velocity of the condensate-dressed dispersion after equilibration.
 
     Averages Sigma and Pi over the window [window[0], window[1]] of the
     trajectory, rebuilds the dispersion at ma_eff = m a_f + mean(Sigma),
     Pi = mean(Pi), and returns its group velocity.  Refuses when the
     scalar condensate's oscillations persist (late-time amplitude above
-    ``persistence_threshold`` of the early amplitude) instead of damping
-    out, which is the regime where the picture is known to fail.
+    :data:`PERSISTENCE_LIMIT` of the early amplitude) instead of damping
+    out.
     """
     etas = trajectory.etas
     mask = (etas >= window[0]) & (etas <= window[1])
     if np.count_nonzero(mask) < 2:
         raise ValueError("window contains fewer than two trajectory samples")
     persistence = condensate_persistence(trajectory, "sigma")
-    if persistence > persistence_threshold:
+    if persistence > PERSISTENCE_LIMIT:
         raise NonEquilibratedWindowError(
             f"Sigma oscillations persist (late/early amplitude ratio "
             f"{persistence:.2f}); the quasi-particle picture does not apply"

@@ -44,7 +44,6 @@ class SymmetryReport:
 
     residuals: dict  # name -> float
     holds: dict  # name -> bool
-    parameters: tuple  # (ma_eff, sigma, pi)
 
     def table(self) -> str:
         lines = ["symmetry  residual      holds"]
@@ -79,8 +78,7 @@ def symmetry_report(ma_eff, sigma, pi, spec: LatticeSpec) -> SymmetryReport:
     }
     scale = max(_opnorm(h), 1e-300)
     holds = {k: bool(v < HOLDS_THRESHOLD * scale) for k, v in residuals.items()}
-    return SymmetryReport(residuals=residuals, holds=holds,
-                          parameters=(float(ma_eff), float(sigma), float(pi)))
+    return SymmetryReport(residuals=residuals, holds=holds)
 
 
 def time_reversal_condition_residual(profile, eta_0, eta, ma_coeff=1.0,
@@ -126,9 +124,7 @@ def _sweep_row(spec, a_0, a_f, vacuum, reference_mode, hubble):
     if reference_mode == "dressed":
         cond = condensates(state)
         sigma_ref, pi_ref = cond.sigma, cond.pi
-    spectrum = bogoliubov_spectrum(
-        state, spec.mass * a_f, sigma=sigma_ref, pi=pi_ref, a_ref=a_f
-    )
+    spectrum = bogoliubov_spectrum(state, spec.mass * a_f, sigma=sigma_ref, pi=pi_ref)
     return {
         "hubble": float(hubble),
         "asymmetry": spectrum_asymmetry(spectrum),

@@ -32,6 +32,7 @@ from cosmodirac.quasiparticle import (
     NonEquilibratedWindowError,
     condensate_persistence,
     horizon_width,
+    qp_contour,
     qp_entropy,
     qp_input_from_spectrum,
     qp_plateau,
@@ -53,9 +54,7 @@ def _entropy_series(name, length):
 def _qp_prediction(config, traj, length, sigma=0.0, pi=0.0):
     spec = config.lattice
     a_f = float(config.profile.scale_factor(traj.etas[-1]))
-    spectrum = bogoliubov_spectrum(
-        traj.state(-1), spec.mass * a_f, sigma=sigma, pi=pi, a_ref=a_f
-    )
+    spectrum = bogoliubov_spectrum(traj.state(-1), spec.mass * a_f, sigma=sigma, pi=pi)
     return qp_input_from_spectrum(spectrum, spec, float(length))
 
 
@@ -112,6 +111,37 @@ def test_criterion_2_interactions_compress_the_cone():
     print("criterion 2 PASS: slopes free %.3f / int %.3f (devs %.3f / %.3f)"
           % (results["fig2_free"][0], results["fig2_int"][0],
              results["fig2_free"][2], results["fig2_int"][2]))
+
+
+def test_criterion_2b_quasiparticle_contour_inside_the_cone():
+    """The contour fig2_free measures follows the quasi-particle contour.
+
+    Compared is Delta S_i = S_i(eta) - S_i(0), spinor-summed, with
+    qp_contour at the site's depth, from both block edges and at every
+    sample.  The window keeps depths d (sites from the nearer edge) with
+    3 <= d and d + 1/2 <= v_max (eta - eta_0), half the front's reach
+    2 v_max (eta - eta_0): closer to the front the sharp pair count
+    misses the lattice's smooth rise, and the first sites feel the
+    boundary.  Tolerance: 5% relative on every compared site.
+    """
+    config, traj = preset_run("fig2_free")
+    field = preset_field("fig2_free")
+    length = field.block.length
+    qp = _qp_prediction(config, traj, length)
+    measured = field.spinor_summed() - field.spinor_summed()[0]
+    depth = np.minimum(np.arange(length), length - 1 - np.arange(length))
+    worst, compared = 0.0, 0
+    for eta, row in zip(field.etas - field.etas[0], measured):
+        inside = (depth >= 3) & (depth + 0.5 <= np.max(qp.v) * eta)
+        if not inside.any():
+            continue
+        predicted = qp_contour(qp, eta, np.arange(length)[inside] + 0.5)
+        worst = max(worst, float(np.max(np.abs(row[inside] / predicted - 1.0))))
+        compared += int(np.count_nonzero(inside))
+    assert compared > 500
+    assert worst < 0.05
+    print(f"criterion 2b PASS: {compared} sites within {worst:.3f} of the "
+          f"quasi-particle contour")
 
 
 def test_criterion_3_de_sitter_horizon_and_curved_cones():
@@ -203,7 +233,7 @@ def test_criterion_6_production_spectra_against_oracles():
     config, traj = preset_run("fig1b")
     spec = config.lattice
     ks = spec.momentum_grid()
-    out = bogoliubov_spectrum(traj.state(0), 10.0, a_ref=10.0)
+    out = bogoliubov_spectrum(traj.state(0), 10.0)
     b_i = bloch_vector(ks, 0.01, 0.0, 0.0, spec.spacing)
     b_f = bloch_vector(ks, 10.0, 0.0, 0.0, spec.spacing)
     cos = np.sum(b_i * b_f, axis=-1) / (
@@ -217,7 +247,7 @@ def test_criterion_6_production_spectra_against_oracles():
     ramp_traj = evolve(free_ground_state(small, 0.7, a_val=0.7), ramp,
                        (0.0, ramp.eta_clamp + 10.0), 1e-3, sample_every=10**9)
     ramp_max = float(np.max(
-        bogoliubov_spectrum(ramp_traj.state(-1), 1.3, a_ref=1.3).beta_sq
+        bogoliubov_spectrum(ramp_traj.state(-1), 1.3).beta_sq
     ))
     assert ramp_max < 2e-2
 

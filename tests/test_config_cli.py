@@ -111,7 +111,7 @@ class TestSchema:
             "evolution": {"eta_span": [0.0, 1.0], "deta": 1e-3},
         }
         bad = (["a"], [0.5], [0.5, 0.2], [0.5, 0.5], [0.0, float("nan")],
-               [float("-inf"), 1.0], [0.0, "1"], [0.0, 1.0, 2.0])
+               [float("-inf"), 1.0], [0.0, "1"], [0.0, 1.0, 2.0], [False, True])
         for window in bad:
             raw["analyses"] = [{"kind": "spectrum"},
                                {"kind": "qp", "block": {"length": 4}, "window": window}]
@@ -170,17 +170,23 @@ class TestCLI:
         assert code == EXIT_NUMERICAL
         assert "StepSizeError" in capsys.readouterr().err
 
-    def test_step_rounded_past_the_profile_domain_exits_2(self, tmp_path, capsys):
-        # six steps of h = 1e5/6 end at 6 h = 1e5 + 1.5e-11, past the
-        # tabulated domain's 1e-12 slack: this used to end in a traceback
+    def test_step_rounded_past_the_profile_domain_runs(self, tmp_path):
+        # six steps of h = 1e5/6: the last end stage 5 h + h = 1e5 + 1.5e-11
+        # lies past the tabulated domain's 1e-12 slack, and the run used to
+        # fail with a DomainError; modes this slow keep RK4 stable
         cfg = tmp_path / "tabulated.yaml"
         cfg.write_text(
-            "lattice: {num_sites: 4, mass: 1.0}\n"
+            "lattice: {num_sites: 4, spacing: 1.0e+6, mass: 1.0e-6}\n"
             "profile: {kind: tabulated, samples: [[0.0, 1.0], [1.0e+5, 1.0]]}\n"
-            "evolution: {eta_span: [0.0, 1.0e+5], deta: 16666.67}\n")
-        code = main(["run", str(cfg), "--output", str(tmp_path / "out")])
-        assert code == EXIT_NUMERICAL
-        assert "DomainError" in capsys.readouterr().err
+            "evolution: {eta_span: [0.0, 1.0e+5], deta: 16666.67}\n"
+            "analyses: [{kind: entropy, block: {length: 2}}]\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output", str(out)]) == EXIT_OK
+        for name in ("condensates.csv", "entropy_measured.csv"):
+            with open(out / name) as fh:
+                rows = np.array([[float(x) for x in row]
+                                 for row in list(csv.reader(fh))[1:]])
+            assert rows.shape[0] == 7 and np.all(np.isfinite(rows)), name
 
     def test_coarse_free_run_is_exact(self, tmp_path):
         # deta = 0.5 blew RK4 up on this free quench; in closed form it only
@@ -265,8 +271,23 @@ class TestCLI:
          "analyses[2].time_stride"),
         (lambda t: t + "  - {kind: symmetry, a_0: 1.3, a_f: 0.7, "
                        "hubble_values: [1.0]}\n", "analyses[2].a_f"),
+        # a ramp that does not expand used to crash the sweep in evolve_adaptive
+        (lambda t: t + "  - {kind: symmetry, a_0: 0.7, a_f: 0.7, "
+                       "hubble_values: [1.0]}\n", "analyses[2].a_f"),
+        (lambda t: t + "  - {kind: symmetry, a_0: 0.7, a_f: 1.3, "
+                       "hubble_values: [.inf, 1.0]}\n", "analyses[2].hubble_values"),
+        # YAML booleans are ints to Python, and used to load as 1 and 0
+        (lambda t: t.replace("mass: 1.0", "mass: true"), "lattice.mass"),
+        (lambda t: t.replace("[0.0, 2.0]", "[false, true]"), "evolution.eta_span"),
+        (lambda t: t.replace("sample_every: 200", "sample_every: true"),
+         "evolution.sample_every"),
+        (lambda t: t.replace("length: 6", "length: true"), "analyses[0].block.length"),
+        (lambda t: t + "  - {kind: symmetry, a_0: 0.7, a_f: 1.3, "
+                       "hubble_values: [on]}\n", "analyses[2].hubble_values"),
     ], ids=["deta_nan", "mass_nan", "mass_typo", "symmetry_a_f_nan", "time_stride_0",
-            "symmetry_a_f_below_a_0"])
+            "symmetry_a_f_below_a_0", "symmetry_a_f_equal_a_0", "hubble_inf",
+            "mass_bool", "eta_span_bools", "sample_every_bool", "block_length_bool",
+            "hubble_bool"])
     def test_bad_fields_exit_1_before_evolving(self, tmp_path, capsys, edit, field):
         # each of these used to evolve (or start to) and then die with a
         # traceback, blame the step size, or run with the field ignored

@@ -1,4 +1,4 @@
-"""Block entropies, contours, cone fronts, and the zigzag ordering."""
+"""Block entropies, contours, and cone fronts."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from cosmodirac.entanglement import (
     contour_trajectory,
     entanglement_contour,
     front_slope,
-    zigzag_view,
 )
 from cosmodirac.gaussian import (
     evolve,
@@ -109,7 +108,6 @@ class TestContourField:
         field = contour_trajectory(traj, BlockSpec.centered(16, 48))
         summed = field.spinor_summed()
         assert np.max(np.abs(summed - summed[:, ::-1])) < 1e-10
-        assert np.allclose(field.block_entropies(), field.values.sum(axis=(1, 2)))
 
     def test_equals_contour_of_dense_matrix(self):
         # the block-local route is bit-identical to slicing the dense matrix,
@@ -137,16 +135,6 @@ class TestContourField:
         with pytest.raises(ValueError):
             ContourField(etas=np.zeros(3), values=np.zeros((2, 8, 2)),
                          block=BlockSpec.centered(8, 16))
-
-    def test_zigzag_round_trip(self, rng):
-        blk = BlockSpec.centered(6, 16)
-        vals = rng.uniform(0.0, 1.0, size=(5, 6, 2))
-        field = ContourField(etas=np.arange(5.0), values=vals, block=blk)
-        flat = zigzag_view(field)
-        assert flat.shape == (5, 12)
-        assert np.array_equal(flat.reshape(vals.shape), vals)
-        # ordering: (site0,u), (site0,d), (site1,u), ...
-        assert flat[0, 0] == vals[0, 0, 0] and flat[0, 1] == vals[0, 0, 1]
 
 
 class TestConeFront:

@@ -181,7 +181,7 @@ class TestQuenchDynamics:
         ks = spec.momentum_grid()
         h_k = hamiltonian_block(ks, MA_F, 0.0, 0.0, spec.spacing)
         _, evecs = np.linalg.eigh(h_k)
-        out = bogoliubov_spectrum(evolved.state(-1), MA_F, a_ref=1.0)
+        out = bogoliubov_spectrum(evolved.state(-1), MA_F)
         for n, k in enumerate(ks):
             u_plus = evecs[n, :, 1]
             # Fourier transform the exact correlation to momentum k

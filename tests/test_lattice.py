@@ -17,7 +17,6 @@ from cosmodirac.lattice import (
     band_velocity,
     bloch_vector,
     dispersion,
-    dispersion_and_velocity,
     group_velocity,
     hamiltonian_block,
 )
@@ -61,7 +60,6 @@ class TestProfiles:
         assert np.allclose(prof.scale_factor([-3.0, 0.0, 7.0]), 2.5)
         etas = np.array([-1.0, 0.3, 4.0])
         assert np.allclose(prof.cosmological_time(etas), 2.5 * etas)
-        assert np.allclose(prof.conformal_time(prof.cosmological_time(etas)), etas)
 
     def test_exponential_profile_values_and_duration(self):
         prof = ExponentialProfile(a_0=0.01, a_f=10.0, hubble=1.0)
@@ -69,7 +67,9 @@ class TestProfiles:
         assert prof.scale_factor(0.0) == pytest.approx(0.01)
         assert prof.scale_factor(-5.0) == pytest.approx(0.01)  # asymptotic in-region
         assert prof.scale_factor(1e9) == pytest.approx(10.0)  # clamped out-region
-        assert prof.duration == pytest.approx(np.log(1000.0), rel=1e-12)
+        # the ramp lasts Delta t = (1/H) log(a_f/a_0) in cosmological time
+        assert prof.cosmological_time(prof.eta_clamp) == pytest.approx(
+            np.log(1000.0), rel=1e-12)
         eta_mid = 0.5 * prof.eta_clamp
         expected = 0.01 / (1.0 - 0.01 * eta_mid)
         assert prof.scale_factor(eta_mid) == pytest.approx(expected, rel=1e-12)
@@ -82,17 +82,22 @@ class TestProfiles:
         assert t_ramp == pytest.approx(np.log(1000.0), rel=1e-8)
 
     def test_exponential_round_trip(self):
+        # back to eta through a(t) = a_0 e^{Ht} on the ramp, d eta = dt / a(t)
         prof = ExponentialProfile(a_0=0.7, a_f=1.3, hubble=0.3)
         etas = np.linspace(-2.0, 2.0 + prof.eta_clamp, 41)
         ts = prof.cosmological_time(etas)
-        assert np.allclose(prof.conformal_time(ts), etas, atol=1e-12)
+        t_c = np.log(1.3 / 0.7) / 0.3
+        back = np.where(ts < 0, ts / 0.7, np.where(
+            ts < t_c, -np.expm1(-0.3 * ts) / (0.7 * 0.3),
+            prof.eta_clamp + (ts - t_c) / 1.3))
+        assert np.allclose(back, etas, atol=1e-12)
 
     def test_quench_profile_is_a_sharp_switch(self):
         prof = QuenchProfile(a_0=0.7, a_f=1.3)
         assert prof.scale_factor(-1e-12) == pytest.approx(0.7)
         assert prof.scale_factor(0.0) == pytest.approx(1.3)
         etas = np.array([-2.0, -0.5, 0.5, 2.0])
-        assert np.allclose(prof.conformal_time(prof.cosmological_time(etas)), etas)
+        assert np.allclose(prof.cosmological_time(etas), [-1.4, -0.35, 0.65, 2.6])
 
     def test_de_sitter_caption_values(self):
         prof = DeSitterProfile(hubble=0.1, eta_0=-30.0)
@@ -114,10 +119,11 @@ class TestProfiles:
             DeSitterProfile(hubble=0.1, eta_0=-1.0, eta_max=1.0)
 
     def test_de_sitter_round_trip(self):
+        # back to eta through a(t) = a_0 e^{Ht}: eta = eta_0 e^{-Ht}
         prof = DeSitterProfile(hubble=0.1, eta_0=-30.0)
         etas = np.linspace(-30.0, -0.01, 17)
-        assert np.allclose(prof.conformal_time(prof.cosmological_time(etas)),
-                           etas, rtol=1e-12)
+        ts = prof.cosmological_time(etas)
+        assert np.allclose(-30.0 * np.exp(-0.1 * ts), etas, rtol=1e-12)
 
     def test_preparation_scale_uses_incoming_side_of_quench(self):
         from cosmodirac.lattice import preparation_scale
@@ -136,7 +142,6 @@ class TestProfiles:
             prof.scale_factor(4.0)
         t = prof.cosmological_time(2.0)
         assert t == pytest.approx(1.5 + 2.0, rel=1e-8)  # piecewise areas
-        assert prof.conformal_time(t) == pytest.approx(2.0, abs=1e-9)
         with pytest.raises(ValueError):
             TabulatedProfile(etas=(0.0, 0.0), values=(1.0, 1.0))
         with pytest.raises(ValueError):
@@ -177,10 +182,9 @@ class TestDispersion:
             assert group_velocity(ma_eff) == pytest.approx(expected, abs=1e-9)
 
     def test_group_velocity_upper_bounds_grid_velocities(self):
-        spec = LatticeSpec(num_sites=64)
-        out = dispersion_and_velocity(spec, -1.3, 0.05, 0.2)
-        assert out["v_g"] >= np.max(out["velocity"]) - 1e-12
-        assert out["k"].shape == out["energy"].shape == out["velocity"].shape
+        ks = LatticeSpec(num_sites=64).momentum_grid()
+        v_g = group_velocity(-1.3, 0.05, 0.2)
+        assert v_g >= np.max(band_velocity(ks, -1.3, 0.05, 0.2)) - 1e-12
 
     def test_spectrum_even_in_k_even_with_broken_parity(self):
         # parity is broken by pi != 0 but eps_k stays even in k

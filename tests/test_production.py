@@ -26,7 +26,7 @@ class TestSpectrum:
     def test_vacuum_reference_gives_zero(self):
         spec = LatticeSpec(num_sites=32, mass=1.0)
         state = free_ground_state(spec, 1.3, a_val=1.3)
-        out = bogoliubov_spectrum(state, 1.3, a_ref=1.3)
+        out = bogoliubov_spectrum(state, 1.3)
         assert np.max(out.beta_sq) < 1e-14
 
     def test_sudden_quench_matches_bloch_overlap_formula(self):
@@ -35,7 +35,7 @@ class TestSpectrum:
         spec = LatticeSpec(num_sites=64, mass=1.0)
         ma_i, ma_f = 0.01, 10.0
         state = free_ground_state(spec, ma_i, a_val=ma_i)
-        out = bogoliubov_spectrum(state, ma_f, a_ref=ma_f)
+        out = bogoliubov_spectrum(state, ma_f)
         ks = spec.momentum_grid()
         b_i = bloch_vector(ks, ma_i, 0.0, 0.0)
         b_f = bloch_vector(ks, ma_f, 0.0, 0.0)
@@ -47,10 +47,10 @@ class TestSpectrum:
     def test_interacting_reference_uses_dressed_block(self):
         spec = LatticeSpec(num_sites=32, mass=-1.0, coupling=3.0)
         state = free_ground_state(spec, -0.7, sigma=-0.13, pi=1.11, a_val=0.7)
-        out = bogoliubov_spectrum(state, -0.7, sigma=-0.13, pi=1.11, a_ref=0.7)
+        out = bogoliubov_spectrum(state, -0.7, sigma=-0.13, pi=1.11)
         assert np.max(out.beta_sq) < 1e-14
         # mismatched condensates look excited
-        out2 = bogoliubov_spectrum(state, -0.7, a_ref=0.7)
+        out2 = bogoliubov_spectrum(state, -0.7)
         assert np.max(out2.beta_sq) > 0.1
 
     def test_slow_ramp_is_nearly_adiabatic(self):
@@ -59,7 +59,7 @@ class TestSpectrum:
         state = free_ground_state(spec, 0.7, a_val=0.7)
         traj = evolve(state, prof, (0.0, prof.eta_clamp + 20.0), 1e-3,
                       sample_every=10**9)
-        out = bogoliubov_spectrum(traj.state(-1), 1.3, a_ref=1.3)
+        out = bogoliubov_spectrum(traj.state(-1), 1.3)
         assert np.max(out.beta_sq) < 1e-3
 
     def test_reference_gap_closure_raises(self):
@@ -74,14 +74,14 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             ProductionSpectrum(
                 k=np.array([0.0]), beta_sq=np.array([1.5]),
-                reference=(1.0, 0.0, 0.0), a_ref=1.0,
+                reference=(1.0, 0.0, 0.0),
             )
 
     def test_rejects_nan_occupations(self):
         with pytest.raises(ValueError):
             ProductionSpectrum(
                 k=np.array([0.0, 1.0]), beta_sq=np.array([0.2, np.nan]),
-                reference=(1.0, 0.0, 0.0), a_ref=1.0,
+                reference=(1.0, 0.0, 0.0),
             )
 
 
@@ -108,12 +108,12 @@ class TestDerivedQuantities:
     def test_spectrum_asymmetry(self):
         spec = LatticeSpec(num_sites=8, mass=1.0)
         beta = np.zeros(8)
-        spect = ProductionSpectrum(spec.momentum_grid(), beta, (1.0, 0.0, 0.0), 1.0)
+        spect = ProductionSpectrum(spec.momentum_grid(), beta, (1.0, 0.0, 0.0))
         assert spectrum_asymmetry(spect) == 0.0
         beta2 = np.zeros(8)
         beta2[1] = 0.3  # partner sits at index (-1) % 8 = 7
         beta2[7] = 0.1
-        spect2 = ProductionSpectrum(spec.momentum_grid(), beta2, (1.0, 0.0, 0.0), 1.0)
+        spect2 = ProductionSpectrum(spec.momentum_grid(), beta2, (1.0, 0.0, 0.0))
         assert spectrum_asymmetry(spect2) == pytest.approx(0.2)
 
     def test_quench_spectrum_symmetric_without_parity_breaking(self):
@@ -121,5 +121,5 @@ class TestDerivedQuantities:
         state = free_ground_state(spec, 0.01, a_val=0.01)
         traj = evolve(state, QuenchProfile(0.01, 10.0), (0.0, 2.0), 5e-4,
                       sample_every=10**9)
-        out = bogoliubov_spectrum(traj.state(-1), 10.0, a_ref=10.0)
+        out = bogoliubov_spectrum(traj.state(-1), 10.0)
         assert spectrum_asymmetry(out) < 1e-12

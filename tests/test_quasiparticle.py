@@ -29,7 +29,6 @@ class TestQuadratures:
     def test_flat_input_closed_form(self):
         # constant v and s: S(eta) = s0 * min(2 v0 eta, l) at unit spacing
         qp = _flat_qp(v0=0.4, s0=0.9, length=32.0)
-        assert qp.v_max == pytest.approx(0.8)
         for eta in (0.0, 5.0, 20.0, 39.9, 45.0, 200.0):
             expected = 0.9 * min(0.8 * eta, 32.0)
             assert qp_entropy(qp, eta) == pytest.approx(expected, rel=1e-10)
@@ -40,15 +39,21 @@ class TestQuadratures:
         eta = 10.0  # front reach = 10 sites from each edge
         xs = np.array([2.0, 9.0, 16.0, 23.0, 30.0])
         vals = qp_contour(qp, eta, xs)
-        assert np.allclose(vals, [1.0, 1.0, 0.0, 1.0, 1.0])
+        # half the modes at x have their partner beyond the nearer edge
+        assert np.allclose(vals, [0.5, 0.5, 0.0, 0.5, 0.5])
         # late time: both step functions fire everywhere
-        assert qp_contour(qp, 1e4, 16.0) == pytest.approx(2.0)
+        assert qp_contour(qp, 1e4, 16.0) == pytest.approx(1.0)
         assert qp_contour(qp, 0.0, 16.0) == 0.0
+        # summed over the block's sites the contour is the block entropy
+        sites = np.arange(32) + 0.5
+        for eta in (3.0, 10.0, 40.0):
+            assert np.sum(qp_contour(qp, eta, sites)) == pytest.approx(
+                qp_entropy(qp, eta), rel=1e-12)
 
     def test_quadrature_converged_on_real_spectrum(self):
         spec = LatticeSpec(num_sites=64, mass=1.0)
         state = free_ground_state(spec, 0.01, a_val=0.01)
-        out = bogoliubov_spectrum(state, 10.0, a_ref=10.0)
+        out = bogoliubov_spectrum(state, 10.0)
         qp = qp_input_from_spectrum(out, spec, 32.0)
         for eta in (3.0, 30.0):
             coarse = qp_entropy(qp, eta, n_points=4096)
@@ -58,7 +63,7 @@ class TestQuadratures:
     def test_input_from_spectrum_wiring(self):
         spec = LatticeSpec(num_sites=32, mass=1.0)
         state = free_ground_state(spec, 0.01, a_val=0.01)
-        out = bogoliubov_spectrum(state, 10.0, a_ref=10.0)
+        out = bogoliubov_spectrum(state, 10.0)
         qp = qp_input_from_spectrum(out, spec, 16.0, out_of_validity=True)
         assert qp.out_of_validity
         assert np.allclose(qp.v, band_velocity(out.k, 10.0, 0.0, 0.0))

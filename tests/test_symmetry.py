@@ -133,8 +133,7 @@ class TestSpectrumSweep:
             cond = condensates(state)
             sigma, pi = ((cond.sigma, cond.pi) if reference_mode == "dressed"
                          else (0.0, 0.0))
-            spectrum = bogoliubov_spectrum(state, spec.mass * a_f, sigma=sigma,
-                                           pi=pi, a_ref=a_f)
+            spectrum = bogoliubov_spectrum(state, spec.mass * a_f, sigma=sigma, pi=pi)
             assert row["hubble"] == hubble
             assert row["asymmetry"] == pytest.approx(
                 spectrum_asymmetry(spectrum), rel=1e-8)
