@@ -179,7 +179,7 @@ def _build_profile(section):
             etas, values = zip(*samples)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}.samples", "expected [eta, a] pairs") from exc
-        if not np.all(np.isfinite(np.asarray(etas + values, dtype=float))):
+        if not all(_is_finite_number(x) for x in etas + values):
             raise ConfigError(f"{path}.samples", "expected finite numbers")
         return TabulatedProfile(etas=tuple(map(float, etas)),
                                 values=tuple(map(float, values)))

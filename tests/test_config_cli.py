@@ -284,10 +284,13 @@ class TestCLI:
         (lambda t: t.replace("length: 6", "length: true"), "analyses[0].block.length"),
         (lambda t: t + "  - {kind: symmetry, a_0: 0.7, a_f: 1.3, "
                        "hubble_values: [on]}\n", "analyses[2].hubble_values"),
+        (lambda t: t.replace("{kind: quench, a_0: 0.01, a_f: 10.0}",
+                             "{kind: tabulated, samples: [[0.0, 1.0], [2.0, yes]]}"),
+         "profile.samples"),
     ], ids=["deta_nan", "mass_nan", "mass_typo", "symmetry_a_f_nan", "time_stride_0",
             "symmetry_a_f_below_a_0", "symmetry_a_f_equal_a_0", "hubble_inf",
             "mass_bool", "eta_span_bools", "sample_every_bool", "block_length_bool",
-            "hubble_bool"])
+            "hubble_bool", "tabulated_sample_bool"])
     def test_bad_fields_exit_1_before_evolving(self, tmp_path, capsys, edit, field):
         # each of these used to evolve (or start to) and then die with a
         # traceback, blame the step size, or run with the field ignored
