@@ -15,9 +15,12 @@ Both integrators share one field kernel that works on component rows,
 (n_x, n_y, n_z) each over the whole grid, in preallocated buffers; the
 fixed-step integrator evaluates the scale factor for a block of steps at
 once.  The order of every floating-point operation is fixed, so runs are
-bit-reproducible.  A free run (g = 0) on a piecewise-constant a(eta)
-needs no integrator: :func:`evolve_free` rotates each Bloch vector
-exactly about its fixed field, so the step only sets the sample grid.
+bit-reproducible.  Fixed-step RK4 (:func:`evolve`) is the reference
+integrator; runs go through DOP853 (:func:`evolve_adaptive`), which at
+:data:`REFERENCE_RTOL` stands in for hand-set RK4 steps.  A free run
+(g = 0) on a piecewise-constant a(eta) needs no integrator:
+:func:`evolve_free` rotates each Bloch vector exactly about its fixed
+field, so the step only sets the sample grid.
 A :class:`Trajectory` stores its samples as arrays, the Bloch vectors as
 (T, N_S, 3).
 """
@@ -104,11 +107,13 @@ def _purity_defects(bloch):
 
 @dataclass
 class Trajectory:
-    """Sampled output of :func:`evolve` and :func:`evolve_adaptive`.
+    """Sampled output of :func:`evolve`, :func:`evolve_adaptive` and
+    :func:`evolve_free`.
 
     Arrays over the T samples: strictly increasing conformal times
     ``etas`` (T,), scale factors ``a_vals`` (T,), Bloch vectors ``bloch``
-    (T, N_S, 3) and condensates ``sigma`` and ``pi`` (T,).
+    (T, N_S, 3) and condensates ``sigma`` and ``pi`` (T,).  ``nfev`` counts
+    the field evaluations that produced them (0 for the closed form).
     """
 
     etas: np.ndarray
@@ -118,6 +123,7 @@ class Trajectory:
     pi: np.ndarray
     spec: LatticeSpec
     profile: object = None
+    nfev: int = 0
 
     def __post_init__(self):
         t = len(self.etas)
@@ -130,6 +136,10 @@ class Trajectory:
         """Sample ``i`` as a :class:`CorrelationState` viewing ``bloch[i]``."""
         return CorrelationState(self.spec, self.bloch[i], float(self.etas[i]),
                                 float(self.a_vals[i]))
+
+    def purity_defect(self) -> float:
+        """The worst :meth:`CorrelationState.purity_defect` over the samples."""
+        return float(np.max(_purity_defects(self.bloch)))
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +298,12 @@ def mass_quench_prepare(spec: LatticeSpec, m_pre: float, a_val: float):
 # bounds the per-block arrays independently of the run length.
 _BLOCK_STEPS = 256
 
+# DOP853 relative tolerance of every solve that stands in for hand-set RK4
+# steps: a run whose config sets ``deta`` and each ramp of the Hubble sweep.
+# The interacting presets' CSVs then agree with RK4 at their shipped steps to
+# 5e-9, and the fig6 sweep rows with RK4 at deta = 1e-4 to 1e-9 relative.
+REFERENCE_RTOL = 1e-12
+
 
 class _BlockField:
     """The self-consistent field b_k and d n_k/d eta = 2 b_k x n_k, in place.
@@ -365,7 +381,8 @@ def step_grid(eta_span, deta: float, sample_every: int = 1):
     ``deta`` is rounded down to h = (eta1 - eta0)/n_steps with n_steps =
     ceil((eta1 - eta0)/deta), at least one.  A sample is taken at the start, after
     every ``sample_every``-th step and after the last one, at
-    eta0 + j*h for the j steps taken; a sample whose time rounding
+    min(eta0 + j*h, eta1) for the j steps taken (n_steps*h can round past
+    eta1, out of a profile's domain); a sample whose time rounding
     leaves equal to the previous one (h << eta0) is dropped.
 
     Returns ``(h, steps, etas)``: the step, the sampled step counts j
@@ -377,7 +394,7 @@ def step_grid(eta_span, deta: float, sample_every: int = 1):
     n_steps = max(1, int(np.ceil((eta1 - eta0) / deta - 1e-12)))
     h = (eta1 - eta0) / n_steps
     steps = np.append(np.arange(0, n_steps, sample_every), n_steps)
-    etas = eta0 + steps * h
+    etas = np.minimum(eta0 + steps * h, eta1)
     etas[0] = eta0
     moved = np.concatenate([[True], etas[1:] > etas[:-1]])
     return h, steps[moved], etas[moved]
@@ -400,7 +417,9 @@ def evolve(
 ) -> Trajectory:
     """Integrate the self-consistent block equations over eta_span.
 
-    Classical fixed-step RK4 on d Gamma_k/d eta = -i [h_k(m a(eta),
+    The library's deterministic reference integrator; a pipeline run
+    samples the same grid through :func:`evolve_adaptive`.  Classical
+    fixed-step RK4 on d Gamma_k/d eta = -i [h_k(m a(eta),
     Sigma(Gamma), Pi(Gamma)), Gamma_k]; the condensates are recomputed
     from the full set of blocks at every stage.  The state is stepped in
     place as (3, N_S) component rows, and the stage scale factors of each
@@ -432,9 +451,9 @@ def evolve(
         m = stop - start
         # e[j] = eta0 + (start + j)*h starts step start + j; e[m] ends the block
         e = eta0 + np.arange(start, stop + 1) * h
-        # the last end stage e + h can round past eta1, out of a profile's domain
+        # the last step's times can round past eta1, out of a profile's domain
         a = profile.scale_factor(
-            np.concatenate([e, e[:-1] + half, np.minimum(e[:-1] + h, eta1)]))
+            np.minimum(np.concatenate([e, e[:-1] + half, e[:-1] + h]), eta1))
         ma = (spec.mass * a).tolist()
         ma_start, ma_mid, ma_end = ma[:m], ma[m + 1 : 2 * m + 1], ma[2 * m + 1 :]
         for j in range(m):
@@ -459,7 +478,8 @@ def evolve(
                 _purity_gate(etas[t:t + 1], bloch[t:t + 1], purity_tol,
                              f"reduce deta (currently {h:.3e})")
                 t += 1
-    return Trajectory(etas, a_vals, bloch, *_condensate_sums(bloch, spec), spec, profile)
+    return Trajectory(etas, a_vals, bloch, *_condensate_sums(bloch, spec), spec, profile,
+                      nfev=4 * n_steps)
 
 
 def evolve_free(
@@ -581,7 +601,8 @@ def evolve_adaptive(
     bloch = np.ascontiguousarray(sol.y.T).reshape(len(sol.t), spec.num_sites, 3)
     _purity_gate(sol.t, bloch, purity_tol, "tighten rtol")
     a_vals = np.asarray(profile.scale_factor(sol.t), dtype=float)
-    return Trajectory(sol.t, a_vals, bloch, *_condensate_sums(bloch, spec), spec, profile)
+    return Trajectory(sol.t, a_vals, bloch, *_condensate_sums(bloch, spec), spec, profile,
+                      nfev=int(sol.nfev))
 
 
 # ---------------------------------------------------------------------------

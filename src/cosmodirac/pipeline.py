@@ -21,7 +21,7 @@ from . import __version__
 from .config import ConfigError, RunConfig
 from .entanglement import BlockSpec, block_entropy, contour_trajectory
 from .gaussian import (
-    evolve,
+    REFERENCE_RTOL,
     evolve_adaptive,
     evolve_free,
     free_ground_state,
@@ -46,7 +46,15 @@ from .symmetry import spectrum_symmetry_check, symmetry_report
 
 @dataclass
 class RunManifest:
-    """Record of one executed run: config snapshot, inventory, timings."""
+    """Record of one executed run: config snapshot, inventory, timings.
+
+    ``propagator`` names what evolved the state (see :func:`propagator`).
+    ``diagnostics`` says how it went: ``nfev``, the field evaluations of
+    the solve (0 in closed form), and ``max_purity_defect``, the worst
+    purity defect over the samples, which DOP853 does not conserve, so on
+    a DOP853 run it tracks the step error.  Neither is in the inventory,
+    so the files stay byte-identical.
+    """
 
     directory: Path
     config: dict
@@ -54,7 +62,8 @@ class RunManifest:
     wall_time: float
     version: str = __version__
     workers: int = 1
-    propagator: str | None = None  # "closed_form", "rk4" or "dop853"
+    propagator: str | None = None  # "closed_form" or "dop853"
+    diagnostics: dict | None = None
 
     def path(self) -> Path:
         return self.directory / "manifest.json"
@@ -65,6 +74,7 @@ class RunManifest:
             "wall_time_s": self.wall_time,
             "workers": self.workers,
             "propagator": self.propagator,
+            "diagnostics": self.diagnostics,
             "config": self.config,
             "files": self.files,
         }
@@ -85,6 +95,7 @@ class RunManifest:
             version=payload["version"],
             workers=payload.get("workers", 1),
             propagator=payload.get("propagator"),
+            diagnostics=payload.get("diagnostics"),
         )
 
     def verify(self) -> list:
@@ -141,40 +152,37 @@ def propagator(config: RunConfig) -> str:
     """The propagator :func:`run` evolves ``config`` with.
 
     ``"closed_form"`` (:func:`~cosmodirac.gaussian.evolve_free`) for a free
-    lattice on a static or quench profile, otherwise ``"dop853"`` or
-    ``"rk4"`` as ``evolution.method`` asks.
+    lattice on a static or quench profile, otherwise ``"dop853"``
+    (:func:`~cosmodirac.gaussian.evolve_adaptive`), whatever
+    ``evolution.method`` says.
     """
     if config.lattice.coupling == 0.0 and isinstance(
         config.profile, (StaticProfile, QuenchProfile)
     ):
         return "closed_form"
-    return "dop853" if config.evolution["method"] == "adaptive" else "rk4"
+    return "dop853"
 
 
 def _evolve(config: RunConfig, state):
     """Evolve the prepared state with the :func:`propagator` of ``config``.
 
-    A free run on a static or quench profile is rotated exactly to each
-    sample; the samples are the ones its method would take (``deta`` and
-    ``sample_every``, or ``n_samples``), so ``deta`` only sets the grid.
+    ``evolution.method`` only picks how the samples are given: ``n_samples``
+    uniform times solved at the config's ``rtol``, or the times of the
+    fixed-step grid of ``deta`` and ``sample_every``
+    (:func:`~cosmodirac.gaussian.step_grid`) solved at
+    :data:`~cosmodirac.gaussian.REFERENCE_RTOL`.  A free run on a static or
+    quench profile is rotated exactly to each sample instead.
     """
     ev = config.evolution
-    kind = propagator(config)
-    if kind == "closed_form":
-        if ev["method"] == "adaptive":
-            etas = sample_grid(config.eta_span, ev["n_samples"])
-        else:
-            _, _, etas = step_grid(config.eta_span, ev["deta"], ev["sample_every"])
+    if ev["method"] == "adaptive":
+        etas, rtol = sample_grid(config.eta_span, ev["n_samples"]), ev["rtol"]
+    else:
+        _, _, etas = step_grid(config.eta_span, ev["deta"], ev["sample_every"])
+        rtol = REFERENCE_RTOL
+    if propagator(config) == "closed_form":
         return evolve_free(state, config.profile, etas)
-    if kind == "dop853":
-        return evolve_adaptive(
-            state, config.profile, config.eta_span,
-            n_samples=ev["n_samples"], rtol=ev["rtol"],
-        )
-    return evolve(
-        state, config.profile, config.eta_span, ev["deta"],
-        sample_every=ev["sample_every"],
-    )
+    return evolve_adaptive(state, config.profile, config.eta_span,
+                           sample_etas=etas, rtol=rtol)
 
 
 def _emit_condensates(traj, directory):
@@ -332,6 +340,7 @@ def run(config: RunConfig, output_dir=None, workers: int = 1) -> RunManifest:
         wall_time=time.perf_counter() - t_start,
         workers=workers,
         propagator=propagator(config),
+        diagnostics={"nfev": traj.nfev, "max_purity_defect": traj.purity_defect()},
     )
     manifest.save()
     return manifest

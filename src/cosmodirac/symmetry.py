@@ -17,7 +17,8 @@ import numpy as np
 
 from .lattice import (GAMMA0, GAMMA1, SIGMA_Y, ExponentialProfile, LatticeSpec,
                       hamiltonian_block)
-from .gaussian import condensates, evolve_adaptive, self_consistent_ground_state
+from .gaussian import (REFERENCE_RTOL, condensates, evolve_adaptive,
+                       self_consistent_ground_state)
 from .production import bogoliubov_spectrum, spectrum_asymmetry
 
 T_MATRIX = GAMMA0
@@ -32,10 +33,6 @@ HOLDS_THRESHOLD = 1e-10  # fraction of max block norm separating exact algebra f
 # would last less than 1/(a_0 H) <= 0.01/a_0 in eta, far below the lattice's
 # time scales, so the vacuum at a_0 is measured at a_f with no evolution.
 QUENCH_LIMIT_HUBBLE = 100.0
-
-# DOP853 relative tolerance of each ramp: the fig6 rows then agree with
-# RK4 at deta = 1e-4 to 1e-9 relative.
-SWEEP_RTOL = 1e-12
 
 
 @dataclass
@@ -118,7 +115,7 @@ def _sweep_row(spec, a_0, a_f, vacuum, reference_mode, hubble):
     if hubble < QUENCH_LIMIT_HUBBLE:
         profile = ExponentialProfile(a_0=a_0, a_f=a_f, hubble=hubble)
         traj = evolve_adaptive(vacuum, profile, (0.0, profile.eta_clamp),
-                               sample_etas=[profile.eta_clamp], rtol=SWEEP_RTOL)
+                               sample_etas=[profile.eta_clamp], rtol=REFERENCE_RTOL)
         state = traj.state(-1)
     sigma_ref = pi_ref = 0.0
     if reference_mode == "dressed":
@@ -158,8 +155,8 @@ def spectrum_symmetry_check(
     dynamics into the +-k comparison).
 
     Each ramp is one DOP853 solve (:func:`evolve_adaptive` at rtol
-    :data:`SWEEP_RTOL`) over [0, eta_clamp]: the clamp's kink in a(eta)
-    ends the span, so no step straddles it.  Only the final state is
+    :data:`~cosmodirac.gaussian.REFERENCE_RTOL`) over [0, eta_clamp]: the
+    clamp's kink in a(eta) ends the span, so no step straddles it.  Only the final state is
     sampled, so the purity gate checks that state alone.  With
     ``workers`` > 1 the rates are shared among at most that many processes
     (never more than there are rates); the rows are the same as with one.

@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from cosmodirac import pipeline
+from cosmodirac import gaussian, pipeline
 from cosmodirac.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, preset_names
 from cosmodirac.config import ConfigError, config_from_dict, load_config
+from cosmodirac.lattice import StaticProfile
 from cosmodirac.pipeline import RunManifest
 
 from conftest import preset_config
@@ -161,32 +162,39 @@ class TestCLI:
         assert "error" in capsys.readouterr().err
 
     def test_numerical_failure_exits_2(self, tmp_path, capsys):
-        # interacting, so that RK4 steps it: a free run is rotated exactly
+        # interacting, so that DOP853 solves it (a free run is rotated
+        # exactly), at a tolerance loose enough to break the purity gate
         cfg = tmp_path / "unstable.yaml"
-        cfg.write_text(SMALL_RUN.replace("1.0e-3", "0.5").replace(
+        cfg.write_text(SMALL_RUN.replace(
+            "deta: 1.0e-3, sample_every: 200", "method: adaptive, rtol: 1.0e-2").replace(
             "mass: 1.0}", "mass: 1.0, coupling: 1.0}"))
-        with np.errstate(all="ignore"):  # RK4 overflows on its way to NaN
-            code = main(["run", str(cfg), "--output", str(tmp_path / "out")])
+        code = main(["run", str(cfg), "--output", str(tmp_path / "out")])
         assert code == EXIT_NUMERICAL
         assert "StepSizeError" in capsys.readouterr().err
 
     def test_step_rounded_past_the_profile_domain_runs(self, tmp_path):
-        # six steps of h = 1e5/6: the last end stage 5 h + h = 1e5 + 1.5e-11
-        # lies past the tabulated domain's 1e-12 slack, and the run used to
-        # fail with a DomainError; modes this slow keep RK4 stable
-        cfg = tmp_path / "tabulated.yaml"
-        cfg.write_text(
-            "lattice: {num_sites: 4, spacing: 1.0e+6, mass: 1.0e-6}\n"
-            "profile: {kind: tabulated, samples: [[0.0, 1.0], [1.0e+5, 1.0]]}\n"
-            "evolution: {eta_span: [0.0, 1.0e+5], deta: 16666.67}\n"
-            "analyses: [{kind: entropy, block: {length: 2}}]\n")
-        out = tmp_path / "out"
-        assert main(["run", str(cfg), "--output", str(out)]) == EXIT_OK
-        for name in ("condensates.csv", "entropy_measured.csv"):
-            with open(out / name) as fh:
-                rows = np.array([[float(x) for x in row]
-                                 for row in list(csv.reader(fh))[1:]])
-            assert rows.shape[0] == 7 and np.all(np.isfinite(rows)), name
+        # n steps of h = 1e5/n can end past the tabulated domain's 1e-12
+        # slack: six at the last RK4 end stage 5 h + h = 1e5 + 1.5e-11, 19
+        # at the last sample time 19 h = 1e5 + 1.5e-11.  Such runs used to
+        # fail with a DomainError; modes this slow keep the steps stable
+        for deta, n_rows, coupling in ((16666.67, 7, 0.0), (5263.2, 20, 0.0),
+                                       (5263.2, 20, 1.0)):
+            cfg = tmp_path / "tabulated.yaml"
+            cfg.write_text(
+                f"lattice: {{num_sites: 4, spacing: 1.0e+6, mass: 1.0e-6, "
+                f"coupling: {coupling}}}\n"
+                "profile: {kind: tabulated, samples: [[0.0, 1.0], [1.0e+5, 1.0]]}\n"
+                f"evolution: {{eta_span: [0.0, 1.0e+5], deta: {deta}}}\n"
+                "analyses: [{kind: entropy, block: {length: 2}}]\n")
+            out = tmp_path / f"out_{deta}_{coupling}"
+            assert main(["run", str(cfg), "--output", str(out)]) == EXIT_OK
+            for name in ("condensates.csv", "entropy_measured.csv"):
+                with open(out / name) as fh:
+                    rows = np.array([[float(x) for x in row]
+                                     for row in list(csv.reader(fh))[1:]])
+                case = (deta, coupling, name)
+                assert rows.shape[0] == n_rows and np.all(np.isfinite(rows)), case
+                assert rows[-1, 0] == 1e5, case
 
     def test_coarse_free_run_is_exact(self, tmp_path):
         # deta = 0.5 blew RK4 up on this free quench; in closed form it only
@@ -215,20 +223,23 @@ class TestCLI:
         (lambda t: t, "closed_form"),
         (lambda t: t.replace("deta: 1.0e-3, sample_every: 200",
                              "method: adaptive, n_samples: 5"), "closed_form"),
-        (lambda t: t.replace("mass: 1.0}", "mass: 1.0, coupling: 1.0}"), "rk4"),
+        (lambda t: t.replace("mass: 1.0}", "mass: 1.0, coupling: 1.0}"), "dop853"),
         (lambda t: t.replace("mass: 1.0}", "mass: 1.0, coupling: 1.0}").replace(
             "deta: 1.0e-3, sample_every: 200", "method: adaptive, n_samples: 5"),
          "dop853"),
     ], ids=["free_rk4", "free_adaptive", "interacting_rk4", "interacting_adaptive"])
     def test_manifest_names_the_propagator_that_ran(self, tmp_path, monkeypatch,
                                                     edit, expected):
+        # the rk4 dialect only sets the sample grid: RK4 never steps a run
+        assert not hasattr(pipeline, "evolve")
         ran = []
-        for name, kind in (("evolve_free", "closed_form"), ("evolve", "rk4"),
-                           ("evolve_adaptive", "dop853")):
-            def record(*args, _kind=kind, _func=getattr(pipeline, name), **kwargs):
+        for module, name, kind in ((pipeline, "evolve_free", "closed_form"),
+                                   (gaussian, "evolve", "rk4"),
+                                   (pipeline, "evolve_adaptive", "dop853")):
+            def record(*args, _kind=kind, _func=getattr(module, name), **kwargs):
                 ran.append(_kind)
                 return _func(*args, **kwargs)
-            monkeypatch.setattr(pipeline, name, record)
+            monkeypatch.setattr(module, name, record)
         cfg = tmp_path / "run.yaml"
         cfg.write_text(edit(SMALL_RUN))
         out = tmp_path / "out"
@@ -332,3 +343,47 @@ class TestCLI:
         manifest = RunManifest.load(out / "manifest.json")
         assert manifest.verify() == []
         assert "condensates.csv" in manifest.files
+
+
+class TestPipelineEvolution:
+    def test_quench_inside_the_span_matches_split_solves(self):
+        # DOP853's step control has to find the jump in a(eta) at eta_switch;
+        # the reference solves each side on its own static background
+        config = config_from_dict({
+            "lattice": {"num_sites": 64, "mass": -1.0, "coupling": 3.0},
+            "profile": {"kind": "quench", "a_0": 0.7, "a_f": 1.3, "eta_switch": 1.05},
+            "evolution": {"eta_span": [0.0, 2.0], "deta": 1.0e-2, "sample_every": 10},
+        })
+        traj = pipeline._evolve(config, pipeline._prepare(config))
+        etas = gaussian.step_grid((0.0, 2.0), 1e-2, 10)[2]
+        assert np.array_equal(traj.etas, etas)
+        early = etas < 1.05
+        before = gaussian.evolve_adaptive(
+            pipeline._prepare(config), StaticProfile(0.7), (0.0, 1.05),
+            sample_etas=np.append(etas[early], 1.05), rtol=gaussian.REFERENCE_RTOL)
+        after = gaussian.evolve_adaptive(
+            before.state(-1), StaticProfile(1.3), (1.05, 2.0),
+            sample_etas=etas[~early], rtol=gaussian.REFERENCE_RTOL)
+        split = np.concatenate([before.bloch[:-1], after.bloch])
+        assert np.max(np.abs(traj.bloch - split)) < 1e-9
+        assert np.array_equal(traj.a_vals, np.where(early, 0.7, 1.3))
+
+    @pytest.mark.parametrize("coupling, propagator", [(0.0, "closed_form"),
+                                                      (1.0, "dop853")],
+                             ids=["free", "interacting"])
+    def test_manifest_records_diagnostics(self, tmp_path, coupling, propagator):
+        text = SMALL_RUN.replace("mass: 1.0}", f"mass: 1.0, coupling: {coupling}}}")
+        config = load_config(text)
+        traj = pipeline._evolve(config, pipeline._prepare(config))
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output", str(out)]) == EXIT_OK
+        manifest = RunManifest.load(out / "manifest.json")
+        assert manifest.propagator == propagator
+        assert manifest.diagnostics == {"nfev": traj.nfev,
+                                        "max_purity_defect": traj.purity_defect()}
+        assert (traj.nfev == 0) == (propagator == "closed_form")
+        assert 0.0 <= traj.purity_defect() < 1e-6
+        # the diagnostics are not in the inventory, which still verifies
+        assert "diagnostics" not in manifest.files and manifest.verify() == []

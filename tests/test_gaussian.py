@@ -185,6 +185,20 @@ class TestEvolution:
         traj = evolve(state, StaticProfile(), (0.0, 1.0), 1e13, purity_tol=np.inf)
         assert list(traj.etas) == [0.0, 1.0]
 
+    @pytest.mark.parametrize("deta, n_steps", [(16666.67, 6), (5263.2, 19)])
+    def test_times_rounded_past_the_span_are_clamped(self, deta, n_steps):
+        # n h with h = 1e5/n can round past 1e5: in the last end stage for
+        # six steps, in the last sample time for 19; the tabulated domain
+        # allows only 1e-12 of slack
+        h, steps, etas = step_grid((0.0, 1e5), deta)
+        assert steps[-1] == n_steps and etas[-1] == 1e5
+        spec = LatticeSpec(num_sites=4, spacing=1e6, mass=1e-6, coupling=1.0)
+        state = free_ground_state(spec, 1e-6)
+        profile = TabulatedProfile((0.0, 1e5), (1.0, 1.0))
+        traj = evolve(state, profile, (0.0, 1e5), deta)
+        assert np.array_equal(traj.etas, etas)
+        assert np.all(np.isfinite(traj.bloch))
+
     def test_rejects_bad_spans(self):
         spec = LatticeSpec(num_sites=8, mass=1.0)
         state = free_ground_state(spec, 1.0)
@@ -273,7 +287,8 @@ def _reference_rk4(initial, profile, eta_span, deta, sample_every):
         k3 = rhs(eta + 0.5 * h, n + 0.5 * h * k2)
         k4 = rhs(eta + h, n + h * k3)
         n = n + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        eta = eta0 + (step + 1) * h
+        # the last sample time can round past eta1; it is clamped there
+        eta = min(eta0 + (step + 1) * h, eta1)
         if ((step + 1) % sample_every == 0 or step == n_steps - 1) and etas[-1] < eta:
             etas.append(eta)
             blochs.append(n)

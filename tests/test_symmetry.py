@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cosmodirac import symmetry
 from cosmodirac.entanglement import BlockSpec, ContourField, contour_trajectory
-from cosmodirac.gaussian import (condensates, evolve, evolve_adaptive,
+from cosmodirac.gaussian import (REFERENCE_RTOL, condensates, evolve, evolve_adaptive,
                                   free_ground_state, self_consistent_ground_state)
 from cosmodirac.lattice import ExponentialProfile, LatticeSpec, QuenchProfile
 from cosmodirac.production import bogoliubov_spectrum, spectrum_asymmetry
@@ -152,7 +152,7 @@ class TestSpectrumSweep:
         vacuum, _ = self_consistent_ground_state(spec, profile.a_0)
         traj = evolve_adaptive(vacuum, profile, (0.0, profile.eta_clamp),
                                sample_etas=[profile.eta_clamp],
-                               rtol=symmetry.SWEEP_RTOL)
+                               rtol=REFERENCE_RTOL)
         norms = np.linalg.norm(traj.state(-1).bloch, axis=-1)
         np.testing.assert_allclose(norms, 1.0, rtol=0.0, atol=1e-9)
         assert traj.a_vals[-1] == pytest.approx(profile.a_f, rel=1e-14)
