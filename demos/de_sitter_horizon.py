@@ -22,6 +22,7 @@ from cosmodirac import (
     horizon_width,
     mass_quench_prepare,
 )
+from cosmodirac.gaussian import sample_grid
 
 N_SITES = 256
 BLOCK = 160
@@ -36,7 +37,8 @@ state, cond = mass_quench_prepare(spec, -1.0, profile.a_0)
 print(f"prepared at a_0 = {profile.a_0:.4f} with Sigma = {cond.sigma:+.4f}, "
       f"Pi = {cond.pi:+.4f}")
 
-traj = evolve_adaptive(state, profile, (ETA_0, profile.eta_max), n_samples=121)
+span = (ETA_0, profile.eta_max)
+traj = evolve_adaptive(state, profile, span, sample_grid(span, 121))
 print(f"scale factor grew {profile.a_0:.3f} -> {traj.a_vals[-1]:.1f} "
       f"({len(traj.etas)} samples, adaptive)")
 

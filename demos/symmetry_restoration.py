@@ -31,7 +31,7 @@ print(report.table())
 print()
 
 hubbles = [100.0, 4.0, 1.0, 0.3, 0.2, 0.05]
-print("sweeping expansion rates (about a second at N_S = 128) ...")
+print("sweeping expansion rates (a fraction of a second at N_S = 128) ...")
 rows = spectrum_symmetry_check(spec, 0.7, 1.3, hubbles)
 print(f"{'H a':>8}  {'asymmetry':>12}  {'sum |beta|^2':>12}")
 for row in rows:

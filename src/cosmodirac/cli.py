@@ -81,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", nargs="?", help="YAML config file")
     run_p.add_argument("--preset", help="name of a shipped figure preset")
     run_p.add_argument("--output", help="output directory (overrides config)")
-    run_p.add_argument("--workers", type=int, default=1,
-                       help="processes for the Hubble rates of a symmetry sweep")
 
     plots_p = sub.add_parser("plots", help="emit plot scripts for a finished run")
     plots_p.add_argument("manifest", help="manifest.json of a finished run")
@@ -106,14 +104,12 @@ def main(argv=None) -> int:
             from .pipeline import run as run_pipeline
 
             config, label = _load(args)
-            if args.workers < 1:
-                raise ConfigError("--workers", "must be >= 1")
             output = args.output or config.output["directory"]
             if output is None:
                 raise ConfigError(
                     "output.directory", "not set; pass --output DIR"
                 )
-            manifest = run_pipeline(config, output_dir=output, workers=args.workers)
+            manifest = run_pipeline(config, output_dir=output)
             print(f"{label}: wrote {len(manifest.files)} files to "
                   f"{manifest.directory} in {manifest.wall_time:.1f}s")
             return EXIT_OK

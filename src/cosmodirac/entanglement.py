@@ -19,6 +19,7 @@ from .lattice import cosmological_time
 
 _NU_CLIP = 1e-14  # restricted spectra pile up exponentially at 0 and 1
 EDGE_MARGIN = 4  # sites at each block edge that the cone front skips
+FRONT_THRESHOLD = 0.2  # cone-front threshold, as a fraction of the median final contour
 
 
 class InvalidStateError(ValueError):
@@ -150,11 +151,11 @@ def contour_trajectory(trajectory: Trajectory, block: BlockSpec,
     return ContourField(etas=etas, values=vals, block=block, times=times)
 
 
-def cone_front(field: ContourField, threshold_frac: float = 0.2):
+def cone_front(field: ContourField):
     """Arrival times of the entanglement front entering from the block edges.
 
-    The threshold is ``threshold_frac`` of the median nonzero contour at
-    the final sample.  For each depth d (sites, measured inward from the
+    The threshold is :data:`FRONT_THRESHOLD` of the median nonzero contour
+    at the final sample.  For each depth d (sites, measured inward from the
     nearer boundary, skipping :data:`EDGE_MARGIN` sites at each end) the
     arrival time is the first threshold crossing of the spinor-summed
     contour, linearly interpolated between samples.  Averages the left-
@@ -162,14 +163,12 @@ def cone_front(field: ContourField, threshold_frac: float = 0.2):
 
     Returns (depths, arrival_etas) for the depths that were reached.
     """
-    if not (0.0 < threshold_frac < 1.0):
-        raise ValueError("threshold_frac must lie in (0, 1)")
     S = field.spinor_summed()
     final = S[-1]
     live = final[final > 1e-9]
     if live.size == 0:
         raise InvalidStateError("contour vanishes everywhere at the final sample")
-    thr = threshold_frac * float(np.median(live))
+    thr = FRONT_THRESHOLD * float(np.median(live))
     L = field.block.length
     etas = field.etas
     depths, arrivals = [], []
@@ -188,7 +187,7 @@ def cone_front(field: ContourField, threshold_frac: float = 0.2):
     return np.array(depths), np.array(arrivals)
 
 
-def front_slope(field: ContourField, threshold_frac: float = 0.2) -> float:
+def front_slope(field: ContourField) -> float:
     """Cone slope d(eta)/d(depth) from a least-squares fit of the front.
 
     This is the slope as drawn in a time-versus-site rendering: the
@@ -196,7 +195,7 @@ def front_slope(field: ContourField, threshold_frac: float = 0.2) -> float:
     Slower quasi-particles give a steeper (larger) slope — a compressed
     cone.
     """
-    depths, arrivals = cone_front(field, threshold_frac)
+    depths, arrivals = cone_front(field)
     if depths.size < 4:
         raise InvalidStateError("front crossed fewer than four depths; evolve longer")
     return float(np.polyfit(depths, arrivals, 1)[0])

@@ -401,8 +401,8 @@ def step_grid(eta_span, deta: float, sample_every: int = 1):
 
 
 def sample_grid(eta_span, n_samples: int):
-    """The sample times of :func:`evolve_adaptive`: ``n_samples`` points
-    spread uniformly over ``eta_span``, both ends included."""
+    """``n_samples`` sample times spread uniformly over ``eta_span``, both
+    ends included: the grid of the ``adaptive`` dialect."""
     eta0, eta1 = _check_span(eta_span)
     return np.linspace(eta0, eta1, int(n_samples))
 
@@ -547,10 +547,8 @@ def evolve_adaptive(
     initial: CorrelationState,
     profile,
     eta_span,
-    sample_etas=None,
-    n_samples: int = 201,
+    sample_etas,
     rtol: float = 1e-10,
-    atol: float = 1e-12,
     purity_tol: float = 1e-6,
 ) -> Trajectory:
     """Adaptive-step integration of the self-consistent block equations.
@@ -564,8 +562,9 @@ def evolve_adaptive(
     The integrator's state vector keeps the (N_S, 3) order, so its error
     norm and step control see the same numbers.
 
-    ``sample_etas`` fixes the output grid explicitly; otherwise it is
-    :func:`sample_grid` of ``eta_span`` and ``n_samples``.
+    The trajectory holds the states at ``sample_etas`` (ascending, within
+    ``eta_span``; see :func:`sample_grid` and :func:`step_grid`).  The
+    absolute tolerance is fixed at 1e-12; ``rtol`` sets the accuracy.
     """
     from scipy.integrate import solve_ivp
 
@@ -574,8 +573,6 @@ def evolve_adaptive(
     field = _BlockField(spec)
     out = np.empty((3, spec.num_sites))
 
-    if sample_etas is None:
-        sample_etas = sample_grid((eta0, eta1), n_samples)
     sample_etas = np.asarray(sample_etas, dtype=float)
     if sample_etas[0] < eta0 - 1e-12 or sample_etas[-1] > eta1 + 1e-12:
         raise ValueError("sample_etas must lie within eta_span")
@@ -592,7 +589,7 @@ def evolve_adaptive(
         method="DOP853",
         t_eval=sample_etas,
         rtol=rtol,
-        atol=atol,
+        atol=1e-12,
         dense_output=False,
     )
     if not sol.success:

@@ -52,8 +52,10 @@ class RunManifest:
     ``diagnostics`` says how it went: ``nfev``, the field evaluations of
     the solve (0 in closed form), and ``max_purity_defect``, the worst
     purity defect over the samples, which DOP853 does not conserve, so on
-    a DOP853 run it tracks the step error.  Neither is in the inventory,
-    so the files stay byte-identical.
+    a DOP853 run it tracks the step error.  A run with a ``qp`` analysis
+    adds ``qp_out_of_validity`` (see :func:`_qp_out_of_validity`), the
+    advisory tag of ``entropy_qp.csv``.  None of these is in the
+    inventory, so the files stay byte-identical.
     """
 
     directory: Path
@@ -61,7 +63,6 @@ class RunManifest:
     files: dict  # relative path -> sha256 hex digest
     wall_time: float
     version: str = __version__
-    workers: int = 1
     propagator: str | None = None  # "closed_form" or "dop853"
     diagnostics: dict | None = None
 
@@ -72,7 +73,6 @@ class RunManifest:
         payload = {
             "version": self.version,
             "wall_time_s": self.wall_time,
-            "workers": self.workers,
             "propagator": self.propagator,
             "diagnostics": self.diagnostics,
             "config": self.config,
@@ -93,7 +93,6 @@ class RunManifest:
             files=payload["files"],
             wall_time=payload["wall_time_s"],
             version=payload["version"],
-            workers=payload.get("workers", 1),
             propagator=payload.get("propagator"),
             diagnostics=payload.get("diagnostics"),
         )
@@ -199,7 +198,7 @@ def _emit_condensates(traj, directory):
 # the analysis's BlockSpec (None if it has none), ``opts`` its validated options.
 
 
-def _emit_entropy(traj, lattice, block, opts, directory, workers):
+def _emit_entropy(traj, lattice, block, opts, directory):
     times = np.asarray(cosmological_time(traj.profile, traj.etas), dtype=float)
     rows = []
     for i, (eta, t) in enumerate(zip(traj.etas, times)):
@@ -209,7 +208,7 @@ def _emit_entropy(traj, lattice, block, opts, directory, workers):
                       ["eta[a]", "t[a]", "entropy[nats]"], rows)
 
 
-def _emit_contour(traj, lattice, block, opts, directory, workers):
+def _emit_contour(traj, lattice, block, opts, directory):
     field = contour_trajectory(traj, block, time_stride=opts["time_stride"])
     rows = [(float(eta), float(t), j, float(s_u), float(s_d))
             for eta, t, values in zip(field.etas, field.times, field.values)
@@ -240,7 +239,7 @@ def _dressed_spectrum(traj, lattice, window=None):
         pi=float(np.mean(traj.pi[mask])))
 
 
-def _emit_spectrum(traj, lattice, block, opts, directory, workers):
+def _emit_spectrum(traj, lattice, block, opts, directory):
     if opts["reference_mode"] == "dressed" and lattice.coupling != 0.0:
         spectrum = _dressed_spectrum(traj, lattice)
     else:
@@ -256,24 +255,15 @@ def _emit_spectrum(traj, lattice, block, opts, directory, workers):
                       rows)
 
 
-def _emit_qp(traj, lattice, block, opts, directory, workers):
+def _emit_qp(traj, lattice, block, opts, directory):
     spectrum = _dressed_spectrum(traj, lattice, opts["window"])
-    out_of_validity = False
-    if lattice.coupling != 0.0:
-        try:
-            out_of_validity = condensate_persistence(traj, "sigma") > PERSISTENCE_LIMIT
-        except ValueError:
-            pass
-    qp = qp_input_from_spectrum(
-        spectrum, lattice, block.length * lattice.spacing,
-        out_of_validity=out_of_validity,
-    )
+    qp = qp_input_from_spectrum(spectrum, lattice, block.length * lattice.spacing)
     eta0 = traj.etas[0]
     rows = [(float(e), qp_entropy(qp, float(e - eta0))) for e in traj.etas]
     return _write_csv(directory / "entropy_qp.csv", ["eta[a]", "entropy[nats]"], rows)
 
 
-def _emit_symmetry(traj, lattice, block, opts, directory, workers):
+def _emit_symmetry(traj, lattice, block, opts, directory):
     a_f = float(traj.a_vals[-1])
     report = symmetry_report(lattice.mass * a_f + float(traj.sigma[-1]), 0.0,
                              float(traj.pi[-1]), lattice)
@@ -286,7 +276,7 @@ def _emit_symmetry(traj, lattice, block, opts, directory, workers):
 
     sweep = spectrum_symmetry_check(
         lattice, opts["a_0"], opts["a_f"], opts["hubble_values"],
-        reference_mode=opts["reference_mode"], workers=workers,
+        reference_mode=opts["reference_mode"],
     )
     _write_csv(directory / "symmetry_sweep.csv",
                ["hubble[1/a]", "asymmetry[dimensionless]", "beta_sq_sum[dimensionless]"],
@@ -304,11 +294,29 @@ _EMITTERS = {
 }
 
 
+def _qp_out_of_validity(traj, lattice):
+    """Whether the quasi-particle picture is outside its validity regime.
+
+    True when the Sigma oscillations of an interacting run persist
+    (:func:`~cosmodirac.quasiparticle.condensate_persistence` above
+    :data:`~cosmodirac.quasiparticle.PERSISTENCE_LIMIT`), False for a free
+    run, None when the trajectory is too sparse to judge.
+    """
+    if lattice.coupling == 0.0:
+        return False
+    try:
+        return condensate_persistence(traj, "sigma") > PERSISTENCE_LIMIT
+    except ValueError:
+        return None
+
+
 def run(config: RunConfig, output_dir=None, workers: int = 1) -> RunManifest:
     """Execute a validated config and write all artifacts.
 
     Returns the saved :class:`RunManifest`.  ``output_dir`` overrides
     ``output.directory`` from the config; one of the two must be set.
+    ``workers`` is unused; the benchmark harness (``perfbench/worker.py``,
+    ``perfbench/make_references.py``) still passes ``workers=1``.
     """
     t_start = time.perf_counter()
     directory = Path(output_dir or config.output["directory"] or ".")
@@ -324,8 +332,7 @@ def run(config: RunConfig, output_dir=None, workers: int = 1) -> RunManifest:
         if "block" in opts:
             block = BlockSpec(opts["block"]["start"], opts["block"]["length"],
                               lattice.num_sites)
-        files += _EMITTERS[analysis.kind](traj, lattice, block, opts, directory,
-                                          workers)
+        files += _EMITTERS[analysis.kind](traj, lattice, block, opts, directory)
     if config.output["binary"]:
         # final-state Bloch vectors, shape (N_S, 3) little-endian float64
         final = traj.bloch[-1].astype("<f8")
@@ -333,14 +340,16 @@ def run(config: RunConfig, output_dir=None, workers: int = 1) -> RunManifest:
         files.append("state_final.npy")
 
     inventory = {name: _sha256(directory / name) for name in files}
+    diagnostics = {"nfev": traj.nfev, "max_purity_defect": traj.purity_defect()}
+    if any(analysis.kind == "qp" for analysis in config.analyses):
+        diagnostics["qp_out_of_validity"] = _qp_out_of_validity(traj, lattice)
     manifest = RunManifest(
         directory=directory,
         config=config.raw,
         files=inventory,
         wall_time=time.perf_counter() - t_start,
-        workers=workers,
         propagator=propagator(config),
-        diagnostics={"nfev": traj.nfev, "max_purity_defect": traj.purity_defect()},
+        diagnostics=diagnostics,
     )
     manifest.save()
     return manifest

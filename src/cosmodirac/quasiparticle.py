@@ -31,8 +31,7 @@ class QPInput:
 
     ``k`` must be the (sorted ascending) Brillouin-zone grid; ``v`` and
     ``s_pair`` are interpolated periodically onto a refined grid by the
-    quadratures.  ``out_of_validity`` tags inputs taken from
-    persistent-oscillation regimes where the picture is known to fail.
+    quadratures.
     """
 
     k: np.ndarray
@@ -40,7 +39,6 @@ class QPInput:
     s_pair: np.ndarray
     block_length: float
     spacing: float = 1.0
-    out_of_validity: bool = False
 
     def __post_init__(self):
         if not np.all(self.v >= 0):
@@ -63,7 +61,6 @@ def qp_input_from_spectrum(
     spectrum: ProductionSpectrum,
     spec: LatticeSpec,
     block_length: float,
-    out_of_validity: bool = False,
 ) -> QPInput:
     """Assemble a QPInput from a production spectrum and its reference dispersion."""
     ma_eff, sigma, pi = spectrum.reference
@@ -75,7 +72,6 @@ def qp_input_from_spectrum(
         s_pair=s_pair,
         block_length=float(block_length),
         spacing=spec.spacing,
-        out_of_validity=out_of_validity,
     )
 
 

@@ -11,7 +11,6 @@ blocks per momentum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -135,7 +134,6 @@ def spectrum_symmetry_check(
     a_f: float,
     hubble_values,
     reference_mode: str = "bare",
-    workers: int = 1,
 ):
     """Production-spectrum asymmetry versus Hubble rate.
 
@@ -156,20 +154,15 @@ def spectrum_symmetry_check(
 
     Each ramp is one DOP853 solve (:func:`evolve_adaptive` at rtol
     :data:`~cosmodirac.gaussian.REFERENCE_RTOL`) over [0, eta_clamp]: the
-    clamp's kink in a(eta) ends the span, so no step straddles it.  Only the final state is
-    sampled, so the purity gate checks that state alone.  With
-    ``workers`` > 1 the rates are shared among at most that many processes
-    (never more than there are rates); the rows are the same as with one.
+    clamp's kink in a(eta) ends the span, so no step straddles it.  Only the
+    final state is sampled, so the purity gate checks that state alone.  The
+    rates run one after another in this process: fig6's six take about
+    0.1 s in all on a 2-core machine, too little to share among processes.
 
     Returns a list of dicts {hubble, asymmetry, beta_sq_sum}.
     """
     if reference_mode not in ("bare", "dressed"):
         raise ValueError(f"unknown reference_mode {reference_mode!r}")
     vacuum, _ = self_consistent_ground_state(spec, a_0)
-    row = partial(_sweep_row, spec, a_0, a_f, vacuum, reference_mode)
-    if workers == 1:
-        return [row(hubble) for hubble in hubble_values]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(workers, len(hubble_values))) as pool:
-        return list(pool.map(row, hubble_values))
+    return [_sweep_row(spec, a_0, a_f, vacuum, reference_mode, hubble)
+            for hubble in hubble_values]

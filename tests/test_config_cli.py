@@ -156,7 +156,6 @@ class TestCLI:
         cfg = tmp_path / "ok.yaml"
         cfg.write_text(SMALL_RUN)
         assert main(["run", str(cfg), "--preset", "fig5"]) == EXIT_CONFIG
-        assert main(["run", str(cfg), "--workers", "0"]) == EXIT_CONFIG
         assert main(["run", str(cfg)]) == EXIT_CONFIG  # no output directory
         assert main(["plots", str(tmp_path / "nope.json")]) == EXIT_CONFIG
         assert "error" in capsys.readouterr().err
@@ -387,3 +386,22 @@ class TestPipelineEvolution:
         assert 0.0 <= traj.purity_defect() < 1e-6
         # the diagnostics are not in the inventory, which still verifies
         assert "diagnostics" not in manifest.files and manifest.verify() == []
+
+    @pytest.mark.parametrize("preset, expected", [("fig1a", False), ("fig3c", True)])
+    def test_manifest_flags_the_qp_validity_regime(self, tmp_path, preset, expected):
+        # fig3c's Sigma oscillations persist (late/early ratio about 1.03), so
+        # its entropy_qp.csv is advisory; fig1a is free
+        pipeline.run(preset_config(preset), output_dir=tmp_path)
+        manifest = RunManifest.load(tmp_path / "manifest.json")
+        assert manifest.diagnostics["qp_out_of_validity"] is expected
+        assert manifest.verify() == []
+
+    def test_qp_validity_is_null_on_a_sparse_trajectory(self, tmp_path):
+        # 11 samples hold too few in the early window to judge persistence
+        text = SMALL_RUN.replace("mass: 1.0}", "mass: 1.0, coupling: 1.0}")
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(text + "  - {kind: qp, block: {length: 6}}\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output", str(out)]) == EXIT_OK
+        diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        assert diagnostics["qp_out_of_validity"] is None

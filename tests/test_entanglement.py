@@ -169,8 +169,3 @@ class TestConeFront:
         field = self._synthetic(slope=10.0, eta_max=12.0)
         with pytest.raises(InvalidStateError):
             front_slope(field)
-
-    def test_threshold_validation(self):
-        field = self._synthetic(slope=1.0)
-        with pytest.raises(ValueError):
-            cone_front(field, threshold_frac=0.0)

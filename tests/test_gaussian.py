@@ -443,8 +443,8 @@ class TestClosedForm:
     def test_adaptive_sample_grid_is_the_dop853_grid(self, span, n_samples):
         spec, state = _quenched_vacuum(8, 0.0, 1.0)
         profile = QuenchProfile(0.5, 1.5, eta_switch=0.5 * (span[0] + span[1]))
-        dop853 = evolve_adaptive(state.copy(), profile, span, n_samples=n_samples,
-                                 purity_tol=np.inf)
+        dop853 = evolve_adaptive(state.copy(), profile, span,
+                                 sample_grid(span, n_samples), purity_tol=np.inf)
         exact = evolve_free(state.copy(), profile, sample_grid(span, n_samples))
         assert np.array_equal(exact.etas, dop853.etas)
         assert np.array_equal(exact.a_vals, dop853.a_vals)

@@ -64,8 +64,8 @@ class TestQuadratures:
         spec = LatticeSpec(num_sites=32, mass=1.0)
         state = free_ground_state(spec, 0.01, a_val=0.01)
         out = bogoliubov_spectrum(state, 10.0)
-        qp = qp_input_from_spectrum(out, spec, 16.0, out_of_validity=True)
-        assert qp.out_of_validity
+        qp = qp_input_from_spectrum(out, spec, 16.0)
+        assert qp.block_length == 16.0
         assert np.allclose(qp.v, band_velocity(out.k, 10.0, 0.0, 0.0))
         assert np.allclose(qp.s_pair, mode_pair_entropy(out.beta_sq)[1])
 

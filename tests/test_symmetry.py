@@ -1,7 +1,5 @@
 """Discrete-symmetry relations, residual patterns, and spectrum checks."""
 
-import concurrent.futures
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +9,8 @@ from cosmodirac import symmetry
 from cosmodirac.entanglement import BlockSpec, ContourField, contour_trajectory
 from cosmodirac.gaussian import (REFERENCE_RTOL, condensates, evolve, evolve_adaptive,
                                   free_ground_state, self_consistent_ground_state)
-from cosmodirac.lattice import ExponentialProfile, LatticeSpec, QuenchProfile
+from cosmodirac.lattice import (ExponentialProfile, LatticeSpec, QuenchProfile,
+                                StaticProfile)
 from cosmodirac.production import bogoliubov_spectrum, spectrum_asymmetry
 from cosmodirac.symmetry import (
     contour_cp_check,
@@ -63,10 +62,21 @@ class TestTimeReversalCondition:
             assert res > 1e-3
 
     def test_static_background_time_reversal_everywhere(self):
-        from cosmodirac.lattice import StaticProfile
-
         prof = StaticProfile(a_val=1.3)
         assert time_reversal_condition_residual(prof, 0.0, 7.0) < 1e-14
+
+    @pytest.mark.parametrize("pi", [0.0, 0.5])
+    def test_residual_is_the_scale_factor_mismatch(self, pi):
+        # T survives the pseudo-scalar condensate (see TestReport), so only
+        # the expansion breaks the condition, by |a(eta) - a(2 eta_0 - eta)|
+        prof = ExponentialProfile(0.7, 1.3, hubble=1.0)
+        assert time_reversal_condition_residual(prof, 0.2, 0.2, pi=pi) == 0.0
+        assert time_reversal_condition_residual(
+            StaticProfile(a_val=1.3), 0.2, 0.9, pi=pi) == 0.0
+        res = time_reversal_condition_residual(prof, 0.2, 0.4, pi=pi)
+        expected = abs(float(prof.scale_factor(0.4)) - float(prof.scale_factor(0.0)))
+        assert res == pytest.approx(expected, rel=1e-12)
+        assert res == pytest.approx(0.27222, abs=1e-5)
 
 
 class TestContourCP:
@@ -157,33 +167,7 @@ class TestSpectrumSweep:
         np.testing.assert_allclose(norms, 1.0, rtol=0.0, atol=1e-9)
         assert traj.a_vals[-1] == pytest.approx(profile.a_f, rel=1e-14)
 
-    @pytest.mark.parametrize("reference_mode", ["bare", "dressed"])
-    def test_pooled_rows_equal_serial_rows(self, reference_mode):
-        spec = LatticeSpec(num_sites=16, mass=-1.0, coupling=3.0)
-        args = (spec, 0.7, 1.3, [100.0, 2.0, 0.3])
-        serial = spectrum_symmetry_check(*args, reference_mode=reference_mode)
-        pooled = spectrum_symmetry_check(*args, reference_mode=reference_mode,
-                                         workers=2)
-        assert pooled == serial
-
-    def test_pool_capped_at_the_rates_with_one_vacuum_solve(self, monkeypatch):
-        # a real pool forks all of its processes up front, so a fake records
-        # the size asked for and maps in this process
-        asked = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
+    def test_one_vacuum_solve_per_sweep(self, monkeypatch):
         solves = []
 
         def counted_solve(*a, **kw):
@@ -191,11 +175,9 @@ class TestSpectrumSweep:
             return solve(*a, **kw)
 
         solve = symmetry.self_consistent_ground_state
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(symmetry, "self_consistent_ground_state", counted_solve)
         spec = LatticeSpec(num_sites=8, mass=-1.0, coupling=3.0)
-        hubbles = [100.0, 200.0, 300.0]
-        rows = spectrum_symmetry_check(spec, 0.7, 1.3, hubbles, workers=64)
-        assert asked == [3]
+        hubbles = [100.0, 2.0, 0.3]
+        rows = spectrum_symmetry_check(spec, 0.7, 1.3, hubbles)
         assert len(solves) == 1  # one vacuum for the whole sweep
-        assert rows == spectrum_symmetry_check(spec, 0.7, 1.3, hubbles)
+        assert [row["hubble"] for row in rows] == hubbles
