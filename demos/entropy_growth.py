@@ -44,7 +44,7 @@ vacuum = free_ground_state(spec, spec.mass * A_0, a_val=A_0)
 
 print(f"evolving {N_SITES} sites to eta = {ETA_END} ...")
 # g = 0 and a constant after the switch, so each sample is an exact
-# rotation; the times are those of RK4 at deta = 5e-4, every 500 steps
+# rotation; the times are every 500th of a fixed step deta = 5e-4
 _, _, sample_etas = step_grid((0.0, ETA_END), 5e-4, 500)
 traj = evolve_free(vacuum, QuenchProfile(A_0, A_F), sample_etas)
 

@@ -10,7 +10,7 @@ dressed quasi-particles are slower and the interacting cone is steeper
     python demos/interaction_compressed_cone.py
 
 Uses smaller lattices than the shipped fig2 presets.  Both runs are
-sampled on the grid of RK4 at deta = 5e-4, every 500 steps: the free one
+sampled every 500th of a fixed step deta = 5e-4: the free one
 is rotated in closed form and the interacting one is solved by DOP853 at
 the tolerance that stands in for those steps, so it finishes in a few
 seconds.

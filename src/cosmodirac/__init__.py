@@ -31,7 +31,6 @@ from .gaussian import (  # noqa: F401
     StepSizeError,
     Trajectory,
     condensates,
-    evolve,
     evolve_adaptive,
     evolve_free,
     free_ground_state,

@@ -50,6 +50,8 @@ EVOLUTION_METHODS = tuple(EVOLUTION_FIELDS)
 # "dressed" adds condensates, for `spectrum` their mean over the last quarter
 # of the run (bare when g = 0), for `symmetry` the final state's own.
 REFERENCE_MODES = ("bare", "dressed")
+# scipy's DOP853 raises a smaller rtol to 100 machine epsilons, with only a warning.
+MIN_RTOL = 100 * np.finfo(float).eps
 
 
 class ConfigError(ValueError):
@@ -189,7 +191,7 @@ def _build_profile(section):
         raise ConfigError(path, str(exc)) from exc
 
 
-def _build_preparation(section) -> dict:
+def _build_preparation(section, lattice) -> dict:
     path = "preparation"
     if section is None:
         return {"kind": "vacuum"}
@@ -199,6 +201,9 @@ def _build_preparation(section) -> dict:
     out = {"kind": kind}
     if kind == "mass_quench":
         out["m_pre"] = _number(section, "m_pre", path)
+        if out["m_pre"] == lattice.mass:
+            raise ConfigError(f"{path}.m_pre", "equals lattice.mass: the quench "
+                                               "prepares no matter")
     coupling_pre = _number(section, "coupling_pre", path, None)
     if coupling_pre is not None:
         if coupling_pre < 0:
@@ -237,6 +242,9 @@ def _build_evolution(section) -> dict:
     else:
         out["n_samples"] = int(_optional(section, "n_samples", 201, path, (int,)))
         out["rtol"] = _number(section, "rtol", path, 1e-10)
+        if out["rtol"] < MIN_RTOL:
+            raise ConfigError(f"{path}.rtol", f"must be at least {MIN_RTOL:.3g}, "
+                                              f"got {out['rtol']}")
         if out["n_samples"] < 2:
             raise ConfigError(f"{path}.n_samples", "must be >= 2")
     return out
@@ -337,7 +345,7 @@ def config_from_dict(raw: dict) -> RunConfig:
             raise ConfigError(key, "unknown top-level section")
     lattice = _build_lattice(_require(raw, "lattice", "<file>", (dict,)))
     profile = _build_profile(_require(raw, "profile", "<file>", (dict,)))
-    preparation = _build_preparation(raw.get("preparation"))
+    preparation = _build_preparation(raw.get("preparation"), lattice)
     evolution = _build_evolution(_require(raw, "evolution", "<file>", (dict,)))
     analyses = _build_analyses(raw.get("analyses"), lattice)
     output = _build_output(raw.get("output"))

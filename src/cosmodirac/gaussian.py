@@ -8,19 +8,15 @@ instead of O(N_S^2).
 
 Internally a block is handled through its Bloch vector,
 Gamma_k = (1 + n_k . sigma)/2 with real n_k; the map is affine, so
-Runge-Kutta trajectories in either parameterisation coincide.  Trace is
-then conserved identically and purity is just ||n_k| - 1|.
+trace is conserved identically and purity is just ||n_k| - 1|.
 
-Both integrators share one field kernel that works on component rows,
-(n_x, n_y, n_z) each over the whole grid, in preallocated buffers; the
-fixed-step integrator evaluates the scale factor for a block of steps at
-once.  The order of every floating-point operation is fixed, so runs are
-bit-reproducible.  Fixed-step RK4 (:func:`evolve`) is the reference
-integrator; runs go through DOP853 (:func:`evolve_adaptive`), which at
-:data:`REFERENCE_RTOL` stands in for hand-set RK4 steps.  A free run
-(g = 0) on a piecewise-constant a(eta) needs no integrator:
-:func:`evolve_free` rotates each Bloch vector exactly about its fixed
-field, so the step only sets the sample grid.
+There are two propagators.  A free run (g = 0) on a piecewise-constant
+a(eta) needs no integrator: :func:`evolve_free` rotates each Bloch vector
+exactly about its fixed field.  Every other run is one DOP853 solve
+(:func:`evolve_adaptive`) whose field kernel works on component rows,
+(n_x, n_y, n_z) each over the whole grid, in preallocated buffers; at
+:data:`REFERENCE_RTOL` it stands in for hand-set fixed steps.  The order
+of every floating-point operation is fixed, so runs are bit-reproducible.
 A :class:`Trajectory` stores its samples as arrays, the Bloch vectors as
 (T, N_S, 3).
 """
@@ -47,7 +43,7 @@ class ConvergenceError(RuntimeError):
 
 
 class StepSizeError(RuntimeError):
-    """Purity drifted beyond tolerance during integration; reduce deta."""
+    """The solver failed, or purity drifted beyond :data:`PURITY_TOL`."""
 
 
 @dataclass(frozen=True)
@@ -107,8 +103,7 @@ def _purity_defects(bloch):
 
 @dataclass
 class Trajectory:
-    """Sampled output of :func:`evolve`, :func:`evolve_adaptive` and
-    :func:`evolve_free`.
+    """Sampled output of :func:`evolve_adaptive` and :func:`evolve_free`.
 
     Arrays over the T samples: strictly increasing conformal times
     ``etas`` (T,), scale factors ``a_vals`` (T,), Bloch vectors ``bloch``
@@ -294,19 +289,19 @@ def mass_quench_prepare(spec: LatticeSpec, m_pre: float, a_val: float):
 # ---------------------------------------------------------------------------
 
 
-# RK4 steps whose stage scale factors come from one vectorised profile call;
-# bounds the per-block arrays independently of the run length.
-_BLOCK_STEPS = 256
-
-# DOP853 relative tolerance of every solve that stands in for hand-set RK4
+# DOP853 relative tolerance of every solve that stands in for hand-set fixed
 # steps: a run whose config sets ``deta`` and each ramp of the Hubble sweep.
 # The interacting presets' CSVs then agree with RK4 at their shipped steps to
 # 5e-9, and the fig6 sweep rows with RK4 at deta = 1e-4 to 1e-9 relative.
 REFERENCE_RTOL = 1e-12
 
+# The largest purity defect a propagated sample may have before the run fails.
+PURITY_TOL = 1e-6
+
 
 class _BlockField:
-    """The self-consistent field b_k and d n_k/d eta = 2 b_k x n_k, in place.
+    """The self-consistent field b_k and d n_k/d eta = 2 b_k x n_k, in place:
+    the right-hand side of :func:`evolve_adaptive`.
 
     Built once per run from the lattice.  The state being differentiated
     sits in a buffer ``v`` of component rows (n_x, n_y, n_z, n_x, n_y) and
@@ -336,12 +331,6 @@ class _BlockField:
         self._n[...] = n
         self._wrap_to[...] = self._wrap_from
 
-    def stage(self, n, c, k):
-        """Load the Runge-Kutta stage input n + c * k into ``v``."""
-        np.multiply(k, c, out=self._n)
-        np.add(n, self._n, out=self._n)
-        self._wrap_to[...] = self._wrap_from
-
     def rate(self, ma, out):
         """out <- 2 b x n for the state in ``v`` at effective mass ``ma``."""
         sig = -self.pref * self._nz.sum()
@@ -361,13 +350,13 @@ def _check_span(eta_span):
     return eta0, eta1
 
 
-def _purity_gate(etas, bloch, purity_tol, remedy):
-    """Raise at the first sample whose purity defect exceeds ``purity_tol``.
+def _purity_gate(etas, bloch, remedy):
+    """Raise at the first sample whose purity defect exceeds :data:`PURITY_TOL`.
 
-    ``not (defect <= tol)`` so that a NaN state fails the gate too.
+    ``not (defect <= PURITY_TOL)`` so that a NaN state fails the gate too.
     """
     defects = _purity_defects(bloch)
-    bad = np.flatnonzero(~(defects <= purity_tol))
+    bad = np.flatnonzero(~(defects <= PURITY_TOL))
     if bad.size:
         i = bad[0]
         raise StepSizeError(
@@ -376,7 +365,8 @@ def _purity_gate(etas, bloch, purity_tol, remedy):
 
 
 def step_grid(eta_span, deta: float, sample_every: int = 1):
-    """The fixed-step grid of :func:`evolve` and the steps it samples.
+    """A fixed-step grid and the steps it samples: the sample times of the
+    ``rk4`` dialect.
 
     ``deta`` is rounded down to h = (eta1 - eta0)/n_steps with n_steps =
     ceil((eta1 - eta0)/deta), at least one.  A sample is taken at the start, after
@@ -407,81 +397,6 @@ def sample_grid(eta_span, n_samples: int):
     return np.linspace(eta0, eta1, int(n_samples))
 
 
-def evolve(
-    initial: CorrelationState,
-    profile,
-    eta_span,
-    deta: float,
-    sample_every: int = 1,
-    purity_tol: float = 1e-6,
-) -> Trajectory:
-    """Integrate the self-consistent block equations over eta_span.
-
-    The library's deterministic reference integrator; a pipeline run
-    samples the same grid through :func:`evolve_adaptive`.  Classical
-    fixed-step RK4 on d Gamma_k/d eta = -i [h_k(m a(eta),
-    Sigma(Gamma), Pi(Gamma)), Gamma_k]; the condensates are recomputed
-    from the full set of blocks at every stage.  The state is stepped in
-    place as (3, N_S) component rows, and the stage scale factors of each
-    block of ``_BLOCK_STEPS`` steps come from one vectorised
-    ``profile.scale_factor`` call.  Samples are written into preallocated
-    arrays on the grid of :func:`step_grid`.  Every elementwise operation
-    and the fixed-order condensate sums are the same on every run, so
-    runs are bit-reproducible.
-
-    Raises :class:`StepSizeError` if the purity defect of any sample
-    exceeds ``purity_tol`` or is not finite.
-    """
-    h, steps, etas = step_grid(eta_span, deta, sample_every)
-    eta0, eta1 = etas[0], float(eta_span[1])
-    half, sixth = 0.5 * h, h / 6.0
-    spec = initial.spec
-    field = _BlockField(spec)
-
-    n = initial.bloch.T.copy()
-    k1, k2, k3, k4 = np.empty((4,) + n.shape)
-    a_vals = np.empty(etas.size)
-    bloch = np.empty((etas.size,) + initial.bloch.shape)
-    a_vals[0], bloch[0] = profile.scale_factor(eta0), initial.bloch
-    t, sampled = 1, steps.tolist()
-    # steps after the last sampled one would never be seen
-    n_steps = sampled[-1]
-    for start in range(0, n_steps, _BLOCK_STEPS):
-        stop = min(start + _BLOCK_STEPS, n_steps)
-        m = stop - start
-        # e[j] = eta0 + (start + j)*h starts step start + j; e[m] ends the block
-        e = eta0 + np.arange(start, stop + 1) * h
-        # the last step's times can round past eta1, out of a profile's domain
-        a = profile.scale_factor(
-            np.minimum(np.concatenate([e, e[:-1] + half, e[:-1] + h]), eta1))
-        ma = (spec.mass * a).tolist()
-        ma_start, ma_mid, ma_end = ma[:m], ma[m + 1 : 2 * m + 1], ma[2 * m + 1 :]
-        for j in range(m):
-            field.load(n)
-            field.rate(ma_start[j], k1)
-            field.stage(n, half, k1)
-            field.rate(ma_mid[j], k2)
-            field.stage(n, half, k2)
-            field.rate(ma_mid[j], k3)
-            field.stage(n, h, k3)
-            field.rate(ma_end[j], k4)
-            # n + (h/6) * (((k1 + 2 k2) + 2 k3) + k4), in that order
-            np.multiply(k2, 2.0, out=k2)
-            np.add(k1, k2, out=k1)
-            np.multiply(k3, 2.0, out=k3)
-            np.add(k1, k3, out=k1)
-            np.add(k1, k4, out=k1)
-            np.multiply(k1, sixth, out=k1)
-            np.add(n, k1, out=n)
-            if start + j + 1 == sampled[t]:
-                a_vals[t], bloch[t] = a[j + 1], n.T
-                _purity_gate(etas[t:t + 1], bloch[t:t + 1], purity_tol,
-                             f"reduce deta (currently {h:.3e})")
-                t += 1
-    return Trajectory(etas, a_vals, bloch, *_condensate_sums(bloch, spec), spec, profile,
-                      nfev=4 * n_steps)
-
-
 def evolve_free(
     initial: CorrelationState,
     profile,
@@ -500,7 +415,7 @@ def evolve_free(
     the switch state, so no error accumulates.
 
     Raises :class:`StepSizeError` if the purity defect of any sample
-    exceeds 1e-6 or is not finite, and ``ValueError`` for a coupled
+    exceeds :data:`PURITY_TOL` or is not finite, and ``ValueError`` for a coupled
     lattice or another profile.
     """
     spec = initial.spec
@@ -524,7 +439,7 @@ def evolve_free(
         bloch[rows] = _rotate(n, b, etas[rows] - start)
         if i + 1 < len(pieces):
             n = _rotate(n, b, [end - start])[0]
-    _purity_gate(etas, bloch, 1e-6, "check the initial state")
+    _purity_gate(etas, bloch, "check the initial state")
     a_vals = np.asarray(profile.scale_factor(etas), dtype=float)
     return Trajectory(etas, a_vals, bloch, *_condensate_sums(bloch, spec), spec, profile)
 
@@ -549,12 +464,12 @@ def evolve_adaptive(
     eta_span,
     sample_etas,
     rtol: float = 1e-10,
-    purity_tol: float = 1e-6,
 ) -> Trajectory:
     """Adaptive-step integration of the self-consistent block equations.
 
-    Same dynamics and field kernel as :func:`evolve`, delegated to
-    scipy's DOP853 with tight tolerances.  Essential for de Sitter
+    d n_k/d eta = 2 b_k x n_k, with the condensates in b_k recomputed from
+    the full set of blocks at every evaluation (:class:`_BlockField`),
+    delegated to scipy's DOP853 with tight tolerances.  Essential for de Sitter
     profiles, where the effective mass m a(eta) = -m/(H eta) diverges
     towards eta -> 0^- and a fixed step either wastes the early window or
     blows up at the end; the step-size controller tracks the local
@@ -565,6 +480,9 @@ def evolve_adaptive(
     The trajectory holds the states at ``sample_etas`` (ascending, within
     ``eta_span``; see :func:`sample_grid` and :func:`step_grid`).  The
     absolute tolerance is fixed at 1e-12; ``rtol`` sets the accuracy.
+
+    Raises :class:`StepSizeError` if the solver fails or the purity defect
+    of any sample exceeds :data:`PURITY_TOL` or is not finite.
     """
     from scipy.integrate import solve_ivp
 
@@ -596,7 +514,7 @@ def evolve_adaptive(
         raise StepSizeError(f"adaptive integration failed: {sol.message}")
     # C order, so that the stacked condensate sums equal the per-state ones
     bloch = np.ascontiguousarray(sol.y.T).reshape(len(sol.t), spec.num_sites, 3)
-    _purity_gate(sol.t, bloch, purity_tol, "tighten rtol")
+    _purity_gate(sol.t, bloch, "tighten rtol")
     a_vals = np.asarray(profile.scale_factor(sol.t), dtype=float)
     return Trajectory(sol.t, a_vals, bloch, *_condensate_sums(bloch, spec), spec, profile,
                       nfev=int(sol.nfev))

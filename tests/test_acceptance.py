@@ -18,9 +18,12 @@ from cosmodirac.entanglement import (
     front_slope,
 )
 from cosmodirac.gaussian import (
-    evolve,
+    REFERENCE_RTOL,
+    evolve_adaptive,
+    evolve_free,
     free_ground_state,
     real_space_correlation,
+    step_grid,
 )
 from cosmodirac.lattice import (
     ExponentialProfile,
@@ -244,8 +247,10 @@ def test_criterion_6_production_spectra_against_oracles():
 
     small = LatticeSpec(num_sites=64, mass=1.0)
     ramp = ExponentialProfile(a_0=0.7, a_f=1.3, hubble=0.05)
-    ramp_traj = evolve(free_ground_state(small, 0.7, a_val=0.7), ramp,
-                       (0.0, ramp.eta_clamp + 10.0), 1e-3, sample_every=10**9)
+    ramp_span = (0.0, ramp.eta_clamp + 10.0)
+    ramp_traj = evolve_adaptive(free_ground_state(small, 0.7, a_val=0.7), ramp,
+                                ramp_span, step_grid(ramp_span, 1e-3, 10**9)[2],
+                                rtol=REFERENCE_RTOL)
     ramp_max = float(np.max(
         bogoliubov_spectrum(ramp_traj.state(-1), 1.3).beta_sq
     ))
@@ -267,9 +272,9 @@ def test_criterion_6_production_spectra_against_oracles():
     eta = 1.5
     psi = vec_f @ (np.exp(-1j * w_f * eta) * (vec_f.conj().T @ vec_i[:, 0]))
 
-    gauss = evolve(free_ground_state(ed_spec, fo.MA_I),
-                   fo.QuenchProfile(fo.MA_I, fo.MA_F), (0.0, eta), 1e-4,
-                   sample_every=10**9)
+    gauss = evolve_free(free_ground_state(ed_spec, fo.MA_I),
+                        fo.QuenchProfile(fo.MA_I, fo.MA_F),
+                        step_grid((0.0, eta), 1e-4, 10**9)[2])
     gamma = real_space_correlation(gauss.state(-1))
     exact = np.empty_like(gamma)
     for q in range(fo.N_MODES):

@@ -230,10 +230,9 @@ class TestCLI:
     def test_manifest_names_the_propagator_that_ran(self, tmp_path, monkeypatch,
                                                     edit, expected):
         # the rk4 dialect only sets the sample grid: RK4 never steps a run
-        assert not hasattr(pipeline, "evolve")
+        assert not hasattr(pipeline, "evolve") and not hasattr(gaussian, "evolve")
         ran = []
         for module, name, kind in ((pipeline, "evolve_free", "closed_form"),
-                                   (gaussian, "evolve", "rk4"),
                                    (pipeline, "evolve_adaptive", "dop853")):
             def record(*args, _kind=kind, _func=getattr(module, name), **kwargs):
                 ran.append(_kind)
@@ -297,10 +296,21 @@ class TestCLI:
         (lambda t: t.replace("{kind: quench, a_0: 0.01, a_f: 10.0}",
                              "{kind: tabulated, samples: [[0.0, 1.0], [2.0, yes]]}"),
          "profile.samples"),
+        # a quench to the mass it starts from used to pass check and then die
+        # in mass_quench_prepare with a traceback naming no field
+        (lambda t: t + "preparation: {kind: mass_quench, m_pre: 1.0}\n",
+         "preparation.m_pre"),
+        # an rtol below DOP853's floor used to run at the floor, exit 0, and
+        # leave the asked-for value in the manifest
+        (lambda t: t.replace("deta: 1.0e-3, sample_every: 200",
+                             "method: adaptive, rtol: -1.0"), "evolution.rtol"),
+        (lambda t: t.replace("deta: 1.0e-3, sample_every: 200",
+                             "method: adaptive, rtol: 1.0e-15"), "evolution.rtol"),
     ], ids=["deta_nan", "mass_nan", "mass_typo", "symmetry_a_f_nan", "time_stride_0",
             "symmetry_a_f_below_a_0", "symmetry_a_f_equal_a_0", "hubble_inf",
             "mass_bool", "eta_span_bools", "sample_every_bool", "block_length_bool",
-            "hubble_bool", "tabulated_sample_bool"])
+            "hubble_bool", "tabulated_sample_bool", "m_pre_equal_mass",
+            "rtol_negative", "rtol_below_floor"])
     def test_bad_fields_exit_1_before_evolving(self, tmp_path, capsys, edit, field):
         # each of these used to evolve (or start to) and then die with a
         # traceback, blame the step size, or run with the field ignored

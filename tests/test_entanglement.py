@@ -14,9 +14,12 @@ from cosmodirac.entanglement import (
     front_slope,
 )
 from cosmodirac.gaussian import (
-    evolve,
+    REFERENCE_RTOL,
+    evolve_adaptive,
+    evolve_free,
     free_ground_state,
     real_space_correlation,
+    step_grid,
 )
 from cosmodirac.lattice import ExponentialProfile, LatticeSpec, QuenchProfile
 
@@ -53,8 +56,8 @@ class TestEntropy:
     def test_contour_sums_to_block_entropy(self):
         spec = LatticeSpec(num_sites=32, mass=1.0)
         state = free_ground_state(spec, 0.01, a_val=0.01)
-        traj = evolve(state, QuenchProfile(0.01, 10.0), (0.0, 3.0), 1e-3,
-                      sample_every=10**9)
+        traj = evolve_free(state, QuenchProfile(0.01, 10.0),
+                           step_grid((0.0, 3.0), 1e-3, 10**9)[2])
         gamma = real_space_correlation(traj.state(-1))
         blk = BlockSpec.centered(10, 32)
         contour = entanglement_contour(gamma, blk)
@@ -103,8 +106,8 @@ class TestContourField:
         # Pi = 0 evolution: site contour symmetric about the block center
         spec = LatticeSpec(num_sites=48, mass=1.0)
         state = free_ground_state(spec, 0.01, a_val=0.01)
-        traj = evolve(state, QuenchProfile(0.01, 10.0), (0.0, 4.0), 1e-3,
-                      sample_every=1000)
+        traj = evolve_free(state, QuenchProfile(0.01, 10.0),
+                           step_grid((0.0, 4.0), 1e-3, 1000)[2])
         field = contour_trajectory(traj, BlockSpec.centered(16, 48))
         summed = field.spinor_summed()
         assert np.max(np.abs(summed - summed[:, ::-1])) < 1e-10
@@ -114,8 +117,9 @@ class TestContourField:
         # for blocks at both chain edges and in the middle
         spec = LatticeSpec(num_sites=32, mass=-1.0, coupling=3.0)
         state = free_ground_state(spec, -0.4, a_val=0.5)
-        traj = evolve(state, ExponentialProfile(0.5, 1.5, hubble=1.0), (0.0, 2.0),
-                      1e-2, sample_every=40)
+        traj = evolve_adaptive(state, ExponentialProfile(0.5, 1.5, hubble=1.0),
+                               (0.0, 2.0), step_grid((0.0, 2.0), 1e-2, 40)[2],
+                               rtol=REFERENCE_RTOL)
         assert len(traj.etas) == 6
         for blk in (BlockSpec(0, 9, 32), BlockSpec(23, 9, 32),
                     BlockSpec.centered(12, 32), BlockSpec(0, 32, 32)):
@@ -127,8 +131,8 @@ class TestContourField:
     def test_shape_validation_and_time_stride(self):
         spec = LatticeSpec(num_sites=16, mass=1.0)
         state = free_ground_state(spec, 0.01, a_val=0.01)
-        traj = evolve(state, QuenchProfile(0.01, 10.0), (0.0, 1.0), 1e-3,
-                      sample_every=100)
+        traj = evolve_free(state, QuenchProfile(0.01, 10.0),
+                           step_grid((0.0, 1.0), 1e-3, 100)[2])
         field = contour_trajectory(traj, BlockSpec.centered(8, 16), time_stride=4)
         assert field.etas[-1] == traj.etas[-1]  # final slice always kept
         assert field.times is not None and field.times.shape == field.etas.shape

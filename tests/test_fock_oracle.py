@@ -13,10 +13,10 @@ import pytest
 
 from cosmodirac.entanglement import BlockSpec, block_entropy, entanglement_contour
 from cosmodirac.gaussian import (
-    evolve,
     evolve_free,
     free_ground_state,
     real_space_correlation,
+    step_grid,
 )
 from cosmodirac.lattice import LatticeSpec, QuenchProfile, hamiltonian_block
 from cosmodirac.production import bogoliubov_spectrum
@@ -135,8 +135,8 @@ class TestGroundState:
 @pytest.fixture(scope="module")
 def evolved(fock):
     state = free_ground_state(fock["spec"], MA_I)
-    return evolve(state, QuenchProfile(MA_I, MA_F), (0.0, 1.5), 1e-4,
-                  sample_every=5000)
+    return evolve_free(state, QuenchProfile(MA_I, MA_F),
+                       step_grid((0.0, 1.5), 1e-4, 5000)[2])
 
 
 class TestQuenchDynamics:

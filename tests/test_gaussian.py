@@ -6,15 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from rk4_reference import _reference_field, _reference_rk4, reference_final_state
+
 from cosmodirac.entanglement import BlockSpec
 from cosmodirac.gaussian import (
+    REFERENCE_RTOL,
     ConvergenceError,
     CorrelationState,
     DegenerateGroundStateError,
     StepSizeError,
     blocks_from_bloch,
     condensates,
-    evolve,
     evolve_adaptive,
     evolve_free,
     free_ground_state,
@@ -121,8 +123,8 @@ class TestEvolution:
     def test_purity_and_trace_conserved(self):
         spec = LatticeSpec(num_sites=64, mass=1.0)
         state = free_ground_state(spec, 0.01, a_val=0.01)
-        traj = evolve(state, QuenchProfile(0.01, 10.0), (0.0, 5.0), 5e-4,
-                      sample_every=1000)
+        traj = evolve_free(state, QuenchProfile(0.01, 10.0),
+                           step_grid((0.0, 5.0), 5e-4, 1000)[2])
         states = [traj.state(i) for i in range(len(traj.etas))]
         assert max(s.purity_defect() for s in states) < 1e-10
         # total charge: tr Gamma = N_S at half filling
@@ -137,8 +139,9 @@ class TestEvolution:
         state, _ = self_consistent_ground_state(spec, 0.7)
         state = state.copy()
         state.a_val = 1.3
-        traj = evolve(state, StaticProfile(a_val=1.3), (0.0, 4.0), 2e-4,
-                      sample_every=2000)
+        traj = evolve_adaptive(state, StaticProfile(a_val=1.3), (0.0, 4.0),
+                               step_grid((0.0, 4.0), 2e-4, 2000)[2],
+                               rtol=REFERENCE_RTOL)
         energies = [mean_field_energy(traj.state(i), -1.3)
                     for i in range(len(traj.etas))]
         drift = np.max(np.abs(np.diff(energies))) / abs(energies[0])
@@ -147,7 +150,8 @@ class TestEvolution:
     def test_vacuum_is_stationary(self):
         spec = LatticeSpec(num_sites=32, mass=1.0, coupling=2.0)
         state, _ = self_consistent_ground_state(spec, 1.0)
-        traj = evolve(state.copy(), StaticProfile(a_val=1.0), (0.0, 2.0), 1e-3)
+        traj = evolve_adaptive(state.copy(), StaticProfile(a_val=1.0), (0.0, 2.0),
+                               step_grid((0.0, 2.0), 1e-3)[2], rtol=REFERENCE_RTOL)
         assert np.max(np.abs(traj.bloch[-1] - state.bloch)) < 1e-8
 
     def test_adaptive_matches_fixed_step(self):
@@ -156,46 +160,27 @@ class TestEvolution:
         state = state.copy()
         state.a_val = 1.3
         prof = QuenchProfile(0.7, 1.3)
-        fixed = evolve(state.copy(), prof, (0.0, 3.0), 1e-4, sample_every=30000)
+        fixed = reference_final_state(state, prof, (0.0, 3.0), 1e-4)
         adaptive = evolve_adaptive(state.copy(), prof, (0.0, 3.0),
                                    sample_etas=[0.0, 3.0])
-        assert np.max(np.abs(fixed.bloch[-1] - adaptive.bloch[-1])) < 1e-8
-
-    def test_large_step_raises_step_size_error(self):
-        spec = LatticeSpec(num_sites=32, mass=1.0)
-        state = free_ground_state(spec, 0.01, a_val=0.01)
-        with pytest.raises(StepSizeError):
-            evolve(state, QuenchProfile(0.01, 10.0), (0.0, 5.0), 0.3)
-
-    def test_diverged_run_fails_the_purity_gate(self):
-        # RK4 at deta = 1 after a quench to a_f = 1e3 overflows to NaN; a
-        # NaN defect must fail the gate, not compare False against it
-        spec = LatticeSpec(num_sites=16, mass=1.0)
-        state = free_ground_state(spec, 0.01, a_val=0.01)
-        with np.errstate(all="ignore"), pytest.raises(StepSizeError, match="nan"):
-            evolve(state, QuenchProfile(0.01, 1e3), (0.0, 200.0), 1.0,
-                   sample_every=50)
+        assert np.max(np.abs(fixed.bloch - adaptive.bloch[-1])) < 1e-8
 
     def test_step_longer_than_the_span_takes_one_step(self):
         # ceil(span/deta - 1e-12) is 0 once deta >= 1e12 span: a division by zero
         h, steps, etas = step_grid((0.0, 1.0), 1e13)
         assert (h, steps.tolist(), etas.tolist()) == (1.0, [0, 1], [0.0, 1.0])
-        spec = LatticeSpec(num_sites=8, mass=1.0)
-        state = free_ground_state(spec, 1.0)
-        traj = evolve(state, StaticProfile(), (0.0, 1.0), 1e13, purity_tol=np.inf)
-        assert list(traj.etas) == [0.0, 1.0]
 
     @pytest.mark.parametrize("deta, n_steps", [(16666.67, 6), (5263.2, 19)])
     def test_times_rounded_past_the_span_are_clamped(self, deta, n_steps):
-        # n h with h = 1e5/n can round past 1e5: in the last end stage for
-        # six steps, in the last sample time for 19; the tabulated domain
-        # allows only 1e-12 of slack
+        # n h with h = 1e5/n can round past 1e5, in the last sample time for
+        # 19 steps; the tabulated domain allows only 1e-12 of slack, so the
+        # grid clamps it and the solve never asks for a time past the span
         h, steps, etas = step_grid((0.0, 1e5), deta)
         assert steps[-1] == n_steps and etas[-1] == 1e5
         spec = LatticeSpec(num_sites=4, spacing=1e6, mass=1e-6, coupling=1.0)
         state = free_ground_state(spec, 1e-6)
         profile = TabulatedProfile((0.0, 1e5), (1.0, 1.0))
-        traj = evolve(state, profile, (0.0, 1e5), deta)
+        traj = evolve_adaptive(state, profile, (0.0, 1e5), etas, rtol=REFERENCE_RTOL)
         assert np.array_equal(traj.etas, etas)
         assert np.all(np.isfinite(traj.bloch))
 
@@ -203,9 +188,11 @@ class TestEvolution:
         spec = LatticeSpec(num_sites=8, mass=1.0)
         state = free_ground_state(spec, 1.0)
         with pytest.raises(ValueError):
-            evolve(state, StaticProfile(), (1.0, 0.0), 1e-3)
+            step_grid((1.0, 0.0), 1e-3)
         with pytest.raises(ValueError):
-            evolve(state, StaticProfile(), (0.0, 1.0), -1e-3)
+            step_grid((0.0, 1.0), -1e-3)
+        with pytest.raises(ValueError):
+            evolve_adaptive(state, StaticProfile(), (1.0, 0.0), [1.0])
 
 
 class TestRealSpace:
@@ -242,8 +229,8 @@ class TestRealSpace:
         block = BlockSpec(min(start, num_sites - length), length, num_sites)
         spec = LatticeSpec(num_sites=num_sites, mass=1.0, coupling=coupling)
         state = free_ground_state(spec, 0.3, a_val=0.5)
-        state = evolve(state, QuenchProfile(0.5, 1.5), (0.0, 1.0), 1.0 / n_steps,
-                       sample_every=n_steps, purity_tol=np.inf).state(-1)
+        state = reference_final_state(state, QuenchProfile(0.5, 1.5), (0.0, 1.0),
+                                      1.0 / n_steps)
         rows = block.row_indices()
         dense = real_space_correlation(state)
         assert np.array_equal(real_space_correlation(state, block),
@@ -253,46 +240,6 @@ class TestRealSpace:
 # ---------------------------------------------------------------------------
 # Bit identity against the plain per-step formulation
 # ---------------------------------------------------------------------------
-
-
-def _reference_field(spec, profile):
-    """d n_k/d eta for (N_S, 3) Bloch vectors, one numpy expression per term."""
-    ks = spec.momentum_grid()
-    a = spec.spacing
-    sin_term = -np.sin(ks * a) / a
-    wilson_term = (1.0 - np.cos(ks * a)) / a
-    pref = spec.coupling / (2.0 * a * spec.num_sites)
-
-    def rhs(eta, n):
-        sig = -pref * np.sum(n[:, 2])
-        pi = pref * np.sum(n[:, 1])
-        bz = spec.mass * float(profile.scale_factor(eta)) + sig + wilson_term
-        nx, ny, nz = n[:, 0], n[:, 1], n[:, 2]
-        return np.stack([2.0 * (pi * nz - bz * ny), 2.0 * (bz * nx - sin_term * nz),
-                         2.0 * (sin_term * ny - pi * nx)], axis=-1)
-
-    return rhs
-
-
-def _reference_rk4(initial, profile, eta_span, deta, sample_every):
-    rhs = _reference_field(initial.spec, profile)
-    eta0, eta1 = eta_span
-    n_steps = int(np.ceil((eta1 - eta0) / deta - 1e-12))
-    h = (eta1 - eta0) / n_steps
-    n, eta = initial.bloch.copy(), eta0
-    etas, blochs = [eta0], [n]
-    for step in range(n_steps):
-        k1 = rhs(eta, n)
-        k2 = rhs(eta + 0.5 * h, n + 0.5 * h * k1)
-        k3 = rhs(eta + 0.5 * h, n + 0.5 * h * k2)
-        k4 = rhs(eta + h, n + h * k3)
-        n = n + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # the last sample time can round past eta1; it is clamped there
-        eta = min(eta0 + (step + 1) * h, eta1)
-        if ((step + 1) % sample_every == 0 or step == n_steps - 1) and etas[-1] < eta:
-            etas.append(eta)
-            blochs.append(n)
-    return np.array(etas), blochs
 
 
 def _reference_condensates(spec, n):
@@ -335,18 +282,6 @@ def _quenched_vacuum(num_sites, coupling, mass):
 class TestBitIdentity:
     """The in-place block-field kernel reproduces the per-step formulation."""
 
-    @settings(max_examples=30, deadline=None)
-    @given(n_steps=st.integers(30, 700), sample_every=st.integers(1, 300),
-           **BIT_IDENTITY_CASES)
-    def test_rk4(self, num_sites, coupling, mass, kind, n_steps, sample_every):
-        spec, state = _quenched_vacuum(num_sites, coupling, mass)
-        profile = BIT_IDENTITY_PROFILES[kind]
-        deta = 3.0 / n_steps
-        traj = evolve(state.copy(), profile, (0.0, 3.0), deta,
-                      sample_every=sample_every, purity_tol=np.inf)
-        etas, blochs = _reference_rk4(state, profile, (0.0, 3.0), deta, sample_every)
-        _assert_trajectory_equals(traj, etas, blochs, spec, profile)
-
     @settings(max_examples=15, deadline=None)
     @given(**BIT_IDENTITY_CASES)
     def test_dop853(self, num_sites, coupling, mass, kind):
@@ -354,7 +289,7 @@ class TestBitIdentity:
         profile = BIT_IDENTITY_PROFILES[kind]
         sample_etas = np.linspace(0.0, 1.0, 5)
         traj = evolve_adaptive(state.copy(), profile, (0.0, 1.0),
-                               sample_etas=sample_etas, purity_tol=np.inf)
+                               sample_etas=sample_etas)
         rhs = _reference_field(spec, profile)
         sol = solve_ivp(lambda eta, y: rhs(eta, y.reshape(-1, 3)).ravel(), (0.0, 1.0),
                         state.bloch.ravel().copy(), method="DOP853", t_eval=sample_etas,
@@ -364,7 +299,7 @@ class TestBitIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form free evolution against RK4
+# Closed-form free evolution against the reference RK4
 # ---------------------------------------------------------------------------
 
 
@@ -385,10 +320,9 @@ class TestClosedForm:
         span = (0.0, 2.0)
         gaps = []
         for n in (n_steps, 2 * n_steps):
-            rk4 = evolve(state.copy(), profile, span, 2.0 / n, sample_every=n // 4)
-            exact = evolve_free(state.copy(), profile, rk4.etas)
-            assert np.array_equal(exact.etas, rk4.etas)
-            gaps.append(np.max(np.abs(exact.bloch - rk4.bloch)))
+            etas, blochs = _reference_rk4(state, profile, span, 2.0 / n, n // 4)
+            exact = evolve_free(state.copy(), profile, etas)
+            gaps.append(np.max(np.abs(exact.bloch - np.array(blochs))))
         # RK4 turns n by w h - (w h)^5/120 per step, w = 2|b_k|
         omega = 2.0 * np.max(np.linalg.norm(
             bloch_vector(spec.momentum_grid(), mass * a_val, 0.0, 0.0), axis=-1))
@@ -400,14 +334,14 @@ class TestClosedForm:
         # RK4 across the jump in a is only first-order accurate there, so
         # the reference is one RK4 run per side, the switch on the step grid
         spec, state = _quenched_vacuum(32, 0.0, -1.0)
-        before = evolve(state.copy(), StaticProfile(0.5), (0.0, 1.0), 1e-3,
-                        sample_every=100)
-        after = evolve(before.state(-1), StaticProfile(1.5), (1.0, 3.0), 1e-3,
-                       sample_every=100)
-        etas = np.concatenate([before.etas, after.etas[1:]])
+        before_etas, before = _reference_rk4(state, StaticProfile(0.5), (0.0, 1.0),
+                                             1e-3, 100)
+        after_etas, after = _reference_rk4(CorrelationState(spec, before[-1]),
+                                           StaticProfile(1.5), (1.0, 3.0), 1e-3, 100)
+        etas = np.concatenate([before_etas, after_etas[1:]])
         exact = evolve_free(state.copy(), QuenchProfile(0.5, 1.5, eta_switch=1.0),
                             etas)
-        chained = np.concatenate([before.bloch, after.bloch[1:]])
+        chained = np.array(before + after[1:])
         assert np.max(np.abs(exact.bloch - chained)) < 1e-10
         assert np.array_equal(exact.a_vals, np.where(etas < 1.0, 0.5, 1.5))
 
@@ -423,12 +357,9 @@ class TestClosedForm:
         spec, state = _quenched_vacuum(8, 0.0, 1.0)
         profile = QuenchProfile(0.5, 1.5, eta_switch=eta0 + 0.5 * length)
         span = (eta0, eta0 + length)
-        rk4 = evolve(state.copy(), profile, span, deta, sample_every=sample_every,
-                     purity_tol=np.inf)
         _, steps, etas = step_grid(span, deta, sample_every)
         exact = evolve_free(state.copy(), profile, etas)
-        assert np.array_equal(exact.etas, rk4.etas)
-        assert np.array_equal(exact.a_vals, rk4.a_vals)
+        assert np.array_equal(exact.etas, etas)
         assert np.array_equal(exact.bloch[0], state.bloch)
         # the first time is eta0 as given, down to the sign of a zero
         assert np.signbit(etas[0]) == np.signbit(eta0)
@@ -444,7 +375,7 @@ class TestClosedForm:
         spec, state = _quenched_vacuum(8, 0.0, 1.0)
         profile = QuenchProfile(0.5, 1.5, eta_switch=0.5 * (span[0] + span[1]))
         dop853 = evolve_adaptive(state.copy(), profile, span,
-                                 sample_grid(span, n_samples), purity_tol=np.inf)
+                                 sample_grid(span, n_samples))
         exact = evolve_free(state.copy(), profile, sample_grid(span, n_samples))
         assert np.array_equal(exact.etas, dop853.etas)
         assert np.array_equal(exact.a_vals, dop853.a_vals)
@@ -459,3 +390,56 @@ class TestClosedForm:
         with np.errstate(invalid="ignore"), pytest.raises(StepSizeError, match="nan"):
             state.bloch[0] = np.nan
             evolve_free(state, StaticProfile(), [0.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# Invariants of the two propagators
+# ---------------------------------------------------------------------------
+
+
+def _unit_defect(traj):
+    """max over samples and momenta of ||n_k| - 1|."""
+    return np.max(np.abs(np.linalg.norm(traj.bloch, axis=-1) - 1.0))
+
+
+class TestPropagatorInvariants:
+    """What the exact flow keeps, on the closed form and on DOP853."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(num_sites=st.integers(1, 32).map(lambda half: 2 * half),
+           mass=st.sampled_from([1.0, -1.0]), a_val=st.floats(0.6, 2.0),
+           switch=st.one_of(st.none(), st.floats(0.0, 100.0)))
+    def test_closed_form_keeps_unit_bloch_vectors(self, num_sites, mass, a_val,
+                                                  switch):
+        # a rotation keeps |n_k| to rounding, however far it turns
+        spec, state = _quenched_vacuum(num_sites, 0.0, mass)
+        profile = (StaticProfile(a_val) if switch is None
+                   else QuenchProfile(0.5, a_val, eta_switch=switch))
+        traj = evolve_free(state, profile, np.linspace(0.0, 100.0, 41))
+        assert _unit_defect(traj) <= 1e-13
+
+    @settings(max_examples=20, deadline=None)
+    @given(**BIT_IDENTITY_CASES)
+    def test_dop853_keeps_unit_bloch_vectors(self, num_sites, coupling, mass, kind):
+        spec, state = _quenched_vacuum(num_sites, coupling, mass)
+        traj = evolve_adaptive(state, BIT_IDENTITY_PROFILES[kind], (0.0, 3.0),
+                               np.linspace(0.0, 3.0, 7), rtol=REFERENCE_RTOL)
+        assert _unit_defect(traj) <= 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(**BIT_IDENTITY_CASES)
+    def test_dop853_keeps_pi_zero_and_the_k_parity(self, num_sites, coupling, mass,
+                                                   kind):
+        # with Pi = 0 the field (-sin ka / a, 0, m a + Sigma + (1 - cos ka)/a)
+        # is (odd, 0, even) in k, so 2 b x n keeps n_x and n_y odd and n_z
+        # even, and Pi, a sum of n_y, stays 0.  Self-partner modes (k = 0, -pi)
+        # must keep n_x = n_y = 0, which DOP853 holds only to its atol.
+        spec, state = _quenched_vacuum(num_sites, coupling, mass)
+        assert condensates(state).pi == 0.0
+        traj = evolve_adaptive(state, BIT_IDENTITY_PROFILES[kind], (0.0, 3.0),
+                               np.linspace(0.0, 3.0, 7), rtol=REFERENCE_RTOL)
+        partner = (-np.arange(num_sites)) % num_sites  # the grid index of -k
+        n, mirrored = traj.bloch, traj.bloch[:, partner]
+        assert np.max(np.abs(traj.pi)) <= 1e-9
+        assert np.max(np.abs(n[..., :2] + mirrored[..., :2])) <= 1e-9
+        assert np.max(np.abs(n[..., 2] - mirrored[..., 2])) <= 1e-9

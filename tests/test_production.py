@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from cosmodirac.gaussian import (
+    REFERENCE_RTOL,
     StepSizeError,
-    evolve,
+    evolve_adaptive,
+    evolve_free,
     free_ground_state,
+    step_grid,
 )
 from cosmodirac.lattice import (
     ExponentialProfile,
@@ -57,8 +60,9 @@ class TestSpectrum:
         spec = LatticeSpec(num_sites=32, mass=1.0)
         prof = ExponentialProfile(a_0=0.7, a_f=1.3, hubble=0.05)
         state = free_ground_state(spec, 0.7, a_val=0.7)
-        traj = evolve(state, prof, (0.0, prof.eta_clamp + 20.0), 1e-3,
-                      sample_every=10**9)
+        span = (0.0, prof.eta_clamp + 20.0)
+        traj = evolve_adaptive(state, prof, span, step_grid(span, 1e-3, 10**9)[2],
+                               rtol=REFERENCE_RTOL)
         out = bogoliubov_spectrum(traj.state(-1), 1.3)
         assert np.max(out.beta_sq) < 1e-3
 
@@ -119,7 +123,7 @@ class TestDerivedQuantities:
     def test_quench_spectrum_symmetric_without_parity_breaking(self):
         spec = LatticeSpec(num_sites=64, mass=1.0)
         state = free_ground_state(spec, 0.01, a_val=0.01)
-        traj = evolve(state, QuenchProfile(0.01, 10.0), (0.0, 2.0), 5e-4,
-                      sample_every=10**9)
+        traj = evolve_free(state, QuenchProfile(0.01, 10.0),
+                           step_grid((0.0, 2.0), 5e-4, 10**9)[2])
         out = bogoliubov_spectrum(traj.state(-1), 10.0)
         assert spectrum_asymmetry(out) < 1e-12

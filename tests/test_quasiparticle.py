@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cosmodirac.gaussian import Trajectory, evolve, free_ground_state
+from cosmodirac.gaussian import Trajectory, evolve_free, free_ground_state, step_grid
 from cosmodirac.lattice import LatticeSpec, QuenchProfile, band_velocity
 from cosmodirac.production import bogoliubov_spectrum, mode_pair_entropy
 from cosmodirac.quasiparticle import (
@@ -118,8 +118,8 @@ class TestEquilibrationGate:
     def test_free_quench_returns_bare_group_velocity(self):
         spec = LatticeSpec(num_sites=64, mass=-1.0, coupling=0.0)
         state = free_ground_state(spec, -0.7, a_val=0.7)
-        traj = evolve(state, QuenchProfile(0.7, 1.3), (0.0, 10.0), 1e-3,
-                      sample_every=100)
+        traj = evolve_free(state, QuenchProfile(0.7, 1.3),
+                           step_grid((0.0, 10.0), 1e-3, 100)[2])
         v = renormalized_velocity(traj, spec, 1.3, (5.0, 10.0))
         assert v == pytest.approx(0.3, abs=1e-9)  # |ma_f + 1| = 0.3
 

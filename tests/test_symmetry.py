@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rk4_reference import reference_final_state
+
 from cosmodirac import symmetry
 from cosmodirac.entanglement import BlockSpec, ContourField, contour_trajectory
-from cosmodirac.gaussian import (REFERENCE_RTOL, condensates, evolve, evolve_adaptive,
-                                  free_ground_state, self_consistent_ground_state)
+from cosmodirac.gaussian import (REFERENCE_RTOL, condensates, evolve_adaptive,
+                                  evolve_free, free_ground_state,
+                                  self_consistent_ground_state, step_grid)
 from cosmodirac.lattice import (ExponentialProfile, LatticeSpec, QuenchProfile,
                                 StaticProfile)
 from cosmodirac.production import bogoliubov_spectrum, spectrum_asymmetry
@@ -94,8 +97,8 @@ class TestContourCP:
     def test_real_quench_field_respects_cp(self):
         spec = LatticeSpec(num_sites=32, mass=1.0)
         state = free_ground_state(spec, 0.01, a_val=0.01)
-        traj = evolve(state, QuenchProfile(0.01, 10.0), (0.0, 3.0), 1e-3,
-                      sample_every=500)
+        traj = evolve_free(state, QuenchProfile(0.01, 10.0),
+                           step_grid((0.0, 3.0), 1e-3, 500)[2])
         field = contour_trajectory(traj, BlockSpec.centered(12, 32))
         assert contour_cp_check(field) < 1e-10
 
@@ -113,8 +116,8 @@ def rk4_sweep_states():
         states[hubble] = vacuum
         if hubble < symmetry.QUENCH_LIMIT_HUBBLE:
             profile = ExponentialProfile(a_0=a_0, a_f=a_f, hubble=hubble)
-            states[hubble] = evolve(vacuum, profile, (0.0, profile.eta_clamp),
-                                    1e-4).state(-1)
+            states[hubble] = reference_final_state(
+                vacuum, profile, (0.0, profile.eta_clamp), 1e-4)
     return spec, a_0, a_f, states
 
 
