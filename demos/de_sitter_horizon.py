@@ -46,7 +46,7 @@ field = contour_trajectory(traj, BlockSpec.centered(BLOCK, N_SITES))
 
 # dressed group velocity averaged over the run
 vs = [
-    group_velocity(spec.mass * a + sigma, 0.0, pi, spec.spacing)
+    group_velocity(spec.mass * a + sigma, 0.0, pi)
     for a, sigma, pi in zip(traj.a_vals, traj.sigma, traj.pi)
 ]
 v_bar = np.trapezoid(vs, traj.etas) / (traj.etas[-1] - traj.etas[0])

@@ -40,7 +40,7 @@ A_0, A_F = 0.01, 10.0
 ETA_END = 30.0
 
 spec = LatticeSpec(num_sites=N_SITES, mass=1.0)
-vacuum = free_ground_state(spec, spec.mass * A_0, a_val=A_0)
+vacuum = free_ground_state(spec, spec.mass * A_0)
 
 print(f"evolving {N_SITES} sites to eta = {ETA_END} ...")
 # g = 0 and a constant after the switch, so each sample is an exact
@@ -57,7 +57,7 @@ measured = np.array(
 
 # quasi-particle prediction from the production spectrum
 spectrum = bogoliubov_spectrum(traj.state(-1), spec.mass * A_F)
-qp = qp_input_from_spectrum(spectrum, spec, float(BLOCK))
+qp = qp_input_from_spectrum(spectrum, float(BLOCK))
 predicted = np.array([qp_entropy(qp, e) for e in etas])
 
 print(f"plateau prediction: {qp_plateau(qp):.3f} nats")

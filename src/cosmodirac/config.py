@@ -144,15 +144,14 @@ class RunConfig:
 
 def _build_lattice(section) -> LatticeSpec:
     path = "lattice"
-    _reject_unknown(section, ("num_sites", "spacing", "mass", "coupling"), path)
+    _reject_unknown(section, ("num_sites", "mass", "coupling"), path)
     n = _require(section, "num_sites", path, (int,))
-    spacing = _number(section, "spacing", path, 1.0)
     mass = _number(section, "mass", path, 0.0)
     coupling = _number(section, "coupling", path, 0.0)
     if coupling < 0:
         raise ConfigError("lattice.coupling", "must be nonnegative")
     try:
-        return LatticeSpec(num_sites=n, spacing=spacing, mass=mass, coupling=coupling)
+        return LatticeSpec(num_sites=n, mass=mass, coupling=coupling)
     except ValueError as exc:
         raise ConfigError("lattice", str(exc)) from exc
 

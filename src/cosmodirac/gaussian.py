@@ -63,16 +63,13 @@ class CorrelationState:
     spec : LatticeSpec
     bloch : (N_S, 3) float array
         Bloch vectors n_k; Gamma_k = (1 + n_k . sigma)/2.
-    eta : float
-        Conformal time of the snapshot.
-    a_val : float
-        Scale-factor value at the snapshot.
+
+    A snapshot's time and scale factor live in the :class:`Trajectory`
+    it came from.
     """
 
     spec: LatticeSpec
     bloch: np.ndarray
-    eta: float = 0.0
-    a_val: float = 1.0
 
     @property
     def blocks(self) -> np.ndarray:
@@ -84,7 +81,7 @@ class CorrelationState:
         return float(_purity_defects(self.bloch))
 
     def copy(self) -> "CorrelationState":
-        return CorrelationState(self.spec, self.bloch.copy(), self.eta, self.a_val)
+        return CorrelationState(self.spec, self.bloch.copy())
 
 
 def blocks_from_bloch(n: np.ndarray) -> np.ndarray:
@@ -129,8 +126,7 @@ class Trajectory:
 
     def state(self, i) -> CorrelationState:
         """Sample ``i`` as a :class:`CorrelationState` viewing ``bloch[i]``."""
-        return CorrelationState(self.spec, self.bloch[i], float(self.etas[i]),
-                                float(self.a_vals[i]))
+        return CorrelationState(self.spec, self.bloch[i])
 
     def purity_defect(self) -> float:
         """The worst :meth:`CorrelationState.purity_defect` over the samples."""
@@ -148,25 +144,23 @@ def _condensate_sums(bloch, spec: LatticeSpec):
     A C-contiguous stack has each state's k axis summed pairwise, exactly
     as for that state alone.
     """
-    pref = spec.coupling / (2.0 * spec.spacing * spec.num_sites)
+    pref = spec.coupling / (2.0 * spec.num_sites)
     return -pref * np.sum(bloch[..., 2], axis=-1), pref * np.sum(bloch[..., 1], axis=-1)
 
 
 def condensates(state: CorrelationState) -> CondensatePair:
     """Scalar and pseudo-scalar condensates of a state.
 
-    Sigma = g0^2/(2 a N_S) sum_k [Tr(gamma0) - Tr(Gamma_k gamma0)]
-          = -g0^2/(2 a N_S) sum_k n_{k,z},
-    Pi    = i g0^2/(2 a N_S) sum_k [Tr(gamma1) - Tr(Gamma_k gamma1)]
-          =  g0^2/(2 a N_S) sum_k n_{k,y}.
+    Sigma = g0^2/(2 N_S) sum_k [Tr(gamma0) - Tr(Gamma_k gamma0)]
+          = -g0^2/(2 N_S) sum_k n_{k,z},
+    Pi    = i g0^2/(2 N_S) sum_k [Tr(gamma1) - Tr(Gamma_k gamma1)]
+          =  g0^2/(2 N_S) sum_k n_{k,y}.
     """
     sigma, pi = _condensate_sums(state.bloch, state.spec)
     return CondensatePair(sigma=float(sigma), pi=float(pi))
 
 
-def free_ground_state(
-    spec: LatticeSpec, ma_eff, sigma=0.0, pi=0.0, eta=0.0, a_val=1.0
-) -> CorrelationState:
+def free_ground_state(spec: LatticeSpec, ma_eff, sigma=0.0, pi=0.0) -> CorrelationState:
     """Dirac-sea ground state of h_k(ma_eff, sigma, pi) on the grid.
 
     Each block is the rank-1 projector onto the positive-energy
@@ -174,20 +168,20 @@ def free_ground_state(
     n_k = b_k / |b_k|.
     """
     ks = spec.momentum_grid()
-    b = bloch_vector(ks, ma_eff, sigma, pi, spec.spacing)
+    b = bloch_vector(ks, ma_eff, sigma, pi)
     eps = np.linalg.norm(b, axis=-1)
     if np.any(eps < 1e-12):
         bad = ks[eps < 1e-12]
         raise DegenerateGroundStateError(
             f"gap closes at k = {bad}; ground state degenerate"
         )
-    return CorrelationState(spec, b / eps[:, None], eta=eta, a_val=a_val)
+    return CorrelationState(spec, b / eps[:, None])
 
 
 def total_energy(state: CorrelationState, ma_eff, sigma=0.0, pi=0.0) -> float:
     """sum_k <psi_k^dag h_k psi_k> = sum_k [Tr h_k - Tr(Gamma_k h_k)]."""
     ks = state.spec.momentum_grid()
-    b = bloch_vector(ks, ma_eff, sigma, pi, state.spec.spacing)
+    b = bloch_vector(ks, ma_eff, sigma, pi)
     return float(-np.sum(b * state.bloch))
 
 
@@ -195,7 +189,7 @@ def mean_field_energy(state: CorrelationState, ma_eff) -> float:
     """Energy functional whose stationary points are the gap-equation vacua.
 
     E[Gamma] = sum_k [Tr h_k - Tr(Gamma_k h_k)]
-             + (a N_S / g0^2) (Sigma[Gamma]^2 - Pi[Gamma]^2).
+             + (N_S / g0^2) (Sigma[Gamma]^2 - Pi[Gamma]^2).
 
     Its functional derivative reproduces the condensate-dressed block
     h_k(ma_eff + Sigma) - i Pi gamma1, so it is conserved by the
@@ -206,7 +200,7 @@ def mean_field_energy(state: CorrelationState, ma_eff) -> float:
     e = total_energy(state, ma_eff)
     if spec.coupling != 0.0:
         sigma, pi = _condensate_sums(state.bloch, spec)
-        e += (spec.spacing * spec.num_sites / spec.coupling) * (sigma**2 - pi**2)
+        e += (spec.num_sites / spec.coupling) * (sigma**2 - pi**2)
     return float(e)
 
 
@@ -235,8 +229,7 @@ def self_consistent_ground_state(
         raise ValueError("tol must be positive")
     ma_eff = spec.mass * a_val
     if spec.coupling == 0.0:
-        state = free_ground_state(spec, ma_eff, a_val=a_val)
-        return state, CondensatePair(0.0, 0.0)
+        return free_ground_state(spec, ma_eff), CondensatePair(0.0, 0.0)
 
     best = None
     failures = []
@@ -257,7 +250,7 @@ def self_consistent_ground_state(
         if not converged:
             failures.append((pi0, history[-10:]))
             continue
-        state = free_ground_state(spec, ma_eff, sig, pi, a_val=a_val)
+        state = free_ground_state(spec, ma_eff, sig, pi)
         energy = mean_field_energy(state, ma_eff)
         if best is None or energy < best[0] - 1e-12:
             best = (energy, state, CondensatePair(sig, pi))
@@ -278,7 +271,7 @@ def mass_quench_prepare(spec: LatticeSpec, m_pre: float, a_val: float):
     """
     if m_pre == spec.mass:
         raise ValueError("pre-quench mass equals the bare mass: no matter content")
-    pre_spec = LatticeSpec(spec.num_sites, spec.spacing, m_pre, spec.coupling)
+    pre_spec = LatticeSpec(spec.num_sites, m_pre, spec.coupling)
     state, cond = self_consistent_ground_state(pre_spec, a_val)
     state.spec = spec
     return state, cond
@@ -305,8 +298,8 @@ class _BlockField:
 
     Built once per run from the lattice.  The state being differentiated
     sits in a buffer ``v`` of component rows (n_x, n_y, n_z, n_x, n_y) and
-    the field in ``b`` as (b_x, b_y, b_z, b_x, b_y), with b = (-sin(ka)/a, Pi,
-    m a + Sigma + (1 - cos ka)/a).  The repeated rows make the cross
+    the field in ``b`` as (b_x, b_y, b_z, b_x, b_y), with b = (-sin k, Pi,
+    m a + Sigma + 1 - cos k).  The repeated rows make the cross
     product (b x n)_i = b_{i+1} n_{i+2} - b_{i+2} n_{i+1} two shifted
     row slices.  Every view is taken once here, so an evaluation
     allocates no arrays.
@@ -314,11 +307,10 @@ class _BlockField:
 
     def __init__(self, spec: LatticeSpec):
         ks = spec.momentum_grid()
-        a = spec.spacing
-        self.pref = spec.coupling / (2.0 * a * spec.num_sites)
-        self.wilson = (1.0 - np.cos(ks * a)) / a
+        self.pref = spec.coupling / (2.0 * spec.num_sites)
+        self.wilson = 1.0 - np.cos(ks)
         b = np.empty((5, spec.num_sites))
-        b[0::3] = -np.sin(ks * a) / a
+        b[0::3] = -np.sin(ks)
         v = np.empty((5, spec.num_sites))
         self._n, self._wrap_to, self._wrap_from = v[:3], v[3:], v[:2]
         self._ny, self._nz = v[1], v[2]
@@ -405,7 +397,7 @@ def evolve_free(
     """Exact samples of a free run on a static or sudden-quench background.
 
     With g = 0 there are no condensates, and while a(eta) is constant
-    the field b_k = (-sin(ka)/a, 0, m a(eta) + (1 - cos ka)/a) is fixed,
+    the field b_k = (-sin k, 0, m a(eta) + 1 - cos k) is fixed,
     so d n_k/d eta = 2 b_k x n_k rotates n_k rigidly about b_k/|b_k| by
     the angle 2|b_k|(eta - eta_0) (Rodrigues' formula), for all samples
     and momenta at once.  ``initial`` is the state at ``etas[0]``.  A
@@ -435,7 +427,7 @@ def evolve_free(
     for i, (start, a) in enumerate(pieces):
         end = pieces[i + 1][0] if i + 1 < len(pieces) else np.inf
         rows = (etas >= start) & (etas < end)
-        b = bloch_vector(ks, spec.mass * a, 0.0, 0.0, spec.spacing)
+        b = bloch_vector(ks, spec.mass * a, 0.0, 0.0)
         bloch[rows] = _rotate(n, b, etas[rows] - start)
         if i + 1 < len(pieces):
             n = _rotate(n, b, [end - start])[0]
@@ -482,7 +474,9 @@ def evolve_adaptive(
     absolute tolerance is fixed at 1e-12; ``rtol`` sets the accuracy.
 
     Raises :class:`StepSizeError` if the solver fails or the purity defect
-    of any sample exceeds :data:`PURITY_TOL` or is not finite.
+    of any sample exceeds :data:`PURITY_TOL` or is not finite.  The solve
+    stops at the first step whose state passes :data:`PURITY_TOL`, so a
+    runaway state ends the run instead of shrinking the steps without end.
     """
     from scipy.integrate import solve_ivp
 
@@ -500,6 +494,12 @@ def evolve_adaptive(
         field.rate(spec.mass * float(profile.scale_factor(eta)), out)
         return out.T.ravel()
 
+    def turns_impure(eta, y):
+        return PURITY_TOL - _purity_defects(y.reshape(-1, 3))
+
+    turns_impure.terminal = True
+    turns_impure.direction = -1
+
     sol = solve_ivp(
         rhs,
         (eta0, eta1),
@@ -509,9 +509,13 @@ def evolve_adaptive(
         rtol=rtol,
         atol=1e-12,
         dense_output=False,
+        events=turns_impure,
     )
     if not sol.success:
         raise StepSizeError(f"adaptive integration failed: {sol.message}")
+    if sol.status == 1:
+        raise StepSizeError(f"purity defect passed {PURITY_TOL:g} at "
+                            f"eta = {sol.t_events[0][0]:.6g}; tighten rtol")
     # C order, so that the stacked condensate sums equal the per-state ones
     bloch = np.ascontiguousarray(sol.y.T).reshape(len(sol.t), spec.num_sites, 3)
     _purity_gate(sol.t, bloch, "tighten rtol")
@@ -541,7 +545,7 @@ def real_space_correlation(state: CorrelationState, block=None) -> np.ndarray:
     """
     ns = state.spec.num_sites
     blocks = state.blocks  # (N, 2, 2), ordered along the momentum grid
-    # k_n = -pi/a + 2 pi n/(N a):  exp(i k_n d a) = (-1)^d exp(2 pi i n d / N)
+    # k_n = -pi + 2 pi n/N:  exp(i k_n d) = (-1)^d exp(2 pi i n d / N)
     g = np.fft.ifft(blocks, axis=0)  # (N, 2, 2) indexed by separation d
     g *= ((-1.0) ** np.arange(ns))[:, None, None]
     if block is None:

@@ -3,6 +3,11 @@
 Everything here is a pure function of its value inputs: momentum grids,
 gamma matrices, cosmological time from conformal time, 2x2 Hamiltonian
 blocks, and the dispersion relation with its group velocity.
+
+Everything is in lattice units, a = 1: lengths and conformal times count
+sites, and momenta, masses and rates are in 1/a.  A chain whose sites lie
+s apart is this one with m -> m s, H -> H s and every length or time
+l -> l / s.
 """
 
 from __future__ import annotations
@@ -34,36 +39,31 @@ class LatticeSpec:
     num_sites : int
         Number of co-moving sites N_S.  Must be even so that k and -k
         both lie on the momentum grid.
-    spacing : float
-        Lattice spacing a (lattice units).
     mass : float
-        Bare mass m; the dimensionless combination m*a is what enters the
-        Hamiltonian, multiplied by the scale factor.
+        Bare mass m in units of 1/a; the Hamiltonian sees m times the
+        scale factor.
     coupling : float
         Dimensionless four-fermion coupling g0^2.  The scale factor does
         not renormalise it.
     """
 
     num_sites: int
-    spacing: float = 1.0
     mass: float = 0.0
     coupling: float = 0.0
 
     def __post_init__(self):
         if self.num_sites < 2 or self.num_sites % 2 != 0:
             raise ValueError(f"num_sites must be even and >= 2, got {self.num_sites}")
-        if self.spacing <= 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
 
     def momentum_grid(self) -> np.ndarray:
-        """First-Brillouin-zone momenta k_n = -pi/a + 2*pi*n/(N_S*a).
+        """First-Brillouin-zone momenta k_n = -pi + 2*pi*n/N_S.
 
-        The grid is uniform with spacing 2*pi/(N_S*a) and symmetric under
-        k -> -k (identifying -pi/a with +pi/a); index n maps to index
+        The grid is uniform with step 2*pi/N_S and symmetric under
+        k -> -k (identifying -pi with +pi); index n maps to index
         (N_S - n) mod N_S under reflection.
         """
         n = np.arange(self.num_sites)
-        return -np.pi / self.spacing + 2.0 * np.pi * n / (self.num_sites * self.spacing)
+        return -np.pi + 2.0 * np.pi * n / self.num_sites
 
 
 # ---------------------------------------------------------------------------
@@ -252,28 +252,28 @@ def cosmological_time(profile, eta):
 # ---------------------------------------------------------------------------
 
 
-def bloch_vector(k, ma_eff, sigma, pi, a=1.0):
+def bloch_vector(k, ma_eff, sigma, pi):
     """Pauli decomposition h = b . sigma of the 2x2 Hamiltonian block.
 
-    Returns the stacked real field b = (-sin(ka)/a, pi, M_k) with
-    M_k = ma_eff + sigma + (1 - cos(ka))/a; broadcasting over k.
+    Returns the stacked real field b = (-sin k, pi, M_k) with
+    M_k = ma_eff + sigma + 1 - cos k; broadcasting over k.
     """
     k = np.asarray(k, dtype=float)
-    bx = -np.sin(k * a) / a
+    bx = -np.sin(k)
     by = np.broadcast_to(float(pi), k.shape).copy()
-    bz = ma_eff + sigma + (1.0 - np.cos(k * a)) / a
+    bz = ma_eff + sigma + (1.0 - np.cos(k))
     return np.stack([bx, by, np.broadcast_to(bz, k.shape)], axis=-1)
 
 
-def hamiltonian_block(k, ma_eff, sigma=0.0, pi=0.0, a=1.0):
+def hamiltonian_block(k, ma_eff, sigma=0.0, pi=0.0):
     """Single-particle Wilson block(s) h_k, Hermitian and traceless.
 
-    h_k = -(sin ka)/a * gamma0 gamma1
-          + (ma_eff + sigma + (1 - cos ka)/a) * gamma0 - i * pi * gamma1,
-    which in the Pauli basis reads -(sin ka)/a sx + pi sy + M_k sz.
+    h_k = -(sin k) * gamma0 gamma1
+          + (ma_eff + sigma + 1 - cos k) * gamma0 - i * pi * gamma1,
+    which in the Pauli basis reads -(sin k) sx + pi sy + M_k sz.
     A scalar ``k`` yields one 2x2 matrix, an array a stacked (..., 2, 2).
     """
-    b = bloch_vector(k, ma_eff, sigma, pi, a)
+    b = bloch_vector(k, ma_eff, sigma, pi)
     h = np.zeros(b.shape[:-1] + (2, 2), dtype=complex)
     h[..., 0, 0] = b[..., 2]
     h[..., 1, 1] = -b[..., 2]
@@ -282,38 +282,38 @@ def hamiltonian_block(k, ma_eff, sigma=0.0, pi=0.0, a=1.0):
     return h
 
 
-def dispersion(k, ma_eff, sigma=0.0, pi=0.0, a=1.0):
+def dispersion(k, ma_eff, sigma=0.0, pi=0.0):
     """Positive-branch quasi-particle energy eps_k = |b(k)|."""
-    b = bloch_vector(k, ma_eff, sigma, pi, a)
+    b = bloch_vector(k, ma_eff, sigma, pi)
     return np.linalg.norm(b, axis=-1)
 
 
-def band_velocity(k, ma_eff, sigma=0.0, pi=0.0, a=1.0):
+def band_velocity(k, ma_eff, sigma=0.0, pi=0.0):
     """|d eps_k / dk| from the analytic derivative of the dispersion."""
     k = np.asarray(k, dtype=float)
-    s = np.sin(k * a)
-    c = np.cos(k * a)
-    m_k = ma_eff + sigma + (1.0 - c) / a
-    eps = np.sqrt((s / a) ** 2 + m_k**2 + pi**2)
+    s = np.sin(k)
+    c = np.cos(k)
+    m_k = ma_eff + sigma + (1.0 - c)
+    eps = np.sqrt(s**2 + m_k**2 + pi**2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        v = np.where(eps > 0, np.abs(s * c / a + m_k * s) / np.where(eps > 0, eps, 1.0), 0.0)
+        v = np.where(eps > 0, np.abs(s * c + m_k * s) / np.where(eps > 0, eps, 1.0), 0.0)
     return v
 
 
-def group_velocity(ma_eff, sigma=0.0, pi=0.0, a=1.0):
+def group_velocity(ma_eff, sigma=0.0, pi=0.0):
     """v_g = max_k |d eps_k / dk| over the continuous Brillouin zone.
 
     A coarse grid scan locates the global maximum basin, then a bounded
     golden-section refinement nails it; grid-only maxima systematically
     underestimate cone slopes.
     """
-    ks = np.linspace(0.0, np.pi / a, 2049)
-    vs = band_velocity(ks, ma_eff, sigma, pi, a)
+    ks = np.linspace(0.0, np.pi, 2049)
+    vs = band_velocity(ks, ma_eff, sigma, pi)
     i = int(np.argmax(vs))
     lo = ks[max(i - 1, 0)]
     hi = ks[min(i + 1, ks.size - 1)]
     res = minimize_scalar(
-        lambda k: -band_velocity(k, ma_eff, sigma, pi, a),
+        lambda k: -band_velocity(k, ma_eff, sigma, pi),
         bounds=(lo, hi),
         method="bounded",
         options={"xatol": 1e-12},

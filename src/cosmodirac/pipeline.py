@@ -24,7 +24,6 @@ from .gaussian import (
     REFERENCE_RTOL,
     evolve_adaptive,
     evolve_free,
-    free_ground_state,
     mass_quench_prepare,
     real_space_correlation,
     sample_grid,
@@ -127,23 +126,16 @@ def _write_csv(path, header, rows):
 
 def _prepare(config: RunConfig):
     lattice = config.lattice
-    profile = config.profile
-    eta0 = config.eta_span[0]
-    a_start = preparation_scale(profile, eta0)
+    a_start = preparation_scale(config.profile, config.eta_span[0])
     prep = config.preparation
     prep_lattice = lattice
     if prep.get("coupling_pre") is not None:
-        prep_lattice = LatticeSpec(lattice.num_sites, lattice.spacing,
-                                   lattice.mass, prep["coupling_pre"])
+        prep_lattice = LatticeSpec(lattice.num_sites, lattice.mass, prep["coupling_pre"])
     if prep["kind"] == "mass_quench":
         state, _ = mass_quench_prepare(prep_lattice, prep["m_pre"], a_start)
-    elif prep_lattice.coupling == 0.0:
-        state = free_ground_state(prep_lattice, prep_lattice.mass * a_start,
-                                  a_val=a_start)
     else:
         state, _ = self_consistent_ground_state(prep_lattice, a_start)
     state.spec = lattice
-    state.eta = eta0
     return state
 
 
@@ -257,9 +249,13 @@ def _emit_spectrum(traj, lattice, block, opts, directory):
 
 def _emit_qp(traj, lattice, block, opts, directory):
     spectrum = _dressed_spectrum(traj, lattice, opts["window"])
-    qp = qp_input_from_spectrum(spectrum, lattice, block.length * lattice.spacing)
-    eta0 = traj.etas[0]
-    rows = [(float(e), qp_entropy(qp, float(e - eta0))) for e in traj.etas]
+    qp = qp_input_from_spectrum(spectrum, block.length)
+    # pairs are made at the quench: a sudden switch inside the span starts the
+    # clock there, with no entropy before it
+    start = traj.etas[0]
+    if isinstance(traj.profile, QuenchProfile):
+        start = max(start, traj.profile.eta_switch)
+    rows = [(float(e), qp_entropy(qp, max(float(e - start), 0.0))) for e in traj.etas]
     return _write_csv(directory / "entropy_qp.csv", ["eta[a]", "entropy[nats]"], rows)
 
 

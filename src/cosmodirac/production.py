@@ -39,7 +39,7 @@ def bogoliubov_spectrum(state: CorrelationState, ma_eff, sigma=0.0,
     """
     spec = state.spec
     ks = spec.momentum_grid()
-    h = hamiltonian_block(ks, ma_eff, sigma, pi, spec.spacing)
+    h = hamiltonian_block(ks, ma_eff, sigma, pi)
     evals, evecs = np.linalg.eigh(h)  # ascending; column 1 is positive branch
     if np.any(evals[:, 1] < 1e-12):
         bad = ks[evals[:, 1] < 1e-12]

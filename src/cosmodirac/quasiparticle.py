@@ -20,6 +20,9 @@ from .production import ProductionSpectrum, mode_pair_entropy
 # count as persistent: the regime where the picture is known to fail.
 PERSISTENCE_LIMIT = 0.5
 
+# Fewest Brillouin-zone momenta the quadratures interpolate v and s onto.
+QUADRATURE_POINTS = 4096
+
 
 class NonEquilibratedWindowError(RuntimeError):
     """Condensates still oscillate over the requested averaging window."""
@@ -29,16 +32,15 @@ class NonEquilibratedWindowError(RuntimeError):
 class QPInput:
     """Per-momentum velocities and pair entropies feeding the predictions.
 
-    ``k`` must be the (sorted ascending) Brillouin-zone grid; ``v`` and
-    ``s_pair`` are interpolated periodically onto a refined grid by the
-    quadratures.
+    ``k`` must be the (sorted ascending) Brillouin-zone grid in 1/a, and
+    ``block_length`` counts sites; ``v`` and ``s_pair`` are interpolated
+    periodically onto a refined grid by the quadratures.
     """
 
     k: np.ndarray
     v: np.ndarray
     s_pair: np.ndarray
     block_length: float
-    spacing: float = 1.0
 
     def __post_init__(self):
         if not np.all(self.v >= 0):
@@ -46,36 +48,26 @@ class QPInput:
         if not np.all((-1e-12 <= self.s_pair) & (self.s_pair <= 2 * np.log(2) + 1e-9)):
             raise ValueError("pair entropies must lie in [0, 2 log 2]")
 
-    def refined(self, n_points=4096):
-        """Periodic interpolation of v and s onto >= n_points BZ momenta."""
-        n = max(int(n_points), 2 * self.k.size)
-        kk = np.linspace(-np.pi / self.spacing, np.pi / self.spacing, n, endpoint=False)
-        period = 2.0 * np.pi / self.spacing
+    def refined(self):
+        """Periodic interpolation of v and s onto >= QUADRATURE_POINTS momenta."""
+        n = max(QUADRATURE_POINTS, 2 * self.k.size)
+        kk = np.linspace(-np.pi, np.pi, n, endpoint=False)
+        period = 2.0 * np.pi
         k_ext = np.concatenate([self.k, [self.k[0] + period]])
         v_ext = np.concatenate([self.v, [self.v[0]]])
         s_ext = np.concatenate([self.s_pair, [self.s_pair[0]]])
         return kk, np.interp(kk, k_ext, v_ext), np.interp(kk, k_ext, s_ext)
 
 
-def qp_input_from_spectrum(
-    spectrum: ProductionSpectrum,
-    spec: LatticeSpec,
-    block_length: float,
-) -> QPInput:
+def qp_input_from_spectrum(spectrum: ProductionSpectrum, block_length: float) -> QPInput:
     """Assemble a QPInput from a production spectrum and its reference dispersion."""
     ma_eff, sigma, pi = spectrum.reference
-    v = band_velocity(spectrum.k, ma_eff, sigma, pi, spec.spacing)
+    v = band_velocity(spectrum.k, ma_eff, sigma, pi)
     _, s_pair = mode_pair_entropy(spectrum.beta_sq)
-    return QPInput(
-        k=spectrum.k,
-        v=v,
-        s_pair=s_pair,
-        block_length=float(block_length),
-        spacing=spec.spacing,
-    )
+    return QPInput(k=spectrum.k, v=v, s_pair=s_pair, block_length=float(block_length))
 
 
-def qp_entropy(qp: QPInput, eta: float, n_points: int = 4096) -> float:
+def qp_entropy(qp: QPInput, eta: float) -> float:
     """Quasi-particle block entropy at conformal time eta.
 
     S_A(eta) = eta * int_{2 v eta < l} dk/2pi 2 v s(k)
@@ -88,20 +80,20 @@ def qp_entropy(qp: QPInput, eta: float, n_points: int = 4096) -> float:
         raise ValueError("eta must be nonnegative")
     if eta == 0.0:
         return 0.0
-    kk, v, s = qp.refined(n_points)
+    kk, v, s = qp.refined()
     dk = kk[1] - kk[0]
     growing = 2.0 * v * eta < qp.block_length
     integrand = np.where(growing, eta * 2.0 * v * s, qp.block_length * s)
     return float(np.sum(integrand) * dk / (2.0 * np.pi))
 
 
-def qp_plateau(qp: QPInput, n_points: int = 4096) -> float:
+def qp_plateau(qp: QPInput) -> float:
     """Late-time plateau l_A int s dk / 2pi."""
-    kk, _, s = qp.refined(n_points)
+    kk, _, s = qp.refined()
     return float(qp.block_length * np.sum(s) * (kk[1] - kk[0]) / (2.0 * np.pi))
 
 
-def qp_contour(qp: QPInput, eta: float, x, n_points: int = 4096):
+def qp_contour(qp: QPInput, eta: float, x):
     """Quasi-particle contour at depth x into the block (spinor-summed).
 
     S_A(x) = int dk/2pi s(k) [Theta(2 v_k eta - x)
@@ -118,7 +110,7 @@ def qp_contour(qp: QPInput, eta: float, x, n_points: int = 4096):
     x = np.asarray(x, dtype=float)
     if np.any(x < -1e-12) or np.any(x > qp.block_length + 1e-12):
         raise ValueError("x must lie within the block")
-    kk, v, s = qp.refined(n_points)
+    kk, v, s = qp.refined()
     dk = kk[1] - kk[0]
     reach = 2.0 * v * eta
     left = reach[None, :] >= x.reshape(-1, 1)
@@ -174,7 +166,7 @@ def renormalized_velocity(trajectory: Trajectory, spec: LatticeSpec, a_f: float,
         )
     return group_velocity(
         spec.mass * a_f, float(np.mean(trajectory.sigma[mask])),
-        float(np.mean(trajectory.pi[mask])), spec.spacing,
+        float(np.mean(trajectory.pi[mask])),
     )
 
 

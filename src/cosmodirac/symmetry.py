@@ -62,9 +62,8 @@ def symmetry_report(ma_eff, sigma, pi, spec: LatticeSpec) -> SymmetryReport:
     CP: g1^dag h_k^* g1   = -h_k
     """
     ks = spec.momentum_grid()
-    a = spec.spacing
-    h = hamiltonian_block(ks, ma_eff, sigma, pi, a)
-    h_neg = hamiltonian_block(-ks, ma_eff, sigma, pi, a)
+    h = hamiltonian_block(ks, ma_eff, sigma, pi)
+    h_neg = hamiltonian_block(-ks, ma_eff, sigma, pi)
     residuals = {
         "T": _opnorm(T_MATRIX.conj().T @ h_neg.conj() @ T_MATRIX - h),
         "C": _opnorm(C_MATRIX.conj().T @ h_neg.conj() @ C_MATRIX + h),
@@ -86,12 +85,9 @@ def time_reversal_condition_residual(profile, eta_0, eta, ma_coeff=1.0,
     """
     spec = spec or LatticeSpec(num_sites=64)
     ks = spec.momentum_grid()
-    h_eta = hamiltonian_block(
-        -ks, ma_coeff * float(profile.scale_factor(eta)), sigma, pi, spec.spacing
-    )
+    h_eta = hamiltonian_block(-ks, ma_coeff * float(profile.scale_factor(eta)), sigma, pi)
     h_ref = hamiltonian_block(
-        ks, ma_coeff * float(profile.scale_factor(2 * eta_0 - eta)), sigma, pi,
-        spec.spacing,
+        ks, ma_coeff * float(profile.scale_factor(2 * eta_0 - eta)), sigma, pi
     )
     return _opnorm(T_MATRIX.conj().T @ h_eta.conj() @ T_MATRIX - h_ref)
 

@@ -14,10 +14,9 @@ from cosmodirac.gaussian import CorrelationState
 def _reference_field(spec, profile):
     """d n_k/d eta for (N_S, 3) Bloch vectors, one numpy expression per term."""
     ks = spec.momentum_grid()
-    a = spec.spacing
-    sin_term = -np.sin(ks * a) / a
-    wilson_term = (1.0 - np.cos(ks * a)) / a
-    pref = spec.coupling / (2.0 * a * spec.num_sites)
+    sin_term = -np.sin(ks)
+    wilson_term = 1.0 - np.cos(ks)
+    pref = spec.coupling / (2.0 * spec.num_sites)
 
     def rhs(eta, n):
         sig = -pref * np.sum(n[:, 2])
@@ -54,5 +53,4 @@ def _reference_rk4(initial, profile, eta_span, deta, sample_every):
 def reference_final_state(initial, profile, eta_span, deta):
     """The :class:`CorrelationState` RK4 reaches at the end of ``eta_span``."""
     etas, blochs = _reference_rk4(initial, profile, eta_span, deta, sample_every=10**9)
-    return CorrelationState(initial.spec, blochs[-1], float(etas[-1]),
-                            float(profile.scale_factor(etas[-1])))
+    return CorrelationState(initial.spec, blochs[-1])

@@ -58,7 +58,7 @@ def _qp_prediction(config, traj, length, sigma=0.0, pi=0.0):
     spec = config.lattice
     a_f = float(config.profile.scale_factor(traj.etas[-1]))
     spectrum = bogoliubov_spectrum(traj.state(-1), spec.mass * a_f, sigma=sigma, pi=pi)
-    return qp_input_from_spectrum(spectrum, spec, float(length))
+    return qp_input_from_spectrum(spectrum, float(length))
 
 
 def test_criterion_1_entropy_growth_matches_quasiparticles():
@@ -165,7 +165,7 @@ def test_criterion_3_de_sitter_horizon_and_curved_cones():
     assert dark.size > 0 and np.all(np.diff(dark) == 1)  # one contiguous band
 
     vs = [
-        group_velocity(spec.mass * a + sig, 0.0, pi, spec.spacing)
+        group_velocity(spec.mass * a + sig, 0.0, pi)
         for a, sig, pi in zip(traj.a_vals, traj.sigma, traj.pi)
     ]
     v_bar = np.trapezoid(vs, traj.etas) / (traj.etas[-1] - traj.etas[0])
@@ -237,8 +237,8 @@ def test_criterion_6_production_spectra_against_oracles():
     spec = config.lattice
     ks = spec.momentum_grid()
     out = bogoliubov_spectrum(traj.state(0), 10.0)
-    b_i = bloch_vector(ks, 0.01, 0.0, 0.0, spec.spacing)
-    b_f = bloch_vector(ks, 10.0, 0.0, 0.0, spec.spacing)
+    b_i = bloch_vector(ks, 0.01, 0.0, 0.0)
+    b_f = bloch_vector(ks, 10.0, 0.0, 0.0)
     cos = np.sum(b_i * b_f, axis=-1) / (
         np.linalg.norm(b_i, axis=-1) * np.linalg.norm(b_f, axis=-1)
     )
@@ -248,7 +248,7 @@ def test_criterion_6_production_spectra_against_oracles():
     small = LatticeSpec(num_sites=64, mass=1.0)
     ramp = ExponentialProfile(a_0=0.7, a_f=1.3, hubble=0.05)
     ramp_span = (0.0, ramp.eta_clamp + 10.0)
-    ramp_traj = evolve_adaptive(free_ground_state(small, 0.7, a_val=0.7), ramp,
+    ramp_traj = evolve_adaptive(free_ground_state(small, 0.7), ramp,
                                 ramp_span, step_grid(ramp_span, 1e-3, 10**9)[2],
                                 rtol=REFERENCE_RTOL)
     ramp_max = float(np.max(

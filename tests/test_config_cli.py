@@ -11,6 +11,8 @@ from cosmodirac.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, preset_na
 from cosmodirac.config import ConfigError, config_from_dict, load_config
 from cosmodirac.lattice import StaticProfile
 from cosmodirac.pipeline import RunManifest
+from cosmodirac.production import bogoliubov_spectrum
+from cosmodirac.quasiparticle import qp_entropy, qp_input_from_spectrum
 
 from conftest import preset_config
 
@@ -74,7 +76,8 @@ class TestSchema:
             # numbers that are not finite
             (lambda d: d["evolution"].update(deta=NAN), "evolution.deta"),
             (lambda d: d["lattice"].update(mass=NAN), "lattice.mass"),
-            (lambda d: d["lattice"].update(spacing=float("inf")), "lattice.spacing"),
+            # lattice units: a config may not set the spacing, even to 1
+            (lambda d: d["lattice"].update(spacing=1.0), "lattice.spacing"),
             (lambda d: d["profile"].update(a_val=float("inf")), "profile.a_val"),
             (lambda d: d.update(evolution={"eta_span": [0.0, 1.0],
                                            "method": "adaptive", "rtol": NAN}),
@@ -172,28 +175,23 @@ class TestCLI:
         assert "StepSizeError" in capsys.readouterr().err
 
     def test_step_rounded_past_the_profile_domain_runs(self, tmp_path):
-        # n steps of h = 1e5/n can end past the tabulated domain's 1e-12
-        # slack: six at the last RK4 end stage 5 h + h = 1e5 + 1.5e-11, 19
-        # at the last sample time 19 h = 1e5 + 1.5e-11.  Such runs used to
-        # fail with a DomainError; modes this slow keep the steps stable
-        for deta, n_rows, coupling in ((16666.67, 7, 0.0), (5263.2, 20, 0.0),
-                                       (5263.2, 20, 1.0)):
-            cfg = tmp_path / "tabulated.yaml"
-            cfg.write_text(
-                f"lattice: {{num_sites: 4, spacing: 1.0e+6, mass: 1.0e-6, "
-                f"coupling: {coupling}}}\n"
-                "profile: {kind: tabulated, samples: [[0.0, 1.0], [1.0e+5, 1.0]]}\n"
-                f"evolution: {{eta_span: [0.0, 1.0e+5], deta: {deta}}}\n"
-                "analyses: [{kind: entropy, block: {length: 2}}]\n")
-            out = tmp_path / f"out_{deta}_{coupling}"
-            assert main(["run", str(cfg), "--output", str(out)]) == EXIT_OK
-            for name in ("condensates.csv", "entropy_measured.csv"):
-                with open(out / name) as fh:
-                    rows = np.array([[float(x) for x in row]
-                                     for row in list(csv.reader(fh))[1:]])
-                case = (deta, coupling, name)
-                assert rows.shape[0] == n_rows and np.all(np.isfinite(rows)), case
-                assert rows[-1, 0] == 1e5, case
+        # 19 steps of h = 1e5/19 end at 1e5 + 1.5e-11, past the tabulated
+        # domain's 1e-12 of slack; such a run used to fail with a DomainError.
+        # The free vacuum under a constant a is stationary, so the solve is quick
+        cfg = tmp_path / "tabulated.yaml"
+        cfg.write_text(
+            "lattice: {num_sites: 4, mass: 1.0}\n"
+            "profile: {kind: tabulated, samples: [[0.0, 1.0], [1.0e+5, 1.0]]}\n"
+            "evolution: {eta_span: [0.0, 1.0e+5], deta: 5263.2}\n"
+            "analyses: [{kind: entropy, block: {length: 2}}]\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output", str(out)]) == EXIT_OK
+        for name in ("condensates.csv", "entropy_measured.csv"):
+            with open(out / name) as fh:
+                rows = np.array([[float(x) for x in row]
+                                 for row in list(csv.reader(fh))[1:]])
+            assert rows.shape[0] == 20 and np.all(np.isfinite(rows)), name
+            assert rows[-1, 0] == 1e5, name
 
     def test_coarse_free_run_is_exact(self, tmp_path):
         # deta = 0.5 blew RK4 up on this free quench; in closed form it only
@@ -396,6 +394,24 @@ class TestPipelineEvolution:
         assert 0.0 <= traj.purity_defect() < 1e-6
         # the diagnostics are not in the inventory, which still verifies
         assert "diagnostics" not in manifest.files and manifest.verify() == []
+
+    def test_qp_clock_starts_at_a_quench_inside_the_span(self, tmp_path):
+        # pairs are made at the switch: no entropy before it, and after it the
+        # prediction for a quench at eta = 0, shifted by eta_switch
+        config = load_config(
+            "lattice: {num_sites: 64, mass: 1.0}\n"
+            "profile: {kind: quench, a_0: 0.01, a_f: 10.0, eta_switch: 2.0}\n"
+            "evolution: {eta_span: [0.0, 4.0], deta: 1.0e-3, sample_every: 250}\n"
+            "analyses: [{kind: qp, block: {length: 16}}]\n")
+        pipeline.run(config, output_dir=tmp_path)
+        with open(tmp_path / "entropy_qp.csv") as fh:
+            rows = np.array([[float(x) for x in row] for row in list(csv.reader(fh))[1:]])
+        before = rows[:, 0] < 2.0
+        assert np.count_nonzero(before) == 8 and np.all(rows[before, 1] == 0.0)
+        traj = pipeline._evolve(config, pipeline._prepare(config))
+        qp = qp_input_from_spectrum(bogoliubov_spectrum(traj.state(-1), 10.0), 16)
+        assert rows[~before, 1].tolist() == [qp_entropy(qp, eta - 2.0)
+                                             for eta in rows[~before, 0]]
 
     @pytest.mark.parametrize("preset, expected", [("fig1a", False), ("fig3c", True)])
     def test_manifest_flags_the_qp_validity_regime(self, tmp_path, preset, expected):

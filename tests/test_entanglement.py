@@ -55,7 +55,7 @@ class TestEntropy:
 
     def test_contour_sums_to_block_entropy(self):
         spec = LatticeSpec(num_sites=32, mass=1.0)
-        state = free_ground_state(spec, 0.01, a_val=0.01)
+        state = free_ground_state(spec, 0.01)
         traj = evolve_free(state, QuenchProfile(0.01, 10.0),
                            step_grid((0.0, 3.0), 1e-3, 10**9)[2])
         gamma = real_space_correlation(traj.state(-1))
@@ -66,7 +66,7 @@ class TestEntropy:
 
     def test_pure_state_complement_entropies_agree(self):
         spec = LatticeSpec(num_sites=24, mass=1.0)
-        state = free_ground_state(spec, 0.3, a_val=0.3)
+        state = free_ground_state(spec, 0.3)
         gamma = real_space_correlation(state)
         s_a = block_entropy(gamma, BlockSpec(0, 9, 24))
         s_b = block_entropy(gamma, BlockSpec(9, 15, 24))
@@ -92,7 +92,7 @@ class TestEntropy:
 
     def test_block_matrix_and_dense_matrix_agree(self):
         spec = LatticeSpec(num_sites=24, mass=1.0)
-        state = free_ground_state(spec, 0.3, a_val=0.3)
+        state = free_ground_state(spec, 0.3)
         blk = BlockSpec(5, 7, 24)
         dense = real_space_correlation(state)
         own = real_space_correlation(state, blk)
@@ -105,7 +105,7 @@ class TestContourField:
     def test_mirror_and_spinor_structure_without_parity_breaking(self):
         # Pi = 0 evolution: site contour symmetric about the block center
         spec = LatticeSpec(num_sites=48, mass=1.0)
-        state = free_ground_state(spec, 0.01, a_val=0.01)
+        state = free_ground_state(spec, 0.01)
         traj = evolve_free(state, QuenchProfile(0.01, 10.0),
                            step_grid((0.0, 4.0), 1e-3, 1000)[2])
         field = contour_trajectory(traj, BlockSpec.centered(16, 48))
@@ -116,7 +116,7 @@ class TestContourField:
         # the block-local route is bit-identical to slicing the dense matrix,
         # for blocks at both chain edges and in the middle
         spec = LatticeSpec(num_sites=32, mass=-1.0, coupling=3.0)
-        state = free_ground_state(spec, -0.4, a_val=0.5)
+        state = free_ground_state(spec, -0.4)
         traj = evolve_adaptive(state, ExponentialProfile(0.5, 1.5, hubble=1.0),
                                (0.0, 2.0), step_grid((0.0, 2.0), 1e-2, 40)[2],
                                rtol=REFERENCE_RTOL)
@@ -130,7 +130,7 @@ class TestContourField:
 
     def test_shape_validation_and_time_stride(self):
         spec = LatticeSpec(num_sites=16, mass=1.0)
-        state = free_ground_state(spec, 0.01, a_val=0.01)
+        state = free_ground_state(spec, 0.01)
         traj = evolve_free(state, QuenchProfile(0.01, 10.0),
                            step_grid((0.0, 1.0), 1e-3, 100)[2])
         field = contour_trajectory(traj, BlockSpec.centered(8, 16), time_stride=4)

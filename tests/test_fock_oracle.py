@@ -46,7 +46,7 @@ def _jw_annihilators():
 def _single_particle_h(spec, ma_eff):
     """Dense real-space 8x8 Hamiltonian from the momentum blocks."""
     ks = spec.momentum_grid()
-    h_k = hamiltonian_block(ks, ma_eff, 0.0, 0.0, spec.spacing)
+    h_k = hamiltonian_block(ks, ma_eff, 0.0, 0.0)
     n = spec.num_sites
     h = np.zeros((2 * n, 2 * n), dtype=complex)
     for i in range(n):
@@ -143,7 +143,7 @@ class TestQuenchDynamics:
     def test_correlation_matrix_tracks_exact_evolution(self, fock, evolved):
         for i in range(1, len(evolved.etas)):
             snap = evolved.state(i)
-            psi = _exact_evolved(fock, snap.eta)
+            psi = _exact_evolved(fock, evolved.etas[i])
             gamma = real_space_correlation(snap)
             assert np.max(np.abs(gamma - fock["correlation"](psi))) < 1e-8
 
@@ -179,7 +179,7 @@ class TestQuenchDynamics:
         exact_gamma = fock["correlation"](psi)
         spec = fock["spec"]
         ks = spec.momentum_grid()
-        h_k = hamiltonian_block(ks, MA_F, 0.0, 0.0, spec.spacing)
+        h_k = hamiltonian_block(ks, MA_F, 0.0, 0.0)
         _, evecs = np.linalg.eigh(h_k)
         out = bogoliubov_spectrum(evolved.state(-1), MA_F)
         for n, k in enumerate(ks):

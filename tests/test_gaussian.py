@@ -1,5 +1,7 @@
 """Gaussian-state blocks, condensates, gap equation, and evolution."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from scipy.integrate import solve_ivp
 
 from rk4_reference import _reference_field, _reference_rk4, reference_final_state
 
+from cosmodirac import gaussian
 from cosmodirac.entanglement import BlockSpec
 from cosmodirac.gaussian import (
     REFERENCE_RTOL,
@@ -88,7 +91,6 @@ class TestGroundStates:
         spec = LatticeSpec(num_sites=32, mass=1.0, coupling=0.0)
         state, cond = self_consistent_ground_state(spec, 2.0)
         assert cond.sigma == 0.0 and cond.pi == 0.0
-        assert state.a_val == 2.0
 
     def test_aoki_vacuum_frozen_condensates(self):
         spec = LatticeSpec(num_sites=128, mass=-1.0, coupling=3.0)
@@ -122,7 +124,7 @@ class TestGroundStates:
 class TestEvolution:
     def test_purity_and_trace_conserved(self):
         spec = LatticeSpec(num_sites=64, mass=1.0)
-        state = free_ground_state(spec, 0.01, a_val=0.01)
+        state = free_ground_state(spec, 0.01)
         traj = evolve_free(state, QuenchProfile(0.01, 10.0),
                            step_grid((0.0, 5.0), 5e-4, 1000)[2])
         states = [traj.state(i) for i in range(len(traj.etas))]
@@ -137,8 +139,6 @@ class TestEvolution:
         # condensate-corrected energy functional, not the bare Wick energy
         spec = LatticeSpec(num_sites=64, mass=-1.0, coupling=3.0)
         state, _ = self_consistent_ground_state(spec, 0.7)
-        state = state.copy()
-        state.a_val = 1.3
         traj = evolve_adaptive(state, StaticProfile(a_val=1.3), (0.0, 4.0),
                                step_grid((0.0, 4.0), 2e-4, 2000)[2],
                                rtol=REFERENCE_RTOL)
@@ -157,8 +157,6 @@ class TestEvolution:
     def test_adaptive_matches_fixed_step(self):
         spec = LatticeSpec(num_sites=32, mass=1.0, coupling=1.0)
         state, _ = self_consistent_ground_state(spec, 0.7)
-        state = state.copy()
-        state.a_val = 1.3
         prof = QuenchProfile(0.7, 1.3)
         fixed = reference_final_state(state, prof, (0.0, 3.0), 1e-4)
         adaptive = evolve_adaptive(state.copy(), prof, (0.0, 3.0),
@@ -170,15 +168,15 @@ class TestEvolution:
         h, steps, etas = step_grid((0.0, 1.0), 1e13)
         assert (h, steps.tolist(), etas.tolist()) == (1.0, [0, 1], [0.0, 1.0])
 
-    @pytest.mark.parametrize("deta, n_steps", [(16666.67, 6), (5263.2, 19)])
-    def test_times_rounded_past_the_span_are_clamped(self, deta, n_steps):
-        # n h with h = 1e5/n can round past 1e5, in the last sample time for
-        # 19 steps; the tabulated domain allows only 1e-12 of slack, so the
-        # grid clamps it and the solve never asks for a time past the span
-        h, steps, etas = step_grid((0.0, 1e5), deta)
-        assert steps[-1] == n_steps and etas[-1] == 1e5
-        spec = LatticeSpec(num_sites=4, spacing=1e6, mass=1e-6, coupling=1.0)
-        state = free_ground_state(spec, 1e-6)
+    def test_times_rounded_past_the_span_are_clamped(self):
+        # 19 h with h = 1e5/19 rounds to 1e5 + 1.5e-11, past the tabulated
+        # domain's 1e-12 of slack, so the grid clamps the last sample time and
+        # the solve never asks for a time past the span.  The free vacuum under
+        # a constant a is stationary, so DOP853 crosses the span in a few steps
+        h, steps, etas = step_grid((0.0, 1e5), 5263.2)
+        assert steps[-1] == 19 and etas[-1] == 1e5
+        spec = LatticeSpec(num_sites=4, mass=1.0)
+        state = free_ground_state(spec, 1.0)
         profile = TabulatedProfile((0.0, 1e5), (1.0, 1.0))
         traj = evolve_adaptive(state, profile, (0.0, 1e5), etas, rtol=REFERENCE_RTOL)
         assert np.array_equal(traj.etas, etas)
@@ -193,6 +191,26 @@ class TestEvolution:
             step_grid((0.0, 1.0), -1e-3)
         with pytest.raises(ValueError):
             evolve_adaptive(state, StaticProfile(), (1.0, 0.0), [1.0])
+
+    def test_solve_stops_at_the_first_impure_step(self, monkeypatch):
+        # a radial term c n makes |n_k|^2 = exp(2 c eta) for every k, so the
+        # purity defect (|n|^2 - 1)/4 passes PURITY_TOL at a known time, long
+        # before the only sample after the start
+        c = 0.1
+        rate = gaussian._BlockField.rate
+
+        def growing(field, ma, out):
+            rate(field, ma, out)
+            out += c * field._n
+
+        monkeypatch.setattr(gaussian._BlockField, "rate", growing)
+        spec = LatticeSpec(num_sites=16, mass=1.0, coupling=1.0)
+        state, _ = self_consistent_ground_state(spec, 1.0)
+        with pytest.raises(StepSizeError) as err:
+            evolve_adaptive(state, StaticProfile(), (0.0, 0.5), [0.0, 0.5])
+        eta = float(re.search(r"at eta = (\S+);", str(err.value)).group(1))
+        assert eta == pytest.approx(np.log1p(4 * gaussian.PURITY_TOL) / (2 * c),
+                                    rel=1e-4)
 
 
 class TestRealSpace:
@@ -228,7 +246,7 @@ class TestRealSpace:
         length = min(length, num_sites)
         block = BlockSpec(min(start, num_sites - length), length, num_sites)
         spec = LatticeSpec(num_sites=num_sites, mass=1.0, coupling=coupling)
-        state = free_ground_state(spec, 0.3, a_val=0.5)
+        state = free_ground_state(spec, 0.3)
         state = reference_final_state(state, QuenchProfile(0.5, 1.5), (0.0, 1.0),
                                       1.0 / n_steps)
         rows = block.row_indices()
@@ -243,7 +261,7 @@ class TestRealSpace:
 
 
 def _reference_condensates(spec, n):
-    pref = spec.coupling / (2.0 * spec.spacing * spec.num_sites)
+    pref = spec.coupling / (2.0 * spec.num_sites)
     return (float(-pref * np.sum(n[:, 2])), float(pref * np.sum(n[:, 1])))
 
 
@@ -255,9 +273,7 @@ def _assert_trajectory_equals(traj, etas, blochs, spec, profile):
         assert traj.etas[i] == eta
         assert traj.a_vals[i] == float(profile.scale_factor(eta))
         assert (traj.sigma[i], traj.pi[i]) == _reference_condensates(spec, n)
-        state = traj.state(i)
-        assert np.array_equal(state.bloch, n)
-        assert (state.eta, state.a_val) == (traj.etas[i], traj.a_vals[i])
+        assert np.array_equal(traj.state(i).bloch, n)
 
 
 # The cases: free and interacting quench, a continuous ramp, a tabulated a.
@@ -276,7 +292,7 @@ BIT_IDENTITY_CASES = dict(
 
 def _quenched_vacuum(num_sites, coupling, mass):
     spec = LatticeSpec(num_sites=num_sites, mass=mass, coupling=coupling)
-    return spec, free_ground_state(spec, 0.3 * mass, a_val=0.5)
+    return spec, free_ground_state(spec, 0.3 * mass)
 
 
 class TestBitIdentity:

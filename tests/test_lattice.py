@@ -37,18 +37,16 @@ class TestLatticeSpec:
             LatticeSpec(num_sites=5)
         with pytest.raises(ValueError):
             LatticeSpec(num_sites=0)
-        with pytest.raises(ValueError):
-            LatticeSpec(num_sites=8, spacing=-1.0)
 
     def test_momentum_grid_uniform_and_symmetric(self):
-        spec = LatticeSpec(num_sites=16, spacing=0.5)
+        spec = LatticeSpec(num_sites=16)
         ks = spec.momentum_grid()
         assert ks.size == 16
         dk = np.diff(ks)
-        assert np.allclose(dk, 2 * np.pi / (16 * 0.5))
-        # every k has a partner -k on the grid (identifying +-pi/a)
+        assert np.allclose(dk, 2 * np.pi / 16)
+        # every k has a partner -k on the grid (identifying +-pi)
         refl = (-np.arange(16)) % 16  # k -> -k
-        period = 2 * np.pi / 0.5
+        period = 2 * np.pi
         folded = (ks[refl] + ks) % period
         assert np.allclose(np.minimum(folded, period - folded), 0.0, atol=1e-12)
         assert np.array_equal(refl[refl], np.arange(16))
@@ -151,8 +149,8 @@ class TestProfiles:
 class TestDispersion:
     def test_block_matches_bloch_decomposition(self):
         ks = np.linspace(-np.pi, np.pi, 7)
-        h = hamiltonian_block(ks, 0.4, 0.1, 0.2, 1.0)
-        b = bloch_vector(ks, 0.4, 0.1, 0.2, 1.0)
+        h = hamiltonian_block(ks, 0.4, 0.1, 0.2)
+        b = bloch_vector(ks, 0.4, 0.1, 0.2)
         assert np.allclose(np.trace(h, axis1=-2, axis2=-1), 0.0)
         assert np.allclose(h, np.conj(np.swapaxes(h, -1, -2)))
         evals = np.linalg.eigvalsh(h)

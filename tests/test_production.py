@@ -28,7 +28,7 @@ from cosmodirac.production import (
 class TestSpectrum:
     def test_vacuum_reference_gives_zero(self):
         spec = LatticeSpec(num_sites=32, mass=1.0)
-        state = free_ground_state(spec, 1.3, a_val=1.3)
+        state = free_ground_state(spec, 1.3)
         out = bogoliubov_spectrum(state, 1.3)
         assert np.max(out.beta_sq) < 1e-14
 
@@ -37,7 +37,7 @@ class TestSpectrum:
         #                  = (1 - b_hat_i . b_hat_f) / 2
         spec = LatticeSpec(num_sites=64, mass=1.0)
         ma_i, ma_f = 0.01, 10.0
-        state = free_ground_state(spec, ma_i, a_val=ma_i)
+        state = free_ground_state(spec, ma_i)
         out = bogoliubov_spectrum(state, ma_f)
         ks = spec.momentum_grid()
         b_i = bloch_vector(ks, ma_i, 0.0, 0.0)
@@ -49,7 +49,7 @@ class TestSpectrum:
 
     def test_interacting_reference_uses_dressed_block(self):
         spec = LatticeSpec(num_sites=32, mass=-1.0, coupling=3.0)
-        state = free_ground_state(spec, -0.7, sigma=-0.13, pi=1.11, a_val=0.7)
+        state = free_ground_state(spec, -0.7, sigma=-0.13, pi=1.11)
         out = bogoliubov_spectrum(state, -0.7, sigma=-0.13, pi=1.11)
         assert np.max(out.beta_sq) < 1e-14
         # mismatched condensates look excited
@@ -59,7 +59,7 @@ class TestSpectrum:
     def test_slow_ramp_is_nearly_adiabatic(self):
         spec = LatticeSpec(num_sites=32, mass=1.0)
         prof = ExponentialProfile(a_0=0.7, a_f=1.3, hubble=0.05)
-        state = free_ground_state(spec, 0.7, a_val=0.7)
+        state = free_ground_state(spec, 0.7)
         span = (0.0, prof.eta_clamp + 20.0)
         traj = evolve_adaptive(state, prof, span, step_grid(span, 1e-3, 10**9)[2],
                                rtol=REFERENCE_RTOL)
@@ -122,7 +122,7 @@ class TestDerivedQuantities:
 
     def test_quench_spectrum_symmetric_without_parity_breaking(self):
         spec = LatticeSpec(num_sites=64, mass=1.0)
-        state = free_ground_state(spec, 0.01, a_val=0.01)
+        state = free_ground_state(spec, 0.01)
         traj = evolve_free(state, QuenchProfile(0.01, 10.0),
                            step_grid((0.0, 2.0), 5e-4, 10**9)[2])
         out = bogoliubov_spectrum(traj.state(-1), 10.0)

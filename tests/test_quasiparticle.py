@@ -5,6 +5,7 @@ import pytest
 
 from cosmodirac.gaussian import Trajectory, evolve_free, free_ground_state, step_grid
 from cosmodirac.lattice import LatticeSpec, QuenchProfile, band_velocity
+from cosmodirac import quasiparticle
 from cosmodirac.production import bogoliubov_spectrum, mode_pair_entropy
 from cosmodirac.quasiparticle import (
     NonEquilibratedWindowError,
@@ -50,21 +51,21 @@ class TestQuadratures:
             assert np.sum(qp_contour(qp, eta, sites)) == pytest.approx(
                 qp_entropy(qp, eta), rel=1e-12)
 
-    def test_quadrature_converged_on_real_spectrum(self):
+    def test_quadrature_converged_on_real_spectrum(self, monkeypatch):
         spec = LatticeSpec(num_sites=64, mass=1.0)
-        state = free_ground_state(spec, 0.01, a_val=0.01)
+        state = free_ground_state(spec, 0.01)
         out = bogoliubov_spectrum(state, 10.0)
-        qp = qp_input_from_spectrum(out, spec, 32.0)
-        for eta in (3.0, 30.0):
-            coarse = qp_entropy(qp, eta, n_points=4096)
-            fine = qp_entropy(qp, eta, n_points=65536)
-            assert coarse == pytest.approx(fine, rel=1e-3)
+        qp = qp_input_from_spectrum(out, 32.0)
+        coarse = [qp_entropy(qp, eta) for eta in (3.0, 30.0)]
+        monkeypatch.setattr(quasiparticle, "QUADRATURE_POINTS", 65536)
+        fine = [qp_entropy(qp, eta) for eta in (3.0, 30.0)]
+        assert coarse != fine and coarse == pytest.approx(fine, rel=1e-3)
 
     def test_input_from_spectrum_wiring(self):
         spec = LatticeSpec(num_sites=32, mass=1.0)
-        state = free_ground_state(spec, 0.01, a_val=0.01)
+        state = free_ground_state(spec, 0.01)
         out = bogoliubov_spectrum(state, 10.0)
-        qp = qp_input_from_spectrum(out, spec, 16.0)
+        qp = qp_input_from_spectrum(out, 16.0)
         assert qp.block_length == 16.0
         assert np.allclose(qp.v, band_velocity(out.k, 10.0, 0.0, 0.0))
         assert np.allclose(qp.s_pair, mode_pair_entropy(out.beta_sq)[1])
@@ -117,7 +118,7 @@ class TestEquilibrationGate:
 
     def test_free_quench_returns_bare_group_velocity(self):
         spec = LatticeSpec(num_sites=64, mass=-1.0, coupling=0.0)
-        state = free_ground_state(spec, -0.7, a_val=0.7)
+        state = free_ground_state(spec, -0.7)
         traj = evolve_free(state, QuenchProfile(0.7, 1.3),
                            step_grid((0.0, 10.0), 1e-3, 100)[2])
         v = renormalized_velocity(traj, spec, 1.3, (5.0, 10.0))

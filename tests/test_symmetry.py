@@ -96,7 +96,7 @@ class TestContourCP:
 
     def test_real_quench_field_respects_cp(self):
         spec = LatticeSpec(num_sites=32, mass=1.0)
-        state = free_ground_state(spec, 0.01, a_val=0.01)
+        state = free_ground_state(spec, 0.01)
         traj = evolve_free(state, QuenchProfile(0.01, 10.0),
                            step_grid((0.0, 3.0), 1e-3, 500)[2])
         field = contour_trajectory(traj, BlockSpec.centered(12, 32))
