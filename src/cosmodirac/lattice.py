@@ -4,7 +4,7 @@ Everything here is a pure function of its value inputs: momentum grids,
 gamma matrices, cosmological time from conformal time, 2x2 Hamiltonian
 blocks, and the dispersion relation with its group velocity.
 
-Everything is in lattice units, a = 1: lengths and conformal times count
+All quantities are in lattice units, a = 1: lengths and conformal times count
 sites, and momenta, masses and rates are in 1/a.  A chain whose sites lie
 s apart is this one with m -> m s, H -> H s and every length or time
 l -> l / s.

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from cosmodirac import quasiparticle
 from cosmodirac.gaussian import Trajectory, evolve_free, free_ground_state, step_grid
 from cosmodirac.lattice import LatticeSpec, QuenchProfile, band_velocity
-from cosmodirac import quasiparticle
 from cosmodirac.production import bogoliubov_spectrum, mode_pair_entropy
 from cosmodirac.quasiparticle import (
     NonEquilibratedWindowError,
