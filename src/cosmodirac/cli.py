@@ -104,12 +104,7 @@ def main(argv=None) -> int:
             from .pipeline import run as run_pipeline
 
             config, label = _load(args)
-            output = args.output or config.output["directory"]
-            if output is None:
-                raise ConfigError(
-                    "output.directory", "not set; pass --output DIR"
-                )
-            manifest = run_pipeline(config, output_dir=output)
+            manifest = run_pipeline(config, output_dir=args.output)
             print(f"{label}: wrote {len(manifest.files)} files to "
                   f"{manifest.directory} in {manifest.wall_time:.1f}s")
             return EXIT_OK

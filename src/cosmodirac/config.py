@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
+from .entanglement import BlockSpec
 from .lattice import (
     DeSitterProfile,
     ExponentialProfile,
@@ -249,7 +250,7 @@ def _build_evolution(section) -> dict:
     return out
 
 
-def _build_block(section, num_sites, path):
+def _build_block(section, num_sites, path) -> BlockSpec:
     _reject_unknown(section, ("start", "length"), path)
     length = _require(section, "length", path, (int,))
     if not (1 <= length <= num_sites):
@@ -257,7 +258,7 @@ def _build_block(section, num_sites, path):
     start = _optional(section, "start", (num_sites - length) // 2, path, (int,))
     if not (0 <= start and start + length <= num_sites):
         raise ConfigError(f"{path}.start", "block must lie within the chain")
-    return {"start": start, "length": length}
+    return BlockSpec(start, length, num_sites)
 
 
 def _build_analyses(section, lattice: LatticeSpec) -> list:
@@ -311,9 +312,8 @@ def _build_output(section) -> dict:
     path = "output"
     section = {} if section is None else section
     directory = _optional(section, "directory", None, path, (str,))
-    _reject_unknown(section, ("directory", "binary"), path)
-    return {"directory": directory,
-            "binary": _optional(section, "binary", False, path, (bool,))}
+    _reject_unknown(section, ("directory",), path)
+    return {"directory": directory}
 
 
 def load_config(source) -> RunConfig:

@@ -1,11 +1,10 @@
 """Exact Gaussian-state block entropy and entanglement contour.
 
-The block density-matrix spectrum follows from the restricted real-space
-correlation matrix; its eigenmodes carry binary entropies that the
-contour redistributes over sites and spinor components.  Trajectory
-analyses build only the block's own 2L x 2L matrix (Peschel, J. Phys. A
-36, L205 (2003)); the contour follows Chen & Vidal, J. Stat. Mech.
-P10011 (2014).
+The block density-matrix spectrum follows from the block's own 2L x 2L
+real-space correlation matrix, ``real_space_correlation(state, block)``
+(Peschel, J. Phys. A 36, L205 (2003)); its eigenmodes carry mode
+entropies that the contour redistributes over sites and spinor
+components (Chen & Vidal, J. Stat. Mech. P10011 (2014)).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import Trajectory, real_space_correlation
-from .lattice import cosmological_time
 
 _NU_CLIP = 1e-14  # restricted spectra pile up exponentially at 0 and 1
 EDGE_MARGIN = 4  # sites at each block edge that the cone front skips
@@ -44,23 +42,19 @@ class BlockSpec:
     def centered(cls, length, num_sites):
         return cls((num_sites - length) // 2, length, num_sites)
 
-    def row_indices(self) -> np.ndarray:
-        """Site-major (2i + alpha) rows of the block in the dense matrix."""
-        return np.arange(2 * self.start, 2 * (self.start + self.length))
-
 
 @dataclass
 class ContourField:
     """Spatio-temporal contour S[eta][site][spinor] over a block.
 
     ``values`` has shape (n_times, length, 2) with spinor index
-    0 = u, 1 = d; an optional cosmological-time axis rides along.
+    0 = u, 1 = d; ``times`` is the cosmological time of each slice.
     """
 
     etas: np.ndarray
     values: np.ndarray
     block: BlockSpec
-    times: np.ndarray = None  # cosmological-time axis, optional
+    times: np.ndarray = None  # cosmological time; contour_trajectory always sets it
 
     def __post_init__(self):
         if self.values.shape != (len(self.etas), self.block.length, 2):
@@ -78,23 +72,11 @@ def _mode_entropies(nu):
     return -nu * np.log(nu) - (1.0 - nu) * np.log(1.0 - nu)
 
 
-def _restricted(gamma: np.ndarray, block: BlockSpec) -> np.ndarray:
-    """The block's 2L x 2L correlation matrix.
-
-    ``gamma`` is either the chain's dense 2N_S x 2N_S matrix, which is
-    sliced to the block's rows, or the block's own 2L x 2L matrix from
-    ``real_space_correlation(state, block)``, which is returned as is.
-    """
-    n_block, n_chain = 2 * block.length, 2 * block.num_sites
-    if gamma.shape == (n_block, n_block):
-        return gamma
-    if gamma.shape == (n_chain, n_chain):
-        rows = block.row_indices()
-        return gamma[np.ix_(rows, rows)]
-    raise ValueError(
-        f"correlation matrix of shape {gamma.shape} fits neither the block "
-        f"({n_block} x {n_block}) nor the chain ({n_chain} x {n_chain})"
-    )
+def _check_shape(gamma: np.ndarray, block: BlockSpec):
+    n = 2 * block.length
+    if gamma.shape != (n, n):
+        raise ValueError(f"correlation matrix of shape {gamma.shape} is not the "
+                         f"block's own {n} x {n}")
 
 
 def _check_spectrum(nu):
@@ -106,12 +88,11 @@ def _check_spectrum(nu):
 
 
 def block_entropy(gamma: np.ndarray, block: BlockSpec) -> float:
-    """von Neumann entropy of the block from the restricted correlation matrix.
-
-    ``gamma`` is the chain's 2N_S x 2N_S or the block's own 2L x 2L
-    correlation matrix.
+    """von Neumann entropy of the block from its own 2L x 2L correlation
+    matrix ``gamma``, as ``real_space_correlation(state, block)`` builds it.
     """
-    nu = np.linalg.eigvalsh(_restricted(gamma, block))
+    _check_shape(gamma, block)
+    nu = np.linalg.eigvalsh(gamma)
     _check_spectrum(nu)
     return float(np.sum(_mode_entropies(nu)))
 
@@ -119,13 +100,14 @@ def block_entropy(gamma: np.ndarray, block: BlockSpec) -> float:
 def entanglement_contour(gamma: np.ndarray, block: BlockSpec) -> np.ndarray:
     """Site- and spinor-resolved contour of the block, shape (length, 2).
 
-    Diagonalise the restricted matrix, U^dag Gamma_A U = diag(nu); each
-    eigenmode's binary entropy s_m is distributed with weights
-    |U_{(i,alpha),m}|^2, so the values are nonnegative and sum to the
-    block entropy.  ``gamma`` is the chain's 2N_S x 2N_S or the block's
-    own 2L x 2L correlation matrix.
+    ``gamma`` is the block's own 2L x 2L correlation matrix, as
+    ``real_space_correlation(state, block)`` builds it.  Diagonalise it,
+    U^dag Gamma_A U = diag(nu); each eigenmode's entropy s_m is
+    distributed with weights |U_{(i,alpha),m}|^2, so the values are
+    nonnegative and sum to the block entropy.
     """
-    nu, u = np.linalg.eigh(_restricted(gamma, block))
+    _check_shape(gamma, block)
+    nu, u = np.linalg.eigh(gamma)
     _check_spectrum(nu)
     s = _mode_entropies(nu)
     vals = (np.abs(u) ** 2) @ s
@@ -134,7 +116,8 @@ def entanglement_contour(gamma: np.ndarray, block: BlockSpec) -> np.ndarray:
 
 def contour_trajectory(trajectory: Trajectory, block: BlockSpec,
                        time_stride: int = 1) -> ContourField:
-    """Contour field along a trajectory, one slice per strided sample."""
+    """Contour field along a trajectory, one slice per strided sample (the
+    last always kept), timed by :attr:`~cosmodirac.gaussian.Trajectory.times`."""
     if time_stride < 1:
         raise ValueError("time_stride must be >= 1")
     idx = list(range(0, len(trajectory.etas), time_stride))
@@ -145,10 +128,7 @@ def contour_trajectory(trajectory: Trajectory, block: BlockSpec,
     for row, i in enumerate(idx):
         gamma = real_space_correlation(trajectory.state(i), block)
         vals[row] = entanglement_contour(gamma, block)
-    times = None
-    if trajectory.profile is not None:
-        times = np.asarray(cosmological_time(trajectory.profile, etas), dtype=float)
-    return ContourField(etas=etas, values=vals, block=block, times=times)
+    return ContourField(etas=etas, values=vals, block=block, times=trajectory.times[idx])
 
 
 def cone_front(field: ContourField):

@@ -24,10 +24,12 @@ A :class:`Trajectory` stores its samples as arrays, the Bloch vectors as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .lattice import LatticeSpec, QuenchProfile, StaticProfile, bloch_vector
+from .lattice import (LatticeSpec, QuenchProfile, StaticProfile, bloch_vector,
+                      cosmological_time)
 
 
 class DegenerateGroundStateError(RuntimeError):
@@ -103,9 +105,10 @@ class Trajectory:
     """Sampled output of :func:`evolve_adaptive` and :func:`evolve_free`.
 
     Arrays over the T samples: strictly increasing conformal times
-    ``etas`` (T,), scale factors ``a_vals`` (T,), Bloch vectors ``bloch``
-    (T, N_S, 3) and condensates ``sigma`` and ``pi`` (T,).  ``nfev`` counts
-    the field evaluations that produced them (0 for the closed form).
+    ``etas`` (T,) and their cosmological :attr:`times`, scale factors
+    ``a_vals`` (T,), Bloch vectors ``bloch`` (T, N_S, 3) and condensates
+    ``sigma`` and ``pi`` (T,).  ``nfev`` counts the field evaluations that
+    produced them (0 for the closed form).
     """
 
     etas: np.ndarray
@@ -123,6 +126,12 @@ class Trajectory:
             raise ValueError("every sampled array must have one entry per time")
         if np.any(np.diff(self.etas) <= 0):
             raise ValueError("sample times must be strictly increasing")
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        """Cosmological time (T,) of each sample, the one time axis analyses
+        read; element by element, so ``times[idx]`` is t(etas[idx]) to the bit."""
+        return np.asarray(cosmological_time(self.profile, self.etas), dtype=float)
 
     def state(self, i) -> CorrelationState:
         """Sample ``i`` as a :class:`CorrelationState` viewing ``bloch[i]``."""
@@ -537,21 +546,19 @@ def real_space_correlation(state: CorrelationState, block=None) -> np.ndarray:
     indexed by the separation (i - j) mod N_S.  Row index is 2*i + alpha
     with alpha in {u, d} = {0, 1}, counted from the first site kept.
 
-    With ``block=None`` the dense 2N_S x 2N_S matrix of the whole chain
-    is built.  Given a block (anything with ``start`` and ``length``,
-    such as :class:`~cosmodirac.entanglement.BlockSpec`), only its
-    2L x 2L restriction is built; its entries are bit-identical to the
-    block's rows and columns of the dense matrix.
+    Given a block (anything with ``start`` and ``length``, such as
+    :class:`~cosmodirac.entanglement.BlockSpec`), this is the block's own
+    2L x 2L matrix, what ``block_entropy`` and ``entanglement_contour`` take.
+    ``block=None`` indexes all N_S sites from 0 the same way, so a block's
+    matrix is bit-identical to its rows and columns of the chain's.
     """
     ns = state.spec.num_sites
     blocks = state.blocks  # (N, 2, 2), ordered along the momentum grid
     # k_n = -pi + 2 pi n/N:  exp(i k_n d) = (-1)^d exp(2 pi i n d / N)
     g = np.fft.ifft(blocks, axis=0)  # (N, 2, 2) indexed by separation d
     g *= ((-1.0) ** np.arange(ns))[:, None, None]
-    if block is None:
-        sites = np.arange(ns)
-    else:
-        sites = np.arange(block.start, block.start + block.length)
+    start, length = (0, ns) if block is None else (block.start, block.length)
+    sites = np.arange(start, start + length)
     d = (sites[:, None] - sites[None, :]) % ns
     out = g[d].transpose(0, 2, 1, 3).reshape(2 * sites.size, 2 * sites.size)
     return 0.5 * (out + out.conj().T)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig
-from .entanglement import BlockSpec, block_entropy, contour_trajectory
+from .entanglement import block_entropy, contour_trajectory
 from .gaussian import (
     REFERENCE_RTOL,
     evolve_adaptive,
@@ -31,10 +31,10 @@ from .gaussian import (
     step_grid,
 )
 from .lattice import (
+    ExponentialProfile,
     LatticeSpec,
     QuenchProfile,
     StaticProfile,
-    cosmological_time,
     preparation_scale,
 )
 from .production import bogoliubov_spectrum, mode_pair_entropy
@@ -177,31 +177,31 @@ def _evolve(config: RunConfig, state):
 
 
 def _emit_condensates(traj, directory):
-    times = np.asarray(cosmological_time(traj.profile, traj.etas), dtype=float)
     rows = [
         (float(e), float(t), float(sig), float(pi))
-        for e, t, sig, pi in zip(traj.etas, times, traj.sigma, traj.pi)
+        for e, t, sig, pi in zip(traj.etas, traj.times, traj.sigma, traj.pi)
     ]
     return _write_csv(directory / "condensates.csv",
                       ["eta[a]", "t[a]", "sigma[1/a]", "pi[1/a]"], rows)
 
 
-# An analysis emitter writes its files and returns their names; ``block`` is
-# the analysis's BlockSpec (None if it has none), ``opts`` its validated options.
+# An analysis emitter ``(traj, opts, directory)`` writes its files and returns
+# their names; ``opts`` are the analysis's validated options, its block a
+# BlockSpec, and the lattice is ``traj.spec``.
 
 
-def _emit_entropy(traj, lattice, block, opts, directory):
-    times = np.asarray(cosmological_time(traj.profile, traj.etas), dtype=float)
+def _emit_entropy(traj, opts, directory):
+    block = opts["block"]
     rows = []
-    for i, (eta, t) in enumerate(zip(traj.etas, times)):
+    for i, (eta, t) in enumerate(zip(traj.etas, traj.times)):
         gamma = real_space_correlation(traj.state(i), block)
         rows.append((float(eta), float(t), block_entropy(gamma, block)))
     return _write_csv(directory / "entropy_measured.csv",
                       ["eta[a]", "t[a]", "entropy[nats]"], rows)
 
 
-def _emit_contour(traj, lattice, block, opts, directory):
-    field = contour_trajectory(traj, block, time_stride=opts["time_stride"])
+def _emit_contour(traj, opts, directory):
+    field = contour_trajectory(traj, opts["block"], time_stride=opts["time_stride"])
     rows = [(float(eta), float(t), j, float(s_u), float(s_d))
             for eta, t, values in zip(field.etas, field.times, field.values)
             for j, (s_u, s_d) in enumerate(values)]
@@ -210,7 +210,7 @@ def _emit_contour(traj, lattice, block, opts, directory):
                       rows)
 
 
-def _dressed_spectrum(traj, lattice, window=None):
+def _dressed_spectrum(traj, window=None):
     """Final-state spectrum against the vacuum dressed by the mean condensates
     over ``window`` (by default the last quarter of the run)."""
     etas = traj.etas
@@ -223,20 +223,19 @@ def _dressed_spectrum(traj, lattice, window=None):
             f"{list(window)} holds no sample; samples span "
             f"[{etas[0]:.6g}, {etas[-1]:.6g}]",
         )
-    a_f = float(traj.a_vals[-1])
+    ma_f = traj.spec.mass * float(traj.a_vals[-1])
     # (m a_f + Sigma) - m a_f, not Sigma: the rounding the CSVs were written with
-    ma_ref = lattice.mass * a_f + float(np.mean(traj.sigma[mask]))
-    return bogoliubov_spectrum(
-        traj.state(-1), lattice.mass * a_f, sigma=ma_ref - lattice.mass * a_f,
-        pi=float(np.mean(traj.pi[mask])))
+    ma_ref = ma_f + float(np.mean(traj.sigma[mask]))
+    return bogoliubov_spectrum(traj.state(-1), ma_f, sigma=ma_ref - ma_f,
+                               pi=float(np.mean(traj.pi[mask])))
 
 
-def _emit_spectrum(traj, lattice, block, opts, directory):
-    if opts["reference_mode"] == "dressed" and lattice.coupling != 0.0:
-        spectrum = _dressed_spectrum(traj, lattice)
+def _emit_spectrum(traj, opts, directory):
+    if opts["reference_mode"] == "dressed" and traj.spec.coupling != 0.0:
+        spectrum = _dressed_spectrum(traj)
     else:
-        a_f = float(traj.a_vals[-1])
-        spectrum = bogoliubov_spectrum(traj.state(-1), lattice.mass * a_f)
+        spectrum = bogoliubov_spectrum(traj.state(-1),
+                                       traj.spec.mass * float(traj.a_vals[-1]))
     s_mode, s_pair = mode_pair_entropy(spectrum.beta_sq)
     rows = [
         (float(k), float(b), float(sm), float(sp))
@@ -247,19 +246,23 @@ def _emit_spectrum(traj, lattice, block, opts, directory):
                       rows)
 
 
-def _emit_qp(traj, lattice, block, opts, directory):
-    spectrum = _dressed_spectrum(traj, lattice, opts["window"])
-    qp = qp_input_from_spectrum(spectrum, block.length)
-    # pairs are made at the quench: a sudden switch inside the span starts the
-    # clock there, with no entropy before it
+def _emit_qp(traj, opts, directory):
+    spectrum = _dressed_spectrum(traj, opts["window"])
+    qp = qp_input_from_spectrum(spectrum, opts["block"].length)
+    # pairs are made when a(eta) starts to change: a sudden switch inside the
+    # span, or the start of an exponential ramp at eta = 0, starts the clock
+    # there, with no entropy before it
     start = traj.etas[0]
     if isinstance(traj.profile, QuenchProfile):
         start = max(start, traj.profile.eta_switch)
+    elif isinstance(traj.profile, ExponentialProfile):
+        start = max(start, 0.0)
     rows = [(float(e), qp_entropy(qp, max(float(e - start), 0.0))) for e in traj.etas]
     return _write_csv(directory / "entropy_qp.csv", ["eta[a]", "entropy[nats]"], rows)
 
 
-def _emit_symmetry(traj, lattice, block, opts, directory):
+def _emit_symmetry(traj, opts, directory):
+    lattice = traj.spec
     a_f = float(traj.a_vals[-1])
     report = symmetry_report(lattice.mass * a_f + float(traj.sigma[-1]), 0.0,
                              float(traj.pi[-1]), lattice)
@@ -290,7 +293,7 @@ _EMITTERS = {
 }
 
 
-def _qp_out_of_validity(traj, lattice):
+def _qp_out_of_validity(traj):
     """Whether the quasi-particle picture is outside its validity regime.
 
     True when the Sigma oscillations of an interacting run persist
@@ -298,7 +301,7 @@ def _qp_out_of_validity(traj, lattice):
     :data:`~cosmodirac.quasiparticle.PERSISTENCE_LIMIT`), False for a free
     run, None when the trajectory is too sparse to judge.
     """
-    if lattice.coupling == 0.0:
+    if traj.spec.coupling == 0.0:
         return False
     try:
         return condensate_persistence(traj, "sigma") > PERSISTENCE_LIMIT
@@ -310,35 +313,29 @@ def run(config: RunConfig, output_dir=None, workers: int = 1) -> RunManifest:
     """Execute a validated config and write all artifacts.
 
     Returns the saved :class:`RunManifest`.  ``output_dir`` overrides
-    ``output.directory`` from the config; one of the two must be set.
-    ``workers`` is unused; the benchmark harness (``perfbench/worker.py``,
-    ``perfbench/make_references.py``) still passes ``workers=1``.
+    ``output.directory`` from the config; with neither set, a
+    :class:`~cosmodirac.config.ConfigError` naming ``output.directory`` is
+    raised before any work starts.  ``workers`` is unused; the benchmark
+    harness (``perfbench/worker.py``, ``perfbench/make_references.py``)
+    still passes ``workers=1``.
     """
     t_start = time.perf_counter()
-    directory = Path(output_dir or config.output["directory"] or ".")
+    output = output_dir or config.output["directory"]
+    if not output:
+        raise ConfigError("output.directory", "not set; pass an output directory (simulate run --output DIR)")
+    directory = Path(output)
     directory.mkdir(parents=True, exist_ok=True)
 
-    lattice = config.lattice
     traj = _evolve(config, _prepare(config))
 
     files = _emit_condensates(traj, directory)
     for analysis in config.analyses:
-        opts = analysis.options
-        block = None
-        if "block" in opts:
-            block = BlockSpec(opts["block"]["start"], opts["block"]["length"],
-                              lattice.num_sites)
-        files += _EMITTERS[analysis.kind](traj, lattice, block, opts, directory)
-    if config.output["binary"]:
-        # final-state Bloch vectors, shape (N_S, 3) little-endian float64
-        final = traj.bloch[-1].astype("<f8")
-        np.save(directory / "state_final.npy", final)
-        files.append("state_final.npy")
+        files += _EMITTERS[analysis.kind](traj, analysis.options, directory)
 
     inventory = {name: _sha256(directory / name) for name in files}
     diagnostics = {"nfev": traj.nfev, "max_purity_defect": traj.purity_defect()}
     if any(analysis.kind == "qp" for analysis in config.analyses):
-        diagnostics["qp_out_of_validity"] = _qp_out_of_validity(traj, lattice)
+        diagnostics["qp_out_of_validity"] = _qp_out_of_validity(traj)
     manifest = RunManifest(
         directory=directory,
         config=config.raw,

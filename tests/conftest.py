@@ -35,7 +35,7 @@ def preset_field(name, length=None, time_stride=1):
     config, traj = preset_run(name)
     if length is None:
         length = next(
-            a.options["block"]["length"]
+            a.options["block"].length
             for a in config.analyses
             if "block" in a.options
         )

@@ -305,8 +305,7 @@ def test_criterion_7_numerical_health_of_all_runs():
         purity = max(st.purity_defect() for st in states)
         assert purity < 1e-8, name
         opts = next(a.options for a in config.analyses if "block" in a.options)
-        block = BlockSpec(opts["block"]["start"], opts["block"]["length"],
-                          config.lattice.num_sites)
+        block = opts["block"]
         for st in states:
             charge = np.trace(real_space_correlation(st, block)).real
             assert charge == pytest.approx(block.length, rel=1e-12), name

@@ -9,6 +9,7 @@ import pytest
 from cosmodirac import gaussian, pipeline
 from cosmodirac.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, preset_names
 from cosmodirac.config import ConfigError, config_from_dict, load_config
+from cosmodirac.entanglement import BlockSpec
 from cosmodirac.lattice import StaticProfile
 from cosmodirac.pipeline import RunManifest
 from cosmodirac.production import bogoliubov_spectrum
@@ -141,7 +142,8 @@ class TestSchema:
         assert config.evolution["method"] == "rk4"
         assert config.eta_span == (0.0, 2.0)
         # centered by default
-        assert config.analyses[0].options["block"] == {"start": 5, "length": 6}
+        assert config.analyses[0].options["block"] == BlockSpec(5, 6, 16)
+        assert config.output == {"directory": None}
 
 
 class TestCLI:
@@ -304,11 +306,13 @@ class TestCLI:
                              "method: adaptive, rtol: -1.0"), "evolution.rtol"),
         (lambda t: t.replace("deta: 1.0e-3, sample_every: 200",
                              "method: adaptive, rtol: 1.0e-15"), "evolution.rtol"),
+        # output.binary used to add state_final.npy; the switch is gone
+        (lambda t: t + "output: {binary: true}\n", "output.binary"),
     ], ids=["deta_nan", "mass_nan", "mass_typo", "symmetry_a_f_nan", "time_stride_0",
             "symmetry_a_f_below_a_0", "symmetry_a_f_equal_a_0", "hubble_inf",
             "mass_bool", "eta_span_bools", "sample_every_bool", "block_length_bool",
             "hubble_bool", "tabulated_sample_bool", "m_pre_equal_mass",
-            "rtol_negative", "rtol_below_floor"])
+            "rtol_negative", "rtol_below_floor", "output_binary"])
     def test_bad_fields_exit_1_before_evolving(self, tmp_path, capsys, edit, field):
         # each of these used to evolve (or start to) and then die with a
         # traceback, blame the step size, or run with the field ignored
@@ -320,6 +324,15 @@ class TestCLI:
         assert field in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_run_without_an_output_directory_writes_nothing(self, tmp_path, monkeypatch):
+        # run() used to write into the working directory when neither
+        # output_dir nor output.directory was set
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError) as err:
+            pipeline.run(load_config(SMALL_RUN))
+        assert err.value.path == "output.directory"
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_plots_and_bit_reproducibility(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
@@ -411,6 +424,25 @@ class TestPipelineEvolution:
         traj = pipeline._evolve(config, pipeline._prepare(config))
         qp = qp_input_from_spectrum(bogoliubov_spectrum(traj.state(-1), 10.0), 16)
         assert rows[~before, 1].tolist() == [qp_entropy(qp, eta - 2.0)
+                                             for eta in rows[~before, 0]]
+
+    def test_qp_clock_starts_where_an_exponential_ramp_starts(self, tmp_path):
+        # a(eta) is flat at a_0 before eta = 0, so the vacuum is stationary and
+        # no pairs are made there; the clock used to start at the first sample
+        config = load_config(
+            "lattice: {num_sites: 64, mass: 1.0}\n"
+            "profile: {kind: exponential, a_0: 0.01, a_f: 10.0, hubble: 100.0}\n"
+            "evolution: {eta_span: [-2.0, 4.0], deta: 1.0e-3, sample_every: 250}\n"
+            "analyses: [{kind: qp, block: {length: 16}}]\n")
+        pipeline.run(config, output_dir=tmp_path)
+        with open(tmp_path / "entropy_qp.csv") as fh:
+            rows = np.array([[float(x) for x in row] for row in list(csv.reader(fh))[1:]])
+        before = rows[:, 0] <= 0.0
+        assert np.count_nonzero(before) == 9 and np.all(rows[before, 1] == 0.0)
+        traj = pipeline._evolve(config, pipeline._prepare(config))
+        a_f = float(traj.a_vals[-1])  # the ramp's formula lands a few ulp short of 10
+        qp = qp_input_from_spectrum(bogoliubov_spectrum(traj.state(-1), a_f), 16)
+        assert rows[~before, 1].tolist() == [qp_entropy(qp, eta)
                                              for eta in rows[~before, 0]]
 
     @pytest.mark.parametrize("preset, expected", [("fig1a", False), ("fig3c", True)])

@@ -125,9 +125,9 @@ class TestGroundState:
 
     def test_block_entropy_matches_exact_partial_trace(self, fock):
         state = free_ground_state(fock["spec"], MA_I)
-        gamma = real_space_correlation(state)
         for n_block in (1, 2):
-            s_gauss = block_entropy(gamma, BlockSpec(0, n_block, N_SITES))
+            block = BlockSpec(0, n_block, N_SITES)
+            s_gauss = block_entropy(real_space_correlation(state, block), block)
             s_exact = fock["leading_block_entropy"](fock["ground_i"], n_block)
             assert s_gauss == pytest.approx(s_exact, abs=1e-8)
 
@@ -158,16 +158,17 @@ class TestQuenchDynamics:
 
     def test_block_entropy_tracks_exact_evolution(self, fock, evolved):
         psi = _exact_evolved(fock, evolved.etas[-1])
-        gamma = real_space_correlation(evolved.state(-1))
-        s_gauss = block_entropy(gamma, BlockSpec(0, 2, N_SITES))
+        block = BlockSpec(0, 2, N_SITES)
+        s_gauss = block_entropy(real_space_correlation(evolved.state(-1), block), block)
         s_exact = fock["leading_block_entropy"](psi, 2)
         assert s_exact > 0.1  # the quench really entangles the block
         assert s_gauss == pytest.approx(s_exact, abs=1e-8)
 
     def test_contour_sums_to_exact_entropy(self, fock, evolved):
         psi = _exact_evolved(fock, evolved.etas[-1])
-        gamma = real_space_correlation(evolved.state(-1))
-        contour = entanglement_contour(gamma, BlockSpec(0, 2, N_SITES))
+        block = BlockSpec(0, 2, N_SITES)
+        contour = entanglement_contour(real_space_correlation(evolved.state(-1), block),
+                                       block)
         s_exact = fock["leading_block_entropy"](psi, 2)
         assert np.sum(contour) == pytest.approx(s_exact, abs=1e-8)
 
