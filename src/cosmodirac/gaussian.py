@@ -10,13 +10,21 @@ Internally a block is handled through its Bloch vector,
 Gamma_k = (1 + n_k . sigma)/2 with real n_k; the map is affine, so
 trace is conserved identically and purity is just ||n_k| - 1|.
 
+An interacting vacuum solves the gap equation: (Sigma, Pi) must be the
+condensates of the Dirac sea of h_k(m a, Sigma, Pi).  The iteration
+(:func:`self_consistent_ground_state`) evaluates that map on momentum rows
+built once per solve (:func:`_gap_map`), with the operations and summation
+order of ``condensates(free_ground_state(...))``, so both forms agree bit
+for bit and only a converged seed's state is built.
+
 There are two propagators.  A free run (g = 0) on a piecewise-constant
 a(eta) needs no integrator: :func:`evolve_free` rotates each Bloch vector
 exactly about its fixed field.  Every other run is one DOP853 solve
 (:func:`evolve_adaptive`) whose field kernel works on component rows,
-(n_x, n_y, n_z) each over the whole grid, in preallocated buffers; at
-:data:`REFERENCE_RTOL` it stands in for hand-set fixed steps.  The order
-of every floating-point operation is fixed, so runs are bit-reproducible.
+(n_x, n_y, n_z) each over the whole grid, in preallocated buffers, and
+reads a(eta) on the profiles' scalar path; at :data:`REFERENCE_RTOL` it
+stands in for hand-set fixed steps.  The order of every floating-point
+operation is fixed, so runs are bit-reproducible.
 A :class:`Trajectory` stores its samples as arrays, the Bloch vectors as
 (T, N_S, 3).
 """
@@ -217,6 +225,40 @@ def mean_field_energy(state: CorrelationState, ma_eff) -> float:
 GAP_MIXING = 0.5
 
 
+def _gap_map(spec: LatticeSpec, ma_eff):
+    """The gap-equation map (Sigma, Pi) -> (Sigma', Pi') at effective mass
+    ``ma_eff``: the condensates of the Dirac sea of h_k(ma_eff, Sigma, Pi).
+
+    With b_k = (-sin k, Pi, b_z) and b_z = ma_eff + Sigma + 1 - cos k,
+    eps_k = |b_k| and n_k = b_k / eps_k,
+
+        Sigma' = -g0^2/(2 N_S) sum_k b_z/eps_k,
+        Pi'    =  g0^2/(2 N_S) sum_k Pi/eps_k.
+
+    The momentum rows are built once; every floating-point operation, and
+    the summation order of each eps_k and of each pairwise sum over k, is the
+    one of ``condensates(free_ground_state(spec, ma_eff, Sigma, Pi))``, so the
+    two agree bit for bit.  Raises :class:`DegenerateGroundStateError` where
+    the gap closes, as :func:`free_ground_state` does.
+    """
+    ks = spec.momentum_grid()
+    sin = np.sin(ks)
+    sin2 = sin * sin
+    wilson = 1.0 - np.cos(ks)
+    pref = spec.coupling / (2.0 * spec.num_sites)
+
+    def gap(sigma, pi):
+        bz = (ma_eff + sigma) + wilson
+        eps = np.sqrt((sin2 + pi * pi) + bz * bz)
+        if (eps < 1e-12).any():
+            raise DegenerateGroundStateError(
+                f"gap closes at k = {ks[eps < 1e-12]}; ground state degenerate"
+            )
+        return float(-pref * (bz / eps).sum()), float(pref * (pi / eps).sum())
+
+    return gap
+
+
 def self_consistent_ground_state(
     spec: LatticeSpec,
     a_val: float,
@@ -226,11 +268,13 @@ def self_consistent_ground_state(
 ):
     """Gap-equation-consistent vacuum at scale factor a_val.
 
-    Iterates (Sigma, Pi) -> condensates(free_ground_state(...)) with
-    linear mixing (:data:`GAP_MIXING`) until the update falls below
-    ``tol``.  Several Pi seeds probe the parity-broken (Aoki) branches;
-    the lowest-energy fixed point wins and the sign of Pi is reported as
-    found.
+    Iterates the gap map (Sigma, Pi) -> (Sigma', Pi'), the condensates of
+    the Dirac sea of h_k(m a_val, Sigma, Pi) (:func:`_gap_map`, bit for bit
+    ``condensates(free_ground_state(...))``), with linear mixing
+    (:data:`GAP_MIXING`) until the update falls below ``tol``.  Several Pi
+    seeds probe the parity-broken (Aoki) branches; the state of each
+    converged seed is built once by :func:`free_ground_state`, the
+    lowest-energy fixed point wins and the sign of Pi is reported as found.
 
     Returns (CorrelationState, CondensatePair).
     """
@@ -240,6 +284,7 @@ def self_consistent_ground_state(
     if spec.coupling == 0.0:
         return free_ground_state(spec, ma_eff), CondensatePair(0.0, 0.0)
 
+    gap = _gap_map(spec, ma_eff)
     best = None
     failures = []
     for pi0 in pi_seeds:
@@ -247,9 +292,9 @@ def self_consistent_ground_state(
         history = []
         converged = False
         for _ in range(max_iter):
-            new = condensates(free_ground_state(spec, ma_eff, sig, pi))
-            d_sig = new.sigma - sig
-            d_pi = new.pi - pi
+            new_sig, new_pi = gap(sig, pi)
+            d_sig = new_sig - sig
+            d_pi = new_pi - pi
             history.append(max(abs(d_sig), abs(d_pi)))
             sig += GAP_MIXING * d_sig
             pi += GAP_MIXING * d_pi
@@ -307,19 +352,20 @@ class _BlockField:
 
     Built once per run from the lattice.  The state being differentiated
     sits in a buffer ``v`` of component rows (n_x, n_y, n_z, n_x, n_y) and
-    the field in ``b`` as (b_x, b_y, b_z, b_x, b_y), with b = (-sin k, Pi,
-    m a + Sigma + 1 - cos k).  The repeated rows make the cross
+    twice the field in ``b`` as (b_x, b_y, b_z, b_x, b_y), with b = (-sin k,
+    Pi, m a + Sigma + 1 - cos k).  The repeated rows make the cross
     product (b x n)_i = b_{i+1} n_{i+2} - b_{i+2} n_{i+1} two shifted
     row slices.  Every view is taken once here, so an evaluation
-    allocates no arrays.
+    allocates no arrays.  Doubling is exact in binary floating point, so
+    (2 b) x n is bit for bit 2 (b x n).
     """
 
     def __init__(self, spec: LatticeSpec):
         ks = spec.momentum_grid()
         self.pref = spec.coupling / (2.0 * spec.num_sites)
-        self.wilson = 1.0 - np.cos(ks)
+        self.wilson2 = 2.0 * (1.0 - np.cos(ks))
         b = np.empty((5, spec.num_sites))
-        b[0::3] = -np.sin(ks)
+        b[0::3] = -2.0 * np.sin(ks)
         v = np.empty((5, spec.num_sites))
         self._n, self._wrap_to, self._wrap_from = v[:3], v[3:], v[:2]
         self._ny, self._nz = v[1], v[2]
@@ -335,13 +381,12 @@ class _BlockField:
     def rate(self, ma, out):
         """out <- 2 b x n for the state in ``v`` at effective mass ``ma``."""
         sig = -self.pref * self._nz.sum()
-        self._by.fill(self.pref * self._ny.sum())
-        np.add(ma + sig, self.wilson, out=self._bz)
+        self._by.fill(2.0 * (self.pref * self._ny.sum()))
+        np.add(2.0 * (ma + sig), self.wilson2, out=self._bz)
         b_lead, n_lead, b_lag, n_lag = self._cross
         np.multiply(b_lead, n_lead, out=out)
         np.multiply(b_lag, n_lag, out=self._tmp)
         np.subtract(out, self._tmp, out=out)
-        np.multiply(out, 2.0, out=out)
 
 
 def _check_span(eta_span):

@@ -2,7 +2,10 @@
 
 Everything here is a pure function of its value inputs: momentum grids,
 gamma matrices, cosmological time from conformal time, 2x2 Hamiltonian
-blocks, and the dispersion relation with its group velocity.
+blocks, and the dispersion relation with its group velocity.  A profile's
+scale factor at one float time takes a scalar path with the IEEE operations
+of its array path, so both agree bit for bit; the adaptive solver's
+right-hand side reads a(eta) that way at every evaluation.
 
 All quantities are in lattice units, a = 1: lengths and conformal times count
 sites, and momenta, masses and rates are in 1/a.  A chain whose sites lie
@@ -70,6 +73,19 @@ class LatticeSpec:
 # Scale-factor profiles
 # ---------------------------------------------------------------------------
 
+# ``isinstance(eta, float)`` holds for the np.float64 that scipy's solvers pass
+# too; the scalar branches spare each right-hand-side call a 0-d array.
+
+
+def _check_domain(eta, lo, hi, name):
+    """Raise :class:`DomainError` unless every eta lies in [lo, hi], to 1e-12."""
+    if isinstance(eta, float):
+        outside = eta < lo - 1e-12 or eta > hi + 1e-12
+    else:
+        outside = np.any(eta < lo - 1e-12) or np.any(eta > hi + 1e-12)
+    if outside:
+        raise DomainError(f"eta outside {name} [{lo}, {hi}]")
+
 
 @dataclass(frozen=True)
 class StaticProfile:
@@ -82,6 +98,8 @@ class StaticProfile:
             raise ValueError("a_val must be positive")
 
     def scale_factor(self, eta):
+        if isinstance(eta, float):
+            return float(self.a_val)
         return self.a_val * np.ones_like(np.asarray(eta, dtype=float))
 
     def cosmological_time(self, eta):
@@ -115,6 +133,9 @@ class ExponentialProfile:
         return (1.0 - self.a_0 / self.a_f) / (self.a_0 * self.hubble)
 
     def scale_factor(self, eta):
+        if isinstance(eta, float):
+            ramp = self.a_0 / (1.0 - self.a_0 * self.hubble * min(eta, self.eta_clamp))
+            return min(max(ramp, self.a_0), self.a_f)
         eta = np.asarray(eta, dtype=float)
         ramp = self.a_0 / (1.0 - self.a_0 * self.hubble * np.minimum(eta, self.eta_clamp))
         return np.clip(ramp, self.a_0, self.a_f)
@@ -146,6 +167,8 @@ class QuenchProfile:
             raise ValueError("scale factors must be positive")
 
     def scale_factor(self, eta):
+        if isinstance(eta, float):
+            return self.a_0 if eta < self.eta_switch else self.a_f
         eta = np.asarray(eta, dtype=float)
         return np.where(eta < self.eta_switch, self.a_0, self.a_f)
 
@@ -192,11 +215,11 @@ class DeSitterProfile:
         return -1.0 / (self.hubble * self.eta_0)
 
     def scale_factor(self, eta):
+        if isinstance(eta, float):
+            _check_domain(eta, self.eta_0, self.eta_max, "de Sitter chart")
+            return -1.0 / (self.hubble * min(eta, self.eta_max))
         eta = np.asarray(eta, dtype=float)
-        if np.any(eta < self.eta_0 - 1e-12) or np.any(eta > self.eta_max + 1e-12):
-            raise DomainError(
-                f"eta outside de Sitter chart [{self.eta_0}, {self.eta_max}]"
-            )
+        _check_domain(eta, self.eta_0, self.eta_max, "de Sitter chart")
         return -1.0 / (self.hubble * np.minimum(eta, self.eta_max))
 
     def cosmological_time(self, eta):
@@ -211,6 +234,9 @@ class TabulatedProfile:
 
     etas: tuple = field(default_factory=tuple)
     values: tuple = field(default_factory=tuple)
+    # the samples as arrays for np.interp, made once
+    _etas: np.ndarray = field(init=False, repr=False, compare=False)
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         etas = np.asarray(self.etas, dtype=float)
@@ -223,13 +249,14 @@ class TabulatedProfile:
             raise ValueError("scale-factor samples must be positive")
         object.__setattr__(self, "etas", tuple(etas))
         object.__setattr__(self, "values", tuple(vals))
+        object.__setattr__(self, "_etas", np.array(self.etas))
+        object.__setattr__(self, "_values", np.array(self.values))
 
     def scale_factor(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        lo, hi = self.etas[0], self.etas[-1]
-        if np.any(eta < lo - 1e-12) or np.any(eta > hi + 1e-12):
-            raise DomainError(f"eta outside tabulated domain [{lo}, {hi}]")
-        return np.interp(eta, self.etas, self.values)
+        if not isinstance(eta, float):
+            eta = np.asarray(eta, dtype=float)
+        _check_domain(eta, self.etas[0], self.etas[-1], "tabulated domain")
+        return np.interp(eta, self._etas, self._values)
 
     def cosmological_time(self, eta):
         eta = np.atleast_1d(np.asarray(eta, dtype=float))

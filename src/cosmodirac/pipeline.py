@@ -187,7 +187,8 @@ def _emit_condensates(traj, directory):
 
 # An analysis emitter ``(traj, opts, directory)`` writes its files and returns
 # their names; ``opts`` are the analysis's validated options, its block a
-# BlockSpec, and the lattice is ``traj.spec``.
+# BlockSpec, with the run's preparation kind added as ``opts["preparation"]``,
+# and the lattice is ``traj.spec``.
 
 
 def _emit_entropy(traj, opts, directory):
@@ -249,14 +250,16 @@ def _emit_spectrum(traj, opts, directory):
 def _emit_qp(traj, opts, directory):
     spectrum = _dressed_spectrum(traj, opts["window"])
     qp = qp_input_from_spectrum(spectrum, opts["block"].length)
-    # pairs are made when a(eta) starts to change: a sudden switch inside the
-    # span, or the start of an exponential ramp at eta = 0, starts the clock
-    # there, with no entropy before it
+    # pairs are made by a mass quench at the first sample, or else when a(eta)
+    # starts to change: a sudden switch inside the span, or the start of an
+    # exponential ramp at eta = 0, starts the clock there, with no entropy
+    # before it
     start = traj.etas[0]
-    if isinstance(traj.profile, QuenchProfile):
-        start = max(start, traj.profile.eta_switch)
-    elif isinstance(traj.profile, ExponentialProfile):
-        start = max(start, 0.0)
+    if opts["preparation"] != "mass_quench":
+        if isinstance(traj.profile, QuenchProfile):
+            start = max(start, traj.profile.eta_switch)
+        elif isinstance(traj.profile, ExponentialProfile):
+            start = max(start, 0.0)
     rows = [(float(e), qp_entropy(qp, max(float(e - start), 0.0))) for e in traj.etas]
     return _write_csv(directory / "entropy_qp.csv", ["eta[a]", "entropy[nats]"], rows)
 
@@ -330,7 +333,8 @@ def run(config: RunConfig, output_dir=None, workers: int = 1) -> RunManifest:
 
     files = _emit_condensates(traj, directory)
     for analysis in config.analyses:
-        files += _EMITTERS[analysis.kind](traj, analysis.options, directory)
+        opts = dict(analysis.options, preparation=config.preparation["kind"])
+        files += _EMITTERS[analysis.kind](traj, opts, directory)
 
     inventory = {name: _sha256(directory / name) for name in files}
     diagnostics = {"nfev": traj.nfev, "max_purity_defect": traj.purity_defect()}

@@ -445,6 +445,33 @@ class TestPipelineEvolution:
         assert rows[~before, 1].tolist() == [qp_entropy(qp, eta)
                                              for eta in rows[~before, 0]]
 
+    def test_qp_clock_starts_at_a_mass_quench_on_any_profile(self, tmp_path):
+        # the mass quench makes pairs at eta_0, before the ramp starts at eta = 0:
+        # the clock starts at the first sample, as the measured entropy does
+        config = load_config(
+            "lattice: {num_sites: 64, mass: 1.0}\n"
+            "profile: {kind: exponential, a_0: 1.0, a_f: 10.0, hubble: 1.0}\n"
+            "preparation: {kind: mass_quench, m_pre: 2.0}\n"
+            "evolution: {eta_span: [-2.0, 4.0], deta: 1.0e-3, sample_every: 250}\n"
+            "analyses: [{kind: qp, block: {length: 16}}, "
+            "{kind: entropy, block: {length: 16}}]\n")
+        pipeline.run(config, output_dir=tmp_path)
+        rows = {}
+        for name in ("entropy_qp.csv", "entropy_measured.csv"):
+            with open(tmp_path / name) as fh:
+                rows[name] = np.array([[float(x) for x in row[:1] + row[-1:]]
+                                       for row in list(csv.reader(fh))[1:]])
+        qp_rows, measured = rows["entropy_qp.csv"], rows["entropy_measured.csv"]
+        before_ramp = qp_rows[:, 0] <= 0.0
+        assert np.count_nonzero(before_ramp) == 9
+        assert measured[8, 1] > measured[0, 1] + 0.3  # pairs made before the ramp
+        assert qp_rows[0, 1] == 0.0 and np.all(qp_rows[1:9, 1] > 0.0)
+        traj = pipeline._evolve(config, pipeline._prepare(config))
+        qp = qp_input_from_spectrum(bogoliubov_spectrum(traj.state(-1),
+                                                        float(traj.a_vals[-1])), 16)
+        assert qp_rows[:, 1].tolist() == [qp_entropy(qp, eta + 2.0)
+                                          for eta in qp_rows[:, 0]]
+
     @pytest.mark.parametrize("preset, expected", [("fig1a", False), ("fig3c", True)])
     def test_manifest_flags_the_qp_validity_regime(self, tmp_path, preset, expected):
         # fig3c's Sigma oscillations persist (late/early ratio about 1.03), so

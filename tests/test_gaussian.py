@@ -77,6 +77,20 @@ class TestGroundStates:
         spec = LatticeSpec(num_sites=16)
         with pytest.raises(DegenerateGroundStateError):
             free_ground_state(spec, 0.0)  # massless: gap closes at k = 0
+        # the gap equation's first map, at Sigma = Pi = 0, meets the same closure
+        with pytest.raises(DegenerateGroundStateError, match=r"k = \[0\.\]"):
+            self_consistent_ground_state(LatticeSpec(num_sites=16, coupling=1.0), 1.0)
+
+    @pytest.mark.parametrize("num_sites", [8, 130, 1000])
+    def test_gap_map_is_the_condensates_of_the_dirac_sea(self, num_sites):
+        # numpy sums fewer than 8 terms in a row, unrolls 8-way up to 128 terms
+        # and halves longer sums: 8 is unrolled, 130 and 1000 are halved
+        spec = LatticeSpec(num_sites=num_sites, mass=-1.0, coupling=3.0)
+        rng = np.random.default_rng(num_sites)
+        for ma_eff, sigma, pi in rng.normal(size=(20, 3)):
+            ma_eff, sigma, pi = float(ma_eff), float(sigma), float(pi)
+            cond = condensates(free_ground_state(spec, ma_eff, sigma, pi))
+            assert gaussian._gap_map(spec, ma_eff)(sigma, pi) == (cond.sigma, cond.pi)
 
     def test_deep_mass_scalar_condensate(self):
         # for ma_eff -> +inf the lower spinor fills every site and

@@ -146,6 +146,60 @@ class TestProfiles:
             TabulatedProfile(etas=(0.0, 1.0), values=(1.0, -1.0))
 
 
+# Each profile with conformal times that reach every branch of its scale
+# factor: flat, ramp, clamp, switch, chart or table, and the 1e-12 of slack
+# past a domain's ends.
+_EXP = ExponentialProfile(a_0=0.01, a_f=10.0, hubble=1.0)
+SCALAR_CASES = {
+    "static": (StaticProfile(a_val=2.5), [-3.0, 0.0, 7.25]),
+    "exponential": (_EXP, [-5.0, -1e-300, 0.0, *np.linspace(0.0, _EXP.eta_clamp, 41)[1:],
+                           np.nextafter(_EXP.eta_clamp, 0.0), _EXP.eta_clamp + 1e-9,
+                           2 * _EXP.eta_clamp, 1e9]),
+    "quench": (QuenchProfile(a_0=0.7, a_f=1.3, eta_switch=0.5),
+               [-1.0, np.nextafter(0.5, 0.0), 0.5, 2.0]),
+    "de_sitter": (DeSitterProfile(hubble=0.1, eta_0=-30.0, eta_max=-0.01),
+                  [-30.0 - 5e-13, *np.linspace(-30.0, -0.01, 41), -0.01 + 5e-13]),
+    "tabulated": (TabulatedProfile(etas=(0.0, 1.0, 3.0), values=(1.0, 2.0, 2.5)),
+                  [-5e-13, *np.linspace(0.0, 3.0, 31), 0.1, 2.9, 3.0 + 5e-13]),
+}
+
+
+class TestScalarScaleFactor:
+    """A float eta takes a scalar path through scale_factor; it must give the
+    array path's value to the bit."""
+
+    @pytest.mark.parametrize("kind", SCALAR_CASES)
+    def test_scalar_path_is_the_array_path(self, kind):
+        profile, etas = SCALAR_CASES[kind]
+        expected = profile.scale_factor(np.array(etas))
+        for eta, a in zip(etas, expected):
+            # solve_ivp hands the right-hand side an np.float64
+            for x in (float(eta), np.float64(eta)):
+                got = profile.scale_factor(x)
+                assert not isinstance(got, np.ndarray), (kind, x)
+                assert float(got).hex() == float(a).hex(), (kind, x)
+
+    @pytest.mark.parametrize("kind, eta", [("de_sitter", -30.0 - 2e-12),
+                                           ("de_sitter", -0.005),
+                                           ("tabulated", -1.0),
+                                           ("tabulated", 3.0 + 2e-12)])
+    def test_out_of_domain_scalars_raise(self, kind, eta):
+        profile, _ = SCALAR_CASES[kind]
+        with pytest.raises(DomainError) as array_error:
+            profile.scale_factor(np.array([eta]))
+        for x in (eta, np.float64(eta)):
+            with pytest.raises(DomainError) as error:
+                profile.scale_factor(x)
+            assert str(error.value) == str(array_error.value)
+
+    def test_tabulated_profile_compares_and_hashes_by_its_samples(self):
+        a = TabulatedProfile(etas=(0.0, 1.0), values=(1.0, 2.0))
+        b = TabulatedProfile(etas=[0, 1], values=np.array([1.0, 2.0]))
+        assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+        assert a != TabulatedProfile(etas=(0.0, 1.0), values=(1.0, 3.0))
+        assert "_etas" not in repr(a) and "_values" not in repr(a)
+
+
 class TestDispersion:
     def test_block_matches_bloch_decomposition(self):
         ks = np.linspace(-np.pi, np.pi, 7)
