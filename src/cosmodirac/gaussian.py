@@ -22,9 +22,9 @@ a(eta) needs no integrator: :func:`evolve_free` rotates each Bloch vector
 exactly about its fixed field.  Every other run is one DOP853 solve
 (:func:`evolve_adaptive`) whose field kernel works on component rows,
 (n_x, n_y, n_z) each over the whole grid, in preallocated buffers, and
-reads a(eta) on the profiles' scalar path; at :data:`REFERENCE_RTOL` it
-stands in for hand-set fixed steps.  The order of every floating-point
-operation is fixed, so runs are bit-reproducible.
+reads a(eta) on a profile's scalar path where it has one; at
+:data:`REFERENCE_RTOL` it stands in for hand-set fixed steps.  The order of
+every floating-point operation is fixed, so runs are bit-reproducible.
 A :class:`Trajectory` stores its samples as arrays, the Bloch vectors as
 (T, N_S, 3).
 """

@@ -2,10 +2,10 @@
 
 Everything here is a pure function of its value inputs: momentum grids,
 gamma matrices, cosmological time from conformal time, 2x2 Hamiltonian
-blocks, and the dispersion relation with its group velocity.  A profile's
-scale factor at one float time takes a scalar path with the IEEE operations
-of its array path, so both agree bit for bit; the adaptive solver's
-right-hand side reads a(eta) that way at every evaluation.
+blocks, and the dispersion relation with its group velocity.  The
+exponential, quench and de Sitter profiles, the ones the adaptive solver
+reads at every right-hand-side evaluation, take a scalar path for one float
+time with the IEEE operations of their array path, so both agree bit for bit.
 
 All quantities are in lattice units, a = 1: lengths and conformal times count
 sites, and momenta, masses and rates are in 1/a.  A chain whose sites lie
@@ -98,8 +98,6 @@ class StaticProfile:
             raise ValueError("a_val must be positive")
 
     def scale_factor(self, eta):
-        if isinstance(eta, float):
-            return float(self.a_val)
         return self.a_val * np.ones_like(np.asarray(eta, dtype=float))
 
     def cosmological_time(self, eta):
@@ -234,9 +232,6 @@ class TabulatedProfile:
 
     etas: tuple = field(default_factory=tuple)
     values: tuple = field(default_factory=tuple)
-    # the samples as arrays for np.interp, made once
-    _etas: np.ndarray = field(init=False, repr=False, compare=False)
-    _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         etas = np.asarray(self.etas, dtype=float)
@@ -249,14 +244,11 @@ class TabulatedProfile:
             raise ValueError("scale-factor samples must be positive")
         object.__setattr__(self, "etas", tuple(etas))
         object.__setattr__(self, "values", tuple(vals))
-        object.__setattr__(self, "_etas", np.array(self.etas))
-        object.__setattr__(self, "_values", np.array(self.values))
 
     def scale_factor(self, eta):
-        if not isinstance(eta, float):
-            eta = np.asarray(eta, dtype=float)
+        eta = np.asarray(eta, dtype=float)
         _check_domain(eta, self.etas[0], self.etas[-1], "tabulated domain")
-        return np.interp(eta, self._etas, self._values)
+        return np.interp(eta, self.etas, self.values)
 
     def cosmological_time(self, eta):
         eta = np.atleast_1d(np.asarray(eta, dtype=float))

@@ -13,6 +13,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -187,8 +188,7 @@ def _emit_condensates(traj, directory):
 
 # An analysis emitter ``(traj, opts, directory)`` writes its files and returns
 # their names; ``opts`` are the analysis's validated options, its block a
-# BlockSpec, with the run's preparation kind added as ``opts["preparation"]``,
-# and the lattice is ``traj.spec``.
+# BlockSpec, and the lattice is ``traj.spec``.
 
 
 def _emit_entropy(traj, opts, directory):
@@ -247,15 +247,25 @@ def _emit_spectrum(traj, opts, directory):
                       rows)
 
 
-def _emit_qp(traj, opts, directory):
+def _quenched_at_start(config: RunConfig) -> bool:
+    """Whether the prepared state is not a vacuum of the Hamiltonian it evolves
+    under: a mass quench, or the vacuum of another coupling, makes pairs at
+    eta_0."""
+    prep = config.preparation
+    coupling_pre = prep.get("coupling_pre")
+    return prep["kind"] == "mass_quench" or (
+        coupling_pre is not None and coupling_pre != config.lattice.coupling)
+
+
+def _emit_qp(traj, opts, directory, quenched_at_start=False):
     spectrum = _dressed_spectrum(traj, opts["window"])
     qp = qp_input_from_spectrum(spectrum, opts["block"].length)
-    # pairs are made by a mass quench at the first sample, or else when a(eta)
+    # pairs are made by a quench at the first sample, or else when a(eta)
     # starts to change: a sudden switch inside the span, or the start of an
     # exponential ramp at eta = 0, starts the clock there, with no entropy
     # before it
     start = traj.etas[0]
-    if opts["preparation"] != "mass_quench":
+    if not quenched_at_start:
         if isinstance(traj.profile, QuenchProfile):
             start = max(start, traj.profile.eta_switch)
         elif isinstance(traj.profile, ExponentialProfile):
@@ -331,10 +341,11 @@ def run(config: RunConfig, output_dir=None, workers: int = 1) -> RunManifest:
 
     traj = _evolve(config, _prepare(config))
 
+    emitters = dict(_EMITTERS, qp=partial(_emit_qp,
+                                          quenched_at_start=_quenched_at_start(config)))
     files = _emit_condensates(traj, directory)
     for analysis in config.analyses:
-        opts = dict(analysis.options, preparation=config.preparation["kind"])
-        files += _EMITTERS[analysis.kind](traj, opts, directory)
+        files += emitters[analysis.kind](traj, analysis.options, directory)
 
     inventory = {name: _sha256(directory / name) for name in files}
     diagnostics = {"nfev": traj.nfev, "max_purity_defect": traj.purity_defect()}

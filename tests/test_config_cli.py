@@ -445,13 +445,18 @@ class TestPipelineEvolution:
         assert rows[~before, 1].tolist() == [qp_entropy(qp, eta)
                                              for eta in rows[~before, 0]]
 
-    def test_qp_clock_starts_at_a_mass_quench_on_any_profile(self, tmp_path):
-        # the mass quench makes pairs at eta_0, before the ramp starts at eta = 0:
-        # the clock starts at the first sample, as the measured entropy does
+    @pytest.mark.parametrize("preparation", ["{kind: mass_quench, m_pre: 2.0}",
+                                             "{kind: vacuum, coupling_pre: 3.0}"],
+                             ids=["mass_quench", "coupling_pre"])
+    def test_qp_clock_starts_at_a_quenched_preparation_on_any_profile(self, tmp_path,
+                                                                      preparation):
+        # a mass quench, or the vacuum of another coupling released into this
+        # one, makes pairs at eta_0, before the ramp starts at eta = 0: the
+        # clock starts at the first sample, as the measured entropy does
         config = load_config(
             "lattice: {num_sites: 64, mass: 1.0}\n"
             "profile: {kind: exponential, a_0: 1.0, a_f: 10.0, hubble: 1.0}\n"
-            "preparation: {kind: mass_quench, m_pre: 2.0}\n"
+            f"preparation: {preparation}\n"
             "evolution: {eta_span: [-2.0, 4.0], deta: 1.0e-3, sample_every: 250}\n"
             "analyses: [{kind: qp, block: {length: 16}}, "
             "{kind: entropy, block: {length: 16}}]\n")
