@@ -54,7 +54,10 @@ class RunManifest:
     purity defect over the samples, which DOP853 does not conserve, so on
     a DOP853 run it tracks the step error.  A run with a ``qp`` analysis
     adds ``qp_out_of_validity`` (see :func:`_qp_out_of_validity`), the
-    advisory tag of ``entropy_qp.csv``.  None of these is in the
+    advisory tag of ``entropy_qp.csv``.  ``stage_s`` holds the wall time
+    in seconds of each stage: ``prepare``, ``evolve``, each analysis as
+    ``analyses[<i>].<kind>`` (its CSVs included), and ``write``, the
+    condensates CSV and the sha256 inventory.  None of these is in the
     inventory, so the files stay byte-identical.
     """
 
@@ -274,7 +277,16 @@ def _emit_qp(traj, opts, directory, quenched_at_start=False):
     return _write_csv(directory / "entropy_qp.csv", ["eta[a]", "entropy[nats]"], rows)
 
 
-def _emit_symmetry(traj, opts, directory):
+def _sweep_vacuum(config: RunConfig, state):
+    """``(state, a)`` if the prepared ``state`` is the vacuum of the run's own
+    lattice at scale factor ``a``, else None: the Hubble sweep starts from
+    that vacuum when ``a`` is its a_0, instead of solving for it again."""
+    if _quenched_at_start(config):
+        return None
+    return state, preparation_scale(config.profile, config.eta_span[0])
+
+
+def _emit_symmetry(traj, opts, directory, vacuum=None):
     lattice = traj.spec
     a_f = float(traj.a_vals[-1])
     report = symmetry_report(lattice.mass * a_f + float(traj.sigma[-1]), 0.0,
@@ -286,8 +298,11 @@ def _emit_symmetry(traj, opts, directory):
     with open(directory / "symmetry_report.txt", "w") as fh:
         fh.write(report.table() + "\n")
 
+    source = lattice
+    if vacuum is not None and vacuum[1] == opts["a_0"]:
+        source = vacuum[0]
     sweep = spectrum_symmetry_check(
-        lattice, opts["a_0"], opts["a_f"], opts["hubble_values"],
+        source, opts["a_0"], opts["a_f"], opts["hubble_values"],
         reference_mode=opts["reference_mode"],
     )
     _write_csv(directory / "symmetry_sweep.csv",
@@ -339,16 +354,33 @@ def run(config: RunConfig, output_dir=None, workers: int = 1) -> RunManifest:
     directory = Path(output)
     directory.mkdir(parents=True, exist_ok=True)
 
-    traj = _evolve(config, _prepare(config))
+    stage_s = {}
+    clock = time.perf_counter()
 
-    emitters = dict(_EMITTERS, qp=partial(_emit_qp,
-                                          quenched_at_start=_quenched_at_start(config)))
-    files = _emit_condensates(traj, directory)
-    for analysis in config.analyses:
+    def lap(stage):
+        nonlocal clock
+        now = time.perf_counter()
+        stage_s[stage] = now - clock
+        clock = now
+
+    state = _prepare(config)
+    lap("prepare")
+    traj = _evolve(config, state)
+    lap("evolve")
+
+    emitters = dict(_EMITTERS,
+                    qp=partial(_emit_qp, quenched_at_start=_quenched_at_start(config)),
+                    symmetry=partial(_emit_symmetry, vacuum=_sweep_vacuum(config, state)))
+    files = []
+    for i, analysis in enumerate(config.analyses):
         files += emitters[analysis.kind](traj, analysis.options, directory)
+        lap(f"analyses[{i}].{analysis.kind}")
 
+    files = _emit_condensates(traj, directory) + files
     inventory = {name: _sha256(directory / name) for name in files}
-    diagnostics = {"nfev": traj.nfev, "max_purity_defect": traj.purity_defect()}
+    lap("write")
+    diagnostics = {"nfev": traj.nfev, "max_purity_defect": traj.purity_defect(),
+                   "stage_s": stage_s}
     if any(analysis.kind == "qp" for analysis in config.analyses):
         diagnostics["qp_out_of_validity"] = _qp_out_of_validity(traj)
     manifest = RunManifest(

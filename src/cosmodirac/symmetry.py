@@ -16,7 +16,7 @@ import numpy as np
 
 from .lattice import (GAMMA0, GAMMA1, SIGMA_Y, ExponentialProfile, LatticeSpec,
                       hamiltonian_block)
-from .gaussian import (REFERENCE_RTOL, condensates, evolve_adaptive,
+from .gaussian import (REFERENCE_RTOL, CorrelationState, condensates, evolve_adaptive,
                        self_consistent_ground_state)
 from .production import bogoliubov_spectrum, spectrum_asymmetry
 
@@ -125,7 +125,7 @@ def _sweep_row(spec, a_0, a_f, vacuum, reference_mode, hubble):
 
 
 def spectrum_symmetry_check(
-    spec: LatticeSpec,
+    spec: LatticeSpec | CorrelationState,
     a_0: float,
     a_f: float,
     hubble_values,
@@ -155,10 +155,18 @@ def spectrum_symmetry_check(
     rates run one after another in this process: fig6's six take about
     0.1 s in all on a 2-core machine, too little to share among processes.
 
+    ``spec`` is the lattice, or that vacuum itself when the caller has
+    already solved for it (:func:`~cosmodirac.pipeline.run` passes the
+    state it prepared when that is the lattice's vacuum at a_0); the
+    vacuum is then used as it is, with no second gap-equation solve.
+
     Returns a list of dicts {hubble, asymmetry, beta_sq_sum}.
     """
     if reference_mode not in ("bare", "dressed"):
         raise ValueError(f"unknown reference_mode {reference_mode!r}")
-    vacuum, _ = self_consistent_ground_state(spec, a_0)
+    if isinstance(spec, CorrelationState):
+        vacuum, spec = spec, spec.spec
+    else:
+        vacuum, _ = self_consistent_ground_state(spec, a_0)
     return [_sweep_row(spec, a_0, a_f, vacuum, reference_mode, hubble)
             for hubble in hubble_values]

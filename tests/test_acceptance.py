@@ -12,7 +12,10 @@ import pytest
 from conftest import preset_run, preset_field
 
 from cosmodirac.entanglement import (
+    PARTICLE_HOLE_TOL,
     BlockSpec,
+    _mode_entropies,
+    _particle_hole_form,
     block_entropy,
     cone_front,
     front_slope,
@@ -187,9 +190,12 @@ def test_criterion_4_cp_structure_of_the_contour():
     """Pseudo-scalar condensates skew per-spinor cones but preserve CP.
 
     Pi = 0 run: site contour mirror-symmetric and spinor-balanced to
-    1e-10.  Parity-broken preparation (fig5): each spinor's contour is
-    mirror-asymmetric above 1e-2 while the CP pairing
-    S_(i,u) = S_(l+1-i,d) holds to 1e-6.
+    1e-10.  Its blocks are particle-hole symmetric, so the contour is
+    computed on the real path, where S_u = S_d by construction; at a few
+    samples it is therefore compared with the complex ``eigh`` of the
+    block itself to 1e-12.  Parity-broken preparation (fig5): its blocks
+    fail the particle-hole test, each spinor's contour is mirror-asymmetric
+    above 1e-2 while the CP pairing S_(i,u) = S_(l+1-i,d) holds to 1e-6.
     """
     sym_field = preset_field("fig2_free")
     summed = sym_field.spinor_summed()
@@ -197,8 +203,18 @@ def test_criterion_4_cp_structure_of_the_contour():
     spinor = float(np.max(np.abs(sym_field.values[:, :, 0]
                                  - sym_field.values[:, :, 1])))
     assert mirror < 1e-10 and spinor < 1e-10
+    _, traj = preset_run("fig2_free")
+    block = sym_field.block
+    for i in np.linspace(0, len(traj.etas) - 1, 4).astype(int):
+        nu, u = np.linalg.eigh(real_space_correlation(traj.state(i), block))
+        ref = ((np.abs(u) ** 2) @ _mode_entropies(nu)).reshape(block.length, 2)
+        assert np.max(np.abs(sym_field.values[i] - ref)) < 1e-12
 
     field5 = preset_field("fig5")
+    _, traj5 = preset_run("fig5")
+    for i in np.linspace(0, len(traj5.etas) - 1, 4).astype(int):
+        gamma = real_space_correlation(traj5.state(i), field5.block)
+        assert _particle_hole_form(gamma, field5.block.length)[0] > PARTICLE_HOLE_TOL
     up = field5.values[:, :, 0]
     lopsided = float(np.max(np.abs(up - up[:, ::-1])))
     cp_dev = contour_cp_check(field5)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from cosmodirac import gaussian, pipeline
+from cosmodirac import gaussian, pipeline, symmetry
 from cosmodirac.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, preset_names
 from cosmodirac.config import ConfigError, config_from_dict, load_config
 from cosmodirac.entanglement import BlockSpec
@@ -14,6 +14,7 @@ from cosmodirac.lattice import StaticProfile
 from cosmodirac.pipeline import RunManifest
 from cosmodirac.production import bogoliubov_spectrum
 from cosmodirac.quasiparticle import qp_entropy, qp_input_from_spectrum
+from cosmodirac.symmetry import spectrum_symmetry_check
 
 from conftest import preset_config
 
@@ -401,12 +402,62 @@ class TestPipelineEvolution:
         assert main(["run", str(cfg), "--output", str(out)]) == EXIT_OK
         manifest = RunManifest.load(out / "manifest.json")
         assert manifest.propagator == propagator
-        assert manifest.diagnostics == {"nfev": traj.nfev,
-                                        "max_purity_defect": traj.purity_defect()}
+        diagnostics = dict(manifest.diagnostics)
+        assert set(diagnostics.pop("stage_s")) >= {"prepare", "evolve", "write"}
+        assert diagnostics == {"nfev": traj.nfev,
+                               "max_purity_defect": traj.purity_defect()}
         assert (traj.nfev == 0) == (propagator == "closed_form")
         assert 0.0 <= traj.purity_defect() < 1e-6
         # the diagnostics are not in the inventory, which still verifies
         assert "diagnostics" not in manifest.files and manifest.verify() == []
+
+    def test_manifest_records_the_wall_time_of_each_stage(self, tmp_path):
+        text = SMALL_RUN + "  - {kind: contour, block: {length: 4}}\n"
+        manifest = pipeline.run(load_config(text), output_dir=tmp_path)
+        stage_s = RunManifest.load(tmp_path / "manifest.json").diagnostics["stage_s"]
+        assert stage_s == manifest.diagnostics["stage_s"]
+        assert set(stage_s) == {"prepare", "evolve", "analyses[0].entropy",
+                                "analyses[1].spectrum", "analyses[2].contour", "write"}
+        assert all(isinstance(t, float) and t >= 0.0 for t in stage_s.values())
+        assert sum(stage_s.values()) <= manifest.wall_time
+        # the timings stay out of the inventory, so the files keep their digests
+        assert set(manifest.files) == {"condensates.csv", "entropy_measured.csv",
+                                       "spectrum.csv", "contour.csv"}
+        assert manifest.verify() == []
+
+    @pytest.mark.parametrize("preparation, a_0, sweep_solves", [
+        ("", 0.7, 0),
+        ("preparation: {kind: vacuum, coupling_pre: 3.0}\n", 0.7, 0),
+        ("preparation: {kind: vacuum, coupling_pre: 2.0}\n", 0.7, 1),
+        ("preparation: {kind: mass_quench, m_pre: -2.0}\n", 0.7, 1),
+        ("", 0.8, 1),
+    ], ids=["vacuum", "same_coupling_pre", "other_coupling_pre", "mass_quench",
+            "other_a_0"])
+    def test_symmetry_sweep_starts_from_the_prepared_vacuum(
+            self, tmp_path, monkeypatch, preparation, a_0, sweep_solves):
+        # the sweep solves for its vacuum at a_0 only when the run did not
+        # prepare that vacuum already, and writes the same bytes either way
+        solves = []
+
+        def counted_solve(*a, **kw):
+            solves.append(a)
+            return solve(*a, **kw)
+
+        solve = symmetry.self_consistent_ground_state
+        monkeypatch.setattr(symmetry, "self_consistent_ground_state", counted_solve)
+        config = load_config(
+            "lattice: {num_sites: 16, mass: -1.0, coupling: 3.0}\n"
+            "profile: {kind: quench, a_0: 0.7, a_f: 1.3}\n" + preparation +
+            "evolution: {eta_span: [0.0, 0.2], method: adaptive, n_samples: 3}\n"
+            "analyses:\n"
+            f"  - {{kind: symmetry, a_0: {a_0}, a_f: 1.3, hubble_values: [100.0, 4.0]}}\n")
+        pipeline.run(config, output_dir=tmp_path)
+        assert len(solves) == sweep_solves
+        with open(tmp_path / "symmetry_sweep.csv") as fh:
+            written = [[float(x) for x in row] for row in list(csv.reader(fh))[1:]]
+        expected = spectrum_symmetry_check(config.lattice, a_0, 1.3, [100.0, 4.0])
+        assert written == [[r["hubble"], r["asymmetry"], r["beta_sq_sum"]]
+                           for r in expected]
 
     def test_qp_clock_starts_at_a_quench_inside_the_span(self, tmp_path):
         # pairs are made at the switch: no entropy before it, and after it the

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from cosmodirac.entanglement import (
+    PARTICLE_HOLE_TOL,
     BlockSpec,
     ContourField,
     InvalidStateError,
+    _mode_entropies,
+    _particle_hole_form,
     block_entropy,
     cone_front,
     contour_trajectory,
@@ -14,9 +17,13 @@ from cosmodirac.entanglement import (
     front_slope,
 )
 from cosmodirac.gaussian import (
+    REFERENCE_RTOL,
+    condensates,
+    evolve_adaptive,
     evolve_free,
     free_ground_state,
     real_space_correlation,
+    self_consistent_ground_state,
     step_grid,
 )
 from cosmodirac.lattice import LatticeSpec, QuenchProfile
@@ -89,6 +96,115 @@ class TestEntropy:
                 entanglement_contour(np.eye(n, dtype=complex), blk)
         with pytest.raises(ValueError, match="not the block's own 6 x 6"):
             entanglement_contour(np.eye(16, dtype=complex)[:6], blk)
+
+
+def _complex_contour(gamma):
+    """Contour and entropy from the complex ``eigh`` of the block itself."""
+    nu, u = np.linalg.eigh(gamma)
+    s = _mode_entropies(nu)
+    return ((np.abs(u) ** 2) @ s).reshape(-1, 2), float(np.sum(s))
+
+
+def _particle_hole_block(lambdas, rng):
+    """W (1/2 + iA) W^dag for a random real antisymmetric A whose
+    eigenvalues are +-i lambda, with W = 1_L (x) [[1, i], [1, -i]]/sqrt(2)."""
+    n = 2 * len(lambdas)
+    o, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    a = np.zeros((n, n))
+    for j, lam in enumerate(lambdas):
+        a[2 * j, 2 * j + 1], a[2 * j + 1, 2 * j] = lam, -lam
+    a = o @ a @ o.T
+    w = np.kron(np.eye(len(lambdas)), np.array([[1, 1j], [1, -1j]]) / np.sqrt(2))
+    return w @ (0.5 * np.eye(n) + 1j * a) @ w.conj().T
+
+
+class TestSpectrumPaths:
+    """Particle-hole-symmetric blocks (Pi = 0) take the real path, and agree
+    with the complex ``eigh`` of the block; any other block takes the
+    complex path, with the same numbers as that ``eigh`` to the bit."""
+
+    @staticmethod
+    def _free_quench_blocks():
+        spec = LatticeSpec(num_sites=48, mass=1.0)
+        traj = evolve_free(free_ground_state(spec, 0.01), QuenchProfile(0.01, 10.0),
+                           np.linspace(0.0, 4.0, 5))
+        return traj, BlockSpec.centered(16, 48)
+
+    @staticmethod
+    def _interacting_quench_blocks():
+        spec = LatticeSpec(num_sites=32, mass=1.0, coupling=1.0)
+        vacuum, _ = self_consistent_ground_state(spec, 0.01)
+        traj = evolve_adaptive(vacuum, QuenchProfile(0.01, 10.0), (0.0, 2.0),
+                               sample_etas=np.linspace(0.0, 2.0, 5), rtol=REFERENCE_RTOL)
+        assert np.max(np.abs(traj.sigma)) > 1e-3 and np.max(np.abs(traj.pi)) < 1e-12
+        return traj, BlockSpec.centered(12, 32)
+
+    @pytest.mark.parametrize("blocks", ["_free_quench_blocks", "_interacting_quench_blocks"],
+                             ids=["free", "g1_dop853"])
+    def test_pi_zero_blocks_take_the_real_path(self, blocks):
+        traj, blk = getattr(self, blocks)()
+        for i in range(len(traj.etas)):
+            gamma = real_space_correlation(traj.state(i), blk)
+            assert _particle_hole_form(gamma, blk.length)[0] <= PARTICLE_HOLE_TOL
+            contour = entanglement_contour(gamma, blk)
+            ref, entropy = _complex_contour(gamma)
+            assert np.max(np.abs(contour - ref)) < 1e-13
+            assert abs(np.sum(contour) - np.sum(ref)) < 1e-12
+            assert abs(block_entropy(gamma, blk) - entropy) < 1e-12
+            if i > 0:  # entangled, so the comparison is not of zeros
+                assert entropy > 0.5
+
+    def test_random_particle_hole_blocks_match_the_complex_eigh(self, rng):
+        blk = BlockSpec(0, 6, 6)
+        gamma = _particle_hole_block(rng.uniform(0.0, 0.5, size=6), rng)
+        assert _particle_hole_form(gamma, 6)[0] <= PARTICLE_HOLE_TOL
+        ref, entropy = _complex_contour(gamma)
+        assert np.max(np.abs(entanglement_contour(gamma, blk) - ref)) < 1e-13
+        assert block_entropy(gamma, blk) == pytest.approx(entropy, abs=1e-12)
+
+    def test_parity_broken_vacuum_takes_the_complex_path_bit_for_bit(self):
+        spec = LatticeSpec(num_sites=32, mass=1.0, coupling=3.0)
+        vacuum, _ = self_consistent_ground_state(spec, 0.01)
+        assert condensates(vacuum).pi == pytest.approx(1.07, abs=0.01)
+        blk = BlockSpec.centered(10, 32)
+        gamma = real_space_correlation(vacuum, blk)
+        assert _particle_hole_form(gamma, blk.length)[0] > 1e-2
+        nu, u = np.linalg.eigh(gamma)
+        expected = ((np.abs(u) ** 2) @ _mode_entropies(nu)).reshape(blk.length, 2)
+        assert np.array_equal(entanglement_contour(gamma, blk), expected)
+        assert block_entropy(gamma, blk) == float(
+            np.sum(_mode_entropies(np.linalg.eigvalsh(gamma))))
+
+    @pytest.mark.parametrize("entry, value", [((3, 3), np.nan),
+                                              ((3, 4), complex(0.1, np.nan))],
+                             ids=["diagonal", "imaginary_part"])
+    def test_a_nan_block_takes_the_complex_path(self, monkeypatch, entry, value):
+        traj, blk = self._free_quench_blocks()
+        gamma = real_space_correlation(traj.state(-1), blk)
+        gamma[entry] = value
+        assert np.isnan(_particle_hole_form(gamma, blk.length)[0])
+        nu, u = np.linalg.eigh(gamma)
+        expected = ((np.abs(u) ** 2) @ _mode_entropies(nu)).reshape(blk.length, 2)
+        diagonalised = []
+
+        def spy(matrix):
+            diagonalised.append(matrix.dtype)
+            return eigh(matrix)
+
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        np.testing.assert_array_equal(entanglement_contour(gamma, blk), expected)
+        assert diagonalised == [np.complex128]  # Gamma_A itself, not A^T A
+
+    def test_particle_hole_block_outside_the_unit_interval_raises(self, rng):
+        # |lambda| = 0.6: eigenvalues 1/2 +- 0.6 = -0.1 and 1.1
+        blk = BlockSpec(0, 4, 4)
+        gamma = _particle_hole_block([0.6, 0.2, 0.1, 0.3], rng)
+        assert _particle_hole_form(gamma, 4)[0] <= PARTICLE_HOLE_TOL
+        with pytest.raises(InvalidStateError):
+            block_entropy(gamma, blk)
+        with pytest.raises(InvalidStateError):
+            entanglement_contour(gamma, blk)
 
 
 class TestContourField:
