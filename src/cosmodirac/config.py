@@ -34,11 +34,11 @@ PROFILE_FIELDS = {
 }
 ANALYSIS_FIELDS = {
     "entropy": ("block",),
-    "contour": ("block", "time_stride"),
-    "spectrum": ("reference_mode",),
-    "qp": ("block", "window"),
+    "contour": ("block",),
+    "spectrum": (),
+    "qp": ("block",),
     "condensates": (),
-    "symmetry": ("reference_mode", "hubble_values", "a_0", "a_f"),
+    "symmetry": ("hubble_values", "a_0", "a_f"),
 }
 PREPARATION_FIELDS = {"vacuum": ("coupling_pre",),
                       "mass_quench": ("m_pre", "coupling_pre")}
@@ -47,10 +47,6 @@ PROFILE_KINDS = tuple(PROFILE_FIELDS)
 PREPARATION_KINDS = tuple(PREPARATION_FIELDS)
 ANALYSIS_KINDS = tuple(ANALYSIS_FIELDS)
 EVOLUTION_METHODS = tuple(EVOLUTION_FIELDS)
-# The vacuum a spectrum is measured against: "bare" is the free one at m a_f;
-# "dressed" adds condensates, for `spectrum` their mean over the last quarter
-# of the run (bare when g = 0), for `symmetry` the final state's own.
-REFERENCE_MODES = ("bare", "dressed")
 # scipy's DOP853 raises a smaller rtol to 100 machine epsilons, with only a warning.
 MIN_RTOL = 100 * np.finfo(float).eps
 
@@ -251,14 +247,11 @@ def _build_evolution(section) -> dict:
 
 
 def _build_block(section, num_sites, path) -> BlockSpec:
-    _reject_unknown(section, ("start", "length"), path)
+    _reject_unknown(section, ("length",), path)
     length = _require(section, "length", path, (int,))
     if not (1 <= length <= num_sites):
         raise ConfigError(f"{path}.length", f"must lie in [1, {num_sites}]")
-    start = _optional(section, "start", (num_sites - length) // 2, path, (int,))
-    if not (0 <= start and start + length <= num_sites):
-        raise ConfigError(f"{path}.start", "block must lie within the chain")
-    return BlockSpec(start, length, num_sites)
+    return BlockSpec.centered(length, num_sites)
 
 
 def _build_analyses(section, lattice: LatticeSpec) -> list:
@@ -278,20 +271,6 @@ def _build_analyses(section, lattice: LatticeSpec) -> list:
                 _require(entry, "block", path, (dict,)), lattice.num_sites,
                 f"{path}.block",
             )
-        if kind == "contour":
-            opts["time_stride"] = int(_optional(entry, "time_stride", 1, path, (int,)))
-            if opts["time_stride"] < 1:
-                raise ConfigError(f"{path}.time_stride", "must be >= 1")
-        if kind in ("spectrum", "symmetry"):
-            opts["reference_mode"] = _check_choice(
-                _optional(entry, "reference_mode", "bare", path, (str,)),
-                REFERENCE_MODES, f"{path}.reference_mode",
-            )
-        if kind == "qp":
-            window = _optional(entry, "window", None, path, (list,))
-            if window is not None:
-                window = _interval(window, f"{path}.window")
-            opts["window"] = window
         if kind == "symmetry":
             hv = _require(entry, "hubble_values", path, (list,))
             if not hv or not all(_is_finite_number(x) and x > 0 for x in hv):

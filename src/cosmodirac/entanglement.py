@@ -18,12 +18,13 @@ real ``eigh`` at about a third of the complex one's cost) and the
 contour is S_(i,u) = S_(i,d) = (1/2) sum_m (R_(i,u),m^2 + R_(i,d),m^2) s_m
 over its eigenvectors R and eigenvalues mu_m, with s_m the entropy of
 nu_m = 1/2 - sqrt(mu_m).  A block whose Re(W^dag Gamma_A W) is further
-than :data:`PARTICLE_HOLE_TOL` = 1e-12 from 1/2, or not finite, takes
-the complex path: the ``eigh`` of Gamma_A itself.  That tolerance sits
-between the shipped runs: every block of the Pi = 0 presets is within
-1.6e-15, every block of a parity-broken state (fig3a, fig3c, fig3d,
-fig4, and fig5, released from the Pi = 1.07 vacuum) is 2.5e-2 or more
-away.
+than :data:`PARTICLE_HOLE_TOL` = 1e-12 from 1/2 takes the complex path:
+the ``eigh`` of Gamma_A itself.  That tolerance sits between the
+shipped runs: every block of the Pi = 0 presets is within 1.6e-15,
+every block of a parity-broken state (fig3a, fig3c, fig3d, fig4, and
+fig5, released from the Pi = 1.07 vacuum) is 2.5e-2 or more away.  A
+block with an entry that is not finite takes neither path: it raises
+:class:`InvalidStateError`.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ FRONT_THRESHOLD = 0.2  # cone-front threshold, as a fraction of the median final
 
 
 class InvalidStateError(ValueError):
-    """Restricted correlation matrix has eigenvalues outside [0, 1]."""
+    """Restricted correlation matrix is not finite or has eigenvalues
+    outside [0, 1]."""
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,7 @@ def _check_shape(gamma: np.ndarray, block: BlockSpec):
 
 
 def _check_spectrum(nu):
-    if np.any(nu < -1e-8) or np.any(nu > 1.0 + 1e-8):
+    if not np.all((nu >= -1e-8) & (nu <= 1.0 + 1e-8)):  # a NaN fails too
         raise InvalidStateError(
             f"restricted eigenvalues outside [0,1]: min {nu.min():.3e}, "
             f"max {nu.max():.3e}"
@@ -138,11 +140,14 @@ def _mode_spectrum(gamma: np.ndarray, block: BlockSpec, contour: bool):
     """Mode entropies of the block and, if ``contour``, its (length, 2) contour.
 
     Takes the real path when the block is particle-hole symmetric to
-    :data:`PARTICLE_HOLE_TOL`, else (a NaN included) the complex one; see
-    the module docstring.  Raises :class:`InvalidStateError` for a spectrum
-    outside [0, 1] on either path.
+    :data:`PARTICLE_HOLE_TOL`, else the complex one; see the module
+    docstring.  Raises :class:`InvalidStateError` for a block that is not
+    finite, before any ``eigh``, and for a spectrum outside [0, 1] on
+    either path.
     """
     _check_shape(gamma, block)
+    if not np.all(np.isfinite(gamma)):
+        raise InvalidStateError("restricted correlation matrix is not finite")
     _, a = _particle_hole_form(gamma, block.length)
     matrix = gamma if a is None else a.T @ a
     if contour:
@@ -184,21 +189,15 @@ def entanglement_contour(gamma: np.ndarray, block: BlockSpec) -> np.ndarray:
     return vals
 
 
-def contour_trajectory(trajectory: Trajectory, block: BlockSpec,
-                       time_stride: int = 1) -> ContourField:
-    """Contour field along a trajectory, one slice per strided sample (the
-    last always kept), timed by :attr:`~cosmodirac.gaussian.Trajectory.times`."""
-    if time_stride < 1:
-        raise ValueError("time_stride must be >= 1")
-    idx = list(range(0, len(trajectory.etas), time_stride))
-    if idx[-1] != len(trajectory.etas) - 1:
-        idx.append(len(trajectory.etas) - 1)
-    etas = trajectory.etas[idx]
-    vals = np.empty((len(idx), block.length, 2))
-    for row, i in enumerate(idx):
+def contour_trajectory(trajectory: Trajectory, block: BlockSpec) -> ContourField:
+    """Contour field along a trajectory, one slice per sample, timed by
+    :attr:`~cosmodirac.gaussian.Trajectory.times`."""
+    vals = np.empty((len(trajectory.etas), block.length, 2))
+    for i in range(len(trajectory.etas)):
         gamma = real_space_correlation(trajectory.state(i), block)
-        vals[row] = entanglement_contour(gamma, block)
-    return ContourField(etas=etas, values=vals, block=block, times=trajectory.times[idx])
+        vals[i] = entanglement_contour(gamma, block)
+    return ContourField(etas=trajectory.etas, values=vals, block=block,
+                        times=trajectory.times)
 
 
 def cone_front(field: ContourField):

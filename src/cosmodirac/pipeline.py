@@ -53,9 +53,10 @@ class RunManifest:
     the solve (0 in closed form), and ``max_purity_defect``, the worst
     purity defect over the samples, which DOP853 does not conserve, so on
     a DOP853 run it tracks the step error.  A run with a ``qp`` analysis
-    adds ``qp_out_of_validity`` (see :func:`_qp_out_of_validity`), the
-    advisory tag of ``entropy_qp.csv``.  ``stage_s`` holds the wall time
-    in seconds of each stage: ``prepare``, ``evolve``, each analysis as
+    adds ``qp_out_of_validity``, the advisory tag of ``entropy_qp.csv``,
+    and ``qp_sigma_persistence``, the value it was judged by (see
+    :func:`_qp_validity`).  ``stage_s`` holds the wall time in seconds of
+    each stage: ``prepare``, ``evolve``, each analysis as
     ``analyses[<i>].<kind>`` (its CSVs included), and ``write``, the
     condensates CSV and the sha256 inventory.  None of these is in the
     inventory, so the files stay byte-identical.
@@ -205,7 +206,7 @@ def _emit_entropy(traj, opts, directory):
 
 
 def _emit_contour(traj, opts, directory):
-    field = contour_trajectory(traj, opts["block"], time_stride=opts["time_stride"])
+    field = contour_trajectory(traj, opts["block"])
     rows = [(float(eta), float(t), j, float(s_u), float(s_d))
             for eta, t, values in zip(field.etas, field.times, field.values)
             for j, (s_u, s_d) in enumerate(values)]
@@ -214,19 +215,11 @@ def _emit_contour(traj, opts, directory):
                       rows)
 
 
-def _dressed_spectrum(traj, window=None):
+def _dressed_spectrum(traj):
     """Final-state spectrum against the vacuum dressed by the mean condensates
-    over ``window`` (by default the last quarter of the run)."""
+    over the last quarter of the run, which always holds the last sample."""
     etas = traj.etas
-    if window is None:
-        window = (etas[0] + 0.75 * (etas[-1] - etas[0]), etas[-1])
-    mask = (etas >= window[0]) & (etas <= window[1])
-    if not mask.any():
-        raise ConfigError(
-            "analyses[].window",
-            f"{list(window)} holds no sample; samples span "
-            f"[{etas[0]:.6g}, {etas[-1]:.6g}]",
-        )
+    mask = etas >= etas[0] + 0.75 * (etas[-1] - etas[0])
     ma_f = traj.spec.mass * float(traj.a_vals[-1])
     # (m a_f + Sigma) - m a_f, not Sigma: the rounding the CSVs were written with
     ma_ref = ma_f + float(np.mean(traj.sigma[mask]))
@@ -235,11 +228,8 @@ def _dressed_spectrum(traj, window=None):
 
 
 def _emit_spectrum(traj, opts, directory):
-    if opts["reference_mode"] == "dressed" and traj.spec.coupling != 0.0:
-        spectrum = _dressed_spectrum(traj)
-    else:
-        spectrum = bogoliubov_spectrum(traj.state(-1),
-                                       traj.spec.mass * float(traj.a_vals[-1]))
+    spectrum = bogoliubov_spectrum(traj.state(-1),
+                                   traj.spec.mass * float(traj.a_vals[-1]))
     s_mode, s_pair = mode_pair_entropy(spectrum.beta_sq)
     rows = [
         (float(k), float(b), float(sm), float(sp))
@@ -261,7 +251,7 @@ def _quenched_at_start(config: RunConfig) -> bool:
 
 
 def _emit_qp(traj, opts, directory, quenched_at_start=False):
-    spectrum = _dressed_spectrum(traj, opts["window"])
+    spectrum = _dressed_spectrum(traj)
     qp = qp_input_from_spectrum(spectrum, opts["block"].length)
     # pairs are made by a quench at the first sample, or else when a(eta)
     # starts to change: a sudden switch inside the span, or the start of an
@@ -301,10 +291,8 @@ def _emit_symmetry(traj, opts, directory, vacuum=None):
     source = lattice
     if vacuum is not None and vacuum[1] == opts["a_0"]:
         source = vacuum[0]
-    sweep = spectrum_symmetry_check(
-        source, opts["a_0"], opts["a_f"], opts["hubble_values"],
-        reference_mode=opts["reference_mode"],
-    )
+    sweep = spectrum_symmetry_check(source, opts["a_0"], opts["a_f"],
+                                    opts["hubble_values"])
     _write_csv(directory / "symmetry_sweep.csv",
                ["hubble[1/a]", "asymmetry[dimensionless]", "beta_sq_sum[dimensionless]"],
                [(r["hubble"], r["asymmetry"], r["beta_sq_sum"]) for r in sweep])
@@ -321,20 +309,24 @@ _EMITTERS = {
 }
 
 
-def _qp_out_of_validity(traj):
-    """Whether the quasi-particle picture is outside its validity regime.
+def _qp_validity(traj):
+    """``(persistence, out_of_validity)``: whether the quasi-particle picture
+    is outside its validity regime, and the value that says so.
 
-    True when the Sigma oscillations of an interacting run persist
-    (:func:`~cosmodirac.quasiparticle.condensate_persistence` above
-    :data:`~cosmodirac.quasiparticle.PERSISTENCE_LIMIT`), False for a free
-    run, None when the trajectory is too sparse to judge.
+    ``persistence`` is Sigma's
+    :func:`~cosmodirac.quasiparticle.condensate_persistence`, and the
+    picture is out of validity when it exceeds
+    :data:`~cosmodirac.quasiparticle.PERSISTENCE_LIMIT`.  A free run is
+    inside, with no persistence to judge: ``(None, False)``.  A trajectory
+    too sparse to judge gives ``(None, None)``.
     """
     if traj.spec.coupling == 0.0:
-        return False
+        return None, False
     try:
-        return condensate_persistence(traj, "sigma") > PERSISTENCE_LIMIT
+        persistence = condensate_persistence(traj, "sigma")
     except ValueError:
-        return None
+        return None, None
+    return persistence, persistence > PERSISTENCE_LIMIT
 
 
 def run(config: RunConfig, output_dir=None, workers: int = 1) -> RunManifest:
@@ -382,7 +374,8 @@ def run(config: RunConfig, output_dir=None, workers: int = 1) -> RunManifest:
     diagnostics = {"nfev": traj.nfev, "max_purity_defect": traj.purity_defect(),
                    "stage_s": stage_s}
     if any(analysis.kind == "qp" for analysis in config.analyses):
-        diagnostics["qp_out_of_validity"] = _qp_out_of_validity(traj)
+        (diagnostics["qp_sigma_persistence"],
+         diagnostics["qp_out_of_validity"]) = _qp_validity(traj)
     manifest = RunManifest(
         directory=directory,
         config=config.raw,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .lattice import (GAMMA0, GAMMA1, SIGMA_Y, ExponentialProfile, LatticeSpec,
                       hamiltonian_block)
-from .gaussian import (REFERENCE_RTOL, CorrelationState, condensates, evolve_adaptive,
+from .gaussian import (REFERENCE_RTOL, CorrelationState, evolve_adaptive,
                        self_consistent_ground_state)
 from .production import bogoliubov_spectrum, spectrum_asymmetry
 
@@ -104,7 +104,7 @@ def contour_cp_check(field) -> float:
     return float(np.max(np.abs(up - down_mirrored)))
 
 
-def _sweep_row(spec, a_0, a_f, vacuum, reference_mode, hubble):
+def _sweep_row(spec, a_0, a_f, vacuum, hubble):
     """One sweep row: ``vacuum`` taken through the ramp at ``hubble`` to a_f."""
     state = vacuum
     if hubble < QUENCH_LIMIT_HUBBLE:
@@ -112,11 +112,7 @@ def _sweep_row(spec, a_0, a_f, vacuum, reference_mode, hubble):
         traj = evolve_adaptive(vacuum, profile, (0.0, profile.eta_clamp),
                                sample_etas=[profile.eta_clamp], rtol=REFERENCE_RTOL)
         state = traj.state(-1)
-    sigma_ref = pi_ref = 0.0
-    if reference_mode == "dressed":
-        cond = condensates(state)
-        sigma_ref, pi_ref = cond.sigma, cond.pi
-    spectrum = bogoliubov_spectrum(state, spec.mass * a_f, sigma=sigma_ref, pi=pi_ref)
+    spectrum = bogoliubov_spectrum(state, spec.mass * a_f)
     return {
         "hubble": float(hubble),
         "asymmetry": spectrum_asymmetry(spectrum),
@@ -129,24 +125,17 @@ def spectrum_symmetry_check(
     a_0: float,
     a_f: float,
     hubble_values,
-    reference_mode: str = "bare",
 ):
     """Production-spectrum asymmetry versus Hubble rate.
 
     Prepares the self-consistent vacuum at a_0 once; for each H, evolves
     it through the exponential ramp a_0 -> a_f, measures the spectrum
-    against an instantaneous reference vacuum at a_f, and records the +-k
-    asymmetry.  A rate of at least :data:`QUENCH_LIMIT_HUBBLE` is the
-    sudden limit: the vacuum is measured as it is.  Demonstrates the
-    non-monotone restoration of a symmetric spectrum in the quench limit.
-
-    ``reference_mode`` selects the vacuum the occupations are measured
-    against: "bare" (free dispersion at m a_f; the fixed mode basis in
-    which the time-reversal argument for the quench limit is exact) or
-    "dressed" (dressed by the final state's own condensates at each rate,
-    not by a late-time mean as in the pipeline's ``spectrum`` analysis;
-    tracks the interacting quasi-particles but mixes the condensate
-    dynamics into the +-k comparison).
+    against the bare vacuum at a_f (free dispersion at m a_f, the fixed
+    mode basis in which the time-reversal argument for the quench limit
+    is exact), and records the +-k asymmetry.  A rate of at least
+    :data:`QUENCH_LIMIT_HUBBLE` is the sudden limit: the vacuum is measured
+    as it is.  Demonstrates the non-monotone restoration of a symmetric
+    spectrum in the quench limit.
 
     Each ramp is one DOP853 solve (:func:`evolve_adaptive` at rtol
     :data:`~cosmodirac.gaussian.REFERENCE_RTOL`) over [0, eta_clamp]: the
@@ -162,11 +151,9 @@ def spectrum_symmetry_check(
 
     Returns a list of dicts {hubble, asymmetry, beta_sq_sum}.
     """
-    if reference_mode not in ("bare", "dressed"):
-        raise ValueError(f"unknown reference_mode {reference_mode!r}")
     if isinstance(spec, CorrelationState):
         vacuum, spec = spec, spec.spec
     else:
         vacuum, _ = self_consistent_ground_state(spec, a_0)
-    return [_sweep_row(spec, a_0, a_f, vacuum, reference_mode, hubble)
+    return [_sweep_row(spec, a_0, a_f, vacuum, hubble)
             for hubble in hubble_values]

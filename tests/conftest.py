@@ -30,7 +30,7 @@ def preset_run(name):
     return _RUNS[name]
 
 
-def preset_field(name, length=None, time_stride=1):
+def preset_field(name, length=None):
     """Contour field over the preset's own (or an overridden) block."""
     config, traj = preset_run(name)
     if length is None:
@@ -39,10 +39,10 @@ def preset_field(name, length=None, time_stride=1):
             for a in config.analyses
             if "block" in a.options
         )
-    key = (name, length, time_stride)
+    key = (name, length)
     if key not in _FIELDS:
         block = BlockSpec.centered(length, config.lattice.num_sites)
-        _FIELDS[key] = contour_trajectory(traj, block, time_stride=time_stride)
+        _FIELDS[key] = contour_trajectory(traj, block)
     return _FIELDS[key]
 
 

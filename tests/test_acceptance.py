@@ -303,6 +303,11 @@ def test_criterion_6_production_spectra_against_oracles():
           f"{ramp_max:.1e}, exact-diagonalization gap {ed_err:.1e}")
 
 
+# the preset runs and contour fields that criteria 1-6 read
+HEALTH_RUNS = ("fig1a", "fig1b", "fig2_free", "fig2_int", "fig4", "fig5")
+HEALTH_FIELDS = ("fig2_free", "fig2_int", "fig4", "fig5")
+
+
 def test_criterion_7_numerical_health_of_all_runs():
     """Every cached preset run conserves purity and charge.
 
@@ -310,11 +315,17 @@ def test_criterion_7_numerical_health_of_all_runs():
     = l_A, on every sample: every diagonal 2x2 block of the chain's
     Gamma is the same separation-0 block of unit trace, so this checks
     the FFT normalisation.  Contour values nonnegative and summing to the
-    block entropy.
+    block entropy.  The runs and fields of criteria 1-6 are computed here
+    if no earlier test cached them, so the result does not depend on
+    which tests ran first.
     """
     from conftest import _RUNS, _FIELDS
 
-    assert len(_RUNS) >= 6  # the cached presets from the criteria above
+    for name in HEALTH_RUNS:
+        preset_run(name)
+    for name in HEALTH_FIELDS:
+        preset_field(name)
+    assert len(_RUNS) >= 6
     worst = 0.0
     for name, (config, traj) in _RUNS.items():
         states = [traj.state(i) for i in range(len(traj.etas))]
@@ -326,7 +337,7 @@ def test_criterion_7_numerical_health_of_all_runs():
             charge = np.trace(real_space_correlation(st, block)).real
             assert charge == pytest.approx(block.length, rel=1e-12), name
         worst = max(worst, purity)
-    for (name, _, _), field in _FIELDS.items():
+    for (name, _), field in _FIELDS.items():
         assert np.all(field.values >= -1e-12), name
         _, traj = preset_run(name)
         gamma = real_space_correlation(traj.state(-1), field.block)

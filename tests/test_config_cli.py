@@ -13,10 +13,11 @@ from cosmodirac.entanglement import BlockSpec
 from cosmodirac.lattice import StaticProfile
 from cosmodirac.pipeline import RunManifest
 from cosmodirac.production import bogoliubov_spectrum
-from cosmodirac.quasiparticle import qp_entropy, qp_input_from_spectrum
+from cosmodirac.quasiparticle import (PERSISTENCE_LIMIT, condensate_persistence,
+                                      qp_entropy, qp_input_from_spectrum)
 from cosmodirac.symmetry import spectrum_symmetry_check
 
-from conftest import preset_config
+from conftest import preset_config, preset_run
 
 SMALL_RUN = """
 lattice: {num_sites: 16, mass: 1.0}
@@ -97,11 +98,24 @@ class TestSchema:
             (lambda d: d.update(profile={"kind": "tabulated",
                                          "samples": [[0.0, 1.0], [1.0, NAN]]}),
              "profile.samples"),
-            # a contour stride below one
+            # a contour takes every sample: time_stride is no field, at any value
             (lambda d: d.update(analyses=[dict(CONTOUR, time_stride=0)]),
              "analyses[0].time_stride"),
             (lambda d: d.update(analyses=[dict(CONTOUR, time_stride=-2)]),
              "analyses[0].time_stride"),
+            # settings no run used are gone, even at their old defaults:
+            # blocks are centred, spectra bare, and qp dressed by the last quarter
+            (lambda d: d.update(analyses=[dict(CONTOUR, block={"length": 4, "start": 6})]),
+             "analyses[0].block.start"),
+            (lambda d: d.update(analyses=[{"kind": "spectrum", "reference_mode": "bare"}]),
+             "analyses[0].reference_mode"),
+            (lambda d: d.update(analyses=[{"kind": "symmetry", "a_0": 0.7, "a_f": 1.3,
+                                           "hubble_values": [1.0],
+                                           "reference_mode": "dressed"}]),
+             "analyses[0].reference_mode"),
+            (lambda d: d.update(analyses=[{"kind": "qp", "block": {"length": 4},
+                                           "window": [0.75, 1.0]}]),
+             "analyses[0].window"),
         ]
         for mutate, expected_path in cases:
             raw = json.loads(json.dumps(base))
@@ -109,23 +123,6 @@ class TestSchema:
             with pytest.raises(ConfigError) as err:
                 config_from_dict(raw)
             assert err.value.path == expected_path
-
-    def test_qp_window_must_be_an_increasing_finite_pair(self):
-        raw = {
-            "lattice": {"num_sites": 16},
-            "profile": {"kind": "static", "a_val": 1.0},
-            "evolution": {"eta_span": [0.0, 1.0], "deta": 1e-3},
-        }
-        bad = (["a"], [0.5], [0.5, 0.2], [0.5, 0.5], [0.0, float("nan")],
-               [float("-inf"), 1.0], [0.0, "1"], [0.0, 1.0, 2.0], [False, True])
-        for window in bad:
-            raw["analyses"] = [{"kind": "spectrum"},
-                               {"kind": "qp", "block": {"length": 4}, "window": window}]
-            with pytest.raises(ConfigError) as err:
-                config_from_dict(raw)
-            assert err.value.path == "analyses[1].window", window
-        raw["analyses"][1]["window"] = [0, 0.75]
-        assert config_from_dict(raw).analyses[1].options["window"] == (0.0, 0.75)
 
     def test_span_outside_profile_domain(self):
         raw = {
@@ -142,7 +139,7 @@ class TestSchema:
         assert config.preparation == {"kind": "vacuum"}
         assert config.evolution["method"] == "rk4"
         assert config.eta_span == (0.0, 2.0)
-        # centered by default
+        # blocks are centred
         assert config.analyses[0].options["block"] == BlockSpec(5, 6, 16)
         assert config.output == {"directory": None}
 
@@ -249,16 +246,6 @@ class TestCLI:
         assert manifest.propagator == expected
         assert manifest.verify() == []
 
-    def test_qp_window_without_samples_exits_1(self, tmp_path, capsys):
-        # a window past the end of eta_span used to average an empty slice
-        # and write an all-zero entropy_qp.csv with exit 0
-        cfg = tmp_path / "qp.yaml"
-        cfg.write_text(SMALL_RUN + "  - {kind: qp, block: {length: 6}, "
-                                   "window: [50.0, 60.0]}\n")
-        code = main(["run", str(cfg), "--output", str(tmp_path / "out")])
-        assert code == EXIT_CONFIG
-        assert "analyses[].window" in capsys.readouterr().err
-
     def test_malformed_qp_window_exits_1_before_evolving(self, tmp_path, capsys):
         # a non-numeric window used to run the whole evolution and then die
         # with a numpy traceback
@@ -309,11 +296,17 @@ class TestCLI:
                              "method: adaptive, rtol: 1.0e-15"), "evolution.rtol"),
         # output.binary used to add state_final.npy; the switch is gone
         (lambda t: t + "output: {binary: true}\n", "output.binary"),
+        # blocks are centred and spectra bare, with no setting for either
+        (lambda t: t.replace("length: 6}", "length: 6, start: 0}"),
+         "analyses[0].block.start"),
+        (lambda t: t.replace("{kind: spectrum}", "{kind: spectrum, reference_mode: bare}"),
+         "analyses[1].reference_mode"),
     ], ids=["deta_nan", "mass_nan", "mass_typo", "symmetry_a_f_nan", "time_stride_0",
             "symmetry_a_f_below_a_0", "symmetry_a_f_equal_a_0", "hubble_inf",
             "mass_bool", "eta_span_bools", "sample_every_bool", "block_length_bool",
             "hubble_bool", "tabulated_sample_bool", "m_pre_equal_mass",
-            "rtol_negative", "rtol_below_floor", "output_binary"])
+            "rtol_negative", "rtol_below_floor", "output_binary", "block_start",
+            "reference_mode"])
     def test_bad_fields_exit_1_before_evolving(self, tmp_path, capsys, edit, field):
         # each of these used to evolve (or start to) and then die with a
         # traceback, blame the step size, or run with the field ignored
@@ -531,10 +524,18 @@ class TestPipelineEvolution:
     @pytest.mark.parametrize("preset, expected", [("fig1a", False), ("fig3c", True)])
     def test_manifest_flags_the_qp_validity_regime(self, tmp_path, preset, expected):
         # fig3c's Sigma oscillations persist (late/early ratio about 1.03), so
-        # its entropy_qp.csv is advisory; fig1a is free
+        # its entropy_qp.csv is advisory; fig1a is free, with no ratio to judge
         pipeline.run(preset_config(preset), output_dir=tmp_path)
         manifest = RunManifest.load(tmp_path / "manifest.json")
-        assert manifest.diagnostics["qp_out_of_validity"] is expected
+        flag = manifest.diagnostics["qp_out_of_validity"]
+        persistence = manifest.diagnostics["qp_sigma_persistence"]
+        assert flag is expected
+        if preset == "fig1a":
+            assert persistence is None
+        else:
+            _, traj = preset_run(preset)
+            assert persistence == condensate_persistence(traj, "sigma")
+            assert flag is (persistence > PERSISTENCE_LIMIT)
         assert manifest.verify() == []
 
     def test_qp_validity_is_null_on_a_sparse_trajectory(self, tmp_path):
@@ -546,3 +547,4 @@ class TestPipelineEvolution:
         assert main(["run", str(cfg), "--output", str(out)]) == EXIT_OK
         diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
         assert diagnostics["qp_out_of_validity"] is None
+        assert diagnostics["qp_sigma_persistence"] is None

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosmodirac.entanglement import (
     PARTICLE_HOLE_TOL,
@@ -175,26 +177,33 @@ class TestSpectrumPaths:
         assert block_entropy(gamma, blk) == float(
             np.sum(_mode_entropies(np.linalg.eigvalsh(gamma))))
 
-    @pytest.mark.parametrize("entry, value", [((3, 3), np.nan),
-                                              ((3, 4), complex(0.1, np.nan))],
-                             ids=["diagonal", "imaginary_part"])
-    def test_a_nan_block_takes_the_complex_path(self, monkeypatch, entry, value):
-        traj, blk = self._free_quench_blocks()
-        gamma = real_space_correlation(traj.state(-1), blk)
+    @pytest.mark.parametrize("half_filled, entry, value",
+                             [(False, (3, 3), np.nan),
+                              (False, (3, 4), complex(0.1, np.nan)),
+                              (True, (0, 0), np.nan)],
+                             ids=["diagonal", "imaginary_part", "half_filled_4x4"])
+    def test_a_nan_block_takes_the_complex_path(self, monkeypatch, half_filled, entry,
+                                                value):
+        # such a block used to take the complex path and return NaN cells; it
+        # now raises before either path diagonalises it.  eigvalsh gives the
+        # 4 x 4 block 1/2 with one NaN the finite spectrum [0, -0, 1/2, 1/2],
+        # so its block_entropy used to be 2 log 2
+        if half_filled:
+            blk, gamma = BlockSpec(0, 2, 4), 0.5 * np.eye(4, dtype=complex)
+        else:
+            traj, blk = self._free_quench_blocks()
+            gamma = real_space_correlation(traj.state(-1), blk)
         gamma[entry] = value
-        assert np.isnan(_particle_hole_form(gamma, blk.length)[0])
-        nu, u = np.linalg.eigh(gamma)
-        expected = ((np.abs(u) ** 2) @ _mode_entropies(nu)).reshape(blk.length, 2)
-        diagonalised = []
 
-        def spy(matrix):
-            diagonalised.append(matrix.dtype)
-            return eigh(matrix)
+        def refuse(matrix):
+            raise AssertionError("a block that is not finite was diagonalised")
 
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", spy)
-        np.testing.assert_array_equal(entanglement_contour(gamma, blk), expected)
-        assert diagonalised == [np.complex128]  # Gamma_A itself, not A^T A
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        with pytest.raises(InvalidStateError, match="not finite"):
+            block_entropy(gamma, blk)
+        with pytest.raises(InvalidStateError, match="not finite"):
+            entanglement_contour(gamma, blk)
 
     def test_particle_hole_block_outside_the_unit_interval_raises(self, rng):
         # |lambda| = 0.6: eigenvalues 1/2 +- 0.6 = -0.1 and 1.1
@@ -205,6 +214,36 @@ class TestSpectrumPaths:
             block_entropy(gamma, blk)
         with pytest.raises(InvalidStateError):
             entanglement_contour(gamma, blk)
+
+
+class TestContourSumRule:
+    """The contour sums to the block entropy to criterion 7's 1e-10, on
+    random small evolved states along both spectrum paths."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), num_sites=st.integers(2, 16).map(lambda half: 2 * half),
+           released=st.booleans(), a_f=st.floats(0.5, 10.0), eta=st.floats(0.1, 6.0))
+    def test_contour_sums_to_block_entropy_on_both_paths(self, data, num_sites,
+                                                          released, a_f, eta):
+        # a free quench keeps Pi = 0 (real path); the g = 3 vacuum, Pi = 1.07,
+        # released into g = 0 does not (complex path)
+        length = data.draw(st.integers(1, num_sites), label="length")
+        free = LatticeSpec(num_sites=num_sites, mass=1.0)
+        if released:
+            state, _ = self_consistent_ground_state(
+                LatticeSpec(num_sites=num_sites, mass=1.0, coupling=3.0), 0.01)
+            assert condensates(state).pi == pytest.approx(1.07, abs=0.01)
+            state.spec = free
+        else:
+            state = free_ground_state(free, 0.01)
+        traj = evolve_free(state, QuenchProfile(0.01, a_f), [0.0, eta])
+        blk = BlockSpec.centered(length, num_sites)
+        gamma = real_space_correlation(traj.state(-1), blk)
+        residual, _ = _particle_hole_form(gamma, length)
+        assert bool(residual > PARTICLE_HOLE_TOL) == released
+        contour = entanglement_contour(gamma, blk)
+        assert contour.shape == (length, 2) and np.all(contour >= 0.0)
+        assert abs(np.sum(contour) - block_entropy(gamma, blk)) <= 1e-10
 
 
 class TestContourField:
@@ -219,17 +258,21 @@ class TestContourField:
         assert np.max(np.abs(summed - summed[:, ::-1])) < 1e-10
 
     def test_shape_validation_and_time_stride(self):
+        # one slice per sample: the stride is always one
         spec = LatticeSpec(num_sites=16, mass=1.0)
         state = free_ground_state(spec, 0.01)
         traj = evolve_free(state, QuenchProfile(0.01, 10.0),
                            step_grid((0.0, 1.0), 1e-3, 100)[2])
-        field = contour_trajectory(traj, BlockSpec.centered(8, 16), time_stride=4)
-        assert len(traj.etas) == 11
-        idx = [0, 4, 8, 10]  # every fourth sample, and the final one always kept
-        assert np.array_equal(field.etas, traj.etas[idx])
-        # the trajectory's own time axis, subset: t of those samples to the bit
-        assert np.array_equal(field.times, traj.times[idx])
-        assert np.array_equal(field.times, traj.profile.cosmological_time(traj.etas[idx]))
+        blk = BlockSpec.centered(8, 16)
+        field = contour_trajectory(traj, blk)
+        assert len(traj.etas) == 11 and field.values.shape == (11, 8, 2)
+        assert np.array_equal(field.etas, traj.etas)
+        # the trajectory's own time axis: t of every sample to the bit
+        assert np.array_equal(field.times, traj.times)
+        assert np.array_equal(field.times, traj.profile.cosmological_time(traj.etas))
+        for i in (0, 10):
+            gamma = real_space_correlation(traj.state(i), blk)
+            assert np.array_equal(field.values[i], entanglement_contour(gamma, blk))
         with pytest.raises(ValueError):
             ContourField(etas=np.zeros(3), values=np.zeros((2, 8, 2)),
                          block=BlockSpec.centered(8, 16))

@@ -9,9 +9,9 @@ from rk4_reference import reference_final_state
 
 from cosmodirac import symmetry
 from cosmodirac.entanglement import BlockSpec, ContourField, contour_trajectory
-from cosmodirac.gaussian import (REFERENCE_RTOL, condensates, evolve_adaptive,
-                                  evolve_free, free_ground_state,
-                                  self_consistent_ground_state, step_grid)
+from cosmodirac.gaussian import (REFERENCE_RTOL, evolve_adaptive, evolve_free,
+                                  free_ground_state, self_consistent_ground_state,
+                                  step_grid)
 from cosmodirac.lattice import (ExponentialProfile, LatticeSpec, QuenchProfile,
                                 StaticProfile)
 from cosmodirac.production import bogoliubov_spectrum, spectrum_asymmetry
@@ -130,23 +130,11 @@ class TestSpectrumSweep:
         assert by_h[0.3]["asymmetry"] > 1e-3
         assert by_h[0.3]["beta_sq_sum"] > 0.0
 
-    def test_reference_mode_validation(self):
-        spec = LatticeSpec(num_sites=16, mass=-1.0, coupling=3.0)
-        with pytest.raises(ValueError):
-            spectrum_symmetry_check(spec, 0.7, 1.3, [100.0],
-                                    reference_mode="nope")
-
-    @pytest.mark.parametrize("reference_mode", ["bare", "dressed"])
-    def test_sweep_rows_match_rk4_reference(self, rk4_sweep_states,
-                                            reference_mode):
+    def test_sweep_rows_match_rk4_reference(self, rk4_sweep_states):
         spec, a_0, a_f, states = rk4_sweep_states
-        rows = spectrum_symmetry_check(spec, a_0, a_f, list(states),
-                                       reference_mode=reference_mode)
+        rows = spectrum_symmetry_check(spec, a_0, a_f, list(states))
         for row, (hubble, state) in zip(rows, states.items(), strict=True):
-            cond = condensates(state)
-            sigma, pi = ((cond.sigma, cond.pi) if reference_mode == "dressed"
-                         else (0.0, 0.0))
-            spectrum = bogoliubov_spectrum(state, spec.mass * a_f, sigma=sigma, pi=pi)
+            spectrum = bogoliubov_spectrum(state, spec.mass * a_f)
             assert row["hubble"] == hubble
             assert row["asymmetry"] == pytest.approx(
                 spectrum_asymmetry(spectrum), rel=1e-8)
