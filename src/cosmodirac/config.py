@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
+from . import _dop853
 from .entanglement import BlockSpec
 from .lattice import (
     DeSitterProfile,
@@ -47,8 +48,9 @@ PROFILE_KINDS = tuple(PROFILE_FIELDS)
 PREPARATION_KINDS = tuple(PREPARATION_FIELDS)
 ANALYSIS_KINDS = tuple(ANALYSIS_FIELDS)
 EVOLUTION_METHODS = tuple(EVOLUTION_FIELDS)
-# scipy's DOP853 raises a smaller rtol to 100 machine epsilons, with only a warning.
-MIN_RTOL = 100 * np.finfo(float).eps
+# The DOP853 solver's own floor, 100 machine epsilons: its error control
+# cannot honour a tighter rtol, so it refuses one and a config is rejected.
+MIN_RTOL = _dop853.MIN_RTOL
 
 
 class ConfigError(ValueError):

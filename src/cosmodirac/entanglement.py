@@ -82,8 +82,10 @@ class ContourField:
     def __post_init__(self):
         if self.values.shape != (len(self.etas), self.block.length, 2):
             raise ValueError(f"contour shape {self.values.shape} inconsistent with block")
-        if np.any(self.values < -1e-12):
-            raise InvalidStateError("contour values must be nonnegative")
+        # all(>= ...) rather than any(< ...), so that a NaN value fails too
+        if not (np.all(self.values >= -1e-12) and np.all(np.isfinite(self.values))):
+            raise InvalidStateError("contour values must be finite and nonnegative; "
+                                    "found non-finite or negative values")
 
     def spinor_summed(self) -> np.ndarray:
         """(n_times, length) site contour S_i = S_iu + S_id."""

@@ -20,11 +20,13 @@ for bit and only a converged seed's state is built.
 There are two propagators.  A free run (g = 0) on a piecewise-constant
 a(eta) needs no integrator: :func:`evolve_free` rotates each Bloch vector
 exactly about its fixed field.  Every other run is one DOP853 solve
-(:func:`evolve_adaptive`) whose field kernel works on component rows,
-(n_x, n_y, n_z) each over the whole grid, in preallocated buffers, and
-reads a(eta) on a profile's scalar path where it has one; at
-:data:`REFERENCE_RTOL` it stands in for hand-set fixed steps.  The order of
-every floating-point operation is fixed, so runs are bit-reproducible.
+(:func:`evolve_adaptive`) by the package's own numpy solver
+(:mod:`cosmodirac._dop853`, scipy's DOP853 to the bit), whose field kernel
+works on component rows, (n_x, n_y, n_z) each over the whole grid, in
+preallocated buffers, and reads a(eta) on a profile's scalar path where it
+has one; at :data:`REFERENCE_RTOL` it stands in for hand-set fixed steps.
+The order of every floating-point operation is fixed, so runs are
+bit-reproducible.
 A :class:`Trajectory` stores its samples as arrays, the Bloch vectors as
 (T, N_S, 3).
 """
@@ -35,7 +37,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+# numpy loads numpy.fft on first use; load it with the package instead
+from numpy.fft import ifft
 
+from . import _dop853
 from .lattice import (LatticeSpec, QuenchProfile, StaticProfile, bloch_vector,
                       cosmological_time)
 
@@ -515,67 +520,58 @@ def evolve_adaptive(
 
     d n_k/d eta = 2 b_k x n_k, with the condensates in b_k recomputed from
     the full set of blocks at every evaluation (:class:`_BlockField`),
-    delegated to scipy's DOP853 with tight tolerances.  Essential for de Sitter
-    profiles, where the effective mass m a(eta) = -m/(H eta) diverges
-    towards eta -> 0^- and a fixed step either wastes the early window or
-    blows up at the end; the step-size controller tracks the local
-    frequency, so the cost is logarithmic in the final scale factor.
+    solved by the package's DOP853 (:func:`cosmodirac._dop853.solve`) with
+    tight tolerances.  Essential for de Sitter profiles, where the
+    effective mass m a(eta) = -m/(H eta) diverges towards eta -> 0^- and a
+    fixed step either wastes the early window or blows up at the end; the
+    step-size controller tracks the local frequency, so the cost is
+    logarithmic in the final scale factor.
     The integrator's state vector keeps the (N_S, 3) order, so its error
     norm and step control see the same numbers.
 
-    The trajectory holds the states at ``sample_etas`` (ascending, within
-    ``eta_span``; see :func:`sample_grid` and :func:`step_grid`).  The
-    absolute tolerance is fixed at 1e-12; ``rtol`` sets the accuracy.
+    The trajectory holds the states at ``sample_etas`` (strictly
+    increasing, within ``eta_span``; see :func:`sample_grid` and
+    :func:`step_grid`).  The absolute tolerance is fixed at 1e-12;
+    ``rtol`` sets the accuracy and may not be below
+    :data:`~cosmodirac._dop853.MIN_RTOL`.
 
-    Raises :class:`StepSizeError` if the solver fails or the purity defect
-    of any sample exceeds :data:`PURITY_TOL` or is not finite.  The solve
-    stops at the first step whose state passes :data:`PURITY_TOL`, so a
-    runaway state ends the run instead of shrinking the steps without end.
+    Raises :class:`StepSizeError` if the step size underflows or the purity
+    defect of any sample exceeds :data:`PURITY_TOL` or is not finite.  The
+    solve stops where the purity defect of the solution first passes
+    :data:`PURITY_TOL`, so a runaway state ends the run instead of
+    shrinking the steps without end.
     """
-    from scipy.integrate import solve_ivp
-
     eta0, eta1 = _check_span(eta_span)
     spec = initial.spec
     field = _BlockField(spec)
-    out = np.empty((3, spec.num_sites))
 
     sample_etas = np.asarray(sample_etas, dtype=float)
-    if sample_etas[0] < eta0 - 1e-12 or sample_etas[-1] > eta1 + 1e-12:
+    if sample_etas[0] < eta0 or sample_etas[-1] > eta1:
         raise ValueError("sample_etas must lie within eta_span")
+    if np.any(np.diff(sample_etas) <= 0):
+        raise ValueError("sample_etas must be strictly increasing")
 
-    def rhs(eta, y):
+    def rhs(eta, y, out):
         field.load(y.reshape(-1, 3).T)
-        field.rate(spec.mass * float(profile.scale_factor(eta)), out)
-        return out.T.ravel()
+        field.rate(spec.mass * float(profile.scale_factor(eta)), out.reshape(-1, 3).T)
 
     def turns_impure(eta, y):
         return PURITY_TOL - _purity_defects(y.reshape(-1, 3))
 
-    turns_impure.terminal = True
-    turns_impure.direction = -1
-
-    sol = solve_ivp(
-        rhs,
-        (eta0, eta1),
-        initial.bloch.ravel().copy(),
-        method="DOP853",
-        t_eval=sample_etas,
-        rtol=rtol,
-        atol=1e-12,
-        dense_output=False,
-        events=turns_impure,
-    )
-    if not sol.success:
-        raise StepSizeError(f"adaptive integration failed: {sol.message}")
-    if sol.status == 1:
+    try:
+        ys, nfev, eta_impure = _dop853.solve(rhs, (eta0, eta1), initial.bloch.ravel(),
+                                             sample_etas, rtol, 1e-12, turns_impure)
+    except _dop853.SolverError as exc:
+        raise StepSizeError(f"adaptive integration failed: {exc}") from exc
+    if eta_impure is not None:
         raise StepSizeError(f"purity defect passed {PURITY_TOL:g} at "
-                            f"eta = {sol.t_events[0][0]:.6g}; tighten rtol")
+                            f"eta = {eta_impure:.6g}; tighten rtol")
     # C order, so that the stacked condensate sums equal the per-state ones
-    bloch = np.ascontiguousarray(sol.y.T).reshape(len(sol.t), spec.num_sites, 3)
-    _purity_gate(sol.t, bloch, "tighten rtol")
-    a_vals = np.asarray(profile.scale_factor(sol.t), dtype=float)
-    return Trajectory(sol.t, a_vals, bloch, *_condensate_sums(bloch, spec), spec, profile,
-                      nfev=int(sol.nfev))
+    bloch = ys.reshape(sample_etas.size, spec.num_sites, 3)
+    _purity_gate(sample_etas, bloch, "tighten rtol")
+    a_vals = np.asarray(profile.scale_factor(sample_etas), dtype=float)
+    return Trajectory(sample_etas, a_vals, bloch, *_condensate_sums(bloch, spec), spec,
+                      profile, nfev=nfev)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +596,7 @@ def real_space_correlation(state: CorrelationState, block=None) -> np.ndarray:
     ns = state.spec.num_sites
     blocks = state.blocks  # (N, 2, 2), ordered along the momentum grid
     # k_n = -pi + 2 pi n/N:  exp(i k_n d) = (-1)^d exp(2 pi i n d / N)
-    g = np.fft.ifft(blocks, axis=0)  # (N, 2, 2) indexed by separation d
+    g = ifft(blocks, axis=0)  # (N, 2, 2) indexed by separation d
     g *= ((-1.0) ** np.arange(ns))[:, None, None]
     start, length = (0, ns) if block is None else (block.start, block.length)
     sites = np.arange(start, start + length)

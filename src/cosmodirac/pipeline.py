@@ -55,11 +55,13 @@ class RunManifest:
     a DOP853 run it tracks the step error.  A run with a ``qp`` analysis
     adds ``qp_out_of_validity``, the advisory tag of ``entropy_qp.csv``,
     and ``qp_sigma_persistence``, the value it was judged by (see
-    :func:`_qp_validity`).  ``stage_s`` holds the wall time in seconds of
-    each stage: ``prepare``, ``evolve``, each analysis as
-    ``analyses[<i>].<kind>`` (its CSVs included), and ``write``, the
-    condensates CSV and the sha256 inventory.  None of these is in the
-    inventory, so the files stay byte-identical.
+    :func:`_qp_validity`).  A run with a ``symmetry`` analysis adds
+    ``sweep_nfev``, the field evaluations of the Hubble sweep's solve at
+    each rate of ``hubble_values``, in that order (0 in the sudden limit).
+    ``stage_s`` holds the wall time in seconds of each stage: ``prepare``,
+    ``evolve``, each analysis as ``analyses[<i>].<kind>`` (its CSVs
+    included), and ``write``, the condensates CSV and the sha256 inventory.
+    None of these is in the inventory, so the files stay byte-identical.
     """
 
     directory: Path
@@ -276,7 +278,7 @@ def _sweep_vacuum(config: RunConfig, state):
     return state, preparation_scale(config.profile, config.eta_span[0])
 
 
-def _emit_symmetry(traj, opts, directory, vacuum=None):
+def _emit_symmetry(traj, opts, directory, vacuum=None, diagnostics=None):
     lattice = traj.spec
     a_f = float(traj.a_vals[-1])
     report = symmetry_report(lattice.mass * a_f + float(traj.sigma[-1]), 0.0,
@@ -296,6 +298,8 @@ def _emit_symmetry(traj, opts, directory, vacuum=None):
     _write_csv(directory / "symmetry_sweep.csv",
                ["hubble[1/a]", "asymmetry[dimensionless]", "beta_sq_sum[dimensionless]"],
                [(r["hubble"], r["asymmetry"], r["beta_sq_sum"]) for r in sweep])
+    if diagnostics is not None:
+        diagnostics["sweep_nfev"] = [r["nfev"] for r in sweep]
     return ["symmetry_report.csv", "symmetry_report.txt", "symmetry_sweep.csv"]
 
 
@@ -360,9 +364,11 @@ def run(config: RunConfig, output_dir=None, workers: int = 1) -> RunManifest:
     traj = _evolve(config, state)
     lap("evolve")
 
+    diagnostics = {"nfev": traj.nfev, "stage_s": stage_s}
     emitters = dict(_EMITTERS,
                     qp=partial(_emit_qp, quenched_at_start=_quenched_at_start(config)),
-                    symmetry=partial(_emit_symmetry, vacuum=_sweep_vacuum(config, state)))
+                    symmetry=partial(_emit_symmetry, vacuum=_sweep_vacuum(config, state),
+                                     diagnostics=diagnostics))
     files = []
     for i, analysis in enumerate(config.analyses):
         files += emitters[analysis.kind](traj, analysis.options, directory)
@@ -371,8 +377,7 @@ def run(config: RunConfig, output_dir=None, workers: int = 1) -> RunManifest:
     files = _emit_condensates(traj, directory) + files
     inventory = {name: _sha256(directory / name) for name in files}
     lap("write")
-    diagnostics = {"nfev": traj.nfev, "max_purity_defect": traj.purity_defect(),
-                   "stage_s": stage_s}
+    diagnostics["max_purity_defect"] = traj.purity_defect()
     if any(analysis.kind == "qp" for analysis in config.analyses):
         (diagnostics["qp_sigma_persistence"],
          diagnostics["qp_out_of_validity"]) = _qp_validity(traj)

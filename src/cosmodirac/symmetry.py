@@ -106,17 +106,18 @@ def contour_cp_check(field) -> float:
 
 def _sweep_row(spec, a_0, a_f, vacuum, hubble):
     """One sweep row: ``vacuum`` taken through the ramp at ``hubble`` to a_f."""
-    state = vacuum
+    state, nfev = vacuum, 0
     if hubble < QUENCH_LIMIT_HUBBLE:
         profile = ExponentialProfile(a_0=a_0, a_f=a_f, hubble=hubble)
         traj = evolve_adaptive(vacuum, profile, (0.0, profile.eta_clamp),
                                sample_etas=[profile.eta_clamp], rtol=REFERENCE_RTOL)
-        state = traj.state(-1)
+        state, nfev = traj.state(-1), traj.nfev
     spectrum = bogoliubov_spectrum(state, spec.mass * a_f)
     return {
         "hubble": float(hubble),
         "asymmetry": spectrum_asymmetry(spectrum),
         "beta_sq_sum": float(np.sum(spectrum.beta_sq)),
+        "nfev": nfev,
     }
 
 
@@ -149,7 +150,9 @@ def spectrum_symmetry_check(
     state it prepared when that is the lattice's vacuum at a_0); the
     vacuum is then used as it is, with no second gap-equation solve.
 
-    Returns a list of dicts {hubble, asymmetry, beta_sq_sum}.
+    Returns a list of dicts {hubble, asymmetry, beta_sq_sum, nfev}, in the
+    order of ``hubble_values``; ``nfev`` counts the field evaluations of the
+    ramp's solve, 0 in the sudden limit.
     """
     if isinstance(spec, CorrelationState):
         vacuum, spec = spec, spec.spec

@@ -404,6 +404,21 @@ class TestPipelineEvolution:
         # the diagnostics are not in the inventory, which still verifies
         assert "diagnostics" not in manifest.files and manifest.verify() == []
 
+    def test_manifest_records_the_sweep_nfev_of_each_rate(self, tmp_path):
+        # fig6's sweep: one DOP853 solve per rate below the sudden limit,
+        # none at H = 100; the counts stay out of the inventory
+        config = preset_config("fig6")
+        manifest = pipeline.run(config, output_dir=tmp_path)
+        opts = next(a.options for a in config.analyses if a.kind == "symmetry")
+        sweep = spectrum_symmetry_check(config.lattice, opts["a_0"], opts["a_f"],
+                                        opts["hubble_values"])
+        recorded = RunManifest.load(tmp_path / "manifest.json").diagnostics["sweep_nfev"]
+        assert recorded == manifest.diagnostics["sweep_nfev"] == [r["nfev"] for r in sweep]
+        assert [n == 0 for n in recorded] == [h >= symmetry.QUENCH_LIMIT_HUBBLE
+                                              for h in opts["hubble_values"]]
+        assert all(n >= 17 for n, h in zip(recorded, opts["hubble_values"]) if h < 100.0)
+        assert "symmetry_sweep.csv" in manifest.files and manifest.verify() == []
+
     def test_manifest_records_the_wall_time_of_each_stage(self, tmp_path):
         text = SMALL_RUN + "  - {kind: contour, block: {length: 4}}\n"
         manifest = pipeline.run(load_config(text), output_dir=tmp_path)

@@ -277,6 +277,14 @@ class TestContourField:
             ContourField(etas=np.zeros(3), values=np.zeros((2, 8, 2)),
                          block=BlockSpec.centered(8, 16))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
+    def test_non_finite_or_negative_values_are_refused(self, bad):
+        # an any(values < 0) test lets NaN through, and cone_front then
+        # blames a contour that vanishes everywhere
+        with pytest.raises(InvalidStateError, match="non-finite or negative"):
+            ContourField(etas=np.arange(3.0), values=np.full((3, 4, 2), bad),
+                         block=BlockSpec.centered(4, 8))
+
 
 class TestConeFront:
     @staticmethod

@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 
 from rk4_reference import _reference_field, _reference_rk4, reference_final_state
 
-from cosmodirac import gaussian
+from cosmodirac import _dop853, gaussian
 from cosmodirac.entanglement import BlockSpec
 from cosmodirac.gaussian import (
     REFERENCE_RTOL,
@@ -32,6 +32,7 @@ from cosmodirac.gaussian import (
     total_energy,
 )
 from cosmodirac.lattice import (
+    DeSitterProfile,
     ExponentialProfile,
     LatticeSpec,
     QuenchProfile,
@@ -205,6 +206,13 @@ class TestEvolution:
             step_grid((0.0, 1.0), -1e-3)
         with pytest.raises(ValueError):
             evolve_adaptive(state, StaticProfile(), (1.0, 0.0), [1.0])
+        with pytest.raises(ValueError, match="within eta_span"):
+            evolve_adaptive(state, StaticProfile(), (0.0, 1.0), [0.0, 1.0 + 1e-13])
+        with pytest.raises(ValueError, match="increasing"):
+            evolve_adaptive(state, StaticProfile(), (0.0, 1.0), [0.0, 0.5, 0.5])
+        # below 100 machine epsilons the error control cannot hold the tolerance
+        with pytest.raises(ValueError, match="rtol"):
+            evolve_adaptive(state, StaticProfile(), (0.0, 1.0), [0.0, 1.0], rtol=1e-15)
 
     def test_solve_stops_at_the_first_impure_step(self, monkeypatch):
         # a radial term c n makes |n_k|^2 = exp(2 c eta) for every k, so the
@@ -292,11 +300,14 @@ def _assert_trajectory_equals(traj, etas, blochs, spec, profile):
         assert np.array_equal(traj.state(i).bloch, n)
 
 
-# The cases: free and interacting quench, a continuous ramp, a tabulated a.
+# The cases: free and interacting quench, a continuous ramp, a tabulated a,
+# a static chain and a de Sitter chart, each with the time its spans start at.
 BIT_IDENTITY_PROFILES = {
-    "quench": QuenchProfile(0.5, 1.5),
-    "exponential": ExponentialProfile(0.5, 2.0, hubble=1.0),
-    "tabulated": TabulatedProfile((0.0, 1.0, 3.0), (0.5, 1.2, 0.9)),
+    "quench": (QuenchProfile(0.5, 1.5), 0.0),
+    "exponential": (ExponentialProfile(0.5, 2.0, hubble=1.0), 0.0),
+    "tabulated": (TabulatedProfile((0.0, 1.0, 3.0), (0.5, 1.2, 0.9)), 0.0),
+    "static": (StaticProfile(1.3), 0.0),
+    "de_sitter": (DeSitterProfile(hubble=0.5, eta_0=-4.0, eta_max=-0.5), -4.0),
 }
 BIT_IDENTITY_CASES = dict(
     num_sites=st.integers(2, 32).map(lambda half: 2 * half),
@@ -312,22 +323,55 @@ def _quenched_vacuum(num_sites, coupling, mass):
 
 
 class TestBitIdentity:
-    """The in-place block-field kernel reproduces the per-step formulation."""
+    """The package's DOP853 with the in-place block-field kernel reproduces
+    scipy's ``solve_ivp`` on the per-step formulation."""
 
-    @settings(max_examples=15, deadline=None)
-    @given(**BIT_IDENTITY_CASES)
-    def test_dop853(self, num_sites, coupling, mass, kind):
+    @settings(max_examples=25, deadline=None)
+    @given(**BIT_IDENTITY_CASES, rtol=st.sampled_from([1e-10, REFERENCE_RTOL]))
+    def test_dop853(self, num_sites, coupling, mass, kind, rtol):
         spec, state = _quenched_vacuum(num_sites, coupling, mass)
-        profile = BIT_IDENTITY_PROFILES[kind]
-        sample_etas = np.linspace(0.0, 1.0, 5)
-        traj = evolve_adaptive(state.copy(), profile, (0.0, 1.0),
-                               sample_etas=sample_etas)
+        profile, eta0 = BIT_IDENTITY_PROFILES[kind]
+        span = (eta0, eta0 + 1.0)
+        sample_etas = np.linspace(*span, 5)
+        traj = evolve_adaptive(state.copy(), profile, span, sample_etas=sample_etas,
+                               rtol=rtol)
         rhs = _reference_field(spec, profile)
-        sol = solve_ivp(lambda eta, y: rhs(eta, y.reshape(-1, 3)).ravel(), (0.0, 1.0),
+        sol = solve_ivp(lambda eta, y: rhs(eta, y.reshape(-1, 3)).ravel(), span,
                         state.bloch.ravel().copy(), method="DOP853", t_eval=sample_etas,
-                        rtol=1e-10, atol=1e-12)
+                        rtol=rtol, atol=1e-12)
         _assert_trajectory_equals(traj, sol.t, [y.reshape(-1, 3) for y in sol.y.T],
                                   spec, profile)
+        assert traj.nfev == sol.nfev
+
+    @pytest.mark.parametrize("growth", [0.1, 3.0])
+    def test_event_time(self, growth):
+        # a radial term c n grows |n_k| until the purity event fires inside a
+        # step; the crossing found on that step's interpolant is scipy's
+        spec, state = _quenched_vacuum(16, 1.0, 1.0)
+        profile = StaticProfile(1.3)
+        rhs = _reference_field(spec, profile)
+
+        def growing(eta, y):
+            n = y.reshape(-1, 3)
+            return (rhs(eta, n) + growth * n).ravel()
+
+        def into(eta, y, out):
+            out[:] = growing(eta, y)
+
+        def turns_impure(eta, y):
+            return gaussian.PURITY_TOL - gaussian._purity_defects(y.reshape(-1, 3))
+
+        turns_impure.terminal, turns_impure.direction = True, -1
+        samples = np.linspace(0.0, 1.0, 9)
+        ys, nfev, eta_event = _dop853.solve(into, (0.0, 1.0), state.bloch.ravel(),
+                                            samples, 1e-10, 1e-12, turns_impure)
+        sol = solve_ivp(growing, (0.0, 1.0), state.bloch.ravel().copy(), method="DOP853",
+                        t_eval=samples, rtol=1e-10, atol=1e-12, events=turns_impure)
+        assert sol.status == 1 and eta_event == sol.t_events[0][0]
+        assert eta_event == pytest.approx(np.log1p(4 * gaussian.PURITY_TOL) / (2 * growth),
+                                          rel=1e-4)
+        assert nfev == sol.nfev
+        assert np.array_equal(ys, sol.y.T)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +498,9 @@ class TestPropagatorInvariants:
     @given(**BIT_IDENTITY_CASES)
     def test_dop853_keeps_unit_bloch_vectors(self, num_sites, coupling, mass, kind):
         spec, state = _quenched_vacuum(num_sites, coupling, mass)
-        traj = evolve_adaptive(state, BIT_IDENTITY_PROFILES[kind], (0.0, 3.0),
-                               np.linspace(0.0, 3.0, 7), rtol=REFERENCE_RTOL)
+        profile, eta0 = BIT_IDENTITY_PROFILES[kind]
+        traj = evolve_adaptive(state, profile, (eta0, eta0 + 3.0),
+                               np.linspace(eta0, eta0 + 3.0, 7), rtol=REFERENCE_RTOL)
         assert _unit_defect(traj) <= 1e-9
 
     @settings(max_examples=20, deadline=None)
@@ -468,8 +513,9 @@ class TestPropagatorInvariants:
         # must keep n_x = n_y = 0, which DOP853 holds only to its atol.
         spec, state = _quenched_vacuum(num_sites, coupling, mass)
         assert condensates(state).pi == 0.0
-        traj = evolve_adaptive(state, BIT_IDENTITY_PROFILES[kind], (0.0, 3.0),
-                               np.linspace(0.0, 3.0, 7), rtol=REFERENCE_RTOL)
+        profile, eta0 = BIT_IDENTITY_PROFILES[kind]
+        traj = evolve_adaptive(state, profile, (eta0, eta0 + 3.0),
+                               np.linspace(eta0, eta0 + 3.0, 7), rtol=REFERENCE_RTOL)
         partner = (-np.arange(num_sites)) % num_sites  # the grid index of -k
         n, mirrored = traj.bloch, traj.bloch[:, partner]
         assert np.max(np.abs(traj.pi)) <= 1e-9

@@ -145,6 +145,25 @@ class TestProfiles:
         with pytest.raises(ValueError):
             TabulatedProfile(etas=(0.0, 1.0), values=(1.0, -1.0))
 
+    def test_tabulated_time_is_the_trapezoid_of_the_samples(self):
+        # a(eta) is linear between samples, so t(eta) is exactly the area of
+        # the trapezoids under it
+        prof = TabulatedProfile(etas=(-1.0, 0.5, 3.0), values=(0.4, 1.6, 0.9))
+        a_at_2 = 1.6 + (0.9 - 1.6) * (2.0 - 0.5) / 2.5
+        by_hand = {
+            -1.0: 0.0,
+            -0.25: 0.5 * (0.4 + 1.0) * 0.75,
+            0.5: 0.5 * (0.4 + 1.6) * 1.5,
+            2.0: 0.5 * (0.4 + 1.6) * 1.5 + 0.5 * (1.6 + a_at_2) * 1.5,
+            3.0: 0.5 * (0.4 + 1.6) * 1.5 + 0.5 * (1.6 + 0.9) * 2.5,
+        }
+        etas = np.array(list(by_hand))
+        got = prof.cosmological_time(etas)
+        assert got.shape == etas.shape
+        for eta, t in zip(etas, got):
+            assert t == pytest.approx(by_hand[eta], rel=1e-15, abs=0.0)
+            assert prof.cosmological_time(eta) == t
+
 
 # Each profile with conformal times that reach every branch of its scale
 # factor: flat, ramp, clamp, switch, chart or table, and the 1e-12 of slack
