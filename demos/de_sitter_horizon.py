@@ -42,7 +42,7 @@ traj = evolve_adaptive(state, profile, span, sample_grid(span, 121))
 print(f"scale factor grew {profile.a_0:.3f} -> {traj.a_vals[-1]:.1f} "
       f"({len(traj.etas)} samples, adaptive)")
 
-field = contour_trajectory(traj, BlockSpec.centered(BLOCK, N_SITES))
+field = contour_trajectory(traj, BlockSpec(BLOCK, N_SITES))
 
 # dressed group velocity averaged over the run
 vs = [

@@ -30,7 +30,6 @@ from cosmodirac import (
     qp_entropy,
     qp_input_from_spectrum,
     qp_plateau,
-    real_space_correlation,
 )
 from cosmodirac.gaussian import step_grid
 
@@ -48,12 +47,9 @@ print(f"evolving {N_SITES} sites to eta = {ETA_END} ...")
 _, _, sample_etas = step_grid((0.0, ETA_END), 5e-4, 500)
 traj = evolve_free(vacuum, QuenchProfile(A_0, A_F), sample_etas)
 
-block = BlockSpec.centered(BLOCK, N_SITES)
+block = BlockSpec(BLOCK, N_SITES)
 etas = np.asarray(traj.etas)
-measured = np.array(
-    [block_entropy(real_space_correlation(traj.state(i), block), block)
-     for i in range(len(etas))]
-)
+measured = np.array([block_entropy(traj.state(i), block) for i in range(len(etas))])
 
 # quasi-particle prediction from the production spectrum
 spectrum = bogoliubov_spectrum(traj.state(-1), spec.mass * A_F)

@@ -49,7 +49,7 @@ def run(coupling):
     else:
         traj = evolve_adaptive(vacuum, profile, span, sample_etas=etas,
                                rtol=REFERENCE_RTOL)
-    field = contour_trajectory(traj, BlockSpec.centered(BLOCK, N_SITES))
+    field = contour_trajectory(traj, BlockSpec(BLOCK, N_SITES))
     return spec, traj, field
 
 

@@ -253,7 +253,7 @@ def _build_block(section, num_sites, path) -> BlockSpec:
     length = _require(section, "length", path, (int,))
     if not (1 <= length <= num_sites):
         raise ConfigError(f"{path}.length", f"must lie in [1, {num_sites}]")
-    return BlockSpec.centered(length, num_sites)
+    return BlockSpec(length, num_sites)
 
 
 def _build_analyses(section, lattice: LatticeSpec) -> list:

@@ -1,10 +1,11 @@
 """Exact Gaussian-state block entropy and entanglement contour.
 
-The block density-matrix spectrum follows from the block's own 2L x 2L
-real-space correlation matrix, ``real_space_correlation(state, block)``
-(Peschel, J. Phys. A 36, L205 (2003)); its eigenmodes carry mode
-entropies that the contour redistributes over sites and spinor
-components (Chen & Vidal, J. Stat. Mech. P10011 (2014)).
+The block density-matrix spectrum follows from the block's 2L x 2L
+correlation matrix Gamma_A (Peschel, J. Phys. A 36, L205 (2003)); its
+eigenmodes carry mode entropies that the contour redistributes over sites
+and spinor components (Chen & Vidal, J. Stat. Mech. P10011 (2014)).  The
+states are translation invariant, so a block is fixed by its 2L - 1
+separation blocks Gamma(d), |d| < L, of one FFT, and is built from them.
 
 Two paths diagonalise the block, and both give the same entropy and
 contour.  While the state keeps Pi = 0, n_x and n_y are odd in k and n_z
@@ -12,18 +13,20 @@ is even, so every block has the on-site particle-hole symmetry
 sigma_x (1 - Gamma_A^*) sigma_x = Gamma_A.  With W = 1_L (x) W_0,
 W_0 = [[1, i], [1, -i]]/sqrt(2), the block is then W^dag Gamma_A W =
 1/2 + iA with A real antisymmetric: its eigenvalues are 1/2 +- lambda,
-and A^T A is real symmetric with eigenvalues lambda^2, each twice.  The
+and A^T A is real symmetric with eigenvalues lambda^2, each twice.  W is
+on-site, so the test reads max |Re(W_0^dag Gamma(d) W_0) - delta_(d,0)/2|
+over the 2L - 1 separations, and a block within :data:`PARTICLE_HOLE_TOL`
+= 1e-12 gathers A = Im(W_0^dag Gamma(d) W_0) into a real matrix.  The
 mode entropy is even about 1/2, so the real path diagonalises A^T A (a
 real ``eigh`` at about a third of the complex one's cost) and the
 contour is S_(i,u) = S_(i,d) = (1/2) sum_m (R_(i,u),m^2 + R_(i,d),m^2) s_m
 over its eigenvectors R and eigenvalues mu_m, with s_m the entropy of
-nu_m = 1/2 - sqrt(mu_m).  A block whose Re(W^dag Gamma_A W) is further
-than :data:`PARTICLE_HOLE_TOL` = 1e-12 from 1/2 takes the complex path:
-the ``eigh`` of Gamma_A itself.  That tolerance sits between the
-shipped runs: every block of the Pi = 0 presets is within 1.6e-15,
-every block of a parity-broken state (fig3a, fig3c, fig3d, fig4, and
-fig5, released from the Pi = 1.07 vacuum) is 2.5e-2 or more away.  A
-block with an entry that is not finite takes neither path: it raises
+nu_m = 1/2 - sqrt(mu_m).  Any other block takes the complex ``eigh`` of
+Gamma_A itself.  The tolerance sits between the shipped runs: every
+block of the Pi = 0 presets is within 1.7e-15, every block of a
+parity-broken state (fig3a, fig3c, fig3d, fig4, and fig5, released from
+the Pi = 1.07 vacuum) is 2.5e-2 or more away.  A state with a Bloch
+vector that is not finite takes neither path: it raises
 :class:`InvalidStateError`.
 """
 
@@ -33,37 +36,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import Trajectory, real_space_correlation
+from .gaussian import CorrelationState, Trajectory, gather_separations, separation_blocks
 
 _NU_CLIP = 1e-14  # restricted spectra pile up exponentially at 0 and 1
 # max |Re(W^dag Gamma_A W) - 1/2| up to which a block takes the real path
 PARTICLE_HOLE_TOL = 1e-12
+# W_0 = _V/sqrt(2), so W_0^dag G W_0 = (V^dag G V)/2 rounds only in its sums
+_V = np.array([[1.0, 1.0j], [1.0, -1.0j]])
 EDGE_MARGIN = 4  # sites at each block edge that the cone front skips
 FRONT_THRESHOLD = 0.2  # cone-front threshold, as a fraction of the median final contour
 
 
 class InvalidStateError(ValueError):
-    """Restricted correlation matrix is not finite or has eigenvalues
-    outside [0, 1]."""
+    """State or contour is not finite, or a block has eigenvalues outside [0, 1]."""
 
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """Contiguous block of ``length`` sites starting at ``start``."""
+    """Block of ``length`` consecutive sites of a chain of ``num_sites``.
 
-    start: int
+    The states are translation invariant, so where the block starts
+    changes nothing.
+    """
+
     length: int
     num_sites: int
 
     def __post_init__(self):
         if not (1 <= self.length <= self.num_sites):
             raise ValueError(f"block length {self.length} outside [1, {self.num_sites}]")
-        if not (0 <= self.start and self.start + self.length <= self.num_sites):
-            raise ValueError("block must lie within the chain")
-
-    @classmethod
-    def centered(cls, length, num_sites):
-        return cls((num_sites - length) // 2, length, num_sites)
 
 
 @dataclass
@@ -97,13 +98,6 @@ def _mode_entropies(nu):
     return -nu * np.log(nu) - (1.0 - nu) * np.log(1.0 - nu)
 
 
-def _check_shape(gamma: np.ndarray, block: BlockSpec):
-    n = 2 * block.length
-    if gamma.shape != (n, n):
-        raise ValueError(f"correlation matrix of shape {gamma.shape} is not the "
-                         f"block's own {n} x {n}")
-
-
 def _check_spectrum(nu):
     if not np.all((nu >= -1e-8) & (nu <= 1.0 + 1e-8)):  # a NaN fails too
         raise InvalidStateError(
@@ -112,82 +106,66 @@ def _check_spectrum(nu):
         )
 
 
-def _particle_hole_form(gamma: np.ndarray, length: int):
-    """(residual, A) of the block in the basis W = 1_L (x) W_0.
+def _block_matrix(state: CorrelationState, block: BlockSpec):
+    """(residual, matrix) of the block: the particle-hole residual over its
+    2L - 1 separations, and the real A if that is within
+    :data:`PARTICLE_HOLE_TOL`, else the complex Gamma_A (module docstring).
+    Raises :class:`InvalidStateError` for a state that is not finite."""
+    if not np.all(np.isfinite(state.bloch)):
+        raise InvalidStateError("state is not finite")
+    g = separation_blocks(state)
+    rotated = 0.5 * (_V.conj().T @ g @ _V)
+    held = rotated[np.arange(1 - block.length, block.length) % len(g)].real
+    held[block.length - 1] -= 0.5 * np.eye(2)  # d = 0
+    residual = float(np.max(np.abs(held)))
+    if residual <= PARTICLE_HOLE_TOL:
+        return residual, gather_separations(rotated.imag, block.length)
+    return residual, gather_separations(g, block.length)
 
-    W^dag Gamma_A W is formed site block by site block: with the 2 x 2
-    blocks [[a, b], [c, d]] of Gamma_A it is [[u, iw], [-ix, v]]/2 for
-    u = p + q, v = p - q, w = r - s, x = r + s, where p = a + d,
-    q = b + c, r = a - d, s = b - c.  ``residual`` is
-    max |Re(W^dag Gamma_A W) - 1/2|; ``A``, its imaginary part (a real
-    antisymmetric 2L x 2L matrix), is built only when the residual is
-    within :data:`PARTICLE_HOLE_TOL`, and is None otherwise.
+
+def _mode_spectrum(matrix: np.ndarray, contour: bool):
+    """Mode entropies of a block and, if ``contour``, its (length, 2) contour.
+
+    ``matrix`` is the block as :func:`_block_matrix` builds it: a real A
+    takes the real path, a complex Gamma_A the complex one.  Raises
+    :class:`InvalidStateError` for a spectrum outside [0, 1] on either path.
     """
-    g = gamma.reshape(length, 2, length, 2)
-    a, b, c, d = g[:, 0, :, 0], g[:, 0, :, 1], g[:, 1, :, 0], g[:, 1, :, 1]
-    p, q, r, s = a + d, b + c, a - d, b - c
-    u, v, w, x = p + q, p - q, r - s, r + s
-    eye = np.eye(length)
-    residual = 0.5 * np.max([np.max(np.abs(u.real - eye)), np.max(np.abs(v.real - eye)),
-                             np.max(np.abs(w.imag)), np.max(np.abs(x.imag))])
-    if not (residual <= PARTICLE_HOLE_TOL):  # a NaN fails too
-        return residual, None
-    twice_a = np.empty((length, 2, length, 2))
-    twice_a[:, 0, :, 0], twice_a[:, 1, :, 1] = u.imag, v.imag
-    twice_a[:, 0, :, 1], twice_a[:, 1, :, 0] = w.real, -x.real
-    return residual, 0.5 * twice_a.reshape(2 * length, 2 * length)
-
-
-def _mode_spectrum(gamma: np.ndarray, block: BlockSpec, contour: bool):
-    """Mode entropies of the block and, if ``contour``, its (length, 2) contour.
-
-    Takes the real path when the block is particle-hole symmetric to
-    :data:`PARTICLE_HOLE_TOL`, else the complex one; see the module
-    docstring.  Raises :class:`InvalidStateError` for a block that is not
-    finite, before any ``eigh``, and for a spectrum outside [0, 1] on
-    either path.
-    """
-    _check_shape(gamma, block)
-    if not np.all(np.isfinite(gamma)):
-        raise InvalidStateError("restricted correlation matrix is not finite")
-    _, a = _particle_hole_form(gamma, block.length)
-    matrix = gamma if a is None else a.T @ a
+    real = np.isrealobj(matrix)
+    product = matrix.T @ matrix if real else matrix
     if contour:
-        nu, vecs = np.linalg.eigh(matrix)
+        nu, vecs = np.linalg.eigh(product)
     else:
-        nu, vecs = np.linalg.eigvalsh(matrix), None
-    if a is not None:
+        nu, vecs = np.linalg.eigvalsh(product), None
+    if real:
         nu = 0.5 - np.sqrt(np.maximum(nu, 0.0))  # from mu = lambda^2
     _check_spectrum(nu)
     s = _mode_entropies(nu)
     if vecs is None:
         return s, None
-    if a is None:
-        return s, ((np.abs(vecs) ** 2) @ s).reshape(block.length, 2)
-    site = 0.5 * ((vecs * vecs) @ s).reshape(block.length, 2).sum(axis=1)
+    length = len(matrix) // 2
+    if not real:
+        return s, ((np.abs(vecs) ** 2) @ s).reshape(length, 2)
+    site = 0.5 * ((vecs * vecs) @ s).reshape(length, 2).sum(axis=1)
     return s, np.repeat(site[:, None], 2, axis=1)
 
 
-def block_entropy(gamma: np.ndarray, block: BlockSpec) -> float:
-    """von Neumann entropy of the block from its own 2L x 2L correlation
-    matrix ``gamma``, as ``real_space_correlation(state, block)`` builds it.
-    """
-    s, _ = _mode_spectrum(gamma, block, contour=False)
+def block_entropy(state: CorrelationState, block: BlockSpec) -> float:
+    """von Neumann entropy of ``block`` in ``state``."""
+    s, _ = _mode_spectrum(_block_matrix(state, block)[1], contour=False)
     return float(np.sum(s))
 
 
-def entanglement_contour(gamma: np.ndarray, block: BlockSpec) -> np.ndarray:
-    """Site- and spinor-resolved contour of the block, shape (length, 2).
+def entanglement_contour(state: CorrelationState, block: BlockSpec) -> np.ndarray:
+    """Site- and spinor-resolved contour of ``block`` in ``state``, shape (length, 2).
 
-    ``gamma`` is the block's own 2L x 2L correlation matrix, as
-    ``real_space_correlation(state, block)`` builds it.  Diagonalise it,
-    U^dag Gamma_A U = diag(nu); each eigenmode's entropy s_m is
-    distributed with weights |U_{(i,alpha),m}|^2, so the values are
-    nonnegative and sum to the block entropy.  A particle-hole-symmetric
-    block (Pi = 0) is diagonalised through a real matrix of the same
-    spectrum, with equal u and d values (see the module docstring).
+    Diagonalise the block's correlation matrix, U^dag Gamma_A U = diag(nu);
+    each eigenmode's entropy s_m is distributed with weights
+    |U_{(i,alpha),m}|^2, so the values are nonnegative and sum to the block
+    entropy.  A particle-hole-symmetric block (Pi = 0) is diagonalised
+    through a real matrix of the same spectrum, with equal u and d values
+    (see the module docstring).
     """
-    _, vals = _mode_spectrum(gamma, block, contour=True)
+    _, vals = _mode_spectrum(_block_matrix(state, block)[1], contour=True)
     return vals
 
 
@@ -196,8 +174,7 @@ def contour_trajectory(trajectory: Trajectory, block: BlockSpec) -> ContourField
     :attr:`~cosmodirac.gaussian.Trajectory.times`."""
     vals = np.empty((len(trajectory.etas), block.length, 2))
     for i in range(len(trajectory.etas)):
-        gamma = real_space_correlation(trajectory.state(i), block)
-        vals[i] = entanglement_contour(gamma, block)
+        vals[i] = entanglement_contour(trajectory.state(i), block)
     return ContourField(etas=trajectory.etas, values=vals, block=block,
                         times=trajectory.times)
 

@@ -137,8 +137,7 @@ class Trajectory:
         t = len(self.etas)
         if any(len(x) != t for x in (self.a_vals, self.bloch, self.sigma, self.pi)):
             raise ValueError("every sampled array must have one entry per time")
-        if np.any(np.diff(self.etas) <= 0):
-            raise ValueError("sample times must be strictly increasing")
+        _check_sample_times(self.etas)
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -396,9 +395,17 @@ class _BlockField:
 
 def _check_span(eta_span):
     eta0, eta1 = float(eta_span[0]), float(eta_span[1])
-    if eta1 <= eta0:
+    if not (eta1 > eta0):  # a NaN end fails too
         raise ValueError("eta_span must be increasing")
     return eta0, eta1
+
+
+def _check_sample_times(etas) -> np.ndarray:
+    # all(> 0) rather than any(<= 0), so that a NaN fails too
+    etas = np.asarray(etas, dtype=float)
+    if not (np.all(np.isfinite(etas)) and np.all(np.diff(etas) > 0)):
+        raise ValueError(f"sample times must be finite and strictly increasing, got {etas}")
+    return etas
 
 
 def _purity_gate(etas, bloch, remedy):
@@ -467,14 +474,14 @@ def evolve_free(
 
     Raises :class:`StepSizeError` if the purity defect of any sample
     exceeds :data:`PURITY_TOL` or is not finite, and ``ValueError`` for a coupled
-    lattice or another profile.
+    lattice, another profile or bad sample times.
     """
+    etas = _check_sample_times(etas)
     spec = initial.spec
     if spec.coupling != 0.0:
         raise ValueError("evolve_free needs a free lattice (coupling 0)")
     if not isinstance(profile, (StaticProfile, QuenchProfile)):
         raise ValueError("evolve_free needs a static or quench profile")
-    etas = np.asarray(etas, dtype=float)
     eta0 = etas[0]
     # (start, a) of each stretch of constant a over the samples
     pieces = [(eta0, float(profile.scale_factor(eta0)))]
@@ -541,15 +548,12 @@ def evolve_adaptive(
     :data:`PURITY_TOL`, so a runaway state ends the run instead of
     shrinking the steps without end.
     """
+    sample_etas = _check_sample_times(sample_etas)
     eta0, eta1 = _check_span(eta_span)
-    spec = initial.spec
-    field = _BlockField(spec)
-
-    sample_etas = np.asarray(sample_etas, dtype=float)
     if sample_etas[0] < eta0 or sample_etas[-1] > eta1:
         raise ValueError("sample_etas must lie within eta_span")
-    if np.any(np.diff(sample_etas) <= 0):
-        raise ValueError("sample_etas must be strictly increasing")
+    spec = initial.spec
+    field = _BlockField(spec)
 
     def rhs(eta, y, out):
         field.load(y.reshape(-1, 3).T)
@@ -579,27 +583,32 @@ def evolve_adaptive(
 # ---------------------------------------------------------------------------
 
 
+def separation_blocks(state: CorrelationState) -> np.ndarray:
+    """(N_S, 2, 2) separation blocks Gamma(d) = (1/N_S) sum_k exp(i k d) Gamma_k
+    by one FFT, averaged with Gamma(-d)^dag so that the two agree exactly."""
+    ns = state.spec.num_sites
+    # k_n = -pi + 2 pi n/N:  exp(i k_n d) = (-1)^d exp(2 pi i n d / N)
+    g = ifft(state.blocks, axis=0)
+    g *= ((-1.0) ** np.arange(ns))[:, None, None]
+    return 0.5 * (g + g[-np.arange(ns) % ns].conj().transpose(0, 2, 1))
+
+
+def gather_separations(g: np.ndarray, length: int) -> np.ndarray:
+    """The (2 length, 2 length) matrix of ``length`` consecutive sites whose
+    2 x 2 site block (i, j) is g[(i - j) mod N_S]; row 2*i + alpha."""
+    sites = np.arange(length)
+    d = (sites[:, None] - sites[None, :]) % g.shape[0]
+    return g[d].transpose(0, 2, 1, 3).reshape(2 * length, 2 * length)
+
+
 def real_space_correlation(state: CorrelationState, block=None) -> np.ndarray:
     """Real-space correlation matrix, site-major spinor ordering.
 
     Gamma_{(i,alpha),(j,beta)} = (1/N_S) sum_k exp(i k (x_i - x_j))
-    (Gamma_k)_{alpha beta}, evaluated with an FFT over the block array and
-    indexed by the separation (i - j) mod N_S.  Row index is 2*i + alpha
-    with alpha in {u, d} = {0, 1}, counted from the first site kept.
-
-    Given a block (anything with ``start`` and ``length``, such as
-    :class:`~cosmodirac.entanglement.BlockSpec`), this is the block's own
-    2L x 2L matrix, what ``block_entropy`` and ``entanglement_contour`` take.
-    ``block=None`` indexes all N_S sites from 0 the same way, so a block's
-    matrix is bit-identical to its rows and columns of the chain's.
+    (Gamma_k)_{alpha beta}, gathered from :func:`separation_blocks`.  Row
+    index is 2*i + alpha with alpha in {u, d} = {0, 1}.  Given a block
+    (anything with a ``length``), it is the chain's leading 2L rows and
+    columns, which translation invariance makes those of any L sites in a row.
     """
-    ns = state.spec.num_sites
-    blocks = state.blocks  # (N, 2, 2), ordered along the momentum grid
-    # k_n = -pi + 2 pi n/N:  exp(i k_n d) = (-1)^d exp(2 pi i n d / N)
-    g = ifft(blocks, axis=0)  # (N, 2, 2) indexed by separation d
-    g *= ((-1.0) ** np.arange(ns))[:, None, None]
-    start, length = (0, ns) if block is None else (block.start, block.length)
-    sites = np.arange(start, start + length)
-    d = (sites[:, None] - sites[None, :]) % ns
-    out = g[d].transpose(0, 2, 1, 3).reshape(2 * sites.size, 2 * sites.size)
-    return 0.5 * (out + out.conj().T)
+    length = state.spec.num_sites if block is None else block.length
+    return gather_separations(separation_blocks(state), length)

@@ -26,7 +26,6 @@ from .gaussian import (
     evolve_adaptive,
     evolve_free,
     mass_quench_prepare,
-    real_space_correlation,
     sample_grid,
     self_consistent_ground_state,
     step_grid,
@@ -198,11 +197,8 @@ def _emit_condensates(traj, directory):
 
 
 def _emit_entropy(traj, opts, directory):
-    block = opts["block"]
-    rows = []
-    for i, (eta, t) in enumerate(zip(traj.etas, traj.times)):
-        gamma = real_space_correlation(traj.state(i), block)
-        rows.append((float(eta), float(t), block_entropy(gamma, block)))
+    rows = [(float(eta), float(t), block_entropy(traj.state(i), opts["block"]))
+            for i, (eta, t) in enumerate(zip(traj.etas, traj.times))]
     return _write_csv(directory / "entropy_measured.csv",
                       ["eta[a]", "t[a]", "entropy[nats]"], rows)
 

@@ -41,7 +41,7 @@ def preset_field(name, length=None):
         )
     key = (name, length)
     if key not in _FIELDS:
-        block = BlockSpec.centered(length, config.lattice.num_sites)
+        block = BlockSpec(length, config.lattice.num_sites)
         _FIELDS[key] = contour_trajectory(traj, block)
     return _FIELDS[key]
 

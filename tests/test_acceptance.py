@@ -14,8 +14,8 @@ from conftest import preset_run, preset_field
 from cosmodirac.entanglement import (
     PARTICLE_HOLE_TOL,
     BlockSpec,
+    _block_matrix,
     _mode_entropies,
-    _particle_hole_form,
     block_entropy,
     cone_front,
     front_slope,
@@ -49,11 +49,8 @@ from cosmodirac.symmetry import contour_cp_check, spectrum_symmetry_check
 
 def _entropy_series(name, length):
     config, traj = preset_run(name)
-    block = BlockSpec.centered(length, config.lattice.num_sites)
-    s = np.array(
-        [block_entropy(real_space_correlation(traj.state(i), block), block)
-         for i in range(len(traj.etas))]
-    )
+    block = BlockSpec(length, config.lattice.num_sites)
+    s = np.array([block_entropy(traj.state(i), block) for i in range(len(traj.etas))])
     return config, traj, np.asarray(traj.etas), s
 
 
@@ -213,8 +210,7 @@ def test_criterion_4_cp_structure_of_the_contour():
     field5 = preset_field("fig5")
     _, traj5 = preset_run("fig5")
     for i in np.linspace(0, len(traj5.etas) - 1, 4).astype(int):
-        gamma = real_space_correlation(traj5.state(i), field5.block)
-        assert _particle_hole_form(gamma, field5.block.length)[0] > PARTICLE_HOLE_TOL
+        assert _block_matrix(traj5.state(i), field5.block)[0] > PARTICLE_HOLE_TOL
     up = field5.values[:, :, 0]
     lopsided = float(np.max(np.abs(up - up[:, ::-1])))
     cp_dev = contour_cp_check(field5)
@@ -340,9 +336,8 @@ def test_criterion_7_numerical_health_of_all_runs():
     for (name, _), field in _FIELDS.items():
         assert np.all(field.values >= -1e-12), name
         _, traj = preset_run(name)
-        gamma = real_space_correlation(traj.state(-1), field.block)
         assert np.sum(field.values[-1]) == pytest.approx(
-            block_entropy(gamma, field.block), abs=1e-10
+            block_entropy(traj.state(-1), field.block), abs=1e-10
         ), name
     print(f"criterion 7 PASS: {len(_RUNS)} runs, worst purity defect "
           f"{worst:.1e}, all contour sum rules hold")

@@ -140,7 +140,7 @@ class TestSchema:
         assert config.evolution["method"] == "rk4"
         assert config.eta_span == (0.0, 2.0)
         # blocks are centred
-        assert config.analyses[0].options["block"] == BlockSpec(5, 6, 16)
+        assert config.analyses[0].options["block"] == BlockSpec(6, 16)
         assert config.output == {"directory": None}
 
 

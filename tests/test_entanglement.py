@@ -10,8 +10,9 @@ from cosmodirac.entanglement import (
     BlockSpec,
     ContourField,
     InvalidStateError,
+    _block_matrix,
     _mode_entropies,
-    _particle_hole_form,
+    _mode_spectrum,
     block_entropy,
     cone_front,
     contour_trajectory,
@@ -20,6 +21,7 @@ from cosmodirac.entanglement import (
 )
 from cosmodirac.gaussian import (
     REFERENCE_RTOL,
+    CorrelationState,
     condensates,
     evolve_adaptive,
     evolve_free,
@@ -39,11 +41,9 @@ def _binary(nu):
 class TestBlockSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            BlockSpec(start=0, length=0, num_sites=8)
+            BlockSpec(length=0, num_sites=8)
         with pytest.raises(ValueError):
-            BlockSpec(start=6, length=4, num_sites=8)
-        blk = BlockSpec.centered(4, 10)
-        assert blk.start == 3
+            BlockSpec(length=9, num_sites=8)
 
 
 class TestEntropy:
@@ -52,10 +52,11 @@ class TestEntropy:
         # entropies and the contour is exactly the per-mode values
         nu = rng.uniform(0.05, 0.95, size=6)
         gamma = np.diag(nu).astype(complex)
-        blk = BlockSpec(start=2, length=3, num_sites=8)
         expected = _binary(nu)
-        assert block_entropy(gamma, blk) == pytest.approx(np.sum(expected), rel=1e-12)
-        contour = entanglement_contour(gamma, blk)
+        s, _ = _mode_spectrum(gamma, contour=False)
+        assert np.sum(s) == pytest.approx(np.sum(expected), rel=1e-12)
+        _, contour = _mode_spectrum(gamma, contour=True)
+        assert contour.shape == (3, 2)
         assert np.allclose(contour.reshape(-1), expected, rtol=1e-12)
 
     def test_contour_sums_to_block_entropy(self):
@@ -63,41 +64,27 @@ class TestEntropy:
         state = free_ground_state(spec, 0.01)
         traj = evolve_free(state, QuenchProfile(0.01, 10.0),
                            step_grid((0.0, 3.0), 1e-3, 10**9)[2])
-        blk = BlockSpec.centered(10, 32)
-        gamma = real_space_correlation(traj.state(-1), blk)
-        contour = entanglement_contour(gamma, blk)
+        blk = BlockSpec(10, 32)
+        contour = entanglement_contour(traj.state(-1), blk)
         assert np.all(contour >= 0.0)
-        assert np.sum(contour) == pytest.approx(block_entropy(gamma, blk), abs=1e-12)
+        assert np.sum(contour) == pytest.approx(block_entropy(traj.state(-1), blk),
+                                                abs=1e-12)
 
     def test_pure_state_complement_entropies_agree(self):
         spec = LatticeSpec(num_sites=24, mass=1.0)
         state = free_ground_state(spec, 0.3)
-        a, b = BlockSpec(0, 9, 24), BlockSpec(9, 15, 24)
-        s_a = block_entropy(real_space_correlation(state, a), a)
-        s_b = block_entropy(real_space_correlation(state, b), b)
+        s_a = block_entropy(state, BlockSpec(9, 24))
+        s_b = block_entropy(state, BlockSpec(15, 24))
         assert s_a == pytest.approx(s_b, abs=1e-10)
 
     def test_deep_mass_vacuum_is_nearly_product(self):
         spec = LatticeSpec(num_sites=16, mass=50.0)
-        blk = BlockSpec.centered(6, 16)
-        gamma = real_space_correlation(free_ground_state(spec, 50.0), blk)
-        assert block_entropy(gamma, blk) < 1e-2
+        assert block_entropy(free_ground_state(spec, 50.0), BlockSpec(6, 16)) < 1e-2
 
     def test_corrupted_matrix_raises(self):
         gamma = np.diag(np.full(8, 1.5)).astype(complex)
         with pytest.raises(InvalidStateError):
-            block_entropy(gamma, BlockSpec(0, 4, 8))
-
-    def test_matrix_not_of_the_block_size_rejected(self):
-        # the whole chain's 16 x 16 matrix included: only the block's own is read
-        blk = BlockSpec(2, 3, 8)
-        for n in (4, 10, 14, 16):
-            with pytest.raises(ValueError, match="not the block's own 6 x 6"):
-                block_entropy(np.eye(n, dtype=complex), blk)
-            with pytest.raises(ValueError, match="not the block's own 6 x 6"):
-                entanglement_contour(np.eye(n, dtype=complex), blk)
-        with pytest.raises(ValueError, match="not the block's own 6 x 6"):
-            entanglement_contour(np.eye(16, dtype=complex)[:6], blk)
+            _mode_spectrum(gamma, contour=False)
 
 
 def _complex_contour(gamma):
@@ -108,7 +95,7 @@ def _complex_contour(gamma):
 
 
 def _particle_hole_block(lambdas, rng):
-    """W (1/2 + iA) W^dag for a random real antisymmetric A whose
+    """(A, W (1/2 + iA) W^dag) for a random real antisymmetric A whose
     eigenvalues are +-i lambda, with W = 1_L (x) [[1, i], [1, -i]]/sqrt(2)."""
     n = 2 * len(lambdas)
     o, _ = np.linalg.qr(rng.normal(size=(n, n)))
@@ -117,7 +104,7 @@ def _particle_hole_block(lambdas, rng):
         a[2 * j, 2 * j + 1], a[2 * j + 1, 2 * j] = lam, -lam
     a = o @ a @ o.T
     w = np.kron(np.eye(len(lambdas)), np.array([[1, 1j], [1, -1j]]) / np.sqrt(2))
-    return w @ (0.5 * np.eye(n) + 1j * a) @ w.conj().T
+    return a, w @ (0.5 * np.eye(n) + 1j * a) @ w.conj().T
 
 
 class TestSpectrumPaths:
@@ -130,7 +117,7 @@ class TestSpectrumPaths:
         spec = LatticeSpec(num_sites=48, mass=1.0)
         traj = evolve_free(free_ground_state(spec, 0.01), QuenchProfile(0.01, 10.0),
                            np.linspace(0.0, 4.0, 5))
-        return traj, BlockSpec.centered(16, 48)
+        return traj, BlockSpec(16, 48)
 
     @staticmethod
     def _interacting_quench_blocks():
@@ -139,61 +126,59 @@ class TestSpectrumPaths:
         traj = evolve_adaptive(vacuum, QuenchProfile(0.01, 10.0), (0.0, 2.0),
                                sample_etas=np.linspace(0.0, 2.0, 5), rtol=REFERENCE_RTOL)
         assert np.max(np.abs(traj.sigma)) > 1e-3 and np.max(np.abs(traj.pi)) < 1e-12
-        return traj, BlockSpec.centered(12, 32)
+        return traj, BlockSpec(12, 32)
 
     @pytest.mark.parametrize("blocks", ["_free_quench_blocks", "_interacting_quench_blocks"],
                              ids=["free", "g1_dop853"])
     def test_pi_zero_blocks_take_the_real_path(self, blocks):
         traj, blk = getattr(self, blocks)()
         for i in range(len(traj.etas)):
-            gamma = real_space_correlation(traj.state(i), blk)
-            assert _particle_hole_form(gamma, blk.length)[0] <= PARTICLE_HOLE_TOL
-            contour = entanglement_contour(gamma, blk)
-            ref, entropy = _complex_contour(gamma)
+            state = traj.state(i)
+            assert _block_matrix(state, blk)[0] <= PARTICLE_HOLE_TOL
+            contour = entanglement_contour(state, blk)
+            ref, entropy = _complex_contour(real_space_correlation(state, blk))
             assert np.max(np.abs(contour - ref)) < 1e-13
             assert abs(np.sum(contour) - np.sum(ref)) < 1e-12
-            assert abs(block_entropy(gamma, blk) - entropy) < 1e-12
+            assert abs(block_entropy(state, blk) - entropy) < 1e-12
             if i > 0:  # entangled, so the comparison is not of zeros
                 assert entropy > 0.5
 
     def test_random_particle_hole_blocks_match_the_complex_eigh(self, rng):
-        blk = BlockSpec(0, 6, 6)
-        gamma = _particle_hole_block(rng.uniform(0.0, 0.5, size=6), rng)
-        assert _particle_hole_form(gamma, 6)[0] <= PARTICLE_HOLE_TOL
+        a, gamma = _particle_hole_block(rng.uniform(0.0, 0.5, size=6), rng)
         ref, entropy = _complex_contour(gamma)
-        assert np.max(np.abs(entanglement_contour(gamma, blk) - ref)) < 1e-13
-        assert block_entropy(gamma, blk) == pytest.approx(entropy, abs=1e-12)
+        assert np.max(np.abs(_mode_spectrum(a, contour=True)[1] - ref)) < 1e-13
+        assert np.sum(_mode_spectrum(a, contour=False)[0]) == pytest.approx(entropy,
+                                                                            abs=1e-12)
 
     def test_parity_broken_vacuum_takes_the_complex_path_bit_for_bit(self):
         spec = LatticeSpec(num_sites=32, mass=1.0, coupling=3.0)
         vacuum, _ = self_consistent_ground_state(spec, 0.01)
         assert condensates(vacuum).pi == pytest.approx(1.07, abs=0.01)
-        blk = BlockSpec.centered(10, 32)
+        blk = BlockSpec(10, 32)
+        assert _block_matrix(vacuum, blk)[0] > 1e-2
         gamma = real_space_correlation(vacuum, blk)
-        assert _particle_hole_form(gamma, blk.length)[0] > 1e-2
         nu, u = np.linalg.eigh(gamma)
         expected = ((np.abs(u) ** 2) @ _mode_entropies(nu)).reshape(blk.length, 2)
-        assert np.array_equal(entanglement_contour(gamma, blk), expected)
-        assert block_entropy(gamma, blk) == float(
+        assert np.array_equal(entanglement_contour(vacuum, blk), expected)
+        assert block_entropy(vacuum, blk) == float(
             np.sum(_mode_entropies(np.linalg.eigvalsh(gamma))))
 
-    @pytest.mark.parametrize("half_filled, entry, value",
-                             [(False, (3, 3), np.nan),
-                              (False, (3, 4), complex(0.1, np.nan)),
-                              (True, (0, 0), np.nan)],
+    @pytest.mark.parametrize("half_filled, entry",
+                             [(False, (3, 2)), (False, (3, 1)), (True, (0, 0))],
                              ids=["diagonal", "imaginary_part", "half_filled_4x4"])
-    def test_a_nan_block_takes_the_complex_path(self, monkeypatch, half_filled, entry,
-                                                value):
+    def test_a_nan_block_takes_the_complex_path(self, monkeypatch, half_filled, entry):
         # such a block used to take the complex path and return NaN cells; it
-        # now raises before either path diagonalises it.  eigvalsh gives the
+        # now raises before either path diagonalises it.  A NaN n_z reaches the
+        # block's diagonal, a NaN n_y only imaginary parts; eigvalsh gives the
         # 4 x 4 block 1/2 with one NaN the finite spectrum [0, -0, 1/2, 1/2],
         # so its block_entropy used to be 2 log 2
-        if half_filled:
-            blk, gamma = BlockSpec(0, 2, 4), 0.5 * np.eye(4, dtype=complex)
+        if half_filled:  # Gamma_k = 1/2 at every k
+            blk = BlockSpec(2, 4)
+            state = CorrelationState(LatticeSpec(num_sites=4, mass=1.0), np.zeros((4, 3)))
         else:
             traj, blk = self._free_quench_blocks()
-            gamma = real_space_correlation(traj.state(-1), blk)
-        gamma[entry] = value
+            state = traj.state(-1).copy()
+        state.bloch[entry] = np.nan
 
         def refuse(matrix):
             raise AssertionError("a block that is not finite was diagonalised")
@@ -201,19 +186,17 @@ class TestSpectrumPaths:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         with pytest.raises(InvalidStateError, match="not finite"):
-            block_entropy(gamma, blk)
+            block_entropy(state, blk)
         with pytest.raises(InvalidStateError, match="not finite"):
-            entanglement_contour(gamma, blk)
+            entanglement_contour(state, blk)
 
     def test_particle_hole_block_outside_the_unit_interval_raises(self, rng):
         # |lambda| = 0.6: eigenvalues 1/2 +- 0.6 = -0.1 and 1.1
-        blk = BlockSpec(0, 4, 4)
-        gamma = _particle_hole_block([0.6, 0.2, 0.1, 0.3], rng)
-        assert _particle_hole_form(gamma, 4)[0] <= PARTICLE_HOLE_TOL
+        a, _ = _particle_hole_block([0.6, 0.2, 0.1, 0.3], rng)
         with pytest.raises(InvalidStateError):
-            block_entropy(gamma, blk)
+            _mode_spectrum(a, contour=False)
         with pytest.raises(InvalidStateError):
-            entanglement_contour(gamma, blk)
+            _mode_spectrum(a, contour=True)
 
 
 class TestContourSumRule:
@@ -237,13 +220,12 @@ class TestContourSumRule:
         else:
             state = free_ground_state(free, 0.01)
         traj = evolve_free(state, QuenchProfile(0.01, a_f), [0.0, eta])
-        blk = BlockSpec.centered(length, num_sites)
-        gamma = real_space_correlation(traj.state(-1), blk)
-        residual, _ = _particle_hole_form(gamma, length)
+        blk = BlockSpec(length, num_sites)
+        residual, _ = _block_matrix(traj.state(-1), blk)
         assert bool(residual > PARTICLE_HOLE_TOL) == released
-        contour = entanglement_contour(gamma, blk)
+        contour = entanglement_contour(traj.state(-1), blk)
         assert contour.shape == (length, 2) and np.all(contour >= 0.0)
-        assert abs(np.sum(contour) - block_entropy(gamma, blk)) <= 1e-10
+        assert abs(np.sum(contour) - block_entropy(traj.state(-1), blk)) <= 1e-10
 
 
 class TestContourField:
@@ -253,7 +235,7 @@ class TestContourField:
         state = free_ground_state(spec, 0.01)
         traj = evolve_free(state, QuenchProfile(0.01, 10.0),
                            step_grid((0.0, 4.0), 1e-3, 1000)[2])
-        field = contour_trajectory(traj, BlockSpec.centered(16, 48))
+        field = contour_trajectory(traj, BlockSpec(16, 48))
         summed = field.spinor_summed()
         assert np.max(np.abs(summed - summed[:, ::-1])) < 1e-10
 
@@ -263,7 +245,7 @@ class TestContourField:
         state = free_ground_state(spec, 0.01)
         traj = evolve_free(state, QuenchProfile(0.01, 10.0),
                            step_grid((0.0, 1.0), 1e-3, 100)[2])
-        blk = BlockSpec.centered(8, 16)
+        blk = BlockSpec(8, 16)
         field = contour_trajectory(traj, blk)
         assert len(traj.etas) == 11 and field.values.shape == (11, 8, 2)
         assert np.array_equal(field.etas, traj.etas)
@@ -271,11 +253,9 @@ class TestContourField:
         assert np.array_equal(field.times, traj.times)
         assert np.array_equal(field.times, traj.profile.cosmological_time(traj.etas))
         for i in (0, 10):
-            gamma = real_space_correlation(traj.state(i), blk)
-            assert np.array_equal(field.values[i], entanglement_contour(gamma, blk))
+            assert np.array_equal(field.values[i], entanglement_contour(traj.state(i), blk))
         with pytest.raises(ValueError):
-            ContourField(etas=np.zeros(3), values=np.zeros((2, 8, 2)),
-                         block=BlockSpec.centered(8, 16))
+            ContourField(etas=np.zeros(3), values=np.zeros((2, 8, 2)), block=blk)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
     def test_non_finite_or_negative_values_are_refused(self, bad):
@@ -283,7 +263,7 @@ class TestContourField:
         # blames a contour that vanishes everywhere
         with pytest.raises(InvalidStateError, match="non-finite or negative"):
             ContourField(etas=np.arange(3.0), values=np.full((3, 4, 2), bad),
-                         block=BlockSpec.centered(4, 8))
+                         block=BlockSpec(4, 8))
 
 
 class TestConeFront:
@@ -298,7 +278,7 @@ class TestConeFront:
                 vals[:, col, 0] = np.clip(etas - arrive, 0.0, 1.0) * 0.5
                 vals[:, col, 1] = vals[:, col, 0]
         return ContourField(etas=etas, values=vals,
-                            block=BlockSpec.centered(length, 2 * length))
+                            block=BlockSpec(length, 2 * length))
 
     def test_recovers_synthetic_ballistic_slope(self):
         field = self._synthetic(slope=1.7)

@@ -126,8 +126,8 @@ class TestGroundState:
     def test_block_entropy_matches_exact_partial_trace(self, fock):
         state = free_ground_state(fock["spec"], MA_I)
         for n_block in (1, 2):
-            block = BlockSpec(0, n_block, N_SITES)
-            s_gauss = block_entropy(real_space_correlation(state, block), block)
+            block = BlockSpec(n_block, N_SITES)
+            s_gauss = block_entropy(state, block)
             s_exact = fock["leading_block_entropy"](fock["ground_i"], n_block)
             assert s_gauss == pytest.approx(s_exact, abs=1e-8)
 
@@ -158,17 +158,16 @@ class TestQuenchDynamics:
 
     def test_block_entropy_tracks_exact_evolution(self, fock, evolved):
         psi = _exact_evolved(fock, evolved.etas[-1])
-        block = BlockSpec(0, 2, N_SITES)
-        s_gauss = block_entropy(real_space_correlation(evolved.state(-1), block), block)
+        block = BlockSpec(2, N_SITES)
+        s_gauss = block_entropy(evolved.state(-1), block)
         s_exact = fock["leading_block_entropy"](psi, 2)
         assert s_exact > 0.1  # the quench really entangles the block
         assert s_gauss == pytest.approx(s_exact, abs=1e-8)
 
     def test_contour_sums_to_exact_entropy(self, fock, evolved):
         psi = _exact_evolved(fock, evolved.etas[-1])
-        block = BlockSpec(0, 2, N_SITES)
-        contour = entanglement_contour(real_space_correlation(evolved.state(-1), block),
-                                       block)
+        block = BlockSpec(2, N_SITES)
+        contour = entanglement_contour(evolved.state(-1), block)
         s_exact = fock["leading_block_entropy"](psi, 2)
         assert np.sum(contour) == pytest.approx(s_exact, abs=1e-8)
 

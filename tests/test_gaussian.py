@@ -18,6 +18,7 @@ from cosmodirac.gaussian import (
     CorrelationState,
     DegenerateGroundStateError,
     StepSizeError,
+    Trajectory,
     blocks_from_bloch,
     condensates,
     evolve_adaptive,
@@ -214,6 +215,18 @@ class TestEvolution:
         with pytest.raises(ValueError, match="rtol"):
             evolve_adaptive(state, StaticProfile(), (0.0, 1.0), [0.0, 1.0], rtol=1e-15)
 
+    def test_nan_sample_time_is_refused_before_the_solve(self):
+        # a NaN sample time used to end the solve in a failed reshape; a NaN
+        # span end and a trajectory with a NaN time were accepted
+        state = free_ground_state(LatticeSpec(num_sites=8, mass=1.0), 1.0)
+        with pytest.raises(ValueError, match="sample times"):
+            evolve_adaptive(state, StaticProfile(), (0.0, 1.0), [0.0, np.nan, 1.0])
+        with pytest.raises(ValueError, match="eta_span"):
+            sample_grid((0.0, np.nan), 5)
+        with pytest.raises(ValueError, match="sample times"):
+            Trajectory(np.array([0.0, np.nan]), np.ones(2), np.zeros((2, 8, 3)),
+                       np.zeros(2), np.zeros(2), state.spec)
+
     def test_solve_stops_at_the_first_impure_step(self, monkeypatch):
         # a radial term c n makes |n_k|^2 = exp(2 c eta) for every k, so the
         # purity defect (|n|^2 - 1)/4 passes PURITY_TOL at a known time, long
@@ -261,19 +274,17 @@ class TestRealSpace:
     @settings(max_examples=40, deadline=None)
     @given(num_sites=st.integers(2, 32).map(lambda half: 2 * half),
            coupling=st.sampled_from([0.0, 1.0, 3.0]), n_steps=st.integers(1, 60),
-           length=st.integers(1, 64), start=st.integers(0, 64))
-    def test_block_equals_dense_sub_block(self, num_sites, coupling, n_steps,
-                                          length, start):
-        # starts past the last fitting one clamp to blocks ending at N_S
+           length=st.integers(1, 64))
+    def test_block_equals_dense_sub_block(self, num_sites, coupling, n_steps, length):
         length = min(length, num_sites)
-        block = BlockSpec(min(start, num_sites - length), length, num_sites)
+        block = BlockSpec(length, num_sites)
         spec = LatticeSpec(num_sites=num_sites, mass=1.0, coupling=coupling)
         state = free_ground_state(spec, 0.3)
         state = reference_final_state(state, QuenchProfile(0.5, 1.5), (0.0, 1.0),
                                       1.0 / n_steps)
-        # the entropy and contour read only this matrix, so they are the
-        # chain's too: blocks at either edge, inside, and the whole chain
-        rows = np.arange(2 * block.start, 2 * (block.start + block.length))
+        # a block of L sites is the chain's leading L sites, the whole chain
+        # included: translation invariance makes where it starts irrelevant
+        rows = np.arange(2 * block.length)
         dense = real_space_correlation(state)
         assert np.array_equal(real_space_correlation(state, block),
                               dense[np.ix_(rows, rows)])
@@ -466,6 +477,14 @@ class TestClosedForm:
         with np.errstate(invalid="ignore"), pytest.raises(StepSizeError, match="nan"):
             state.bloch[0] = np.nan
             evolve_free(state, StaticProfile(), [0.0, 1.0])
+
+    def test_nan_sample_time_is_refused(self):
+        # no rotation wrote a NaN time's row, so whether the purity gate caught
+        # it depended on what memory the output array was given
+        _, state = _quenched_vacuum(8, 0.0, 1.0)
+        for etas in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf]):
+            with pytest.raises(ValueError, match="sample times"):
+                evolve_free(state, QuenchProfile(1.0, 2.0), etas)
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ class TestTimeReversalCondition:
 
 class TestContourCP:
     def test_synthetic_detector_floor(self, rng):
-        blk = BlockSpec.centered(8, 32)
+        blk = BlockSpec(8, 32)
         up = rng.uniform(0.0, 1.0, size=(4, 8))
         vals = np.stack([up, up[:, ::-1]], axis=-1)  # exact CP partner
         field = ContourField(etas=np.arange(4.0), values=vals, block=blk)
@@ -99,7 +99,7 @@ class TestContourCP:
         state = free_ground_state(spec, 0.01)
         traj = evolve_free(state, QuenchProfile(0.01, 10.0),
                            step_grid((0.0, 3.0), 1e-3, 500)[2])
-        field = contour_trajectory(traj, BlockSpec.centered(12, 32))
+        field = contour_trajectory(traj, BlockSpec(12, 32))
         assert contour_cp_check(field) < 1e-10
 
 
