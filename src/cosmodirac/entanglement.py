@@ -10,24 +10,44 @@ separation blocks Gamma(d), |d| < L, of one FFT, and is built from them.
 Two paths diagonalise the block, and both give the same entropy and
 contour.  While the state keeps Pi = 0, n_x and n_y are odd in k and n_z
 is even, so every block has the on-site particle-hole symmetry
-sigma_x (1 - Gamma_A^*) sigma_x = Gamma_A.  With W = 1_L (x) W_0,
-W_0 = [[1, i], [1, -i]]/sqrt(2), the block is then W^dag Gamma_A W =
-1/2 + iA with A real antisymmetric: its eigenvalues are 1/2 +- lambda,
-and A^T A is real symmetric with eigenvalues lambda^2, each twice.  W is
-on-site, so the test reads max |Re(W_0^dag Gamma(d) W_0) - delta_(d,0)/2|
-over the 2L - 1 separations, and a block within :data:`PARTICLE_HOLE_TOL`
-= 1e-12 gathers A = Im(W_0^dag Gamma(d) W_0) into a real matrix.  The
-mode entropy is even about 1/2, so the real path diagonalises A^T A (a
-real ``eigh`` at about a third of the complex one's cost) and the
-contour is S_(i,u) = S_(i,d) = (1/2) sum_m (R_(i,u),m^2 + R_(i,d),m^2) s_m
-over its eigenvectors R and eigenvalues mu_m, with s_m the entropy of
-nu_m = 1/2 - sqrt(mu_m).  Any other block takes the complex ``eigh`` of
-Gamma_A itself.  The tolerance sits between the shipped runs: every
-block of the Pi = 0 presets is within 1.7e-15, every block of a
-parity-broken state (fig3a, fig3c, fig3d, fig4, and fig5, released from
-the Pi = 1.07 vacuum) is 2.5e-2 or more away.  A state with a Bloch
-vector that is not finite takes neither path: it raises
-:class:`InvalidStateError`.
+sigma_x (1 - Gamma_A^*) sigma_x = Gamma_A.  With
+W_0 = [[1, i], [1, -i]]/sqrt(2) = V/sqrt(2), that reads
+W_0^dag Gamma(d) W_0 = delta_(d,0)/2 + iA(d) with A(d) real, so the test
+is max |Re(W_0^dag Gamma(d) W_0) - delta_(d,0)/2| over the 2L - 1
+separations.  A block within :data:`PARTICLE_HOLE_TOL` = 1e-12 takes the
+parity-sector path, any other the complex ``eigh`` of Gamma_A itself.
+The tolerance sits between the shipped runs: every block of the Pi = 0
+presets is within 1.7e-15, every block of a parity-broken state (fig3a,
+fig3c, fig3d, fig4, and fig5, released from the Pi = 1.07 vacuum) is
+2.5e-2 or more away.  A state with a Bloch vector that is not finite
+takes neither path: it raises :class:`InvalidStateError`.
+
+The parity-sector path works with G(d) = 2 Gamma(d) - delta_(d,0), taken
+as G(d) = i V A(d) V^dag, the exactly particle-hole-symmetric part.  Its
+sigma_x and sigma_y parts are odd in d and its sigma_z part is even,
+because :func:`~cosmodirac.gaussian.separation_blocks` makes
+Gamma(-d) = Gamma(d)^dag exactly; only the identity part i tr A(d),
+which half filling makes zero, is left by rounding (below 1e-16).  So
+the block commutes with P = J (x) sigma_z, where J reverses the block's
+sites.  The particle-hole map sigma_x K carries the P = +1 sector onto
+the P = -1 sector and sends the eigenvalue lambda of G to -lambda, so
+the L x L Hermitian H_+ of the P = +1 sector holds the whole spectrum.
+Its basis is (e_(j,b) + p_b e_(L-1-j,b))/sqrt(2), p = (+1, -1) for
+b = (u, d), over the sites j < L/2, and it is gathered straight from the
+separations as Toeplitz plus Hankel,
+H_+[(i,a),(j,b)] = G(i - j)_(ab) + p_b G(i + j - L + 1)_(ab), row 2i + a.
+For odd L the middle site j = (L - 1)/2 is its own mirror and adds only
+its u state e_(j,u): the gather runs over j <= (L - 1)/2, drops the
+middle d row and column, and scales the middle u row and column, now
+the last, by 1/sqrt(2) (its diagonal entry by 1/2), since the gather
+counts that site twice.  With eigenvalues lambda_m, eigenvectors U and mode entropies
+s_m = s((1 + lambda_m)/2), the entropy is 2 sum_m s_m (the P = -1 sector
+repeats it, s being even about 1/2), and the contour is
+S_(i,u) = S_(i,d) = (1/2) sum_m s_m (|U_(i,u),m|^2 + |U_(i,d),m|^2) at
+site i and at its mirror L - 1 - i; the middle site of an odd block gets
+sum_m s_m |U_(j,u),m|^2, with no 1/2 and only a u row.  The site contour
+is mirror-symmetric by construction.  One complex L x L ``eigh`` takes
+about a fifth of the time of the complex 2L x 2L one.
 """
 
 from __future__ import annotations
@@ -35,14 +55,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .gaussian import CorrelationState, Trajectory, gather_separations, separation_blocks
 
 _NU_CLIP = 1e-14  # restricted spectra pile up exponentially at 0 and 1
-# max |Re(W^dag Gamma_A W) - 1/2| up to which a block takes the real path
+# max |Re(W^dag Gamma_A W) - 1/2| up to which a block takes the parity-sector path
 PARTICLE_HOLE_TOL = 1e-12
-# W_0 = _V/sqrt(2), so W_0^dag G W_0 = (V^dag G V)/2 rounds only in its sums
+# W_0 = _V/sqrt(2); the entries of V are +-1 and +-i, so the rotations round
+# only in their sums.  A stack of 2 x 2 blocks X flattened row by row has
+# (A X B).ravel() = X.ravel() @ kron(A^T, B): _TO_W gives W_0^dag Gamma(d) W_0
+# and _G_FROM_A gives G(d) = i V A(d) V^dag (module docstring)
 _V = np.array([[1.0, 1.0j], [1.0, -1.0j]])
+_TO_W = 0.5 * np.kron(_V.conj(), _V)
+_G_FROM_A = 1j * np.kron(_V.T, _V.conj().T)
 EDGE_MARGIN = 4  # sites at each block edge that the cone front skips
 FRONT_THRESHOLD = 0.2  # cone-front threshold, as a fraction of the median final contour
 
@@ -107,74 +133,120 @@ def _check_spectrum(nu):
 
 
 def _block_matrix(state: CorrelationState, block: BlockSpec):
-    """(residual, matrix) of the block: the particle-hole residual over its
-    2L - 1 separations, and the real A if that is within
-    :data:`PARTICLE_HOLE_TOL`, else the complex Gamma_A (module docstring).
-    Raises :class:`InvalidStateError` for a state that is not finite."""
+    """(residual, sector, matrix) of the block: the particle-hole residual
+    over its 2L - 1 separations, whether that is within
+    :data:`PARTICLE_HOLE_TOL`, and then the L x L parity sector H_+, else
+    the complex Gamma_A (module docstring).  Raises ``ValueError`` for a
+    block of another chain and :class:`InvalidStateError` for a state that
+    is not finite."""
+    num_sites = state.spec.num_sites
+    if block.num_sites != num_sites:
+        raise ValueError(f"block of a {block.num_sites}-site chain given a state "
+                         f"of a {num_sites}-site chain")
     if not np.all(np.isfinite(state.bloch)):
         raise InvalidStateError("state is not finite")
     g = separation_blocks(state)
-    rotated = 0.5 * (_V.conj().T @ g @ _V)
-    held = rotated[np.arange(1 - block.length, block.length) % len(g)].real
-    held[block.length - 1] -= 0.5 * np.eye(2)  # d = 0
+    length = block.length
+    # W_0^dag Gamma(d) W_0 for d = 1 - L, ..., L - 1, flattened
+    rotated = g[np.arange(1 - length, length) % num_sites].reshape(-1, 4) @ _TO_W
+    held = rotated.real.copy()
+    held[length - 1] -= [0.5, 0.0, 0.0, 0.5]  # d = 0
     residual = float(np.max(np.abs(held)))
     if residual <= PARTICLE_HOLE_TOL:
-        return residual, gather_separations(rotated.imag, block.length)
-    return residual, gather_separations(g, block.length)
+        separations = (rotated.imag @ _G_FROM_A).reshape(-1, 2, 2)
+        return residual, True, _sector_matrix(separations, length)
+    return residual, False, gather_separations(g, length)
 
 
-def _mode_spectrum(matrix: np.ndarray, contour: bool):
-    """Mode entropies of a block and, if ``contour``, its (length, 2) contour.
+def _sector_matrix(separations: np.ndarray, length: int) -> np.ndarray:
+    """H_+ of a block of ``length`` sites from its separations G(d), stacked
+    (2 length - 1, 2, 2) from d = 1 - length (module docstring)."""
+    half = (length + 1) // 2  # sites, with the middle one of an odd block
+    h = np.empty((half, 2, half, 2), dtype=complex)
+    for b, combine in ((0, np.add), (1, np.subtract)):  # p_b = +1, -1
+        column = separations[:, :, b]
+        # windows [s, a, j] = column[2 length - 2 - s - j] and column[s + j]:
+        # G(i - j) at s = length - 1 - i and G(i + j - length + 1) at s = i
+        toeplitz = sliding_window_view(column[::-1], half, axis=0)[length - half:length]
+        hankel = sliding_window_view(column, half, axis=0)[:half]
+        combine(toeplitz[::-1], hankel, out=h[:, :, :, b])
+    h = h.reshape(2 * half, 2 * half)
+    if length % 2:  # the middle site: its u state alone
+        h = h[:-1, :-1]
+        h[-1, :-1] *= np.sqrt(0.5)
+        h[:-1, -1] *= np.sqrt(0.5)
+        h[-1, -1] *= 0.5
+    return h
 
-    ``matrix`` is the block as :func:`_block_matrix` builds it: a real A
-    takes the real path, a complex Gamma_A the complex one.  Raises
+
+def _mode_spectrum(matrix: np.ndarray, sector: bool, contour: bool):
+    """Entropy of a block and, if ``contour``, its (length, 2) contour.
+
+    ``matrix`` is the block as :func:`_block_matrix` builds it: H_+ on the
+    parity-sector path (``sector``), else the complex Gamma_A.  Raises
     :class:`InvalidStateError` for a spectrum outside [0, 1] on either path.
     """
-    real = np.isrealobj(matrix)
-    product = matrix.T @ matrix if real else matrix
     if contour:
-        nu, vecs = np.linalg.eigh(product)
+        nu, vecs = np.linalg.eigh(matrix)
     else:
-        nu, vecs = np.linalg.eigvalsh(product), None
-    if real:
-        nu = 0.5 - np.sqrt(np.maximum(nu, 0.0))  # from mu = lambda^2
+        nu, vecs = np.linalg.eigvalsh(matrix), None
+    if sector:
+        nu = 0.5 * (1.0 + nu)  # from the eigenvalues lambda of H_+
     _check_spectrum(nu)
     s = _mode_entropies(nu)
+    entropy = float(np.sum(s))
+    if sector:
+        entropy *= 2.0  # the P = -1 sector
     if vecs is None:
-        return s, None
-    length = len(matrix) // 2
-    if not real:
-        return s, ((np.abs(vecs) ** 2) @ s).reshape(length, 2)
-    site = 0.5 * ((vecs * vecs) @ s).reshape(length, 2).sum(axis=1)
-    return s, np.repeat(site[:, None], 2, axis=1)
+        return entropy, None
+    weights = (np.abs(vecs) ** 2) @ s
+    if not sector:
+        return entropy, weights.reshape(-1, 2)
+    pairs = len(matrix) // 2
+    half = 0.5 * weights[:2 * pairs].reshape(pairs, 2).sum(axis=1)
+    site = np.concatenate([half, weights[2 * pairs:], half[::-1]])
+    return entropy, np.repeat(site[:, None], 2, axis=1)
 
 
-def block_entropy(state: CorrelationState, block: BlockSpec) -> float:
-    """von Neumann entropy of ``block`` in ``state``."""
-    s, _ = _mode_spectrum(_block_matrix(state, block)[1], contour=False)
-    return float(np.sum(s))
+def _block_spectrum(state, block, contour, sectors):
+    _, sector, matrix = _block_matrix(state, block)
+    if sectors is not None:
+        sectors.append(sector)
+    return _mode_spectrum(matrix, sector, contour)
 
 
-def entanglement_contour(state: CorrelationState, block: BlockSpec) -> np.ndarray:
+def block_entropy(state: CorrelationState, block: BlockSpec, sectors=None) -> float:
+    """von Neumann entropy of ``block`` in ``state``.
+
+    ``sectors``, if given, is a list: it gets whether the block took the
+    parity-sector path appended.
+    """
+    return _block_spectrum(state, block, False, sectors)[0]
+
+
+def entanglement_contour(state: CorrelationState, block: BlockSpec,
+                         sectors=None) -> np.ndarray:
     """Site- and spinor-resolved contour of ``block`` in ``state``, shape (length, 2).
 
     Diagonalise the block's correlation matrix, U^dag Gamma_A U = diag(nu);
     each eigenmode's entropy s_m is distributed with weights
     |U_{(i,alpha),m}|^2, so the values are nonnegative and sum to the block
-    entropy.  A particle-hole-symmetric block (Pi = 0) is diagonalised
-    through a real matrix of the same spectrum, with equal u and d values
-    (see the module docstring).
+    entropy.  A particle-hole-symmetric block (Pi = 0) is diagonalised in
+    its parity sector, with equal u and d values and a mirror-symmetric
+    site contour (see the module docstring).  ``sectors`` is as for
+    :func:`block_entropy`.
     """
-    _, vals = _mode_spectrum(_block_matrix(state, block)[1], contour=True)
-    return vals
+    return _block_spectrum(state, block, True, sectors)[1]
 
 
-def contour_trajectory(trajectory: Trajectory, block: BlockSpec) -> ContourField:
+def contour_trajectory(trajectory: Trajectory, block: BlockSpec,
+                       sectors=None) -> ContourField:
     """Contour field along a trajectory, one slice per sample, timed by
-    :attr:`~cosmodirac.gaussian.Trajectory.times`."""
+    :attr:`~cosmodirac.gaussian.Trajectory.times`.  ``sectors`` is as for
+    :func:`block_entropy`, one entry per sample."""
     vals = np.empty((len(trajectory.etas), block.length, 2))
     for i in range(len(trajectory.etas)):
-        vals[i] = entanglement_contour(trajectory.state(i), block)
+        vals[i] = entanglement_contour(trajectory.state(i), block, sectors)
     return ContourField(etas=trajectory.etas, values=vals, block=block,
                         times=trajectory.times)
 

@@ -403,8 +403,9 @@ def _check_span(eta_span):
 def _check_sample_times(etas) -> np.ndarray:
     # all(> 0) rather than any(<= 0), so that a NaN fails too
     etas = np.asarray(etas, dtype=float)
-    if not (np.all(np.isfinite(etas)) and np.all(np.diff(etas) > 0)):
-        raise ValueError(f"sample times must be finite and strictly increasing, got {etas}")
+    if not (etas.size and np.all(np.isfinite(etas)) and np.all(np.diff(etas) > 0)):
+        raise ValueError("sample times must be nonempty, finite and strictly increasing, "
+                         f"got {etas}")
     return etas
 
 

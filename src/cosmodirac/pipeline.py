@@ -57,6 +57,11 @@ class RunManifest:
     :func:`_qp_validity`).  A run with a ``symmetry`` analysis adds
     ``sweep_nfev``, the field evaluations of the Hubble sweep's solve at
     each rate of ``hubble_values``, in that order (0 in the sudden limit).
+    A run with an ``entropy`` or ``contour`` analysis adds
+    ``parity_sector_fraction``, for each such analysis as
+    ``analyses[<i>].<kind>``: the fraction of its blocks, one per sample,
+    that took the parity-sector path of
+    :mod:`~cosmodirac.entanglement` (1.0 for a Pi = 0 run).
     ``stage_s`` holds the wall time in seconds of each stage: ``prepare``,
     ``evolve``, each analysis as ``analyses[<i>].<kind>`` (its CSVs
     included), and ``write``, the condensates CSV and the sha256 inventory.
@@ -193,18 +198,20 @@ def _emit_condensates(traj, directory):
 
 # An analysis emitter ``(traj, opts, directory)`` writes its files and returns
 # their names; ``opts`` are the analysis's validated options, its block a
-# BlockSpec, and the lattice is ``traj.spec``.
+# BlockSpec, and the lattice is ``traj.spec``.  The entropy and contour
+# emitters also take a list that gets each block's spectrum path appended
+# (the ``sectors`` of :func:`~cosmodirac.entanglement.block_entropy`).
 
 
-def _emit_entropy(traj, opts, directory):
-    rows = [(float(eta), float(t), block_entropy(traj.state(i), opts["block"]))
+def _emit_entropy(traj, opts, directory, sectors):
+    rows = [(float(eta), float(t), block_entropy(traj.state(i), opts["block"], sectors))
             for i, (eta, t) in enumerate(zip(traj.etas, traj.times))]
     return _write_csv(directory / "entropy_measured.csv",
                       ["eta[a]", "t[a]", "entropy[nats]"], rows)
 
 
-def _emit_contour(traj, opts, directory):
-    field = contour_trajectory(traj, opts["block"])
+def _emit_contour(traj, opts, directory, sectors):
+    field = contour_trajectory(traj, opts["block"], sectors)
     rows = [(float(eta), float(t), j, float(s_u), float(s_d))
             for eta, t, values in zip(field.etas, field.times, field.values)
             for j, (s_u, s_d) in enumerate(values)]
@@ -367,8 +374,15 @@ def run(config: RunConfig, output_dir=None, workers: int = 1) -> RunManifest:
                                      diagnostics=diagnostics))
     files = []
     for i, analysis in enumerate(config.analyses):
-        files += emitters[analysis.kind](traj, analysis.options, directory)
-        lap(f"analyses[{i}].{analysis.kind}")
+        stage = f"analyses[{i}].{analysis.kind}"
+        if analysis.kind in ("entropy", "contour"):
+            sectors = []
+            files += emitters[analysis.kind](traj, analysis.options, directory, sectors)
+            diagnostics.setdefault("parity_sector_fraction", {})[stage] = (
+                sum(sectors) / len(sectors))
+        else:
+            files += emitters[analysis.kind](traj, analysis.options, directory)
+        lap(stage)
 
     files = _emit_condensates(traj, directory) + files
     inventory = {name: _sha256(directory / name) for name in files}

@@ -188,9 +188,9 @@ def test_criterion_4_cp_structure_of_the_contour():
 
     Pi = 0 run: site contour mirror-symmetric and spinor-balanced to
     1e-10.  Its blocks are particle-hole symmetric, so the contour is
-    computed on the real path, where S_u = S_d by construction; at a few
-    samples it is therefore compared with the complex ``eigh`` of the
-    block itself to 1e-12.  Parity-broken preparation (fig5): its blocks
+    computed on the parity-sector path, where S_u = S_d and the mirror
+    symmetry hold by construction; at a few samples it is therefore
+    compared with the complex ``eigh`` of the block itself to 1e-12.  Parity-broken preparation (fig5): its blocks
     fail the particle-hole test, each spinor's contour is mirror-asymmetric
     above 1e-2 while the CP pairing S_(i,u) = S_(l+1-i,d) holds to 1e-6.
     """

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from cosmodirac import gaussian, pipeline, symmetry
+from cosmodirac import entanglement, gaussian, pipeline, symmetry
 from cosmodirac.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, preset_names
 from cosmodirac.config import ConfigError, config_from_dict, load_config
 from cosmodirac.entanglement import BlockSpec
@@ -398,7 +398,8 @@ class TestPipelineEvolution:
         diagnostics = dict(manifest.diagnostics)
         assert set(diagnostics.pop("stage_s")) >= {"prepare", "evolve", "write"}
         assert diagnostics == {"nfev": traj.nfev,
-                               "max_purity_defect": traj.purity_defect()}
+                               "max_purity_defect": traj.purity_defect(),
+                               "parity_sector_fraction": {"analyses[0].entropy": 1.0}}
         assert (traj.nfev == 0) == (propagator == "closed_form")
         assert 0.0 <= traj.purity_defect() < 1e-6
         # the diagnostics are not in the inventory, which still verifies
@@ -432,6 +433,26 @@ class TestPipelineEvolution:
         assert set(manifest.files) == {"condensates.csv", "entropy_measured.csv",
                                        "spectrum.csv", "contour.csv"}
         assert manifest.verify() == []
+
+    @pytest.mark.parametrize("preset, fraction", [("fig2_free", 1.0), ("fig5", 0.0)])
+    def test_manifest_records_the_parity_sector_fraction(self, tmp_path, monkeypatch,
+                                                         preset, fraction):
+        # fig2_free keeps Pi = 0; fig5 is released from the Pi = 1.07 vacuum.
+        # The fraction is read from the path each block took: one FFT a block
+        ffts = []
+        separations = entanglement.separation_blocks
+
+        def counted(state):
+            ffts.append(state)
+            return separations(state)
+
+        monkeypatch.setattr(entanglement, "separation_blocks", counted)
+        config = preset_config(preset)
+        manifest = pipeline.run(config, output_dir=tmp_path)
+        recorded = RunManifest.load(tmp_path / "manifest.json").diagnostics
+        assert recorded["parity_sector_fraction"] == {"analyses[0].contour": fraction}
+        assert len(ffts) == len(preset_run(preset)[1].etas)
+        assert "parity_sector_fraction" not in manifest.files and manifest.verify() == []
 
     @pytest.mark.parametrize("preparation, a_0, sweep_solves", [
         ("", 0.7, 0),

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cosmodirac.entanglement import (
@@ -53,9 +53,9 @@ class TestEntropy:
         nu = rng.uniform(0.05, 0.95, size=6)
         gamma = np.diag(nu).astype(complex)
         expected = _binary(nu)
-        s, _ = _mode_spectrum(gamma, contour=False)
-        assert np.sum(s) == pytest.approx(np.sum(expected), rel=1e-12)
-        _, contour = _mode_spectrum(gamma, contour=True)
+        entropy, _ = _mode_spectrum(gamma, sector=False, contour=False)
+        assert entropy == pytest.approx(np.sum(expected), rel=1e-12)
+        _, contour = _mode_spectrum(gamma, sector=False, contour=True)
         assert contour.shape == (3, 2)
         assert np.allclose(contour.reshape(-1), expected, rtol=1e-12)
 
@@ -84,7 +84,7 @@ class TestEntropy:
     def test_corrupted_matrix_raises(self):
         gamma = np.diag(np.full(8, 1.5)).astype(complex)
         with pytest.raises(InvalidStateError):
-            _mode_spectrum(gamma, contour=False)
+            _mode_spectrum(gamma, sector=False, contour=False)
 
 
 def _complex_contour(gamma):
@@ -94,23 +94,45 @@ def _complex_contour(gamma):
     return ((np.abs(u) ** 2) @ s).reshape(-1, 2), float(np.sum(s))
 
 
-def _particle_hole_block(lambdas, rng):
-    """(A, W (1/2 + iA) W^dag) for a random real antisymmetric A whose
-    eigenvalues are +-i lambda, with W = 1_L (x) [[1, i], [1, -i]]/sqrt(2)."""
-    n = 2 * len(lambdas)
-    o, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    a = np.zeros((n, n))
-    for j, lam in enumerate(lambdas):
-        a[2 * j, 2 * j + 1], a[2 * j + 1, 2 * j] = lam, -lam
-    a = o @ a @ o.T
-    w = np.kron(np.eye(len(lambdas)), np.array([[1, 1j], [1, -1j]]) / np.sqrt(2))
-    return a, w @ (0.5 * np.eye(n) + 1j * a) @ w.conj().T
+def _sector_block(lambdas, rng):
+    """(H_+, Gamma_A) of a random block of L = len(lambdas) sites that has
+    both symmetries: H_+ = Q diag(lambdas) Q^dag for a random unitary Q, put
+    into the P = +1 sector (its basis as in the entanglement module
+    docstring, middle site last) and mirrored into the P = -1 sector by
+    sigma_x K."""
+    length = len(lambdas)
+    q, _ = np.linalg.qr(rng.normal(size=(length, length))
+                        + 1j * rng.normal(size=(length, length)))
+    h = q @ np.diag(lambdas) @ q.conj().T
+    basis = np.zeros((2 * length, length))
+    for j in range(length // 2):
+        for b, p in ((0, 1.0), (1, -1.0)):
+            basis[2 * j + b, 2 * j + b] = np.sqrt(0.5)
+            basis[2 * (length - 1 - j) + b, 2 * j + b] = p * np.sqrt(0.5)
+    if length % 2:
+        basis[length - 1, length - 1] = 1.0  # the middle site's u state
+    plus = basis @ h @ basis.T
+    flip = np.kron(np.eye(length), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    return h, 0.5 * np.eye(2 * length) + 0.5 * (plus - flip @ plus.conj() @ flip)
+
+
+def _random_pi_zero_state(num_sites, rng):
+    """A translation-invariant Pi = 0 state: random Bloch vectors with
+    n_x, n_y odd in k, n_z even and |n| <= 1, pure at about 30% of the
+    momenta."""
+    bloch = np.zeros((num_sites, 3))
+    for n in range(1, num_sites // 2):
+        v = rng.normal(size=3)
+        v *= min(1.0, rng.uniform(0.3, 1.3)) / np.linalg.norm(v)
+        bloch[n], bloch[num_sites - n] = v, v * [-1.0, -1.0, 1.0]
+    bloch[[0, num_sites // 2], 2] = rng.uniform(-1.0, 1.0, size=2)  # k = -pi, 0
+    return CorrelationState(LatticeSpec(num_sites=num_sites, mass=1.0), bloch)
 
 
 class TestSpectrumPaths:
-    """Particle-hole-symmetric blocks (Pi = 0) take the real path, and agree
-    with the complex ``eigh`` of the block; any other block takes the
-    complex path, with the same numbers as that ``eigh`` to the bit."""
+    """Particle-hole-symmetric blocks (Pi = 0) take the parity-sector path,
+    and agree with the complex ``eigh`` of the block; any other block takes
+    the complex path, with the same numbers as that ``eigh`` to the bit."""
 
     @staticmethod
     def _free_quench_blocks():
@@ -130,11 +152,12 @@ class TestSpectrumPaths:
 
     @pytest.mark.parametrize("blocks", ["_free_quench_blocks", "_interacting_quench_blocks"],
                              ids=["free", "g1_dop853"])
-    def test_pi_zero_blocks_take_the_real_path(self, blocks):
+    def test_pi_zero_blocks_take_the_parity_sector_path(self, blocks):
         traj, blk = getattr(self, blocks)()
         for i in range(len(traj.etas)):
             state = traj.state(i)
-            assert _block_matrix(state, blk)[0] <= PARTICLE_HOLE_TOL
+            residual, sector, _ = _block_matrix(state, blk)
+            assert residual <= PARTICLE_HOLE_TOL and sector
             contour = entanglement_contour(state, blk)
             ref, entropy = _complex_contour(real_space_correlation(state, blk))
             assert np.max(np.abs(contour - ref)) < 1e-13
@@ -144,18 +167,21 @@ class TestSpectrumPaths:
                 assert entropy > 0.5
 
     def test_random_particle_hole_blocks_match_the_complex_eigh(self, rng):
-        a, gamma = _particle_hole_block(rng.uniform(0.0, 0.5, size=6), rng)
-        ref, entropy = _complex_contour(gamma)
-        assert np.max(np.abs(_mode_spectrum(a, contour=True)[1] - ref)) < 1e-13
-        assert np.sum(_mode_spectrum(a, contour=False)[0]) == pytest.approx(entropy,
-                                                                            abs=1e-12)
+        for length in (6, 7):
+            h, gamma = _sector_block(rng.uniform(-1.0, 1.0, size=length), rng)
+            ref, entropy = _complex_contour(gamma)
+            contour = _mode_spectrum(h, sector=True, contour=True)[1]
+            assert np.max(np.abs(contour - ref)) < 1e-13
+            assert _mode_spectrum(h, sector=True, contour=False)[0] == pytest.approx(
+                entropy, abs=1e-12)
 
     def test_parity_broken_vacuum_takes_the_complex_path_bit_for_bit(self):
         spec = LatticeSpec(num_sites=32, mass=1.0, coupling=3.0)
         vacuum, _ = self_consistent_ground_state(spec, 0.01)
         assert condensates(vacuum).pi == pytest.approx(1.07, abs=0.01)
         blk = BlockSpec(10, 32)
-        assert _block_matrix(vacuum, blk)[0] > 1e-2
+        residual, sector, _ = _block_matrix(vacuum, blk)
+        assert residual > 1e-2 and not sector
         gamma = real_space_correlation(vacuum, blk)
         nu, u = np.linalg.eigh(gamma)
         expected = ((np.abs(u) ** 2) @ _mode_entropies(nu)).reshape(blk.length, 2)
@@ -191,12 +217,27 @@ class TestSpectrumPaths:
             entanglement_contour(state, blk)
 
     def test_particle_hole_block_outside_the_unit_interval_raises(self, rng):
-        # |lambda| = 0.6: eigenvalues 1/2 +- 0.6 = -0.1 and 1.1
-        a, _ = _particle_hole_block([0.6, 0.2, 0.1, 0.3], rng)
+        # lambda = 1.2: eigenvalues (1 +- 1.2)/2 = 1.1 and -0.1
+        h, _ = _sector_block([1.2, 0.4, -0.2, 0.6], rng)
         with pytest.raises(InvalidStateError):
-            _mode_spectrum(a, contour=False)
+            _mode_spectrum(h, sector=True, contour=False)
         with pytest.raises(InvalidStateError):
-            _mode_spectrum(a, contour=True)
+            _mode_spectrum(h, sector=True, contour=True)
+
+    def test_a_block_of_another_chain_is_refused(self, monkeypatch):
+        # it used to give the 12-site block of the 16-site chain 0.6063 nats,
+        # and to wrap the separations of a block longer than the chain
+        state = free_ground_state(LatticeSpec(num_sites=16, mass=1.0), 0.5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a block of another chain reached the FFT")
+
+        monkeypatch.setattr("cosmodirac.gaussian.ifft", refuse)
+        for blk in (BlockSpec(12, 32), BlockSpec(6, 8)):
+            for measure in (block_entropy, entanglement_contour):
+                with pytest.raises(ValueError, match="16-site chain") as info:
+                    measure(state, blk)
+                assert f"{blk.num_sites}-site chain" in str(info.value)
 
 
 class TestContourSumRule:
@@ -208,8 +249,8 @@ class TestContourSumRule:
            released=st.booleans(), a_f=st.floats(0.5, 10.0), eta=st.floats(0.1, 6.0))
     def test_contour_sums_to_block_entropy_on_both_paths(self, data, num_sites,
                                                           released, a_f, eta):
-        # a free quench keeps Pi = 0 (real path); the g = 3 vacuum, Pi = 1.07,
-        # released into g = 0 does not (complex path)
+        # a free quench keeps Pi = 0 (parity-sector path); the g = 3 vacuum,
+        # Pi = 1.07, released into g = 0 does not (complex path)
         length = data.draw(st.integers(1, num_sites), label="length")
         free = LatticeSpec(num_sites=num_sites, mass=1.0)
         if released:
@@ -221,11 +262,45 @@ class TestContourSumRule:
             state = free_ground_state(free, 0.01)
         traj = evolve_free(state, QuenchProfile(0.01, a_f), [0.0, eta])
         blk = BlockSpec(length, num_sites)
-        residual, _ = _block_matrix(traj.state(-1), blk)
-        assert bool(residual > PARTICLE_HOLE_TOL) == released
+        residual, sector, _ = _block_matrix(traj.state(-1), blk)
+        assert bool(residual > PARTICLE_HOLE_TOL) == released != sector
         contour = entanglement_contour(traj.state(-1), blk)
         assert contour.shape == (length, 2) and np.all(contour >= 0.0)
         assert abs(np.sum(contour) - block_entropy(traj.state(-1), blk)) <= 1e-10
+
+
+@st.composite
+def _chain_and_block(draw):
+    num_sites = 2 * draw(st.integers(1, 16))
+    return num_sites, draw(st.sampled_from([1, num_sites]) | st.integers(1, num_sites))
+
+
+class TestParitySector:
+    """On random Pi = 0 states the parity-sector path gives the contour of
+    the complex ``eigh`` of the block to 1e-13 per site and its entropy to
+    1e-12, at every block length, odd ones, L = 1 and L = N_S included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(chain=_chain_and_block(), seed=st.integers(0, 2**32 - 1))
+    @example(chain=(2, 1), seed=0)
+    @example(chain=(32, 32), seed=1)
+    @example(chain=(32, 15), seed=2)
+    def test_sector_path_matches_the_complex_eigh(self, chain, seed):
+        num_sites, length = chain
+        state = _random_pi_zero_state(num_sites, np.random.default_rng(seed))
+        blk = BlockSpec(length, num_sites)
+        sectors = []
+        contour = entanglement_contour(state, blk, sectors)
+        entropy = block_entropy(state, blk, sectors)
+        assert sectors == [True, True]
+        h = _block_matrix(state, blk)[2]
+        assert h.shape == (length, length) and np.max(np.abs(h - h.conj().T)) <= 1e-15
+        ref, ref_entropy = _complex_contour(real_space_correlation(state, blk))
+        assert np.max(np.abs(contour - ref)) <= 1e-13
+        assert abs(entropy - ref_entropy) <= 1e-12
+        # mirror-symmetric and spinor-balanced to the bit
+        assert np.array_equal(contour, contour[::-1])
+        assert np.array_equal(contour[:, 0], contour[:, 1])
 
 
 class TestContourField:

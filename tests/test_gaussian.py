@@ -227,6 +227,17 @@ class TestEvolution:
             Trajectory(np.array([0.0, np.nan]), np.ones(2), np.zeros((2, 8, 3)),
                        np.zeros(2), np.zeros(2), state.spec)
 
+    def test_empty_sample_times_are_refused(self):
+        # both propagators used to fail with an IndexError at the first time
+        state = free_ground_state(LatticeSpec(num_sites=8, mass=1.0), 1.0)
+        with pytest.raises(ValueError, match="sample times must be nonempty"):
+            evolve_free(state, StaticProfile(), [])
+        with pytest.raises(ValueError, match="sample times must be nonempty"):
+            evolve_adaptive(state, StaticProfile(), (0.0, 1.0), [])
+        with pytest.raises(ValueError, match="sample times must be nonempty"):
+            Trajectory(np.zeros(0), np.ones(0), np.zeros((0, 8, 3)),
+                       np.zeros(0), np.zeros(0), state.spec)
+
     def test_solve_stops_at_the_first_impure_step(self, monkeypatch):
         # a radial term c n makes |n_k|^2 = exp(2 c eta) for every k, so the
         # purity defect (|n|^2 - 1)/4 passes PURITY_TOL at a known time, long
