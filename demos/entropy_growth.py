@@ -31,7 +31,7 @@ from cosmodirac import (
     qp_input_from_spectrum,
     qp_plateau,
 )
-from cosmodirac.gaussian import step_grid
+from cosmodirac.gaussian import sample_grid
 
 N_SITES = 128
 BLOCK = 32
@@ -43,8 +43,8 @@ vacuum = free_ground_state(spec, spec.mass * A_0)
 
 print(f"evolving {N_SITES} sites to eta = {ETA_END} ...")
 # g = 0 and a constant after the switch, so each sample is an exact
-# rotation; the times are every 500th of a fixed step deta = 5e-4
-_, _, sample_etas = step_grid((0.0, ETA_END), 5e-4, 500)
+# rotation; 121 uniform times, one every 0.25
+sample_etas = sample_grid((0.0, ETA_END), 121)
 traj = evolve_free(vacuum, QuenchProfile(A_0, A_F), sample_etas)
 
 block = BlockSpec(BLOCK, N_SITES)

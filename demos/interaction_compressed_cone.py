@@ -10,10 +10,9 @@ dressed quasi-particles are slower and the interacting cone is steeper
     python demos/interaction_compressed_cone.py
 
 Uses smaller lattices than the shipped fig2 presets.  Both runs are
-sampled every 500th of a fixed step deta = 5e-4: the free one
-is rotated in closed form and the interacting one is solved by DOP853 at
-the tolerance that stands in for those steps, so it finishes in a few
-seconds.
+sampled at 141 uniform times, one every 0.25 as in the presets: the free
+one is rotated in closed form and the interacting one is solved by DOP853
+at the presets' default tolerance, so it finishes in a few seconds.
 """
 
 import numpy as np
@@ -29,7 +28,7 @@ from cosmodirac import (
     renormalized_velocity,
     self_consistent_ground_state,
 )
-from cosmodirac.gaussian import REFERENCE_RTOL, step_grid
+from cosmodirac.gaussian import REFERENCE_RTOL, sample_grid
 
 N_SITES = 256
 BLOCK = 64
@@ -43,7 +42,7 @@ def run(coupling):
     print(f"g0^2 = {coupling}: prepared with Sigma = {cond.sigma:+.4f}, "
           f"Pi = {cond.pi:+.4f}")
     profile, span = QuenchProfile(A_0, A_F), (0.0, ETA_END)
-    etas = step_grid(span, 5e-4, 500)[2]
+    etas = sample_grid(span, 141)
     if coupling == 0.0:
         traj = evolve_free(vacuum, profile, etas)
     else:

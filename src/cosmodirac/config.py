@@ -16,6 +16,7 @@ import yaml
 
 from . import _dop853
 from .entanglement import BlockSpec
+from .gaussian import REFERENCE_RTOL
 from .lattice import (
     DeSitterProfile,
     ExponentialProfile,
@@ -25,7 +26,7 @@ from .lattice import (
     TabulatedProfile,
 )
 
-# kind (or method) -> the fields a section of that kind reads besides its kind
+# kind -> the fields a section of that kind reads besides its kind
 PROFILE_FIELDS = {
     "static": ("a_val",),
     "exponential": ("a_0", "a_f", "hubble"),
@@ -43,11 +44,9 @@ ANALYSIS_FIELDS = {
 }
 PREPARATION_FIELDS = {"vacuum": ("coupling_pre",),
                       "mass_quench": ("m_pre", "coupling_pre")}
-EVOLUTION_FIELDS = {"rk4": ("deta", "sample_every"), "adaptive": ("n_samples", "rtol")}
 PROFILE_KINDS = tuple(PROFILE_FIELDS)
 PREPARATION_KINDS = tuple(PREPARATION_FIELDS)
 ANALYSIS_KINDS = tuple(ANALYSIS_FIELDS)
-EVOLUTION_METHODS = tuple(EVOLUTION_FIELDS)
 # The DOP853 solver's own floor, 100 machine epsilons: its error control
 # cannot honour a tighter rtol, so it refuses one and a config is rejected.
 MIN_RTOL = _dop853.MIN_RTOL
@@ -88,14 +87,20 @@ def _number(mapping, key, path, *default):
     """A finite int or float field as a float; optional if a default is given."""
     if default and isinstance(mapping, dict) and mapping.get(key) is None:
         return default[0]
-    val = float(_require(mapping, key, path, (int, float)))
-    if not np.isfinite(val):
-        raise ConfigError(f"{path}.{key}", f"must be finite, got {val}")
-    return val
+    val = _require(mapping, key, path, (int, float))
+    if not _is_finite_number(val):
+        raise ConfigError(f"{path}.{key}", "must be finite, within the range of a float")
+    return float(val)
 
 
 def _is_finite_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and np.isfinite(x)
+    """Whether ``x`` is an int or float (not a bool) that is a finite float."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return bool(np.isfinite(float(x)))
+    except OverflowError:  # an int beyond the range of a float
+        return False
 
 
 def _reject_unknown(section, known, path):
@@ -223,29 +228,35 @@ def _interval(values, path):
 
 
 def _build_evolution(section) -> dict:
+    """``eta_span``, ``n_samples`` uniform sample times over it (given as
+    the count or as their ``sample_spacing``, which must cut the span into
+    whole intervals) and the DOP853 ``rtol``."""
     path = "evolution"
+    _reject_unknown(section, ("eta_span", "n_samples", "sample_spacing", "rtol"), path)
     span = _interval(_require(section, "eta_span", path, (list,)), f"{path}.eta_span")
-    method = _check_choice(_optional(section, "method", "rk4", path, (str,)),
-                           EVOLUTION_METHODS, f"{path}.method")
-    _reject_unknown(section, ("eta_span", "method") + EVOLUTION_FIELDS[method], path)
-    out = {"eta_span": span, "method": method}
-    if method == "rk4":
-        deta = _number(section, "deta", path)
-        if deta <= 0:
-            raise ConfigError(f"{path}.deta", "must be positive")
-        out["deta"] = deta
-        out["sample_every"] = int(_optional(section, "sample_every", 1, path, (int,)))
-        if out["sample_every"] < 1:
-            raise ConfigError(f"{path}.sample_every", "must be >= 1")
-    else:
-        out["n_samples"] = int(_optional(section, "n_samples", 201, path, (int,)))
-        out["rtol"] = _number(section, "rtol", path, 1e-10)
-        if out["rtol"] < MIN_RTOL:
-            raise ConfigError(f"{path}.rtol", f"must be at least {MIN_RTOL:.3g}, "
-                                              f"got {out['rtol']}")
-        if out["n_samples"] < 2:
+    given = [key for key in ("n_samples", "sample_spacing") if section.get(key) is not None]
+    if len(given) != 1:
+        raise ConfigError(f"{path}.{given[-1] if given else 'n_samples'}",
+                          "give exactly one of n_samples and sample_spacing")
+    if "n_samples" in given:
+        n_samples = _require(section, "n_samples", path, (int,))
+        if n_samples < 2:
             raise ConfigError(f"{path}.n_samples", "must be >= 2")
-    return out
+    else:
+        spacing = _number(section, "sample_spacing", path)
+        if not spacing > 0:
+            raise ConfigError(f"{path}.sample_spacing", "must be positive")
+        intervals = (span[1] - span[0]) / spacing
+        if not (np.isfinite(intervals)
+                and abs(intervals - round(intervals)) <= 1e-9 * intervals):
+            raise ConfigError(f"{path}.sample_spacing",
+                              f"must cut eta_span into whole intervals, got "
+                              f"{intervals:.12g} of them")
+        n_samples = round(intervals) + 1
+    rtol = _number(section, "rtol", path, REFERENCE_RTOL)
+    if rtol < MIN_RTOL:
+        raise ConfigError(f"{path}.rtol", f"must be at least {MIN_RTOL:.3g}, got {rtol}")
+    return {"eta_span": span, "n_samples": n_samples, "rtol": rtol}
 
 
 def _build_block(section, num_sites, path) -> BlockSpec:

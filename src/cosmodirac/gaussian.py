@@ -24,9 +24,10 @@ exactly about its fixed field.  Every other run is one DOP853 solve
 (:mod:`cosmodirac._dop853`, scipy's DOP853 to the bit), whose field kernel
 works on component rows, (n_x, n_y, n_z) each over the whole grid, in
 preallocated buffers, and reads a(eta) on a profile's scalar path where it
-has one; at :data:`REFERENCE_RTOL` it stands in for hand-set fixed steps.
-The order of every floating-point operation is fixed, so runs are
-bit-reproducible.
+has one.  Either way a run is sampled at the uniform times of
+:func:`sample_grid`, and a solve runs at :data:`REFERENCE_RTOL` unless the
+config sets its own ``rtol``.  The order of every floating-point operation
+is fixed, so runs are bit-reproducible.
 A :class:`Trajectory` stores its samples as arrays, the Bloch vectors as
 (T, N_S, 3).
 """
@@ -340,10 +341,10 @@ def mass_quench_prepare(spec: LatticeSpec, m_pre: float, a_val: float):
 # ---------------------------------------------------------------------------
 
 
-# DOP853 relative tolerance of every solve that stands in for hand-set fixed
-# steps: a run whose config sets ``deta`` and each ramp of the Hubble sweep.
-# The interacting presets' CSVs then agree with RK4 at their shipped steps to
-# 5e-9, and the fig6 sweep rows with RK4 at deta = 1e-4 to 1e-9 relative.
+# DOP853 relative tolerance of a run whose config sets no ``rtol``, and of
+# each ramp of the Hubble sweep.  The interacting presets' CSVs then agree
+# with a fixed-step RK4 at the steps they once shipped with to 5e-9, and the
+# fig6 sweep rows with RK4 at a step of 1e-4 to 1e-9 relative.
 REFERENCE_RTOL = 1e-12
 
 # The largest purity defect a propagated sample may have before the run fails.
@@ -423,35 +424,9 @@ def _purity_gate(etas, bloch, remedy):
         )
 
 
-def step_grid(eta_span, deta: float, sample_every: int = 1):
-    """A fixed-step grid and the steps it samples: the sample times of the
-    ``rk4`` dialect.
-
-    ``deta`` is rounded down to h = (eta1 - eta0)/n_steps with n_steps =
-    ceil((eta1 - eta0)/deta), at least one.  A sample is taken at the start, after
-    every ``sample_every``-th step and after the last one, at
-    min(eta0 + j*h, eta1) for the j steps taken (n_steps*h can round past
-    eta1, out of a profile's domain); a sample whose time rounding
-    leaves equal to the previous one (h << eta0) is dropped.
-
-    Returns ``(h, steps, etas)``: the step, the sampled step counts j
-    (int array from 0) and the sample times.
-    """
-    if deta <= 0:
-        raise ValueError("deta must be positive")
-    eta0, eta1 = _check_span(eta_span)
-    n_steps = max(1, int(np.ceil((eta1 - eta0) / deta - 1e-12)))
-    h = (eta1 - eta0) / n_steps
-    steps = np.append(np.arange(0, n_steps, sample_every), n_steps)
-    etas = np.minimum(eta0 + steps * h, eta1)
-    etas[0] = eta0
-    moved = np.concatenate([[True], etas[1:] > etas[:-1]])
-    return h, steps[moved], etas[moved]
-
-
 def sample_grid(eta_span, n_samples: int):
     """``n_samples`` sample times spread uniformly over ``eta_span``, both
-    ends included: the grid of the ``adaptive`` dialect."""
+    ends included: the sample times of every run."""
     eta0, eta1 = _check_span(eta_span)
     return np.linspace(eta0, eta1, int(n_samples))
 
@@ -538,8 +513,9 @@ def evolve_adaptive(
     norm and step control see the same numbers.
 
     The trajectory holds the states at ``sample_etas`` (strictly
-    increasing, within ``eta_span``; see :func:`sample_grid` and
-    :func:`step_grid`).  The absolute tolerance is fixed at 1e-12;
+    increasing, within ``eta_span``; see :func:`sample_grid`).  The
+    dense output puts the samples anywhere between the steps, so they
+    leave the step control alone.  The absolute tolerance is fixed at 1e-12;
     ``rtol`` sets the accuracy and may not be below
     :data:`~cosmodirac._dop853.MIN_RTOL`.
 

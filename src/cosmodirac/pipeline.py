@@ -22,13 +22,11 @@ from . import __version__
 from .config import ConfigError, RunConfig
 from .entanglement import block_entropy, contour_trajectory
 from .gaussian import (
-    REFERENCE_RTOL,
     evolve_adaptive,
     evolve_free,
     mass_quench_prepare,
     sample_grid,
     self_consistent_ground_state,
-    step_grid,
 )
 from .lattice import (
     ExponentialProfile,
@@ -155,8 +153,7 @@ def propagator(config: RunConfig) -> str:
 
     ``"closed_form"`` (:func:`~cosmodirac.gaussian.evolve_free`) for a free
     lattice on a static or quench profile, otherwise ``"dop853"``
-    (:func:`~cosmodirac.gaussian.evolve_adaptive`), whatever
-    ``evolution.method`` says.
+    (:func:`~cosmodirac.gaussian.evolve_adaptive`).
     """
     if config.lattice.coupling == 0.0 and isinstance(
         config.profile, (StaticProfile, QuenchProfile)
@@ -166,25 +163,16 @@ def propagator(config: RunConfig) -> str:
 
 
 def _evolve(config: RunConfig, state):
-    """Evolve the prepared state with the :func:`propagator` of ``config``.
-
-    ``evolution.method`` only picks how the samples are given: ``n_samples``
-    uniform times solved at the config's ``rtol``, or the times of the
-    fixed-step grid of ``deta`` and ``sample_every``
-    (:func:`~cosmodirac.gaussian.step_grid`) solved at
-    :data:`~cosmodirac.gaussian.REFERENCE_RTOL`.  A free run on a static or
-    quench profile is rotated exactly to each sample instead.
-    """
+    """Evolve the prepared state with the :func:`propagator` of ``config`` to
+    its ``evolution.n_samples`` uniform times
+    (:func:`~cosmodirac.gaussian.sample_grid`): rotated exactly to each, or
+    solved at ``evolution.rtol``."""
     ev = config.evolution
-    if ev["method"] == "adaptive":
-        etas, rtol = sample_grid(config.eta_span, ev["n_samples"]), ev["rtol"]
-    else:
-        _, _, etas = step_grid(config.eta_span, ev["deta"], ev["sample_every"])
-        rtol = REFERENCE_RTOL
+    etas = sample_grid(config.eta_span, ev["n_samples"])
     if propagator(config) == "closed_form":
         return evolve_free(state, config.profile, etas)
     return evolve_adaptive(state, config.profile, config.eta_span,
-                           sample_etas=etas, rtol=rtol)
+                           sample_etas=etas, rtol=ev["rtol"])
 
 
 def _emit_condensates(traj, directory):

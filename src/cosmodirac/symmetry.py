@@ -95,9 +95,12 @@ def time_reversal_condition_residual(profile, eta_0, eta, ma_coeff=1.0,
 def contour_cp_check(field) -> float:
     """max over (i, eta) of |S_{(i,u)} - S_{(l_A+1-i, d)}|.
 
-    The CP remnant survives a nonzero pseudo-scalar condensate, so this
-    deviation stays at numerical noise even when each spinor's contour is
-    individually mirror-asymmetric.
+    The pairing is structural: sigma_y Gamma_k^T sigma_y = 1 - Gamma_k
+    holds for every 2 x 2 Hermitian block of unit trace, and k -> -k
+    carries it into real space, so it holds for any Bloch field, whatever
+    the dynamics or the pseudo-scalar condensate.  A deviation above
+    numerical noise is a fault of the contour code, not physics; each
+    spinor's contour can still be mirror-asymmetric on its own.
     """
     up = field.values[:, :, 0]
     down_mirrored = field.values[:, ::-1, 1]

@@ -2,8 +2,11 @@
 
 The acceptance suite exercises the shipped figure presets; several
 criteria share the same evolution, so runs are cached by preset name and
-contour fields by (preset, block length).
+contour fields by (preset, block length).  Presets that differ only in
+their analyses (fig3b, fig3c, fig3d) share one trajectory.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from cosmodirac.pipeline import _evolve, _prepare
 
 _RUNS = {}
 _FIELDS = {}
+_TRAJECTORIES = {}  # the config without its analyses, as JSON -> trajectory
 
 
 def preset_config(name):
@@ -25,8 +29,11 @@ def preset_run(name):
     """(config, trajectory) for a shipped preset, computed once per session."""
     if name not in _RUNS:
         config = preset_config(name)
-        traj = _evolve(config, _prepare(config))
-        _RUNS[name] = (config, traj)
+        key = json.dumps({k: v for k, v in config.raw.items() if k != "analyses"},
+                         sort_keys=True)
+        if key not in _TRAJECTORIES:
+            _TRAJECTORIES[key] = _evolve(config, _prepare(config))
+        _RUNS[name] = (config, _TRAJECTORIES[key])
     return _RUNS[name]
 
 

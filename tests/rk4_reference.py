@@ -1,14 +1,42 @@
-"""Plain per-step RK4 on the self-consistent block equations.
+"""Plain per-step RK4 on the self-consistent block equations, and its grid.
 
 The independent integrator the tests compare the library's propagators
 against: one numpy expression per term of d n_k/d eta, with no buffers
-and no vectorised stages.  Import it as ``from rk4_reference import ...``,
-as ``conftest`` is.
+and no vectorised stages.  :func:`step_grid` gives the times a fixed-step
+run samples, which the presets' sample times were first written as.
+Import it as ``from rk4_reference import ...``, as ``conftest`` is.
 """
 
 import numpy as np
 
 from cosmodirac.gaussian import CorrelationState
+
+
+def step_grid(eta_span, deta: float, sample_every: int = 1):
+    """A fixed-step grid and the steps it samples.
+
+    ``deta`` is rounded down to h = (eta1 - eta0)/n_steps with n_steps =
+    ceil((eta1 - eta0)/deta), at least one.  A sample is taken at the start, after
+    every ``sample_every``-th step and after the last one, at
+    min(eta0 + j*h, eta1) for the j steps taken (n_steps*h can round past
+    eta1, out of a profile's domain); a sample whose time rounding
+    leaves equal to the previous one (h << eta0) is dropped.
+
+    Returns ``(h, steps, etas)``: the step, the sampled step counts j
+    (int array from 0) and the sample times.
+    """
+    if deta <= 0:
+        raise ValueError("deta must be positive")
+    eta0, eta1 = float(eta_span[0]), float(eta_span[1])
+    if not eta1 > eta0:
+        raise ValueError("eta_span must be increasing")
+    n_steps = max(1, int(np.ceil((eta1 - eta0) / deta - 1e-12)))
+    h = (eta1 - eta0) / n_steps
+    steps = np.append(np.arange(0, n_steps, sample_every), n_steps)
+    etas = np.minimum(eta0 + steps * h, eta1)
+    etas[0] = eta0
+    moved = np.concatenate([[True], etas[1:] > etas[:-1]])
+    return h, steps[moved], etas[moved]
 
 
 def _reference_field(spec, profile):

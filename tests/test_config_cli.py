@@ -22,7 +22,7 @@ from conftest import preset_config, preset_run
 SMALL_RUN = """
 lattice: {num_sites: 16, mass: 1.0}
 profile: {kind: quench, a_0: 0.01, a_f: 10.0}
-evolution: {eta_span: [0.0, 2.0], deta: 1.0e-3, sample_every: 200}
+evolution: {eta_span: [0.0, 2.0], sample_spacing: 0.2}
 analyses:
   - {kind: entropy, block: {length: 6}}
   - {kind: spectrum}
@@ -30,6 +30,7 @@ analyses:
 
 
 NAN = float("nan")
+HUGE = 10**400  # an int no float can hold
 CONTOUR = {"kind": "contour", "block": {"length": 4}}
 
 
@@ -45,7 +46,7 @@ class TestSchema:
         base = {
             "lattice": {"num_sites": 16},
             "profile": {"kind": "static", "a_val": 1.0},
-            "evolution": {"eta_span": [0.0, 1.0], "deta": 1e-3},
+            "evolution": {"eta_span": [0.0, 1.0], "n_samples": 11},
         }
         cases = [
             (lambda d: d["lattice"].pop("num_sites"), "lattice.num_sites"),
@@ -53,7 +54,6 @@ class TestSchema:
             (lambda d: d["evolution"].update(eta_span=[1.0, 0.0]), "evolution.eta_span"),
             (lambda d: d["evolution"].update(eta_span=[0.0, float("inf")]),
              "evolution.eta_span"),
-            (lambda d: d["evolution"].update(deta=-1.0), "evolution.deta"),
             (lambda d: d.update(extra={}), "extra"),
             (lambda d: d.update(output={"formats": ["xlsx"]}), "output.formats"),
             (
@@ -66,8 +66,19 @@ class TestSchema:
             (lambda d: d["profile"].update(hubble=1.0), "profile.hubble"),
             (lambda d: d.update(preparation={"kind": "vacuum", "m_pre": 1.0}),
              "preparation.m_pre"),
-            (lambda d: d["evolution"].update(n_samples=11), "evolution.n_samples"),
-            (lambda d: d["evolution"].update(method="adaptive"), "evolution.deta"),
+            # one sample-time rule: exactly one of the count and the spacing,
+            # and the keys of the old fixed-step grid are unknown
+            (lambda d: d["evolution"].update(sample_spacing=0.1),
+             "evolution.sample_spacing"),
+            (lambda d: d["evolution"].pop("n_samples"), "evolution.n_samples"),
+            (lambda d: d["evolution"].update(n_samples=1), "evolution.n_samples"),
+            (lambda d: d.update(evolution={"eta_span": [0.0, 1.0], "sample_spacing": 0.3}),
+             "evolution.sample_spacing"),
+            (lambda d: d.update(evolution={"eta_span": [0.0, 1.0], "sample_spacing": 0.0}),
+             "evolution.sample_spacing"),
+            (lambda d: d["evolution"].update(method="adaptive"), "evolution.method"),
+            (lambda d: d["evolution"].update(deta=-1.0), "evolution.deta"),
+            (lambda d: d["evolution"].update(sample_every=1), "evolution.sample_every"),
             (lambda d: d.update(analyses=[dict(CONTOUR, spinor_mode="split")]),
              "analyses[0].spinor_mode"),
             (lambda d: d.update(analyses=[{"kind": "spectrum"},
@@ -77,14 +88,13 @@ class TestSchema:
             (lambda d: d.update(analyses=[dict(CONTOUR, block={"length": 4, "end": 8})]),
              "analyses[0].block.end"),
             # numbers that are not finite
-            (lambda d: d["evolution"].update(deta=NAN), "evolution.deta"),
             (lambda d: d["lattice"].update(mass=NAN), "lattice.mass"),
             # lattice units: a config may not set the spacing, even to 1
             (lambda d: d["lattice"].update(spacing=1.0), "lattice.spacing"),
             (lambda d: d["profile"].update(a_val=float("inf")), "profile.a_val"),
-            (lambda d: d.update(evolution={"eta_span": [0.0, 1.0],
-                                           "method": "adaptive", "rtol": NAN}),
-             "evolution.rtol"),
+            (lambda d: d["evolution"].update(rtol=NAN), "evolution.rtol"),
+            (lambda d: d.update(evolution={"eta_span": [0.0, 1.0], "sample_spacing": NAN}),
+             "evolution.sample_spacing"),
             (lambda d: d.update(analyses=[{"kind": "symmetry", "a_0": 0.7, "a_f": NAN,
                                            "hubble_values": [1.0]}]),
              "analyses[0].a_f"),
@@ -97,6 +107,16 @@ class TestSchema:
              "analyses[0].a_0"),
             (lambda d: d.update(profile={"kind": "tabulated",
                                          "samples": [[0.0, 1.0], [1.0, NAN]]}),
+             "profile.samples"),
+            # ints beyond the range of a float used to end in an OverflowError
+            # or a numpy TypeError that named no field
+            (lambda d: d["lattice"].update(mass=HUGE), "lattice.mass"),
+            (lambda d: d["evolution"].update(eta_span=[0.0, HUGE]), "evolution.eta_span"),
+            (lambda d: d.update(analyses=[{"kind": "symmetry", "a_0": 0.7, "a_f": 1.3,
+                                           "hubble_values": [HUGE]}]),
+             "analyses[0].hubble_values"),
+            (lambda d: d.update(profile={"kind": "tabulated",
+                                         "samples": [[0.0, 1.0], [HUGE, 1.0]]}),
              "profile.samples"),
             # a contour takes every sample: time_stride is no field, at any value
             (lambda d: d.update(analyses=[dict(CONTOUR, time_stride=0)]),
@@ -128,7 +148,7 @@ class TestSchema:
         raw = {
             "lattice": {"num_sites": 16},
             "profile": {"kind": "de_sitter", "hubble": 0.1, "eta_0": -30.0},
-            "evolution": {"eta_span": [-30.0, 5.0], "deta": 1e-3},
+            "evolution": {"eta_span": [-30.0, 5.0], "n_samples": 2},
         }
         with pytest.raises(ConfigError) as err:
             config_from_dict(raw)
@@ -137,7 +157,9 @@ class TestSchema:
     def test_defaults(self):
         config = load_config(SMALL_RUN)
         assert config.preparation == {"kind": "vacuum"}
-        assert config.evolution["method"] == "rk4"
+        # the spacing is resolved to a count, solved at the reference rtol
+        assert config.evolution == {"eta_span": (0.0, 2.0), "n_samples": 11,
+                                    "rtol": gaussian.REFERENCE_RTOL}
         assert config.eta_span == (0.0, 2.0)
         # blocks are centred
         assert config.analyses[0].options["block"] == BlockSpec(6, 16)
@@ -168,21 +190,22 @@ class TestCLI:
         # exactly), at a tolerance loose enough to break the purity gate
         cfg = tmp_path / "unstable.yaml"
         cfg.write_text(SMALL_RUN.replace(
-            "deta: 1.0e-3, sample_every: 200", "method: adaptive, rtol: 1.0e-2").replace(
+            "sample_spacing: 0.2", "sample_spacing: 0.2, rtol: 1.0e-2").replace(
             "mass: 1.0}", "mass: 1.0, coupling: 1.0}"))
         code = main(["run", str(cfg), "--output", str(tmp_path / "out")])
         assert code == EXIT_NUMERICAL
         assert "StepSizeError" in capsys.readouterr().err
 
     def test_step_rounded_past_the_profile_domain_runs(self, tmp_path):
-        # 19 steps of h = 1e5/19 end at 1e5 + 1.5e-11, past the tabulated
+        # 19 intervals of 1e5/19 add up to 1e5 + 1.5e-11, past the tabulated
         # domain's 1e-12 of slack; such a run used to fail with a DomainError.
-        # The free vacuum under a constant a is stationary, so the solve is quick
+        # The last sample time is the end of the span itself.  The free vacuum
+        # under a constant a is stationary, so the solve is quick
         cfg = tmp_path / "tabulated.yaml"
         cfg.write_text(
             "lattice: {num_sites: 4, mass: 1.0}\n"
             "profile: {kind: tabulated, samples: [[0.0, 1.0], [1.0e+5, 1.0]]}\n"
-            "evolution: {eta_span: [0.0, 1.0e+5], deta: 5263.2}\n"
+            "evolution: {eta_span: [0.0, 1.0e+5], n_samples: 20}\n"
             "analyses: [{kind: entropy, block: {length: 2}}]\n")
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--output", str(out)]) == EXIT_OK
@@ -194,40 +217,35 @@ class TestCLI:
             assert rows[-1, 0] == 1e5, name
 
     def test_coarse_free_run_is_exact(self, tmp_path):
-        # deta = 0.5 blew RK4 up on this free quench; in closed form it only
-        # sets the sample grid, so every shared sample matches a fine run
+        # a spacing of 0.5 blew RK4 up on this free quench; in closed form the
+        # samples are no steps, so every shared sample matches a fine run
         tables = {}
-        for deta in ("0.5", "1.0e-3"):
-            cfg = tmp_path / f"{deta}.yaml"
-            cfg.write_text(SMALL_RUN.replace("1.0e-3", deta))
-            out = tmp_path / deta
+        for grid in ("n_samples: 2", "sample_spacing: 0.2"):
+            cfg = tmp_path / f"{grid[0]}.yaml"
+            cfg.write_text(SMALL_RUN.replace("sample_spacing: 0.2", grid))
+            out = tmp_path / grid[0]
             assert main(["run", str(cfg), "--output", str(out)]) == EXIT_OK
             for name in ("entropy_measured.csv", "spectrum.csv", "condensates.csv"):
                 with open(out / name) as fh:
                     rows = np.array([[float(x) for x in row]
                                      for row in list(csv.reader(fh))[1:]])
-                assert np.all(np.isfinite(rows)), (deta, name)
-                tables[deta, name] = rows
+                assert np.all(np.isfinite(rows)), (grid, name)
+                tables[grid[0], name] = rows
         for name in ("entropy_measured.csv", "condensates.csv"):
-            coarse, fine = tables["0.5", name], tables["1.0e-3", name]
+            coarse, fine = tables["n", name], tables["s", name]
             assert list(coarse[:, 0]) == [0.0, 2.0]
             fine = fine[np.isin(fine[:, 0], coarse[:, 0])]
             assert np.allclose(coarse, fine, rtol=0.0, atol=1e-6), name
-        assert np.allclose(tables["0.5", "spectrum.csv"],
-                           tables["1.0e-3", "spectrum.csv"], rtol=0.0, atol=1e-6)
+        assert np.allclose(tables["n", "spectrum.csv"],
+                           tables["s", "spectrum.csv"], rtol=0.0, atol=1e-6)
 
     @pytest.mark.parametrize("edit, expected", [
         (lambda t: t, "closed_form"),
-        (lambda t: t.replace("deta: 1.0e-3, sample_every: 200",
-                             "method: adaptive, n_samples: 5"), "closed_form"),
         (lambda t: t.replace("mass: 1.0}", "mass: 1.0, coupling: 1.0}"), "dop853"),
-        (lambda t: t.replace("mass: 1.0}", "mass: 1.0, coupling: 1.0}").replace(
-            "deta: 1.0e-3, sample_every: 200", "method: adaptive, n_samples: 5"),
-         "dop853"),
-    ], ids=["free_rk4", "free_adaptive", "interacting_rk4", "interacting_adaptive"])
+    ], ids=["free", "interacting"])
     def test_manifest_names_the_propagator_that_ran(self, tmp_path, monkeypatch,
                                                     edit, expected):
-        # the rk4 dialect only sets the sample grid: RK4 never steps a run
+        # the lattice and profile pick the propagator; there is no fixed-step one
         assert not hasattr(pipeline, "evolve") and not hasattr(gaussian, "evolve")
         ran = []
         for module, name, kind in ((pipeline, "evolve_free", "closed_form"),
@@ -259,7 +277,8 @@ class TestCLI:
         assert not out.exists()
 
     @pytest.mark.parametrize("edit, field", [
-        (lambda t: t.replace("deta: 1.0e-3", "deta: .nan"), "evolution.deta"),
+        # deta is no field, even at the NaN that used to crash the step grid
+        (lambda t: t.replace("sample_spacing: 0.2", "deta: .nan"), "evolution.deta"),
         (lambda t: t.replace("mass: 1.0", "mass: .nan"), "lattice.mass"),
         (lambda t: t.replace("mass: 1.0", "masss: 5.0"), "lattice.masss"),
         (lambda t: t + "  - {kind: symmetry, a_0: 0.7, a_f: .nan, "
@@ -276,7 +295,7 @@ class TestCLI:
         # YAML booleans are ints to Python, and used to load as 1 and 0
         (lambda t: t.replace("mass: 1.0", "mass: true"), "lattice.mass"),
         (lambda t: t.replace("[0.0, 2.0]", "[false, true]"), "evolution.eta_span"),
-        (lambda t: t.replace("sample_every: 200", "sample_every: true"),
+        (lambda t: t.replace("sample_spacing: 0.2", "n_samples: 11, sample_every: true"),
          "evolution.sample_every"),
         (lambda t: t.replace("length: 6", "length: true"), "analyses[0].block.length"),
         (lambda t: t + "  - {kind: symmetry, a_0: 0.7, a_f: 1.3, "
@@ -290,10 +309,10 @@ class TestCLI:
          "preparation.m_pre"),
         # an rtol below DOP853's floor used to run at the floor, exit 0, and
         # leave the asked-for value in the manifest
-        (lambda t: t.replace("deta: 1.0e-3, sample_every: 200",
-                             "method: adaptive, rtol: -1.0"), "evolution.rtol"),
-        (lambda t: t.replace("deta: 1.0e-3, sample_every: 200",
-                             "method: adaptive, rtol: 1.0e-15"), "evolution.rtol"),
+        (lambda t: t.replace("sample_spacing: 0.2", "sample_spacing: 0.2, rtol: -1.0"),
+         "evolution.rtol"),
+        (lambda t: t.replace("sample_spacing: 0.2", "sample_spacing: 0.2, rtol: 1.0e-15"),
+         "evolution.rtol"),
         # output.binary used to add state_final.npy; the switch is gone
         (lambda t: t + "output: {binary: true}\n", "output.binary"),
         # blocks are centred and spectra bare, with no setting for either
@@ -301,22 +320,46 @@ class TestCLI:
          "analyses[0].block.start"),
         (lambda t: t.replace("{kind: spectrum}", "{kind: spectrum, reference_mode: bare}"),
          "analyses[1].reference_mode"),
+        # one sample-time rule
+        (lambda t: t.replace("sample_spacing: 0.2", "method: rk4, sample_spacing: 0.2"),
+         "evolution.method"),
+        (lambda t: t.replace("sample_spacing: 0.2", "deta: 1.0e-3, sample_every: 200"),
+         "evolution.deta"),
+        (lambda t: t.replace("sample_spacing: 0.2", "n_samples: 11, sample_spacing: 0.2"),
+         "evolution.sample_spacing"),
+        (lambda t: t.replace(", sample_spacing: 0.2", ""), "evolution.n_samples"),
+        (lambda t: t.replace("sample_spacing: 0.2", "sample_spacing: 0.3"),
+         "evolution.sample_spacing"),
+        (lambda t: t.replace("sample_spacing: 0.2", "n_samples: true"),
+         "evolution.n_samples"),
+        # ints beyond the range of a float used to end in a traceback
+        (lambda t: t.replace("mass: 1.0", f"mass: {HUGE}"), "lattice.mass"),
+        (lambda t: t.replace("[0.0, 2.0]", f"[0.0, {HUGE}]"), "evolution.eta_span"),
+        (lambda t: t + "  - {kind: symmetry, a_0: 0.7, a_f: 1.3, "
+                       f"hubble_values: [{HUGE}]}}\n", "analyses[2].hubble_values"),
+        (lambda t: t.replace("{kind: quench, a_0: 0.01, a_f: 10.0}",
+                             f"{{kind: tabulated, samples: [[0.0, 1.0], [2.0, {HUGE}]]}}"),
+         "profile.samples"),
     ], ids=["deta_nan", "mass_nan", "mass_typo", "symmetry_a_f_nan", "time_stride_0",
             "symmetry_a_f_below_a_0", "symmetry_a_f_equal_a_0", "hubble_inf",
             "mass_bool", "eta_span_bools", "sample_every_bool", "block_length_bool",
             "hubble_bool", "tabulated_sample_bool", "m_pre_equal_mass",
             "rtol_negative", "rtol_below_floor", "output_binary", "block_start",
-            "reference_mode"])
+            "reference_mode", "method", "deta", "both_counts",
+            "neither_count", "spacing_not_dividing", "n_samples_bool", "mass_huge_int",
+            "eta_span_huge_int", "hubble_huge_int", "tabulated_sample_huge_int"])
     def test_bad_fields_exit_1_before_evolving(self, tmp_path, capsys, edit, field):
         # each of these used to evolve (or start to) and then die with a
-        # traceback, blame the step size, or run with the field ignored
+        # traceback, blame the step size, or run with the field ignored;
+        # check and run both refuse it
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(edit(SMALL_RUN))
         out = tmp_path / "out"
-        assert main(["run", str(cfg), "--output", str(out)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert field in err
-        assert "Traceback" not in err
+        for argv in (["check", str(cfg)], ["run", str(cfg), "--output", str(out)]):
+            assert main(argv) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert field in err
+            assert "Traceback" not in err
         assert not out.exists()
 
     def test_run_without_an_output_directory_writes_nothing(self, tmp_path, monkeypatch):
@@ -350,7 +393,7 @@ class TestCLI:
         cfg.write_text(
             "lattice: {num_sites: 16, mass: 1.0}\n"
             "profile: {kind: quench, a_0: 0.01, a_f: 10.0}\n"
-            "evolution: {eta_span: [0.0, 0.5], deta: 1.0e-3, sample_every: 100}\n"
+            "evolution: {eta_span: [0.0, 0.5], sample_spacing: 0.1}\n"
         )
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--output", str(out)]) == EXIT_OK
@@ -366,10 +409,10 @@ class TestPipelineEvolution:
         config = config_from_dict({
             "lattice": {"num_sites": 64, "mass": -1.0, "coupling": 3.0},
             "profile": {"kind": "quench", "a_0": 0.7, "a_f": 1.3, "eta_switch": 1.05},
-            "evolution": {"eta_span": [0.0, 2.0], "deta": 1.0e-2, "sample_every": 10},
+            "evolution": {"eta_span": [0.0, 2.0], "sample_spacing": 0.1},
         })
         traj = pipeline._evolve(config, pipeline._prepare(config))
-        etas = gaussian.step_grid((0.0, 2.0), 1e-2, 10)[2]
+        etas = gaussian.sample_grid((0.0, 2.0), 21)
         assert np.array_equal(traj.etas, etas)
         early = etas < 1.05
         before = gaussian.evolve_adaptive(
@@ -477,7 +520,7 @@ class TestPipelineEvolution:
         config = load_config(
             "lattice: {num_sites: 16, mass: -1.0, coupling: 3.0}\n"
             "profile: {kind: quench, a_0: 0.7, a_f: 1.3}\n" + preparation +
-            "evolution: {eta_span: [0.0, 0.2], method: adaptive, n_samples: 3}\n"
+            "evolution: {eta_span: [0.0, 0.2], n_samples: 3}\n"
             "analyses:\n"
             f"  - {{kind: symmetry, a_0: {a_0}, a_f: 1.3, hubble_values: [100.0, 4.0]}}\n")
         pipeline.run(config, output_dir=tmp_path)
@@ -494,7 +537,7 @@ class TestPipelineEvolution:
         config = load_config(
             "lattice: {num_sites: 64, mass: 1.0}\n"
             "profile: {kind: quench, a_0: 0.01, a_f: 10.0, eta_switch: 2.0}\n"
-            "evolution: {eta_span: [0.0, 4.0], deta: 1.0e-3, sample_every: 250}\n"
+            "evolution: {eta_span: [0.0, 4.0], sample_spacing: 0.25}\n"
             "analyses: [{kind: qp, block: {length: 16}}]\n")
         pipeline.run(config, output_dir=tmp_path)
         with open(tmp_path / "entropy_qp.csv") as fh:
@@ -512,7 +555,7 @@ class TestPipelineEvolution:
         config = load_config(
             "lattice: {num_sites: 64, mass: 1.0}\n"
             "profile: {kind: exponential, a_0: 0.01, a_f: 10.0, hubble: 100.0}\n"
-            "evolution: {eta_span: [-2.0, 4.0], deta: 1.0e-3, sample_every: 250}\n"
+            "evolution: {eta_span: [-2.0, 4.0], sample_spacing: 0.25}\n"
             "analyses: [{kind: qp, block: {length: 16}}]\n")
         pipeline.run(config, output_dir=tmp_path)
         with open(tmp_path / "entropy_qp.csv") as fh:
@@ -537,7 +580,7 @@ class TestPipelineEvolution:
             "lattice: {num_sites: 64, mass: 1.0}\n"
             "profile: {kind: exponential, a_0: 1.0, a_f: 10.0, hubble: 1.0}\n"
             f"preparation: {preparation}\n"
-            "evolution: {eta_span: [-2.0, 4.0], deta: 1.0e-3, sample_every: 250}\n"
+            "evolution: {eta_span: [-2.0, 4.0], sample_spacing: 0.25}\n"
             "analyses: [{kind: qp, block: {length: 16}}, "
             "{kind: entropy, block: {length: 16}}]\n")
         pipeline.run(config, output_dir=tmp_path)

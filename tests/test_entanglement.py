@@ -27,8 +27,8 @@ from cosmodirac.gaussian import (
     evolve_free,
     free_ground_state,
     real_space_correlation,
+    sample_grid,
     self_consistent_ground_state,
-    step_grid,
 )
 from cosmodirac.lattice import LatticeSpec, QuenchProfile
 
@@ -63,7 +63,7 @@ class TestEntropy:
         spec = LatticeSpec(num_sites=32, mass=1.0)
         state = free_ground_state(spec, 0.01)
         traj = evolve_free(state, QuenchProfile(0.01, 10.0),
-                           step_grid((0.0, 3.0), 1e-3, 10**9)[2])
+                           sample_grid((0.0, 3.0), 2))
         blk = BlockSpec(10, 32)
         contour = entanglement_contour(traj.state(-1), blk)
         assert np.all(contour >= 0.0)
@@ -309,7 +309,7 @@ class TestContourField:
         spec = LatticeSpec(num_sites=48, mass=1.0)
         state = free_ground_state(spec, 0.01)
         traj = evolve_free(state, QuenchProfile(0.01, 10.0),
-                           step_grid((0.0, 4.0), 1e-3, 1000)[2])
+                           sample_grid((0.0, 4.0), 5))
         field = contour_trajectory(traj, BlockSpec(16, 48))
         summed = field.spinor_summed()
         assert np.max(np.abs(summed - summed[:, ::-1])) < 1e-10
@@ -319,7 +319,7 @@ class TestContourField:
         spec = LatticeSpec(num_sites=16, mass=1.0)
         state = free_ground_state(spec, 0.01)
         traj = evolve_free(state, QuenchProfile(0.01, 10.0),
-                           step_grid((0.0, 1.0), 1e-3, 100)[2])
+                           sample_grid((0.0, 1.0), 11))
         blk = BlockSpec(8, 16)
         field = contour_trajectory(traj, blk)
         assert len(traj.etas) == 11 and field.values.shape == (11, 8, 2)

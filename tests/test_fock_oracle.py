@@ -16,7 +16,7 @@ from cosmodirac.gaussian import (
     evolve_free,
     free_ground_state,
     real_space_correlation,
-    step_grid,
+    sample_grid,
 )
 from cosmodirac.lattice import LatticeSpec, QuenchProfile, hamiltonian_block
 from cosmodirac.production import bogoliubov_spectrum
@@ -136,7 +136,7 @@ class TestGroundState:
 def evolved(fock):
     state = free_ground_state(fock["spec"], MA_I)
     return evolve_free(state, QuenchProfile(MA_I, MA_F),
-                       step_grid((0.0, 1.5), 1e-4, 5000)[2])
+                       sample_grid((0.0, 1.5), 4))
 
 
 class TestQuenchDynamics:

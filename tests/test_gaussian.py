@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from rk4_reference import _reference_field, _reference_rk4, reference_final_state
+from rk4_reference import (_reference_field, _reference_rk4, reference_final_state,
+                           step_grid)
 
 from cosmodirac import _dop853, gaussian
 from cosmodirac.entanglement import BlockSpec
@@ -29,7 +30,6 @@ from cosmodirac.gaussian import (
     real_space_correlation,
     sample_grid,
     self_consistent_ground_state,
-    step_grid,
     total_energy,
 )
 from cosmodirac.lattice import (
@@ -142,7 +142,7 @@ class TestEvolution:
         spec = LatticeSpec(num_sites=64, mass=1.0)
         state = free_ground_state(spec, 0.01)
         traj = evolve_free(state, QuenchProfile(0.01, 10.0),
-                           step_grid((0.0, 5.0), 5e-4, 1000)[2])
+                           sample_grid((0.0, 5.0), 11))
         states = [traj.state(i) for i in range(len(traj.etas))]
         assert max(s.purity_defect() for s in states) < 1e-10
         # total charge: tr Gamma = N_S at half filling
@@ -156,7 +156,7 @@ class TestEvolution:
         spec = LatticeSpec(num_sites=64, mass=-1.0, coupling=3.0)
         state, _ = self_consistent_ground_state(spec, 0.7)
         traj = evolve_adaptive(state, StaticProfile(a_val=1.3), (0.0, 4.0),
-                               step_grid((0.0, 4.0), 2e-4, 2000)[2],
+                               sample_grid((0.0, 4.0), 11),
                                rtol=REFERENCE_RTOL)
         energies = [mean_field_energy(traj.state(i), -1.3)
                     for i in range(len(traj.etas))]
@@ -167,7 +167,7 @@ class TestEvolution:
         spec = LatticeSpec(num_sites=32, mass=1.0, coupling=2.0)
         state, _ = self_consistent_ground_state(spec, 1.0)
         traj = evolve_adaptive(state.copy(), StaticProfile(a_val=1.0), (0.0, 2.0),
-                               step_grid((0.0, 2.0), 1e-3)[2], rtol=REFERENCE_RTOL)
+                               sample_grid((0.0, 2.0), 2001), rtol=REFERENCE_RTOL)
         assert np.max(np.abs(traj.bloch[-1] - state.bloch)) < 1e-8
 
     def test_adaptive_matches_fixed_step(self):
@@ -202,9 +202,7 @@ class TestEvolution:
         spec = LatticeSpec(num_sites=8, mass=1.0)
         state = free_ground_state(spec, 1.0)
         with pytest.raises(ValueError):
-            step_grid((1.0, 0.0), 1e-3)
-        with pytest.raises(ValueError):
-            step_grid((0.0, 1.0), -1e-3)
+            sample_grid((1.0, 0.0), 2)
         with pytest.raises(ValueError):
             evolve_adaptive(state, StaticProfile(), (1.0, 0.0), [1.0])
         with pytest.raises(ValueError, match="within eta_span"):

@@ -22,7 +22,7 @@ CONFIGS = {
         "lattice: {num_sites: 32, mass: 1.0, coupling: 2.0}\n"
         "profile: {kind: de_sitter, hubble: 0.5, eta_0: -4.0, eta_max: -0.5}\n"
         "preparation: {kind: mass_quench, m_pre: -1.0}\n"
-        "evolution: {eta_span: [-4.0, -0.5], method: adaptive, n_samples: 6}\n"
+        "evolution: {eta_span: [-4.0, -0.5], n_samples: 6, rtol: 1.0e-10}\n"
         "analyses:\n"
         "  - {kind: entropy, block: {length: 8}}\n"
         "  - {kind: contour, block: {length: 8}}\n"
@@ -30,7 +30,7 @@ CONFIGS = {
     "tabulated": (
         "lattice: {num_sites: 16, mass: 1.0}\n"
         "profile: {kind: tabulated, samples: [[0.0, 0.5], [1.0, 1.2], [2.0, 0.9]]}\n"
-        "evolution: {eta_span: [0.0, 2.0], deta: 0.25}\n"
+        "evolution: {eta_span: [0.0, 2.0], sample_spacing: 0.25}\n"
         "analyses:\n"
         "  - {kind: entropy, block: {length: 4}}\n"
         "  - {kind: spectrum}\n"

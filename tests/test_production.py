@@ -9,7 +9,7 @@ from cosmodirac.gaussian import (
     evolve_adaptive,
     evolve_free,
     free_ground_state,
-    step_grid,
+    sample_grid,
 )
 from cosmodirac.lattice import (
     ExponentialProfile,
@@ -61,7 +61,7 @@ class TestSpectrum:
         prof = ExponentialProfile(a_0=0.7, a_f=1.3, hubble=0.05)
         state = free_ground_state(spec, 0.7)
         span = (0.0, prof.eta_clamp + 20.0)
-        traj = evolve_adaptive(state, prof, span, step_grid(span, 1e-3, 10**9)[2],
+        traj = evolve_adaptive(state, prof, span, sample_grid(span, 2),
                                rtol=REFERENCE_RTOL)
         out = bogoliubov_spectrum(traj.state(-1), 1.3)
         assert np.max(out.beta_sq) < 1e-3
@@ -124,6 +124,6 @@ class TestDerivedQuantities:
         spec = LatticeSpec(num_sites=64, mass=1.0)
         state = free_ground_state(spec, 0.01)
         traj = evolve_free(state, QuenchProfile(0.01, 10.0),
-                           step_grid((0.0, 2.0), 5e-4, 10**9)[2])
+                           sample_grid((0.0, 2.0), 2))
         out = bogoliubov_spectrum(traj.state(-1), 10.0)
         assert spectrum_asymmetry(out) < 1e-12

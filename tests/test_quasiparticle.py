@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cosmodirac import quasiparticle
-from cosmodirac.gaussian import Trajectory, evolve_free, free_ground_state, step_grid
+from cosmodirac.gaussian import Trajectory, evolve_free, free_ground_state, sample_grid
 from cosmodirac.lattice import LatticeSpec, QuenchProfile, band_velocity
 from cosmodirac.production import bogoliubov_spectrum, mode_pair_entropy
 from cosmodirac.quasiparticle import (
@@ -120,7 +120,7 @@ class TestEquilibrationGate:
         spec = LatticeSpec(num_sites=64, mass=-1.0, coupling=0.0)
         state = free_ground_state(spec, -0.7)
         traj = evolve_free(state, QuenchProfile(0.7, 1.3),
-                           step_grid((0.0, 10.0), 1e-3, 100)[2])
+                           sample_grid((0.0, 10.0), 101))
         v = renormalized_velocity(traj, spec, 1.3, (5.0, 10.0))
         assert v == pytest.approx(0.3, abs=1e-9)  # |ma_f + 1| = 0.3
 

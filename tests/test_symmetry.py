@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from rk4_reference import reference_final_state
 
 from cosmodirac import symmetry
-from cosmodirac.entanglement import BlockSpec, ContourField, contour_trajectory
-from cosmodirac.gaussian import (REFERENCE_RTOL, evolve_adaptive, evolve_free,
-                                  free_ground_state, self_consistent_ground_state,
-                                  step_grid)
+from cosmodirac.entanglement import (BlockSpec, ContourField, contour_trajectory,
+                                     entanglement_contour)
+from cosmodirac.gaussian import (REFERENCE_RTOL, CorrelationState, evolve_adaptive,
+                                  evolve_free,
+                                  free_ground_state, sample_grid,
+                                  self_consistent_ground_state)
 from cosmodirac.lattice import (ExponentialProfile, LatticeSpec, QuenchProfile,
                                 StaticProfile)
 from cosmodirac.production import bogoliubov_spectrum, spectrum_asymmetry
@@ -98,9 +100,24 @@ class TestContourCP:
         spec = LatticeSpec(num_sites=32, mass=1.0)
         state = free_ground_state(spec, 0.01)
         traj = evolve_free(state, QuenchProfile(0.01, 10.0),
-                           step_grid((0.0, 3.0), 1e-3, 500)[2])
+                           sample_grid((0.0, 3.0), 7))
         field = contour_trajectory(traj, BlockSpec(12, 32))
         assert contour_cp_check(field) < 1e-10
+
+    @pytest.mark.parametrize("num_sites, length", [(32, 8), (64, 17)])
+    def test_any_bloch_field_respects_cp(self, num_sites, length):
+        # sigma_y Gamma_k^T sigma_y = 1 - Gamma_k for every 2 x 2 Hermitian block
+        # of unit trace, so CP holds for a random unit Bloch field, one that no
+        # dynamics made, while each spinor's contour is lopsided
+        bloch = np.random.default_rng(num_sites).normal(size=(num_sites, 3))
+        bloch /= np.linalg.norm(bloch, axis=1)[:, None]
+        block = BlockSpec(length, num_sites)
+        values = entanglement_contour(
+            CorrelationState(LatticeSpec(num_sites=num_sites), bloch), block)
+        field = ContourField(etas=np.zeros(1), values=values[None], block=block)
+        up = values[:, 0]
+        assert np.max(np.abs(up - up[::-1])) > 1e-2
+        assert contour_cp_check(field) < 1e-13
 
 
 @pytest.fixture(scope="module")
