@@ -38,7 +38,8 @@ print(f"prepared at a_0 = {profile.a_0:.4f} with Sigma = {cond.sigma:+.4f}, "
       f"Pi = {cond.pi:+.4f}")
 
 span = (ETA_0, profile.eta_max)
-traj = evolve_adaptive(state, profile, span, sample_grid(span, 121))
+# fig4's samples and tolerance
+traj = evolve_adaptive(state, profile, span, sample_grid(span, 121), rtol=1e-10)
 print(f"scale factor grew {profile.a_0:.3f} -> {traj.a_vals[-1]:.1f} "
       f"({len(traj.etas)} samples, adaptive)")
 

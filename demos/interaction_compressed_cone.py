@@ -28,7 +28,7 @@ from cosmodirac import (
     renormalized_velocity,
     self_consistent_ground_state,
 )
-from cosmodirac.gaussian import REFERENCE_RTOL, sample_grid
+from cosmodirac.gaussian import sample_grid
 
 N_SITES = 256
 BLOCK = 64
@@ -46,8 +46,7 @@ def run(coupling):
     if coupling == 0.0:
         traj = evolve_free(vacuum, profile, etas)
     else:
-        traj = evolve_adaptive(vacuum, profile, span, sample_etas=etas,
-                               rtol=REFERENCE_RTOL)
+        traj = evolve_adaptive(vacuum, profile, span, sample_etas=etas)
     field = contour_trajectory(traj, BlockSpec(BLOCK, N_SITES))
     return spec, traj, field
 

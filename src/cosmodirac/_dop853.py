@@ -13,9 +13,7 @@ evaluation count agree with it to the bit:
 - the step control: ``SAFETY`` times error**(-1/8), clipped to
   [``MIN_FACTOR``, ``MAX_FACTOR``], and no growth right after a rejection;
 - the 7th-order dense output for the samples a step covers, which costs
-  3 extra evaluations for each such step;
-- a terminal event, located on the dense output by Brent's method to
-  4 machine epsilons (:func:`_brentq`).
+  3 extra evaluations for each such step.
 
 The tableau is that of Hairer's ``dop853.f``; see E. Hairer, S. P. Norsett
 and G. Wanner, *Solving Ordinary Differential Equations I: Nonstiff
@@ -181,7 +179,7 @@ D[3, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
 
 
 class SolverError(RuntimeError):
-    """The step size fell below the spacing of the floating-point times."""
+    """A step's error estimate is not finite, or the step size underflowed."""
 
 
 def _rms(x):
@@ -260,14 +258,9 @@ def _dense_coefficients(fun, t_old, h, y_old, y, K):
 
 
 def _interpolate(F, t_old, h, y_old, t):
-    """The interpolant at a time t (as (n,)) or at times t (as (len(t), n))."""
-    t = np.asarray(t)
-    x = (t - t_old) / h
-    if t.ndim == 0:
-        y = np.zeros_like(y_old)
-    else:
-        x = x[:, None]
-        y = np.zeros((len(x), len(y_old)))
+    """The interpolant at the times t, as (len(t), n)."""
+    x = ((t - t_old) / h)[:, None]
+    y = np.zeros((len(x), len(y_old)))
     for i, f in enumerate(reversed(F)):
         y += f
         if i % 2 == 0:
@@ -278,69 +271,19 @@ def _interpolate(F, t_old, h, y_old, t):
     return y
 
 
-def _brentq(f, xa, xb):
-    """A root of f in [xa, xb], where f changes sign, to 4 machine epsilons
-    absolute plus 4 relative.
-
-    Brent's method in the form of scipy's ``brentq`` (after Brent, 1973):
-    inverse quadratic or secant steps while they shrink the bracket fast
-    enough, bisection otherwise.
-    """
-    xtol = rtol = 4 * EPS
-    maxiter = 100
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-    raise SolverError(f"event time not found to {xtol:.1e} in {maxiter} iterations")
-
-
-def solve(fun, t_span, y0, t_eval, rtol, atol, event):
+def solve(fun, t_span, y0, t_eval, rtol, atol, check):
     """Integrate dy/dt = f(t, y) from ``y0`` over ``t_span`` = (t0, t1), t1 > t0.
 
     ``fun(t, y, out)`` writes f(t, y) into the array ``out`` of y's shape
     (n,).  ``t_eval`` holds the sample times, increasing and within the
     span.  ``rtol`` (at least :data:`MIN_RTOL`) and ``atol`` weigh each
-    component's error by atol + rtol |y|.
+    component's error by atol + rtol |y|.  ``check(t, y)`` is called on
+    the solution at the end of each accepted step, before the samples
+    the step covers; it stops the solve by raising.
 
-    ``event(t, y)`` is terminal and falling: the solve stops in the first
-    step over which it goes from >= 0 to <= 0, at the time where it
-    crosses zero on that step's interpolant.
-
-    Returns ``(ys, nfev, t_event)``: the samples (m, n) reached, all of
-    ``t_eval`` unless the event stopped the solve; the number of
-    evaluations of ``fun``; and the event time, or None.  Raises
-    :class:`SolverError` when the step size underflows.
+    Returns ``(ys, nfev)``: the samples (len(t_eval), n) and the number of
+    evaluations of ``fun``.  Raises :class:`SolverError` when a step's
+    error estimate is not finite or the step size underflows.
     """
     if rtol < MIN_RTOL:
         raise ValueError(f"rtol must be at least {MIN_RTOL:.3g}")
@@ -356,9 +299,7 @@ def solve(fun, t_span, y0, t_eval, rtol, atol, event):
     fun(t, y, K[0])
     h_abs = _initial_step(fun, t, y, K[0], t_bound, rtol, atol, K[1])
     nfev = 2
-    g = event(t, y)
-    t_event = None
-    while t_event is None and t < t_bound:
+    while t < t_bound:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
@@ -372,6 +313,9 @@ def solve(fun, t_span, y0, t_eval, rtol, atol, event):
             nfev += N_STAGES
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             error_norm = _error_norm(K[:N_STAGES + 1], h, scale)
+            # scipy would shrink the step until it underflows
+            if not np.isfinite(error_norm):
+                raise SolverError(f"the derivative is not finite on the step from t = {t:.6g}")
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -385,21 +329,13 @@ def solve(fun, t_span, y0, t_eval, rtol, atol, event):
             rejected = True
 
         t_old, y_old, t, y = t, y, t_new, y_new
-        F = None
-        g_new = event(t, y)
-        if g >= 0 and g_new <= 0:
-            F = _dense_coefficients(fun, t_old, h, y_old, y, K)
-            nfev += 3
-            t_event = t = _brentq(
-                lambda s: event(s, _interpolate(F, t_old, h, y_old, s)), t_old, t)
-        g = g_new
-        # the samples in (previous t, t]
+        check(t, y)
+        # the samples in (t_old, t]
         stop = int(np.searchsorted(t_eval, t, side="right"))
         if stop > n_sampled:
-            if F is None:
-                F = _dense_coefficients(fun, t_old, h, y_old, y, K)
-                nfev += 3
+            F = _dense_coefficients(fun, t_old, h, y_old, y, K)
+            nfev += 3
             ys[n_sampled:stop] = _interpolate(F, t_old, h, y_old, t_eval[n_sampled:stop])
             n_sampled = stop
         K[0] = K[N_STAGES]
-    return ys[:n_sampled], nfev, t_event
+    return ys, nfev

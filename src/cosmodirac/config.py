@@ -50,6 +50,9 @@ ANALYSIS_KINDS = tuple(ANALYSIS_FIELDS)
 # The DOP853 solver's own floor, 100 machine epsilons: its error control
 # cannot honour a tighter rtol, so it refuses one and a config is rejected.
 MIN_RTOL = _dop853.MIN_RTOL
+# The largest trajectory a run may hold: its (n_samples, N_S, 3) float64
+# Bloch vectors.  A larger sample count is refused at validation.
+MAX_TRAJECTORY_BYTES = 4 * 2**30
 
 
 class ConfigError(ValueError):
@@ -227,7 +230,7 @@ def _interval(values, path):
     return float(values[0]), float(values[1])
 
 
-def _build_evolution(section) -> dict:
+def _build_evolution(section, num_sites) -> dict:
     """``eta_span``, ``n_samples`` uniform sample times over it (given as
     the count or as their ``sample_spacing``, which must cut the span into
     whole intervals) and the DOP853 ``rtol``."""
@@ -253,6 +256,9 @@ def _build_evolution(section) -> dict:
                               f"must cut eta_span into whole intervals, got "
                               f"{intervals:.12g} of them")
         n_samples = round(intervals) + 1
+    if n_samples * num_sites * 3 * 8 > MAX_TRAJECTORY_BYTES:
+        raise ConfigError(f"{path}.{given[0]}", f"{n_samples} samples of {num_sites} "
+                          f"sites exceed {MAX_TRAJECTORY_BYTES} bytes")
     rtol = _number(section, "rtol", path, REFERENCE_RTOL)
     if rtol < MIN_RTOL:
         raise ConfigError(f"{path}.rtol", f"must be at least {MIN_RTOL:.3g}, got {rtol}")
@@ -337,7 +343,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     lattice = _build_lattice(_require(raw, "lattice", "<file>", (dict,)))
     profile = _build_profile(_require(raw, "profile", "<file>", (dict,)))
     preparation = _build_preparation(raw.get("preparation"), lattice)
-    evolution = _build_evolution(_require(raw, "evolution", "<file>", (dict,)))
+    evolution = _build_evolution(_require(raw, "evolution", "<file>", (dict,)),
+                                 lattice.num_sites)
     analyses = _build_analyses(raw.get("analyses"), lattice)
     output = _build_output(raw.get("output"))
     span = evolution["eta_span"]

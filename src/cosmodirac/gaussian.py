@@ -497,7 +497,7 @@ def evolve_adaptive(
     profile,
     eta_span,
     sample_etas,
-    rtol: float = 1e-10,
+    rtol: float = REFERENCE_RTOL,
 ) -> Trajectory:
     """Adaptive-step integration of the self-consistent block equations.
 
@@ -516,14 +516,14 @@ def evolve_adaptive(
     increasing, within ``eta_span``; see :func:`sample_grid`).  The
     dense output puts the samples anywhere between the steps, so they
     leave the step control alone.  The absolute tolerance is fixed at 1e-12;
-    ``rtol`` sets the accuracy and may not be below
-    :data:`~cosmodirac._dop853.MIN_RTOL`.
+    ``rtol`` (:data:`REFERENCE_RTOL` unless given, as in a config) sets the
+    accuracy and may not be below :data:`~cosmodirac._dop853.MIN_RTOL`.
 
-    Raises :class:`StepSizeError` if the step size underflows or the purity
-    defect of any sample exceeds :data:`PURITY_TOL` or is not finite.  The
-    solve stops where the purity defect of the solution first passes
-    :data:`PURITY_TOL`, so a runaway state ends the run instead of
-    shrinking the steps without end.
+    Raises :class:`StepSizeError` if the field is not finite, the step size
+    underflows, or the purity defect of any sample exceeds :data:`PURITY_TOL`
+    or is not finite.  The solve stops at the first step that takes the
+    defect past :data:`PURITY_TOL` and names it, so a runaway state ends
+    the run instead of shrinking the steps without end.
     """
     sample_etas = _check_sample_times(sample_etas)
     eta0, eta1 = _check_span(eta_span)
@@ -536,17 +536,21 @@ def evolve_adaptive(
         field.load(y.reshape(-1, 3).T)
         field.rate(spec.mass * float(profile.scale_factor(eta)), out.reshape(-1, 3).T)
 
-    def turns_impure(eta, y):
-        return PURITY_TOL - _purity_defects(y.reshape(-1, 3))
+    last_pure = eta0  # the last step end whose state passed
+
+    def check(eta, y):
+        nonlocal last_pure
+        # not (<=) rather than >, so that a NaN state fails too
+        if not (_purity_defects(y.reshape(-1, 3)) <= PURITY_TOL):
+            raise StepSizeError(f"purity defect passed {PURITY_TOL:g} between "
+                                f"eta = {last_pure:.6g} and {eta:.6g}; tighten rtol")
+        last_pure = eta
 
     try:
-        ys, nfev, eta_impure = _dop853.solve(rhs, (eta0, eta1), initial.bloch.ravel(),
-                                             sample_etas, rtol, 1e-12, turns_impure)
+        ys, nfev = _dop853.solve(rhs, (eta0, eta1), initial.bloch.ravel(), sample_etas,
+                                 rtol, 1e-12, check)
     except _dop853.SolverError as exc:
         raise StepSizeError(f"adaptive integration failed: {exc}") from exc
-    if eta_impure is not None:
-        raise StepSizeError(f"purity defect passed {PURITY_TOL:g} at "
-                            f"eta = {eta_impure:.6g}; tighten rtol")
     # C order, so that the stacked condensate sums equal the per-state ones
     bloch = ys.reshape(sample_etas.size, spec.num_sites, 3)
     _purity_gate(sample_etas, bloch, "tighten rtol")

@@ -16,8 +16,7 @@ import numpy as np
 
 from .lattice import (GAMMA0, GAMMA1, SIGMA_Y, ExponentialProfile, LatticeSpec,
                       hamiltonian_block)
-from .gaussian import (REFERENCE_RTOL, CorrelationState, evolve_adaptive,
-                       self_consistent_ground_state)
+from .gaussian import CorrelationState, evolve_adaptive, self_consistent_ground_state
 from .production import bogoliubov_spectrum, spectrum_asymmetry
 
 T_MATRIX = GAMMA0
@@ -113,7 +112,7 @@ def _sweep_row(spec, a_0, a_f, vacuum, hubble):
     if hubble < QUENCH_LIMIT_HUBBLE:
         profile = ExponentialProfile(a_0=a_0, a_f=a_f, hubble=hubble)
         traj = evolve_adaptive(vacuum, profile, (0.0, profile.eta_clamp),
-                               sample_etas=[profile.eta_clamp], rtol=REFERENCE_RTOL)
+                               sample_etas=[profile.eta_clamp])
         state, nfev = traj.state(-1), traj.nfev
     spectrum = bogoliubov_spectrum(state, spec.mass * a_f)
     return {

@@ -194,7 +194,8 @@ class TestCLI:
             "mass: 1.0}", "mass: 1.0, coupling: 1.0}"))
         code = main(["run", str(cfg), "--output", str(tmp_path / "out")])
         assert code == EXIT_NUMERICAL
-        assert "StepSizeError" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "StepSizeError" in err and "between eta" in err
 
     def test_step_rounded_past_the_profile_domain_runs(self, tmp_path):
         # 19 intervals of 1e5/19 add up to 1e5 + 1.5e-11, past the tabulated
@@ -340,6 +341,12 @@ class TestCLI:
         (lambda t: t.replace("{kind: quench, a_0: 0.01, a_f: 10.0}",
                              f"{{kind: tabulated, samples: [[0.0, 1.0], [2.0, {HUGE}]]}}"),
          "profile.samples"),
+        # a sample count whose trajectory no memory holds used to pass check
+        # and end run in a traceback from np.linspace
+        (lambda t: t.replace("sample_spacing: 0.2", "n_samples: 100000000000000000000"),
+         "evolution.n_samples"),
+        (lambda t: t.replace("sample_spacing: 0.2", "sample_spacing: 1.0e-12"),
+         "evolution.sample_spacing"),
     ], ids=["deta_nan", "mass_nan", "mass_typo", "symmetry_a_f_nan", "time_stride_0",
             "symmetry_a_f_below_a_0", "symmetry_a_f_equal_a_0", "hubble_inf",
             "mass_bool", "eta_span_bools", "sample_every_bool", "block_length_bool",
@@ -347,7 +354,8 @@ class TestCLI:
             "rtol_negative", "rtol_below_floor", "output_binary", "block_start",
             "reference_mode", "method", "deta", "both_counts",
             "neither_count", "spacing_not_dividing", "n_samples_bool", "mass_huge_int",
-            "eta_span_huge_int", "hubble_huge_int", "tabulated_sample_huge_int"])
+            "eta_span_huge_int", "hubble_huge_int", "tabulated_sample_huge_int",
+            "n_samples_huge", "sample_spacing_tiny"])
     def test_bad_fields_exit_1_before_evolving(self, tmp_path, capsys, edit, field):
         # each of these used to evolve (or start to) and then die with a
         # traceback, blame the step size, or run with the field ignored;
