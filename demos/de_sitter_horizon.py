@@ -29,6 +29,13 @@ BLOCK = 160
 HUBBLE = 0.1
 ETA_0 = -30.0
 
+
+def fitted_slope(x, y):
+    """Theil-Sen slope of y(x): the median of the slopes between pairs of points."""
+    i, j = np.triu_indices(len(x), k=1)
+    return float(np.median((y[j] - y[i]) / (x[j] - x[i])))
+
+
 spec = LatticeSpec(num_sites=N_SITES, mass=1.0, coupling=2.0)
 profile = DeSitterProfile(hubble=HUBBLE, eta_0=ETA_0)
 
@@ -43,7 +50,7 @@ traj = evolve_adaptive(state, profile, span, sample_grid(span, 121), rtol=1e-10)
 print(f"scale factor grew {profile.a_0:.3f} -> {traj.a_vals[-1]:.1f} "
       f"({len(traj.etas)} samples, adaptive)")
 
-field = contour_trajectory(traj, BlockSpec(BLOCK, N_SITES))
+field, _ = contour_trajectory(traj, BlockSpec(BLOCK, N_SITES))
 
 # dressed group velocity averaged over the run
 vs = [
@@ -58,11 +65,17 @@ measured = int(np.count_nonzero(final_u < 1e-3))
 print(f"mean dressed group velocity: {v_bar:.4f}")
 print(f"dark band: predicted {predicted:.1f} sites, measured {measured}")
 
+# the front's slope in cosmological time over the outer and the inner third
+# of the depths it reached, to one significant digit: near the cone's end the
+# arrival times are far apart in t, so a local difference there moves 3x
+# between rtol 1e-10 and 1e-12, while these fits move by at most 15%
 depths, arrivals = cone_front(field)
 t_arr = np.asarray(profile.cosmological_time(arrivals))
-print(f"front freezes: d(t)/dx rises from "
-      f"{np.gradient(t_arr, depths)[0]:.2f} to "
-      f"{np.gradient(t_arr, depths)[-1]:.2f} along the cone")
+third = len(depths) // 3
+outer = fitted_slope(depths[:third], t_arr[:third])
+inner = fitted_slope(depths[-third:], t_arr[-third:])
+print(f"front freezes: d(t)/dx rises from {outer:.1g} over the outer third of "
+      f"the depths it reached to {inner:.1g} over the inner third")
 
 try:
     import matplotlib.pyplot as plt

@@ -23,8 +23,8 @@ from cosmodirac import (
     BlockSpec,
     LatticeSpec,
     QuenchProfile,
-    block_entropy,
     bogoliubov_spectrum,
+    entropy_trajectory,
     evolve_free,
     free_ground_state,
     qp_entropy,
@@ -49,12 +49,12 @@ traj = evolve_free(vacuum, QuenchProfile(A_0, A_F), sample_etas)
 
 block = BlockSpec(BLOCK, N_SITES)
 etas = np.asarray(traj.etas)
-measured = np.array([block_entropy(traj.state(i), block) for i in range(len(etas))])
+measured, _ = entropy_trajectory(traj, block)
 
 # quasi-particle prediction from the production spectrum
 spectrum = bogoliubov_spectrum(traj.state(-1), spec.mass * A_F)
 qp = qp_input_from_spectrum(spectrum, float(BLOCK))
-predicted = np.array([qp_entropy(qp, e) for e in etas])
+predicted = qp_entropy(qp, etas)
 
 print(f"plateau prediction: {qp_plateau(qp):.3f} nats")
 print(f"measured at eta={etas[-1]:.0f}: {measured[-1] - measured[0]:.3f} nats "

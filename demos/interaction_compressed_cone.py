@@ -47,7 +47,7 @@ def run(coupling):
         traj = evolve_free(vacuum, profile, etas)
     else:
         traj = evolve_adaptive(vacuum, profile, span, sample_etas=etas)
-    field = contour_trajectory(traj, BlockSpec(BLOCK, N_SITES))
+    field, _ = contour_trajectory(traj, BlockSpec(BLOCK, N_SITES))
     return spec, traj, field
 
 

@@ -54,6 +54,7 @@ from .entanglement import (  # noqa: F401
     cone_front,
     contour_trajectory,
     entanglement_contour,
+    entropy_trajectory,
     front_slope,
 )
 from .quasiparticle import (  # noqa: F401

@@ -48,6 +48,19 @@ site i and at its mirror L - 1 - i; the middle site of an odd block gets
 sum_m s_m |U_(j,u),m|^2, with no 1/2 and only a u row.  The site contour
 is mirror-symmetric by construction.  One complex L x L ``eigh`` takes
 about a fifth of the time of the complex 2L x 2L one.
+
+An analysis is one pass over the trajectory (:func:`entropy_trajectory`,
+:func:`contour_trajectory`; :func:`block_entropy` and
+:func:`entanglement_contour` are the one-sample case).  Each sample's
+2L - 1 separations, from its own FFT, fill a (T, 2L - 1, 2, 2) stack;
+the particle-hole test rotates the whole stack in one product and takes
+one max per sample.  Each path then keeps only what it gathers from, A(d)
+or Gamma(d).  Index arrays built once per pass gather every sample's H_+
+(the Hankel's d columns from a negated copy of its G(d), so the gather
+adds where the formula subtracts) or Gamma_A, and each block gets one
+``eigh``, or ``eigvalsh`` for the entropy alone.  The L x L matrices are
+not stacked: a batched ``eigh`` costs the same per sample, and the stack
+would hold T of them.
 """
 
 from __future__ import annotations
@@ -55,9 +68,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .gaussian import CorrelationState, Trajectory, gather_separations, separation_blocks
+from .gaussian import CorrelationState, Trajectory, separation_blocks
 
 _NU_CLIP = 1e-14  # restricted spectra pile up exponentially at 0 and 1
 # max |Re(W^dag Gamma_A W) - 1/2| up to which a block takes the parity-sector path
@@ -132,57 +144,94 @@ def _check_spectrum(nu):
         )
 
 
-def _block_matrix(state: CorrelationState, block: BlockSpec):
-    """(residual, sector, matrix) of the block: the particle-hole residual
-    over its 2L - 1 separations, whether that is within
-    :data:`PARTICLE_HOLE_TOL`, and then the L x L parity sector H_+, else
-    the complex Gamma_A (module docstring).  Raises ``ValueError`` for a
-    block of another chain and :class:`InvalidStateError` for a state that
-    is not finite."""
-    num_sites = state.spec.num_sites
+def _gather_indices(length: int, sector: bool):
+    """Flat indices into a sample's held separations, (2 length - 1, 2, 2)
+    stacked from d = 1 - length and flattened, that gather its block.
+
+    The complex path takes one (2L, 2L) array: entry ((i, a), (j, b)), row
+    2i + a, is Gamma(i - j)_ab.  The parity-sector path takes two (L, L)
+    arrays over the sites i, j <= (L - 1)/2, the middle d row and column of
+    an odd block dropped: the Toeplitz G(i - j)_ab and the Hankel
+    p_b G(i + j - L + 1)_ab, whose d columns (p_b = -1) index a negated
+    copy of the separations appended after them (module docstring).
+    """
+    sites = np.arange((length + 1) // 2 if sector else length)
+    size = 2 * len(sites)
+
+    def flat(offset):  # entry ((i, a), (j, b)) at 4 offset[i, j] + 2a + b
+        index = 4 * offset[:, None, :, None] + np.arange(4).reshape(1, 2, 1, 2)
+        return index.reshape(size, size).astype(np.int32)  # half the bytes of intp
+
+    toeplitz = flat(sites[:, None] - sites[None, :] + length - 1)  # d = i - j
+    if not sector:
+        return toeplitz
+    hankel = flat(sites[:, None] + sites[None, :])  # d = i + j - L + 1
+    hankel[:, 1::2] += 4 * (2 * length - 1)
+    if length % 2:  # the middle site: its u state alone
+        return toeplitz[:-1, :-1].copy(), hankel[:-1, :-1].copy()
+    return toeplitz, hankel
+
+
+def _spectra(spec, bloch: np.ndarray, block: BlockSpec, contour: bool):
+    """``(entropy, values, sector)`` of ``block`` in each of the T states
+    with Bloch vectors ``bloch`` (T, N_S, 3): entropies (T,), contours
+    (T, length, 2) if ``contour`` (else None), and whether each block took
+    the parity-sector path (T,) bool.
+
+    Each sample's 2L - 1 separations come from its own FFT; the
+    particle-hole test then runs on all of them at once, and each block is
+    gathered by index arrays built once per call and diagonalised by one
+    ``eigh`` (``eigvalsh`` without ``contour``).  Raises ``ValueError`` for
+    a block of another chain and :class:`InvalidStateError` for a state
+    that is not finite or a spectrum outside [0, 1].
+    """
+    num_sites = spec.num_sites
     if block.num_sites != num_sites:
         raise ValueError(f"block of a {block.num_sites}-site chain given a state "
                          f"of a {num_sites}-site chain")
-    if not np.all(np.isfinite(state.bloch)):
+    if not np.all(np.isfinite(bloch)):
         raise InvalidStateError("state is not finite")
-    g = separation_blocks(state)
     length = block.length
-    # W_0^dag Gamma(d) W_0 for d = 1 - L, ..., L - 1, flattened
-    rotated = g[np.arange(1 - length, length) % num_sites].reshape(-1, 4) @ _TO_W
-    held = rotated.real.copy()
-    held[length - 1] -= [0.5, 0.0, 0.0, 0.5]  # d = 0
-    residual = float(np.max(np.abs(held)))
-    if residual <= PARTICLE_HOLE_TOL:
-        separations = (rotated.imag @ _G_FROM_A).reshape(-1, 2, 2)
-        return residual, True, _sector_matrix(separations, length)
-    return residual, False, gather_separations(g, length)
-
-
-def _sector_matrix(separations: np.ndarray, length: int) -> np.ndarray:
-    """H_+ of a block of ``length`` sites from its separations G(d), stacked
-    (2 length - 1, 2, 2) from d = 1 - length (module docstring)."""
-    half = (length + 1) // 2  # sites, with the middle one of an odd block
-    h = np.empty((half, 2, half, 2), dtype=complex)
-    for b, combine in ((0, np.add), (1, np.subtract)):  # p_b = +1, -1
-        column = separations[:, :, b]
-        # windows [s, a, j] = column[2 length - 2 - s - j] and column[s + j]:
-        # G(i - j) at s = length - 1 - i and G(i + j - length + 1) at s = i
-        toeplitz = sliding_window_view(column[::-1], half, axis=0)[length - half:length]
-        hankel = sliding_window_view(column, half, axis=0)[:half]
-        combine(toeplitz[::-1], hankel, out=h[:, :, :, b])
-    h = h.reshape(2 * half, 2 * half)
-    if length % 2:  # the middle site: its u state alone
-        h = h[:-1, :-1]
-        h[-1, :-1] *= np.sqrt(0.5)
-        h[:-1, -1] *= np.sqrt(0.5)
-        h[-1, -1] *= 0.5
-    return h
+    held = np.arange(1 - length, length) % num_sites  # d = 1 - L, ..., L - 1
+    separations = np.empty((len(bloch), 2 * length - 1, 4), dtype=complex)
+    for i, n in enumerate(bloch):
+        separations[i] = separation_blocks(CorrelationState(spec, n))[held].reshape(-1, 4)
+    # W_0^dag Gamma(d) W_0 for d = 1 - L, ..., L - 1, one product over the stack
+    rotated = separations @ _TO_W
+    residual = rotated.real.copy()
+    residual[:, length - 1] -= [0.5, 0.0, 0.0, 0.5]  # d = 0
+    sector = np.max(np.abs(residual), axis=(1, 2)) <= PARTICLE_HOLE_TOL
+    # each path keeps only what it gathers from, in sample order: A(d) on
+    # the parity-sector path, Gamma(d) on the complex one
+    sources = {True: iter(rotated.imag[sector]), False: iter(separations[~sector])}
+    del separations, rotated, residual
+    indices = {path: _gather_indices(length, path) for path in set(sector.tolist())}
+    entropy = np.empty(len(bloch))
+    values = np.empty((len(bloch), length, 2)) if contour else None
+    for i, on_sector in enumerate(sector.tolist()):
+        g = next(sources[on_sector])
+        if on_sector:
+            g = (g @ _G_FROM_A).ravel()  # G(d) = i V A(d) V^dag
+            g = np.concatenate((g, np.negative(g)))
+            toeplitz, hankel = indices[True]
+            matrix = g.take(toeplitz)
+            matrix += g.take(hankel)
+            if length % 2:  # the gather counts the middle site twice
+                matrix[-1, :-1] *= np.sqrt(0.5)
+                matrix[:-1, -1] *= np.sqrt(0.5)
+                matrix[-1, -1] *= 0.5
+        else:
+            matrix = g.ravel().take(indices[False])
+        entropy[i], site_values = _mode_spectrum(matrix, on_sector, contour)
+        if contour:
+            values[i] = site_values
+    return entropy, values, sector
 
 
 def _mode_spectrum(matrix: np.ndarray, sector: bool, contour: bool):
     """Entropy of a block and, if ``contour``, its (length, 2) contour.
 
-    ``matrix`` is the block as :func:`_block_matrix` builds it: H_+ on the
+    ``matrix`` is the block as :func:`_spectra` gathers it: H_+ on the
     parity-sector path (``sector``), else the complex Gamma_A.  Raises
     :class:`InvalidStateError` for a spectrum outside [0, 1] on either path.
     """
@@ -208,47 +257,46 @@ def _mode_spectrum(matrix: np.ndarray, sector: bool, contour: bool):
     return entropy, np.repeat(site[:, None], 2, axis=1)
 
 
-def _block_spectrum(state, block, contour, sectors):
-    _, sector, matrix = _block_matrix(state, block)
-    if sectors is not None:
-        sectors.append(sector)
-    return _mode_spectrum(matrix, sector, contour)
+def entropy_trajectory(trajectory: Trajectory, block: BlockSpec):
+    """von Neumann entropy of ``block`` at every sample of ``trajectory``.
 
-
-def block_entropy(state: CorrelationState, block: BlockSpec, sectors=None) -> float:
-    """von Neumann entropy of ``block`` in ``state``.
-
-    ``sectors``, if given, is a list: it gets whether the block took the
-    parity-sector path appended.
+    Returns ``(entropy, sector)``: the entropies (T,) and whether each
+    sample's block took the parity-sector path (T,) bool.
     """
-    return _block_spectrum(state, block, False, sectors)[0]
+    entropy, _, sector = _spectra(trajectory.spec, trajectory.bloch, block, False)
+    return entropy, sector
 
 
-def entanglement_contour(state: CorrelationState, block: BlockSpec,
-                         sectors=None) -> np.ndarray:
-    """Site- and spinor-resolved contour of ``block`` in ``state``, shape (length, 2).
+def contour_trajectory(trajectory: Trajectory, block: BlockSpec):
+    """Contour field of ``block`` along ``trajectory``, one slice per sample.
+
+    Returns ``(field, sector)``: the :class:`ContourField`, timed by
+    :attr:`~cosmodirac.gaussian.Trajectory.times`, and whether each
+    sample's block took the parity-sector path (T,) bool.
+    """
+    _, values, sector = _spectra(trajectory.spec, trajectory.bloch, block, True)
+    return ContourField(etas=trajectory.etas, values=values, block=block,
+                        times=trajectory.times), sector
+
+
+def block_entropy(state: CorrelationState, block: BlockSpec) -> float:
+    """von Neumann entropy of ``block`` in ``state``: the one-sample
+    :func:`entropy_trajectory`."""
+    return float(_spectra(state.spec, state.bloch[None], block, False)[0][0])
+
+
+def entanglement_contour(state: CorrelationState, block: BlockSpec) -> np.ndarray:
+    """Site- and spinor-resolved contour of ``block`` in ``state``, shape (length, 2):
+    the one-sample :func:`contour_trajectory`.
 
     Diagonalise the block's correlation matrix, U^dag Gamma_A U = diag(nu);
     each eigenmode's entropy s_m is distributed with weights
     |U_{(i,alpha),m}|^2, so the values are nonnegative and sum to the block
     entropy.  A particle-hole-symmetric block (Pi = 0) is diagonalised in
     its parity sector, with equal u and d values and a mirror-symmetric
-    site contour (see the module docstring).  ``sectors`` is as for
-    :func:`block_entropy`.
+    site contour (see the module docstring).
     """
-    return _block_spectrum(state, block, True, sectors)[1]
-
-
-def contour_trajectory(trajectory: Trajectory, block: BlockSpec,
-                       sectors=None) -> ContourField:
-    """Contour field along a trajectory, one slice per sample, timed by
-    :attr:`~cosmodirac.gaussian.Trajectory.times`.  ``sectors`` is as for
-    :func:`block_entropy`, one entry per sample."""
-    vals = np.empty((len(trajectory.etas), block.length, 2))
-    for i in range(len(trajectory.etas)):
-        vals[i] = entanglement_contour(trajectory.state(i), block, sectors)
-    return ContourField(etas=trajectory.etas, values=vals, block=block,
-                        times=trajectory.times)
+    return _spectra(state.spec, state.bloch[None], block, True)[1][0]
 
 
 def cone_front(field: ContourField):

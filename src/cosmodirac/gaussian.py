@@ -574,14 +574,6 @@ def separation_blocks(state: CorrelationState) -> np.ndarray:
     return 0.5 * (g + g[-np.arange(ns) % ns].conj().transpose(0, 2, 1))
 
 
-def gather_separations(g: np.ndarray, length: int) -> np.ndarray:
-    """The (2 length, 2 length) matrix of ``length`` consecutive sites whose
-    2 x 2 site block (i, j) is g[(i - j) mod N_S]; row 2*i + alpha."""
-    sites = np.arange(length)
-    d = (sites[:, None] - sites[None, :]) % g.shape[0]
-    return g[d].transpose(0, 2, 1, 3).reshape(2 * length, 2 * length)
-
-
 def real_space_correlation(state: CorrelationState, block=None) -> np.ndarray:
     """Real-space correlation matrix, site-major spinor ordering.
 
@@ -592,4 +584,7 @@ def real_space_correlation(state: CorrelationState, block=None) -> np.ndarray:
     columns, which translation invariance makes those of any L sites in a row.
     """
     length = state.spec.num_sites if block is None else block.length
-    return gather_separations(separation_blocks(state), length)
+    g = separation_blocks(state)
+    sites = np.arange(length)
+    d = (sites[:, None] - sites[None, :]) % g.shape[0]
+    return g[d].transpose(0, 2, 1, 3).reshape(2 * length, 2 * length)

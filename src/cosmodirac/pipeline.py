@@ -8,19 +8,19 @@ an identical config reproduces every file bit for bit.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import time
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig
-from .entanglement import block_entropy, contour_trajectory
+from .entanglement import contour_trajectory, entropy_trajectory
 from .gaussian import (
     evolve_adaptive,
     evolve_free,
@@ -123,13 +123,24 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_csv(path, header, rows):
-    """Write ``rows`` under ``header``; returns ``[path.name]`` for the inventory."""
+def _write_csv(path, header, rows, rows_per_write=1):
+    """Write ``rows`` under ``header``, ``rows_per_write`` rows (one
+    sample's) per ``write``; returns ``[path.name]`` for the inventory.
+
+    The bytes are those of :func:`csv.writer` given each float cell as
+    ``f"{x:.17g}"``: "\\r\\n" line ends, a float as %.17g and any other cell
+    as %s.  One %-format, read off the first row, formats every row, so a
+    column holds floats in every row or in none; no cell may need quoting.
+    """
+    rows = iter(rows)
+    row_format = None
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{x:.17g}" if isinstance(x, float) else x for x in row])
+        fh.write(",".join(header) + "\r\n")
+        while chunk := list(islice(rows, rows_per_write)):
+            if row_format is None:
+                row_format = ",".join(["%.17g" if isinstance(x, float) else "%s"
+                                       for x in chunk[0]]) + "\r\n"
+            fh.write("".join([row_format % row for row in chunk]))
     return [path.name]
 
 
@@ -176,10 +187,8 @@ def _evolve(config: RunConfig, state):
 
 
 def _emit_condensates(traj, directory):
-    rows = [
-        (float(e), float(t), float(sig), float(pi))
-        for e, t, sig, pi in zip(traj.etas, traj.times, traj.sigma, traj.pi)
-    ]
+    rows = zip(traj.etas.tolist(), traj.times.tolist(), traj.sigma.tolist(),
+               traj.pi.tolist())
     return _write_csv(directory / "condensates.csv",
                       ["eta[a]", "t[a]", "sigma[1/a]", "pi[1/a]"], rows)
 
@@ -187,25 +196,26 @@ def _emit_condensates(traj, directory):
 # An analysis emitter ``(traj, opts, directory)`` writes its files and returns
 # their names; ``opts`` are the analysis's validated options, its block a
 # BlockSpec, and the lattice is ``traj.spec``.  The entropy and contour
-# emitters also take a list that gets each block's spectrum path appended
-# (the ``sectors`` of :func:`~cosmodirac.entanglement.block_entropy`).
+# emitters return ``(names, sector)``, with the spectrum path of each
+# sample's block, (T,) bool.
 
 
-def _emit_entropy(traj, opts, directory, sectors):
-    rows = [(float(eta), float(t), block_entropy(traj.state(i), opts["block"], sectors))
-            for i, (eta, t) in enumerate(zip(traj.etas, traj.times))]
+def _emit_entropy(traj, opts, directory):
+    entropy, sector = entropy_trajectory(traj, opts["block"])
+    rows = zip(traj.etas.tolist(), traj.times.tolist(), entropy.tolist())
     return _write_csv(directory / "entropy_measured.csv",
-                      ["eta[a]", "t[a]", "entropy[nats]"], rows)
+                      ["eta[a]", "t[a]", "entropy[nats]"], rows), sector
 
 
-def _emit_contour(traj, opts, directory, sectors):
-    field = contour_trajectory(traj, opts["block"], sectors)
-    rows = [(float(eta), float(t), j, float(s_u), float(s_d))
-            for eta, t, values in zip(field.etas, field.times, field.values)
-            for j, (s_u, s_d) in enumerate(values)]
+def _emit_contour(traj, opts, directory):
+    field, sector = contour_trajectory(traj, opts["block"])
+    rows = ((eta, t, j, s_u, s_d)
+            for eta, t, values in zip(field.etas.tolist(), field.times.tolist(),
+                                      field.values)
+            for j, (s_u, s_d) in enumerate(values.tolist()))
     return _write_csv(directory / "contour.csv",
                       ["eta[a]", "t[a]", "site[block index]", "S_u[nats]", "S_d[nats]"],
-                      rows)
+                      rows, rows_per_write=field.block.length), sector
 
 
 def _dressed_spectrum(traj):
@@ -224,10 +234,8 @@ def _emit_spectrum(traj, opts, directory):
     spectrum = bogoliubov_spectrum(traj.state(-1),
                                    traj.spec.mass * float(traj.a_vals[-1]))
     s_mode, s_pair = mode_pair_entropy(spectrum.beta_sq)
-    rows = [
-        (float(k), float(b), float(sm), float(sp))
-        for k, b, sm, sp in zip(spectrum.k, spectrum.beta_sq, s_mode, s_pair)
-    ]
+    rows = zip(spectrum.k.tolist(), spectrum.beta_sq.tolist(), s_mode.tolist(),
+               s_pair.tolist())
     return _write_csv(directory / "spectrum.csv",
                       ["k[1/a]", "beta_sq[dimensionless]", "s_mode[nats]", "s_pair[nats]"],
                       rows)
@@ -256,7 +264,8 @@ def _emit_qp(traj, opts, directory, quenched_at_start=False):
             start = max(start, traj.profile.eta_switch)
         elif isinstance(traj.profile, ExponentialProfile):
             start = max(start, 0.0)
-    rows = [(float(e), qp_entropy(qp, max(float(e - start), 0.0))) for e in traj.etas]
+    entropy = qp_entropy(qp, np.maximum(traj.etas - start, 0.0))
+    rows = zip(traj.etas.tolist(), entropy.tolist())
     return _write_csv(directory / "entropy_qp.csv", ["eta[a]", "entropy[nats]"], rows)
 
 
@@ -364,10 +373,10 @@ def run(config: RunConfig, output_dir=None, workers: int = 1) -> RunManifest:
     for i, analysis in enumerate(config.analyses):
         stage = f"analyses[{i}].{analysis.kind}"
         if analysis.kind in ("entropy", "contour"):
-            sectors = []
-            files += emitters[analysis.kind](traj, analysis.options, directory, sectors)
+            names, sector = emitters[analysis.kind](traj, analysis.options, directory)
+            files += names
             diagnostics.setdefault("parity_sector_fraction", {})[stage] = (
-                sum(sectors) / len(sectors))
+                np.count_nonzero(sector) / len(sector))
         else:
             files += emitters[analysis.kind](traj, analysis.options, directory)
         lap(stage)

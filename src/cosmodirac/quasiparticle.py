@@ -67,24 +67,31 @@ def qp_input_from_spectrum(spectrum: ProductionSpectrum, block_length: float) ->
     return QPInput(k=spectrum.k, v=v, s_pair=s_pair, block_length=float(block_length))
 
 
-def qp_entropy(qp: QPInput, eta: float) -> float:
-    """Quasi-particle block entropy at conformal time eta.
+def qp_entropy(qp: QPInput, eta):
+    """Quasi-particle block entropy at conformal time(s) eta.
 
     S_A(eta) = eta * int_{2 v eta < l} dk/2pi 2 v s(k)
              + l  * int_{2 v eta > l} dk/2pi   s(k);
     the first term counts pairs still straddling a single boundary
     (linear growth), the second the saturated modes (volume-law plateau).
-    Trapezoidal quadrature on a refined periodic grid.
+    Trapezoidal quadrature on a refined periodic grid, refined once for
+    all the times.  ``eta`` may be an array, and gives an array of the
+    same shape; a scalar gives a float.
     """
-    if eta < 0:
+    etas = np.asarray(eta, dtype=float)
+    if np.any(etas < 0):
         raise ValueError("eta must be nonnegative")
-    if eta == 0.0:
-        return 0.0
-    kk, v, s = qp.refined()
-    dk = kk[1] - kk[0]
-    growing = 2.0 * v * eta < qp.block_length
-    integrand = np.where(growing, eta * 2.0 * v * s, qp.block_length * s)
-    return float(np.sum(integrand) * dk / (2.0 * np.pi))
+    flat = etas.reshape(-1)
+    out = np.zeros(flat.shape)
+    if np.any(flat != 0.0):
+        kk, v, s = qp.refined()
+        dk = kk[1] - kk[0]
+        two_v, saturated = 2.0 * v, qp.block_length * s
+        for i in np.flatnonzero(flat).tolist():
+            t = float(flat[i])
+            integrand = np.where(two_v * t < qp.block_length, t * 2.0 * v * s, saturated)
+            out[i] = np.sum(integrand) * dk / (2.0 * np.pi)
+    return out.reshape(etas.shape) if etas.ndim else float(out[0])
 
 
 def qp_plateau(qp: QPInput) -> float:

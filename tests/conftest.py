@@ -49,7 +49,7 @@ def preset_field(name, length=None):
     key = (name, length)
     if key not in _FIELDS:
         block = BlockSpec(length, config.lattice.num_sites)
-        _FIELDS[key] = contour_trajectory(traj, block)
+        _FIELDS[key] = contour_trajectory(traj, block)[0]
     return _FIELDS[key]
 
 

@@ -9,15 +9,16 @@ suite (about 15 s on a 2-core machine).
 import numpy as np
 import pytest
 
+from block_reference import block_matrix
 from conftest import preset_run, preset_field
 
 from cosmodirac.entanglement import (
     PARTICLE_HOLE_TOL,
     BlockSpec,
-    _block_matrix,
     _mode_entropies,
     block_entropy,
     cone_front,
+    entropy_trajectory,
     front_slope,
 )
 from cosmodirac.gaussian import (
@@ -51,8 +52,7 @@ from cosmodirac.symmetry import contour_cp_check, spectrum_symmetry_check
 def _entropy_series(name, length):
     config, traj = preset_run(name)
     block = BlockSpec(length, config.lattice.num_sites)
-    s = np.array([block_entropy(traj.state(i), block) for i in range(len(traj.etas))])
-    return config, traj, np.asarray(traj.etas), s
+    return config, traj, np.asarray(traj.etas), entropy_trajectory(traj, block)[0]
 
 
 def _qp_prediction(config, traj, length, sigma=0.0, pi=0.0):
@@ -74,7 +74,7 @@ def test_criterion_1_entropy_growth_matches_quasiparticles():
     config, traj, etas, s = _entropy_series("fig1b", 128)
     qp = _qp_prediction(config, traj, 128)
     plateau = qp_plateau(qp)
-    predicted = np.array([qp_entropy(qp, e) for e in etas])
+    predicted = qp_entropy(qp, etas)
     rel = np.abs((s - s[0]) - predicted) / np.maximum(predicted, 1e-12)
     grow = (predicted > 0.3 * plateau) & (predicted < 0.8 * plateau)
     plat = etas >= 0.8 * etas[-1]
@@ -86,7 +86,7 @@ def test_criterion_1_entropy_growth_matches_quasiparticles():
 
     config_a, traj_a, etas_a, s_a = _entropy_series("fig1a", 32)
     qp_a = _qp_prediction(config_a, traj_a, 32)
-    pred_a = np.array([qp_entropy(qp_a, e) for e in etas_a])
+    pred_a = qp_entropy(qp_a, etas_a)
     plateau_a = qp_plateau(qp_a)
     rel_a = np.abs((s_a - s_a[0]) - pred_a) / np.maximum(pred_a, 1e-12)
     grow_a = (pred_a > 0.3 * plateau_a) & (pred_a < 0.8 * plateau_a)
@@ -215,7 +215,7 @@ def test_criterion_4_cp_structure_of_the_contour():
     field5 = preset_field("fig5")
     _, traj5 = preset_run("fig5")
     for i in np.linspace(0, len(traj5.etas) - 1, 4).astype(int):
-        assert _block_matrix(traj5.state(i), field5.block)[0] > PARTICLE_HOLE_TOL
+        assert block_matrix(traj5.state(i), field5.block)[0] > PARTICLE_HOLE_TOL
     up = field5.values[:, :, 0]
     lopsided = float(np.max(np.abs(up - up[:, ::-1])))
     cp_dev = contour_cp_check(field5)

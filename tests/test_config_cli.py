@@ -635,3 +635,48 @@ class TestPipelineEvolution:
         diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
         assert diagnostics["qp_out_of_validity"] is None
         assert diagnostics["qp_sigma_persistence"] is None
+
+
+class TestWriteCsv:
+    """``pipeline._write_csv`` writes the bytes ``csv.writer`` writes given
+    each float cell as f"{x:.17g}": floats, ints, numpy bools and strings,
+    as ``symmetry_report.csv`` mixes them, with "\\r\\n" line ends."""
+
+    HEADER = ["symmetry", "residual[1/a]", "count", "holds"]
+    ROWS = [
+        ("T", -0.0, 0, np.bool_(True)),
+        ("C", 5e-324, 7, np.bool_(False)),
+        ("S", 1e300, -3, True),
+        ("P", np.float64(0.1), 2**70, np.bool_(True)),
+        ("CP", float("nan"), np.int64(-12), False),
+        ("PT", -float("inf"), 1, np.bool_(False)),
+        ("PC", 1.0, 10**20, np.bool_(True)),
+    ]
+
+    @staticmethod
+    def _csv_writer_bytes(path, header, rows):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([f"{x:.17g}" if isinstance(x, float) else x for x in row])
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("rows_per_write", [1, 3, 7, 100])
+    def test_same_bytes_as_csv_writer(self, tmp_path, rows_per_write):
+        expected = self._csv_writer_bytes(tmp_path / "reference.csv", self.HEADER,
+                                          self.ROWS)
+        assert pipeline._write_csv(tmp_path / "out.csv", self.HEADER, iter(self.ROWS),
+                                   rows_per_write=rows_per_write) == ["out.csv"]
+        written = (tmp_path / "out.csv").read_bytes()
+        assert written == expected
+        lines = written.split(b"\r\n")
+        assert len(lines) == len(self.ROWS) + 2 and lines[-1] == b""
+        assert lines[1] == b"T,-0,0,True" and lines[2] == b"C,4.9406564584124654e-324,7,False"
+        assert b"\n" not in written.replace(b"\r\n", b"")
+
+    def test_a_header_alone(self, tmp_path):
+        expected = self._csv_writer_bytes(tmp_path / "reference.csv", self.HEADER, [])
+        pipeline._write_csv(tmp_path / "out.csv", self.HEADER, [])
+        assert (tmp_path / "out.csv").read_bytes() == expected == b",".join(
+            h.encode() for h in self.HEADER) + b"\r\n"

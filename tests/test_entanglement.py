@@ -5,23 +5,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from block_reference import block_matrix, reference_spectra
 from cosmodirac.entanglement import (
     PARTICLE_HOLE_TOL,
     BlockSpec,
     ContourField,
     InvalidStateError,
-    _block_matrix,
     _mode_entropies,
     _mode_spectrum,
     block_entropy,
     cone_front,
     contour_trajectory,
     entanglement_contour,
+    entropy_trajectory,
     front_slope,
 )
 from cosmodirac.gaussian import (
     REFERENCE_RTOL,
     CorrelationState,
+    Trajectory,
     condensates,
     evolve_adaptive,
     evolve_free,
@@ -30,7 +32,7 @@ from cosmodirac.gaussian import (
     sample_grid,
     self_consistent_ground_state,
 )
-from cosmodirac.lattice import LatticeSpec, QuenchProfile
+from cosmodirac.lattice import LatticeSpec, QuenchProfile, StaticProfile
 
 
 def _binary(nu):
@@ -129,6 +131,26 @@ def _random_pi_zero_state(num_sites, rng):
     return CorrelationState(LatticeSpec(num_sites=num_sites, mass=1.0), bloch)
 
 
+def _trajectory_of(bloch, spec):
+    """A trajectory holding the Bloch vectors ``bloch`` (T, N_S, 3) as its
+    samples, at eta = 0, 1, ... on a static profile."""
+    count = len(bloch)
+    return Trajectory(etas=np.arange(float(count)), a_vals=np.ones(count), bloch=bloch,
+                      sigma=np.zeros(count), pi=np.zeros(count), spec=spec,
+                      profile=StaticProfile())
+
+
+def _one_sample(state, block):
+    """(entropy, contour, sector) of ``block`` in ``state``, through
+    :func:`entropy_trajectory` and :func:`contour_trajectory` of a
+    one-sample trajectory."""
+    traj = _trajectory_of(state.bloch[None], state.spec)
+    entropy, sector = entropy_trajectory(traj, block)
+    field, contour_sector = contour_trajectory(traj, block)
+    assert np.array_equal(sector, contour_sector)
+    return entropy[0], field.values[0], bool(sector[0])
+
+
 class TestSpectrumPaths:
     """Particle-hole-symmetric blocks (Pi = 0) take the parity-sector path,
     and agree with the complex ``eigh`` of the block; any other block takes
@@ -154,10 +176,11 @@ class TestSpectrumPaths:
                              ids=["free", "g1_dop853"])
     def test_pi_zero_blocks_take_the_parity_sector_path(self, blocks):
         traj, blk = getattr(self, blocks)()
+        assert np.all(entropy_trajectory(traj, blk)[1])
+        assert np.all(contour_trajectory(traj, blk)[1])
         for i in range(len(traj.etas)):
             state = traj.state(i)
-            residual, sector, _ = _block_matrix(state, blk)
-            assert residual <= PARTICLE_HOLE_TOL and sector
+            assert block_matrix(state, blk)[0] <= PARTICLE_HOLE_TOL
             contour = entanglement_contour(state, blk)
             ref, entropy = _complex_contour(real_space_correlation(state, blk))
             assert np.max(np.abs(contour - ref)) < 1e-13
@@ -180,8 +203,8 @@ class TestSpectrumPaths:
         vacuum, _ = self_consistent_ground_state(spec, 0.01)
         assert condensates(vacuum).pi == pytest.approx(1.07, abs=0.01)
         blk = BlockSpec(10, 32)
-        residual, sector, _ = _block_matrix(vacuum, blk)
-        assert residual > 1e-2 and not sector
+        assert block_matrix(vacuum, blk)[0] > 1e-2
+        assert not _one_sample(vacuum, blk)[2]
         gamma = real_space_correlation(vacuum, blk)
         nu, u = np.linalg.eigh(gamma)
         expected = ((np.abs(u) ** 2) @ _mode_entropies(nu)).reshape(blk.length, 2)
@@ -240,6 +263,65 @@ class TestSpectrumPaths:
                 assert f"{blk.num_sites}-site chain" in str(info.value)
 
 
+class TestOnePassBuild:
+    """The one-pass build gives the per-sample build of ``block_reference``
+    to the bit: entropies, contours and paths, on Pi = 0 samples (a free
+    quench, as fig1a), Pi != 0 ones (the g = 3 vacuum released into g = 0,
+    as fig5) and a trajectory holding both, at L = 1, odd, even and N_S."""
+
+    NUM_SITES = 32
+
+    @classmethod
+    def _samples(cls, released):
+        free = LatticeSpec(num_sites=cls.NUM_SITES, mass=1.0)
+        if released:
+            state, _ = self_consistent_ground_state(
+                LatticeSpec(num_sites=cls.NUM_SITES, mass=1.0, coupling=3.0), 0.01)
+            state.spec = free
+        else:
+            state = free_ground_state(free, 0.01)
+        return evolve_free(state, QuenchProfile(0.01, 10.0), sample_grid((0.0, 6.0), 5))
+
+    @pytest.mark.parametrize("length", [1, 7, 12, NUM_SITES])
+    @pytest.mark.parametrize("kind", ["pi_zero", "released", "both"])
+    def test_matches_the_per_sample_build_bit_for_bit(self, kind, length):
+        if kind == "both":
+            bloch = np.concatenate([self._samples(False).bloch, self._samples(True).bloch])
+            traj = _trajectory_of(bloch, LatticeSpec(num_sites=self.NUM_SITES, mass=1.0))
+        else:
+            traj = self._samples(kind == "released")
+        blk = BlockSpec(length, self.NUM_SITES)
+        entropy, sector = entropy_trajectory(traj, blk)
+        field, contour_sector = contour_trajectory(traj, blk)
+        ref_entropy, _, ref_sector = reference_spectra(traj, blk, contour=False)
+        _, ref_values, _ = reference_spectra(traj, blk, contour=True)
+        expected = {"pi_zero": [True] * 5, "released": [False] * 5,
+                    "both": [True] * 5 + [False] * 5}[kind]
+        assert sector.dtype == bool and sector.tolist() == expected
+        assert np.array_equal(sector, ref_sector) and np.array_equal(contour_sector, ref_sector)
+        assert np.array_equal(entropy, ref_entropy)
+        assert np.array_equal(field.values, ref_values)
+        assert np.array_equal(field.times, traj.times)
+        for i in (0, len(traj.etas) - 1):  # the one-sample case
+            assert block_entropy(traj.state(i), blk) == ref_entropy[i]
+            assert np.array_equal(entanglement_contour(traj.state(i), blk), ref_values[i])
+
+    @pytest.mark.parametrize("released", [False, True], ids=["pi_zero", "released"])
+    def test_a_nan_sample_raises(self, monkeypatch, released):
+        traj = self._samples(released)
+        traj.bloch[3, 5, 2] = np.nan
+
+        def refuse(matrix):
+            raise AssertionError("a block that is not finite was diagonalised")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        blk = BlockSpec(12, self.NUM_SITES)
+        for measure in (entropy_trajectory, contour_trajectory):
+            with pytest.raises(InvalidStateError, match="not finite"):
+                measure(traj, blk)
+
+
 class TestContourSumRule:
     """The contour sums to the block entropy to criterion 7's 1e-10, on
     random small evolved states along both spectrum paths."""
@@ -262,7 +344,8 @@ class TestContourSumRule:
             state = free_ground_state(free, 0.01)
         traj = evolve_free(state, QuenchProfile(0.01, a_f), [0.0, eta])
         blk = BlockSpec(length, num_sites)
-        residual, sector, _ = _block_matrix(traj.state(-1), blk)
+        residual = block_matrix(traj.state(-1), blk)[0]
+        sector = bool(entropy_trajectory(traj, blk)[1][-1])
         assert bool(residual > PARTICLE_HOLE_TOL) == released != sector
         contour = entanglement_contour(traj.state(-1), blk)
         assert contour.shape == (length, 2) and np.all(contour >= 0.0)
@@ -289,11 +372,9 @@ class TestParitySector:
         num_sites, length = chain
         state = _random_pi_zero_state(num_sites, np.random.default_rng(seed))
         blk = BlockSpec(length, num_sites)
-        sectors = []
-        contour = entanglement_contour(state, blk, sectors)
-        entropy = block_entropy(state, blk, sectors)
-        assert sectors == [True, True]
-        h = _block_matrix(state, blk)[2]
+        entropy, contour, sector = _one_sample(state, blk)
+        assert sector
+        h = block_matrix(state, blk)[2]
         assert h.shape == (length, length) and np.max(np.abs(h - h.conj().T)) <= 1e-15
         ref, ref_entropy = _complex_contour(real_space_correlation(state, blk))
         assert np.max(np.abs(contour - ref)) <= 1e-13
@@ -310,7 +391,7 @@ class TestContourField:
         state = free_ground_state(spec, 0.01)
         traj = evolve_free(state, QuenchProfile(0.01, 10.0),
                            sample_grid((0.0, 4.0), 5))
-        field = contour_trajectory(traj, BlockSpec(16, 48))
+        field, _ = contour_trajectory(traj, BlockSpec(16, 48))
         summed = field.spinor_summed()
         assert np.max(np.abs(summed - summed[:, ::-1])) < 1e-10
 
@@ -321,7 +402,7 @@ class TestContourField:
         traj = evolve_free(state, QuenchProfile(0.01, 10.0),
                            sample_grid((0.0, 1.0), 11))
         blk = BlockSpec(8, 16)
-        field = contour_trajectory(traj, blk)
+        field, _ = contour_trajectory(traj, blk)
         assert len(traj.etas) == 11 and field.values.shape == (11, 8, 2)
         assert np.array_equal(field.etas, traj.etas)
         # the trajectory's own time axis: t of every sample to the bit

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from cosmodirac import quasiparticle
+from conftest import preset_run
+
+from cosmodirac import pipeline, quasiparticle
 from cosmodirac.gaussian import Trajectory, evolve_free, free_ground_state, sample_grid
 from cosmodirac.lattice import LatticeSpec, QuenchProfile, band_velocity
 from cosmodirac.production import bogoliubov_spectrum, mode_pair_entropy
@@ -80,6 +82,28 @@ class TestQuadratures:
             qp_entropy(qp, -1.0)
         with pytest.raises(ValueError):
             qp_contour(qp, 1.0, 40.0)
+
+    @pytest.mark.parametrize("preset", ["fig1a", "fig1b", "fig3a", "fig3c"])
+    def test_an_array_of_times_matches_scalar_calls_bit_for_bit(self, preset):
+        # one refined grid for every time, as entropy_qp.csv is written
+        config, traj = preset_run(preset)
+        block = next(a.options["block"] for a in config.analyses if a.kind == "qp")
+        qp = qp_input_from_spectrum(pipeline._dressed_spectrum(traj), block.length)
+        etas = traj.etas - traj.etas[0]
+        predicted = qp_entropy(qp, etas)
+        assert isinstance(predicted, np.ndarray) and predicted.shape == etas.shape
+        assert predicted.tolist() == [qp_entropy(qp, float(eta)) for eta in etas]
+        assert predicted[0] == 0.0 and np.all(predicted[1:] > 0.0)
+
+    def test_a_scalar_time_gives_a_float(self):
+        qp = _flat_qp()
+        for eta in (2.0, np.float64(2.0), np.array(2.0), 0.0):
+            value = qp_entropy(qp, eta)
+            assert type(value) is float
+        assert qp_entropy(qp, 2.0) == qp_entropy(qp, np.array([2.0]))[0]
+        assert qp_entropy(qp, np.zeros((2, 3))).shape == (2, 3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            qp_entropy(qp, np.array([1.0, -1e-300, 2.0]))
 
     def test_validation_rejects_nan(self):
         with pytest.raises(ValueError):

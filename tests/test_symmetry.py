@@ -101,7 +101,7 @@ class TestContourCP:
         state = free_ground_state(spec, 0.01)
         traj = evolve_free(state, QuenchProfile(0.01, 10.0),
                            sample_grid((0.0, 3.0), 7))
-        field = contour_trajectory(traj, BlockSpec(12, 32))
+        field, _ = contour_trajectory(traj, BlockSpec(12, 32))
         assert contour_cp_check(field) < 1e-10
 
     @pytest.mark.parametrize("num_sites, length", [(32, 8), (64, 17)])
