@@ -15,6 +15,11 @@ evaluation count agree with it to the bit:
 - the 7th-order dense output for the samples a step covers, which costs
   3 extra evaluations for each such step.
 
+Each stage's increment and state go to two arrays allocated once per
+solve, and each stage's row of the tableau and node are taken once at
+import (:func:`_evaluate_stage`); the operations and their order are
+scipy's, so the reuse changes no bit.
+
 The tableau is that of Hairer's ``dop853.f``; see E. Hairer, S. P. Norsett
 and G. Wanner, *Solving Ordinary Differential Equations I: Nonstiff
 Problems*, ch. II.  The decimals are the ones scipy ships, so they parse
@@ -126,6 +131,11 @@ A[15, [0, 5, 6, 7, 8, 12, 13, 14]] = [
 
 B = A[N_STAGES, :N_STAGES]
 
+# What each stage reads, taken once: its row A[s, :s] and its node C[s] as a
+# Python float, which multiplies a float to the same double as C[s] does.
+_A_ROWS = [A[s, :s].copy() for s in range(N_STAGES_EXTENDED)]
+_NODES = C.tolist()
+
 # Error estimators over the 13 stages: B minus the 3rd-order weights, and the
 # 5th-order one.
 E3 = np.zeros(N_STAGES + 1)
@@ -211,15 +221,27 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol, buf):
     return min(100 * h0, h1, interval_length)
 
 
-def _rk_step(fun, t, y, h, K):
+def _evaluate_stage(fun, t, y, h, K, s, dy, stage):
+    """Evaluate stage s of the step of size h from (t, y) into K[s].
+
+    Its increment h sum_j A[s, j] K[j] goes to ``dy`` and its state y + dy
+    to ``stage``, two arrays of y's shape that every stage reuses.
+    """
+    np.dot(K[:s].T, _A_ROWS[s], out=dy)
+    dy *= h
+    np.add(y, dy, out=stage)
+    fun(t + _NODES[s] * h, stage, K[s])
+
+
+def _rk_step(fun, t, y, h, K, dy, stage):
     """One step of size h from (t, y), with K[0] = f(t, y) on entry.
 
-    Fills stages 1-11 and, in K[12], the derivative at the new solution,
-    which it returns.
+    Fills stages 1-11 (through the reused arrays ``dy`` and ``stage``, see
+    :func:`_evaluate_stage`) and, in K[12], the derivative at the new
+    solution, which it returns.
     """
     for s in range(1, N_STAGES):
-        dy = np.dot(K[:s].T, A[s, :s]) * h
-        fun(t + C[s] * h, y + dy, K[s])
+        _evaluate_stage(fun, t, y, h, K, s, dy, stage)
     y_new = y + h * np.dot(K[:N_STAGES].T, B)
     fun(t + h, y_new, K[N_STAGES])
     return y_new
@@ -238,15 +260,15 @@ def _error_norm(K, h, scale):
     return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
-def _dense_coefficients(fun, t_old, h, y_old, y, K):
+def _dense_coefficients(fun, t_old, h, y_old, y, K, dy, stage):
     """The seven rows F of the 7th-order interpolant on [t_old, t_old + h].
 
-    Evaluates the three extra stages into K[13:16]; K[0] and K[12] hold the
-    derivatives at both ends of the step.
+    Evaluates the three extra stages into K[13:16], through the reused
+    arrays ``dy`` and ``stage`` (see :func:`_evaluate_stage`); K[0] and
+    K[12] hold the derivatives at both ends of the step.
     """
     for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
-        dy = np.dot(K[:s].T, A[s, :s]) * h
-        fun(t_old + C[s] * h, y_old + dy, K[s])
+        _evaluate_stage(fun, t_old, y_old, h, K, s, dy, stage)
     F = np.empty((7, y.size))
     f_old = K[0]
     delta_y = y - y_old
@@ -275,11 +297,13 @@ def solve(fun, t_span, y0, t_eval, rtol, atol, check):
     """Integrate dy/dt = f(t, y) from ``y0`` over ``t_span`` = (t0, t1), t1 > t0.
 
     ``fun(t, y, out)`` writes f(t, y) into the array ``out`` of y's shape
-    (n,).  ``t_eval`` holds the sample times, increasing and within the
-    span.  ``rtol`` (at least :data:`MIN_RTOL`) and ``atol`` weigh each
-    component's error by atol + rtol |y|.  ``check(t, y)`` is called on
-    the solution at the end of each accepted step, before the samples
-    the step covers; it stops the solve by raising.
+    (n,); it must not keep ``y``, which for most evaluations is the one
+    stage array that every stage of the solve overwrites.  ``t_eval``
+    holds the sample times, increasing and within the span.  ``rtol`` (at
+    least :data:`MIN_RTOL`) and ``atol`` weigh each component's error by
+    atol + rtol |y|.  ``check(t, y)`` is called on the solution at the end
+    of each accepted step, before the samples the step covers; it stops
+    the solve by raising.
 
     Returns ``(ys, nfev)``: the samples (len(t_eval), n) and the number of
     evaluations of ``fun``.  Raises :class:`SolverError` when a step's
@@ -296,6 +320,7 @@ def solve(fun, t_span, y0, t_eval, rtol, atol, check):
     n_sampled = 0
 
     K = np.empty((N_STAGES_EXTENDED, y.size))
+    dy, stage = np.empty(y.size), np.empty(y.size)  # reused by every stage
     fun(t, y, K[0])
     h_abs = _initial_step(fun, t, y, K[0], t_bound, rtol, atol, K[1])
     nfev = 2
@@ -309,7 +334,7 @@ def solve(fun, t_span, y0, t_eval, rtol, atol, check):
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = np.abs(h)
-            y_new = _rk_step(fun, t, y, h, K)
+            y_new = _rk_step(fun, t, y, h, K, dy, stage)
             nfev += N_STAGES
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             error_norm = _error_norm(K[:N_STAGES + 1], h, scale)
@@ -333,7 +358,7 @@ def solve(fun, t_span, y0, t_eval, rtol, atol, check):
         # the samples in (t_old, t]
         stop = int(np.searchsorted(t_eval, t, side="right"))
         if stop > n_sampled:
-            F = _dense_coefficients(fun, t_old, h, y_old, y, K)
+            F = _dense_coefficients(fun, t_old, h, y_old, y, K, dy, stage)
             nfev += 3
             ys[n_sampled:stop] = _interpolate(F, t_old, h, y_old, t_eval[n_sampled:stop])
             n_sampled = stop

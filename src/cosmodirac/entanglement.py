@@ -83,6 +83,9 @@ _TO_W = 0.5 * np.kron(_V.conj(), _V)
 _G_FROM_A = 1j * np.kron(_V.T, _V.conj().T)
 EDGE_MARGIN = 4  # sites at each block edge that the cone front skips
 FRONT_THRESHOLD = 0.2  # cone-front threshold, as a fraction of the median final contour
+# a site counts towards that median when its final contour exceeds this share of
+# the final maximum: relative, so that a dark band at rounding level stays out
+FRONT_LIVE_FRACTION = 1e-6
 
 
 class InvalidStateError(ValueError):
@@ -302,18 +305,21 @@ def entanglement_contour(state: CorrelationState, block: BlockSpec) -> np.ndarra
 def cone_front(field: ContourField):
     """Arrival times of the entanglement front entering from the block edges.
 
-    The threshold is :data:`FRONT_THRESHOLD` of the median nonzero contour
-    at the final sample.  For each depth d (sites, measured inward from the
-    nearer boundary, skipping :data:`EDGE_MARGIN` sites at each end) the
-    arrival time is the first threshold crossing of the spinor-summed
-    contour, linearly interpolated between samples.  Averages the left-
+    The threshold is :data:`FRONT_THRESHOLD` of the median final-sample
+    contour over the sites above :data:`FRONT_LIVE_FRACTION` of its
+    maximum, so that sites left dark (a horizon's band), whose contour sits
+    at rounding level and moves with the solver's tolerance, do not set it.
+    For each depth d (sites, measured inward from the nearer boundary,
+    skipping :data:`EDGE_MARGIN` sites at each end) the arrival time is
+    the first threshold crossing of the spinor-summed contour, linearly
+    interpolated between samples.  Averages the left-
     and right-moving fronts, which coincide for parity-symmetric runs.
 
     Returns (depths, arrival_etas) for the depths that were reached.
     """
     S = field.spinor_summed()
     final = S[-1]
-    live = final[final > 1e-9]
+    live = final[final > FRONT_LIVE_FRACTION * final.max()]
     if live.size == 0:
         raise InvalidStateError("contour vanishes everywhere at the final sample")
     thr = FRONT_THRESHOLD * float(np.median(live))

@@ -21,13 +21,14 @@ There are two propagators.  A free run (g = 0) on a piecewise-constant
 a(eta) needs no integrator: :func:`evolve_free` rotates each Bloch vector
 exactly about its fixed field.  Every other run is one DOP853 solve
 (:func:`evolve_adaptive`) by the package's own numpy solver
-(:mod:`cosmodirac._dop853`, scipy's DOP853 to the bit), whose field kernel
-works on component rows, (n_x, n_y, n_z) each over the whole grid, in
-preallocated buffers, and reads a(eta) on a profile's scalar path where it
-has one.  Either way a run is sampled at the uniform times of
-:func:`sample_grid`, and a solve runs at :data:`REFERENCE_RTOL` unless the
-config sets its own ``rtol``.  The order of every floating-point operation
-is fixed, so runs are bit-reproducible.
+(:mod:`cosmodirac._dop853`, scipy's DOP853 to the bit, its stage arrays
+allocated once per solve), whose field kernel works on component rows,
+(n_x, n_y, n_z) each over the whole grid, in preallocated buffers, and
+reads a(eta) on a profile's scalar path where it has one.  Either way a
+run is sampled at the uniform times of :func:`sample_grid`, and a solve
+runs at :data:`REFERENCE_RTOL` unless the config sets its own ``rtol``.
+The order of every floating-point operation is fixed, so runs are
+bit-reproducible.
 A :class:`Trajectory` stores its samples as arrays, the Bloch vectors as
 (T, N_S, 3).
 """
@@ -360,9 +361,13 @@ class _BlockField:
     twice the field in ``b`` as (b_x, b_y, b_z, b_x, b_y), with b = (-sin k,
     Pi, m a + Sigma + 1 - cos k).  The repeated rows make the cross
     product (b x n)_i = b_{i+1} n_{i+2} - b_{i+2} n_{i+1} two shifted
-    row slices.  Every view is taken once here, so an evaluation
-    allocates no arrays.  Doubling is exact in binary floating point, so
-    (2 b) x n is bit for bit 2 (b x n).
+    row slices, each multiplied into a contiguous work block, so that
+    only their difference is written into the solver's strided row.  The
+    two condensate sums are one reduction over the (n_y, n_z) rows into a
+    work pair, each row summed pairwise as on its own.  Every view and
+    work array is taken once here, so an evaluation allocates no arrays.
+    Doubling is exact in binary floating point, so (2 b) x n is bit for
+    bit 2 (b x n).
     """
 
     def __init__(self, spec: LatticeSpec):
@@ -373,10 +378,11 @@ class _BlockField:
         b[0::3] = -2.0 * np.sin(ks)
         v = np.empty((5, spec.num_sites))
         self._n, self._wrap_to, self._wrap_from = v[:3], v[3:], v[:2]
-        self._ny, self._nz = v[1], v[2]
+        self._nyz = v[1:3]
         self._by, self._bz = b[1::3], b[2]
         self._cross = (b[1:4], v[2:5], b[2:5], v[1:4])
-        self._tmp = np.empty((3, spec.num_sites))
+        self._lead, self._lag = np.empty((2, 3, spec.num_sites))
+        self._sums = np.empty(2)
 
     def load(self, n):
         """Copy the (3, N_S) component rows ``n`` into ``v``."""
@@ -385,13 +391,15 @@ class _BlockField:
 
     def rate(self, ma, out):
         """out <- 2 b x n for the state in ``v`` at effective mass ``ma``."""
-        sig = -self.pref * self._nz.sum()
-        self._by.fill(2.0 * (self.pref * self._ny.sum()))
+        np.add.reduce(self._nyz, axis=1, out=self._sums)
+        sum_y, sum_z = self._sums.tolist()
+        sig = -self.pref * sum_z
+        self._by.fill(2.0 * (self.pref * sum_y))
         np.add(2.0 * (ma + sig), self.wilson2, out=self._bz)
         b_lead, n_lead, b_lag, n_lag = self._cross
-        np.multiply(b_lead, n_lead, out=out)
-        np.multiply(b_lag, n_lag, out=self._tmp)
-        np.subtract(out, self._tmp, out=out)
+        np.multiply(b_lead, n_lead, out=self._lead)
+        np.multiply(b_lag, n_lag, out=self._lag)
+        np.subtract(self._lead, self._lag, out=out)
 
 
 def _check_span(eta_span):
@@ -531,10 +539,12 @@ def evolve_adaptive(
         raise ValueError("sample_etas must lie within eta_span")
     spec = initial.spec
     field = _BlockField(spec)
+    load, rate = field.load, field.rate
+    mass, scale_factor = spec.mass, profile.scale_factor
 
     def rhs(eta, y, out):
-        field.load(y.reshape(-1, 3).T)
-        field.rate(spec.mass * float(profile.scale_factor(eta)), out.reshape(-1, 3).T)
+        load(y.reshape(-1, 3).T)
+        rate(mass * float(scale_factor(eta)), out.reshape(-1, 3).T)
 
     last_pure = eta0  # the last step end whose state passed
 

@@ -450,6 +450,30 @@ class TestConeFront:
         assert depths.size < field.block.length // 2 - 8
         assert np.all(4.0 * depths < 30.0)
 
+    def test_a_dark_band_at_rounding_level_does_not_move_the_front(self):
+        # fig4's band sits near 1e-9, and its level moves with the solver's
+        # rtol; an absolute 1e-9 cut counted it in one run and not the other
+        fronts = []
+        for floor in (1.6e-9, 1.3e-10):
+            field = self._synthetic(slope=1.7)
+            dark = np.all(field.values == 0.0, axis=(0, 2))
+            assert 0 < dark.sum() < field.block.length // 2
+            # final values that differ from site to site, so the median sees the band
+            length = field.block.length
+            depth = np.minimum(np.arange(length), length - 1 - np.arange(length))
+            values = field.values / (1.0 + depth)[:, None]
+            values[:, dark] = floor / 2
+            fronts.append(cone_front(ContourField(field.etas, values, field.block)))
+        (depths, arrivals), (depths_low, arrivals_low) = fronts
+        assert depths.size > 4
+        assert np.array_equal(depths, depths_low)
+        assert np.array_equal(arrivals, arrivals_low)
+
+    def test_a_vanishing_contour_raises(self):
+        field = self._synthetic(slope=1.7)
+        with pytest.raises(InvalidStateError, match="vanishes everywhere"):
+            cone_front(ContourField(field.etas, np.zeros_like(field.values), field.block))
+
     def test_too_few_depths_raises(self):
         field = self._synthetic(slope=10.0, eta_max=12.0)
         with pytest.raises(InvalidStateError):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from gap_reference import reference_ground_state
 from rk4_reference import (_reference_field, _reference_rk4, reference_final_state,
                            step_grid)
 
@@ -135,6 +136,73 @@ class TestGroundStates:
         assert state.spec is spec
         with pytest.raises(ValueError):
             mass_quench_prepare(spec, 1.0, 0.5)
+
+
+def _gap_outcome(solve, spec, a_val, **kwargs):
+    """What a gap solve gives, as bytes where it gives floats: the state's
+    Bloch vectors and (Sigma, Pi), or the error's type, text and residuals."""
+    try:
+        state, cond = solve(spec, a_val, **kwargs)
+    except (ConvergenceError, DegenerateGroundStateError) as exc:
+        return type(exc), str(exc), repr(getattr(exc, "residuals", None))
+    return state.bloch.tobytes(), np.array([cond.sigma, cond.pi]).tobytes()
+
+
+class TestGapOracle:
+    """The gap solve against the per-seed scalar loop kept in
+    ``tests/gap_reference.py``, to the bit and to the sign of zero, so a
+    faster solve can replace the library's only if it gives the same."""
+
+    @pytest.mark.parametrize("coupling", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("mass, a_val", [(-1.0, 0.7), (1.0, 1.0), (-1.0, 1.5)])
+    def test_default_seeds(self, coupling, mass, a_val):
+        spec = LatticeSpec(num_sites=64, mass=mass, coupling=coupling)
+        new = _gap_outcome(self_consistent_ground_state, spec, a_val)
+        assert new == _gap_outcome(reference_ground_state, spec, a_val)
+        # g = 1 keeps Pi = 0 here; g = 2 and 3 take the Aoki branch
+        _, cond = self_consistent_ground_state(spec, a_val)
+        assert (cond.pi == 0.0) == (coupling == 1.0)
+
+    @pytest.mark.parametrize("pi_seeds", [
+        (0.5, 0.5, -0.5, 0.1, 0.1),  # duplicates, mirrored and not
+        (-0.5,),  # a lone negative seed wins with its own sign
+        (-0.3, 0.3),  # the negative seed comes first and wins the tie
+        (-0.0,), (-0.0, 0.0, -0.1), (0.0, -0.0),
+        (0, -1, 2),  # ints
+        (),
+    ])
+    @pytest.mark.parametrize("coupling", [1.0, 3.0])
+    def test_seed_tuples(self, pi_seeds, coupling):
+        spec = LatticeSpec(num_sites=32, mass=-1.0, coupling=coupling)
+        new = _gap_outcome(self_consistent_ground_state, spec, 0.7, pi_seeds=pi_seeds)
+        assert new == _gap_outcome(reference_ground_state, spec, 0.7, pi_seeds=pi_seeds)
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 3, 10])
+    @pytest.mark.parametrize("pi_seeds", [(0.0, 0.1, -0.1, 0.5, -0.5), (-0.5, 0.0)])
+    def test_failures_keep_their_residuals(self, max_iter, pi_seeds):
+        spec = LatticeSpec(num_sites=32, mass=-1.0, coupling=3.0)
+        kwargs = dict(max_iter=max_iter, tol=1e-14, pi_seeds=pi_seeds)
+        new = _gap_outcome(self_consistent_ground_state, spec, 0.7, **kwargs)
+        assert new[0] is ConvergenceError
+        assert new == _gap_outcome(reference_ground_state, spec, 0.7, **kwargs)
+
+    def test_a_closed_gap_names_the_first_seed_that_closes(self):
+        # mass 0: the seed 0.0 closes the gap at k = 0 on its first map
+        spec = LatticeSpec(num_sites=16, mass=0.0, coupling=1.0)
+        for pi_seeds in [(0.0, 0.1, -0.1), (0.1, -0.0), (0.5,)]:
+            new = _gap_outcome(self_consistent_ground_state, spec, 1.0, pi_seeds=pi_seeds)
+            assert new == _gap_outcome(reference_ground_state, spec, 1.0,
+                                       pi_seeds=pi_seeds)
+
+    @pytest.mark.parametrize("coupling", [-1.0, -3.9201674955118198])
+    @pytest.mark.parametrize("pi_seeds", [(-0.5,), (0.5, -0.5, 0.1), (0.0, -0.5)])
+    def test_a_negative_coupling_iterates_every_seed(self, pi_seeds, coupling):
+        # Pi' has the opposite sign of Pi there.  At the second coupling the
+        # first map sends Pi = +-0.5 to exactly -+0.5, so both seeds step to
+        # an exact +0.0, whose sign a solve must keep
+        spec = LatticeSpec(num_sites=16, mass=1.0, coupling=coupling)
+        new = _gap_outcome(self_consistent_ground_state, spec, 1.0, pi_seeds=pi_seeds)
+        assert new == _gap_outcome(reference_ground_state, spec, 1.0, pi_seeds=pi_seeds)
 
 
 class TestEvolution:
@@ -385,6 +453,37 @@ class TestBitIdentity:
         _assert_trajectory_equals(traj, sol.t, [y.reshape(-1, 3) for y in sol.y.T],
                                   spec, profile)
         assert traj.nfev == sol.nfev
+
+
+    @pytest.mark.parametrize("rtol", [1e-10, REFERENCE_RTOL])
+    @pytest.mark.parametrize("t_eval", [[0.0, 2.5], np.linspace(0.0, 2.5, 7),
+                                        [0.3, 0.31, 1.7, 2.4999, 2.5]])
+    @pytest.mark.parametrize("n", [1, 2, 5, 7, 13])
+    def test_dop853_on_a_general_system(self, n, t_eval, rtol):
+        # any length of state, not only 3 N_S: the stage arrays the solver
+        # reuses are where an aliasing fault would show
+        rng = np.random.default_rng(n)
+        coupling = rng.normal(size=(n, n)) / n
+        rates = rng.uniform(0.5, 2.0, n)
+
+        def f(t, y):
+            return coupling @ y + np.cos(rates * t + y) - 0.1 * y**3
+
+        y0 = rng.normal(size=n)
+        sol = solve_ivp(f, (0.0, 2.5), y0, method="DOP853", t_eval=t_eval, rtol=rtol,
+                        atol=1e-12)
+        steps = 0
+
+        def check(t, y):
+            # a faulty stage shrinks the steps without end: fail instead
+            nonlocal steps
+            steps += 1
+            assert steps <= sol.nfev, "more steps than scipy's evaluations"
+
+        ys, nfev = _dop853.solve(lambda t, y, out: np.copyto(out, f(t, y)), (0.0, 2.5),
+                                 y0, t_eval, rtol, 1e-12, check)
+        assert np.array_equal(ys, sol.y.T)
+        assert nfev == sol.nfev
 
 
 # ---------------------------------------------------------------------------
