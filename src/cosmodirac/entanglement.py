@@ -49,6 +49,37 @@ sum_m s_m |U_(j,u),m|^2, with no 1/2 and only a u row.  The site contour
 is mirror-symmetric by construction.  One complex L x L ``eigh`` takes
 about a fifth of the time of the complex 2L x 2L one.
 
+Either path diagonalises the smaller side of the cut.  For a pure state
+Gamma^2 = Gamma on the whole ring, so with B the complement of the block
+A (the other N_S - L sites, themselves a block), every eigenpair
+Gamma_B v = nu v gives Gamma_A (Gamma_AB v) = (1 - nu) Gamma_AB v and
+|Gamma_AB v|^2 = nu (1 - nu): the block's spectrum is 1 - nu over the
+complement's modes plus 2(2L - N_S) modes at 0 or 1, which carry no
+entropy.  A block with 0 < N_S - L < L is therefore diagonalised through
+its complement, whose 2(N_S - L) - 1 separations are the middle ones of
+the 2L - 1 the pass holds; those 2L - 1 cover every residue mod N_S, so
+they also hold the cross block.  The entropy is the complement's.  For
+the contour its eigenvectors are mapped onto the block, each mapped
+column normalised by its computed norm (a zero column dropped), and the
+weights then go through the block's own code.  On the complex path the
+cross block is Gamma_AB[(i,a),(j,b)] = Gamma(i - L - j)_ab, with j
+counting the complement's sites from site L.  On the parity-sector path
+the complement's mirror j -> N_S - L - 1 - j is the block's reflection
+of the ring, so P maps B's P = +1 sector onto A's, and the cross block
+C = Q_A^T G_AB Q_B between the two sector bases is, by the same gather,
+C[(i,a),(j,b)] = G(i - L - j)_ab + p_b G(i + j + 1 - N_S)_ab, scaled as
+H_+ at the block's middle row (odd L) and the complement's middle column
+(odd N_S - L); its columns have norm^2 1 - lambda^2.  The identities
+need a pure state, so a state whose purity defect exceeds
+:data:`~cosmodirac.gaussian.PURITY_TOL` keeps the block side (every
+evolved sample passes that gate), and so do L <= N_S/2 and L = N_S.  A
+run's rounding-level impurity is where the two sides differ: fig4's
+states, 1.2e-10 from pure, leave the block side 2(2L - N_S) = 128 modes
+near 0 and 1 whose spurious entropy the complement does not see.  Its
+entropy moves by at most 1.1e-7 and its contour by at most 2.7e-9, and
+against a run at rtol 1e-12 the complement's entropy is the closer one,
+7.1e-8 off against the block side's 1.7e-7.
+
 An analysis is one pass over the trajectory (:func:`entropy_trajectory`,
 :func:`contour_trajectory`; :func:`block_entropy` and
 :func:`entanglement_contour` are the one-sample case).  Each sample's
@@ -69,7 +100,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import CorrelationState, Trajectory, separation_blocks
+from .gaussian import (PURITY_TOL, CorrelationState, Trajectory, _purity_defects,
+                       separation_blocks)
 
 _NU_CLIP = 1e-14  # restricted spectra pile up exponentially at 0 and 1
 # max |Re(W^dag Gamma_A W) - 1/2| up to which a block takes the parity-sector path
@@ -147,32 +179,70 @@ def _check_spectrum(nu):
         )
 
 
-def _gather_indices(length: int, sector: bool):
-    """Flat indices into a sample's held separations, (2 length - 1, 2, 2)
-    stacked from d = 1 - length and flattened, that gather its block.
+def _gather_indices(block: BlockSpec, rows, columns, sector: bool):
+    """Flat indices into a sample's held separations, (2L - 1, 2, 2) stacked
+    from d = 1 - L and flattened, L = ``block.length``, that gather the
+    matrix between the chain's sites ``rows`` and ``columns``, each a
+    (first site, count) pair: the block is (0, L), its complement (L, N_S - L).
 
-    The complex path takes one (2L, 2L) array: entry ((i, a), (j, b)), row
-    2i + a, is Gamma(i - j)_ab.  The parity-sector path takes two (L, L)
-    arrays over the sites i, j <= (L - 1)/2, the middle d row and column of
-    an odd block dropped: the Toeplitz G(i - j)_ab and the Hankel
-    p_b G(i + j - L + 1)_ab, whose d columns (p_b = -1) index a negated
-    copy of the separations appended after them (module docstring).
+    The complex path takes one array: entry ((i, a), (j, b)), row 2i + a, is
+    Gamma(x_i - y_j)_ab for the i-th row site x_i and the j-th column site
+    y_j.  The parity-sector path takes two, over the first (count + 1)/2
+    sites of each side, an odd side's middle d row or column dropped: the
+    Toeplitz G(x_i - y_j)_ab and the Hankel p_b G(x_i - y_(n-1-j))_ab, n
+    the column count, whose d columns (p_b = -1) index a negated copy of
+    the separations appended after them (module docstring).  Separation d
+    is held at d + L - 1, or, where that is negative (only between the
+    block and its complement), at d + L - 1 + N_S, which holds d mod N_S.
     """
-    sites = np.arange((length + 1) // 2 if sector else length)
-    size = 2 * len(sites)
+    (x0, m), (y0, n) = rows, columns
+    x = x0 + np.arange((m + 1) // 2 if sector else m)
+    y = y0 + np.arange((n + 1) // 2 if sector else n)
 
-    def flat(offset):  # entry ((i, a), (j, b)) at 4 offset[i, j] + 2a + b
-        index = 4 * offset[:, None, :, None] + np.arange(4).reshape(1, 2, 1, 2)
-        return index.reshape(size, size).astype(np.int32)  # half the bytes of intp
+    def flat(d):  # entry ((i, a), (j, b)) at 4 position(d[i, j]) + 2a + b
+        position = d + block.length - 1
+        position[position < 0] += block.num_sites
+        index = 4 * position[:, None, :, None] + np.arange(4).reshape(1, 2, 1, 2)
+        return index.reshape(2 * len(x), 2 * len(y)).astype(np.int32)  # half the bytes of intp
 
-    toeplitz = flat(sites[:, None] - sites[None, :] + length - 1)  # d = i - j
+    toeplitz = flat(x[:, None] - y[None, :])
     if not sector:
         return toeplitz
-    hankel = flat(sites[:, None] + sites[None, :])  # d = i + j - L + 1
-    hankel[:, 1::2] += 4 * (2 * length - 1)
-    if length % 2:  # the middle site: its u state alone
-        return toeplitz[:-1, :-1].copy(), hankel[:-1, :-1].copy()
-    return toeplitz, hankel
+    hankel = flat(x[:, None] - (2 * y0 + n - 1 - y)[None, :])
+    hankel[:, 1::2] += 4 * (2 * block.length - 1)
+    # an odd side's middle site: its u state alone
+    keep = (slice(len(x) * 2 - m % 2), slice(len(y) * 2 - n % 2))
+    return toeplitz[keep].copy(), hankel[keep].copy()
+
+
+def diagonalised_sites(bloch: np.ndarray, block: BlockSpec) -> int:
+    """Sites whose modes :func:`_spectra` diagonalises for ``block`` in the
+    states ``bloch`` (T, N_S, 3): the complement's N_S - L when it is not
+    empty, shorter than the block, and every state is pure to
+    :data:`~cosmodirac.gaussian.PURITY_TOL` (the gate every evolved sample
+    passes), else the block's L.  Only a pure state's block and complement
+    share their spectrum (module docstring)."""
+    complement = block.num_sites - block.length
+    if 0 < complement < block.length and np.max(_purity_defects(bloch)) <= PURITY_TOL:
+        return complement
+    return block.length
+
+
+def _sector_take(g, indices, odd_rows, odd_columns):
+    """A sector matrix gathered from G(d) and its negated copy ``g`` by the
+    Toeplitz and Hankel ``indices`` of :func:`_gather_indices`."""
+    toeplitz, hankel = indices
+    matrix = g.take(toeplitz)
+    matrix += g.take(hankel)
+    # the gather counts an odd side's middle site twice
+    rows, columns = matrix.shape
+    if odd_rows:
+        matrix[-1, :columns - odd_columns] *= np.sqrt(0.5)
+    if odd_columns:
+        matrix[:rows - odd_rows, -1] *= np.sqrt(0.5)
+    if odd_rows and odd_columns:
+        matrix[-1, -1] *= 0.5
+    return matrix
 
 
 def _spectra(spec, bloch: np.ndarray, block: BlockSpec, contour: bool):
@@ -182,11 +252,13 @@ def _spectra(spec, bloch: np.ndarray, block: BlockSpec, contour: bool):
     the parity-sector path (T,) bool.
 
     Each sample's 2L - 1 separations come from its own FFT; the
-    particle-hole test then runs on all of them at once, and each block is
-    gathered by index arrays built once per call and diagonalised by one
-    ``eigh`` (``eigvalsh`` without ``contour``).  Raises ``ValueError`` for
-    a block of another chain and :class:`InvalidStateError` for a state
-    that is not finite or a spectrum outside [0, 1].
+    particle-hole test then runs on all of them at once, and each sample
+    is gathered by index arrays built once per call and diagonalised by one
+    ``eigh`` (``eigvalsh`` without ``contour``): the block's own matrix, or
+    its complement's with the cross block that maps its eigenvectors onto
+    the block (:func:`diagonalised_sites`).  Raises ``ValueError`` for a
+    block of another chain and :class:`InvalidStateError` for a state that
+    is not finite or a spectrum outside [0, 1].
     """
     num_sites = spec.num_sites
     if block.num_sites != num_sites:
@@ -208,34 +280,40 @@ def _spectra(spec, bloch: np.ndarray, block: BlockSpec, contour: bool):
     # the parity-sector path, Gamma(d) on the complex one
     sources = {True: iter(rotated.imag[sector]), False: iter(separations[~sector])}
     del separations, rotated, residual
-    indices = {path: _gather_indices(length, path) for path in set(sector.tolist())}
+    sites = diagonalised_sites(bloch, block)
+    side = (0 if sites == length else length, sites)  # the block or its complement
+    mapped = contour and side[0] > 0  # the cross block (block rows, complement columns)
+    indices = {path: (_gather_indices(block, side, side, path),
+                      _gather_indices(block, (0, length), side, path) if mapped else None)
+               for path in set(sector.tolist())}
     entropy = np.empty(len(bloch))
     values = np.empty((len(bloch), length, 2)) if contour else None
     for i, on_sector in enumerate(sector.tolist()):
         g = next(sources[on_sector])
+        own, across = indices[on_sector]
         if on_sector:
             g = (g @ _G_FROM_A).ravel()  # G(d) = i V A(d) V^dag
             g = np.concatenate((g, np.negative(g)))
-            toeplitz, hankel = indices[True]
-            matrix = g.take(toeplitz)
-            matrix += g.take(hankel)
-            if length % 2:  # the gather counts the middle site twice
-                matrix[-1, :-1] *= np.sqrt(0.5)
-                matrix[:-1, -1] *= np.sqrt(0.5)
-                matrix[-1, -1] *= 0.5
+            matrix = _sector_take(g, own, sites % 2, sites % 2)
+            cross = _sector_take(g, across, length % 2, sites % 2) if mapped else None
         else:
-            matrix = g.ravel().take(indices[False])
-        entropy[i], site_values = _mode_spectrum(matrix, on_sector, contour)
+            matrix = g.ravel().take(own)
+            cross = g.ravel().take(across) if mapped else None
+        entropy[i], site_values = _mode_spectrum(matrix, on_sector, contour, cross)
         if contour:
             values[i] = site_values
     return entropy, values, sector
 
 
-def _mode_spectrum(matrix: np.ndarray, sector: bool, contour: bool):
+def _mode_spectrum(matrix: np.ndarray, sector: bool, contour: bool, cross=None):
     """Entropy of a block and, if ``contour``, its (length, 2) contour.
 
-    ``matrix`` is the block as :func:`_spectra` gathers it: H_+ on the
-    parity-sector path (``sector``), else the complex Gamma_A.  Raises
+    ``matrix`` is what :func:`_spectra` gathers: H_+ on the parity-sector
+    path (``sector``), else the complex Gamma_A, of the block itself or,
+    with ``cross``, of its complement.  ``cross`` is then the cross block,
+    C or Gamma_AB (module docstring), which maps the complement's
+    eigenvectors onto the block's; each mapped column is normalised by its
+    computed norm, and a zero column is dropped.  Raises
     :class:`InvalidStateError` for a spectrum outside [0, 1] on either path.
     """
     if contour:
@@ -251,10 +329,16 @@ def _mode_spectrum(matrix: np.ndarray, sector: bool, contour: bool):
         entropy *= 2.0  # the P = -1 sector
     if vecs is None:
         return entropy, None
-    weights = (np.abs(vecs) ** 2) @ s
+    if cross is None:
+        weights = (np.abs(vecs) ** 2) @ s
+    else:
+        mapped = np.abs(cross @ vecs) ** 2
+        norms = mapped.sum(axis=0)  # nu (1 - nu), or 1 - lambda^2 in the sector
+        live = norms > 0.0
+        weights = mapped[:, live] @ (s[live] / norms[live])
     if not sector:
         return entropy, weights.reshape(-1, 2)
-    pairs = len(matrix) // 2
+    pairs = len(weights) // 2
     half = 0.5 * weights[:2 * pairs].reshape(pairs, 2).sum(axis=1)
     site = np.concatenate([half, weights[2 * pairs:], half[::-1]])
     return entropy, np.repeat(site[:, None], 2, axis=1)

@@ -36,7 +36,7 @@ A :class:`Trajectory` stores its samples as arrays, the Bloch vectors as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 # numpy loads numpy.fft on first use; load it with the package instead
@@ -574,14 +574,24 @@ def evolve_adaptive(
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _separation_constants(ns: int):
+    """The sign (-1)^d, shaped (N_S, 1, 1), and the index of -d of every
+    separation d < ``ns``: built once per chain size, and read-only."""
+    signs = ((-1.0) ** np.arange(ns))[:, None, None]
+    mirror = -np.arange(ns) % ns
+    signs.flags.writeable = mirror.flags.writeable = False
+    return signs, mirror
+
+
 def separation_blocks(state: CorrelationState) -> np.ndarray:
     """(N_S, 2, 2) separation blocks Gamma(d) = (1/N_S) sum_k exp(i k d) Gamma_k
     by one FFT, averaged with Gamma(-d)^dag so that the two agree exactly."""
-    ns = state.spec.num_sites
+    signs, mirror = _separation_constants(state.spec.num_sites)
     # k_n = -pi + 2 pi n/N:  exp(i k_n d) = (-1)^d exp(2 pi i n d / N)
     g = ifft(state.blocks, axis=0)
-    g *= ((-1.0) ** np.arange(ns))[:, None, None]
-    return 0.5 * (g + g[-np.arange(ns) % ns].conj().transpose(0, 2, 1))
+    g *= signs
+    return 0.5 * (g + g[mirror].conj().transpose(0, 2, 1))
 
 
 def real_space_correlation(state: CorrelationState, block=None) -> np.ndarray:

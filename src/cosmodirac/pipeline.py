@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig
-from .entanglement import contour_trajectory, entropy_trajectory
+from .entanglement import contour_trajectory, diagonalised_sites, entropy_trajectory
 from .gaussian import (
     evolve_adaptive,
     evolve_free,
@@ -59,7 +59,11 @@ class RunManifest:
     ``parity_sector_fraction``, for each such analysis as
     ``analyses[<i>].<kind>``: the fraction of its blocks, one per sample,
     that took the parity-sector path of
-    :mod:`~cosmodirac.entanglement` (1.0 for a Pi = 0 run).
+    :mod:`~cosmodirac.entanglement` (1.0 for a Pi = 0 run), and
+    ``diagonalised_sites``, keyed the same way: the number of sites whose
+    modes each block's ``eigh`` took, its complement's N_S - L when that is
+    the smaller side (96 for fig4's 160 of 256 sites), else its length L
+    (see :func:`~cosmodirac.entanglement.diagonalised_sites`).
     ``stage_s`` holds the wall time in seconds of each stage: ``prepare``,
     ``evolve``, each analysis as ``analyses[<i>].<kind>`` (its CSVs
     included), and ``write``, the condensates CSV and the sha256 inventory.
@@ -377,6 +381,8 @@ def run(config: RunConfig, output_dir=None, workers: int = 1) -> RunManifest:
             files += names
             diagnostics.setdefault("parity_sector_fraction", {})[stage] = (
                 np.count_nonzero(sector) / len(sector))
+            diagnostics.setdefault("diagonalised_sites", {})[stage] = diagonalised_sites(
+                traj.bloch, analysis.options["block"])
         else:
             files += emitters[analysis.kind](traj, analysis.options, directory)
         lap(stage)

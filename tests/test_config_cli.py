@@ -450,7 +450,8 @@ class TestPipelineEvolution:
         assert set(diagnostics.pop("stage_s")) >= {"prepare", "evolve", "write"}
         assert diagnostics == {"nfev": traj.nfev,
                                "max_purity_defect": traj.purity_defect(),
-                               "parity_sector_fraction": {"analyses[0].entropy": 1.0}}
+                               "parity_sector_fraction": {"analyses[0].entropy": 1.0},
+                               "diagonalised_sites": {"analyses[0].entropy": 6}}
         assert (traj.nfev == 0) == (propagator == "closed_form")
         assert 0.0 <= traj.purity_defect() < 1e-6
         # the diagnostics are not in the inventory, which still verifies
@@ -504,6 +505,18 @@ class TestPipelineEvolution:
         assert recorded["parity_sector_fraction"] == {"analyses[0].contour": fraction}
         assert len(ffts) == len(preset_run(preset)[1].etas)
         assert "parity_sector_fraction" not in manifest.files and manifest.verify() == []
+
+    @pytest.mark.parametrize("preset, sites", [("fig2_free", 128), ("fig4", 96)])
+    def test_manifest_records_the_diagonalised_sites(self, tmp_path, preset, sites):
+        # fig4's 160-site block of 256 goes through its 96-site complement;
+        # fig2_free's 128 sites are half the chain, so through the block
+        config = preset_config(preset)
+        manifest = pipeline.run(config, output_dir=tmp_path)
+        recorded = RunManifest.load(tmp_path / "manifest.json").diagnostics
+        block = config.analyses[0].options["block"]
+        assert recorded["diagonalised_sites"] == {"analyses[0].contour": sites}
+        assert sites == min(block.length, block.num_sites - block.length)
+        assert "diagonalised_sites" not in manifest.files and manifest.verify() == []
 
     @pytest.mark.parametrize("preparation, a_0, sweep_solves", [
         ("", 0.7, 0),
