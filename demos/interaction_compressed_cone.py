@@ -48,14 +48,14 @@ def run(coupling):
     else:
         traj = evolve_adaptive(vacuum, profile, span, sample_etas=etas)
     field, _ = contour_trajectory(traj, BlockSpec(BLOCK, N_SITES))
-    return spec, traj, field
+    return traj, field
 
 
 fields = {}
 for g2 in (0.0, 1.0):
-    spec, traj, field = run(g2)
+    traj, field = run(g2)
     slope = front_slope(field)
-    v = renormalized_velocity(traj, spec, A_F, (20.0, ETA_END))
+    v = renormalized_velocity(traj, A_F, (20.0, ETA_END))
     print(f"  front slope d(eta)/dx = {slope:.3f}  "
           f"(ballistic prediction 1/(2 v_g) = {1.0 / (2.0 * v):.3f})")
     fields[g2] = field

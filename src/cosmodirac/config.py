@@ -284,6 +284,9 @@ def _build_analyses(section, lattice: LatticeSpec) -> list:
         kind = _check_choice(_require(entry, "kind", path, (str,)),
                              ANALYSIS_KINDS, f"{path}.kind")
         _reject_unknown(entry, ("kind",) + ANALYSIS_FIELDS[kind], path)
+        # each kind writes files of fixed names, so a second would overwrite them
+        if any(spec.kind == kind for spec in out):
+            raise ConfigError(f"{path}.kind", f"repeats {kind!r}; give each kind once")
         opts = {}
         if kind in ("entropy", "contour", "qp"):
             opts["block"] = _build_block(

@@ -12,7 +12,6 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 from pathlib import Path
 
@@ -24,7 +23,6 @@ from .entanglement import contour_trajectory, diagonalised_sites, entropy_trajec
 from .gaussian import (
     evolve_adaptive,
     evolve_free,
-    mass_quench_prepare,
     sample_grid,
     self_consistent_ground_state,
 )
@@ -45,29 +43,33 @@ from .symmetry import spectrum_symmetry_check, symmetry_report
 class RunManifest:
     """Record of one executed run: config snapshot, inventory, timings.
 
-    ``propagator`` names what evolved the state (see :func:`propagator`).
+    ``propagator`` names what evolved the state: ``"closed_form"``
+    (:func:`~cosmodirac.gaussian.evolve_free`, no field evaluations) or
+    ``"dop853"`` (:func:`~cosmodirac.gaussian.evolve_adaptive`).
     ``diagnostics`` says how it went: ``nfev``, the field evaluations of
     the solve (0 in closed form), and ``max_purity_defect``, the worst
     purity defect over the samples, which DOP853 does not conserve, so on
-    a DOP853 run it tracks the step error.  A run with a ``qp`` analysis
-    adds ``qp_out_of_validity``, the advisory tag of ``entropy_qp.csv``,
-    and ``qp_sigma_persistence``, the value it was judged by (see
-    :func:`_qp_validity`).  A run with a ``symmetry`` analysis adds
+    a DOP853 run it tracks the step error.  Each analysis adds its own
+    diagnostics, each a mapping from the analysis's stage,
+    ``analyses[<i>].<kind>``, to its value.  An ``entropy`` or ``contour``
+    analysis adds ``parity_sector_fraction``, the fraction of its blocks,
+    one per sample, that took the parity-sector path of
+    :mod:`~cosmodirac.entanglement` (1.0 for a Pi = 0 run), and
+    ``diagonalised_sites``, the number of sites whose modes each block's
+    ``eigh`` took, its complement's N_S - L when that is the smaller side
+    (96 for fig4's 160 of 256 sites), else its length L (see
+    :func:`~cosmodirac.entanglement.diagonalised_sites`).  A ``qp``
+    analysis adds ``qp_out_of_validity``, the advisory tag of
+    ``entropy_qp.csv``, and ``qp_sigma_persistence``, the value it was
+    judged by (see :func:`_qp_validity`).  A ``symmetry`` analysis adds
     ``sweep_nfev``, the field evaluations of the Hubble sweep's solve at
     each rate of ``hubble_values``, in that order (0 in the sudden limit).
-    A run with an ``entropy`` or ``contour`` analysis adds
-    ``parity_sector_fraction``, for each such analysis as
-    ``analyses[<i>].<kind>``: the fraction of its blocks, one per sample,
-    that took the parity-sector path of
-    :mod:`~cosmodirac.entanglement` (1.0 for a Pi = 0 run), and
-    ``diagonalised_sites``, keyed the same way: the number of sites whose
-    modes each block's ``eigh`` took, its complement's N_S - L when that is
-    the smaller side (96 for fig4's 160 of 256 sites), else its length L
-    (see :func:`~cosmodirac.entanglement.diagonalised_sites`).
     ``stage_s`` holds the wall time in seconds of each stage: ``prepare``,
-    ``evolve``, each analysis as ``analyses[<i>].<kind>`` (its CSVs
-    included), and ``write``, the condensates CSV and the sha256 inventory.
-    None of these is in the inventory, so the files stay byte-identical.
+    ``evolve``, each analysis as ``analyses[<i>].<kind>`` (its CSVs and
+    diagnostics included), and ``write``, the condensates CSV and the
+    sha256 inventory.  A process's first LAPACK call can add about 1 s to
+    the stage that makes it.  None of these is in the inventory, so the
+    files stay byte-identical.
     """
 
     directory: Path
@@ -149,42 +151,30 @@ def _write_csv(path, header, rows, rows_per_write=1):
 
 
 def _prepare(config: RunConfig):
+    """``(state, vacuum)``: the self-consistent vacuum at a(eta_0) of the
+    lattice with the preparation's ``m_pre`` and ``coupling_pre`` in place
+    of the run's own, to be evolved on the run's lattice, and ``(state,
+    a(eta_0))`` if that lattice is the run's own, else None."""
     lattice = config.lattice
-    a_start = preparation_scale(config.profile, config.eta_span[0])
     prep = config.preparation
-    prep_lattice = lattice
-    if prep.get("coupling_pre") is not None:
-        prep_lattice = LatticeSpec(lattice.num_sites, lattice.mass, prep["coupling_pre"])
-    if prep["kind"] == "mass_quench":
-        state, _ = mass_quench_prepare(prep_lattice, prep["m_pre"], a_start)
-    else:
-        state, _ = self_consistent_ground_state(prep_lattice, a_start)
+    a_start = preparation_scale(config.profile, config.eta_span[0])
+    prep_lattice = LatticeSpec(lattice.num_sites, prep.get("m_pre", lattice.mass),
+                               prep.get("coupling_pre", lattice.coupling))
+    state, _ = self_consistent_ground_state(prep_lattice, a_start)
     state.spec = lattice
-    return state
-
-
-def propagator(config: RunConfig) -> str:
-    """The propagator :func:`run` evolves ``config`` with.
-
-    ``"closed_form"`` (:func:`~cosmodirac.gaussian.evolve_free`) for a free
-    lattice on a static or quench profile, otherwise ``"dop853"``
-    (:func:`~cosmodirac.gaussian.evolve_adaptive`).
-    """
-    if config.lattice.coupling == 0.0 and isinstance(
-        config.profile, (StaticProfile, QuenchProfile)
-    ):
-        return "closed_form"
-    return "dop853"
+    return state, ((state, a_start) if prep_lattice == lattice else None)
 
 
 def _evolve(config: RunConfig, state):
-    """Evolve the prepared state with the :func:`propagator` of ``config`` to
-    its ``evolution.n_samples`` uniform times
-    (:func:`~cosmodirac.gaussian.sample_grid`): rotated exactly to each, or
-    solved at ``evolution.rtol``."""
+    """Evolve the prepared state to its ``evolution.n_samples`` uniform times
+    (:func:`~cosmodirac.gaussian.sample_grid`): rotated exactly to each by
+    :func:`~cosmodirac.gaussian.evolve_free` on a free lattice under a
+    static or quench profile, else solved at ``evolution.rtol`` by
+    :func:`~cosmodirac.gaussian.evolve_adaptive`."""
     ev = config.evolution
     etas = sample_grid(config.eta_span, ev["n_samples"])
-    if propagator(config) == "closed_form":
+    if config.lattice.coupling == 0.0 and isinstance(config.profile,
+                                                     (StaticProfile, QuenchProfile)):
         return evolve_free(state, config.profile, etas)
     return evolve_adaptive(state, config.profile, config.eta_span,
                            sample_etas=etas, rtol=ev["rtol"])
@@ -197,29 +187,38 @@ def _emit_condensates(traj, directory):
                       ["eta[a]", "t[a]", "sigma[1/a]", "pi[1/a]"], rows)
 
 
-# An analysis emitter ``(traj, opts, directory)`` writes its files and returns
-# their names; ``opts`` are the analysis's validated options, its block a
-# BlockSpec, and the lattice is ``traj.spec``.  The entropy and contour
-# emitters return ``(names, sector)``, with the spectrum path of each
-# sample's block, (T,) bool.
+# An analysis emitter ``(traj, opts, directory, vacuum)`` writes its files and
+# returns ``(names, notes)``: their names and its diagnostics, which ``run``
+# records as ``diagnostics[key][stage]``.  ``opts`` are the analysis's
+# validated options, its block a BlockSpec, the lattice is ``traj.spec`` and
+# ``vacuum`` is the second value of :func:`_prepare`.
 
 
-def _emit_entropy(traj, opts, directory):
+def _block_notes(traj, block, sector):
+    """The diagnostics of a block analysis whose samples took the parity-sector
+    path where ``sector``, (T,) bool, holds."""
+    return {"parity_sector_fraction": np.count_nonzero(sector) / len(sector),
+            "diagonalised_sites": diagonalised_sites(traj.bloch, block)}
+
+
+def _emit_entropy(traj, opts, directory, vacuum):
     entropy, sector = entropy_trajectory(traj, opts["block"])
     rows = zip(traj.etas.tolist(), traj.times.tolist(), entropy.tolist())
-    return _write_csv(directory / "entropy_measured.csv",
-                      ["eta[a]", "t[a]", "entropy[nats]"], rows), sector
+    return (_write_csv(directory / "entropy_measured.csv",
+                       ["eta[a]", "t[a]", "entropy[nats]"], rows),
+            _block_notes(traj, opts["block"], sector))
 
 
-def _emit_contour(traj, opts, directory):
+def _emit_contour(traj, opts, directory, vacuum):
     field, sector = contour_trajectory(traj, opts["block"])
     rows = ((eta, t, j, s_u, s_d)
             for eta, t, values in zip(field.etas.tolist(), field.times.tolist(),
                                       field.values)
             for j, (s_u, s_d) in enumerate(values.tolist()))
-    return _write_csv(directory / "contour.csv",
-                      ["eta[a]", "t[a]", "site[block index]", "S_u[nats]", "S_d[nats]"],
-                      rows, rows_per_write=field.block.length), sector
+    return (_write_csv(directory / "contour.csv",
+                       ["eta[a]", "t[a]", "site[block index]", "S_u[nats]", "S_d[nats]"],
+                       rows, rows_per_write=field.block.length),
+            _block_notes(traj, opts["block"], sector))
 
 
 def _dressed_spectrum(traj):
@@ -234,7 +233,7 @@ def _dressed_spectrum(traj):
                                pi=float(np.mean(traj.pi[mask])))
 
 
-def _emit_spectrum(traj, opts, directory):
+def _emit_spectrum(traj, opts, directory, vacuum):
     spectrum = bogoliubov_spectrum(traj.state(-1),
                                    traj.spec.mass * float(traj.a_vals[-1]))
     s_mode, s_pair = mode_pair_entropy(spectrum.beta_sq)
@@ -242,47 +241,31 @@ def _emit_spectrum(traj, opts, directory):
                s_pair.tolist())
     return _write_csv(directory / "spectrum.csv",
                       ["k[1/a]", "beta_sq[dimensionless]", "s_mode[nats]", "s_pair[nats]"],
-                      rows)
+                      rows), {}
 
 
-def _quenched_at_start(config: RunConfig) -> bool:
-    """Whether the prepared state is not a vacuum of the Hamiltonian it evolves
-    under: a mass quench, or the vacuum of another coupling, makes pairs at
-    eta_0."""
-    prep = config.preparation
-    coupling_pre = prep.get("coupling_pre")
-    return prep["kind"] == "mass_quench" or (
-        coupling_pre is not None and coupling_pre != config.lattice.coupling)
-
-
-def _emit_qp(traj, opts, directory, quenched_at_start=False):
+def _emit_qp(traj, opts, directory, vacuum):
     spectrum = _dressed_spectrum(traj)
     qp = qp_input_from_spectrum(spectrum, opts["block"].length)
-    # pairs are made by a quench at the first sample, or else when a(eta)
-    # starts to change: a sudden switch inside the span, or the start of an
-    # exponential ramp at eta = 0, starts the clock there, with no entropy
-    # before it
+    # pairs are made at the first sample by a state that is not the vacuum of
+    # the run's lattice (a mass quench, or the vacuum of another coupling), or
+    # else when a(eta) starts to change: a sudden switch inside the span, or
+    # the start of an exponential ramp at eta = 0, starts the clock there,
+    # with no entropy before it
     start = traj.etas[0]
-    if not quenched_at_start:
+    if vacuum is not None:
         if isinstance(traj.profile, QuenchProfile):
             start = max(start, traj.profile.eta_switch)
         elif isinstance(traj.profile, ExponentialProfile):
             start = max(start, 0.0)
     entropy = qp_entropy(qp, np.maximum(traj.etas - start, 0.0))
     rows = zip(traj.etas.tolist(), entropy.tolist())
-    return _write_csv(directory / "entropy_qp.csv", ["eta[a]", "entropy[nats]"], rows)
+    persistence, out_of_validity = _qp_validity(traj)
+    return (_write_csv(directory / "entropy_qp.csv", ["eta[a]", "entropy[nats]"], rows),
+            {"qp_sigma_persistence": persistence, "qp_out_of_validity": out_of_validity})
 
 
-def _sweep_vacuum(config: RunConfig, state):
-    """``(state, a)`` if the prepared ``state`` is the vacuum of the run's own
-    lattice at scale factor ``a``, else None: the Hubble sweep starts from
-    that vacuum when ``a`` is its a_0, instead of solving for it again."""
-    if _quenched_at_start(config):
-        return None
-    return state, preparation_scale(config.profile, config.eta_span[0])
-
-
-def _emit_symmetry(traj, opts, directory, vacuum=None, diagnostics=None):
+def _emit_symmetry(traj, opts, directory, vacuum):
     lattice = traj.spec
     a_f = float(traj.a_vals[-1])
     report = symmetry_report(lattice.mass * a_f + float(traj.sigma[-1]), 0.0,
@@ -294,6 +277,8 @@ def _emit_symmetry(traj, opts, directory, vacuum=None, diagnostics=None):
     with open(directory / "symmetry_report.txt", "w") as fh:
         fh.write(report.table() + "\n")
 
+    # the sweep starts from the run's own vacuum when it was prepared at the
+    # sweep's a_0, instead of solving for it again
     source = lattice
     if vacuum is not None and vacuum[1] == opts["a_0"]:
         source = vacuum[0]
@@ -302,9 +287,8 @@ def _emit_symmetry(traj, opts, directory, vacuum=None, diagnostics=None):
     _write_csv(directory / "symmetry_sweep.csv",
                ["hubble[1/a]", "asymmetry[dimensionless]", "beta_sq_sum[dimensionless]"],
                [(r["hubble"], r["asymmetry"], r["beta_sq_sum"]) for r in sweep])
-    if diagnostics is not None:
-        diagnostics["sweep_nfev"] = [r["nfev"] for r in sweep]
-    return ["symmetry_report.csv", "symmetry_report.txt", "symmetry_sweep.csv"]
+    return (["symmetry_report.csv", "symmetry_report.txt", "symmetry_sweep.csv"],
+            {"sweep_nfev": [r["nfev"] for r in sweep]})
 
 
 _EMITTERS = {
@@ -312,7 +296,7 @@ _EMITTERS = {
     "contour": _emit_contour,
     "spectrum": _emit_spectrum,
     "qp": _emit_qp,
-    "condensates": lambda *args: [],  # emitted for every run
+    "condensates": lambda *args: ([], {}),  # emitted for every run
     "symmetry": _emit_symmetry,
 }
 
@@ -363,43 +347,31 @@ def run(config: RunConfig, output_dir=None, workers: int = 1) -> RunManifest:
         stage_s[stage] = now - clock
         clock = now
 
-    state = _prepare(config)
+    state, vacuum = _prepare(config)
     lap("prepare")
     traj = _evolve(config, state)
     lap("evolve")
 
     diagnostics = {"nfev": traj.nfev, "stage_s": stage_s}
-    emitters = dict(_EMITTERS,
-                    qp=partial(_emit_qp, quenched_at_start=_quenched_at_start(config)),
-                    symmetry=partial(_emit_symmetry, vacuum=_sweep_vacuum(config, state),
-                                     diagnostics=diagnostics))
     files = []
     for i, analysis in enumerate(config.analyses):
         stage = f"analyses[{i}].{analysis.kind}"
-        if analysis.kind in ("entropy", "contour"):
-            names, sector = emitters[analysis.kind](traj, analysis.options, directory)
-            files += names
-            diagnostics.setdefault("parity_sector_fraction", {})[stage] = (
-                np.count_nonzero(sector) / len(sector))
-            diagnostics.setdefault("diagonalised_sites", {})[stage] = diagonalised_sites(
-                traj.bloch, analysis.options["block"])
-        else:
-            files += emitters[analysis.kind](traj, analysis.options, directory)
+        names, notes = _EMITTERS[analysis.kind](traj, analysis.options, directory, vacuum)
+        files += names
+        for key, value in notes.items():
+            diagnostics.setdefault(key, {})[stage] = value
         lap(stage)
 
     files = _emit_condensates(traj, directory) + files
     inventory = {name: _sha256(directory / name) for name in files}
     lap("write")
     diagnostics["max_purity_defect"] = traj.purity_defect()
-    if any(analysis.kind == "qp" for analysis in config.analyses):
-        (diagnostics["qp_sigma_persistence"],
-         diagnostics["qp_out_of_validity"]) = _qp_validity(traj)
     manifest = RunManifest(
         directory=directory,
         config=config.raw,
         files=inventory,
         wall_time=time.perf_counter() - t_start,
-        propagator=propagator(config),
+        propagator="closed_form" if traj.nfev == 0 else "dop853",
         diagnostics=diagnostics,
     )
     manifest.save()

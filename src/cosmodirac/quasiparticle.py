@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import Trajectory
-from .lattice import LatticeSpec, group_velocity, band_velocity
+from .lattice import group_velocity, band_velocity
 from .production import ProductionSpectrum, mode_pair_entropy
 
 
@@ -150,12 +150,12 @@ def condensate_persistence(trajectory: Trajectory, which: str = "sigma") -> floa
     return float(np.std(vals[late])) / early_amp
 
 
-def renormalized_velocity(trajectory: Trajectory, spec: LatticeSpec, a_f: float,
-                          window):
+def renormalized_velocity(trajectory: Trajectory, a_f: float, window):
     """Group velocity of the condensate-dressed dispersion after equilibration.
 
     Averages Sigma and Pi over the window [window[0], window[1]] of the
     trajectory, rebuilds the dispersion at ma_eff = m a_f + mean(Sigma),
+    with m the bare mass of the trajectory's lattice,
     Pi = mean(Pi), and returns its group velocity.  Refuses when the
     scalar condensate's oscillations persist (late-time amplitude above
     :data:`PERSISTENCE_LIMIT` of the early amplitude) instead of damping
@@ -172,7 +172,7 @@ def renormalized_velocity(trajectory: Trajectory, spec: LatticeSpec, a_f: float,
             f"{persistence:.2f}); the quasi-particle picture does not apply"
         )
     return group_velocity(
-        spec.mass * a_f, float(np.mean(trajectory.sigma[mask])),
+        trajectory.spec.mass * a_f, float(np.mean(trajectory.sigma[mask])),
         float(np.mean(trajectory.pi[mask])),
     )
 

@@ -32,7 +32,7 @@ def preset_run(name):
         key = json.dumps({k: v for k, v in config.raw.items() if k != "analyses"},
                          sort_keys=True)
         if key not in _TRAJECTORIES:
-            _TRAJECTORIES[key] = _evolve(config, _prepare(config))
+            _TRAJECTORIES[key] = _evolve(config, _prepare(config)[0])
         _RUNS[name] = (config, _TRAJECTORIES[key])
     return _RUNS[name]
 

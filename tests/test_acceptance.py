@@ -104,9 +104,9 @@ def test_criterion_2_interactions_compress_the_cone():
     """
     results = {}
     for name in ("fig2_free", "fig2_int"):
-        config, traj = preset_run(name)
+        _, traj = preset_run(name)
         slope = front_slope(preset_field(name))
-        v = renormalized_velocity(traj, config.lattice, 1.3, (20.0, 35.0))
+        v = renormalized_velocity(traj, 1.3, (20.0, 35.0))
         dev = abs(slope * 2.0 * v - 1.0)
         assert dev < 0.10, (name, slope, v)
         results[name] = (slope, v, dev)
@@ -389,6 +389,6 @@ def test_criterion_8_validity_boundary_is_flagged():
     p_pi = condensate_persistence(traj, "pi")
     assert p_sigma >= 0.5 and p_pi >= 0.5
     with pytest.raises(NonEquilibratedWindowError):
-        renormalized_velocity(traj, config.lattice, 1.3, (30.0, 40.0))
+        renormalized_velocity(traj, 1.3, (30.0, 40.0))
     print(f"criterion 8 PASS: misprediction {mispred:.2f} at eta=3, "
           f"persistence sigma {p_sigma:.2f} / pi {p_pi:.2f}, velocity refused")

@@ -347,6 +347,9 @@ class TestCLI:
          "evolution.n_samples"),
         (lambda t: t.replace("sample_spacing: 0.2", "sample_spacing: 1.0e-12"),
          "evolution.sample_spacing"),
+        # a second entropy analysis used to overwrite the first's
+        # entropy_measured.csv and exit 0
+        (lambda t: t + "  - {kind: entropy, block: {length: 4}}\n", "analyses[2].kind"),
     ], ids=["deta_nan", "mass_nan", "mass_typo", "symmetry_a_f_nan", "time_stride_0",
             "symmetry_a_f_below_a_0", "symmetry_a_f_equal_a_0", "hubble_inf",
             "mass_bool", "eta_span_bools", "sample_every_bool", "block_length_bool",
@@ -355,7 +358,7 @@ class TestCLI:
             "reference_mode", "method", "deta", "both_counts",
             "neither_count", "spacing_not_dividing", "n_samples_bool", "mass_huge_int",
             "eta_span_huge_int", "hubble_huge_int", "tabulated_sample_huge_int",
-            "n_samples_huge", "sample_spacing_tiny"])
+            "n_samples_huge", "sample_spacing_tiny", "repeated_kind"])
     def test_bad_fields_exit_1_before_evolving(self, tmp_path, capsys, edit, field):
         # each of these used to evolve (or start to) and then die with a
         # traceback, blame the step size, or run with the field ignored;
@@ -419,12 +422,12 @@ class TestPipelineEvolution:
             "profile": {"kind": "quench", "a_0": 0.7, "a_f": 1.3, "eta_switch": 1.05},
             "evolution": {"eta_span": [0.0, 2.0], "sample_spacing": 0.1},
         })
-        traj = pipeline._evolve(config, pipeline._prepare(config))
+        traj = pipeline._evolve(config, pipeline._prepare(config)[0])
         etas = gaussian.sample_grid((0.0, 2.0), 21)
         assert np.array_equal(traj.etas, etas)
         early = etas < 1.05
         before = gaussian.evolve_adaptive(
-            pipeline._prepare(config), StaticProfile(0.7), (0.0, 1.05),
+            pipeline._prepare(config)[0], StaticProfile(0.7), (0.0, 1.05),
             sample_etas=np.append(etas[early], 1.05), rtol=gaussian.REFERENCE_RTOL)
         after = gaussian.evolve_adaptive(
             before.state(-1), StaticProfile(1.3), (1.05, 2.0),
@@ -439,7 +442,7 @@ class TestPipelineEvolution:
     def test_manifest_records_diagnostics(self, tmp_path, coupling, propagator):
         text = SMALL_RUN.replace("mass: 1.0}", f"mass: 1.0, coupling: {coupling}}}")
         config = load_config(text)
-        traj = pipeline._evolve(config, pipeline._prepare(config))
+        traj = pipeline._evolve(config, pipeline._prepare(config)[0])
         cfg = tmp_path / "run.yaml"
         cfg.write_text(text)
         out = tmp_path / "out"
@@ -462,11 +465,15 @@ class TestPipelineEvolution:
         # none at H = 100; the counts stay out of the inventory
         config = preset_config("fig6")
         manifest = pipeline.run(config, output_dir=tmp_path)
-        opts = next(a.options for a in config.analyses if a.kind == "symmetry")
+        i, opts = next((i, a.options) for i, a in enumerate(config.analyses)
+                       if a.kind == "symmetry")
         sweep = spectrum_symmetry_check(config.lattice, opts["a_0"], opts["a_f"],
                                         opts["hubble_values"])
+        stage = f"analyses[{i}].symmetry"
         recorded = RunManifest.load(tmp_path / "manifest.json").diagnostics["sweep_nfev"]
-        assert recorded == manifest.diagnostics["sweep_nfev"] == [r["nfev"] for r in sweep]
+        assert recorded == manifest.diagnostics["sweep_nfev"] == {
+            stage: [r["nfev"] for r in sweep]}
+        recorded = recorded[stage]
         assert [n == 0 for n in recorded] == [h >= symmetry.QUENCH_LIMIT_HUBBLE
                                               for h in opts["hubble_values"]]
         assert all(n >= 17 for n, h in zip(recorded, opts["hubble_values"]) if h < 100.0)
@@ -565,7 +572,7 @@ class TestPipelineEvolution:
             rows = np.array([[float(x) for x in row] for row in list(csv.reader(fh))[1:]])
         before = rows[:, 0] < 2.0
         assert np.count_nonzero(before) == 8 and np.all(rows[before, 1] == 0.0)
-        traj = pipeline._evolve(config, pipeline._prepare(config))
+        traj = pipeline._evolve(config, pipeline._prepare(config)[0])
         qp = qp_input_from_spectrum(bogoliubov_spectrum(traj.state(-1), 10.0), 16)
         assert rows[~before, 1].tolist() == [qp_entropy(qp, eta - 2.0)
                                              for eta in rows[~before, 0]]
@@ -583,7 +590,7 @@ class TestPipelineEvolution:
             rows = np.array([[float(x) for x in row] for row in list(csv.reader(fh))[1:]])
         before = rows[:, 0] <= 0.0
         assert np.count_nonzero(before) == 9 and np.all(rows[before, 1] == 0.0)
-        traj = pipeline._evolve(config, pipeline._prepare(config))
+        traj = pipeline._evolve(config, pipeline._prepare(config)[0])
         a_f = float(traj.a_vals[-1])  # the ramp's formula lands a few ulp short of 10
         qp = qp_input_from_spectrum(bogoliubov_spectrum(traj.state(-1), a_f), 16)
         assert rows[~before, 1].tolist() == [qp_entropy(qp, eta)
@@ -615,7 +622,7 @@ class TestPipelineEvolution:
         assert np.count_nonzero(before_ramp) == 9
         assert measured[8, 1] > measured[0, 1] + 0.3  # pairs made before the ramp
         assert qp_rows[0, 1] == 0.0 and np.all(qp_rows[1:9, 1] > 0.0)
-        traj = pipeline._evolve(config, pipeline._prepare(config))
+        traj = pipeline._evolve(config, pipeline._prepare(config)[0])
         qp = qp_input_from_spectrum(bogoliubov_spectrum(traj.state(-1),
                                                         float(traj.a_vals[-1])), 16)
         assert qp_rows[:, 1].tolist() == [qp_entropy(qp, eta + 2.0)
@@ -625,10 +632,13 @@ class TestPipelineEvolution:
     def test_manifest_flags_the_qp_validity_regime(self, tmp_path, preset, expected):
         # fig3c's Sigma oscillations persist (late/early ratio about 1.03), so
         # its entropy_qp.csv is advisory; fig1a is free, with no ratio to judge
-        pipeline.run(preset_config(preset), output_dir=tmp_path)
+        config = preset_config(preset)
+        pipeline.run(config, output_dir=tmp_path)
         manifest = RunManifest.load(tmp_path / "manifest.json")
-        flag = manifest.diagnostics["qp_out_of_validity"]
-        persistence = manifest.diagnostics["qp_sigma_persistence"]
+        stage = next(f"analyses[{i}].qp" for i, a in enumerate(config.analyses)
+                     if a.kind == "qp")
+        flag = manifest.diagnostics["qp_out_of_validity"][stage]
+        persistence = manifest.diagnostics["qp_sigma_persistence"][stage]
         assert flag is expected
         if preset == "fig1a":
             assert persistence is None
@@ -646,8 +656,8 @@ class TestPipelineEvolution:
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--output", str(out)]) == EXIT_OK
         diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
-        assert diagnostics["qp_out_of_validity"] is None
-        assert diagnostics["qp_sigma_persistence"] is None
+        assert diagnostics["qp_out_of_validity"] == {"analyses[2].qp": None}
+        assert diagnostics["qp_sigma_persistence"] == {"analyses[2].qp": None}
 
 
 class TestWriteCsv:

@@ -76,10 +76,13 @@ class TestEntropy:
                                                 abs=1e-12)
 
     def test_pure_state_complement_entropies_agree(self):
+        # block_entropy takes S(15) through the 9-site complement, so S(15)
+        # comes from the 15-site block's own build of block_reference
         spec = LatticeSpec(num_sites=24, mass=1.0)
         state = free_ground_state(spec, 0.3)
         s_a = block_entropy(state, BlockSpec(9, 24))
-        s_b = block_entropy(state, BlockSpec(15, 24))
+        _, sector, matrix = block_matrix(state, BlockSpec(15, 24))
+        s_b, _ = _mode_spectrum(matrix, sector=sector, contour=False)
         assert s_a == pytest.approx(s_b, abs=1e-10)
 
     def test_deep_mass_vacuum_is_nearly_product(self):
@@ -343,11 +346,6 @@ class TestSmallerSide:
     LatticeSpec takes only even chains, so N_S = 34 stands in for the odd
     one: there L = 17 is half the chain and keeps the block side, to the
     bit.  L = N_S/2, L = N_S and a mixed state never reach the complement.
-
-    ``TestEntropy.test_pure_state_complement_entropies_agree`` compares
-    S(9) and S(15) on 24 sites; both values now come from the same 9-site
-    complement, so that comparison no longer proves anything.  It is left
-    as it was; the tests here check the identity.
     """
 
     @staticmethod

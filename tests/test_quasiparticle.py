@@ -145,20 +145,18 @@ class TestEquilibrationGate:
         state = free_ground_state(spec, -0.7)
         traj = evolve_free(state, QuenchProfile(0.7, 1.3),
                            sample_grid((0.0, 10.0), 101))
-        v = renormalized_velocity(traj, spec, 1.3, (5.0, 10.0))
+        v = renormalized_velocity(traj, 1.3, (5.0, 10.0))
         assert v == pytest.approx(0.3, abs=1e-9)  # |ma_f + 1| = 0.3
 
     def test_persistent_oscillations_refuse(self):
         traj = _synthetic_trajectory(0.0)
-        spec = LatticeSpec(num_sites=64, mass=-1.0, coupling=3.0)
         with pytest.raises(NonEquilibratedWindowError):
-            renormalized_velocity(traj, spec, 1.3, (30.0, 40.0))
+            renormalized_velocity(traj, 1.3, (30.0, 40.0))
 
     def test_empty_window_rejected(self):
         traj = _synthetic_trajectory(0.2)
-        spec = LatticeSpec(num_sites=64, mass=-1.0)
         with pytest.raises(ValueError):
-            renormalized_velocity(traj, spec, 1.3, (100.0, 101.0))
+            renormalized_velocity(traj, 1.3, (100.0, 101.0))
 
 
 class TestHorizon:
