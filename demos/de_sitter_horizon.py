@@ -20,7 +20,7 @@ from cosmodirac import (
     evolve_adaptive,
     group_velocity,
     horizon_width,
-    mass_quench_prepare,
+    self_consistent_ground_state,
 )
 from cosmodirac.gaussian import sample_grid
 
@@ -39,8 +39,11 @@ def fitted_slope(x, y):
 spec = LatticeSpec(num_sites=N_SITES, mass=1.0, coupling=2.0)
 profile = DeSitterProfile(hubble=HUBBLE, eta_0=ETA_0)
 
-# matter content from a mass quench -1 -> +1 at the initial time
-state, cond = mass_quench_prepare(spec, -1.0, profile.a_0)
+# matter content from a mass quench -1 -> +1 at the initial time: the vacuum
+# of the lattice at mass -1, evolved on the lattice at mass +1
+state, cond = self_consistent_ground_state(LatticeSpec(N_SITES, -1.0, spec.coupling),
+                                           profile.a_0)
+state.spec = spec
 print(f"prepared at a_0 = {profile.a_0:.4f} with Sigma = {cond.sigma:+.4f}, "
       f"Pi = {cond.pi:+.4f}")
 

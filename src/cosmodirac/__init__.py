@@ -34,7 +34,6 @@ from .gaussian import (  # noqa: F401
     evolve_adaptive,
     evolve_free,
     free_ground_state,
-    mass_quench_prepare,
     mean_field_energy,
     real_space_correlation,
     self_consistent_ground_state,

@@ -67,6 +67,8 @@ def _load(args) -> tuple:
     path = Path(args.config)
     if not path.exists():
         raise ConfigError("<args>", f"config file not found: {path}")
+    if path.is_dir():
+        raise ConfigError("<args>", f"config file is a directory: {path}")
     return load_config(path), str(path)
 
 
@@ -112,9 +114,15 @@ def main(argv=None) -> int:
             from .pipeline import RunManifest, make_plots
 
             path = Path(args.manifest)
-            if not path.exists():
+            if not path.is_file():
                 raise ConfigError("<args>", f"manifest not found: {path}")
-            scripts = make_plots(RunManifest.load(path))
+            try:
+                manifest = RunManifest.load(path)
+            except ValueError as exc:  # json.JSONDecodeError
+                raise ConfigError("<args>", f"manifest {path} is not JSON: {exc}") from exc
+            except KeyError as exc:
+                raise ConfigError("<args>", f"manifest {path} has no field {exc}") from exc
+            scripts = make_plots(manifest)
             for script in scripts:
                 print(script)
             return EXIT_OK

@@ -39,13 +39,9 @@ ANALYSIS_FIELDS = {
     "contour": ("block",),
     "spectrum": (),
     "qp": ("block",),
-    "condensates": (),
     "symmetry": ("hubble_values", "a_0", "a_f"),
 }
-PREPARATION_FIELDS = {"vacuum": ("coupling_pre",),
-                      "mass_quench": ("m_pre", "coupling_pre")}
 PROFILE_KINDS = tuple(PROFILE_FIELDS)
-PREPARATION_KINDS = tuple(PREPARATION_FIELDS)
 ANALYSIS_KINDS = tuple(ANALYSIS_FIELDS)
 # The DOP853 solver's own floor, 100 machine epsilons: its error control
 # cannot honour a tighter rtol, so it refuses one and a config is rejected.
@@ -138,7 +134,7 @@ class RunConfig:
 
     lattice: LatticeSpec
     profile: object
-    preparation: dict
+    preparation: LatticeSpec
     evolution: dict
     analyses: list
     output: dict
@@ -197,27 +193,20 @@ def _build_profile(section):
         raise ConfigError(path, str(exc)) from exc
 
 
-def _build_preparation(section, lattice) -> dict:
+def _build_preparation(section, lattice) -> LatticeSpec:
+    """The lattice whose vacuum the run starts from: the run's own, with
+    ``m_pre`` and ``coupling_pre`` in place of its mass and coupling."""
     path = "preparation"
-    if section is None:
-        return {"kind": "vacuum"}
-    kind = _check_choice(_require(section, "kind", path, (str,)),
-                         PREPARATION_KINDS, f"{path}.kind")
-    _reject_unknown(section, ("kind",) + PREPARATION_FIELDS[kind], path)
-    out = {"kind": kind}
-    if kind == "mass_quench":
-        out["m_pre"] = _number(section, "m_pre", path)
-        if out["m_pre"] == lattice.mass:
-            raise ConfigError(f"{path}.m_pre", "equals lattice.mass: the quench "
-                                               "prepares no matter")
+    _reject_unknown(section, ("m_pre", "coupling_pre"), path)
+    m_pre = _number(section, "m_pre", path, None)
+    if m_pre == lattice.mass:
+        raise ConfigError(f"{path}.m_pre", "equals lattice.mass: the quench "
+                                           "prepares no matter")
     coupling_pre = _number(section, "coupling_pre", path, None)
-    if coupling_pre is not None:
-        if coupling_pre < 0:
-            raise ConfigError(f"{path}.coupling_pre", "must be nonnegative")
-        # prepare in a different interaction strength than the evolution
-        # (e.g. parity-broken vacuum released into free dynamics)
-        out["coupling_pre"] = coupling_pre
-    return out
+    if coupling_pre is not None and coupling_pre < 0:
+        raise ConfigError(f"{path}.coupling_pre", "must be nonnegative")
+    return LatticeSpec(lattice.num_sites, lattice.mass if m_pre is None else m_pre,
+                       lattice.coupling if coupling_pre is None else coupling_pre)
 
 
 def _interval(values, path):
@@ -345,7 +334,8 @@ def config_from_dict(raw: dict) -> RunConfig:
             raise ConfigError(key, "unknown top-level section")
     lattice = _build_lattice(_require(raw, "lattice", "<file>", (dict,)))
     profile = _build_profile(_require(raw, "profile", "<file>", (dict,)))
-    preparation = _build_preparation(raw.get("preparation"), lattice)
+    preparation = _build_preparation(
+        _optional(raw, "preparation", {}, "<file>", (dict,)), lattice)
     evolution = _build_evolution(_require(raw, "evolution", "<file>", (dict,)),
                                  lattice.num_sites)
     analyses = _build_analyses(raw.get("analyses"), lattice)

@@ -322,21 +322,6 @@ def self_consistent_ground_state(
     return best[1], best[2]
 
 
-def mass_quench_prepare(spec: LatticeSpec, m_pre: float, a_val: float):
-    """Ground state at bare mass m_pre, to be evolved at bare mass spec.mass.
-
-    Seeds nonzero particle content at the start of the expansion.  The
-    condensates are made self-consistent whenever the coupling is nonzero.
-    Returns (CorrelationState, CondensatePair).
-    """
-    if m_pre == spec.mass:
-        raise ValueError("pre-quench mass equals the bare mass: no matter content")
-    pre_spec = LatticeSpec(spec.num_sites, m_pre, spec.coupling)
-    state, cond = self_consistent_ground_state(pre_spec, a_val)
-    state.spec = spec
-    return state, cond
-
-
 # ---------------------------------------------------------------------------
 # Real-time evolution
 # ---------------------------------------------------------------------------

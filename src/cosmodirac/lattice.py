@@ -93,7 +93,7 @@ class StaticProfile:
     a_val: float = 1.0
 
     def __post_init__(self):
-        if self.a_val <= 0:
+        if not self.a_val > 0:
             raise ValueError("a_val must be positive")
 
     def scale_factor(self, eta):
@@ -122,7 +122,7 @@ class ExponentialProfile:
     def __post_init__(self):
         if not (self.a_f >= self.a_0 > 0):
             raise ValueError("require a_f >= a_0 > 0")
-        if self.hubble <= 0:
+        if not self.hubble > 0:
             raise ValueError("hubble rate must be positive")
 
     @property
@@ -160,7 +160,7 @@ class QuenchProfile:
     eta_switch: float = 0.0
 
     def __post_init__(self):
-        if self.a_0 <= 0 or self.a_f <= 0:
+        if not (self.a_0 > 0 and self.a_f > 0):
             raise ValueError("scale factors must be positive")
 
     def scale_factor(self, eta):
@@ -202,7 +202,7 @@ class DeSitterProfile:
     def __post_init__(self):
         if self.eta_max is None:
             object.__setattr__(self, "eta_max", -0.001362)
-        if self.hubble <= 0:
+        if not self.hubble > 0:
             raise ValueError("hubble rate must be positive")
         if not (self.eta_0 < self.eta_max < 0):
             raise ValueError("require eta_0 < eta_max < 0")
@@ -237,9 +237,9 @@ class TabulatedProfile:
         vals = np.asarray(self.values, dtype=float)
         if etas.ndim != 1 or etas.shape != vals.shape or etas.size < 2:
             raise ValueError("need matching 1D eta/a samples, at least two points")
-        if np.any(np.diff(etas) <= 0):
+        if not np.all(np.diff(etas) > 0):
             raise ValueError("eta samples must be strictly increasing")
-        if np.any(vals <= 0):
+        if not np.all(vals > 0):
             raise ValueError("scale-factor samples must be positive")
         object.__setattr__(self, "etas", tuple(etas))
         object.__setattr__(self, "values", tuple(vals))

@@ -26,13 +26,7 @@ from .gaussian import (
     sample_grid,
     self_consistent_ground_state,
 )
-from .lattice import (
-    ExponentialProfile,
-    LatticeSpec,
-    QuenchProfile,
-    StaticProfile,
-    preparation_scale,
-)
+from .lattice import ExponentialProfile, QuenchProfile, StaticProfile, preparation_scale
 from .production import bogoliubov_spectrum, mode_pair_entropy
 from .quasiparticle import (PERSISTENCE_LIMIT, condensate_persistence, qp_entropy,
                             qp_input_from_spectrum)
@@ -152,17 +146,12 @@ def _write_csv(path, header, rows, rows_per_write=1):
 
 def _prepare(config: RunConfig):
     """``(state, vacuum)``: the self-consistent vacuum at a(eta_0) of the
-    lattice with the preparation's ``m_pre`` and ``coupling_pre`` in place
-    of the run's own, to be evolved on the run's lattice, and ``(state,
+    preparation lattice, to be evolved on the run's lattice, and ``(state,
     a(eta_0))`` if that lattice is the run's own, else None."""
-    lattice = config.lattice
-    prep = config.preparation
     a_start = preparation_scale(config.profile, config.eta_span[0])
-    prep_lattice = LatticeSpec(lattice.num_sites, prep.get("m_pre", lattice.mass),
-                               prep.get("coupling_pre", lattice.coupling))
-    state, _ = self_consistent_ground_state(prep_lattice, a_start)
-    state.spec = lattice
-    return state, ((state, a_start) if prep_lattice == lattice else None)
+    state, _ = self_consistent_ground_state(config.preparation, a_start)
+    state.spec = config.lattice
+    return state, ((state, a_start) if config.preparation == config.lattice else None)
 
 
 def _evolve(config: RunConfig, state):
@@ -296,7 +285,6 @@ _EMITTERS = {
     "contour": _emit_contour,
     "spectrum": _emit_spectrum,
     "qp": _emit_qp,
-    "condensates": lambda *args: ([], {}),  # emitted for every run
     "symmetry": _emit_symmetry,
 }
 
@@ -336,7 +324,11 @@ def run(config: RunConfig, output_dir=None, workers: int = 1) -> RunManifest:
     if not output:
         raise ConfigError("output.directory", "not set; pass an output directory (simulate run --output DIR)")
     directory = Path(output)
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in its place, or no permission
+        raise ConfigError("output.directory",
+                          f"cannot make directory {directory}: {exc.strerror}") from exc
 
     stage_s = {}
     clock = time.perf_counter()

@@ -79,7 +79,7 @@ def qp_entropy(qp: QPInput, eta):
     same shape; a scalar gives a float.
     """
     etas = np.asarray(eta, dtype=float)
-    if np.any(etas < 0):
+    if not np.all(etas >= 0):
         raise ValueError("eta must be nonnegative")
     flat = etas.reshape(-1)
     out = np.zeros(flat.shape)
@@ -112,10 +112,10 @@ def qp_contour(qp: QPInput, eta: float, x):
     :func:`qp_entropy`.  The per-spinor prediction is half this value.
     ``x`` may be an array and must lie in [0, l_A].
     """
-    if eta < 0:
+    if not eta >= 0:
         raise ValueError("eta must be nonnegative")
     x = np.asarray(x, dtype=float)
-    if np.any(x < -1e-12) or np.any(x > qp.block_length + 1e-12):
+    if not np.all((x >= -1e-12) & (x <= qp.block_length + 1e-12)):
         raise ValueError("x must lie within the block")
     kk, v, s = qp.refined()
     dk = kk[1] - kk[0]

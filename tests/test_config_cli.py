@@ -65,7 +65,7 @@ class TestSchema:
             (lambda d: d["lattice"].update(masss=5.0), "lattice.masss"),
             (lambda d: d["profile"].update(hubble=1.0), "profile.hubble"),
             (lambda d: d.update(preparation={"kind": "vacuum", "m_pre": 1.0}),
-             "preparation.m_pre"),
+             "preparation.kind"),
             # one sample-time rule: exactly one of the count and the spacing,
             # and the keys of the old fixed-step grid are unknown
             (lambda d: d["evolution"].update(sample_spacing=0.1),
@@ -144,6 +144,12 @@ class TestSchema:
                 config_from_dict(raw)
             assert err.value.path == expected_path
 
+    def test_condensates_is_not_an_analysis(self):
+        # every run writes condensates.csv; asking for it ran a no-op
+        with pytest.raises(ConfigError) as err:
+            load_config(SMALL_RUN + "  - {kind: condensates}\n")
+        assert err.value.path == "analyses[2].kind"
+
     def test_span_outside_profile_domain(self):
         raw = {
             "lattice": {"num_sites": 16},
@@ -156,7 +162,7 @@ class TestSchema:
 
     def test_defaults(self):
         config = load_config(SMALL_RUN)
-        assert config.preparation == {"kind": "vacuum"}
+        assert config.preparation == config.lattice
         # the spacing is resolved to a count, solved at the reference rtol
         assert config.evolution == {"eta_span": (0.0, 2.0), "n_samples": 11,
                                     "rtol": gaussian.REFERENCE_RTOL}
@@ -306,7 +312,7 @@ class TestCLI:
          "profile.samples"),
         # a quench to the mass it starts from used to pass check and then die
         # in mass_quench_prepare with a traceback naming no field
-        (lambda t: t + "preparation: {kind: mass_quench, m_pre: 1.0}\n",
+        (lambda t: t + "preparation: {m_pre: 1.0}\n",
          "preparation.m_pre"),
         # an rtol below DOP853's floor used to run at the floor, exit 0, and
         # leave the asked-for value in the manifest
@@ -372,6 +378,29 @@ class TestCLI:
             assert field in err
             assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["manifest_not_json", "manifest_without_files",
+                                      "output_is_a_file", "config_is_a_directory"])
+    def test_bad_paths_exit_1_naming_them(self, tmp_path, capsys, case):
+        # each of these used to end in a traceback: JSONDecodeError, KeyError,
+        # FileExistsError and IsADirectoryError
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(SMALL_RUN)
+        manifest = tmp_path / "manifest.json"
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv, names = {
+            "manifest_not_json": (["plots", str(manifest)], [str(manifest)]),
+            "manifest_without_files": (["plots", str(manifest)], [str(manifest), "'files'"]),
+            "output_is_a_file": (["run", str(cfg), "--output", str(taken)], [str(taken)]),
+            "config_is_a_directory": (["run", str(tmp_path)], [str(tmp_path)]),
+        }[case]
+        manifest.write_text("{not json" if case == "manifest_not_json" else
+                            json.dumps({"config": {}, "wall_time_s": 0.0, "version": "0"}))
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert all(name in err for name in names), err
 
     def test_run_without_an_output_directory_writes_nothing(self, tmp_path, monkeypatch):
         # run() used to write into the working directory when neither
@@ -527,9 +556,9 @@ class TestPipelineEvolution:
 
     @pytest.mark.parametrize("preparation, a_0, sweep_solves", [
         ("", 0.7, 0),
-        ("preparation: {kind: vacuum, coupling_pre: 3.0}\n", 0.7, 0),
-        ("preparation: {kind: vacuum, coupling_pre: 2.0}\n", 0.7, 1),
-        ("preparation: {kind: mass_quench, m_pre: -2.0}\n", 0.7, 1),
+        ("preparation: {coupling_pre: 3.0}\n", 0.7, 0),
+        ("preparation: {coupling_pre: 2.0}\n", 0.7, 1),
+        ("preparation: {m_pre: -2.0}\n", 0.7, 1),
         ("", 0.8, 1),
     ], ids=["vacuum", "same_coupling_pre", "other_coupling_pre", "mass_quench",
             "other_a_0"])
@@ -596,8 +625,8 @@ class TestPipelineEvolution:
         assert rows[~before, 1].tolist() == [qp_entropy(qp, eta)
                                              for eta in rows[~before, 0]]
 
-    @pytest.mark.parametrize("preparation", ["{kind: mass_quench, m_pre: 2.0}",
-                                             "{kind: vacuum, coupling_pre: 3.0}"],
+    @pytest.mark.parametrize("preparation", ["{m_pre: 2.0}",
+                                             "{coupling_pre: 3.0}"],
                              ids=["mass_quench", "coupling_pre"])
     def test_qp_clock_starts_at_a_quenched_preparation_on_any_profile(self, tmp_path,
                                                                       preparation):

@@ -26,7 +26,6 @@ from cosmodirac.gaussian import (
     evolve_adaptive,
     evolve_free,
     free_ground_state,
-    mass_quench_prepare,
     mean_field_energy,
     real_space_correlation,
     sample_grid,
@@ -129,13 +128,6 @@ class TestGroundStates:
         spec = LatticeSpec(num_sites=32, mass=-1.0, coupling=3.0)
         with pytest.raises(ConvergenceError):
             self_consistent_ground_state(spec, 0.7, max_iter=3, tol=1e-14)
-
-    def test_mass_quench_prepare(self):
-        spec = LatticeSpec(num_sites=32, mass=1.0, coupling=0.0)
-        state, _ = mass_quench_prepare(spec, -1.0, 0.5)
-        assert state.spec is spec
-        with pytest.raises(ValueError):
-            mass_quench_prepare(spec, 1.0, 0.5)
 
 
 def _gap_outcome(solve, spec, a_val, **kwargs):

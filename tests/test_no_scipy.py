@@ -21,7 +21,7 @@ CONFIGS = {
     "de_sitter": (
         "lattice: {num_sites: 32, mass: 1.0, coupling: 2.0}\n"
         "profile: {kind: de_sitter, hubble: 0.5, eta_0: -4.0, eta_max: -0.5}\n"
-        "preparation: {kind: mass_quench, m_pre: -1.0}\n"
+        "preparation: {m_pre: -1.0}\n"
         "evolution: {eta_span: [-4.0, -0.5], n_samples: 6, rtol: 1.0e-10}\n"
         "analyses:\n"
         "  - {kind: entropy, block: {length: 8}}\n"

@@ -7,7 +7,9 @@ from conftest import preset_run
 
 from cosmodirac import pipeline, quasiparticle
 from cosmodirac.gaussian import Trajectory, evolve_free, free_ground_state, sample_grid
-from cosmodirac.lattice import LatticeSpec, QuenchProfile, band_velocity
+from cosmodirac.lattice import (DeSitterProfile, ExponentialProfile, LatticeSpec,
+                                QuenchProfile, StaticProfile, TabulatedProfile,
+                                band_velocity)
 from cosmodirac.production import bogoliubov_spectrum, mode_pair_entropy
 from cosmodirac.quasiparticle import (
     NonEquilibratedWindowError,
@@ -22,10 +24,35 @@ from cosmodirac.quasiparticle import (
 )
 
 
+NAN = float("nan")
+
+
 def _flat_qp(v0=0.4, s0=0.9, length=32.0, n=64):
     ks = np.linspace(-np.pi, np.pi, n, endpoint=False)
     return QPInput(k=ks, v=np.full(n, v0), s_pair=np.full(n, s0),
                    block_length=length)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: StaticProfile(a_val=NAN),
+    lambda: QuenchProfile(a_0=NAN, a_f=1.0),
+    lambda: QuenchProfile(a_0=1.0, a_f=NAN),
+    lambda: ExponentialProfile(a_0=1.0, a_f=2.0, hubble=NAN),
+    lambda: DeSitterProfile(hubble=NAN, eta_0=-30.0),
+    lambda: TabulatedProfile(etas=(0.0, NAN, 2.0), values=(1.0, 1.0, 1.0)),
+    lambda: TabulatedProfile(etas=(0.0, 1.0, 2.0), values=(1.0, NAN, 1.0)),
+    lambda: qp_entropy(_flat_qp(n=16), NAN),
+    lambda: qp_entropy(_flat_qp(n=16), np.array([1.0, NAN])),
+    lambda: qp_contour(_flat_qp(n=16), NAN, 16.0),
+    lambda: qp_contour(_flat_qp(n=16), 1.0, NAN),
+], ids=["static_a_val", "quench_a_0", "quench_a_f", "exponential_hubble",
+        "de_sitter_hubble", "tabulated_eta", "tabulated_value", "qp_entropy_eta",
+        "qp_entropy_eta_array", "qp_contour_eta", "qp_contour_x"])
+def test_nan_inputs_are_refused(make):
+    # each check used to be written so that NaN passed it: the profiles were
+    # built, qp_entropy returned the plateau and qp_contour zeros
+    with pytest.raises(ValueError):
+        make()
 
 
 class TestQuadratures:

@@ -1,9 +1,11 @@
-"""The README's library example runs as printed."""
+"""The README's library example runs as printed, and its configs validate."""
 
 import re
 from pathlib import Path
 
 import numpy as np
+
+from cosmodirac.config import load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,3 +26,10 @@ def test_library_example_runs():
     # the quench entangles the block: the entropy grows from the vacuum's
     assert entropy[-1] > entropy[0]
     assert traj.times.shape == traj.etas.shape
+
+
+def test_yaml_configs_validate():
+    blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(), re.DOTALL)
+    assert blocks
+    for block in blocks:
+        load_config(block)
