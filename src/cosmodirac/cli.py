@@ -118,8 +118,9 @@ def main(argv=None) -> int:
                 raise ConfigError("<args>", f"manifest not found: {path}")
             try:
                 manifest = RunManifest.load(path)
-            except ValueError as exc:  # json.JSONDecodeError
-                raise ConfigError("<args>", f"manifest {path} is not JSON: {exc}") from exc
+            except (ValueError, TypeError) as exc:  # not JSON, or not a JSON object
+                raise ConfigError("<args>", f"manifest {path} is not a JSON object: "
+                                            f"{exc}") from exc
             except KeyError as exc:
                 raise ConfigError("<args>", f"manifest {path} has no field {exc}") from exc
             scripts = make_plots(manifest)

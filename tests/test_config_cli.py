@@ -379,28 +379,27 @@ class TestCLI:
             assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", ["manifest_not_json", "manifest_without_files",
-                                      "output_is_a_file", "config_is_a_directory"])
-    def test_bad_paths_exit_1_naming_them(self, tmp_path, capsys, case):
-        # each of these used to end in a traceback: JSONDecodeError, KeyError,
-        # FileExistsError and IsADirectoryError
-        cfg = tmp_path / "run.yaml"
-        cfg.write_text(SMALL_RUN)
-        manifest = tmp_path / "manifest.json"
-        taken = tmp_path / "taken"
-        taken.write_text("")
-        argv, names = {
-            "manifest_not_json": (["plots", str(manifest)], [str(manifest)]),
-            "manifest_without_files": (["plots", str(manifest)], [str(manifest), "'files'"]),
-            "output_is_a_file": (["run", str(cfg), "--output", str(taken)], [str(taken)]),
-            "config_is_a_directory": (["run", str(tmp_path)], [str(tmp_path)]),
-        }[case]
-        manifest.write_text("{not json" if case == "manifest_not_json" else
-                            json.dumps({"config": {}, "wall_time_s": 0.0, "version": "0"}))
+    @pytest.mark.parametrize("argv, manifest_text, key", [
+        (["plots", "manifest.json"], "{not json", ""),
+        (["plots", "manifest.json"], "[1, 2]", ""),
+        (["plots", "manifest.json"], '{"config": {}, "wall_time_s": 0.0, "version": "0"}',
+         "'files'"),
+        (["run", "run.yaml", "--output", "taken"], "", ""),
+        (["run", "."], "", ""),
+    ], ids=["manifest_not_json", "manifest_a_json_list", "manifest_without_files",
+            "output_is_a_file", "config_is_a_directory"])
+    def test_bad_paths_exit_1_naming_them(self, tmp_path, capsys, argv, manifest_text, key):
+        # each of these used to end in a traceback: JSONDecodeError, TypeError,
+        # KeyError, FileExistsError and IsADirectoryError
+        (tmp_path / "run.yaml").write_text(SMALL_RUN)
+        (tmp_path / "manifest.json").write_text(manifest_text)
+        (tmp_path / "taken").write_text("")
+        argv = argv[:1] + [arg if arg.startswith("--") else str(tmp_path / arg)
+                           for arg in argv[1:]]
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
-        assert all(name in err for name in names), err
+        assert argv[-1] in err and key in err, err
 
     def test_run_without_an_output_directory_writes_nothing(self, tmp_path, monkeypatch):
         # run() used to write into the working directory when neither
