@@ -23,10 +23,14 @@ exactly about its fixed field.  Every other run is one DOP853 solve
 (:func:`evolve_adaptive`) by the package's own numpy solver
 (:mod:`cosmodirac._dop853`, scipy's DOP853 to the bit, its stage arrays
 allocated once per solve), whose field kernel works on component rows,
-(n_x, n_y, n_z) each over the whole grid, in preallocated buffers, and
-reads a(eta) on a profile's scalar path where it has one.  Either way a
-run is sampled at the uniform times of :func:`sample_grid`, and a solve
-runs at :data:`REFERENCE_RTOL` unless the config sets its own ``rtol``.
+(n_x, n_y, n_z) each over the momenta solved for, in preallocated
+buffers, and reads a(eta) on a profile's scalar path where it has one.
+A mirror-symmetric initial state, n(-k) = diag(-1, -1, 1) n(k) to within
+:data:`MIRROR_TOL` as every Pi = 0 vacuum is, stays so, and is solved on
+the N_S/2 + 1 momenta k in [-pi, 0] and expanded to the whole grid at
+each sample; any other state is solved on all N_S.  Either way a run is
+sampled at the uniform times of :func:`sample_grid`, and a solve runs at
+:data:`REFERENCE_RTOL` unless the config sets its own ``rtol``.
 The order of every floating-point operation is fixed, so runs are
 bit-reproducible.
 A :class:`Trajectory` stores its samples as arrays, the Bloch vectors as
@@ -123,7 +127,9 @@ class Trajectory:
     ``etas`` (T,) and their cosmological :attr:`times`, scale factors
     ``a_vals`` (T,), Bloch vectors ``bloch`` (T, N_S, 3) and condensates
     ``sigma`` and ``pi`` (T,).  ``nfev`` counts the field evaluations that
-    produced them (0 for the closed form).
+    produced them (0 for the closed form), and ``evolved_momenta`` the
+    momenta the propagator solved for: N_S, or N_S/2 + 1 where
+    :func:`evolve_adaptive` took the mirror path.
     """
 
     etas: np.ndarray
@@ -134,6 +140,7 @@ class Trajectory:
     spec: LatticeSpec
     profile: object = None
     nfev: int = 0
+    evolved_momenta: int | None = None
 
     def __post_init__(self):
         t = len(self.etas)
@@ -270,7 +277,7 @@ def self_consistent_ground_state(
     a_val: float,
     tol: float = 1e-10,
     max_iter: int = 10_000,
-    pi_seeds=(0.0, 0.1, -0.1, 0.5, -0.5),
+    pi_seeds=(0.0, 0.1, 0.5),
 ):
     """Gap-equation-consistent vacuum at scale factor a_val.
 
@@ -281,6 +288,14 @@ def self_consistent_ground_state(
     seeds probe the parity-broken (Aoki) branches; the state of each
     converged seed is built once by :func:`free_ground_state`, the
     lowest-energy fixed point wins and the sign of Pi is reported as found.
+
+    The default seeds have no -Pi mirrors: the gap map takes (Sigma, -Pi)
+    to (Sigma', -Pi') to the bit, since negation is exact in each of its
+    operations (both zeros of Pi map alike), so a seed -p repeats the
+    iteration of +p mirrored, ties its energy exactly and can never beat
+    it by the 1e-12 a winner needs.  The doublet branch a default solve
+    returns therefore has Pi >= 0 for g0^2 > 0.  Explicit ``pi_seeds`` are
+    iterated as given, in their order.
 
     Returns (CorrelationState, CondensatePair).
     """
@@ -336,6 +351,29 @@ REFERENCE_RTOL = 1e-12
 # The largest purity defect a propagated sample may have before the run fails.
 PURITY_TOL = 1e-6
 
+# max_k |n(-k) - M n(k)| up to which evolve_adaptive solves a state on half
+# the momenta
+MIRROR_TOL = 1e-12
+# M = diag(-1, -1, 1), the mirror k -> -k of a Pi = 0 Bloch vector
+_MIRROR = np.array([-1.0, -1.0, 1.0])
+
+
+def _is_mirror_symmetric(bloch) -> bool:
+    """Whether (N_S, 3) Bloch vectors have max_k |n(-k) - M n(k)| within
+    :data:`MIRROR_TOL`; tested with <=, so that a NaN state fails."""
+    _, mirror = _separation_constants(bloch.shape[0])
+    return bool(np.max(np.abs(bloch[mirror] - bloch * _MIRROR)) <= MIRROR_TOL)
+
+
+def _mirror_expand(half, num_sites):
+    """(T, N_S, 3) Bloch vectors from (T, N_S/2 + 1, 3) samples on the grid's
+    prefix k in [-pi, 0]: index N_S - j gets n(-k_j) = M n(k_j)."""
+    h = num_sites // 2
+    bloch = np.empty((half.shape[0], num_sites, 3))
+    bloch[:, :h + 1] = half
+    np.multiply(half[:, h - 1:0:-1], _MIRROR, out=bloch[:, h + 1:])
+    return bloch
+
 
 class _BlockField:
     """The self-consistent field b_k and d n_k/d eta = 2 b_k x n_k, in place:
@@ -353,24 +391,36 @@ class _BlockField:
     work array is taken once here, so an evaluation allocates no arrays.
     Doubling is exact in binary floating point, so (2 b) x n is bit for
     bit 2 (b x n).
+
+    With ``mirror`` the field acts on the grid's prefix k in [-pi, 0] of a
+    mirror-symmetric state (see :func:`evolve_adaptive`).  Each momentum
+    strictly inside stands for its partner -k too, whose n_z is its own:
+    Sigma reads 2 sum n_z minus the two ends, k = -pi and k = 0, which
+    stand for themselves.  The partner's n_y is the negative of its own, so
+    Pi, and b_y with it, stays 0; a weighted n_y sum would not.
     """
 
-    def __init__(self, spec: LatticeSpec):
+    def __init__(self, spec: LatticeSpec, mirror: bool = False):
         ks = spec.momentum_grid()
+        if mirror:
+            ks = ks[:spec.num_sites // 2 + 1]
+        self.mirror = mirror
         self.pref = spec.coupling / (2.0 * spec.num_sites)
         self.wilson2 = 2.0 * (1.0 - np.cos(ks))
-        b = np.empty((5, spec.num_sites))
+        b = np.empty((5, ks.size))
         b[0::3] = -2.0 * np.sin(ks)
-        v = np.empty((5, spec.num_sites))
+        v = np.empty((5, ks.size))
         self._n, self._wrap_to, self._wrap_from = v[:3], v[3:], v[:2]
         self._nyz = v[1:3]
+        self._nz_ends = v[2, ::ks.size - 1]
         self._by, self._bz = b[1::3], b[2]
         self._cross = (b[1:4], v[2:5], b[2:5], v[1:4])
-        self._lead, self._lag = np.empty((2, 3, spec.num_sites))
+        self._lead, self._lag = np.empty((2, 3, ks.size))
         self._sums = np.empty(2)
 
     def load(self, n):
-        """Copy the (3, N_S) component rows ``n`` into ``v``."""
+        """Copy the (3, N) component rows ``n`` into ``v``, N the momenta
+        the field acts on."""
         self._n[...] = n
         self._wrap_to[...] = self._wrap_from
 
@@ -378,6 +428,9 @@ class _BlockField:
         """out <- 2 b x n for the state in ``v`` at effective mass ``ma``."""
         np.add.reduce(self._nyz, axis=1, out=self._sums)
         sum_y, sum_z = self._sums.tolist()
+        if self.mirror:
+            first, last = self._nz_ends.tolist()
+            sum_y, sum_z = 0.0, 2.0 * sum_z - (first + last)
         sig = -self.pref * sum_z
         self._by.fill(2.0 * (self.pref * sum_y))
         np.add(2.0 * (ma + sig), self.wilson2, out=self._bz)
@@ -468,7 +521,8 @@ def evolve_free(
             n = _rotate(n, b, [end - start])[0]
     _purity_gate(etas, bloch, "check the initial state")
     a_vals = np.asarray(profile.scale_factor(etas), dtype=float)
-    return Trajectory(etas, a_vals, bloch, *_condensate_sums(bloch, spec), spec, profile)
+    return Trajectory(etas, a_vals, bloch, *_condensate_sums(bloch, spec), spec, profile,
+                      evolved_momenta=spec.num_sites)
 
 
 def _rotate(n, b, durations):
@@ -502,8 +556,19 @@ def evolve_adaptive(
     fixed step either wastes the early window or blows up at the end; the
     step-size controller tracks the local frequency, so the cost is
     logarithmic in the final scale factor.
-    The integrator's state vector keeps the (N_S, 3) order, so its error
-    norm and step control see the same numbers.
+    The integrator's state vector keeps the (N, 3) order of the N momenta
+    it solves for, so its error norm and step control see the same numbers.
+
+    A state with Pi = 0 keeps the mirror k -> -k, n(-k) = M n(k) with
+    M = diag(-1, -1, 1), under this flow, so the solve need not carry both
+    halves of the grid.  The initial state is tested once: if
+    max_k |n(-k) - M n(k)| <= :data:`MIRROR_TOL` (a NaN state fails), the
+    solve runs on the contiguous prefix k in [-pi, 0], N = N_S/2 + 1
+    momenta, with the weighted condensate sums of :class:`_BlockField`,
+    and each sample is expanded once into the full grid as
+    n(N_S - j) = M n(j), so its mirror pairs agree exactly.  Any other
+    state, every Pi != 0 one included, is solved on all N = N_S momenta.
+    The trajectory's ``evolved_momenta`` records N.
 
     The trajectory holds the states at ``sample_etas`` (strictly
     increasing, within ``eta_span``; see :func:`sample_grid`).  The
@@ -523,7 +588,9 @@ def evolve_adaptive(
     if sample_etas[0] < eta0 or sample_etas[-1] > eta1:
         raise ValueError("sample_etas must lie within eta_span")
     spec = initial.spec
-    field = _BlockField(spec)
+    mirror = _is_mirror_symmetric(initial.bloch)
+    y0 = initial.bloch[:spec.num_sites // 2 + 1] if mirror else initial.bloch
+    field = _BlockField(spec, mirror)
     load, rate = field.load, field.rate
     mass, scale_factor = spec.mass, profile.scale_factor
 
@@ -542,16 +609,18 @@ def evolve_adaptive(
         last_pure = eta
 
     try:
-        ys, nfev = _dop853.solve(rhs, (eta0, eta1), initial.bloch.ravel(), sample_etas,
+        ys, nfev = _dop853.solve(rhs, (eta0, eta1), y0.ravel(), sample_etas,
                                  rtol, 1e-12, check)
     except _dop853.SolverError as exc:
         raise StepSizeError(f"adaptive integration failed: {exc}") from exc
     # C order, so that the stacked condensate sums equal the per-state ones
-    bloch = ys.reshape(sample_etas.size, spec.num_sites, 3)
+    bloch = ys.reshape(sample_etas.size, -1, 3)
+    if mirror:
+        bloch = _mirror_expand(bloch, spec.num_sites)
     _purity_gate(sample_etas, bloch, "tighten rtol")
     a_vals = np.asarray(profile.scale_factor(sample_etas), dtype=float)
     return Trajectory(sample_etas, a_vals, bloch, *_condensate_sums(bloch, spec), spec,
-                      profile, nfev=nfev)
+                      profile, nfev=nfev, evolved_momenta=y0.shape[0])
 
 
 # ---------------------------------------------------------------------------

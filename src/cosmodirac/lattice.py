@@ -86,6 +86,15 @@ def _check_domain(eta, lo, hi, name):
         raise DomainError(f"eta outside {name} [{lo}, {hi}]")
 
 
+def _check_finite(profile, *names):
+    """Refuse the first parameter of ``names`` that is not finite (NaN or
+    infinite, or any such entry of a sequence), naming it."""
+    for name in names:
+        value = getattr(profile, name)
+        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class StaticProfile:
     """Flat background, a(eta) = a_val."""
@@ -93,6 +102,7 @@ class StaticProfile:
     a_val: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self, "a_val")
         if not self.a_val > 0:
             raise ValueError("a_val must be positive")
 
@@ -120,6 +130,7 @@ class ExponentialProfile:
     hubble: float
 
     def __post_init__(self):
+        _check_finite(self, "a_0", "a_f", "hubble")
         if not (self.a_f >= self.a_0 > 0):
             raise ValueError("require a_f >= a_0 > 0")
         if not self.hubble > 0:
@@ -160,6 +171,7 @@ class QuenchProfile:
     eta_switch: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self, "a_0", "a_f", "eta_switch")
         if not (self.a_0 > 0 and self.a_f > 0):
             raise ValueError("scale factors must be positive")
 
@@ -202,6 +214,7 @@ class DeSitterProfile:
     def __post_init__(self):
         if self.eta_max is None:
             object.__setattr__(self, "eta_max", -0.001362)
+        _check_finite(self, "hubble", "eta_0", "eta_max")
         if not self.hubble > 0:
             raise ValueError("hubble rate must be positive")
         if not (self.eta_0 < self.eta_max < 0):
@@ -237,6 +250,7 @@ class TabulatedProfile:
         vals = np.asarray(self.values, dtype=float)
         if etas.ndim != 1 or etas.shape != vals.shape or etas.size < 2:
             raise ValueError("need matching 1D eta/a samples, at least two points")
+        _check_finite(self, "etas", "values")
         if not np.all(np.diff(etas) > 0):
             raise ValueError("eta samples must be strictly increasing")
         if not np.all(vals > 0):

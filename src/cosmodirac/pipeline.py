@@ -41,9 +41,11 @@ class RunManifest:
     (:func:`~cosmodirac.gaussian.evolve_free`, no field evaluations) or
     ``"dop853"`` (:func:`~cosmodirac.gaussian.evolve_adaptive`).
     ``diagnostics`` says how it went: ``nfev``, the field evaluations of
-    the solve (0 in closed form), and ``max_purity_defect``, the worst
-    purity defect over the samples, which DOP853 does not conserve, so on
-    a DOP853 run it tracks the step error.  Each analysis adds its own
+    the solve (0 in closed form), ``evolved_momenta``, the momenta it
+    solved for (N_S/2 + 1 where a mirror-symmetric Pi = 0 state let
+    DOP853 solve the half k in [-pi, 0], as on fig2_int, else N_S), and
+    ``max_purity_defect``, the worst purity defect over the samples, which
+    DOP853 does not conserve, so on a DOP853 run it tracks the step error.  Each analysis adds its own
     diagnostics, each a mapping from the analysis's stage,
     ``analyses[<i>].<kind>``, to its value.  An ``entropy`` or ``contour``
     analysis adds ``parity_sector_fraction``, the fraction of its blocks,
@@ -344,7 +346,8 @@ def run(config: RunConfig, output_dir=None, workers: int = 1) -> RunManifest:
     traj = _evolve(config, state)
     lap("evolve")
 
-    diagnostics = {"nfev": traj.nfev, "stage_s": stage_s}
+    diagnostics = {"nfev": traj.nfev, "evolved_momenta": traj.evolved_momenta,
+                   "stage_s": stage_s}
     files = []
     for i, analysis in enumerate(config.analyses):
         stage = f"analyses[{i}].{analysis.kind}"

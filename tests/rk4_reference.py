@@ -39,22 +39,41 @@ def step_grid(eta_span, deta: float, sample_every: int = 1):
     return h, steps[moved], etas[moved]
 
 
-def _reference_field(spec, profile):
-    """d n_k/d eta for (N_S, 3) Bloch vectors, one numpy expression per term."""
+def _reference_field(spec, profile, half=False):
+    """d n_k/d eta for (N_S, 3) Bloch vectors, one numpy expression per term.
+
+    With ``half``, for the (N_S/2 + 1, 3) Bloch vectors on k in [-pi, 0] of
+    a mirror-symmetric state (see :func:`reference_mirror_expand`): Sigma
+    counts each momentum strictly inside twice, as 2 sum n_z minus the two
+    ends, and Pi is 0.
+    """
     ks = spec.momentum_grid()
+    if half:
+        ks = ks[:spec.num_sites // 2 + 1]
     sin_term = -np.sin(ks)
     wilson_term = 1.0 - np.cos(ks)
     pref = spec.coupling / (2.0 * spec.num_sites)
 
     def rhs(eta, n):
-        sig = -pref * np.sum(n[:, 2])
-        pi = pref * np.sum(n[:, 1])
+        if half:
+            sig = -pref * (2.0 * np.sum(n[:, 2]) - (n[0, 2] + n[-1, 2]))
+            pi = 0.0
+        else:
+            sig = -pref * np.sum(n[:, 2])
+            pi = pref * np.sum(n[:, 1])
         bz = spec.mass * float(profile.scale_factor(eta)) + sig + wilson_term
         nx, ny, nz = n[:, 0], n[:, 1], n[:, 2]
         return np.stack([2.0 * (pi * nz - bz * ny), 2.0 * (bz * nx - sin_term * nz),
                          2.0 * (sin_term * ny - pi * nx)], axis=-1)
 
     return rhs
+
+
+def reference_mirror_expand(half, num_sites):
+    """The (N_S, 3) Bloch vectors of a mirror-symmetric state from the
+    (N_S/2 + 1, 3) ones on k in [-pi, 0]: n(-k) = diag(-1, -1, 1) n(k)."""
+    inner = half[1:num_sites // 2][::-1] * np.array([-1.0, -1.0, 1.0])
+    return np.concatenate([half, inner])
 
 
 def _reference_rk4(initial, profile, eta_span, deta, sample_every):

@@ -367,6 +367,22 @@ def test_criterion_7_numerical_health_of_all_runs():
           f"rules hold")
 
 
+def test_only_the_mirror_symmetric_run_is_solved_on_half_the_momenta():
+    """DOP853 solves a preset on N_S/2 + 1 momenta only where its vacuum is
+    mirror-symmetric, fig2_int's Pi = 0 one (257 of 512); every other run,
+    the parity-broken ones and the closed forms, on all N_S.  The half
+    grid's samples keep Pi = 0 to rounding."""
+    for name in HEALTH_RUNS + ENERGY_RUNS:
+        config, traj = preset_run(name)
+        n_s = config.lattice.num_sites
+        expected = n_s // 2 + 1 if name == "fig2_int" else n_s
+        assert traj.evolved_momenta == expected, name
+    _, traj = preset_run("fig2_int")
+    assert np.max(np.abs(traj.pi)) <= 1e-16
+    print("mirror path PASS: fig2_int on 257 of 512 momenta, "
+          f"max |Pi| {np.max(np.abs(traj.pi)):.1e}")
+
+
 def test_criterion_8_validity_boundary_is_flagged():
     """Persistent condensate oscillations break the QP picture — and are caught.
 

@@ -464,10 +464,11 @@ class TestPipelineEvolution:
         assert np.max(np.abs(traj.bloch - split)) < 1e-9
         assert np.array_equal(traj.a_vals, np.where(early, 0.7, 1.3))
 
-    @pytest.mark.parametrize("coupling, propagator", [(0.0, "closed_form"),
-                                                      (1.0, "dop853")],
+    # the interacting vacuum has Pi = 0, so DOP853 solves half of the 16 momenta
+    @pytest.mark.parametrize("coupling, propagator, momenta", [(0.0, "closed_form", 16),
+                                                               (1.0, "dop853", 9)],
                              ids=["free", "interacting"])
-    def test_manifest_records_diagnostics(self, tmp_path, coupling, propagator):
+    def test_manifest_records_diagnostics(self, tmp_path, coupling, propagator, momenta):
         text = SMALL_RUN.replace("mass: 1.0}", f"mass: 1.0, coupling: {coupling}}}")
         config = load_config(text)
         traj = pipeline._evolve(config, pipeline._prepare(config)[0])
@@ -479,7 +480,7 @@ class TestPipelineEvolution:
         assert manifest.propagator == propagator
         diagnostics = dict(manifest.diagnostics)
         assert set(diagnostics.pop("stage_s")) >= {"prepare", "evolve", "write"}
-        assert diagnostics == {"nfev": traj.nfev,
+        assert diagnostics == {"nfev": traj.nfev, "evolved_momenta": momenta,
                                "max_purity_defect": traj.purity_defect(),
                                "parity_sector_fraction": {"analyses[0].entropy": 1.0},
                                "diagonalised_sites": {"analyses[0].entropy": 6}}

@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 
 from gap_reference import reference_ground_state
 from rk4_reference import (_reference_field, _reference_rk4, reference_final_state,
-                           step_grid)
+                           reference_mirror_expand, step_grid)
 
 from cosmodirac import _dop853, gaussian
 from cosmodirac.entanglement import BlockSpec
@@ -195,6 +195,71 @@ class TestGapOracle:
         spec = LatticeSpec(num_sites=16, mass=1.0, coupling=coupling)
         new = _gap_outcome(self_consistent_ground_state, spec, 1.0, pi_seeds=pi_seeds)
         assert new == _gap_outcome(reference_ground_state, spec, 1.0, pi_seeds=pi_seeds)
+
+
+# N_S, m, a and g0^2, attractive and repulsive, for the gap map and solve
+GAP_GRID = dict(
+    num_sites=st.integers(1, 32).map(lambda half: 2 * half),
+    mass=st.floats(-2.0, 2.0), a_val=st.floats(0.2, 2.0),
+    coupling=st.one_of(st.floats(-4.0, 4.0), st.sampled_from([-1.0, 1.0, 2.0, 3.0])),
+)
+
+
+def _bits(*values):
+    """Floats as bytes, so that comparing them tells -0.0 from 0.0."""
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestGapMirror:
+    """The -Pi seeds the default solve leaves out could never have won."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**GAP_GRID, sigma=st.floats(-2.0, 2.0), pi=st.floats(1e-6, 2.0),
+           sign=st.sampled_from([1.0, -1.0]))
+    def test_gap_map_mirrors_pi(self, num_sites, mass, a_val, coupling, sigma, pi, sign):
+        spec = LatticeSpec(num_sites=num_sites, mass=mass, coupling=coupling)
+        gap = gaussian._gap_map(spec, mass * a_val)
+
+        def outcome(pi):
+            try:
+                return _bits(*gap(sigma, pi))
+            except DegenerateGroundStateError as exc:
+                return str(exc)
+
+        pi *= sign
+        mirrored = outcome(-pi)
+        if isinstance(mirrored, bytes):
+            new_sigma, new_pi = gap(sigma, pi)
+            assert mirrored == _bits(new_sigma, -new_pi)
+        else:
+            assert mirrored == outcome(pi)
+        # Pi = +-0 is the one exception: numpy sums -0.0 terms to +0.0, so
+        # both zeros map to the same (Sigma', Pi'), and an iteration that
+        # lands on Pi = 0 exactly goes on the same from either side
+        assert outcome(-0.0) == outcome(0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(**GAP_GRID)
+    def test_default_seeds_solve_as_the_five_mirrored_ones(self, num_sites, mass, a_val,
+                                                           coupling):
+        # reference_ground_state keeps the five seeds 0, +-0.1, +-0.5; a
+        # failed -p seed fails as its +p does, with the same residuals
+        spec = LatticeSpec(num_sites=num_sites, mass=mass, coupling=coupling)
+        try:
+            state, cond = reference_ground_state(spec, a_val)
+        except ConvergenceError as exc:
+            with pytest.raises(ConvergenceError, match=re.escape(str(exc))) as new:
+                self_consistent_ground_state(spec, a_val)
+            assert new.value.residuals == [(pi0, history) for pi0, history
+                                           in exc.residuals if pi0 >= 0]
+            return
+        except DegenerateGroundStateError as exc:
+            with pytest.raises(DegenerateGroundStateError, match=re.escape(str(exc))):
+                self_consistent_ground_state(spec, a_val)
+            return
+        new_state, new_cond = self_consistent_ground_state(spec, a_val)
+        assert new_state.bloch.tobytes() == state.bloch.tobytes()
+        assert _bits(new_cond.sigma, new_cond.pi) == _bits(cond.sigma, cond.pi)
 
 
 class TestEvolution:
@@ -425,27 +490,99 @@ def _quenched_vacuum(num_sites, coupling, mass):
     return spec, free_ground_state(spec, 0.3 * mass)
 
 
+def _reference_solve(state, profile, span, sample_etas, rtol, half=False):
+    """scipy's DOP853 on the reference field of all N_S momenta, or with
+    ``half`` on the N_S/2 + 1 of k in [-pi, 0], each sample expanded to the
+    whole grid: the sample times, the (N_S, 3) samples and nfev."""
+    spec = state.spec
+    y0 = state.bloch[:spec.num_sites // 2 + 1] if half else state.bloch
+    rhs = _reference_field(spec, profile, half=half)
+    sol = solve_ivp(lambda eta, y: rhs(eta, y.reshape(-1, 3)).ravel(), span,
+                    y0.ravel().copy(), method="DOP853", t_eval=sample_etas,
+                    rtol=rtol, atol=1e-12)
+    blochs = [y.reshape(-1, 3) for y in sol.y.T]
+    if half:
+        blochs = [reference_mirror_expand(n, spec.num_sites) for n in blochs]
+    return sol.t, blochs, sol.nfev
+
+
 class TestBitIdentity:
     """The package's DOP853 with the in-place block-field kernel reproduces
-    scipy's ``solve_ivp`` on the per-step formulation."""
+    scipy's ``solve_ivp`` on the per-step formulation of the system it
+    solves: the N_S/2 + 1 momenta k in [-pi, 0] of a mirror-symmetric state,
+    all N_S of any other."""
 
     @settings(max_examples=25, deadline=None)
     @given(**BIT_IDENTITY_CASES, rtol=st.sampled_from([1e-10, REFERENCE_RTOL]))
     def test_dop853(self, num_sites, coupling, mass, kind, rtol):
+        # every case is a Pi = 0 vacuum, so it takes the half grid
         spec, state = _quenched_vacuum(num_sites, coupling, mass)
         profile, eta0 = BIT_IDENTITY_PROFILES[kind]
         span = (eta0, eta0 + 1.0)
         sample_etas = np.linspace(*span, 5)
         traj = evolve_adaptive(state.copy(), profile, span, sample_etas=sample_etas,
                                rtol=rtol)
-        rhs = _reference_field(spec, profile)
-        sol = solve_ivp(lambda eta, y: rhs(eta, y.reshape(-1, 3)).ravel(), span,
-                        state.bloch.ravel().copy(), method="DOP853", t_eval=sample_etas,
-                        rtol=rtol, atol=1e-12)
-        _assert_trajectory_equals(traj, sol.t, [y.reshape(-1, 3) for y in sol.y.T],
-                                  spec, profile)
-        assert traj.nfev == sol.nfev
+        assert traj.evolved_momenta == num_sites // 2 + 1
+        etas, blochs, nfev = _reference_solve(state, profile, span, sample_etas, rtol,
+                                              half=True)
+        _assert_trajectory_equals(traj, etas, blochs, spec, profile)
+        assert traj.nfev == nfev
 
+    @settings(max_examples=25, deadline=None)
+    @given(**BIT_IDENTITY_CASES, rtol=st.sampled_from([1e-10, REFERENCE_RTOL]),
+           broken=st.sampled_from(["pi", "perturbed"]), site=st.integers(0, 63))
+    def test_dop853_on_the_full_grid(self, num_sites, coupling, mass, kind, rtol,
+                                     broken, site):
+        # a Pi != 0 vacuum, or a Pi = 0 one with one Bloch vector moved by
+        # 1e-9, far past MIRROR_TOL, keeps every momentum
+        spec = LatticeSpec(num_sites=num_sites, mass=mass, coupling=coupling)
+        if broken == "pi":
+            state = free_ground_state(spec, 0.3 * mass, 0.0, 0.2)
+        else:
+            state = free_ground_state(spec, 0.3 * mass)
+            state.bloch[site % num_sites] += [1e-9, -1e-9, 1e-9]
+        profile, eta0 = BIT_IDENTITY_PROFILES[kind]
+        span = (eta0, eta0 + 1.0)
+        sample_etas = np.linspace(*span, 5)
+        traj = evolve_adaptive(state.copy(), profile, span, sample_etas=sample_etas,
+                               rtol=rtol)
+        assert traj.evolved_momenta == num_sites
+        etas, blochs, nfev = _reference_solve(state, profile, span, sample_etas, rtol)
+        _assert_trajectory_equals(traj, etas, blochs, spec, profile)
+        assert traj.nfev == nfev
+
+    @pytest.mark.parametrize("site", [0, 8, 9, 15])
+    def test_a_nan_initial_state_still_raises(self, site):
+        # a NaN fails the mirror test, so it cannot hide in the half the
+        # mirror path would not read (sites 9 to 15)
+        _, state = _quenched_vacuum(16, 1.0, 1.0)
+        state.bloch[site, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            evolve_adaptive(state, StaticProfile(1.3), (0.0, 1.0), [0.0, 1.0])
+
+    @settings(max_examples=20, deadline=None)
+    @given(**BIT_IDENTITY_CASES)
+    def test_half_grid_samples_are_mirror_symmetric_and_accurate(self, num_sites,
+                                                                 coupling, mass, kind):
+        # one unit of time, over which every profile's a(eta) is smooth:
+        # across a kink DOP853 on either grid can miss by 1.6e-8 (tabulated
+        # at eta = 1), against 7.7e-12 between the grids here
+        spec, state = _quenched_vacuum(num_sites, coupling, mass)
+        profile, eta0 = BIT_IDENTITY_PROFILES[kind]
+        span = (eta0, eta0 + 1.0)
+        sample_etas = np.linspace(*span, 7)
+        traj = evolve_adaptive(state.copy(), profile, span, sample_etas,
+                               rtol=REFERENCE_RTOL)
+        # the momenta strictly inside (-pi, 0) and their mirror partners
+        inner = np.arange(1, num_sites // 2)
+        n, mirrored = traj.bloch[:, inner], traj.bloch[:, num_sites - inner]
+        assert np.array_equal(mirrored, n * [-1.0, -1.0, 1.0])
+        # Pi is g0^2/(2 N_S) times a sum of n_y whose mirror pairs cancel
+        # but for rounding, plus the n_y of k = -pi, where sin k rounds to
+        # -1.2e-16: up to 3.9e-17 g0^2 (1.2e-16 at N_S = 22, g0^2 = 3)
+        assert np.max(np.abs(traj.pi)) <= 1e-16 * coupling
+        _, blochs, _ = _reference_solve(state, profile, span, sample_etas, REFERENCE_RTOL)
+        assert np.max(np.abs(traj.bloch - np.array(blochs))) <= 1e-9
 
     @pytest.mark.parametrize("rtol", [1e-10, REFERENCE_RTOL])
     @pytest.mark.parametrize("t_eval", [[0.0, 2.5], np.linspace(0.0, 2.5, 7),

@@ -145,6 +145,32 @@ class TestProfiles:
         with pytest.raises(ValueError):
             TabulatedProfile(etas=(0.0, 1.0), values=(1.0, -1.0))
 
+    # every parameter of every profile, with valid values for the others
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("make, name", [
+        (lambda x: StaticProfile(a_val=x), "a_val"),
+        (lambda x: ExponentialProfile(a_0=x, a_f=2.0, hubble=1.0), "a_0"),
+        (lambda x: ExponentialProfile(a_0=1.0, a_f=x, hubble=1.0), "a_f"),
+        (lambda x: ExponentialProfile(a_0=1.0, a_f=2.0, hubble=x), "hubble"),
+        (lambda x: QuenchProfile(a_0=x, a_f=1.0), "a_0"),
+        (lambda x: QuenchProfile(a_0=0.5, a_f=x), "a_f"),
+        (lambda x: QuenchProfile(a_0=0.5, a_f=1.0, eta_switch=x), "eta_switch"),
+        (lambda x: DeSitterProfile(hubble=x, eta_0=-30.0), "hubble"),
+        (lambda x: DeSitterProfile(hubble=0.1, eta_0=x), "eta_0"),
+        (lambda x: DeSitterProfile(hubble=0.1, eta_0=-30.0, eta_max=x), "eta_max"),
+        (lambda x: TabulatedProfile(etas=(0.0, x), values=(1.0, 2.0)), "etas"),
+        (lambda x: TabulatedProfile(etas=(x, 1.0), values=(1.0, 2.0)), "etas"),
+        (lambda x: TabulatedProfile(etas=(0.0, 1.0), values=(1.0, x)), "values"),
+    ], ids=["static-a_val", "exponential-a_0", "exponential-a_f", "exponential-hubble",
+            "quench-a_0", "quench-a_f", "quench-eta_switch", "de_sitter-hubble",
+            "de_sitter-eta_0", "de_sitter-eta_max", "tabulated-last_eta",
+            "tabulated-first_eta", "tabulated-value"])
+    def test_a_non_finite_parameter_is_refused_by_name(self, make, name, bad):
+        # a NaN eta_switch used to put the switch at minus infinity, and an
+        # infinite a_f or sample time built a profile
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make(bad)
+
     def test_tabulated_time_is_the_trapezoid_of_the_samples(self):
         # a(eta) is linear between samples, so t(eta) is exactly the area of
         # the trapezoids under it
