@@ -17,9 +17,9 @@ from cosmodirac import (
     LatticeSpec,
     cone_front,
     contour_trajectory,
-    evolve_adaptive,
     group_velocity,
     horizon_width,
+    propagate,
     self_consistent_ground_state,
 )
 from cosmodirac.gaussian import sample_grid
@@ -49,7 +49,7 @@ print(f"prepared at a_0 = {profile.a_0:.4f} with Sigma = {cond.sigma:+.4f}, "
 
 span = (ETA_0, profile.eta_max)
 # fig4's samples and tolerance
-traj = evolve_adaptive(state, profile, span, sample_grid(span, 121), rtol=1e-10)
+traj = propagate(state, profile, sample_grid(span, 121), rtol=1e-10)
 print(f"scale factor grew {profile.a_0:.3f} -> {traj.a_vals[-1]:.1f} "
       f"({len(traj.etas)} samples, adaptive)")
 

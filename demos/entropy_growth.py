@@ -25,8 +25,8 @@ from cosmodirac import (
     QuenchProfile,
     bogoliubov_spectrum,
     entropy_trajectory,
-    evolve_free,
     free_ground_state,
+    propagate,
     qp_entropy,
     qp_input_from_spectrum,
     qp_plateau,
@@ -45,7 +45,7 @@ print(f"evolving {N_SITES} sites to eta = {ETA_END} ...")
 # g = 0 and a constant after the switch, so each sample is an exact
 # rotation; 121 uniform times, one every 0.25
 sample_etas = sample_grid((0.0, ETA_END), 121)
-traj = evolve_free(vacuum, QuenchProfile(A_0, A_F), sample_etas)
+traj = propagate(vacuum, QuenchProfile(A_0, A_F), sample_etas)
 
 block = BlockSpec(BLOCK, N_SITES)
 etas = np.asarray(traj.etas)

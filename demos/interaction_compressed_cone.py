@@ -10,9 +10,10 @@ dressed quasi-particles are slower and the interacting cone is steeper
     python demos/interaction_compressed_cone.py
 
 Uses smaller lattices than the shipped fig2 presets.  Both runs are
-sampled at 141 uniform times, one every 0.25 as in the presets: the free
-one is rotated in closed form and the interacting one is solved by DOP853
-at the presets' default tolerance, so it finishes in a few seconds.
+sampled at 141 uniform times, one every 0.25 as in the presets, by
+``propagate``: it rotates the free one in closed form and solves the
+interacting one by DOP853 at the presets' default tolerance, so it
+finishes in a few seconds.
 """
 
 import numpy as np
@@ -22,9 +23,8 @@ from cosmodirac import (
     LatticeSpec,
     QuenchProfile,
     contour_trajectory,
-    evolve_adaptive,
-    evolve_free,
     front_slope,
+    propagate,
     renormalized_velocity,
     self_consistent_ground_state,
 )
@@ -41,12 +41,7 @@ def run(coupling):
     vacuum, cond = self_consistent_ground_state(spec, A_0)
     print(f"g0^2 = {coupling}: prepared with Sigma = {cond.sigma:+.4f}, "
           f"Pi = {cond.pi:+.4f}")
-    profile, span = QuenchProfile(A_0, A_F), (0.0, ETA_END)
-    etas = sample_grid(span, 141)
-    if coupling == 0.0:
-        traj = evolve_free(vacuum, profile, etas)
-    else:
-        traj = evolve_adaptive(vacuum, profile, span, sample_etas=etas)
+    traj = propagate(vacuum, QuenchProfile(A_0, A_F), sample_grid((0.0, ETA_END), 141))
     field, _ = contour_trajectory(traj, BlockSpec(BLOCK, N_SITES))
     return traj, field
 

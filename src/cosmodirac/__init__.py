@@ -17,7 +17,6 @@ from .lattice import (  # noqa: F401
     StaticProfile,
     TabulatedProfile,
     band_velocity,
-    cosmological_time,
     dispersion,
     preparation_scale,
     group_velocity,
@@ -31,10 +30,9 @@ from .gaussian import (  # noqa: F401
     StepSizeError,
     Trajectory,
     condensates,
-    evolve_adaptive,
-    evolve_free,
     free_ground_state,
     mean_field_energy,
+    propagate,
     real_space_correlation,
     self_consistent_ground_state,
     total_energy,

@@ -17,18 +17,19 @@ built once per solve (:func:`_gap_map`), with the operations and summation
 order of ``condensates(free_ground_state(...))``, so both forms agree bit
 for bit and only a converged seed's state is built.
 
-There are two propagators.  A free run (g = 0) on a piecewise-constant
-a(eta) needs no integrator: :func:`evolve_free` rotates each Bloch vector
-exactly about its fixed field.  Every other run is one DOP853 solve
-(:func:`evolve_adaptive`) by the package's own numpy solver
-(:mod:`cosmodirac._dop853`, scipy's DOP853 to the bit, its stage arrays
-allocated once per solve), whose field kernel works on component rows,
-(n_x, n_y, n_z) each over the momenta solved for, in preallocated
-buffers, and reads a(eta) on a profile's scalar path where it has one.
-A mirror-symmetric initial state, n(-k) = diag(-1, -1, 1) n(k) to within
-:data:`MIRROR_TOL` as every Pi = 0 vacuum is, stays so, and is solved on
-the N_S/2 + 1 momenta k in [-pi, 0] and expanded to the whole grid at
-each sample; any other state is solved on all N_S.  Either way a run is
+One propagator, :func:`propagate`, evolves every run.  It cuts the span
+at the kinks of a(eta) that lie inside it and solves each piece from the
+state at its start.  A free run (g = 0) on a piecewise-constant a(eta)
+needs no integrator: each Bloch vector is rotated exactly about its
+fixed field.  Every other piece is one DOP853 solve by the package's own
+numpy solver (:mod:`cosmodirac._dop853`, scipy's DOP853 to the bit, its
+stage arrays allocated once per solve), whose field kernel works on
+component rows, (n_x, n_y, n_z) each over the momenta solved for, in
+preallocated buffers, and reads a(eta) on a profile's scalar path where
+it has one.  A mirror-symmetric state, n(-k) = diag(-1, -1, 1) n(k) to
+within :data:`MIRROR_TOL` as every Pi = 0 vacuum is, stays so, and is
+solved on the N_S/2 + 1 momenta k in [-pi, 0] and expanded to the whole
+grid at each sample; any other state is solved on all N_S.  A run is
 sampled at the uniform times of :func:`sample_grid`, and a solve runs at
 :data:`REFERENCE_RTOL` unless the config sets its own ``rtol``.
 The order of every floating-point operation is fixed, so runs are
@@ -47,8 +48,7 @@ import numpy as np
 from numpy.fft import ifft
 
 from . import _dop853
-from .lattice import (LatticeSpec, QuenchProfile, StaticProfile, bloch_vector,
-                      cosmological_time)
+from .lattice import LatticeSpec, QuenchProfile, StaticProfile, bloch_vector
 
 
 class DegenerateGroundStateError(RuntimeError):
@@ -121,15 +121,15 @@ def _purity_defects(bloch):
 
 @dataclass
 class Trajectory:
-    """Sampled output of :func:`evolve_adaptive` and :func:`evolve_free`.
+    """Sampled output of :func:`propagate`.
 
     Arrays over the T samples: strictly increasing conformal times
     ``etas`` (T,) and their cosmological :attr:`times`, scale factors
     ``a_vals`` (T,), Bloch vectors ``bloch`` (T, N_S, 3) and condensates
     ``sigma`` and ``pi`` (T,).  ``nfev`` counts the field evaluations that
     produced them (0 for the closed form), and ``evolved_momenta`` the
-    momenta the propagator solved for: N_S, or N_S/2 + 1 where
-    :func:`evolve_adaptive` took the mirror path.
+    momenta the propagator solved for: N_S, or N_S/2 + 1 where every
+    DOP853 piece took the mirror path.
     """
 
     etas: np.ndarray
@@ -152,7 +152,7 @@ class Trajectory:
     def times(self) -> np.ndarray:
         """Cosmological time (T,) of each sample, the one time axis analyses
         read; element by element, so ``times[idx]`` is t(etas[idx]) to the bit."""
-        return np.asarray(cosmological_time(self.profile, self.etas), dtype=float)
+        return np.asarray(self.profile.cosmological_time(self.etas), dtype=float)
 
     def state(self, i) -> CorrelationState:
         """Sample ``i`` as a :class:`CorrelationState` viewing ``bloch[i]``."""
@@ -230,7 +230,10 @@ def mean_field_energy(state: CorrelationState, ma_eff) -> float:
     e = total_energy(state, ma_eff)
     if spec.coupling != 0.0:
         sigma, pi = _condensate_sums(state.bloch, spec)
-        e += (spec.num_sites / spec.coupling) * (sigma**2 - pi**2)
+        condensed = sigma**2 - pi**2
+        # a subnormal g0^2 makes N_S / g0^2 infinite, and its condensates square to 0
+        if condensed != 0.0:
+            e += (spec.num_sites / spec.coupling) * condensed
     return float(e)
 
 
@@ -299,8 +302,8 @@ def self_consistent_ground_state(
 
     Returns (CorrelationState, CondensatePair).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:  # a NaN tol fails too
+        raise ValueError(f"tol must be positive, got {tol}")
     ma_eff = spec.mass * a_val
     if spec.coupling == 0.0:
         return free_ground_state(spec, ma_eff), CondensatePair(0.0, 0.0)
@@ -351,7 +354,7 @@ REFERENCE_RTOL = 1e-12
 # The largest purity defect a propagated sample may have before the run fails.
 PURITY_TOL = 1e-6
 
-# max_k |n(-k) - M n(k)| up to which evolve_adaptive solves a state on half
+# max_k |n(-k) - M n(k)| up to which a DOP853 piece solves a state on half
 # the momenta
 MIRROR_TOL = 1e-12
 # M = diag(-1, -1, 1), the mirror k -> -k of a Pi = 0 Bloch vector
@@ -377,7 +380,7 @@ def _mirror_expand(half, num_sites):
 
 class _BlockField:
     """The self-consistent field b_k and d n_k/d eta = 2 b_k x n_k, in place:
-    the right-hand side of :func:`evolve_adaptive`.
+    the right-hand side of :func:`_dop853_piece`.
 
     Built once per run from the lattice.  The state being differentiated
     sits in a buffer ``v`` of component rows (n_x, n_y, n_z, n_x, n_y) and
@@ -393,7 +396,7 @@ class _BlockField:
     bit 2 (b x n).
 
     With ``mirror`` the field acts on the grid's prefix k in [-pi, 0] of a
-    mirror-symmetric state (see :func:`evolve_adaptive`).  Each momentum
+    mirror-symmetric state (see :func:`_dop853_piece`).  Each momentum
     strictly inside stands for its partner -k too, whose n_z is its own:
     Sigma reads 2 sum n_z minus the two ends, k = -pi and k = 0, which
     stand for themselves.  The partner's n_y is the negative of its own, so
@@ -440,13 +443,6 @@ class _BlockField:
         np.subtract(self._lead, self._lag, out=out)
 
 
-def _check_span(eta_span):
-    eta0, eta1 = float(eta_span[0]), float(eta_span[1])
-    if not (eta1 > eta0):  # a NaN end fails too
-        raise ValueError("eta_span must be increasing")
-    return eta0, eta1
-
-
 def _check_sample_times(etas) -> np.ndarray:
     # all(> 0) rather than any(<= 0), so that a NaN fails too
     etas = np.asarray(etas, dtype=float)
@@ -473,132 +469,121 @@ def _purity_gate(etas, bloch, remedy):
 def sample_grid(eta_span, n_samples: int):
     """``n_samples`` sample times spread uniformly over ``eta_span``, both
     ends included: the sample times of every run."""
-    eta0, eta1 = _check_span(eta_span)
+    eta0, eta1 = float(eta_span[0]), float(eta_span[1])
+    if not (eta1 > eta0):  # a NaN end fails too
+        raise ValueError("eta_span must be increasing")
     return np.linspace(eta0, eta1, int(n_samples))
 
 
-def evolve_free(
+def propagate(
     initial: CorrelationState,
     profile,
     etas,
-) -> Trajectory:
-    """Exact samples of a free run on a static or sudden-quench background.
-
-    With g = 0 there are no condensates, and while a(eta) is constant
-    the field b_k = (-sin k, 0, m a(eta) + 1 - cos k) is fixed,
-    so d n_k/d eta = 2 b_k x n_k rotates n_k rigidly about b_k/|b_k| by
-    the angle 2|b_k|(eta - eta_0) (Rodrigues' formula), for all samples
-    and momenta at once.  ``initial`` is the state at ``etas[0]``.  A
-    :class:`QuenchProfile` whose ``eta_switch`` lies after ``etas[0]``
-    gets one rotation under a_0 up to the switch and one under a_f from
-    the rotated state on.  Every sample is rotated from the initial or
-    the switch state, so no error accumulates.
-
-    Raises :class:`StepSizeError` if the purity defect of any sample
-    exceeds :data:`PURITY_TOL` or is not finite, and ``ValueError`` for a coupled
-    lattice, another profile or bad sample times.
-    """
-    etas = _check_sample_times(etas)
-    spec = initial.spec
-    if spec.coupling != 0.0:
-        raise ValueError("evolve_free needs a free lattice (coupling 0)")
-    if not isinstance(profile, (StaticProfile, QuenchProfile)):
-        raise ValueError("evolve_free needs a static or quench profile")
-    eta0 = etas[0]
-    # (start, a) of each stretch of constant a over the samples
-    pieces = [(eta0, float(profile.scale_factor(eta0)))]
-    if isinstance(profile, QuenchProfile) and eta0 < profile.eta_switch:
-        pieces = [(eta0, float(profile.a_0)), (profile.eta_switch, float(profile.a_f))]
-    ks = spec.momentum_grid()
-    bloch = np.empty((etas.size,) + initial.bloch.shape)
-    n = initial.bloch
-    for i, (start, a) in enumerate(pieces):
-        end = pieces[i + 1][0] if i + 1 < len(pieces) else np.inf
-        rows = (etas >= start) & (etas < end)
-        b = bloch_vector(ks, spec.mass * a, 0.0, 0.0)
-        bloch[rows] = _rotate(n, b, etas[rows] - start)
-        if i + 1 < len(pieces):
-            n = _rotate(n, b, [end - start])[0]
-    _purity_gate(etas, bloch, "check the initial state")
-    a_vals = np.asarray(profile.scale_factor(etas), dtype=float)
-    return Trajectory(etas, a_vals, bloch, *_condensate_sums(bloch, spec), spec, profile,
-                      evolved_momenta=spec.num_sites)
-
-
-def _rotate(n, b, durations):
-    """(T, N_S, 3) Bloch vectors n rotated for ``durations`` about fields b.
-
-    n(t) = n cos(w t) + (b^ x n) sin(w t) + b^ (b^ . n)(1 - cos(w t))
-    with w = 2|b|, exactly n at t = 0; a mode with b = 0 stays put.
-    """
-    eps = np.linalg.norm(b, axis=-1)
-    unit = np.divide(b, eps[:, None], out=np.zeros_like(b), where=eps[:, None] > 0)
-    angle = 2.0 * np.asarray(durations, dtype=float)[:, None] * eps
-    cos, sin = np.cos(angle)[..., None], np.sin(angle)[..., None]
-    axial = unit * np.sum(unit * n, axis=-1, keepdims=True)
-    return n * cos + np.cross(unit, n) * sin + axial * (1.0 - cos)
-
-
-def evolve_adaptive(
-    initial: CorrelationState,
-    profile,
-    eta_span,
-    sample_etas,
     rtol: float = REFERENCE_RTOL,
 ) -> Trajectory:
-    """Adaptive-step integration of the self-consistent block equations.
+    """The state ``initial`` at ``etas[0]`` evolved to each sample time
+    ``etas`` (two or more, strictly increasing; see :func:`sample_grid`).
 
-    d n_k/d eta = 2 b_k x n_k, with the condensates in b_k recomputed from
-    the full set of blocks at every evaluation (:class:`_BlockField`),
-    solved by the package's DOP853 (:func:`cosmodirac._dop853.solve`) with
-    tight tolerances.  Essential for de Sitter profiles, where the
-    effective mass m a(eta) = -m/(H eta) diverges towards eta -> 0^- and a
-    fixed step either wastes the early window or blows up at the end; the
-    step-size controller tracks the local frequency, so the cost is
-    logarithmic in the final scale factor.
-    The integrator's state vector keeps the (N, 3) order of the N momenta
-    it solves for, so its error norm and step control see the same numbers.
-
-    A state with Pi = 0 keeps the mirror k -> -k, n(-k) = M n(k) with
-    M = diag(-1, -1, 1), under this flow, so the solve need not carry both
-    halves of the grid.  The initial state is tested once: if
-    max_k |n(-k) - M n(k)| <= :data:`MIRROR_TOL` (a NaN state fails), the
-    solve runs on the contiguous prefix k in [-pi, 0], N = N_S/2 + 1
-    momenta, with the weighted condensate sums of :class:`_BlockField`,
-    and each sample is expanded once into the full grid as
-    n(N_S - j) = M n(j), so its mirror pairs agree exactly.  Any other
-    state, every Pi != 0 one included, is solved on all N = N_S momenta.
-    The trajectory's ``evolved_momenta`` records N.
-
-    The trajectory holds the states at ``sample_etas`` (strictly
-    increasing, within ``eta_span``; see :func:`sample_grid`).  The
-    dense output puts the samples anywhere between the steps, so they
-    leave the step control alone.  The absolute tolerance is fixed at 1e-12;
-    ``rtol`` (:data:`REFERENCE_RTOL` unless given, as in a config) sets the
-    accuracy and may not be below :data:`~cosmodirac._dop853.MIN_RTOL`.
+    d n_k/d eta = 2 b_k x n_k, with b_k = (-sin k, Pi, m a(eta) + Sigma
+    + 1 - cos k) and the condensates recomputed from all the blocks.  The
+    span [etas[0], etas[-1]] is cut at the profile's ``kinks`` strictly
+    inside it, and each piece is solved from the state at its start; a
+    sample on a kink belongs to the piece that starts there, and a piece
+    that ends at a kink reads a(eta) from its left, so a quench's jump acts
+    only on the next piece.  A free lattice (g = 0) on a
+    :class:`StaticProfile` or :class:`QuenchProfile` is rotated exactly on
+    each piece (:func:`_rotation_piece`); every other run is solved by
+    DOP853 (:func:`_dop853_piece`) at ``rtol``, which may not be below
+    :data:`~cosmodirac._dop853.MIN_RTOL`.  The trajectory's ``nfev`` sums
+    the pieces' field evaluations, and ``evolved_momenta`` is the most
+    momenta a piece solved for.
 
     Raises :class:`StepSizeError` if the field is not finite, the step size
-    underflows, or the purity defect of any sample exceeds :data:`PURITY_TOL`
-    or is not finite.  The solve stops at the first step that takes the
-    defect past :data:`PURITY_TOL` and names it, so a runaway state ends
-    the run instead of shrinking the steps without end.
+    underflows, or the purity defect of any sample exceeds
+    :data:`PURITY_TOL` or is not finite, and ``ValueError`` for bad sample
+    times or, on DOP853, an initial state that is not finite.
     """
-    sample_etas = _check_sample_times(sample_etas)
-    eta0, eta1 = _check_span(eta_span)
-    if sample_etas[0] < eta0 or sample_etas[-1] > eta1:
-        raise ValueError("sample_etas must lie within eta_span")
+    etas = _check_sample_times(etas)
+    if etas.size < 2:
+        raise ValueError(f"propagate needs two or more sample times, got {etas}")
     spec = initial.spec
-    mirror = _is_mirror_symmetric(initial.bloch)
-    y0 = initial.bloch[:spec.num_sites // 2 + 1] if mirror else initial.bloch
+    rotates = spec.coupling == 0.0 and isinstance(profile, (StaticProfile, QuenchProfile))
+    solve_piece = _rotation_piece if rotates else _dop853_piece
+    cuts = [kink for kink in profile.kinks if etas[0] < kink < etas[-1]]
+    bloch = np.empty((etas.size,) + initial.bloch.shape)
+    n, first, nfev, momenta = initial.bloch, 0, 0, 0
+    for start, end in zip([etas[0], *cuts], [*cuts, None]):
+        if end is None:
+            times, scale_factor = etas[first:], profile.scale_factor
+        else:
+            times = np.append(etas[first:np.searchsorted(etas, end)], end)
+            left = np.nextafter(end, -np.inf)
+            scale_factor = lambda eta, left=left: profile.scale_factor(min(eta, left))
+        piece, piece_nfev, piece_momenta = solve_piece(spec, n, scale_factor, start,
+                                                       times, rtol)
+        rows = times.size - (end is not None)
+        bloch[first:first + rows] = piece[:rows]
+        n, first = piece[-1], first + rows
+        nfev, momenta = nfev + piece_nfev, max(momenta, piece_momenta)
+    _purity_gate(etas, bloch, "check the initial state" if rotates else "tighten rtol")
+    a_vals = np.asarray(profile.scale_factor(etas), dtype=float)
+    return Trajectory(etas, a_vals, bloch, *_condensate_sums(bloch, spec), spec, profile,
+                      nfev=nfev, evolved_momenta=momenta)
+
+
+def _rotation_piece(spec, n, scale_factor, start, times, rtol):
+    """``(bloch, 0, N_S)``: the free Bloch vectors ``n`` at ``start``
+    rotated exactly to each of ``times`` under the constant a(start).
+
+    With g = 0 the field b = (-sin k, 0, m a + 1 - cos k) is fixed, so by
+    Rodrigues' formula n(t) = n cos(w t) + (b^ x n) sin(w t)
+    + b^ (b^ . n)(1 - cos(w t)) with w = 2|b| and t = eta - start, exactly
+    n at t = 0; a mode with b = 0 stays put.  Every time is rotated from
+    ``start``, so no error accumulates.
+    """
+    b = bloch_vector(spec.momentum_grid(), spec.mass * float(scale_factor(start)), 0.0, 0.0)
+    eps = np.linalg.norm(b, axis=-1)
+    unit = np.divide(b, eps[:, None], out=np.zeros_like(b), where=eps[:, None] > 0)
+    angle = 2.0 * (times - start)[:, None] * eps
+    cos, sin = np.cos(angle)[..., None], np.sin(angle)[..., None]
+    axial = unit * np.sum(unit * n, axis=-1, keepdims=True)
+    return n * cos + np.cross(unit, n) * sin + axial * (1.0 - cos), 0, spec.num_sites
+
+
+def _dop853_piece(spec, n, scale_factor, start, times, rtol):
+    """``(bloch, nfev, N)``: the Bloch vectors ``n`` at ``start`` solved to
+    each of ``times``, the last of which ends the solve.
+
+    The self-consistent field (:class:`_BlockField`) is integrated by the
+    package's DOP853 (:func:`cosmodirac._dop853.solve`) at relative
+    tolerance ``rtol`` and absolute tolerance 1e-12, reading a(eta) from
+    ``scale_factor``.  Its step control tracks the local frequency, so a
+    de Sitter chart, whose m a(eta) = -m/(H eta) diverges towards
+    eta -> 0^-, costs steps logarithmic in the final scale factor; the
+    dense output puts the samples between the steps, so they leave the
+    step control alone.  The state vector keeps the (N, 3) order of the N
+    momenta solved for, so the error norm sees the same numbers.
+
+    A state with Pi = 0 keeps the mirror n(-k) = M n(k), M = diag(-1, -1,
+    1), under this flow.  If ``n`` has it, max_k |n(-k) - M n(k)| <=
+    :data:`MIRROR_TOL` (a NaN state fails), the solve runs on the prefix
+    k in [-pi, 0], N = N_S/2 + 1 momenta, with the weighted condensate
+    sums of :class:`_BlockField`, and each sample is expanded into the
+    full grid as n(N_S - j) = M n(j), so its mirror pairs agree exactly.
+    Any other state is solved on all N = N_S momenta.  The solve stops at
+    the first step that takes the purity defect past :data:`PURITY_TOL`
+    and names it, so a runaway state ends the run.
+    """
+    mirror = _is_mirror_symmetric(n)
+    y0 = n[:spec.num_sites // 2 + 1] if mirror else n
     field = _BlockField(spec, mirror)
-    load, rate = field.load, field.rate
-    mass, scale_factor = spec.mass, profile.scale_factor
+    load, rate, mass = field.load, field.rate, spec.mass
 
     def rhs(eta, y, out):
         load(y.reshape(-1, 3).T)
         rate(mass * float(scale_factor(eta)), out.reshape(-1, 3).T)
 
-    last_pure = eta0  # the last step end whose state passed
+    last_pure = start  # the last step end whose state passed
 
     def check(eta, y):
         nonlocal last_pure
@@ -609,18 +594,15 @@ def evolve_adaptive(
         last_pure = eta
 
     try:
-        ys, nfev = _dop853.solve(rhs, (eta0, eta1), y0.ravel(), sample_etas,
-                                 rtol, 1e-12, check)
+        ys, nfev = _dop853.solve(rhs, (start, times[-1]), y0.ravel(), times, rtol,
+                                 1e-12, check)
     except _dop853.SolverError as exc:
         raise StepSizeError(f"adaptive integration failed: {exc}") from exc
     # C order, so that the stacked condensate sums equal the per-state ones
-    bloch = ys.reshape(sample_etas.size, -1, 3)
+    bloch = ys.reshape(times.size, -1, 3)
     if mirror:
         bloch = _mirror_expand(bloch, spec.num_sites)
-    _purity_gate(sample_etas, bloch, "tighten rtol")
-    a_vals = np.asarray(profile.scale_factor(sample_etas), dtype=float)
-    return Trajectory(sample_etas, a_vals, bloch, *_condensate_sums(bloch, spec), spec,
-                      profile, nfev=nfev, evolved_momenta=y0.shape[0])
+    return bloch, nfev, y0.shape[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ blocks, and the dispersion relation with its group velocity.  The
 exponential, quench and de Sitter profiles, the ones the adaptive solver
 reads at every right-hand-side evaluation, take a scalar path for one float
 time with the IEEE operations of their array path, so both agree bit for bit.
+Each profile names its ``kinks``, the times at which a(eta) or its slope
+jumps, derived from its fields; ``gaussian.propagate`` ends a solve at each.
 
 All quantities are in lattice units, a = 1: lengths and conformal times count
 sites, and momenta, masses and rates are in 1/a.  A chain whose sites lie
@@ -97,9 +99,11 @@ def _check_finite(profile, *names):
 
 @dataclass(frozen=True)
 class StaticProfile:
-    """Flat background, a(eta) = a_val."""
+    """Flat background, a(eta) = a_val; cosmological time t = a_val eta is
+    zero at eta = 0, and there are no kinks."""
 
     a_val: float = 1.0
+    kinks = ()
 
     def __post_init__(self):
         _check_finite(self, "a_val")
@@ -122,7 +126,8 @@ class ExponentialProfile:
     at a_f once reached.  The clamp point is
     eta_f = (1 - a_0/a_f) / (a_0 H), and the total cosmological duration
     is Delta t = log(a_f/a_0) / H.  For eta < 0 the profile is held at a_0
-    (asymptotic in-region).
+    (asymptotic in-region).  Cosmological time is zero at eta = 0.  The
+    kinks of a(eta) are where the ramp starts and where it is clamped.
     """
 
     a_0: float
@@ -139,6 +144,11 @@ class ExponentialProfile:
     @property
     def eta_clamp(self) -> float:
         return (1.0 - self.a_0 / self.a_f) / (self.a_0 * self.hubble)
+
+    @property
+    def kinks(self) -> tuple:
+        # a_f = a_0 leaves no ramp: the clamp is the start, one kink
+        return (0.0, self.eta_clamp) if self.eta_clamp > 0.0 else (0.0,)
 
     def scale_factor(self, eta):
         if isinstance(eta, float):
@@ -164,11 +174,18 @@ class ExponentialProfile:
 
 @dataclass(frozen=True)
 class QuenchProfile:
-    """Instantaneous expansion a_0 -> a_f at eta_switch (sudden/quench limit)."""
+    """Instantaneous expansion a_0 -> a_f at eta_switch (sudden/quench limit).
+
+    Cosmological time is zero at eta_switch, the one kink of a(eta).
+    """
 
     a_0: float
     a_f: float
     eta_switch: float = 0.0
+
+    @property
+    def kinks(self) -> tuple:
+        return (self.eta_switch,)
 
     def __post_init__(self):
         _check_finite(self, "a_0", "a_f", "eta_switch")
@@ -204,12 +221,14 @@ class DeSitterProfile:
     """Accelerating expansion a(eta) = -1/(H eta) on eta in [eta_0, eta_max], eta < 0.
 
     The default eta_max truncates the chart just before the eta -> 0^-
-    horizon.  The initial scale factor is a_0 = -1/(H eta_0).
+    horizon.  The initial scale factor is a_0 = -1/(H eta_0).  Cosmological
+    time is zero at eta_0, and the chart has no kinks.
     """
 
     hubble: float
     eta_0: float
     eta_max: float = None  # default set in __post_init__
+    kinks = ()
 
     def __post_init__(self):
         if self.eta_max is None:
@@ -240,7 +259,11 @@ class DeSitterProfile:
 
 @dataclass(frozen=True)
 class TabulatedProfile:
-    """Piecewise-linear a(eta) through the given (eta, a) samples."""
+    """Piecewise-linear a(eta) through the given (eta, a) samples.
+
+    Cosmological time is zero at the first sample; the kinks of a(eta) are
+    the samples strictly inside.
+    """
 
     etas: tuple = field(default_factory=tuple)
     values: tuple = field(default_factory=tuple)
@@ -258,6 +281,10 @@ class TabulatedProfile:
         object.__setattr__(self, "etas", tuple(etas))
         object.__setattr__(self, "values", tuple(vals))
 
+    @property
+    def kinks(self) -> tuple:
+        return self.etas[1:-1]
+
     def scale_factor(self, eta):
         eta = np.asarray(eta, dtype=float)
         _check_domain(eta, self.etas[0], self.etas[-1], "tabulated domain")
@@ -272,13 +299,6 @@ class TabulatedProfile:
         areas = np.concatenate([[0.0], np.cumsum(0.5 * (vals[:-1] + vals[1:]) * np.diff(etas))])
         i = np.clip(np.searchsorted(etas, eta, side="right") - 1, 0, etas.size - 2)
         return areas[i] + 0.5 * (vals[i] + np.interp(eta, etas, vals)) * (eta - etas[i])
-
-
-def cosmological_time(profile, eta):
-    """t(eta) = integral of a, zero at the profile's reference time: eta = 0
-    (exponential), ``eta_switch`` (quench), ``eta_0`` (de Sitter), the first
-    sample (tabulated) or eta = 0 (static)."""
-    return profile.cosmological_time(eta)
 
 
 # ---------------------------------------------------------------------------

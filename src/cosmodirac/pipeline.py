@@ -20,13 +20,8 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig
 from .entanglement import contour_trajectory, diagonalised_sites, entropy_trajectory
-from .gaussian import (
-    evolve_adaptive,
-    evolve_free,
-    sample_grid,
-    self_consistent_ground_state,
-)
-from .lattice import ExponentialProfile, QuenchProfile, StaticProfile, preparation_scale
+from .gaussian import propagate, sample_grid, self_consistent_ground_state
+from .lattice import ExponentialProfile, QuenchProfile, preparation_scale
 from .production import bogoliubov_spectrum, mode_pair_entropy
 from .quasiparticle import (PERSISTENCE_LIMIT, condensate_persistence, qp_entropy,
                             qp_input_from_spectrum)
@@ -37,13 +32,14 @@ from .symmetry import spectrum_symmetry_check, symmetry_report
 class RunManifest:
     """Record of one executed run: config snapshot, inventory, timings.
 
-    ``propagator`` names what evolved the state: ``"closed_form"``
-    (:func:`~cosmodirac.gaussian.evolve_free`, no field evaluations) or
-    ``"dop853"`` (:func:`~cosmodirac.gaussian.evolve_adaptive`).
-    ``diagnostics`` says how it went: ``nfev``, the field evaluations of
-    the solve (0 in closed form), ``evolved_momenta``, the momenta it
-    solved for (N_S/2 + 1 where a mirror-symmetric Pi = 0 state let
-    DOP853 solve the half k in [-pi, 0], as on fig2_int, else N_S), and
+    ``propagator`` names how :func:`~cosmodirac.gaussian.propagate`
+    evolved the state: ``"closed_form"`` (exact rotations, no field
+    evaluations) or ``"dop853"``, one solve per piece of the span between
+    the profile's kinks.  ``diagnostics`` says how it went: ``nfev``, the
+    field evaluations of the solves, summed over the pieces (0 in closed
+    form), ``evolved_momenta``, the momenta they solved for (N_S/2 + 1
+    where a mirror-symmetric Pi = 0 state let DOP853 solve the half k in
+    [-pi, 0], as on fig2_int, else N_S), and
     ``max_purity_defect``, the worst purity defect over the samples, which
     DOP853 does not conserve, so on a DOP853 run it tracks the step error.  Each analysis adds its own
     diagnostics, each a mapping from the analysis's stage,
@@ -157,18 +153,11 @@ def _prepare(config: RunConfig):
 
 
 def _evolve(config: RunConfig, state):
-    """Evolve the prepared state to its ``evolution.n_samples`` uniform times
-    (:func:`~cosmodirac.gaussian.sample_grid`): rotated exactly to each by
-    :func:`~cosmodirac.gaussian.evolve_free` on a free lattice under a
-    static or quench profile, else solved at ``evolution.rtol`` by
-    :func:`~cosmodirac.gaussian.evolve_adaptive`."""
+    """Propagate the prepared state to its ``evolution.n_samples`` uniform
+    times (:func:`~cosmodirac.gaussian.sample_grid`) at ``evolution.rtol``."""
     ev = config.evolution
-    etas = sample_grid(config.eta_span, ev["n_samples"])
-    if config.lattice.coupling == 0.0 and isinstance(config.profile,
-                                                     (StaticProfile, QuenchProfile)):
-        return evolve_free(state, config.profile, etas)
-    return evolve_adaptive(state, config.profile, config.eta_span,
-                           sample_etas=etas, rtol=ev["rtol"])
+    return propagate(state, config.profile, sample_grid(config.eta_span, ev["n_samples"]),
+                     ev["rtol"])
 
 
 def _emit_condensates(traj, directory):

@@ -72,7 +72,6 @@ def mode_pair_entropy(beta_sq):
         )
     if s.ndim == 0:
         s = float(s)
-        return s, 2.0 * s
     return s, 2.0 * s
 
 

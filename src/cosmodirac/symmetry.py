@@ -16,7 +16,7 @@ import numpy as np
 
 from .lattice import (GAMMA0, GAMMA1, SIGMA_Y, ExponentialProfile, LatticeSpec,
                       hamiltonian_block)
-from .gaussian import CorrelationState, evolve_adaptive, self_consistent_ground_state
+from .gaussian import CorrelationState, propagate, self_consistent_ground_state
 from .production import bogoliubov_spectrum, spectrum_asymmetry
 
 T_MATRIX = GAMMA0
@@ -111,8 +111,7 @@ def _sweep_row(spec, a_0, a_f, vacuum, hubble):
     state, nfev = vacuum, 0
     if hubble < QUENCH_LIMIT_HUBBLE:
         profile = ExponentialProfile(a_0=a_0, a_f=a_f, hubble=hubble)
-        traj = evolve_adaptive(vacuum, profile, (0.0, profile.eta_clamp),
-                               sample_etas=[profile.eta_clamp])
+        traj = propagate(vacuum, profile, [0.0, profile.eta_clamp])
         state, nfev = traj.state(-1), traj.nfev
     spectrum = bogoliubov_spectrum(state, spec.mass * a_f)
     return {
@@ -140,10 +139,12 @@ def spectrum_symmetry_check(
     as it is.  Demonstrates the non-monotone restoration of a symmetric
     spectrum in the quench limit.
 
-    Each ramp is one DOP853 solve (:func:`evolve_adaptive` at rtol
-    :data:`~cosmodirac.gaussian.REFERENCE_RTOL`) over [0, eta_clamp]: the
-    clamp's kink in a(eta) ends the span, so no step straddles it.  Only the
-    final state is sampled, so the purity gate checks that state alone.  The
+    Each ramp is one DOP853 solve (:func:`propagate` at rtol
+    :data:`~cosmodirac.gaussian.REFERENCE_RTOL`) sampled at the two ends of
+    [0, eta_clamp]: the ramp's kinks are those ends, so the span is one
+    piece and no step straddles a kink.  The purity gate checks the vacuum
+    and the final state, and the sampled start costs the solve three
+    evaluations of dense output.  The
     rates run one after another in this process: fig6's six take about
     0.1 s in all on a 2-core machine, too little to share among processes.
 

@@ -23,10 +23,9 @@ from cosmodirac.entanglement import (
 )
 from cosmodirac.gaussian import (
     REFERENCE_RTOL,
-    evolve_adaptive,
-    evolve_free,
     free_ground_state,
     mean_field_energy,
+    propagate,
     real_space_correlation,
     sample_grid,
 )
@@ -265,9 +264,8 @@ def test_criterion_6_production_spectra_against_oracles():
     small = LatticeSpec(num_sites=64, mass=1.0)
     ramp = ExponentialProfile(a_0=0.7, a_f=1.3, hubble=0.05)
     ramp_span = (0.0, ramp.eta_clamp + 10.0)
-    ramp_traj = evolve_adaptive(free_ground_state(small, 0.7), ramp,
-                                ramp_span, sample_grid(ramp_span, 2),
-                                rtol=REFERENCE_RTOL)
+    ramp_traj = propagate(free_ground_state(small, 0.7), ramp, sample_grid(ramp_span, 2),
+                          rtol=REFERENCE_RTOL)
     ramp_max = float(np.max(
         bogoliubov_spectrum(ramp_traj.state(-1), 1.3).beta_sq
     ))
@@ -289,9 +287,9 @@ def test_criterion_6_production_spectra_against_oracles():
     eta = 1.5
     psi = vec_f @ (np.exp(-1j * w_f * eta) * (vec_f.conj().T @ vec_i[:, 0]))
 
-    gauss = evolve_free(free_ground_state(ed_spec, fo.MA_I),
-                        fo.QuenchProfile(fo.MA_I, fo.MA_F),
-                        sample_grid((0.0, eta), 2))
+    gauss = propagate(free_ground_state(ed_spec, fo.MA_I),
+                      fo.QuenchProfile(fo.MA_I, fo.MA_F),
+                      sample_grid((0.0, eta), 2))
     gamma = real_space_correlation(gauss.state(-1))
     exact = np.empty_like(gamma)
     for q in range(fo.N_MODES):

@@ -252,15 +252,16 @@ class TestCLI:
     ], ids=["free", "interacting"])
     def test_manifest_names_the_propagator_that_ran(self, tmp_path, monkeypatch,
                                                     edit, expected):
-        # the lattice and profile pick the propagator; there is no fixed-step one
-        assert not hasattr(pipeline, "evolve") and not hasattr(gaussian, "evolve")
+        # the lattice and profile pick how propagate solves the run's one
+        # piece; there is no fixed-step propagator
+        assert not any(hasattr(module, "evolve") for module in (pipeline, gaussian, symmetry))
+        assert pipeline.propagate is gaussian.propagate
         ran = []
-        for module, name, kind in ((pipeline, "evolve_free", "closed_form"),
-                                   (pipeline, "evolve_adaptive", "dop853")):
-            def record(*args, _kind=kind, _func=getattr(module, name), **kwargs):
+        for name, kind in (("_rotation_piece", "closed_form"), ("_dop853_piece", "dop853")):
+            def record(*args, _kind=kind, _func=getattr(gaussian, name), **kwargs):
                 ran.append(_kind)
                 return _func(*args, **kwargs)
-            monkeypatch.setattr(module, name, record)
+            monkeypatch.setattr(gaussian, name, record)
         cfg = tmp_path / "run.yaml"
         cfg.write_text(edit(SMALL_RUN))
         out = tmp_path / "out"
@@ -454,14 +455,15 @@ class TestPipelineEvolution:
         etas = gaussian.sample_grid((0.0, 2.0), 21)
         assert np.array_equal(traj.etas, etas)
         early = etas < 1.05
-        before = gaussian.evolve_adaptive(
-            pipeline._prepare(config)[0], StaticProfile(0.7), (0.0, 1.05),
-            sample_etas=np.append(etas[early], 1.05), rtol=gaussian.REFERENCE_RTOL)
-        after = gaussian.evolve_adaptive(
-            before.state(-1), StaticProfile(1.3), (1.05, 2.0),
-            sample_etas=etas[~early], rtol=gaussian.REFERENCE_RTOL)
-        split = np.concatenate([before.bloch[:-1], after.bloch])
-        assert np.max(np.abs(traj.bloch - split)) < 1e-9
+        before = gaussian.propagate(pipeline._prepare(config)[0], StaticProfile(0.7),
+                                    np.append(etas[early], 1.05))
+        after = gaussian.propagate(before.state(-1), StaticProfile(1.3),
+                                   np.insert(etas[~early], 0, 1.05))
+        split = np.concatenate([before.bloch[:-1], after.bloch[1:]])
+        assert np.array_equal(traj.bloch, split)
+        # the second reference samples its start, three more evaluations of
+        # dense output on its first step
+        assert traj.nfev == before.nfev + after.nfev - 3
         assert np.array_equal(traj.a_vals, np.where(early, 0.7, 1.3))
 
     # the interacting vacuum has Pi = 0, so DOP853 solves half of the 16 momenta

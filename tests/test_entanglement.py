@@ -28,9 +28,8 @@ from cosmodirac.gaussian import (
     CorrelationState,
     Trajectory,
     condensates,
-    evolve_adaptive,
-    evolve_free,
     free_ground_state,
+    propagate,
     real_space_correlation,
     sample_grid,
     self_consistent_ground_state,
@@ -67,8 +66,8 @@ class TestEntropy:
     def test_contour_sums_to_block_entropy(self):
         spec = LatticeSpec(num_sites=32, mass=1.0)
         state = free_ground_state(spec, 0.01)
-        traj = evolve_free(state, QuenchProfile(0.01, 10.0),
-                           sample_grid((0.0, 3.0), 2))
+        traj = propagate(state, QuenchProfile(0.01, 10.0),
+                         sample_grid((0.0, 3.0), 2))
         blk = BlockSpec(10, 32)
         contour = entanglement_contour(traj.state(-1), blk)
         assert np.all(contour >= 0.0)
@@ -172,16 +171,16 @@ class TestSpectrumPaths:
     @staticmethod
     def _free_quench_blocks():
         spec = LatticeSpec(num_sites=48, mass=1.0)
-        traj = evolve_free(free_ground_state(spec, 0.01), QuenchProfile(0.01, 10.0),
-                           np.linspace(0.0, 4.0, 5))
+        traj = propagate(free_ground_state(spec, 0.01), QuenchProfile(0.01, 10.0),
+                         np.linspace(0.0, 4.0, 5))
         return traj, BlockSpec(16, 48)
 
     @staticmethod
     def _interacting_quench_blocks():
         spec = LatticeSpec(num_sites=32, mass=1.0, coupling=1.0)
         vacuum, _ = self_consistent_ground_state(spec, 0.01)
-        traj = evolve_adaptive(vacuum, QuenchProfile(0.01, 10.0), (0.0, 2.0),
-                               sample_etas=np.linspace(0.0, 2.0, 5), rtol=REFERENCE_RTOL)
+        traj = propagate(vacuum, QuenchProfile(0.01, 10.0), np.linspace(0.0, 2.0, 5),
+                         rtol=REFERENCE_RTOL)
         assert np.max(np.abs(traj.sigma)) > 1e-3 and np.max(np.abs(traj.pi)) < 1e-12
         return traj, BlockSpec(12, 32)
 
@@ -293,7 +292,7 @@ class TestOnePassBuild:
             state.spec = free
         else:
             state = free_ground_state(free, 0.01)
-        return evolve_free(state, QuenchProfile(0.01, 10.0), sample_grid((0.0, 6.0), 5))
+        return propagate(state, QuenchProfile(0.01, 10.0), sample_grid((0.0, 6.0), 5))
 
     @pytest.mark.parametrize("length", [1, 7, 12, NUM_SITES])
     @pytest.mark.parametrize("kind", ["pi_zero", "released", "both"])
@@ -359,7 +358,7 @@ class TestSmallerSide:
                 state.spec = free
             else:
                 state = free_ground_state(free, 0.01)
-            return evolve_free(state, QuenchProfile(0.01, 10.0), sample_grid((0.0, 6.0), 5))
+            return propagate(state, QuenchProfile(0.01, 10.0), sample_grid((0.0, 6.0), 5))
 
         if kind == "both":
             return _trajectory_of(np.concatenate([samples(False).bloch,
@@ -471,7 +470,7 @@ class TestContourSumRule:
             state.spec = free
         else:
             state = free_ground_state(free, 0.01)
-        traj = evolve_free(state, QuenchProfile(0.01, a_f), [0.0, eta])
+        traj = propagate(state, QuenchProfile(0.01, a_f), [0.0, eta])
         blk = BlockSpec(length, num_sites)
         residual = block_matrix(traj.state(-1), blk)[0]
         sector = bool(entropy_trajectory(traj, blk)[1][-1])
@@ -518,8 +517,8 @@ class TestContourField:
         # Pi = 0 evolution: site contour symmetric about the block center
         spec = LatticeSpec(num_sites=48, mass=1.0)
         state = free_ground_state(spec, 0.01)
-        traj = evolve_free(state, QuenchProfile(0.01, 10.0),
-                           sample_grid((0.0, 4.0), 5))
+        traj = propagate(state, QuenchProfile(0.01, 10.0),
+                         sample_grid((0.0, 4.0), 5))
         field, _ = contour_trajectory(traj, BlockSpec(16, 48))
         summed = field.spinor_summed()
         assert np.max(np.abs(summed - summed[:, ::-1])) < 1e-10
@@ -528,8 +527,8 @@ class TestContourField:
         # one slice per sample: the stride is always one
         spec = LatticeSpec(num_sites=16, mass=1.0)
         state = free_ground_state(spec, 0.01)
-        traj = evolve_free(state, QuenchProfile(0.01, 10.0),
-                           sample_grid((0.0, 1.0), 11))
+        traj = propagate(state, QuenchProfile(0.01, 10.0),
+                         sample_grid((0.0, 1.0), 11))
         blk = BlockSpec(8, 16)
         field, _ = contour_trajectory(traj, blk)
         assert len(traj.etas) == 11 and field.values.shape == (11, 8, 2)

@@ -13,8 +13,8 @@ import pytest
 
 from cosmodirac.entanglement import BlockSpec, block_entropy, entanglement_contour
 from cosmodirac.gaussian import (
-    evolve_free,
     free_ground_state,
+    propagate,
     real_space_correlation,
     sample_grid,
 )
@@ -135,8 +135,8 @@ class TestGroundState:
 @pytest.fixture(scope="module")
 def evolved(fock):
     state = free_ground_state(fock["spec"], MA_I)
-    return evolve_free(state, QuenchProfile(MA_I, MA_F),
-                       sample_grid((0.0, 1.5), 4))
+    return propagate(state, QuenchProfile(MA_I, MA_F),
+                     sample_grid((0.0, 1.5), 4))
 
 
 class TestQuenchDynamics:
@@ -150,7 +150,7 @@ class TestQuenchDynamics:
     def test_closed_form_matches_exact_evolution(self, fock):
         state = free_ground_state(fock["spec"], MA_I)
         etas = np.linspace(0.0, 1.5, 7)
-        traj = evolve_free(state, QuenchProfile(MA_I, MA_F), etas)
+        traj = propagate(state, QuenchProfile(MA_I, MA_F), etas)
         for i, eta in enumerate(etas):
             gamma = real_space_correlation(traj.state(i))
             exact = fock["correlation"](_exact_evolved(fock, eta))

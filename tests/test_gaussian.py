@@ -23,10 +23,9 @@ from cosmodirac.gaussian import (
     Trajectory,
     blocks_from_bloch,
     condensates,
-    evolve_adaptive,
-    evolve_free,
     free_ground_state,
     mean_field_energy,
+    propagate,
     real_space_correlation,
     sample_grid,
     self_consistent_ground_state,
@@ -128,6 +127,21 @@ class TestGroundStates:
         spec = LatticeSpec(num_sites=32, mass=-1.0, coupling=3.0)
         with pytest.raises(ConvergenceError):
             self_consistent_ground_state(spec, 0.7, max_iter=3, tol=1e-14)
+
+    def test_a_subnormal_coupling_has_a_finite_energy(self):
+        # N_S / g0^2 overflowed, and inf times the vanishing condensates made
+        # the energy NaN (hypothesis found g0^2 = 2.2e-311 at N_S = 2)
+        spec = LatticeSpec(num_sites=2, mass=1.0, coupling=2.225073858507e-311)
+        state, cond = self_consistent_ground_state(spec, 1.0)
+        assert mean_field_energy(state, 1.0) == total_energy(state, 1.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan])
+    def test_a_tolerance_that_is_not_positive_is_refused(self, tol):
+        # a NaN tol used to pass the check, iterate every seed to max_iter
+        # and raise a ConvergenceError that blamed the convergence
+        spec = LatticeSpec(num_sites=32, mass=-1.0, coupling=3.0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            self_consistent_ground_state(spec, 0.7, tol=tol, max_iter=200)
 
 
 def _gap_outcome(solve, spec, a_val, **kwargs):
@@ -266,8 +280,7 @@ class TestEvolution:
     def test_purity_and_trace_conserved(self):
         spec = LatticeSpec(num_sites=64, mass=1.0)
         state = free_ground_state(spec, 0.01)
-        traj = evolve_free(state, QuenchProfile(0.01, 10.0),
-                           sample_grid((0.0, 5.0), 11))
+        traj = propagate(state, QuenchProfile(0.01, 10.0), sample_grid((0.0, 5.0), 11))
         states = [traj.state(i) for i in range(len(traj.etas))]
         assert max(s.purity_defect() for s in states) < 1e-10
         # total charge: tr Gamma = N_S at half filling
@@ -280,9 +293,8 @@ class TestEvolution:
         # condensate-corrected energy functional, not the bare Wick energy
         spec = LatticeSpec(num_sites=64, mass=-1.0, coupling=3.0)
         state, _ = self_consistent_ground_state(spec, 0.7)
-        traj = evolve_adaptive(state, StaticProfile(a_val=1.3), (0.0, 4.0),
-                               sample_grid((0.0, 4.0), 11),
-                               rtol=REFERENCE_RTOL)
+        traj = propagate(state, StaticProfile(a_val=1.3), sample_grid((0.0, 4.0), 11),
+                         rtol=REFERENCE_RTOL)
         energies = [mean_field_energy(traj.state(i), -1.3)
                     for i in range(len(traj.etas))]
         drift = np.max(np.abs(np.diff(energies))) / abs(energies[0])
@@ -291,8 +303,8 @@ class TestEvolution:
     def test_vacuum_is_stationary(self):
         spec = LatticeSpec(num_sites=32, mass=1.0, coupling=2.0)
         state, _ = self_consistent_ground_state(spec, 1.0)
-        traj = evolve_adaptive(state.copy(), StaticProfile(a_val=1.0), (0.0, 2.0),
-                               sample_grid((0.0, 2.0), 2001), rtol=REFERENCE_RTOL)
+        traj = propagate(state.copy(), StaticProfile(a_val=1.0),
+                         sample_grid((0.0, 2.0), 2001), rtol=REFERENCE_RTOL)
         assert np.max(np.abs(traj.bloch[-1] - state.bloch)) < 1e-8
 
     def test_adaptive_matches_fixed_step(self):
@@ -300,8 +312,7 @@ class TestEvolution:
         state, _ = self_consistent_ground_state(spec, 0.7)
         prof = QuenchProfile(0.7, 1.3)
         fixed = reference_final_state(state, prof, (0.0, 3.0), 1e-4)
-        adaptive = evolve_adaptive(state.copy(), prof, (0.0, 3.0),
-                                   sample_etas=[0.0, 3.0], rtol=1e-10)
+        adaptive = propagate(state.copy(), prof, [0.0, 3.0], rtol=1e-10)
         assert np.max(np.abs(fixed.bloch - adaptive.bloch[-1])) < 1e-8
 
     def test_step_longer_than_the_span_takes_one_step(self):
@@ -319,31 +330,33 @@ class TestEvolution:
         spec = LatticeSpec(num_sites=4, mass=1.0)
         state = free_ground_state(spec, 1.0)
         profile = TabulatedProfile((0.0, 1e5), (1.0, 1.0))
-        traj = evolve_adaptive(state, profile, (0.0, 1e5), etas, rtol=REFERENCE_RTOL)
+        traj = propagate(state, profile, etas, rtol=REFERENCE_RTOL)
         assert np.array_equal(traj.etas, etas)
         assert np.all(np.isfinite(traj.bloch))
 
     def test_rejects_bad_spans(self):
-        spec = LatticeSpec(num_sites=8, mass=1.0)
+        # an interacting lattice, so that the run is solved by DOP853
+        spec = LatticeSpec(num_sites=8, mass=1.0, coupling=1.0)
         state = free_ground_state(spec, 1.0)
         with pytest.raises(ValueError):
             sample_grid((1.0, 0.0), 2)
-        with pytest.raises(ValueError):
-            evolve_adaptive(state, StaticProfile(), (1.0, 0.0), [1.0])
-        with pytest.raises(ValueError, match="within eta_span"):
-            evolve_adaptive(state, StaticProfile(), (0.0, 1.0), [0.0, 1.0 + 1e-13])
         with pytest.raises(ValueError, match="increasing"):
-            evolve_adaptive(state, StaticProfile(), (0.0, 1.0), [0.0, 0.5, 0.5])
+            propagate(state, StaticProfile(), [1.0, 0.0])
+        # the span is that of the samples: one sample has nothing to evolve
+        with pytest.raises(ValueError, match="two or more sample times"):
+            propagate(state, StaticProfile(), [1.0])
+        with pytest.raises(ValueError, match="increasing"):
+            propagate(state, StaticProfile(), [0.0, 0.5, 0.5])
         # below 100 machine epsilons the error control cannot hold the tolerance
         with pytest.raises(ValueError, match="rtol"):
-            evolve_adaptive(state, StaticProfile(), (0.0, 1.0), [0.0, 1.0], rtol=1e-15)
+            propagate(state, StaticProfile(), [0.0, 1.0], rtol=1e-15)
 
     def test_nan_sample_time_is_refused_before_the_solve(self):
         # a NaN sample time used to end the solve in a failed reshape; a NaN
         # span end and a trajectory with a NaN time were accepted
         state = free_ground_state(LatticeSpec(num_sites=8, mass=1.0), 1.0)
         with pytest.raises(ValueError, match="sample times"):
-            evolve_adaptive(state, StaticProfile(), (0.0, 1.0), [0.0, np.nan, 1.0])
+            propagate(state, StaticProfile(), [0.0, np.nan, 1.0])
         with pytest.raises(ValueError, match="eta_span"):
             sample_grid((0.0, np.nan), 5)
         with pytest.raises(ValueError, match="sample times"):
@@ -354,9 +367,7 @@ class TestEvolution:
         # both propagators used to fail with an IndexError at the first time
         state = free_ground_state(LatticeSpec(num_sites=8, mass=1.0), 1.0)
         with pytest.raises(ValueError, match="sample times must be nonempty"):
-            evolve_free(state, StaticProfile(), [])
-        with pytest.raises(ValueError, match="sample times must be nonempty"):
-            evolve_adaptive(state, StaticProfile(), (0.0, 1.0), [])
+            propagate(state, StaticProfile(), [])
         with pytest.raises(ValueError, match="sample times must be nonempty"):
             Trajectory(np.zeros(0), np.ones(0), np.zeros((0, 8, 3)),
                        np.zeros(0), np.zeros(0), state.spec)
@@ -377,7 +388,7 @@ class TestEvolution:
         spec = LatticeSpec(num_sites=16, mass=1.0, coupling=1.0)
         state, _ = self_consistent_ground_state(spec, 1.0)
         with pytest.raises(StepSizeError) as err:
-            evolve_adaptive(state, StaticProfile(), (0.0, 0.5), [0.0, 0.5])
+            propagate(state, StaticProfile(), [0.0, 0.5])
         bracket = re.search(r"between eta = (\S+) and (\S+);", str(err.value))
         start, end = map(float, bracket.groups())
         assert start <= np.log1p(4 * gaussian.PURITY_TOL) / (2 * c) <= end
@@ -400,7 +411,7 @@ class TestEvolution:
         monkeypatch.setattr(gaussian._BlockField, "rate", turns_nan)
         spec, state = _quenched_vacuum(16, 1.0, 1.0)
         with pytest.raises(StepSizeError, match="not finite"):
-            evolve_adaptive(state, StaticProfile(1.3), (0.0, 1.0), [0.0, 1.0])
+            propagate(state, StaticProfile(1.3), [0.0, 1.0])
         # no more than the rest of the step that first met the NaN
         assert 30 < calls <= 30 + _dop853.N_STAGES
 
@@ -490,6 +501,32 @@ def _quenched_vacuum(num_sites, coupling, mass):
     return spec, free_ground_state(spec, 0.3 * mass)
 
 
+def _dop853_piece(state, profile, sample_etas, rtol):
+    """(bloch, nfev, evolved momenta) of DOP853 from ``state`` at
+    ``sample_etas[0]`` to each sample: the private piece solver of
+    ``propagate``, so free static and quench chains, which ``propagate``
+    rotates in closed form, are solved by DOP853 too."""
+    sample_etas = np.asarray(sample_etas, dtype=float)
+    return gaussian._dop853_piece(state.spec, state.bloch, profile.scale_factor,
+                                  sample_etas[0], sample_etas, rtol)
+
+
+def _assert_dop853_is_scipy(state, profile, sample_etas, rtol, half, momenta):
+    """The piece solver and, where ``propagate`` runs DOP853 too, its
+    trajectory equal scipy's solve over the span of the samples, with the
+    same nfev, on ``momenta`` momenta."""
+    spec = state.spec
+    span = (sample_etas[0], sample_etas[-1])
+    etas, blochs, nfev = _reference_solve(state, profile, span, sample_etas, rtol, half=half)
+    bloch, piece_nfev, piece_momenta = _dop853_piece(state, profile, sample_etas, rtol)
+    assert np.array_equal(bloch, np.array(blochs))
+    assert (piece_nfev, piece_momenta) == (nfev, momenta)
+    traj = propagate(state.copy(), profile, sample_etas, rtol=rtol)
+    if traj.nfev:  # not rotated in closed form
+        _assert_trajectory_equals(traj, etas, blochs, spec, profile)
+        assert (traj.nfev, traj.evolved_momenta) == (nfev, momenta)
+
+
 def _reference_solve(state, profile, span, sample_etas, rtol, half=False):
     """scipy's DOP853 on the reference field of all N_S momenta, or with
     ``half`` on the N_S/2 + 1 of k in [-pi, 0], each sample expanded to the
@@ -510,7 +547,10 @@ class TestBitIdentity:
     """The package's DOP853 with the in-place block-field kernel reproduces
     scipy's ``solve_ivp`` on the per-step formulation of the system it
     solves: the N_S/2 + 1 momenta k in [-pi, 0] of a mirror-symmetric state,
-    all N_S of any other."""
+    all N_S of any other.  No span holds a kink of a(eta) inside it, so
+    ``propagate`` solves it as one piece; the free static and quench cases,
+    which ``propagate`` rotates in closed form, are solved by its private
+    piece solver (:func:`_assert_dop853_is_scipy`)."""
 
     @settings(max_examples=25, deadline=None)
     @given(**BIT_IDENTITY_CASES, rtol=st.sampled_from([1e-10, REFERENCE_RTOL]))
@@ -518,15 +558,8 @@ class TestBitIdentity:
         # every case is a Pi = 0 vacuum, so it takes the half grid
         spec, state = _quenched_vacuum(num_sites, coupling, mass)
         profile, eta0 = BIT_IDENTITY_PROFILES[kind]
-        span = (eta0, eta0 + 1.0)
-        sample_etas = np.linspace(*span, 5)
-        traj = evolve_adaptive(state.copy(), profile, span, sample_etas=sample_etas,
-                               rtol=rtol)
-        assert traj.evolved_momenta == num_sites // 2 + 1
-        etas, blochs, nfev = _reference_solve(state, profile, span, sample_etas, rtol,
-                                              half=True)
-        _assert_trajectory_equals(traj, etas, blochs, spec, profile)
-        assert traj.nfev == nfev
+        sample_etas = np.linspace(eta0, eta0 + 1.0, 5)
+        _assert_dop853_is_scipy(state, profile, sample_etas, rtol, True, num_sites // 2 + 1)
 
     @settings(max_examples=25, deadline=None)
     @given(**BIT_IDENTITY_CASES, rtol=st.sampled_from([1e-10, REFERENCE_RTOL]),
@@ -542,47 +575,43 @@ class TestBitIdentity:
             state = free_ground_state(spec, 0.3 * mass)
             state.bloch[site % num_sites] += [1e-9, -1e-9, 1e-9]
         profile, eta0 = BIT_IDENTITY_PROFILES[kind]
-        span = (eta0, eta0 + 1.0)
-        sample_etas = np.linspace(*span, 5)
-        traj = evolve_adaptive(state.copy(), profile, span, sample_etas=sample_etas,
-                               rtol=rtol)
-        assert traj.evolved_momenta == num_sites
-        etas, blochs, nfev = _reference_solve(state, profile, span, sample_etas, rtol)
-        _assert_trajectory_equals(traj, etas, blochs, spec, profile)
-        assert traj.nfev == nfev
+        sample_etas = np.linspace(eta0, eta0 + 1.0, 5)
+        _assert_dop853_is_scipy(state, profile, sample_etas, rtol, False, num_sites)
 
     @pytest.mark.parametrize("site", [0, 8, 9, 15])
     def test_a_nan_initial_state_still_raises(self, site):
-        # a NaN fails the mirror test, so it cannot hide in the half the
-        # mirror path would not read (sites 9 to 15)
+        # on DOP853 a NaN fails the mirror test, so it cannot hide in the half
+        # the mirror path would not read (sites 9 to 15); the closed form
+        # rotates it into NaN samples, which the purity gate refuses
         _, state = _quenched_vacuum(16, 1.0, 1.0)
         state.bloch[site, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            evolve_adaptive(state, StaticProfile(1.3), (0.0, 1.0), [0.0, 1.0])
+            propagate(state, StaticProfile(1.3), [0.0, 1.0])
+        _, state = _quenched_vacuum(16, 0.0, 1.0)
+        state.bloch[site, 0] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(StepSizeError, match="nan"):
+            propagate(state, StaticProfile(1.3), [0.0, 1.0])
 
     @settings(max_examples=20, deadline=None)
     @given(**BIT_IDENTITY_CASES)
     def test_half_grid_samples_are_mirror_symmetric_and_accurate(self, num_sites,
                                                                  coupling, mass, kind):
-        # one unit of time, over which every profile's a(eta) is smooth:
-        # across a kink DOP853 on either grid can miss by 1.6e-8 (tabulated
-        # at eta = 1), against 7.7e-12 between the grids here
         spec, state = _quenched_vacuum(num_sites, coupling, mass)
         profile, eta0 = BIT_IDENTITY_PROFILES[kind]
         span = (eta0, eta0 + 1.0)
         sample_etas = np.linspace(*span, 7)
-        traj = evolve_adaptive(state.copy(), profile, span, sample_etas,
-                               rtol=REFERENCE_RTOL)
+        bloch, _, _ = _dop853_piece(state, profile, sample_etas, REFERENCE_RTOL)
         # the momenta strictly inside (-pi, 0) and their mirror partners
         inner = np.arange(1, num_sites // 2)
-        n, mirrored = traj.bloch[:, inner], traj.bloch[:, num_sites - inner]
+        n, mirrored = bloch[:, inner], bloch[:, num_sites - inner]
         assert np.array_equal(mirrored, n * [-1.0, -1.0, 1.0])
         # Pi is g0^2/(2 N_S) times a sum of n_y whose mirror pairs cancel
         # but for rounding, plus the n_y of k = -pi, where sin k rounds to
         # -1.2e-16: up to 3.9e-17 g0^2 (1.2e-16 at N_S = 22, g0^2 = 3)
-        assert np.max(np.abs(traj.pi)) <= 1e-16 * coupling
+        _, pi = gaussian._condensate_sums(bloch, spec)
+        assert np.max(np.abs(pi)) <= 1e-16 * coupling
         _, blochs, _ = _reference_solve(state, profile, span, sample_etas, REFERENCE_RTOL)
-        assert np.max(np.abs(traj.bloch - np.array(blochs))) <= 1e-9
+        assert np.max(np.abs(bloch - np.array(blochs))) <= 1e-9
 
     @pytest.mark.parametrize("rtol", [1e-10, REFERENCE_RTOL])
     @pytest.mark.parametrize("t_eval", [[0.0, 2.5], np.linspace(0.0, 2.5, 7),
@@ -621,7 +650,7 @@ class TestBitIdentity:
 
 
 class TestClosedForm:
-    """evolve_free is the exact flow that RK4 approximates to O(h^4)."""
+    """propagate's closed form is the exact flow that RK4 approximates to O(h^4)."""
 
     @settings(max_examples=30, deadline=None)
     @given(num_sites=st.integers(2, 32).map(lambda half: 2 * half),
@@ -638,7 +667,7 @@ class TestClosedForm:
         gaps = []
         for n in (n_steps, 2 * n_steps):
             etas, blochs = _reference_rk4(state, profile, span, 2.0 / n, n // 4)
-            exact = evolve_free(state.copy(), profile, etas)
+            exact = propagate(state.copy(), profile, etas)
             gaps.append(np.max(np.abs(exact.bloch - np.array(blochs))))
         # RK4 turns n by w h - (w h)^5/120 per step, w = 2|b_k|
         omega = 2.0 * np.max(np.linalg.norm(
@@ -656,8 +685,7 @@ class TestClosedForm:
         after_etas, after = _reference_rk4(CorrelationState(spec, before[-1]),
                                            StaticProfile(1.5), (1.0, 3.0), 1e-3, 100)
         etas = np.concatenate([before_etas, after_etas[1:]])
-        exact = evolve_free(state.copy(), QuenchProfile(0.5, 1.5, eta_switch=1.0),
-                            etas)
+        exact = propagate(state.copy(), QuenchProfile(0.5, 1.5, eta_switch=1.0), etas)
         chained = np.array(before + after[1:])
         assert np.max(np.abs(exact.bloch - chained)) < 1e-10
         assert np.array_equal(exact.a_vals, np.where(etas < 1.0, 0.5, 1.5))
@@ -675,7 +703,7 @@ class TestClosedForm:
         profile = QuenchProfile(0.5, 1.5, eta_switch=eta0 + 0.5 * length)
         span = (eta0, eta0 + length)
         _, steps, etas = step_grid(span, deta, sample_every)
-        exact = evolve_free(state.copy(), profile, etas)
+        exact = propagate(state.copy(), profile, etas)
         assert np.array_equal(exact.etas, etas)
         assert np.array_equal(exact.bloch[0], state.bloch)
         # the first time is eta0 as given, down to the sign of a zero
@@ -689,24 +717,26 @@ class TestClosedForm:
         ((5.0, 5.25), 7),
     ])
     def test_adaptive_sample_grid_is_the_dop853_grid(self, span, n_samples):
-        spec, state = _quenched_vacuum(8, 0.0, 1.0)
+        # the same switch inside the span, rotated on a free lattice and
+        # solved by DOP853 on an interacting one
         profile = QuenchProfile(0.5, 1.5, eta_switch=0.5 * (span[0] + span[1]))
-        dop853 = evolve_adaptive(state.copy(), profile, span,
-                                 sample_grid(span, n_samples))
-        exact = evolve_free(state.copy(), profile, sample_grid(span, n_samples))
+        _, coupled = _quenched_vacuum(8, 1.0, 1.0)
+        dop853 = propagate(coupled, profile, sample_grid(span, n_samples))
+        _, state = _quenched_vacuum(8, 0.0, 1.0)
+        exact = propagate(state, profile, sample_grid(span, n_samples))
+        assert dop853.nfev > 0 and exact.nfev == 0
         assert np.array_equal(exact.etas, dop853.etas)
         assert np.array_equal(exact.a_vals, dop853.a_vals)
 
-    def test_rejects_what_it_cannot_rotate(self):
-        spec, state = _quenched_vacuum(8, 1.0, 1.0)
-        with pytest.raises(ValueError, match="coupling"):
-            evolve_free(state, StaticProfile(), [0.0, 1.0])
-        spec, state = _quenched_vacuum(8, 0.0, 1.0)
-        with pytest.raises(ValueError, match="profile"):
-            evolve_free(state, ExponentialProfile(0.5, 2.0, hubble=1.0), [0.0, 1.0])
-        with np.errstate(invalid="ignore"), pytest.raises(StepSizeError, match="nan"):
-            state.bloch[0] = np.nan
-            evolve_free(state, StaticProfile(), [0.0, 1.0])
+    def test_what_it_cannot_rotate_goes_to_dop853(self):
+        # only a free lattice under a piecewise-constant a(eta) is rotated
+        _, state = _quenched_vacuum(8, 0.0, 1.0)
+        for profile in (StaticProfile(), QuenchProfile(0.5, 1.5, eta_switch=0.5)):
+            assert propagate(state, profile, [0.0, 1.0]).nfev == 0
+        ramp = ExponentialProfile(0.5, 2.0, hubble=1.0)
+        assert propagate(state, ramp, [0.0, 1.0]).nfev > 0
+        _, coupled = _quenched_vacuum(8, 1.0, 1.0)
+        assert propagate(coupled, StaticProfile(), [0.0, 1.0]).nfev > 0
 
     def test_nan_sample_time_is_refused(self):
         # no rotation wrote a NaN time's row, so whether the purity gate caught
@@ -714,7 +744,49 @@ class TestClosedForm:
         _, state = _quenched_vacuum(8, 0.0, 1.0)
         for etas in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf]):
             with pytest.raises(ValueError, match="sample times"):
-                evolve_free(state, QuenchProfile(1.0, 2.0), etas)
+                propagate(state, QuenchProfile(1.0, 2.0), etas)
+
+
+# ---------------------------------------------------------------------------
+# Kinks of a(eta)
+# ---------------------------------------------------------------------------
+
+
+class TestKinks:
+    """``propagate`` ends a solve at each kink of a(eta) inside the span."""
+
+    @pytest.mark.parametrize("pi", [0.0, 0.2], ids=["half_grid", "full_grid"])
+    @pytest.mark.parametrize("profile, kink, num_sites", [
+        (ExponentialProfile(0.5, 2.0, hubble=1.0), 1.5, 52),
+        (TabulatedProfile((0.0, 1.0, 3.0), (0.5, 1.2, 0.9)), 1.0, 48),
+    ], ids=["exponential_clamp", "tabulated_sample"])
+    def test_a_run_across_a_kink_is_two_runs_split_there(self, profile, kink, num_sites,
+                                                         pi):
+        # one DOP853 solve across the kink used to miss the split solves by
+        # 7.4e-9 and 3.9e-12 at the clamp (half and full grid), and by
+        # 1.3e-11 and 2.6e-10 at the tabulated sample
+        spec = LatticeSpec(num_sites=num_sites, mass=1.0, coupling=3.0)
+        state = free_ground_state(spec, 0.3, 0.0, pi)
+        etas = np.linspace(0.0, 3.0, 13)
+        at = int(np.flatnonzero(etas == kink)[0])
+        whole = propagate(state, profile, etas)
+        before = propagate(state, profile, etas[:at + 1])
+        after = propagate(before.state(-1), profile, etas[at:])
+        assert np.max(np.abs(whole.bloch
+                             - np.concatenate([before.bloch[:-1], after.bloch]))) <= 1e-12
+        assert whole.nfev == before.nfev + after.nfev
+        assert whole.evolved_momenta == (num_sites // 2 + 1 if pi == 0.0 else num_sites)
+
+    def test_every_profile_names_its_kinks(self):
+        assert StaticProfile(1.3).kinks == ()
+        assert DeSitterProfile(hubble=0.5, eta_0=-4.0).kinks == ()
+        assert QuenchProfile(0.5, 1.5, eta_switch=0.7).kinks == (0.7,)
+        assert ExponentialProfile(0.5, 2.0, hubble=1.0).kinks == (0.0, 1.5)
+        assert ExponentialProfile(0.5, 0.5, hubble=1.0).kinks == (0.0,)
+        assert TabulatedProfile((0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 1.0, 2.0)).kinks == (1.0, 2.0)
+        # derived from the fields, not a field
+        with pytest.raises(TypeError):
+            QuenchProfile(0.5, 1.5, kinks=(1.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -722,13 +794,14 @@ class TestClosedForm:
 # ---------------------------------------------------------------------------
 
 
-def _unit_defect(traj):
+def _unit_defect(bloch):
     """max over samples and momenta of ||n_k| - 1|."""
-    return np.max(np.abs(np.linalg.norm(traj.bloch, axis=-1) - 1.0))
+    return np.max(np.abs(np.linalg.norm(bloch, axis=-1) - 1.0))
 
 
 class TestPropagatorInvariants:
-    """What the exact flow keeps, on the closed form and on DOP853."""
+    """What the exact flow keeps, on the closed form and on DOP853 (the
+    piece solver, over spans that may cross a kink)."""
 
     @settings(max_examples=30, deadline=None)
     @given(num_sites=st.integers(1, 32).map(lambda half: 2 * half),
@@ -740,17 +813,17 @@ class TestPropagatorInvariants:
         spec, state = _quenched_vacuum(num_sites, 0.0, mass)
         profile = (StaticProfile(a_val) if switch is None
                    else QuenchProfile(0.5, a_val, eta_switch=switch))
-        traj = evolve_free(state, profile, np.linspace(0.0, 100.0, 41))
-        assert _unit_defect(traj) <= 1e-13
+        traj = propagate(state, profile, np.linspace(0.0, 100.0, 41))
+        assert _unit_defect(traj.bloch) <= 1e-13
 
     @settings(max_examples=20, deadline=None)
     @given(**BIT_IDENTITY_CASES)
     def test_dop853_keeps_unit_bloch_vectors(self, num_sites, coupling, mass, kind):
         spec, state = _quenched_vacuum(num_sites, coupling, mass)
         profile, eta0 = BIT_IDENTITY_PROFILES[kind]
-        traj = evolve_adaptive(state, profile, (eta0, eta0 + 3.0),
-                               np.linspace(eta0, eta0 + 3.0, 7), rtol=REFERENCE_RTOL)
-        assert _unit_defect(traj) <= 1e-9
+        bloch, _, _ = _dop853_piece(state, profile, np.linspace(eta0, eta0 + 3.0, 7),
+                                    REFERENCE_RTOL)
+        assert _unit_defect(bloch) <= 1e-9
 
     @settings(max_examples=20, deadline=None)
     @given(**BIT_IDENTITY_CASES)
@@ -763,10 +836,10 @@ class TestPropagatorInvariants:
         spec, state = _quenched_vacuum(num_sites, coupling, mass)
         assert condensates(state).pi == 0.0
         profile, eta0 = BIT_IDENTITY_PROFILES[kind]
-        traj = evolve_adaptive(state, profile, (eta0, eta0 + 3.0),
-                               np.linspace(eta0, eta0 + 3.0, 7), rtol=REFERENCE_RTOL)
+        n, _, _ = _dop853_piece(state, profile, np.linspace(eta0, eta0 + 3.0, 7),
+                                REFERENCE_RTOL)
         partner = (-np.arange(num_sites)) % num_sites  # the grid index of -k
-        n, mirrored = traj.bloch, traj.bloch[:, partner]
-        assert np.max(np.abs(traj.pi)) <= 1e-9
+        mirrored = n[:, partner]
+        assert np.max(np.abs(gaussian._condensate_sums(n, spec)[1])) <= 1e-9
         assert np.max(np.abs(n[..., :2] + mirrored[..., :2])) <= 1e-9
         assert np.max(np.abs(n[..., 2] - mirrored[..., 2])) <= 1e-9

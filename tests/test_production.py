@@ -6,9 +6,8 @@ import pytest
 from cosmodirac.gaussian import (
     REFERENCE_RTOL,
     StepSizeError,
-    evolve_adaptive,
-    evolve_free,
     free_ground_state,
+    propagate,
     sample_grid,
 )
 from cosmodirac.lattice import (
@@ -61,8 +60,7 @@ class TestSpectrum:
         prof = ExponentialProfile(a_0=0.7, a_f=1.3, hubble=0.05)
         state = free_ground_state(spec, 0.7)
         span = (0.0, prof.eta_clamp + 20.0)
-        traj = evolve_adaptive(state, prof, span, sample_grid(span, 2),
-                               rtol=REFERENCE_RTOL)
+        traj = propagate(state, prof, sample_grid(span, 2), rtol=REFERENCE_RTOL)
         out = bogoliubov_spectrum(traj.state(-1), 1.3)
         assert np.max(out.beta_sq) < 1e-3
 
@@ -123,7 +121,7 @@ class TestDerivedQuantities:
     def test_quench_spectrum_symmetric_without_parity_breaking(self):
         spec = LatticeSpec(num_sites=64, mass=1.0)
         state = free_ground_state(spec, 0.01)
-        traj = evolve_free(state, QuenchProfile(0.01, 10.0),
-                           sample_grid((0.0, 2.0), 2))
+        traj = propagate(state, QuenchProfile(0.01, 10.0),
+                         sample_grid((0.0, 2.0), 2))
         out = bogoliubov_spectrum(traj.state(-1), 10.0)
         assert spectrum_asymmetry(out) < 1e-12

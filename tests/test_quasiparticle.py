@@ -6,7 +6,7 @@ import pytest
 from conftest import preset_run
 
 from cosmodirac import pipeline, quasiparticle
-from cosmodirac.gaussian import Trajectory, evolve_free, free_ground_state, sample_grid
+from cosmodirac.gaussian import Trajectory, free_ground_state, propagate, sample_grid
 from cosmodirac.lattice import (DeSitterProfile, ExponentialProfile, LatticeSpec,
                                 QuenchProfile, StaticProfile, TabulatedProfile,
                                 band_velocity)
@@ -170,8 +170,8 @@ class TestEquilibrationGate:
     def test_free_quench_returns_bare_group_velocity(self):
         spec = LatticeSpec(num_sites=64, mass=-1.0, coupling=0.0)
         state = free_ground_state(spec, -0.7)
-        traj = evolve_free(state, QuenchProfile(0.7, 1.3),
-                           sample_grid((0.0, 10.0), 101))
+        traj = propagate(state, QuenchProfile(0.7, 1.3),
+                         sample_grid((0.0, 10.0), 101))
         v = renormalized_velocity(traj, 1.3, (5.0, 10.0))
         assert v == pytest.approx(0.3, abs=1e-9)  # |ma_f + 1| = 0.3
 

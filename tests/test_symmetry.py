@@ -10,10 +10,8 @@ from rk4_reference import reference_final_state
 from cosmodirac import symmetry
 from cosmodirac.entanglement import (BlockSpec, ContourField, contour_trajectory,
                                      entanglement_contour)
-from cosmodirac.gaussian import (REFERENCE_RTOL, CorrelationState, evolve_adaptive,
-                                  evolve_free,
-                                  free_ground_state, sample_grid,
-                                  self_consistent_ground_state)
+from cosmodirac.gaussian import (REFERENCE_RTOL, CorrelationState, free_ground_state,
+                                  propagate, sample_grid, self_consistent_ground_state)
 from cosmodirac.lattice import (ExponentialProfile, LatticeSpec, QuenchProfile,
                                 StaticProfile)
 from cosmodirac.production import bogoliubov_spectrum, spectrum_asymmetry
@@ -99,8 +97,8 @@ class TestContourCP:
     def test_real_quench_field_respects_cp(self):
         spec = LatticeSpec(num_sites=32, mass=1.0)
         state = free_ground_state(spec, 0.01)
-        traj = evolve_free(state, QuenchProfile(0.01, 10.0),
-                           sample_grid((0.0, 3.0), 7))
+        traj = propagate(state, QuenchProfile(0.01, 10.0),
+                         sample_grid((0.0, 3.0), 7))
         field, _ = contour_trajectory(traj, BlockSpec(12, 32))
         assert contour_cp_check(field) < 1e-10
 
@@ -168,9 +166,7 @@ class TestSpectrumSweep:
         spec = LatticeSpec(num_sites=num_sites, mass=mass, coupling=coupling)
         profile = ExponentialProfile(a_0=0.7, a_f=1.3, hubble=hubble)
         vacuum, _ = self_consistent_ground_state(spec, profile.a_0)
-        traj = evolve_adaptive(vacuum, profile, (0.0, profile.eta_clamp),
-                               sample_etas=[profile.eta_clamp],
-                               rtol=REFERENCE_RTOL)
+        traj = propagate(vacuum, profile, [0.0, profile.eta_clamp], rtol=REFERENCE_RTOL)
         norms = np.linalg.norm(traj.state(-1).bloch, axis=-1)
         np.testing.assert_allclose(norms, 1.0, rtol=0.0, atol=1e-9)
         assert traj.a_vals[-1] == pytest.approx(profile.a_f, rel=1e-14)
