@@ -239,6 +239,11 @@ def mean_field_energy(state: CorrelationState, ma_eff) -> float:
 
 # Linear mixing of the gap-equation iteration: the share of each update taken.
 GAP_MIXING = 0.5
+# Its Pi seeds, in the order they are iterated, the update below which a seed
+# has converged, and the most maps a seed may take
+GAP_SEEDS = (0.0, 0.1)
+GAP_TOL = 1e-10
+GAP_MAX_ITER = 10_000
 
 
 def _gap_map(spec: LatticeSpec, ma_eff):
@@ -275,35 +280,27 @@ def _gap_map(spec: LatticeSpec, ma_eff):
     return gap
 
 
-def self_consistent_ground_state(
-    spec: LatticeSpec,
-    a_val: float,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-    pi_seeds=(0.0, 0.1, 0.5),
-):
+def self_consistent_ground_state(spec: LatticeSpec, a_val: float):
     """Gap-equation-consistent vacuum at scale factor a_val.
 
     Iterates the gap map (Sigma, Pi) -> (Sigma', Pi'), the condensates of
     the Dirac sea of h_k(m a_val, Sigma, Pi) (:func:`_gap_map`, bit for bit
     ``condensates(free_ground_state(...))``), with linear mixing
-    (:data:`GAP_MIXING`) until the update falls below ``tol``.  Several Pi
-    seeds probe the parity-broken (Aoki) branches; the state of each
-    converged seed is built once by :func:`free_ground_state`, the
-    lowest-energy fixed point wins and the sign of Pi is reported as found.
+    (:data:`GAP_MIXING`) from each Pi seed of :data:`GAP_SEEDS`, 0 and the
+    parity-broken (Aoki) 0.1, until the update falls below :data:`GAP_TOL`
+    within :data:`GAP_MAX_ITER` maps; the state of each converged seed is
+    built once by :func:`free_ground_state`, the lowest-energy one wins.
 
-    The default seeds have no -Pi mirrors: the gap map takes (Sigma, -Pi)
-    to (Sigma', -Pi') to the bit, since negation is exact in each of its
+    The seeds have no -Pi mirrors: the gap map takes (Sigma, -Pi) to
+    (Sigma', -Pi') to the bit, since negation is exact in each of its
     operations (both zeros of Pi map alike), so a seed -p repeats the
     iteration of +p mirrored, ties its energy exactly and can never beat
-    it by the 1e-12 a winner needs.  The doublet branch a default solve
-    returns therefore has Pi >= 0 for g0^2 > 0.  Explicit ``pi_seeds`` are
-    iterated as given, in their order.
+    it by the 1e-12 a winner needs.  For g0^2 > 0, Pi' has the sign of Pi,
+    so the step Pi + GAP_MIXING (Pi' - Pi) keeps it: every solve returns
+    the member of the +-Pi doublet with Pi >= 0.
 
     Returns (CorrelationState, CondensatePair).
     """
-    if not tol > 0:  # a NaN tol fails too
-        raise ValueError(f"tol must be positive, got {tol}")
     ma_eff = spec.mass * a_val
     if spec.coupling == 0.0:
         return free_ground_state(spec, ma_eff), CondensatePair(0.0, 0.0)
@@ -311,21 +308,18 @@ def self_consistent_ground_state(
     gap = _gap_map(spec, ma_eff)
     best = None
     failures = []
-    for pi0 in pi_seeds:
-        sig, pi = 0.0, float(pi0)
+    for pi0 in GAP_SEEDS:
+        sig, pi = 0.0, pi0
         history = []
-        converged = False
-        for _ in range(max_iter):
+        for _ in range(GAP_MAX_ITER):
             new_sig, new_pi = gap(sig, pi)
-            d_sig = new_sig - sig
-            d_pi = new_pi - pi
+            d_sig, d_pi = new_sig - sig, new_pi - pi
             history.append(max(abs(d_sig), abs(d_pi)))
             sig += GAP_MIXING * d_sig
             pi += GAP_MIXING * d_pi
-            if history[-1] < tol:
-                converged = True
+            if history[-1] < GAP_TOL:
                 break
-        if not converged:
+        else:
             failures.append((pi0, history[-10:]))
             continue
         state = free_ground_state(spec, ma_eff, sig, pi)
@@ -333,10 +327,8 @@ def self_consistent_ground_state(
         if best is None or energy < best[0] - 1e-12:
             best = (energy, state, CondensatePair(sig, pi))
     if best is None:
-        raise ConvergenceError(
-            f"gap equation did not converge within {max_iter} iterations "
-            f"for any seed", residuals=failures
-        )
+        raise ConvergenceError(f"gap equation did not converge within {GAP_MAX_ITER} "
+                               "iterations for any seed", residuals=failures)
     return best[1], best[2]
 
 

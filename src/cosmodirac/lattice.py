@@ -344,6 +344,9 @@ def dispersion(k, ma_eff, sigma=0.0, pi=0.0):
 
 def band_velocity(k, ma_eff, sigma=0.0, pi=0.0):
     """|d eps_k / dk| from the analytic derivative of the dispersion."""
+    for name, value in (("ma_eff", ma_eff), ("sigma", sigma), ("pi", pi)):
+        if not np.isfinite(value):  # a NaN gap would read as velocity 0
+            raise ValueError(f"{name} must be finite, got {value}")
     k = np.asarray(k, dtype=float)
     s = np.sin(k)
     c = np.cos(k)

@@ -43,6 +43,8 @@ class QPInput:
     block_length: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.block_length) and self.block_length > 0):
+            raise ValueError(f"block_length must be finite and positive, got {self.block_length}")
         if not np.all(self.v >= 0):
             raise ValueError("velocities must be nonnegative")
         if not np.all((-1e-12 <= self.s_pair) & (self.s_pair <= 2 * np.log(2) + 1e-9)):
@@ -183,6 +185,8 @@ def horizon_width(block_length: float, v_g: float, hubble: float, a_0: float) ->
     Nonpositive values mean the cones meet and no disconnected region
     survives.
     """
-    if hubble <= 0 or a_0 <= 0:
-        raise ValueError("hubble and a_0 must be positive")
+    if not (hubble > 0 and a_0 > 0):  # NaN fails too
+        raise ValueError(f"hubble and a_0 must be positive, got {hubble} and {a_0}")
+    if not np.isfinite(block_length):
+        raise ValueError(f"block_length must be finite, got {block_length}")
     return float(block_length - 4.0 * v_g / (hubble * a_0))

@@ -3,7 +3,10 @@
 The fixed iteration the tests compare
 :func:`cosmodirac.gaussian.self_consistent_ground_state` against: each seed
 of ``pi_seeds`` in turn iterated by a scalar map with its own momentum
-rows, then the lowest-energy converged seed.  Import it as
+rows, then the lowest-energy converged seed.  Its ``pi_seeds``, ``tol``
+and ``max_iter`` stand for the library's ``GAP_SEEDS``, ``GAP_TOL`` and
+``GAP_MAX_ITER``; its default seeds are the library's (0, 0.1) with their
+mirrors and 0.5, which never changed a vacuum.  Import it as
 ``from gap_reference import ...``, as ``conftest`` is.
 """
 

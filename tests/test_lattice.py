@@ -277,6 +277,19 @@ class TestDispersion:
         v_g = group_velocity(-1.3, 0.05, 0.2)
         assert v_g >= np.max(band_velocity(ks, -1.3, 0.05, 0.2)) - 1e-12
 
+    @pytest.mark.parametrize("velocity", [
+        lambda *args: band_velocity(np.linspace(-3.0, 3.0, 11), *args),
+        group_velocity,
+    ], ids=["band", "group"])
+    @pytest.mark.parametrize("index, name", [(0, "ma_eff"), (1, "sigma"), (2, "pi")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_parameter_that_is_not_finite_is_refused(self, velocity, index, name, bad):
+        # a NaN gap failed the eps > 0 mask, so group_velocity(nan) was 0.0
+        args = [-1.3, 0.05, 0.2]
+        args[index] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            velocity(*args)
+
     def test_spectrum_even_in_k_even_with_broken_parity(self):
         # parity is broken by pi != 0 but eps_k stays even in k
         spec = LatticeSpec(num_sites=64)

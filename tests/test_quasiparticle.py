@@ -110,6 +110,12 @@ class TestQuadratures:
         with pytest.raises(ValueError):
             qp_contour(qp, 1.0, 40.0)
 
+    @pytest.mark.parametrize("length", [NAN, np.inf, 0.0, -5.0])
+    def test_a_block_length_that_is_not_finite_and_positive_is_refused(self, length):
+        # NaN gave NaN entropies, and -5 gave qp_entropy(qp, [0, 1]) == [0, -0.5]
+        with pytest.raises(ValueError, match="block_length must be finite and positive"):
+            _flat_qp(length=length)
+
     @pytest.mark.parametrize("preset", ["fig1a", "fig1b", "fig3a", "fig3c"])
     def test_an_array_of_times_matches_scalar_calls_bit_for_bit(self, preset):
         # one refined grid for every time, as entropy_qp.csv is written
@@ -194,3 +200,15 @@ class TestHorizon:
         assert horizon_width(10.0, 1.0, 0.1, 1.0) < 0.0  # cones meet
         with pytest.raises(ValueError):
             horizon_width(10.0, 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("args, name", [
+        ((10.0, 1.0, NAN, 1.0), "hubble"),
+        ((10.0, 1.0, 0.1, NAN), "a_0"),
+        ((10.0, 1.0, 0.1, -1.0), "a_0"),
+        ((NAN, 1.0, 0.1, 1.0), "block_length"),
+        ((np.inf, 1.0, 0.1, 1.0), "block_length"),
+    ])
+    def test_a_width_from_a_bad_input_is_refused(self, args, name):
+        # NaN in any of the three used to come back as a NaN width
+        with pytest.raises(ValueError, match=name):
+            horizon_width(*args)
