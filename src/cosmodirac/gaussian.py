@@ -29,7 +29,14 @@ preallocated buffers, and reads a(eta) on a profile's scalar path where
 it has one.  A mirror-symmetric state, n(-k) = diag(-1, -1, 1) n(k) to
 within :data:`MIRROR_TOL` as every Pi = 0 vacuum is, stays so, and is
 solved on the N_S/2 + 1 momenta k in [-pi, 0] and expanded to the whole
-grid at each sample; any other state is solved on all N_S.  A run is
+grid at each sample; any other state is solved on all N_S.  Where the
+mass term m a(eta) z dominates the field and the state is far from it
+(:func:`_takes_mass_frame`: the tilt of the field left without that term
+is below :data:`FRAME_TILT` and below the state's misalignment with its
+field), a piece is solved in the mass frame: for n' = R_z(-theta) n,
+theta = 2 m [t(eta) - t(start)] the bare mass phase read off the
+profile's cosmological time, so the solver follows only the slow
+remainder of the precession, and each sample is turned back.  A run is
 sampled at the uniform times of :func:`sample_grid`, and a solve runs at
 :data:`REFERENCE_RTOL` unless the config sets its own ``rtol``.
 The order of every floating-point operation is fixed, so runs are
@@ -40,6 +47,7 @@ A :class:`Trajectory` stores its samples as arrays, the Bloch vectors as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -127,9 +135,10 @@ class Trajectory:
     ``etas`` (T,) and their cosmological :attr:`times`, scale factors
     ``a_vals`` (T,), Bloch vectors ``bloch`` (T, N_S, 3) and condensates
     ``sigma`` and ``pi`` (T,).  ``nfev`` counts the field evaluations that
-    produced them (0 for the closed form), and ``evolved_momenta`` the
+    produced them (0 for the closed form), ``evolved_momenta`` the
     momenta the propagator solved for: N_S, or N_S/2 + 1 where every
-    DOP853 piece took the mirror path.
+    DOP853 piece took the mirror path, and ``mass_frame_pieces`` the
+    DOP853 pieces solved in the mass frame (see :func:`_dop853_piece`).
     """
 
     etas: np.ndarray
@@ -141,6 +150,7 @@ class Trajectory:
     profile: object = None
     nfev: int = 0
     evolved_momenta: int | None = None
+    mass_frame_pieces: int = 0
 
     def __post_init__(self):
         t = len(self.etas)
@@ -352,6 +362,10 @@ MIRROR_TOL = 1e-12
 # M = diag(-1, -1, 1), the mirror k -> -k of a Pi = 0 Bloch vector
 _MIRROR = np.array([-1.0, -1.0, 1.0])
 
+# The largest tilt, the field left once the mass term m a z is removed over
+# that term, at which a DOP853 piece may be solved in the mass frame
+FRAME_TILT = 0.5
+
 
 def _is_mirror_symmetric(bloch) -> bool:
     """Whether (N_S, 3) Bloch vectors have max_k |n(-k) - M n(k)| within
@@ -370,9 +384,46 @@ def _mirror_expand(half, num_sites):
     return bloch
 
 
+def _takes_mass_frame(spec: LatticeSpec, n, a_start, a_end) -> bool:
+    """Whether a DOP853 piece from the Bloch vectors ``n``, over which a(eta)
+    runs from ``a_start`` to ``a_end``, is solved in the mass frame.
+
+    With Sigma and Pi those of ``n``, the rest of the field is
+    max_k |(-sin k, Pi, Sigma + 1 - cos k)|, its tilt the rest over
+    |m| max(a_start, a_end), and the misalignment max_k |n_k - b^_k| at
+    a_start.  The frame is taken iff tilt < min(:data:`FRAME_TILT`,
+    misalignment): the mass term dominates the field, and the state is
+    further from its field than the field is from z.  m = 0 or a NaN
+    keeps the lab frame.
+    """
+    if spec.mass == 0.0:
+        return False
+    ks = spec.momentum_grid()
+    sigma, pi = _condensate_sums(n, spec)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = np.max(np.linalg.norm(bloch_vector(ks, 0.0, sigma, pi), axis=-1))
+        tilt = rest / (abs(spec.mass) * np.maximum(a_start, a_end))
+        b = bloch_vector(ks, spec.mass * a_start, sigma, pi)
+        unit = b / np.linalg.norm(b, axis=-1, keepdims=True)
+        misalignment = np.max(np.linalg.norm(n - unit, axis=-1))
+    # np.minimum, so that a NaN misalignment fails too
+    return bool(tilt < np.minimum(FRAME_TILT, misalignment))
+
+
+def _turn_about_z(bloch, theta):
+    """(T, N, 3) Bloch vectors R_z(theta) n, each sample turned by its
+    angle of ``theta`` (T,)."""
+    cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    turned = bloch.copy()
+    turned[..., 0] = cos * bloch[..., 0] - sin * bloch[..., 1]
+    turned[..., 1] = sin * bloch[..., 0] + cos * bloch[..., 1]
+    return turned
+
+
 class _BlockField:
     """The self-consistent field b_k and d n_k/d eta = 2 b_k x n_k, in place:
-    the right-hand side of :func:`_dop853_piece`.
+    the right-hand side of :func:`_dop853_piece`, in the lab frame
+    (:meth:`rate`) or the mass frame (:meth:`frame_rate`).
 
     Built once per run from the lattice.  The state being differentiated
     sits in a buffer ``v`` of component rows (n_x, n_y, n_z, n_x, n_y) and
@@ -381,8 +432,8 @@ class _BlockField:
     product (b x n)_i = b_{i+1} n_{i+2} - b_{i+2} n_{i+1} two shifted
     row slices, each multiplied into a contiguous work block, so that
     only their difference is written into the solver's strided row.  The
-    two condensate sums are one reduction over the (n_y, n_z) rows into a
-    work pair, each row summed pairwise as on its own.  Every view and
+    condensate sums are one reduction over the (n_x, n_y, n_z) rows into
+    a work triple, each row summed pairwise as on its own.  Every view and
     work array is taken once here, so an evaluation allocates no arrays.
     Doubling is exact in binary floating point, so (2 b) x n is bit for
     bit 2 (b x n).
@@ -402,16 +453,20 @@ class _BlockField:
         self.mirror = mirror
         self.pref = spec.coupling / (2.0 * spec.num_sites)
         self.wilson2 = 2.0 * (1.0 - np.cos(ks))
-        b = np.empty((5, ks.size))
+        b = np.empty((6, ks.size))  # the sixth row only squares the reshape below
         b[0::3] = -2.0 * np.sin(ks)
         v = np.empty((5, ks.size))
         self._n, self._wrap_to, self._wrap_from = v[:3], v[3:], v[:2]
-        self._nyz = v[1:3]
         self._nz_ends = v[2, ::ks.size - 1]
         self._by, self._bz = b[1::3], b[2]
         self._cross = (b[1:4], v[2:5], b[2:5], v[1:4])
         self._lead, self._lag = np.empty((2, 3, ks.size))
-        self._sums = np.empty(2)
+        self._sums = np.empty(3)
+        # the mass frame's (b_x, b_y) rows and their repeats, (2, 2, N), are
+        # one product of the turn with the rows (-2 sin k, 1)
+        self._bxy = b.reshape(2, 3, ks.size)[:, :2]
+        self._turn = np.empty((2, 2))
+        self._basis = np.stack([b[0], np.ones(ks.size)])
 
     def load(self, n):
         """Copy the (3, N) component rows ``n`` into ``v``, N the momenta
@@ -419,16 +474,40 @@ class _BlockField:
         self._n[...] = n
         self._wrap_to[...] = self._wrap_from
 
-    def rate(self, ma, out):
-        """out <- 2 b x n for the state in ``v`` at effective mass ``ma``."""
-        np.add.reduce(self._nyz, axis=1, out=self._sums)
-        sum_y, sum_z = self._sums.tolist()
+    def _row_sums(self):
+        """(sum n_x, sum n_y, sum n_z) of the state in ``v``, weighted as
+        the mirror path needs."""
+        np.add.reduce(self._n, axis=1, out=self._sums)
+        sum_x, sum_y, sum_z = self._sums.tolist()
         if self.mirror:
             first, last = self._nz_ends.tolist()
-            sum_y, sum_z = 0.0, 2.0 * sum_z - (first + last)
+            return 0.0, 0.0, 2.0 * sum_z - (first + last)
+        return sum_x, sum_y, sum_z
+
+    def rate(self, ma, out):
+        """out <- 2 b x n for the state in ``v`` at effective mass ``ma``."""
+        _, sum_y, sum_z = self._row_sums()
         sig = -self.pref * sum_z
         self._by.fill(2.0 * (self.pref * sum_y))
         np.add(2.0 * (ma + sig), self.wilson2, out=self._bz)
+        self._cross_into(out)
+
+    def frame_rate(self, cos, sin, out):
+        """out <- 2 b' x n' for the state n' = R_z(-theta) n in ``v``, with
+        ``cos`` and ``sin`` those of theta: b' = R_z(-theta)(b - m a z), so
+        b'_z = Sigma + 1 - cos k reads no a(eta), (b'_x, b'_y) is
+        (-sin k, Pi) turned by -theta, and Pi = pref (sin theta sum n'_x
+        + cos theta sum n'_y), 0 on the mirror path."""
+        sum_x, sum_y, sum_z = self._row_sums()
+        pi2 = 2.0 * (self.pref * (sin * sum_x + cos * sum_y))
+        turn = self._turn
+        turn[0, 0], turn[0, 1] = cos, sin * pi2
+        turn[1, 0], turn[1, 1] = -sin, cos * pi2
+        np.matmul(turn, self._basis, out=self._bxy)
+        np.add(2.0 * (-self.pref * sum_z), self.wilson2, out=self._bz)
+        self._cross_into(out)
+
+    def _cross_into(self, out):
         b_lead, n_lead, b_lag, n_lag = self._cross
         np.multiply(b_lead, n_lead, out=self._lead)
         np.multiply(b_lag, n_lag, out=self._lag)
@@ -503,7 +582,7 @@ def propagate(
     solve_piece = _rotation_piece if rotates else _dop853_piece
     cuts = [kink for kink in profile.kinks if etas[0] < kink < etas[-1]]
     bloch = np.empty((etas.size,) + initial.bloch.shape)
-    n, first, nfev, momenta = initial.bloch, 0, 0, 0
+    n, first, nfev, momenta, framed = initial.bloch, 0, 0, 0, 0
     for start, end in zip([etas[0], *cuts], [*cuts, None]):
         if end is None:
             times, scale_factor = etas[first:], profile.scale_factor
@@ -511,20 +590,21 @@ def propagate(
             times = np.append(etas[first:np.searchsorted(etas, end)], end)
             left = np.nextafter(end, -np.inf)
             scale_factor = lambda eta, left=left: profile.scale_factor(min(eta, left))
-        piece, piece_nfev, piece_momenta = solve_piece(spec, n, scale_factor, start,
-                                                       times, rtol)
+        piece, piece_nfev, piece_momenta, piece_framed = solve_piece(
+            spec, n, scale_factor, profile.cosmological_time, start, times, rtol)
         rows = times.size - (end is not None)
         bloch[first:first + rows] = piece[:rows]
         n, first = piece[-1], first + rows
         nfev, momenta = nfev + piece_nfev, max(momenta, piece_momenta)
+        framed += piece_framed
     _purity_gate(etas, bloch, "check the initial state" if rotates else "tighten rtol")
     a_vals = np.asarray(profile.scale_factor(etas), dtype=float)
     return Trajectory(etas, a_vals, bloch, *_condensate_sums(bloch, spec), spec, profile,
-                      nfev=nfev, evolved_momenta=momenta)
+                      nfev=nfev, evolved_momenta=momenta, mass_frame_pieces=framed)
 
 
-def _rotation_piece(spec, n, scale_factor, start, times, rtol):
-    """``(bloch, 0, N_S)``: the free Bloch vectors ``n`` at ``start``
+def _rotation_piece(spec, n, scale_factor, time, start, times, rtol):
+    """``(bloch, 0, N_S, False)``: the free Bloch vectors ``n`` at ``start``
     rotated exactly to each of ``times`` under the constant a(start).
 
     With g = 0 the field b = (-sin k, 0, m a + 1 - cos k) is fixed, so by
@@ -539,41 +619,65 @@ def _rotation_piece(spec, n, scale_factor, start, times, rtol):
     angle = 2.0 * (times - start)[:, None] * eps
     cos, sin = np.cos(angle)[..., None], np.sin(angle)[..., None]
     axial = unit * np.sum(unit * n, axis=-1, keepdims=True)
-    return n * cos + np.cross(unit, n) * sin + axial * (1.0 - cos), 0, spec.num_sites
+    return n * cos + np.cross(unit, n) * sin + axial * (1.0 - cos), 0, spec.num_sites, False
 
 
-def _dop853_piece(spec, n, scale_factor, start, times, rtol):
-    """``(bloch, nfev, N)``: the Bloch vectors ``n`` at ``start`` solved to
-    each of ``times``, the last of which ends the solve.
+def _dop853_piece(spec, n, scale_factor, time, start, times, rtol):
+    """``(bloch, nfev, N, framed)``: the Bloch vectors ``n`` at ``start``
+    solved to each of ``times``, the last of which ends the solve.
 
     The self-consistent field (:class:`_BlockField`) is integrated by the
     package's DOP853 (:func:`cosmodirac._dop853.solve`) at relative
     tolerance ``rtol`` and absolute tolerance 1e-12, reading a(eta) from
-    ``scale_factor``.  Its step control tracks the local frequency, so a
+    ``scale_factor`` in the lab frame.  Its step control tracks the local frequency, so a
     de Sitter chart, whose m a(eta) = -m/(H eta) diverges towards
     eta -> 0^-, costs steps logarithmic in the final scale factor; the
     dense output puts the samples between the steps, so they leave the
     step control alone.  The state vector keeps the (N, 3) order of the N
     momenta solved for, so the error norm sees the same numbers.
 
+    Where the mass term m a z dominates the field and the state is far
+    from its field (:func:`_takes_mass_frame`, on ``n`` and a(eta) at both
+    ends of the piece), every momentum precesses about nearly z at the
+    shared rate 2 m a, and the piece is solved in the mass frame
+    (``framed``): for n' = R_z(-theta) n, theta(eta) = 2 m [t(eta)
+    - t(start)] with t the profile's cosmological ``time``, Lawson's
+    interaction picture, whose field (:meth:`_BlockField.frame_rate`)
+    reads t(eta) in place of a(eta) and leaves the solver only the slow
+    remainder.  Each sample is turned back, n = R_z(theta) n'.  Any other
+    piece is solved in the lab frame, as n.
+
     A state with Pi = 0 keeps the mirror n(-k) = M n(k), M = diag(-1, -1,
-    1), under this flow.  If ``n`` has it, max_k |n(-k) - M n(k)| <=
-    :data:`MIRROR_TOL` (a NaN state fails), the solve runs on the prefix
-    k in [-pi, 0], N = N_S/2 + 1 momenta, with the weighted condensate
-    sums of :class:`_BlockField`, and each sample is expanded into the
-    full grid as n(N_S - j) = M n(j), so its mirror pairs agree exactly.
-    Any other state is solved on all N = N_S momenta.  The solve stops at
-    the first step that takes the purity defect past :data:`PURITY_TOL`
-    and names it, so a runaway state ends the run.
+    1), under this flow, and R_z commutes with M.  If ``n`` has it,
+    max_k |n(-k) - M n(k)| <= :data:`MIRROR_TOL` (a NaN state fails), the
+    solve runs on the prefix k in [-pi, 0], N = N_S/2 + 1 momenta, with the
+    weighted condensate sums of :class:`_BlockField`, and each sample is
+    expanded into the full grid as n(N_S - j) = M n(j), so its mirror
+    pairs agree exactly.  Any other state is solved on all N = N_S
+    momenta.  The solve stops at the first step that takes the purity
+    defect, the same for n' as for n, past :data:`PURITY_TOL` and names
+    it, so a runaway state ends the run.
     """
     mirror = _is_mirror_symmetric(n)
+    framed = _takes_mass_frame(spec, n, float(scale_factor(start)),
+                               float(scale_factor(times[-1])))
     y0 = n[:spec.num_sites // 2 + 1] if mirror else n
     field = _BlockField(spec, mirror)
-    load, rate, mass = field.load, field.rate, spec.mass
+    load, mass = field.load, spec.mass
 
-    def rhs(eta, y, out):
-        load(y.reshape(-1, 3).T)
-        rate(mass * float(scale_factor(eta)), out.reshape(-1, 3).T)
+    if framed:
+        frame_rate, t_start, twice_mass = field.frame_rate, float(time(start)), 2.0 * mass
+
+        def rhs(eta, y, out):
+            load(y.reshape(-1, 3).T)
+            theta = twice_mass * (float(time(eta)) - t_start)
+            frame_rate(math.cos(theta), math.sin(theta), out.reshape(-1, 3).T)
+    else:
+        rate = field.rate
+
+        def rhs(eta, y, out):
+            load(y.reshape(-1, 3).T)
+            rate(mass * float(scale_factor(eta)), out.reshape(-1, 3).T)
 
     last_pure = start  # the last step end whose state passed
 
@@ -592,9 +696,12 @@ def _dop853_piece(spec, n, scale_factor, start, times, rtol):
         raise StepSizeError(f"adaptive integration failed: {exc}") from exc
     # C order, so that the stacked condensate sums equal the per-state ones
     bloch = ys.reshape(times.size, -1, 3)
+    if framed:
+        theta = twice_mass * (np.asarray(time(times), dtype=float) - t_start)
+        bloch = _turn_about_z(bloch, theta)
     if mirror:
         bloch = _mirror_expand(bloch, spec.num_sites)
-    return bloch, nfev, y0.shape[0]
+    return bloch, nfev, y0.shape[0], framed
 
 
 # ---------------------------------------------------------------------------

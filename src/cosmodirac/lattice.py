@@ -5,7 +5,9 @@ gamma matrices, cosmological time from conformal time, 2x2 Hamiltonian
 blocks, and the dispersion relation with its group velocity.  The
 exponential, quench and de Sitter profiles, the ones the adaptive solver
 reads at every right-hand-side evaluation, take a scalar path for one float
-time with the IEEE operations of their array path, so both agree bit for bit.
+time in ``scale_factor`` and ``cosmological_time``, with the IEEE operations
+(and numpy's own ``log`` and ``log1p``) of their array path, so both agree
+bit for bit.
 Each profile names its ``kinks``, the times at which a(eta) or its slope
 jumps, derived from its fields; ``gaussian.propagate`` ends a solve at each.
 
@@ -159,9 +161,14 @@ class ExponentialProfile:
         return np.clip(ramp, self.a_0, self.a_f)
 
     def cosmological_time(self, eta):
-        eta = np.asarray(eta, dtype=float)
         # Piecewise integral of a(eta'): flat in-region, ramp, flat out-region.
         eta_c = self.eta_clamp
+        if isinstance(eta, float):
+            mid = 0.0
+            if eta > 0:
+                mid = -np.log1p(-self.a_0 * self.hubble * min(eta, eta_c)) / self.hubble
+            return self.a_0 * min(eta, 0.0) + mid + self.a_f * max(eta - eta_c, 0.0)
+        eta = np.asarray(eta, dtype=float)
         pre = self.a_0 * np.minimum(eta, 0.0)
         mid = np.where(
             eta > 0,
@@ -199,6 +206,9 @@ class QuenchProfile:
         return np.where(eta < self.eta_switch, self.a_0, self.a_f)
 
     def cosmological_time(self, eta):
+        if isinstance(eta, float):
+            d = eta - self.eta_switch
+            return self.a_0 * d if d < 0 else self.a_f * d
         eta = np.asarray(eta, dtype=float)
         d = eta - self.eta_switch
         return np.where(d < 0, self.a_0 * d, self.a_f * d)
@@ -252,8 +262,9 @@ class DeSitterProfile:
         return -1.0 / (self.hubble * np.minimum(eta, self.eta_max))
 
     def cosmological_time(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        self.scale_factor(eta)  # domain check
+        if not isinstance(eta, float):
+            eta = np.asarray(eta, dtype=float)
+        _check_domain(eta, self.eta_0, self.eta_max, "de Sitter chart")
         return np.log(self.eta_0 / eta) / self.hubble
 
 
@@ -348,6 +359,8 @@ def band_velocity(k, ma_eff, sigma=0.0, pi=0.0):
         if not np.isfinite(value):  # a NaN gap would read as velocity 0
             raise ValueError(f"{name} must be finite, got {value}")
     k = np.asarray(k, dtype=float)
+    if not np.all(np.isfinite(k)):  # a NaN momentum would read as velocity 0
+        raise ValueError(f"every momentum k must be finite, got {k}")
     s = np.sin(k)
     c = np.cos(k)
     m_k = ma_eff + sigma + (1.0 - c)

@@ -39,7 +39,10 @@ class RunManifest:
     field evaluations of the solves, summed over the pieces (0 in closed
     form), ``evolved_momenta``, the momenta they solved for (N_S/2 + 1
     where a mirror-symmetric Pi = 0 state let DOP853 solve the half k in
-    [-pi, 0], as on fig2_int, else N_S), and
+    [-pi, 0], as on fig2_int, else N_S), ``mass_frame_pieces``, the
+    DOP853 pieces solved in the frame that turns with the bare mass phase
+    2 m t(eta), where the mass term dominates the field (1 on fig3a and
+    fig4, see :func:`~cosmodirac.gaussian._dop853_piece`), and
     ``max_purity_defect``, the worst purity defect over the samples, which
     DOP853 does not conserve, so on a DOP853 run it tracks the step error.  Each analysis adds its own
     diagnostics, each a mapping from the analysis's stage,
@@ -336,7 +339,7 @@ def run(config: RunConfig, output_dir=None, workers: int = 1) -> RunManifest:
     lap("evolve")
 
     diagnostics = {"nfev": traj.nfev, "evolved_momenta": traj.evolved_momenta,
-                   "stage_s": stage_s}
+                   "mass_frame_pieces": traj.mass_frame_pieces, "stage_s": stage_s}
     files = []
     for i, analysis in enumerate(config.analyses):
         stage = f"analyses[{i}].{analysis.kind}"

@@ -187,6 +187,7 @@ def horizon_width(block_length: float, v_g: float, hubble: float, a_0: float) ->
     """
     if not (hubble > 0 and a_0 > 0):  # NaN fails too
         raise ValueError(f"hubble and a_0 must be positive, got {hubble} and {a_0}")
-    if not np.isfinite(block_length):
-        raise ValueError(f"block_length must be finite, got {block_length}")
+    for name, value in (("block_length", block_length), ("v_g", v_g)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     return float(block_length - 4.0 * v_g / (hubble * a_0))

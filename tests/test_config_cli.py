@@ -467,10 +467,13 @@ class TestPipelineEvolution:
         assert np.array_equal(traj.a_vals, np.where(early, 0.7, 1.3))
 
     # the interacting vacuum has Pi = 0, so DOP853 solves half of the 16 momenta
-    @pytest.mark.parametrize("coupling, propagator, momenta", [(0.0, "closed_form", 16),
-                                                               (1.0, "dop853", 9)],
+    # the interacting quench to m a = 10 is mass-dominated: its one DOP853
+    # piece takes the mass frame
+    @pytest.mark.parametrize("coupling, propagator, momenta, framed",
+                             [(0.0, "closed_form", 16, 0), (1.0, "dop853", 9, 1)],
                              ids=["free", "interacting"])
-    def test_manifest_records_diagnostics(self, tmp_path, coupling, propagator, momenta):
+    def test_manifest_records_diagnostics(self, tmp_path, coupling, propagator, momenta,
+                                          framed):
         text = SMALL_RUN.replace("mass: 1.0}", f"mass: 1.0, coupling: {coupling}}}")
         config = load_config(text)
         traj = pipeline._evolve(config, pipeline._prepare(config)[0])
@@ -483,6 +486,7 @@ class TestPipelineEvolution:
         diagnostics = dict(manifest.diagnostics)
         assert set(diagnostics.pop("stage_s")) >= {"prepare", "evolve", "write"}
         assert diagnostics == {"nfev": traj.nfev, "evolved_momenta": momenta,
+                               "mass_frame_pieces": framed,
                                "max_purity_defect": traj.purity_defect(),
                                "parity_sector_fraction": {"analyses[0].entropy": 1.0},
                                "diagonalised_sites": {"analyses[0].entropy": 6}}

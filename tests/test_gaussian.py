@@ -516,10 +516,17 @@ def _dop853_piece(state, profile, sample_etas, rtol):
     """(bloch, nfev, evolved momenta) of DOP853 from ``state`` at
     ``sample_etas[0]`` to each sample: the private piece solver of
     ``propagate``, so free static and quench chains, which ``propagate``
-    rotates in closed form, are solved by DOP853 too."""
+    rotates in closed form, are solved by DOP853 too.  Every case that
+    calls it keeps |m| a(eta) <= 2, and the rest of a field is never
+    below 1 (k and pi - k are both on the grid, and sin^2 k + cos^2 k = 1
+    bounds the larger of their two rests), so its tilt is never below
+    FRAME_TILT and each case is solved in the lab frame."""
     sample_etas = np.asarray(sample_etas, dtype=float)
-    return gaussian._dop853_piece(state.spec, state.bloch, profile.scale_factor,
-                                  sample_etas[0], sample_etas, rtol)
+    bloch, nfev, momenta, framed = gaussian._dop853_piece(
+        state.spec, state.bloch, profile.scale_factor, profile.cosmological_time,
+        sample_etas[0], sample_etas, rtol)
+    assert not framed
+    return bloch, nfev, momenta
 
 
 def _assert_dop853_is_scipy(state, profile, sample_etas, rtol, half, momenta):
@@ -798,6 +805,148 @@ class TestKinks:
         # derived from the fields, not a field
         with pytest.raises(TypeError):
             QuenchProfile(0.5, 1.5, kinks=(1.0,))
+
+
+# ---------------------------------------------------------------------------
+# The mass frame of DOP853 pieces
+# ---------------------------------------------------------------------------
+
+
+def _vacuum_for(spec, m_pre, a_val):
+    """The gap-equation vacuum of ``spec`` with its mass set to ``m_pre``,
+    at ``a_val``, as a state of ``spec``: a run's prepared start."""
+    pre = LatticeSpec(num_sites=spec.num_sites, mass=m_pre, coupling=spec.coupling)
+    return CorrelationState(spec, self_consistent_ground_state(pre, a_val)[0].bloch)
+
+
+def _lab_frame(monkeypatch):
+    """Keep every DOP853 piece in the lab frame: no tilt is below 0."""
+    monkeypatch.setattr(gaussian, "FRAME_TILT", 0.0)
+
+
+def _quench_point(coupling, mass, a_0, a_f):
+    spec = LatticeSpec(num_sites=256, mass=mass, coupling=coupling)
+    return spec, mass, a_0, QuenchProfile(a_0, a_f), (0.0, 10.0), 1e-12
+
+
+def _de_sitter_point(m_pre, hubble, eta_0, eta_1):
+    profile = DeSitterProfile(hubble=hubble, eta_0=eta_0, eta_max=eta_1)
+    spec = LatticeSpec(num_sites=128, mass=1.0, coupling=2.0)
+    return spec, m_pre, profile.a_0, profile, (eta_0, eta_1), 1e-10
+
+
+# The gate's grid, declared with the rule before it was tuned, and the
+# pieces the rule takes the frame on.  Each point is prepared in its own
+# or (de Sitter) m_pre's vacuum at a(start) and sampled 11 times.
+MASS_FRAME_GRID = [
+    *[pytest.param(_quench_point(g, 1.0, 0.01, a_f), pieces,
+                   id=f"quench-g{g:g}-m1-a0.01-{a_f:g}")
+      for g in (1.0, 3.0) for a_f, pieces in ((1.0, 0), (3.0, 0), (5.0, 1), (10.0, 1))],
+    *[pytest.param(_quench_point(g, -1.0, 0.7, a_f), pieces,
+                   id=f"quench-g{g:g}-m-1-a0.7-{a_f:g}")
+      for g in (1.0, 3.0) for a_f, pieces in ((1.3, 0), (3.0, 0), (5.0, 1))],
+    *[pytest.param(_de_sitter_point(m_pre, hubble, eta_0, eta_1), int(m_pre < 0),
+                   id=f"de_sitter-mpre{m_pre:g}-H{hubble:g}-{eta_0:g}-{eta_1:g}")
+      for m_pre in (1.0, -1.0)
+      for hubble, eta_0, eta_1 in ((0.1, -3.0, -0.001362), (0.1, -30.0, -0.3),
+                                   (0.01, -300.0, -3.0), (0.01, -30.0, -0.1),
+                                   (1.0, -3.0, -0.001362))],
+]
+
+
+class TestMassFrame:
+    """A DOP853 piece where the mass term dominates the field is solved in
+    the frame that turns with the bare mass phase 2 m t(eta)."""
+
+    @pytest.mark.parametrize("point, pieces", MASS_FRAME_GRID)
+    def test_the_gate_never_costs_evaluations(self, point, pieces, monkeypatch):
+        spec, m_pre, a_start, profile, span, rtol = point
+        state = _vacuum_for(spec, m_pre, a_start)
+        etas = sample_grid(span, 11)
+        traj = propagate(state, profile, etas, rtol)
+        assert traj.mass_frame_pieces == pieces
+        if pieces:
+            _lab_frame(monkeypatch)
+            lab = propagate(state, profile, etas, rtol)
+            assert lab.mass_frame_pieces == 0
+            assert traj.nfev <= lab.nfev
+
+    @pytest.mark.parametrize("eta_0, a_prep, momenta", [
+        (-3.0, 1.0 / 0.3, 65),  # a Pi = 0 vacuum, on the mirror path
+        (-30.0, 1.0 / 3.0, 128),  # fig4's start, a Pi != 0 vacuum
+    ], ids=["pi_zero", "fig4"])
+    def test_a_frame_solve_agrees_with_a_tight_lab_solve(self, eta_0, a_prep, momenta,
+                                                         monkeypatch):
+        # desitter_adaptive_contour's chart and fig4's, at N_S = 128; the
+        # frame's Bloch vectors carry about 1.3e-10 (pi_zero) of error, the
+        # lab's at the same rtol 7.2e-10
+        spec = LatticeSpec(num_sites=128, mass=1.0, coupling=2.0)
+        state = _vacuum_for(spec, -1.0, a_prep)
+        assert (condensates(state).pi == 0.0) == (momenta == 65)
+        profile = DeSitterProfile(hubble=0.1, eta_0=-30.0)
+        etas = sample_grid((eta_0, profile.eta_max), 11)
+        framed = propagate(state, profile, etas, 1e-10)
+        assert (framed.mass_frame_pieces, framed.evolved_momenta) == (1, momenta)
+        _lab_frame(monkeypatch)
+        reference = propagate(state, profile, etas, 1e-13)
+        assert reference.mass_frame_pieces == 0
+        assert np.max(np.abs(framed.bloch - reference.bloch)) <= 1e-9
+        assert np.array_equal(framed.a_vals, reference.a_vals)
+
+    @pytest.mark.parametrize("pi", [0.0, 0.2], ids=["half_grid", "full_grid"])
+    @pytest.mark.parametrize("profile, kink", [
+        (ExponentialProfile(4.0, 16.0, hubble=0.1), 1.875),
+        (TabulatedProfile((0.0, 1.0, 3.0), (8.0, 12.0, 9.0)), 1.0),
+    ], ids=["exponential_clamp", "tabulated_sample"])
+    def test_a_frame_run_split_at_a_kink_is_two_runs_to_the_bit(self, profile, kink, pi):
+        # the frame's field reads the continuous t(eta), not a(eta), so the
+        # piece that ends at the kink solves what a run that ends there does
+        spec = LatticeSpec(num_sites=24, mass=1.0, coupling=3.0)
+        state = free_ground_state(spec, -0.3, 0.0, pi)
+        etas = np.linspace(0.0, 3.0, 25)
+        at = int(np.flatnonzero(etas == kink)[0])
+        whole = propagate(state, profile, etas)
+        before = propagate(state, profile, etas[:at + 1])
+        after = propagate(before.state(-1), profile, etas[at:])
+        assert (whole.mass_frame_pieces, before.mass_frame_pieces,
+                after.mass_frame_pieces) == (2, 1, 1)
+        assert np.array_equal(whole.bloch, np.concatenate([before.bloch[:-1], after.bloch]))
+        assert whole.nfev == before.nfev + after.nfev
+
+    def test_a_stationary_vacuum_keeps_the_lab_frame(self):
+        # |m| a = 10 against a rest of 2 passes the tilt, but the vacuum sits
+        # on its field: in the frame it would precess at 2|b| - 2 m a, which
+        # DOP853 follows for 1e5 of eta (about 290 s); in the lab it stays
+        # put, and the steps grow tenfold from 1e-4 to cross the span in 152
+        # evaluations
+        spec = LatticeSpec(num_sites=4, mass=1.0)
+        state = free_ground_state(spec, 10.0)
+        profile = TabulatedProfile((0.0, 1e5), (10.0, 10.0))
+        traj = propagate(state, profile, sample_grid((0.0, 1e5), 5))
+        assert traj.mass_frame_pieces == 0
+        assert 0 < traj.nfev < 200
+
+    def test_a_nan_or_a_massless_lattice_keeps_the_lab_frame(self):
+        spec = LatticeSpec(num_sites=16, mass=1.0, coupling=1.0)
+        state = free_ground_state(spec, -0.3)
+        assert gaussian._takes_mass_frame(spec, state.bloch, 10.0, 20.0)
+        for a_start, a_end in ((np.nan, 20.0), (10.0, np.nan)):
+            assert not gaussian._takes_mass_frame(spec, state.bloch, a_start, a_end)
+        bad = state.bloch.copy()
+        bad[3, 0] = np.nan
+        assert not gaussian._takes_mass_frame(spec, bad, 10.0, 20.0)
+        massless = LatticeSpec(num_sites=16, mass=0.0, coupling=1.0)
+        assert not gaussian._takes_mass_frame(massless, state.bloch, 10.0, 20.0)
+
+    @pytest.mark.parametrize("profile, etas", [
+        (ExponentialProfile(0.5, 2.0, hubble=1.0), np.linspace(-1.0, 3.0, 41)),
+        (QuenchProfile(0.5, 1.5, eta_switch=0.7), np.linspace(-1.0, 3.0, 41)),
+        (DeSitterProfile(hubble=0.1, eta_0=-30.0), np.linspace(-30.0, -0.001362, 41)),
+    ], ids=["exponential", "quench", "de_sitter"])
+    def test_cosmological_time_has_a_scalar_path_to_the_bit(self, profile, etas):
+        times = profile.cosmological_time(etas)
+        scalar = [profile.cosmological_time(float(eta)) for eta in etas]
+        assert np.array_equal(times, scalar)
 
 
 # ---------------------------------------------------------------------------

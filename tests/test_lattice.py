@@ -290,6 +290,15 @@ class TestDispersion:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             velocity(*args)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_momentum_that_is_not_finite_is_refused(self, bad):
+        # band_velocity([nan, 0.5], 1.0) was [0., 0.786]: the NaN failed the
+        # eps > 0 mask and read as a velocity of 0
+        with pytest.raises(ValueError, match="momentum k must be finite"):
+            band_velocity(np.array([bad, 0.5]), 1.0)
+        with pytest.raises(ValueError, match="momentum k must be finite"):
+            band_velocity(bad, 1.0)
+
     def test_spectrum_even_in_k_even_with_broken_parity(self):
         # parity is broken by pi != 0 but eps_k stays even in k
         spec = LatticeSpec(num_sites=64)

@@ -2,7 +2,7 @@
 
 scipy is only the tests' oracle: a subprocess that blocks ``import scipy``
 before anything else imports cosmodirac, runs an adaptive de Sitter config
-and a tabulated-profile config (which DOP853 solves on half its momenta)
+(which DOP853 solves in the mass frame) and a tabulated-profile config (which DOP853 solves on half its momenta)
 through ``pipeline.run`` and finds the group velocity, and must load no
 scipy module while writing the bytes an in-process run writes.
 """
@@ -73,5 +73,7 @@ def test_runs_without_scipy(tmp_path):
         manifest = pipeline.run(load_config(text), output_dir=tmp_path / name)
         assert report["inventories"][name] == manifest.files
         assert manifest.propagator == "dop853"
+        # the de Sitter run's one piece is mass-dominated and takes the mass frame
+        assert manifest.diagnostics["mass_frame_pieces"] == (name == "de_sitter")
     # the free tabulated run starts mirror-symmetric: half of its 16 momenta
     assert manifest.diagnostics["evolved_momenta"] == 9

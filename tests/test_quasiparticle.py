@@ -207,8 +207,10 @@ class TestHorizon:
         ((10.0, 1.0, 0.1, -1.0), "a_0"),
         ((NAN, 1.0, 0.1, 1.0), "block_length"),
         ((np.inf, 1.0, 0.1, 1.0), "block_length"),
+        ((160.0, NAN, 0.1, 1.0 / 3.0), "v_g"),
+        ((160.0, np.inf, 0.1, 1.0 / 3.0), "v_g"),
     ])
     def test_a_width_from_a_bad_input_is_refused(self, args, name):
-        # NaN in any of the three used to come back as a NaN width
+        # NaN in any of the four used to come back as a NaN width
         with pytest.raises(ValueError, match=name):
             horizon_width(*args)
