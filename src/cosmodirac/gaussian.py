@@ -566,8 +566,9 @@ def propagate(
     each piece (:func:`_rotation_piece`); every other run is solved by
     DOP853 (:func:`_dop853_piece`) at ``rtol``, which may not be below
     :data:`~cosmodirac._dop853.MIN_RTOL`.  The trajectory's ``nfev`` sums
-    the pieces' field evaluations, and ``evolved_momenta`` is the most
-    momenta a piece solved for.
+    the pieces' field evaluations, ``evolved_momenta`` is the most
+    momenta a piece solved for, and ``mass_frame_pieces`` counts the
+    DOP853 pieces solved in the mass frame.
 
     Raises :class:`StepSizeError` if the field is not finite, the step size
     underflows, or the purity defect of any sample exceeds
