@@ -50,7 +50,7 @@ fields = {}
 for g2 in (0.0, 1.0):
     traj, field = run(g2)
     slope = front_slope(field)
-    v = renormalized_velocity(traj, A_F, (20.0, ETA_END))
+    v = renormalized_velocity(traj)
     print(f"  front slope d(eta)/dx = {slope:.3f}  "
           f"(ballistic prediction 1/(2 v_g) = {1.0 / (2.0 * v):.3f})")
     fields[g2] = field

@@ -58,6 +58,7 @@ from .quasiparticle import (  # noqa: F401
     NonEquilibratedWindowError,
     QPInput,
     condensate_persistence,
+    dressed_reference,
     horizon_width,
     qp_contour,
     qp_entropy,

@@ -24,6 +24,7 @@ from .lattice import (
     QuenchProfile,
     StaticProfile,
     TabulatedProfile,
+    preparation_scale,
 )
 
 # kind -> the fields a section of that kind reads besides its kind
@@ -39,7 +40,7 @@ ANALYSIS_FIELDS = {
     "contour": ("block",),
     "spectrum": (),
     "qp": ("block",),
-    "symmetry": ("hubble_values", "a_0", "a_f"),
+    "symmetry": ("hubble_values",),
 }
 PROFILE_KINDS = tuple(PROFILE_FIELDS)
 ANALYSIS_KINDS = tuple(ANALYSIS_FIELDS)
@@ -262,7 +263,7 @@ def _build_block(section, num_sites, path) -> BlockSpec:
     return BlockSpec(length, num_sites)
 
 
-def _build_analyses(section, lattice: LatticeSpec) -> list:
+def _build_analyses(section, lattice: LatticeSpec, ramp) -> list:
     if section is None:
         return []
     if not isinstance(section, list):
@@ -287,13 +288,11 @@ def _build_analyses(section, lattice: LatticeSpec) -> list:
             if not hv or not all(_is_finite_number(x) and x > 0 for x in hv):
                 raise ConfigError(f"{path}.hubble_values",
                                   "expected a nonempty list of finite positive rates")
+            if not ramp[1] > ramp[0]:
+                raise ConfigError(f"{path}.kind", f"the sweep ramps the run's a from "
+                                  f"{ramp[0]:g} to {ramp[1]:g}; the run must expand")
             opts["hubble_values"] = [float(x) for x in hv]
-            opts["a_0"] = _number(entry, "a_0", path)
-            opts["a_f"] = _number(entry, "a_f", path)
-            if not opts["a_0"] > 0:
-                raise ConfigError(f"{path}.a_0", "must be positive")
-            if not opts["a_f"] > opts["a_0"]:
-                raise ConfigError(f"{path}.a_f", "the ramp expands: need a_f > a_0")
+            opts["a_0"], opts["a_f"] = ramp
         out.append(AnalysisSpec(kind=kind, options=opts))
     return out
 
@@ -338,8 +337,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         _optional(raw, "preparation", {}, "<file>", (dict,)), lattice)
     evolution = _build_evolution(_require(raw, "evolution", "<file>", (dict,)),
                                  lattice.num_sites)
-    analyses = _build_analyses(raw.get("analyses"), lattice)
-    output = _build_output(raw.get("output"))
     span = evolution["eta_span"]
     # profile-domain check up front so runs fail in validation, not mid-flight
     for eta in span:
@@ -348,5 +345,9 @@ def config_from_dict(raw: dict) -> RunConfig:
         except Exception as exc:
             raise ConfigError("evolution.eta_span",
                               f"eta = {eta} outside profile domain: {exc}") from exc
+    # a symmetry sweep ramps the run's own a: its preparation scale to its last a
+    ramp = (preparation_scale(profile, span[0]), float(profile.scale_factor(span[1])))
+    analyses = _build_analyses(raw.get("analyses"), lattice, ramp)
+    output = _build_output(raw.get("output"))
     return RunConfig(lattice=lattice, profile=profile, preparation=preparation,
                      evolution=evolution, analyses=analyses, output=output, raw=raw)

@@ -19,9 +19,9 @@ for bit and only a converged seed's state is built.
 
 One propagator, :func:`propagate`, evolves every run.  It cuts the span
 at the kinks of a(eta) that lie inside it and solves each piece from the
-state at its start.  A free run (g = 0) on a piecewise-constant a(eta)
-needs no integrator: each Bloch vector is rotated exactly about its
-fixed field.  Every other piece is one DOP853 solve by the package's own
+state at its start.  A free piece (g = 0) over which a(eta) stays
+constant needs no integrator: each Bloch vector is rotated exactly about
+its fixed field.  Every other piece is one DOP853 solve by the package's own
 numpy solver (:mod:`cosmodirac._dop853`, scipy's DOP853 to the bit, its
 stage arrays allocated once per solve), whose field kernel works on
 component rows, (n_x, n_y, n_z) each over the momenta solved for, in
@@ -56,7 +56,7 @@ import numpy as np
 from numpy.fft import ifft
 
 from . import _dop853
-from .lattice import LatticeSpec, QuenchProfile, StaticProfile, bloch_vector
+from .lattice import LatticeSpec, bloch_vector
 
 
 class DegenerateGroundStateError(RuntimeError):
@@ -561,9 +561,9 @@ def propagate(
     inside it, and each piece is solved from the state at its start; a
     sample on a kink belongs to the piece that starts there, and a piece
     that ends at a kink reads a(eta) from its left, so a quench's jump acts
-    only on the next piece.  A free lattice (g = 0) on a
-    :class:`StaticProfile` or :class:`QuenchProfile` is rotated exactly on
-    each piece (:func:`_rotation_piece`); every other run is solved by
+    only on the next piece.  A free piece (g = 0) whose two ends read the
+    same a(eta), constant on it as :mod:`~cosmodirac.lattice` says, is
+    rotated exactly (:func:`_rotation_piece`); every other is solved by
     DOP853 (:func:`_dop853_piece`) at ``rtol``, which may not be below
     :data:`~cosmodirac._dop853.MIN_RTOL`.  The trajectory's ``nfev`` sums
     the pieces' field evaluations, ``evolved_momenta`` is the most
@@ -579,8 +579,6 @@ def propagate(
     if etas.size < 2:
         raise ValueError(f"propagate needs two or more sample times, got {etas}")
     spec = initial.spec
-    rotates = spec.coupling == 0.0 and isinstance(profile, (StaticProfile, QuenchProfile))
-    solve_piece = _rotation_piece if rotates else _dop853_piece
     cuts = [kink for kink in profile.kinks if etas[0] < kink < etas[-1]]
     bloch = np.empty((etas.size,) + initial.bloch.shape)
     n, first, nfev, momenta, framed = initial.bloch, 0, 0, 0, 0
@@ -591,6 +589,8 @@ def propagate(
             times = np.append(etas[first:np.searchsorted(etas, end)], end)
             left = np.nextafter(end, -np.inf)
             scale_factor = lambda eta, left=left: profile.scale_factor(min(eta, left))
+        rotates = spec.coupling == 0.0 and scale_factor(start) == scale_factor(times[-1])
+        solve_piece = _rotation_piece if rotates else _dop853_piece
         piece, piece_nfev, piece_momenta, piece_framed = solve_piece(
             spec, n, scale_factor, profile.cosmological_time, start, times, rtol)
         rows = times.size - (end is not None)
@@ -598,7 +598,7 @@ def propagate(
         n, first = piece[-1], first + rows
         nfev, momenta = nfev + piece_nfev, max(momenta, piece_momenta)
         framed += piece_framed
-    _purity_gate(etas, bloch, "check the initial state" if rotates else "tighten rtol")
+    _purity_gate(etas, bloch, "check the initial state" if nfev == 0 else "tighten rtol")
     a_vals = np.asarray(profile.scale_factor(etas), dtype=float)
     return Trajectory(etas, a_vals, bloch, *_condensate_sums(bloch, spec), spec, profile,
                       nfev=nfev, evolved_momenta=momenta, mass_frame_pieces=framed)
@@ -629,7 +629,7 @@ def _dop853_piece(spec, n, scale_factor, time, start, times, rtol):
 
     The self-consistent field (:class:`_BlockField`) is integrated by the
     package's DOP853 (:func:`cosmodirac._dop853.solve`) at relative
-    tolerance ``rtol`` and absolute tolerance 1e-12, reading a(eta) from
+    tolerance ``rtol`` and absolute tolerance min(rtol, 1e-12), reading a(eta) from
     ``scale_factor`` in the lab frame.  Its step control tracks the local frequency, so a
     de Sitter chart, whose m a(eta) = -m/(H eta) diverges towards
     eta -> 0^-, costs steps logarithmic in the final scale factor; the
@@ -692,7 +692,7 @@ def _dop853_piece(spec, n, scale_factor, time, start, times, rtol):
 
     try:
         ys, nfev = _dop853.solve(rhs, (start, times[-1]), y0.ravel(), times, rtol,
-                                 1e-12, check)
+                                 min(rtol, 1e-12), check)
     except _dop853.SolverError as exc:
         raise StepSizeError(f"adaptive integration failed: {exc}") from exc
     # C order, so that the stacked condensate sums equal the per-state ones

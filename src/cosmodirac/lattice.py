@@ -10,6 +10,9 @@ time in ``scale_factor`` and ``cosmological_time``, with the IEEE operations
 bit for bit.
 Each profile names its ``kinks``, the times at which a(eta) or its slope
 jumps, derived from its fields; ``gaussian.propagate`` ends a solve at each.
+Between consecutive kinks, and before the first or after the last, every
+profile's a(eta) is monotone, so a stretch whose two ends read the same a is
+flat, and ``propagate`` rotates a free one exactly; a new profile must keep this.
 
 All quantities are in lattice units, a = 1: lengths and conformal times count
 sites, and momenta, masses and rates are in 1/a.  A chain whose sites lie

@@ -23,8 +23,8 @@ from .entanglement import contour_trajectory, diagonalised_sites, entropy_trajec
 from .gaussian import propagate, sample_grid, self_consistent_ground_state
 from .lattice import ExponentialProfile, QuenchProfile, preparation_scale
 from .production import bogoliubov_spectrum, mode_pair_entropy
-from .quasiparticle import (PERSISTENCE_LIMIT, condensate_persistence, qp_entropy,
-                            qp_input_from_spectrum)
+from .quasiparticle import (PERSISTENCE_LIMIT, condensate_persistence, dressed_reference,
+                            qp_entropy, qp_input_from_spectrum)
 from .symmetry import spectrum_symmetry_check, symmetry_report
 
 
@@ -147,12 +147,12 @@ def _write_csv(path, header, rows, rows_per_write=1):
 
 def _prepare(config: RunConfig):
     """``(state, vacuum)``: the self-consistent vacuum at a(eta_0) of the
-    preparation lattice, to be evolved on the run's lattice, and ``(state,
-    a(eta_0))`` if that lattice is the run's own, else None."""
+    preparation lattice, to be evolved on the run's lattice, and that state
+    again if the lattice is the run's own, else None."""
     a_start = preparation_scale(config.profile, config.eta_span[0])
     state, _ = self_consistent_ground_state(config.preparation, a_start)
     state.spec = config.lattice
-    return state, ((state, a_start) if config.preparation == config.lattice else None)
+    return state, (state if config.preparation == config.lattice else None)
 
 
 def _evolve(config: RunConfig, state):
@@ -204,18 +204,6 @@ def _emit_contour(traj, opts, directory, vacuum):
             _block_notes(traj, opts["block"], sector))
 
 
-def _dressed_spectrum(traj):
-    """Final-state spectrum against the vacuum dressed by the mean condensates
-    over the last quarter of the run, which always holds the last sample."""
-    etas = traj.etas
-    mask = etas >= etas[0] + 0.75 * (etas[-1] - etas[0])
-    ma_f = traj.spec.mass * float(traj.a_vals[-1])
-    # (m a_f + Sigma) - m a_f, not Sigma: the rounding the CSVs were written with
-    ma_ref = ma_f + float(np.mean(traj.sigma[mask]))
-    return bogoliubov_spectrum(traj.state(-1), ma_f, sigma=ma_ref - ma_f,
-                               pi=float(np.mean(traj.pi[mask])))
-
-
 def _emit_spectrum(traj, opts, directory, vacuum):
     spectrum = bogoliubov_spectrum(traj.state(-1),
                                    traj.spec.mass * float(traj.a_vals[-1]))
@@ -228,7 +216,7 @@ def _emit_spectrum(traj, opts, directory, vacuum):
 
 
 def _emit_qp(traj, opts, directory, vacuum):
-    spectrum = _dressed_spectrum(traj)
+    spectrum = bogoliubov_spectrum(traj.state(-1), *dressed_reference(traj))
     qp = qp_input_from_spectrum(spectrum, opts["block"].length)
     # pairs are made at the first sample by a state that is not the vacuum of
     # the run's lattice (a mass quench, or the vacuum of another coupling), or
@@ -260,13 +248,10 @@ def _emit_symmetry(traj, opts, directory, vacuum):
     with open(directory / "symmetry_report.txt", "w") as fh:
         fh.write(report.table() + "\n")
 
-    # the sweep starts from the run's own vacuum when it was prepared at the
-    # sweep's a_0, instead of solving for it again
-    source = lattice
-    if vacuum is not None and vacuum[1] == opts["a_0"]:
-        source = vacuum[0]
-    sweep = spectrum_symmetry_check(source, opts["a_0"], opts["a_f"],
-                                    opts["hubble_values"])
+    # the sweep ramps the run's own a, so it starts from the run's vacuum,
+    # when the run prepared it, instead of solving for it again
+    sweep = spectrum_symmetry_check(lattice if vacuum is None else vacuum, opts["a_0"],
+                                    opts["a_f"], opts["hubble_values"])
     _write_csv(directory / "symmetry_sweep.csv",
                ["hubble[1/a]", "asymmetry[dimensionless]", "beta_sq_sum[dimensionless]"],
                [(r["hubble"], r["asymmetry"], r["beta_sq_sum"]) for r in sweep])

@@ -25,7 +25,7 @@ QUADRATURE_POINTS = 4096
 
 
 class NonEquilibratedWindowError(RuntimeError):
-    """Condensates still oscillate over the requested averaging window."""
+    """Condensates still oscillate over the late window the dressing averages."""
 
 
 @dataclass
@@ -128,6 +128,11 @@ def qp_contour(qp: QPInput, eta: float, x):
     return out if x.ndim else float(out[0])
 
 
+def _last_quarter(etas):
+    """The late window, the last quarter of the run with its last sample."""
+    return etas >= etas[0] + 0.75 * (etas[-1] - etas[0])
+
+
 def condensate_persistence(trajectory: Trajectory, which: str = "sigma") -> float:
     """Late-time / early-time oscillation amplitude ratio of a condensate.
 
@@ -140,10 +145,9 @@ def condensate_persistence(trajectory: Trajectory, which: str = "sigma") -> floa
         raise ValueError(f"which must be 'sigma' or 'pi', got {which!r}")
     etas = trajectory.etas
     vals = getattr(trajectory, which)
-    t0, t1 = etas[0], etas[-1]
-    span = t1 - t0
+    t0, span = etas[0], etas[-1] - etas[0]
     early = (etas >= t0 + 0.05 * span) & (etas <= t0 + 0.30 * span)
-    late = etas >= t0 + 0.75 * span
+    late = _last_quarter(etas)
     if np.count_nonzero(early) < 4 or np.count_nonzero(late) < 4:
         raise ValueError("trajectory too sparsely sampled for persistence")
     early_amp = float(np.std(vals[early]))
@@ -152,31 +156,31 @@ def condensate_persistence(trajectory: Trajectory, which: str = "sigma") -> floa
     return float(np.std(vals[late])) / early_amp
 
 
-def renormalized_velocity(trajectory: Trajectory, a_f: float, window):
-    """Group velocity of the condensate-dressed dispersion after equilibration.
+def dressed_reference(trajectory: Trajectory):
+    """``(m a_f, Sigma, Pi)``: the final dispersion, m the lattice's bare mass
+    and a_f the last scale factor, dressed by the mean condensates over the
+    late window of :func:`condensate_persistence`.  Sigma is (m a_f + mean
+    Sigma) - m a_f, the rounding ``entropy_qp.csv`` is written with."""
+    late = _last_quarter(trajectory.etas)
+    ma_f = trajectory.spec.mass * float(trajectory.a_vals[-1])
+    ma_ref = ma_f + float(np.mean(trajectory.sigma[late]))
+    return ma_f, ma_ref - ma_f, float(np.mean(trajectory.pi[late]))
 
-    Averages Sigma and Pi over the window [window[0], window[1]] of the
-    trajectory, rebuilds the dispersion at ma_eff = m a_f + mean(Sigma),
-    with m the bare mass of the trajectory's lattice,
-    Pi = mean(Pi), and returns its group velocity.  Refuses when the
-    scalar condensate's oscillations persist (late-time amplitude above
-    :data:`PERSISTENCE_LIMIT` of the early amplitude) instead of damping
-    out.
+
+def renormalized_velocity(trajectory: Trajectory):
+    """Group velocity of the :func:`dressed_reference` dispersion.
+
+    Refuses when the scalar condensate's oscillations persist (late-time
+    amplitude above :data:`PERSISTENCE_LIMIT` of the early amplitude)
+    instead of damping out, or the run is too sparse to tell.
     """
-    etas = trajectory.etas
-    mask = (etas >= window[0]) & (etas <= window[1])
-    if np.count_nonzero(mask) < 2:
-        raise ValueError("window contains fewer than two trajectory samples")
     persistence = condensate_persistence(trajectory, "sigma")
     if persistence > PERSISTENCE_LIMIT:
         raise NonEquilibratedWindowError(
             f"Sigma oscillations persist (late/early amplitude ratio "
             f"{persistence:.2f}); the quasi-particle picture does not apply"
         )
-    return group_velocity(
-        trajectory.spec.mass * a_f, float(np.mean(trajectory.sigma[mask])),
-        float(np.mean(trajectory.pi[mask])),
-    )
+    return group_velocity(*dressed_reference(trajectory))
 
 
 def horizon_width(block_length: float, v_g: float, hubble: float, a_0: float) -> float:

@@ -32,6 +32,9 @@ HOLDS_THRESHOLD = 1e-10  # fraction of max block norm separating exact algebra f
 # time scales, so the vacuum at a_0 is measured at a_f with no evolution.
 QUENCH_LIMIT_HUBBLE = 100.0
 
+# The lattice of the time-reversal condition; m = 1, so its mass term is a(eta).
+TIME_REVERSAL_LATTICE = LatticeSpec(num_sites=64, mass=1.0)
+
 
 @dataclass
 class SymmetryReport:
@@ -75,19 +78,16 @@ def symmetry_report(ma_eff, sigma, pi, spec: LatticeSpec) -> SymmetryReport:
     return SymmetryReport(residuals=residuals, holds=holds)
 
 
-def time_reversal_condition_residual(profile, eta_0, eta, ma_coeff=1.0,
-                                     sigma=0.0, pi=0.0, spec=None):
-    """Residual of T^dag h_{-k}^*(eta) T = h_k(2 eta_0 - eta).
+def time_reversal_condition_residual(profile, eta_0, eta, pi=0.0):
+    """Residual of T^dag h_{-k}^*(eta) T = h_k(2 eta_0 - eta) on
+    :data:`TIME_REVERSAL_LATTICE`, with pseudo-scalar condensate ``pi``.
 
     The expansion singles out a direction of time, so the condition only
     holds instantaneously at eta = eta_0.
     """
-    spec = spec or LatticeSpec(num_sites=64)
-    ks = spec.momentum_grid()
-    h_eta = hamiltonian_block(-ks, ma_coeff * float(profile.scale_factor(eta)), sigma, pi)
-    h_ref = hamiltonian_block(
-        ks, ma_coeff * float(profile.scale_factor(2 * eta_0 - eta)), sigma, pi
-    )
+    ks, m = TIME_REVERSAL_LATTICE.momentum_grid(), TIME_REVERSAL_LATTICE.mass
+    h_eta = hamiltonian_block(-ks, m * float(profile.scale_factor(eta)), 0.0, pi)
+    h_ref = hamiltonian_block(ks, m * float(profile.scale_factor(2 * eta_0 - eta)), 0.0, pi)
     return _opnorm(T_MATRIX.conj().T @ h_eta.conj() @ T_MATRIX - h_ref)
 
 
@@ -150,8 +150,8 @@ def spectrum_symmetry_check(
 
     ``spec`` is the lattice, or that vacuum itself when the caller has
     already solved for it (:func:`~cosmodirac.pipeline.run` passes the
-    state it prepared when that is the lattice's vacuum at a_0); the
-    vacuum is then used as it is, with no second gap-equation solve.
+    state it prepared when that is the lattice's own vacuum, since the
+    ramp is the run's own); it is then used as it is, with no second solve.
 
     Returns a list of dicts {hubble, asymmetry, beta_sq_sum, nfev}, in the
     order of ``hubble_values``; ``nfev`` counts the field evaluations of the

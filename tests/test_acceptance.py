@@ -38,6 +38,7 @@ from cosmodirac.production import bogoliubov_spectrum
 from cosmodirac.quasiparticle import (
     NonEquilibratedWindowError,
     condensate_persistence,
+    dressed_reference,
     horizon_width,
     qp_contour,
     qp_entropy,
@@ -105,7 +106,7 @@ def test_criterion_2_interactions_compress_the_cone():
     for name in ("fig2_free", "fig2_int"):
         _, traj = preset_run(name)
         slope = front_slope(preset_field(name))
-        v = renormalized_velocity(traj, 1.3, (20.0, 35.0))
+        v = renormalized_velocity(traj)
         dev = abs(slope * 2.0 * v - 1.0)
         assert dev < 0.10, (name, slope, v)
         results[name] = (slope, v, dev)
@@ -390,9 +391,7 @@ def test_criterion_8_validity_boundary_is_flagged():
     instead of returning a number.
     """
     config, traj, etas, s = _entropy_series("fig3c", 64)
-    quarter = etas >= etas[0] + 0.75 * (etas[-1] - etas[0])
-    sigma = float(np.mean(traj.sigma[quarter]))
-    pi = float(np.mean(traj.pi[quarter]))
+    _, sigma, pi = dressed_reference(traj)
     qp = _qp_prediction(config, traj, 64, sigma=sigma, pi=pi)
     i3 = int(np.argmin(np.abs(etas - 3.0)))
     predicted = qp_entropy(qp, float(etas[i3]))
@@ -403,6 +402,6 @@ def test_criterion_8_validity_boundary_is_flagged():
     p_pi = condensate_persistence(traj, "pi")
     assert p_sigma >= 0.5 and p_pi >= 0.5
     with pytest.raises(NonEquilibratedWindowError):
-        renormalized_velocity(traj, 1.3, (30.0, 40.0))
+        renormalized_velocity(traj)
     print(f"criterion 8 PASS: misprediction {mispred:.2f} at eta=3, "
           f"persistence sigma {p_sigma:.2f} / pi {p_pi:.2f}, velocity refused")

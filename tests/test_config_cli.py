@@ -10,7 +10,7 @@ from cosmodirac import entanglement, gaussian, pipeline, symmetry
 from cosmodirac.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, preset_names
 from cosmodirac.config import ConfigError, config_from_dict, load_config
 from cosmodirac.entanglement import BlockSpec
-from cosmodirac.lattice import StaticProfile
+from cosmodirac.lattice import StaticProfile, preparation_scale
 from cosmodirac.pipeline import RunManifest
 from cosmodirac.production import bogoliubov_spectrum
 from cosmodirac.quasiparticle import (PERSISTENCE_LIMIT, condensate_persistence,
@@ -95,16 +95,16 @@ class TestSchema:
             (lambda d: d["evolution"].update(rtol=NAN), "evolution.rtol"),
             (lambda d: d.update(evolution={"eta_span": [0.0, 1.0], "sample_spacing": NAN}),
              "evolution.sample_spacing"),
-            (lambda d: d.update(analyses=[{"kind": "symmetry", "a_0": 0.7, "a_f": NAN,
-                                           "hubble_values": [1.0]}]),
-             "analyses[0].a_f"),
-            # a symmetry ramp must expand from a positive a_0
-            (lambda d: d.update(analyses=[{"kind": "symmetry", "a_0": 1.3, "a_f": 0.7,
-                                           "hubble_values": [1.0]}]),
-             "analyses[0].a_f"),
-            (lambda d: d.update(analyses=[{"kind": "symmetry", "a_0": 0.0, "a_f": 0.7,
+            # a symmetry sweep ramps the run's own a: it sets neither end, and
+            # a run that does not expand, as this static one, has no ramp
+            (lambda d: d.update(analyses=[{"kind": "symmetry", "a_0": 0.7,
                                            "hubble_values": [1.0]}]),
              "analyses[0].a_0"),
+            (lambda d: d.update(analyses=[{"kind": "symmetry", "a_f": 1.3,
+                                           "hubble_values": [1.0]}]),
+             "analyses[0].a_f"),
+            (lambda d: d.update(analyses=[{"kind": "symmetry", "hubble_values": [1.0]}]),
+             "analyses[0].kind"),
             (lambda d: d.update(profile={"kind": "tabulated",
                                          "samples": [[0.0, 1.0], [1.0, NAN]]}),
              "profile.samples"),
@@ -112,8 +112,7 @@ class TestSchema:
             # or a numpy TypeError that named no field
             (lambda d: d["lattice"].update(mass=HUGE), "lattice.mass"),
             (lambda d: d["evolution"].update(eta_span=[0.0, HUGE]), "evolution.eta_span"),
-            (lambda d: d.update(analyses=[{"kind": "symmetry", "a_0": 0.7, "a_f": 1.3,
-                                           "hubble_values": [HUGE]}]),
+            (lambda d: d.update(analyses=[{"kind": "symmetry", "hubble_values": [HUGE]}]),
              "analyses[0].hubble_values"),
             (lambda d: d.update(profile={"kind": "tabulated",
                                          "samples": [[0.0, 1.0], [HUGE, 1.0]]}),
@@ -129,8 +128,7 @@ class TestSchema:
              "analyses[0].block.start"),
             (lambda d: d.update(analyses=[{"kind": "spectrum", "reference_mode": "bare"}]),
              "analyses[0].reference_mode"),
-            (lambda d: d.update(analyses=[{"kind": "symmetry", "a_0": 0.7, "a_f": 1.3,
-                                           "hubble_values": [1.0],
+            (lambda d: d.update(analyses=[{"kind": "symmetry", "hubble_values": [1.0],
                                            "reference_mode": "dressed"}]),
              "analyses[0].reference_mode"),
             (lambda d: d.update(analyses=[{"kind": "qp", "block": {"length": 4},
@@ -143,6 +141,31 @@ class TestSchema:
             with pytest.raises(ConfigError) as err:
                 config_from_dict(raw)
             assert err.value.path == expected_path
+
+    @pytest.mark.parametrize("profile, span", [
+        ({"kind": "quench", "a_0": 0.7, "a_f": 1.3}, [0.0, 0.5]),
+        ({"kind": "quench", "a_0": 0.7, "a_f": 1.3, "eta_switch": 0.2}, [0.0, 0.5]),
+        ({"kind": "exponential", "a_0": 0.5, "a_f": 2.0, "hubble": 1.0}, [-1.0, 0.7]),
+        ({"kind": "tabulated", "samples": [[0.0, 0.5], [1.0, 1.2], [2.0, 0.9]]},
+         [0.0, 2.0]),
+    ], ids=["quench", "quench_inside", "exponential_part_way", "tabulated"])
+    def test_symmetry_ramp_is_the_runs_own(self, profile, span):
+        # from the scale the run is prepared at to the last a it reads
+        config = config_from_dict({
+            "lattice": {"num_sites": 16}, "profile": profile,
+            "evolution": {"eta_span": span, "n_samples": 3},
+            "analyses": [{"kind": "symmetry", "hubble_values": [1.0]}]})
+        opts = config.analyses[0].options
+        assert set(opts) == {"hubble_values", "a_0", "a_f"}
+        assert opts["a_0"] == preparation_scale(config.profile, span[0])
+        assert opts["a_f"] == float(config.profile.scale_factor(span[1]))
+        assert opts["a_f"] > opts["a_0"]
+
+    def test_fig6_ramp_is_its_profiles(self):
+        # the two lines fig6 dropped restated its own run, to the bit
+        opts = next(a.options for a in preset_config("fig6").analyses
+                    if a.kind == "symmetry")
+        assert (opts["a_0"], opts["a_f"]) == (0.7, 1.3)
 
     def test_condensates_is_not_an_analysis(self):
         # every run writes condensates.csv; asking for it ran a no-op
@@ -289,25 +312,31 @@ class TestCLI:
         (lambda t: t.replace("sample_spacing: 0.2", "deta: .nan"), "evolution.deta"),
         (lambda t: t.replace("mass: 1.0", "mass: .nan"), "lattice.mass"),
         (lambda t: t.replace("mass: 1.0", "masss: 5.0"), "lattice.masss"),
-        (lambda t: t + "  - {kind: symmetry, a_0: 0.7, a_f: .nan, "
-                       "hubble_values: [1.0]}\n", "analyses[2].a_f"),
+        # the sweep ramps the run's own a, from its preparation scale to its
+        # final a: neither end is a field, and a run that does not expand
+        # has no ramp to sweep
+        (lambda t: t + "  - {kind: symmetry, a_0: 0.7, hubble_values: [1.0]}\n",
+         "analyses[2].a_0"),
         (lambda t: t + "  - {kind: contour, block: {length: 6}, time_stride: 0}\n",
          "analyses[2].time_stride"),
-        (lambda t: t + "  - {kind: symmetry, a_0: 1.3, a_f: 0.7, "
-                       "hubble_values: [1.0]}\n", "analyses[2].a_f"),
-        # a ramp that does not expand used to crash the sweep in evolve_adaptive
-        (lambda t: t + "  - {kind: symmetry, a_0: 0.7, a_f: 0.7, "
-                       "hubble_values: [1.0]}\n", "analyses[2].a_f"),
-        (lambda t: t + "  - {kind: symmetry, a_0: 0.7, a_f: 1.3, "
-                       "hubble_values: [.inf, 1.0]}\n", "analyses[2].hubble_values"),
+        (lambda t: t + "  - {kind: symmetry, a_f: 1.3, hubble_values: [1.0]}\n",
+         "analyses[2].a_f"),
+        (lambda t: t.replace("{kind: quench, a_0: 0.01, a_f: 10.0}",
+                             "{kind: static, a_val: 1.3}")
+         + "  - {kind: symmetry, hubble_values: [1.0]}\n", "analyses[2].kind"),
+        (lambda t: t.replace("{kind: quench, a_0: 0.01, a_f: 10.0}",
+                             "{kind: quench, a_0: 10.0, a_f: 0.01}")
+         + "  - {kind: symmetry, hubble_values: [1.0]}\n", "analyses[2].kind"),
+        (lambda t: t + "  - {kind: symmetry, hubble_values: [.inf, 1.0]}\n",
+         "analyses[2].hubble_values"),
         # YAML booleans are ints to Python, and used to load as 1 and 0
         (lambda t: t.replace("mass: 1.0", "mass: true"), "lattice.mass"),
         (lambda t: t.replace("[0.0, 2.0]", "[false, true]"), "evolution.eta_span"),
         (lambda t: t.replace("sample_spacing: 0.2", "n_samples: 11, sample_every: true"),
          "evolution.sample_every"),
         (lambda t: t.replace("length: 6", "length: true"), "analyses[0].block.length"),
-        (lambda t: t + "  - {kind: symmetry, a_0: 0.7, a_f: 1.3, "
-                       "hubble_values: [on]}\n", "analyses[2].hubble_values"),
+        (lambda t: t + "  - {kind: symmetry, hubble_values: [on]}\n",
+         "analyses[2].hubble_values"),
         (lambda t: t.replace("{kind: quench, a_0: 0.01, a_f: 10.0}",
                              "{kind: tabulated, samples: [[0.0, 1.0], [2.0, yes]]}"),
          "profile.samples"),
@@ -343,8 +372,8 @@ class TestCLI:
         # ints beyond the range of a float used to end in a traceback
         (lambda t: t.replace("mass: 1.0", f"mass: {HUGE}"), "lattice.mass"),
         (lambda t: t.replace("[0.0, 2.0]", f"[0.0, {HUGE}]"), "evolution.eta_span"),
-        (lambda t: t + "  - {kind: symmetry, a_0: 0.7, a_f: 1.3, "
-                       f"hubble_values: [{HUGE}]}}\n", "analyses[2].hubble_values"),
+        (lambda t: t + f"  - {{kind: symmetry, hubble_values: [{HUGE}]}}\n",
+         "analyses[2].hubble_values"),
         (lambda t: t.replace("{kind: quench, a_0: 0.01, a_f: 10.0}",
                              f"{{kind: tabulated, samples: [[0.0, 1.0], [2.0, {HUGE}]]}}"),
          "profile.samples"),
@@ -357,8 +386,9 @@ class TestCLI:
         # a second entropy analysis used to overwrite the first's
         # entropy_measured.csv and exit 0
         (lambda t: t + "  - {kind: entropy, block: {length: 4}}\n", "analyses[2].kind"),
-    ], ids=["deta_nan", "mass_nan", "mass_typo", "symmetry_a_f_nan", "time_stride_0",
-            "symmetry_a_f_below_a_0", "symmetry_a_f_equal_a_0", "hubble_inf",
+    ], ids=["deta_nan", "mass_nan", "mass_typo", "symmetry_a_0", "time_stride_0",
+            "symmetry_a_f", "symmetry_static_run", "symmetry_contracting_quench",
+            "hubble_inf",
             "mass_bool", "eta_span_bools", "sample_every_bool", "block_length_bool",
             "hubble_bool", "tabulated_sample_bool", "m_pre_equal_mass",
             "rtol_negative", "rtol_below_floor", "output_binary", "block_start",
@@ -560,18 +590,19 @@ class TestPipelineEvolution:
         assert sites == min(block.length, block.num_sites - block.length)
         assert "diagonalised_sites" not in manifest.files and manifest.verify() == []
 
-    @pytest.mark.parametrize("preparation, a_0, sweep_solves", [
-        ("", 0.7, 0),
-        ("preparation: {coupling_pre: 3.0}\n", 0.7, 0),
-        ("preparation: {coupling_pre: 2.0}\n", 0.7, 1),
-        ("preparation: {m_pre: -2.0}\n", 0.7, 1),
-        ("", 0.8, 1),
+    @pytest.mark.parametrize("profile, preparation, sweep_solves", [
+        ("{kind: quench, a_0: 0.7, a_f: 1.3}", "", 0),
+        ("{kind: quench, a_0: 0.7, a_f: 1.3}", "preparation: {coupling_pre: 3.0}\n", 0),
+        ("{kind: quench, a_0: 0.7, a_f: 1.3}", "preparation: {coupling_pre: 2.0}\n", 1),
+        ("{kind: quench, a_0: 0.7, a_f: 1.3}", "preparation: {m_pre: -2.0}\n", 1),
+        ("{kind: exponential, a_0: 0.7, a_f: 1.3, hubble: 4.0}", "", 0),
     ], ids=["vacuum", "same_coupling_pre", "other_coupling_pre", "mass_quench",
-            "other_a_0"])
+            "exponential"])
     def test_symmetry_sweep_starts_from_the_prepared_vacuum(
-            self, tmp_path, monkeypatch, preparation, a_0, sweep_solves):
-        # the sweep solves for its vacuum at a_0 only when the run did not
-        # prepare that vacuum already, and writes the same bytes either way
+            self, tmp_path, monkeypatch, profile, preparation, sweep_solves):
+        # the sweep ramps the run's own a, so it solves for its vacuum only
+        # when the run did not prepare the lattice's own, and writes the same
+        # bytes either way
         solves = []
 
         def counted_solve(*a, **kw):
@@ -582,15 +613,17 @@ class TestPipelineEvolution:
         monkeypatch.setattr(symmetry, "self_consistent_ground_state", counted_solve)
         config = load_config(
             "lattice: {num_sites: 16, mass: -1.0, coupling: 3.0}\n"
-            "profile: {kind: quench, a_0: 0.7, a_f: 1.3}\n" + preparation +
+            f"profile: {profile}\n" + preparation +
             "evolution: {eta_span: [0.0, 0.2], n_samples: 3}\n"
             "analyses:\n"
-            f"  - {{kind: symmetry, a_0: {a_0}, a_f: 1.3, hubble_values: [100.0, 4.0]}}\n")
+            "  - {kind: symmetry, hubble_values: [100.0, 4.0]}\n")
         pipeline.run(config, output_dir=tmp_path)
         assert len(solves) == sweep_solves
         with open(tmp_path / "symmetry_sweep.csv") as fh:
             written = [[float(x) for x in row] for row in list(csv.reader(fh))[1:]]
-        expected = spectrum_symmetry_check(config.lattice, a_0, 1.3, [100.0, 4.0])
+        opts = config.analyses[0].options
+        expected = spectrum_symmetry_check(config.lattice, opts["a_0"], opts["a_f"],
+                                           [100.0, 4.0])
         assert written == [[r["hubble"], r["asymmetry"], r["beta_sq_sum"]]
                            for r in expected]
 

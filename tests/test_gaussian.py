@@ -747,7 +747,7 @@ class TestClosedForm:
         assert np.array_equal(exact.a_vals, dop853.a_vals)
 
     def test_what_it_cannot_rotate_goes_to_dop853(self):
-        # only a free lattice under a piecewise-constant a(eta) is rotated
+        # only a free piece over which a(eta) stays constant is rotated
         _, state = _quenched_vacuum(8, 0.0, 1.0)
         for profile in (StaticProfile(), QuenchProfile(0.5, 1.5, eta_switch=0.5)):
             assert propagate(state, profile, [0.0, 1.0]).nfev == 0
@@ -755,6 +755,50 @@ class TestClosedForm:
         assert propagate(state, ramp, [0.0, 1.0]).nfev > 0
         _, coupled = _quenched_vacuum(8, 1.0, 1.0)
         assert propagate(coupled, StaticProfile(), [0.0, 1.0]).nfev > 0
+
+    @pytest.mark.parametrize("profile, etas, pieces", [
+        (StaticProfile(1.3), np.linspace(0.0, 2.0, 9), ["rotation"]),
+        (QuenchProfile(0.5, 1.5, eta_switch=0.75), np.linspace(0.0, 2.0, 9),
+         ["rotation", "rotation"]),
+        (ExponentialProfile(0.5, 2.0, hubble=1.0), np.linspace(-1.0, 3.0, 17),
+         ["rotation", "dop853", "rotation"]),
+        (TabulatedProfile((0.0, 1.0, 2.0, 3.0), (1.0, 1.0, 2.0, 2.0)),
+         np.linspace(0.0, 3.0, 13), ["rotation", "dop853", "rotation"]),
+        (DeSitterProfile(hubble=0.1, eta_0=-30.0), np.linspace(-30.0, -28.0, 9),
+         ["dop853"]),
+    ], ids=["static", "quench", "exponential", "tabulated", "de_sitter"])
+    def test_a_free_piece_is_rotated_where_a_is_flat(self, monkeypatch, profile, etas,
+                                                     pieces):
+        # the rule is per piece, read off a(eta) at its two ends (the end from
+        # the left at a kink), not per profile class: the flat stretches of an
+        # exponential or tabulated profile used to go to DOP853 too
+        ran = []
+        for name in ("rotation", "dop853"):
+            def record(*args, _name=name, _func=getattr(gaussian, f"_{name}_piece")):
+                ran.append(_name)
+                return _func(*args)
+            monkeypatch.setattr(gaussian, f"_{name}_piece", record)
+        _, state = _quenched_vacuum(8, 0.0, 1.0)
+        traj = propagate(state, profile, etas)
+        assert ran == pieces
+        assert (traj.nfev == 0) == ("dop853" not in pieces)
+        if pieces[0] == "rotation":
+            # the first stretch is the run on the static profile at its a
+            a_vals = profile.scale_factor(etas)
+            flat = etas[:np.argmax(a_vals != a_vals[0])] if np.ptp(a_vals) else etas
+            static = propagate(state, StaticProfile(float(a_vals[0])), flat)
+            assert np.array_equal(traj.bloch[:flat.size], static.bloch)
+
+    def test_a_still_free_vacuum_costs_no_evaluations(self):
+        # a constant tabulated a(eta) used to go to DOP853, which took 47,537
+        # evaluations to follow this vacuum over 1e3 of eta; it is the
+        # static run, rotated, to the bit
+        spec = LatticeSpec(num_sites=8, mass=1.0)
+        state = free_ground_state(spec, 10.0)
+        etas = sample_grid((0.0, 1e3), 5)
+        traj = propagate(state, TabulatedProfile((0.0, 1e5), (10.0, 10.0)), etas)
+        assert traj.nfev == 0
+        assert np.array_equal(traj.bloch, propagate(state, StaticProfile(10.0), etas).bloch)
 
     def test_nan_sample_time_is_refused(self):
         # no rotation wrote a NaN time's row, so whether the purity gate caught
@@ -918,13 +962,30 @@ class TestMassFrame:
         # on its field: in the frame it would precess at 2|b| - 2 m a, which
         # DOP853 follows for 1e5 of eta (about 290 s); in the lab it stays
         # put, and the steps grow tenfold from 1e-4 to cross the span in 152
-        # evaluations
+        # evaluations.  propagate rotates this free run, so the piece solver
+        # is called itself
         spec = LatticeSpec(num_sites=4, mass=1.0)
         state = free_ground_state(spec, 10.0)
         profile = TabulatedProfile((0.0, 1e5), (10.0, 10.0))
-        traj = propagate(state, profile, sample_grid((0.0, 1e5), 5))
-        assert traj.mass_frame_pieces == 0
-        assert 0 < traj.nfev < 200
+        _, nfev, _, framed = gaussian._dop853_piece(
+            spec, state.bloch, profile.scale_factor, profile.cosmological_time, 0.0,
+            sample_grid((0.0, 1e5), 5), REFERENCE_RTOL)
+        assert not framed
+        assert 0 < nfev < 200
+
+    def test_an_rtol_below_1e_12_holds_in_either_frame(self, monkeypatch):
+        # fig3a's quench at N_S = 64: at rtol 3e-14 the two frames must agree
+        # to 1e-11 (bound set before measuring).  With atol fixed at 1e-12
+        # the absolute term capped the accuracy, and they missed by 4.5e-11
+        spec = LatticeSpec(num_sites=64, mass=1.0, coupling=3.0)
+        state, _ = self_consistent_ground_state(spec, 0.01)
+        etas = sample_grid((0.0, 10.0), 11)
+        solves = {}
+        for framed in (True, False):
+            monkeypatch.setattr(gaussian, "_takes_mass_frame", lambda *a, f=framed: f)
+            solves[framed] = propagate(state, QuenchProfile(0.01, 10.0), etas, 3e-14)
+            assert solves[framed].mass_frame_pieces == framed
+        assert np.max(np.abs(solves[True].bloch - solves[False].bloch)) <= 1e-11
 
     def test_a_nan_or_a_massless_lattice_keeps_the_lab_frame(self):
         spec = LatticeSpec(num_sites=16, mass=1.0, coupling=1.0)

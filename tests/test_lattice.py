@@ -306,3 +306,21 @@ class TestDispersion:
         eps = dispersion(ks, -1.3, 0.0, 0.7)
         refl = (-np.arange(64)) % 64  # k -> -k
         assert np.allclose(eps, eps[refl], rtol=1e-14)
+
+
+@pytest.mark.parametrize("profile, span", [
+    (StaticProfile(1.3), (-2.0, 2.0)),
+    (ExponentialProfile(0.5, 2.0, hubble=1.0), (-1.0, 3.0)),
+    (QuenchProfile(0.5, 1.5, eta_switch=0.7), (-1.0, 3.0)),
+    (DeSitterProfile(hubble=0.1, eta_0=-30.0), (-30.0, -0.001362)),
+    (TabulatedProfile((0.0, 1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 2.0, 0.5, 0.7)), (0.0, 4.0)),
+], ids=["static", "exponential", "quench", "de_sitter", "tabulated"])
+def test_a_is_monotone_between_consecutive_kinks(profile, span):
+    # the contract gaussian.propagate's rotation rests on: a stretch between
+    # kinks whose two ends read the same a, the end read from the left, is
+    # flat throughout
+    edges = [span[0], *(k for k in profile.kinks if span[0] < k < span[1]), span[1]]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        etas = np.linspace(lo, np.nextafter(hi, -np.inf), 4001)
+        steps = np.diff(profile.scale_factor(etas))
+        assert np.all(steps >= 0.0) or np.all(steps <= 0.0), (lo, hi)

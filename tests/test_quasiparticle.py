@@ -5,7 +5,7 @@ import pytest
 
 from conftest import preset_run
 
-from cosmodirac import pipeline, quasiparticle
+from cosmodirac import quasiparticle
 from cosmodirac.gaussian import Trajectory, free_ground_state, propagate, sample_grid
 from cosmodirac.lattice import (DeSitterProfile, ExponentialProfile, LatticeSpec,
                                 QuenchProfile, StaticProfile, TabulatedProfile,
@@ -15,6 +15,7 @@ from cosmodirac.quasiparticle import (
     NonEquilibratedWindowError,
     QPInput,
     condensate_persistence,
+    dressed_reference,
     horizon_width,
     qp_contour,
     qp_entropy,
@@ -121,7 +122,8 @@ class TestQuadratures:
         # one refined grid for every time, as entropy_qp.csv is written
         config, traj = preset_run(preset)
         block = next(a.options["block"] for a in config.analyses if a.kind == "qp")
-        qp = qp_input_from_spectrum(pipeline._dressed_spectrum(traj), block.length)
+        spectrum = bogoliubov_spectrum(traj.state(-1), *dressed_reference(traj))
+        qp = qp_input_from_spectrum(spectrum, block.length)
         etas = traj.etas - traj.etas[0]
         predicted = qp_entropy(qp, etas)
         assert isinstance(predicted, np.ndarray) and predicted.shape == etas.shape
@@ -178,18 +180,32 @@ class TestEquilibrationGate:
         state = free_ground_state(spec, -0.7)
         traj = propagate(state, QuenchProfile(0.7, 1.3),
                          sample_grid((0.0, 10.0), 101))
-        v = renormalized_velocity(traj, 1.3, (5.0, 10.0))
+        v = renormalized_velocity(traj)
         assert v == pytest.approx(0.3, abs=1e-9)  # |ma_f + 1| = 0.3
 
     def test_persistent_oscillations_refuse(self):
         traj = _synthetic_trajectory(0.0)
         with pytest.raises(NonEquilibratedWindowError):
-            renormalized_velocity(traj, 1.3, (30.0, 40.0))
+            renormalized_velocity(traj)
 
-    def test_empty_window_rejected(self):
-        traj = _synthetic_trajectory(0.2)
-        with pytest.raises(ValueError):
-            renormalized_velocity(traj, 1.3, (100.0, 101.0))
+    def test_a_run_too_sparse_to_judge_is_refused(self):
+        # two samples leave the persistence windows empty; the gate raises
+        # before any dressing is read
+        traj = _condensate_series(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match="too sparsely sampled"):
+            renormalized_velocity(traj)
+
+    def test_dressing_is_the_last_quarter_mean_in_the_csv_rounding(self):
+        # the late window of the persistence gate, and Sigma as
+        # (m a_f + mean Sigma) - m a_f, as entropy_qp.csv is written
+        etas = np.linspace(0.0, 8.0, 9)
+        sigma, pi = 0.1 * etas + 0.01, -0.2 * etas
+        traj = Trajectory(etas, np.full(9, 1.3), np.zeros((9, 0, 3)), sigma, pi,
+                          spec=LatticeSpec(num_sites=4, mass=-1.0))
+        late = etas >= 6.0
+        ma_f = -1.0 * 1.3
+        assert dressed_reference(traj) == (
+            ma_f, (ma_f + float(np.mean(sigma[late]))) - ma_f, float(np.mean(pi[late])))
 
 
 class TestHorizon:
