@@ -28,6 +28,8 @@ N_SITES = 256
 BLOCK = 160
 HUBBLE = 0.1
 ETA_0 = -30.0
+# fig4's end, just short of the horizon at eta = 0
+ETA_END = -0.001362
 
 
 def fitted_slope(x, y):
@@ -47,7 +49,7 @@ state.spec = spec
 print(f"prepared at a_0 = {profile.a_0:.4f} with Sigma = {cond.sigma:+.4f}, "
       f"Pi = {cond.pi:+.4f}")
 
-span = (ETA_0, profile.eta_max)
+span = (ETA_0, ETA_END)
 # fig4's samples and tolerance
 traj = propagate(state, profile, sample_grid(span, 121), rtol=1e-10)
 print(f"scale factor grew {profile.a_0:.3f} -> {traj.a_vals[-1]:.1f} "

@@ -27,13 +27,15 @@ from .lattice import (
     preparation_scale,
 )
 
-# kind -> the fields a section of that kind reads besides its kind
-PROFILE_FIELDS = {
-    "static": ("a_val",),
-    "exponential": ("a_0", "a_f", "hubble"),
-    "quench": ("a_0", "a_f", "eta_switch"),
-    "de_sitter": ("hubble", "eta_0", "eta_max"),
-    "tabulated": ("samples",),
+# kind -> the profile it builds and the fields a section of that kind reads
+# besides its kind, every one required; a tabulated section's ``samples`` are
+# [eta, a] pairs, the others' fields numbers passed by name
+PROFILES = {
+    "static": (StaticProfile, ("a_val",)),
+    "exponential": (ExponentialProfile, ("a_0", "a_f", "hubble")),
+    "quench": (QuenchProfile, ("a_0", "a_f")),
+    "de_sitter": (DeSitterProfile, ("hubble", "eta_0")),
+    "tabulated": (TabulatedProfile, ("samples",)),
 }
 ANALYSIS_FIELDS = {
     "entropy": ("block",),
@@ -42,7 +44,7 @@ ANALYSIS_FIELDS = {
     "qp": ("block",),
     "symmetry": ("hubble_values",),
 }
-PROFILE_KINDS = tuple(PROFILE_FIELDS)
+PROFILE_KINDS = tuple(PROFILES)
 ANALYSIS_KINDS = tuple(ANALYSIS_FIELDS)
 # The DOP853 solver's own floor, 100 machine epsilons: its error control
 # cannot honour a tighter rtol, so it refuses one and a config is rejected.
@@ -163,22 +165,11 @@ def _build_lattice(section) -> LatticeSpec:
 def _build_profile(section):
     path = "profile"
     kind = _check_choice(_require(section, "kind", path, (str,)), PROFILE_KINDS, f"{path}.kind")
-    _reject_unknown(section, ("kind",) + PROFILE_FIELDS[kind], path)
-
-    def num(key, *default):
-        return _number(section, key, path, *default)
-
+    cls, fields = PROFILES[kind]
+    _reject_unknown(section, ("kind",) + fields, path)
     try:
-        if kind == "static":
-            return StaticProfile(a_val=num("a_val"))
-        if kind == "exponential":
-            return ExponentialProfile(a_0=num("a_0"), a_f=num("a_f"), hubble=num("hubble"))
-        if kind == "quench":
-            return QuenchProfile(a_0=num("a_0"), a_f=num("a_f"),
-                                 eta_switch=num("eta_switch", 0.0))
-        if kind == "de_sitter":
-            return DeSitterProfile(hubble=num("hubble"), eta_0=num("eta_0"),
-                                   eta_max=num("eta_max", None))
+        if kind != "tabulated":
+            return cls(**{key: _number(section, key, path) for key in fields})
         samples = _require(section, "samples", path, (list,))
         try:
             etas, values = zip(*samples)
@@ -186,8 +177,7 @@ def _build_profile(section):
             raise ConfigError(f"{path}.samples", "expected [eta, a] pairs") from exc
         if not all(_is_finite_number(x) for x in etas + values):
             raise ConfigError(f"{path}.samples", "expected finite numbers")
-        return TabulatedProfile(etas=tuple(map(float, etas)),
-                                values=tuple(map(float, values)))
+        return cls(etas=tuple(map(float, etas)), values=tuple(map(float, values)))
     except ConfigError:
         raise
     except ValueError as exc:

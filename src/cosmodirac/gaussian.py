@@ -135,10 +135,11 @@ class Trajectory:
     ``etas`` (T,) and their cosmological :attr:`times`, scale factors
     ``a_vals`` (T,), Bloch vectors ``bloch`` (T, N_S, 3) and condensates
     ``sigma`` and ``pi`` (T,).  ``nfev`` counts the field evaluations that
-    produced them (0 for the closed form), ``evolved_momenta`` the
-    momenta the propagator solved for: N_S, or N_S/2 + 1 where every
-    DOP853 piece took the mirror path, and ``mass_frame_pieces`` the
-    DOP853 pieces solved in the mass frame (see :func:`_dop853_piece`).
+    produced them (0 for the closed form), ``evolved_momenta`` the most
+    momenta a DOP853 piece solved for (N_S/2 + 1 where every one took the
+    mirror path), N_S when every piece was rotated, and
+    ``mass_frame_pieces`` the DOP853 pieces solved in the mass frame (see
+    :func:`_dop853_piece`).
     """
 
     etas: np.ndarray
@@ -567,8 +568,9 @@ def propagate(
     DOP853 (:func:`_dop853_piece`) at ``rtol``, which may not be below
     :data:`~cosmodirac._dop853.MIN_RTOL`.  The trajectory's ``nfev`` sums
     the pieces' field evaluations, ``evolved_momenta`` is the most
-    momenta a piece solved for, and ``mass_frame_pieces`` counts the
-    DOP853 pieces solved in the mass frame.
+    momenta a DOP853 piece solved for, N_S when every piece was rotated,
+    and ``mass_frame_pieces`` counts the DOP853 pieces solved in the mass
+    frame.
 
     Raises :class:`StepSizeError` if the field is not finite, the step size
     underflows, or the purity defect of any sample exceeds
@@ -601,12 +603,14 @@ def propagate(
     _purity_gate(etas, bloch, "check the initial state" if nfev == 0 else "tighten rtol")
     a_vals = np.asarray(profile.scale_factor(etas), dtype=float)
     return Trajectory(etas, a_vals, bloch, *_condensate_sums(bloch, spec), spec, profile,
-                      nfev=nfev, evolved_momenta=momenta, mass_frame_pieces=framed)
+                      nfev=nfev, evolved_momenta=momenta or spec.num_sites,
+                      mass_frame_pieces=framed)
 
 
 def _rotation_piece(spec, n, scale_factor, time, start, times, rtol):
-    """``(bloch, 0, N_S, False)``: the free Bloch vectors ``n`` at ``start``
-    rotated exactly to each of ``times`` under the constant a(start).
+    """``(bloch, 0, 0, False)``: the free Bloch vectors ``n`` at ``start``
+    rotated exactly to each of ``times`` under the constant a(start), with
+    no field evaluations and no momenta solved for.
 
     With g = 0 the field b = (-sin k, 0, m a + 1 - cos k) is fixed, so by
     Rodrigues' formula n(t) = n cos(w t) + (b^ x n) sin(w t)
@@ -620,7 +624,7 @@ def _rotation_piece(spec, n, scale_factor, time, start, times, rtol):
     angle = 2.0 * (times - start)[:, None] * eps
     cos, sin = np.cos(angle)[..., None], np.sin(angle)[..., None]
     axial = unit * np.sum(unit * n, axis=-1, keepdims=True)
-    return n * cos + np.cross(unit, n) * sin + axial * (1.0 - cos), 0, spec.num_sites, False
+    return n * cos + np.cross(unit, n) * sin + axial * (1.0 - cos), 0, 0, False
 
 
 def _dop853_piece(spec, n, scale_factor, time, start, times, rtol):

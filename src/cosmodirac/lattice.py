@@ -184,90 +184,92 @@ class ExponentialProfile:
 
 @dataclass(frozen=True)
 class QuenchProfile:
-    """Instantaneous expansion a_0 -> a_f at eta_switch (sudden/quench limit).
+    """Instantaneous expansion a_0 -> a_f at eta = 0 (sudden/quench limit).
 
-    Cosmological time is zero at eta_switch, the one kink of a(eta).
+    Cosmological time is zero at the switch, the one kink of a(eta).  A
+    switch at eta_s is this profile on times shifted by -eta_s.
     """
 
     a_0: float
     a_f: float
-    eta_switch: float = 0.0
-
-    @property
-    def kinks(self) -> tuple:
-        return (self.eta_switch,)
+    kinks = (0.0,)
 
     def __post_init__(self):
-        _check_finite(self, "a_0", "a_f", "eta_switch")
+        _check_finite(self, "a_0", "a_f")
         if not (self.a_0 > 0 and self.a_f > 0):
             raise ValueError("scale factors must be positive")
 
     def scale_factor(self, eta):
         if isinstance(eta, float):
-            return self.a_0 if eta < self.eta_switch else self.a_f
+            return self.a_0 if eta < 0.0 else self.a_f
         eta = np.asarray(eta, dtype=float)
-        return np.where(eta < self.eta_switch, self.a_0, self.a_f)
+        return np.where(eta < 0.0, self.a_0, self.a_f)
 
     def cosmological_time(self, eta):
         if isinstance(eta, float):
-            d = eta - self.eta_switch
-            return self.a_0 * d if d < 0 else self.a_f * d
+            return self.a_0 * eta if eta < 0 else self.a_f * eta
         eta = np.asarray(eta, dtype=float)
-        d = eta - self.eta_switch
-        return np.where(d < 0, self.a_0 * d, self.a_f * d)
+        return np.where(eta < 0, self.a_0 * eta, self.a_f * eta)
 
 
 def preparation_scale(profile, eta0) -> float:
     """Scale factor the initial state is prepared at.
 
-    For continuous profiles this is a(eta0); at the switch time of a
+    For continuous profiles this is a(eta0); at or before the switch of a
     sudden quench it is the incoming (pre-quench) value, so the run
     starts in the old vacuum and evolves under the new background.
     """
-    if isinstance(profile, QuenchProfile) and eta0 <= profile.eta_switch:
+    if isinstance(profile, QuenchProfile) and eta0 <= 0.0:
         return float(profile.a_0)
     return float(profile.scale_factor(eta0))
 
 
 @dataclass(frozen=True)
 class DeSitterProfile:
-    """Accelerating expansion a(eta) = -1/(H eta) on eta in [eta_0, eta_max], eta < 0.
+    """Accelerating expansion a(eta) = -1/(H eta) on the chart eta_0 <= eta < 0.
 
-    The default eta_max truncates the chart just before the eta -> 0^-
-    horizon.  The initial scale factor is a_0 = -1/(H eta_0).  Cosmological
-    time is zero at eta_0, and the chart has no kinks.
+    a(eta) diverges at the horizon eta -> 0^-, so a time at or past 0, or
+    NaN, is outside the chart; below eta_0 it allows 1e-12 of slack, as
+    every profile domain does.  The initial scale factor is
+    a_0 = -1/(H eta_0).  Cosmological time is zero at eta_0, and the chart
+    has no kinks.
     """
 
     hubble: float
     eta_0: float
-    eta_max: float = None  # default set in __post_init__
     kinks = ()
 
     def __post_init__(self):
-        if self.eta_max is None:
-            object.__setattr__(self, "eta_max", -0.001362)
-        _check_finite(self, "hubble", "eta_0", "eta_max")
+        _check_finite(self, "hubble", "eta_0")
         if not self.hubble > 0:
             raise ValueError("hubble rate must be positive")
-        if not (self.eta_0 < self.eta_max < 0):
-            raise ValueError("require eta_0 < eta_max < 0")
+        if not self.eta_0 < 0:
+            raise ValueError("require eta_0 < 0")
 
     @property
     def a_0(self) -> float:
         return -1.0 / (self.hubble * self.eta_0)
 
-    def scale_factor(self, eta):
+    def _check_chart(self, eta):
+        # a plain comparison for a float: the mass frame's field reads
+        # t(eta) at every evaluation
         if isinstance(eta, float):
-            _check_domain(eta, self.eta_0, self.eta_max, "de Sitter chart")
-            return -1.0 / (self.hubble * min(eta, self.eta_max))
-        eta = np.asarray(eta, dtype=float)
-        _check_domain(eta, self.eta_0, self.eta_max, "de Sitter chart")
-        return -1.0 / (self.hubble * np.minimum(eta, self.eta_max))
+            inside = self.eta_0 - 1e-12 <= eta < 0.0
+        else:
+            inside = np.all(eta >= self.eta_0 - 1e-12) and np.all(eta < 0.0)
+        if not inside:
+            raise DomainError(f"eta outside de Sitter chart [{self.eta_0}, 0)")
+
+    def scale_factor(self, eta):
+        if not isinstance(eta, float):
+            eta = np.asarray(eta, dtype=float)
+        self._check_chart(eta)
+        return -1.0 / (self.hubble * eta)
 
     def cosmological_time(self, eta):
         if not isinstance(eta, float):
             eta = np.asarray(eta, dtype=float)
-        _check_domain(eta, self.eta_0, self.eta_max, "de Sitter chart")
+        self._check_chart(eta)
         return np.log(self.eta_0 / eta) / self.hubble
 
 
@@ -373,36 +375,21 @@ def band_velocity(k, ma_eff, sigma=0.0, pi=0.0):
     return v
 
 
-# 1 / golden ratio: the share of a bracket a golden-section step keeps
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
 def group_velocity(ma_eff, sigma=0.0, pi=0.0):
-    """v_g = max_k |d eps_k / dk| over the continuous Brillouin zone.
+    """v_g = max_k |d eps_k / dk| over the continuous Brillouin zone, in
+    closed form.
 
-    A coarse grid scan locates the global maximum basin, then a
-    golden-section search on the grid points either side of it narrows the
-    maximum to 1e-12 in k; grid-only maxima systematically underestimate
-    cone slopes.
+    With M = ma_eff + sigma, eps_k^2 = A - 2 (M + 1) cos k for
+    A = 1 + (M + 1)^2 + pi^2, so d eps_k / dk = (M + 1) sin k / eps_k, whose
+    largest modulus over k is |M + 1| sqrt(2 / (A + s)), where
+    s = sqrt(A^2 - 4 (M + 1)^2) = sqrt((M^2 + pi^2) ((M + 2)^2 + pi^2)).
+    The product form cancels no terms, and the gapless points need no case
+    of their own.  A grid maximum would underestimate cone slopes.
     """
-    ks = np.linspace(0.0, np.pi, 2049)
-    vs = band_velocity(ks, ma_eff, sigma, pi)
-    i = int(np.argmax(vs))
-    lo = ks[max(i - 1, 0)]
-    hi = ks[min(i + 1, ks.size - 1)]
-
-    def v(k):
-        return float(band_velocity(k, ma_eff, sigma, pi))
-
-    k_left, k_right = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    v_left, v_right = v(k_left), v(k_right)
-    while hi - lo > 1e-12:
-        if v_left > v_right:
-            hi, k_right, v_right = k_right, k_left, v_left
-            k_left = hi - _GOLDEN * (hi - lo)
-            v_left = v(k_left)
-        else:
-            lo, k_left, v_left = k_left, k_right, v_right
-            k_right = lo + _GOLDEN * (hi - lo)
-            v_right = v(k_right)
-    return max(v_left, v_right, float(vs[i]))
+    for name, value in (("ma_eff", ma_eff), ("sigma", sigma), ("pi", pi)):
+        if not np.isfinite(value):  # a NaN gap would read as velocity 0
+            raise ValueError(f"{name} must be finite, got {value}")
+    m = ma_eff + sigma
+    a = 1.0 + (m + 1.0) ** 2 + pi**2
+    s = np.sqrt((m**2 + pi**2) * ((m + 2.0) ** 2 + pi**2))
+    return float(abs(m + 1.0) * np.sqrt(2.0 / (a + s)))

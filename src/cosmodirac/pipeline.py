@@ -37,12 +37,13 @@ class RunManifest:
     evaluations) or ``"dop853"``, one solve per piece of the span between
     the profile's kinks.  ``diagnostics`` says how it went: ``nfev``, the
     field evaluations of the solves, summed over the pieces (0 in closed
-    form), ``evolved_momenta``, the momenta they solved for (N_S/2 + 1
-    where a mirror-symmetric Pi = 0 state let DOP853 solve the half k in
-    [-pi, 0], as on fig2_int, else N_S), ``mass_frame_pieces``, the
-    DOP853 pieces solved in the frame that turns with the bare mass phase
-    2 m t(eta), where the mass term dominates the field (1 on fig3a and
-    fig4, see :func:`~cosmodirac.gaussian._dop853_piece`), and
+    form), ``evolved_momenta``, the most momenta a DOP853 piece solved
+    for (N_S/2 + 1 where a mirror-symmetric Pi = 0 state let it solve the
+    half k in [-pi, 0], as on fig2_int), N_S when every piece was
+    rotated, ``mass_frame_pieces``, the DOP853 pieces solved in the frame
+    that turns with the bare mass phase 2 m t(eta), where the mass term
+    dominates the field (1 on fig3a and fig4, see
+    :func:`~cosmodirac.gaussian._dop853_piece`), and
     ``max_purity_defect``, the worst purity defect over the samples, which
     DOP853 does not conserve, so on a DOP853 run it tracks the step error.  Each analysis adds its own
     diagnostics, each a mapping from the analysis's stage,
@@ -220,15 +221,12 @@ def _emit_qp(traj, opts, directory, vacuum):
     qp = qp_input_from_spectrum(spectrum, opts["block"].length)
     # pairs are made at the first sample by a state that is not the vacuum of
     # the run's lattice (a mass quench, or the vacuum of another coupling), or
-    # else when a(eta) starts to change: a sudden switch inside the span, or
-    # the start of an exponential ramp at eta = 0, starts the clock there,
-    # with no entropy before it
+    # else when a(eta) starts to change: a sudden switch or the start of an
+    # exponential ramp, both at eta = 0, starts the clock there, with no
+    # entropy before it
     start = traj.etas[0]
-    if vacuum is not None:
-        if isinstance(traj.profile, QuenchProfile):
-            start = max(start, traj.profile.eta_switch)
-        elif isinstance(traj.profile, ExponentialProfile):
-            start = max(start, 0.0)
+    if vacuum is not None and isinstance(traj.profile, (QuenchProfile, ExponentialProfile)):
+        start = max(start, 0.0)
     entropy = qp_entropy(qp, np.maximum(traj.etas - start, 0.0))
     rows = zip(traj.etas.tolist(), entropy.tolist())
     persistence, out_of_validity = _qp_validity(traj)

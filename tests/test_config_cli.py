@@ -144,7 +144,7 @@ class TestSchema:
 
     @pytest.mark.parametrize("profile, span", [
         ({"kind": "quench", "a_0": 0.7, "a_f": 1.3}, [0.0, 0.5]),
-        ({"kind": "quench", "a_0": 0.7, "a_f": 1.3, "eta_switch": 0.2}, [0.0, 0.5]),
+        ({"kind": "quench", "a_0": 0.7, "a_f": 1.3}, [-0.2, 0.3]),
         ({"kind": "exponential", "a_0": 0.5, "a_f": 2.0, "hubble": 1.0}, [-1.0, 0.7]),
         ({"kind": "tabulated", "samples": [[0.0, 0.5], [1.0, 1.2], [2.0, 0.9]]},
          [0.0, 2.0]),
@@ -386,6 +386,19 @@ class TestCLI:
         # a second entropy analysis used to overwrite the first's
         # entropy_measured.csv and exit 0
         (lambda t: t + "  - {kind: entropy, block: {length: 4}}\n", "analyses[2].kind"),
+        # a profile holds only physics: the quench is at eta = 0, and a de
+        # Sitter chart ends where its span does, short of eta = 0
+        (lambda t: t.replace("a_f: 10.0}", "a_f: 10.0, eta_switch: 0.0}"),
+         "profile.eta_switch"),
+        (lambda t: t.replace("{kind: quench, a_0: 0.01, a_f: 10.0}",
+                             "{kind: de_sitter, hubble: 0.1, eta_0: -2.0, eta_max: -0.5}")
+         .replace("[0.0, 2.0]", "[-2.0, -0.5]"), "profile.eta_max"),
+        (lambda t: t.replace("{kind: quench, a_0: 0.01, a_f: 10.0}",
+                             "{kind: de_sitter, hubble: 0.1, eta_0: -2.0}")
+         .replace("[0.0, 2.0]", "[-2.0, 0.0]"), "evolution.eta_span"),
+        (lambda t: t.replace("{kind: quench, a_0: 0.01, a_f: 10.0}",
+                             "{kind: de_sitter, hubble: 0.1, eta_0: -2.0}")
+         .replace("[0.0, 2.0]", "[-2.0, 1.0e-13]"), "evolution.eta_span"),
     ], ids=["deta_nan", "mass_nan", "mass_typo", "symmetry_a_0", "time_stride_0",
             "symmetry_a_f", "symmetry_static_run", "symmetry_contracting_quench",
             "hubble_inf",
@@ -395,7 +408,9 @@ class TestCLI:
             "reference_mode", "method", "deta", "both_counts",
             "neither_count", "spacing_not_dividing", "n_samples_bool", "mass_huge_int",
             "eta_span_huge_int", "hubble_huge_int", "tabulated_sample_huge_int",
-            "n_samples_huge", "sample_spacing_tiny", "repeated_kind"])
+            "n_samples_huge", "sample_spacing_tiny", "repeated_kind",
+            "profile_eta_switch", "profile_eta_max", "de_sitter_span_to_0",
+            "de_sitter_span_past_0"])
     def test_bad_fields_exit_1_before_evolving(self, tmp_path, capsys, edit, field):
         # each of these used to evolve (or start to) and then die with a
         # traceback, blame the step size, or run with the field ignored;
@@ -474,21 +489,21 @@ class TestCLI:
 
 class TestPipelineEvolution:
     def test_quench_inside_the_span_matches_split_solves(self):
-        # DOP853's step control has to find the jump in a(eta) at eta_switch;
-        # the reference solves each side on its own static background
+        # DOP853's step control has to find the jump in a(eta) at the switch,
+        # eta = 0; the reference solves each side on its own static background
         config = config_from_dict({
             "lattice": {"num_sites": 64, "mass": -1.0, "coupling": 3.0},
-            "profile": {"kind": "quench", "a_0": 0.7, "a_f": 1.3, "eta_switch": 1.05},
-            "evolution": {"eta_span": [0.0, 2.0], "sample_spacing": 0.1},
+            "profile": {"kind": "quench", "a_0": 0.7, "a_f": 1.3},
+            "evolution": {"eta_span": [-1.05, 0.95], "sample_spacing": 0.1},
         })
         traj = pipeline._evolve(config, pipeline._prepare(config)[0])
-        etas = gaussian.sample_grid((0.0, 2.0), 21)
+        etas = gaussian.sample_grid((-1.05, 0.95), 21)
         assert np.array_equal(traj.etas, etas)
-        early = etas < 1.05
+        early = etas < 0.0
         before = gaussian.propagate(pipeline._prepare(config)[0], StaticProfile(0.7),
-                                    np.append(etas[early], 1.05))
+                                    np.append(etas[early], 0.0))
         after = gaussian.propagate(before.state(-1), StaticProfile(1.3),
-                                   np.insert(etas[~early], 0, 1.05))
+                                   np.insert(etas[~early], 0, 0.0))
         split = np.concatenate([before.bloch[:-1], after.bloch[1:]])
         assert np.array_equal(traj.bloch, split)
         # the second reference samples its start, three more evaluations of
@@ -628,21 +643,21 @@ class TestPipelineEvolution:
                            for r in expected]
 
     def test_qp_clock_starts_at_a_quench_inside_the_span(self, tmp_path):
-        # pairs are made at the switch: no entropy before it, and after it the
-        # prediction for a quench at eta = 0, shifted by eta_switch
+        # pairs are made at the switch, eta = 0: no entropy before it, and
+        # after it the prediction for a quench at the first sample
         config = load_config(
             "lattice: {num_sites: 64, mass: 1.0}\n"
-            "profile: {kind: quench, a_0: 0.01, a_f: 10.0, eta_switch: 2.0}\n"
-            "evolution: {eta_span: [0.0, 4.0], sample_spacing: 0.25}\n"
+            "profile: {kind: quench, a_0: 0.01, a_f: 10.0}\n"
+            "evolution: {eta_span: [-2.0, 2.0], sample_spacing: 0.25}\n"
             "analyses: [{kind: qp, block: {length: 16}}]\n")
         pipeline.run(config, output_dir=tmp_path)
         with open(tmp_path / "entropy_qp.csv") as fh:
             rows = np.array([[float(x) for x in row] for row in list(csv.reader(fh))[1:]])
-        before = rows[:, 0] < 2.0
+        before = rows[:, 0] < 0.0
         assert np.count_nonzero(before) == 8 and np.all(rows[before, 1] == 0.0)
         traj = pipeline._evolve(config, pipeline._prepare(config)[0])
         qp = qp_input_from_spectrum(bogoliubov_spectrum(traj.state(-1), 10.0), 16)
-        assert rows[~before, 1].tolist() == [qp_entropy(qp, eta - 2.0)
+        assert rows[~before, 1].tolist() == [qp_entropy(qp, eta)
                                              for eta in rows[~before, 0]]
 
     def test_qp_clock_starts_where_an_exponential_ramp_starts(self, tmp_path):
@@ -653,7 +668,10 @@ class TestPipelineEvolution:
             "profile: {kind: exponential, a_0: 0.01, a_f: 10.0, hubble: 100.0}\n"
             "evolution: {eta_span: [-2.0, 4.0], sample_spacing: 0.25}\n"
             "analyses: [{kind: qp, block: {length: 16}}]\n")
-        pipeline.run(config, output_dir=tmp_path)
+        manifest = pipeline.run(config, output_dir=tmp_path)
+        # the ramp's one DOP853 piece solves the mirror half; the rotated
+        # flat pieces either side used to make the manifest read 64
+        assert manifest.diagnostics["evolved_momenta"] == 33
         with open(tmp_path / "entropy_qp.csv") as fh:
             rows = np.array([[float(x) for x in row] for row in list(csv.reader(fh))[1:]])
         before = rows[:, 0] <= 0.0

@@ -497,7 +497,7 @@ BIT_IDENTITY_PROFILES = {
     "exponential": (ExponentialProfile(0.5, 2.0, hubble=1.0), 0.0),
     "tabulated": (TabulatedProfile((0.0, 1.0, 3.0), (0.5, 1.2, 0.9)), 0.0),
     "static": (StaticProfile(1.3), 0.0),
-    "de_sitter": (DeSitterProfile(hubble=0.5, eta_0=-4.0, eta_max=-0.5), -4.0),
+    "de_sitter": (DeSitterProfile(hubble=0.5, eta_0=-4.0), -4.0),
 }
 BIT_IDENTITY_CASES = dict(
     num_sites=st.integers(2, 32).map(lambda half: 2 * half),
@@ -673,15 +673,14 @@ class TestClosedForm:
     @settings(max_examples=30, deadline=None)
     @given(num_sites=st.integers(2, 32).map(lambda half: 2 * half),
            mass=st.sampled_from([1.0, -1.0]), a_val=st.floats(0.6, 2.0),
-           switch=st.one_of(st.none(), st.floats(-2.0, 0.0)),
+           since=st.one_of(st.none(), st.floats(0.0, 2.0)),
            n_steps=st.integers(100, 200))
     def test_rk4_converges_to_it_at_fourth_order(self, num_sites, mass, a_val,
-                                                 switch, n_steps):
-        # a static profile, or a quench that has already happened at eta_0
+                                                 since, n_steps):
+        # a static profile, or a quench that happened ``since`` before eta_0
         spec, state = _quenched_vacuum(num_sites, 0.0, mass)
-        profile = (StaticProfile(a_val) if switch is None
-                   else QuenchProfile(0.5, a_val, eta_switch=switch))
-        span = (0.0, 2.0)
+        profile = StaticProfile(a_val) if since is None else QuenchProfile(0.5, a_val)
+        span = (0.0, 2.0) if since is None else (since, since + 2.0)
         gaps = []
         for n in (n_steps, 2 * n_steps):
             etas, blochs = _reference_rk4(state, profile, span, 2.0 / n, n // 4)
@@ -698,27 +697,30 @@ class TestClosedForm:
         # RK4 across the jump in a is only first-order accurate there, so
         # the reference is one RK4 run per side, the switch on the step grid
         spec, state = _quenched_vacuum(32, 0.0, -1.0)
-        before_etas, before = _reference_rk4(state, StaticProfile(0.5), (0.0, 1.0),
+        before_etas, before = _reference_rk4(state, StaticProfile(0.5), (-1.0, 0.0),
                                              1e-3, 100)
         after_etas, after = _reference_rk4(CorrelationState(spec, before[-1]),
-                                           StaticProfile(1.5), (1.0, 3.0), 1e-3, 100)
+                                           StaticProfile(1.5), (0.0, 2.0), 1e-3, 100)
         etas = np.concatenate([before_etas, after_etas[1:]])
-        exact = propagate(state.copy(), QuenchProfile(0.5, 1.5, eta_switch=1.0), etas)
+        exact = propagate(state.copy(), QuenchProfile(0.5, 1.5), etas)
         chained = np.array(before + after[1:])
         assert np.max(np.abs(exact.bloch - chained)) < 1e-10
-        assert np.array_equal(exact.a_vals, np.where(etas < 1.0, 0.5, 1.5))
+        assert np.array_equal(exact.a_vals, np.where(etas < 0.0, 0.5, 1.5))
 
     @pytest.mark.parametrize("eta0, length, deta, sample_every", [
         (0.0, 3.0, 1e-2, 7),
         (-0.0, 1.0, 1e-2, 10),
         (-1.0, 2.0, 3e-3, 50),
+        (-1.5, 3.0, 1e-2, 7),
         # h far below the spacing of floats near eta0: repeated times drop out
         (1e8, 1e-6, 1e-9, 1),
         (1e8, 1e-6, 1e-9, 3),
     ])
     def test_sample_grid_is_the_rk4_grid(self, eta0, length, deta, sample_every):
+        # the switch at eta = 0 is at the first sample, mid-span, or (at
+        # eta0 = 1e8) long past
         spec, state = _quenched_vacuum(8, 0.0, 1.0)
-        profile = QuenchProfile(0.5, 1.5, eta_switch=eta0 + 0.5 * length)
+        profile = QuenchProfile(0.5, 1.5)
         span = (eta0, eta0 + length)
         _, steps, etas = step_grid(span, deta, sample_every)
         exact = propagate(state.copy(), profile, etas)
@@ -730,14 +732,14 @@ class TestClosedForm:
             assert etas.size < steps[-1] // sample_every
 
     @pytest.mark.parametrize("span, n_samples", [
-        ((0.0, 2.0), 5),
-        ((-0.3, 0.7), 13),
-        ((5.0, 5.25), 7),
+        ((-1.0, 1.0), 5),
+        ((-0.5, 0.5), 13),
+        ((-0.125, 0.125), 7),
     ])
     def test_adaptive_sample_grid_is_the_dop853_grid(self, span, n_samples):
         # the same switch inside the span, rotated on a free lattice and
         # solved by DOP853 on an interacting one
-        profile = QuenchProfile(0.5, 1.5, eta_switch=0.5 * (span[0] + span[1]))
+        profile = QuenchProfile(0.5, 1.5)
         _, coupled = _quenched_vacuum(8, 1.0, 1.0)
         dop853 = propagate(coupled, profile, sample_grid(span, n_samples))
         _, state = _quenched_vacuum(8, 0.0, 1.0)
@@ -749,8 +751,9 @@ class TestClosedForm:
     def test_what_it_cannot_rotate_goes_to_dop853(self):
         # only a free piece over which a(eta) stays constant is rotated
         _, state = _quenched_vacuum(8, 0.0, 1.0)
-        for profile in (StaticProfile(), QuenchProfile(0.5, 1.5, eta_switch=0.5)):
-            assert propagate(state, profile, [0.0, 1.0]).nfev == 0
+        for profile, etas in ((StaticProfile(), [0.0, 1.0]),
+                              (QuenchProfile(0.5, 1.5), [-0.5, 0.5])):
+            assert propagate(state, profile, etas).nfev == 0
         ramp = ExponentialProfile(0.5, 2.0, hubble=1.0)
         assert propagate(state, ramp, [0.0, 1.0]).nfev > 0
         _, coupled = _quenched_vacuum(8, 1.0, 1.0)
@@ -758,7 +761,7 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("profile, etas, pieces", [
         (StaticProfile(1.3), np.linspace(0.0, 2.0, 9), ["rotation"]),
-        (QuenchProfile(0.5, 1.5, eta_switch=0.75), np.linspace(0.0, 2.0, 9),
+        (QuenchProfile(0.5, 1.5), np.linspace(-0.75, 1.25, 9),
          ["rotation", "rotation"]),
         (ExponentialProfile(0.5, 2.0, hubble=1.0), np.linspace(-1.0, 3.0, 17),
          ["rotation", "dop853", "rotation"]),
@@ -839,10 +842,25 @@ class TestKinks:
         assert whole.nfev == before.nfev + after.nfev
         assert whole.evolved_momenta == (num_sites // 2 + 1 if pi == 0.0 else num_sites)
 
+    @pytest.mark.parametrize("profile, etas, momenta", [
+        (ExponentialProfile(0.5, 2.0, hubble=1.0), np.linspace(-1.0, 3.0, 17), 5),
+        (TabulatedProfile((0.0, 1.0, 2.0, 3.0), (1.0, 1.0, 2.0, 2.0)),
+         np.linspace(0.0, 3.0, 13), 5),
+        (QuenchProfile(0.5, 1.5), np.linspace(-1.0, 1.0, 9), 8),
+    ], ids=["exponential", "tabulated", "quench"])
+    def test_evolved_momenta_are_the_dop853_pieces(self, profile, etas, momenta):
+        # a rotated piece used to count N_S, so a free run whose one DOP853
+        # piece took the mirror path read 8 here; N_S is left for a run
+        # rotated throughout
+        _, state = _quenched_vacuum(8, 0.0, 1.0)
+        traj = propagate(state, profile, etas)
+        assert traj.evolved_momenta == momenta
+        assert (traj.nfev == 0) == (momenta == 8)
+
     def test_every_profile_names_its_kinks(self):
         assert StaticProfile(1.3).kinks == ()
         assert DeSitterProfile(hubble=0.5, eta_0=-4.0).kinks == ()
-        assert QuenchProfile(0.5, 1.5, eta_switch=0.7).kinks == (0.7,)
+        assert QuenchProfile(0.5, 1.5).kinks == (0.0,)
         assert ExponentialProfile(0.5, 2.0, hubble=1.0).kinks == (0.0, 1.5)
         assert ExponentialProfile(0.5, 0.5, hubble=1.0).kinks == (0.0,)
         assert TabulatedProfile((0.0, 1.0, 2.0, 3.0), (1.0, 2.0, 1.0, 2.0)).kinks == (1.0, 2.0)
@@ -874,7 +892,7 @@ def _quench_point(coupling, mass, a_0, a_f):
 
 
 def _de_sitter_point(m_pre, hubble, eta_0, eta_1):
-    profile = DeSitterProfile(hubble=hubble, eta_0=eta_0, eta_max=eta_1)
+    profile = DeSitterProfile(hubble=hubble, eta_0=eta_0)
     spec = LatticeSpec(num_sites=128, mass=1.0, coupling=2.0)
     return spec, m_pre, profile.a_0, profile, (eta_0, eta_1), 1e-10
 
@@ -928,7 +946,7 @@ class TestMassFrame:
         state = _vacuum_for(spec, -1.0, a_prep)
         assert (condensates(state).pi == 0.0) == (momenta == 65)
         profile = DeSitterProfile(hubble=0.1, eta_0=-30.0)
-        etas = sample_grid((eta_0, profile.eta_max), 11)
+        etas = sample_grid((eta_0, -0.001362), 11)
         framed = propagate(state, profile, etas, 1e-10)
         assert (framed.mass_frame_pieces, framed.evolved_momenta) == (1, momenta)
         _lab_frame(monkeypatch)
@@ -1001,7 +1019,7 @@ class TestMassFrame:
 
     @pytest.mark.parametrize("profile, etas", [
         (ExponentialProfile(0.5, 2.0, hubble=1.0), np.linspace(-1.0, 3.0, 41)),
-        (QuenchProfile(0.5, 1.5, eta_switch=0.7), np.linspace(-1.0, 3.0, 41)),
+        (QuenchProfile(0.5, 1.5), np.linspace(-1.0, 3.0, 41)),
         (DeSitterProfile(hubble=0.1, eta_0=-30.0), np.linspace(-30.0, -0.001362, 41)),
     ], ids=["exponential", "quench", "de_sitter"])
     def test_cosmological_time_has_a_scalar_path_to_the_bit(self, profile, etas):
@@ -1030,11 +1048,12 @@ class TestPropagatorInvariants:
            switch=st.one_of(st.none(), st.floats(0.0, 100.0)))
     def test_closed_form_keeps_unit_bloch_vectors(self, num_sites, mass, a_val,
                                                   switch):
-        # a rotation keeps |n_k| to rounding, however far it turns
+        # a rotation keeps |n_k| to rounding, however far it turns; the
+        # switch lies ``switch`` into the span
         spec, state = _quenched_vacuum(num_sites, 0.0, mass)
-        profile = (StaticProfile(a_val) if switch is None
-                   else QuenchProfile(0.5, a_val, eta_switch=switch))
-        traj = propagate(state, profile, np.linspace(0.0, 100.0, 41))
+        profile = StaticProfile(a_val) if switch is None else QuenchProfile(0.5, a_val)
+        start = 0.0 if switch is None else -switch
+        traj = propagate(state, profile, np.linspace(start, start + 100.0, 41))
         assert _unit_defect(traj.bloch) <= 1e-13
 
     @settings(max_examples=20, deadline=None)

@@ -108,13 +108,28 @@ class TestProfiles:
         assert t_end == pytest.approx(100.0, abs=0.01)
 
     def test_de_sitter_domain_errors(self):
-        prof = DeSitterProfile(hubble=0.1, eta_0=-30.0, eta_max=-0.01)
+        prof = DeSitterProfile(hubble=0.1, eta_0=-30.0)
         with pytest.raises(DomainError):
             prof.scale_factor(0.5)
         with pytest.raises(DomainError):
             prof.scale_factor(-31.0)
-        with pytest.raises(ValueError):
-            DeSitterProfile(hubble=0.1, eta_0=-1.0, eta_max=1.0)
+
+    @pytest.mark.parametrize("eta", [0.0, -0.0, 1e-13, 1e-12, 0.5, np.nan])
+    def test_de_sitter_chart_ends_short_of_eta_zero(self, eta):
+        # the chart is eta_0 <= eta < 0: a(eta) = -1/(H eta) diverges at 0
+        # and is negative past it, where the 1e-12 of slack a domain allows
+        # at its ends would have let 1e-13 and 1e-12 through, and a NaN
+        # passed every comparison
+        prof = DeSitterProfile(hubble=0.1, eta_0=-30.0)
+        for x in (eta, np.float64(eta), np.array([-1.0, eta])):
+            for method in (prof.scale_factor, prof.cosmological_time):
+                with pytest.raises(DomainError, match=r"chart \[-30.0, 0\)"):
+                    method(x)
+
+    @pytest.mark.parametrize("eta_0", [0.0, -0.0, 1.0])
+    def test_de_sitter_chart_needs_a_negative_eta_0(self, eta_0):
+        with pytest.raises(ValueError, match="require eta_0 < 0"):
+            DeSitterProfile(hubble=0.1, eta_0=eta_0)
 
     def test_de_sitter_round_trip(self):
         # back to eta through a(t) = a_0 e^{Ht}: eta = eta_0 e^{-Ht}
@@ -154,20 +169,17 @@ class TestProfiles:
         (lambda x: ExponentialProfile(a_0=1.0, a_f=2.0, hubble=x), "hubble"),
         (lambda x: QuenchProfile(a_0=x, a_f=1.0), "a_0"),
         (lambda x: QuenchProfile(a_0=0.5, a_f=x), "a_f"),
-        (lambda x: QuenchProfile(a_0=0.5, a_f=1.0, eta_switch=x), "eta_switch"),
         (lambda x: DeSitterProfile(hubble=x, eta_0=-30.0), "hubble"),
         (lambda x: DeSitterProfile(hubble=0.1, eta_0=x), "eta_0"),
-        (lambda x: DeSitterProfile(hubble=0.1, eta_0=-30.0, eta_max=x), "eta_max"),
         (lambda x: TabulatedProfile(etas=(0.0, x), values=(1.0, 2.0)), "etas"),
         (lambda x: TabulatedProfile(etas=(x, 1.0), values=(1.0, 2.0)), "etas"),
         (lambda x: TabulatedProfile(etas=(0.0, 1.0), values=(1.0, x)), "values"),
     ], ids=["static-a_val", "exponential-a_0", "exponential-a_f", "exponential-hubble",
-            "quench-a_0", "quench-a_f", "quench-eta_switch", "de_sitter-hubble",
-            "de_sitter-eta_0", "de_sitter-eta_max", "tabulated-last_eta",
+            "quench-a_0", "quench-a_f", "de_sitter-hubble",
+            "de_sitter-eta_0", "tabulated-last_eta",
             "tabulated-first_eta", "tabulated-value"])
     def test_a_non_finite_parameter_is_refused_by_name(self, make, name, bad):
-        # a NaN eta_switch used to put the switch at minus infinity, and an
-        # infinite a_f or sample time built a profile
+        # an infinite a_f or sample time used to build a profile
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             make(bad)
 
@@ -200,10 +212,10 @@ SCALAR_CASES = {
     "exponential": (_EXP, [-5.0, -1e-300, 0.0, *np.linspace(0.0, _EXP.eta_clamp, 41)[1:],
                            np.nextafter(_EXP.eta_clamp, 0.0), _EXP.eta_clamp + 1e-9,
                            2 * _EXP.eta_clamp, 1e9]),
-    "quench": (QuenchProfile(a_0=0.7, a_f=1.3, eta_switch=0.5),
-               [-1.0, np.nextafter(0.5, 0.0), 0.5, 2.0]),
-    "de_sitter": (DeSitterProfile(hubble=0.1, eta_0=-30.0, eta_max=-0.01),
-                  [-30.0 - 5e-13, *np.linspace(-30.0, -0.01, 41), -0.01 + 5e-13]),
+    "quench": (QuenchProfile(a_0=0.7, a_f=1.3),
+               [-1.0, np.nextafter(0.0, -1.0), -0.0, 0.0, 2.0]),
+    "de_sitter": (DeSitterProfile(hubble=0.1, eta_0=-30.0),
+                  [-30.0 - 5e-13, *np.linspace(-30.0, -0.001362, 41), -1e-9]),
     "tabulated": (TabulatedProfile(etas=(0.0, 1.0, 3.0), values=(1.0, 2.0, 2.5)),
                   [-5e-13, *np.linspace(0.0, 3.0, 31), 0.1, 2.9, 3.0 + 5e-13]),
 }
@@ -226,7 +238,7 @@ class TestScalarScaleFactor:
                 assert float(got).hex() == float(a).hex(), (kind, x)
 
     @pytest.mark.parametrize("kind, eta", [("de_sitter", -30.0 - 2e-12),
-                                           ("de_sitter", -0.005),
+                                           ("de_sitter", 0.0),
                                            ("tabulated", -1.0),
                                            ("tabulated", 3.0 + 2e-12)])
     def test_out_of_domain_scalars_raise(self, kind, eta):
@@ -311,7 +323,7 @@ class TestDispersion:
 @pytest.mark.parametrize("profile, span", [
     (StaticProfile(1.3), (-2.0, 2.0)),
     (ExponentialProfile(0.5, 2.0, hubble=1.0), (-1.0, 3.0)),
-    (QuenchProfile(0.5, 1.5, eta_switch=0.7), (-1.0, 3.0)),
+    (QuenchProfile(0.5, 1.5), (-1.7, 2.3)),
     (DeSitterProfile(hubble=0.1, eta_0=-30.0), (-30.0, -0.001362)),
     (TabulatedProfile((0.0, 1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 2.0, 0.5, 0.7)), (0.0, 4.0)),
 ], ids=["static", "exponential", "quench", "de_sitter", "tabulated"])
