@@ -25,8 +25,8 @@ its fixed field.  Every other piece is one DOP853 solve by the package's own
 numpy solver (:mod:`cosmodirac._dop853`, scipy's DOP853 to the bit, its
 stage arrays allocated once per solve), whose field kernel works on
 component rows, (n_x, n_y, n_z) each over the momenta solved for, in
-preallocated buffers, and reads a(eta) on a profile's scalar path where
-it has one.  A mirror-symmetric state, n(-k) = diag(-1, -1, 1) n(k) to
+preallocated buffers, and reads a(eta) through the profile's one formula
+for a float time.  A mirror-symmetric state, n(-k) = diag(-1, -1, 1) n(k) to
 within :data:`MIRROR_TOL` as every Pi = 0 vacuum is, stays so, and is
 solved on the N_S/2 + 1 momenta k in [-pi, 0] and expanded to the whole
 grid at each sample; any other state is solved on all N_S.  Where the

@@ -2,12 +2,12 @@
 
 Everything here is a pure function of its value inputs: momentum grids,
 gamma matrices, cosmological time from conformal time, 2x2 Hamiltonian
-blocks, and the dispersion relation with its group velocity.  The
-exponential, quench and de Sitter profiles, the ones the adaptive solver
-reads at every right-hand-side evaluation, take a scalar path for one float
-time in ``scale_factor`` and ``cosmological_time``, with the IEEE operations
-(and numpy's own ``log`` and ``log1p``) of their array path, so both agree
-bit for bit.
+blocks, and the dispersion relation with its group velocity.  Every
+profile writes ``scale_factor`` and ``cosmological_time`` once, as one
+formula for one float time; an array of times is evaluated time by time
+through the same formula (:func:`_per_time`), so a float and an array agree
+bit for bit, and the adaptive solver, which reads a(eta) or t(eta) at every
+right-hand-side evaluation, builds no array for it.
 Each profile names its ``kinks``, the times at which a(eta) or its slope
 jumps, derived from its fields; ``gaussian.propagate`` ends a solve at each.
 Between consecutive kinks, and before the first or after the last, every
@@ -22,7 +22,10 @@ l -> l / s.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import wraps
 
 import numpy as np
 
@@ -78,19 +81,23 @@ class LatticeSpec:
 # Scale-factor profiles
 # ---------------------------------------------------------------------------
 
-# ``isinstance(eta, float)`` holds for the np.float64 times that the DOP853
-# stages pass too; the scalar branches spare each right-hand-side call a 0-d
-# array.
 
+def _per_time(formula):
+    """The profile method of ``formula(self, eta)``, written for one float time.
 
-def _check_domain(eta, lo, hi, name):
-    """Raise :class:`DomainError` unless every eta lies in [lo, hi], to 1e-12."""
-    if isinstance(eta, float):
-        outside = eta < lo - 1e-12 or eta > hi + 1e-12
-    else:
-        outside = np.any(eta < lo - 1e-12) or np.any(eta > hi + 1e-12)
-    if outside:
-        raise DomainError(f"eta outside {name} [{lo}, {hi}]")
+    A float time, the np.float64 of a DOP853 stage included, goes straight to
+    the formula as a Python float, whose arithmetic overflows to inf with no
+    warning; any other input is read as an array and evaluated time by time,
+    into float64 of its shape.
+    """
+    @wraps(formula)
+    def method(self, eta):
+        if isinstance(eta, float):
+            return formula(self, float(eta))
+        eta = np.asarray(eta, dtype=float)
+        return np.array([formula(self, x) for x in eta.ravel().tolist()],
+                        dtype=float).reshape(eta.shape)
+    return method
 
 
 def _check_finite(profile, *names):
@@ -115,11 +122,13 @@ class StaticProfile:
         if not self.a_val > 0:
             raise ValueError("a_val must be positive")
 
+    @_per_time
     def scale_factor(self, eta):
-        return self.a_val * np.ones_like(np.asarray(eta, dtype=float))
+        return self.a_val
 
+    @_per_time
     def cosmological_time(self, eta):
-        return self.a_val * np.asarray(eta, dtype=float)
+        return self.a_val * eta
 
 
 @dataclass(frozen=True)
@@ -155,31 +164,19 @@ class ExponentialProfile:
         # a_f = a_0 leaves no ramp: the clamp is the start, one kink
         return (0.0, self.eta_clamp) if self.eta_clamp > 0.0 else (0.0,)
 
+    @_per_time
     def scale_factor(self, eta):
-        if isinstance(eta, float):
-            ramp = self.a_0 / (1.0 - self.a_0 * self.hubble * min(eta, self.eta_clamp))
-            return min(max(ramp, self.a_0), self.a_f)
-        eta = np.asarray(eta, dtype=float)
-        ramp = self.a_0 / (1.0 - self.a_0 * self.hubble * np.minimum(eta, self.eta_clamp))
-        return np.clip(ramp, self.a_0, self.a_f)
+        ramp = self.a_0 / (1.0 - self.a_0 * self.hubble * min(eta, self.eta_clamp))
+        return min(max(ramp, self.a_0), self.a_f)
 
+    @_per_time
     def cosmological_time(self, eta):
         # Piecewise integral of a(eta'): flat in-region, ramp, flat out-region.
         eta_c = self.eta_clamp
-        if isinstance(eta, float):
-            mid = 0.0
-            if eta > 0:
-                mid = -np.log1p(-self.a_0 * self.hubble * min(eta, eta_c)) / self.hubble
-            return self.a_0 * min(eta, 0.0) + mid + self.a_f * max(eta - eta_c, 0.0)
-        eta = np.asarray(eta, dtype=float)
-        pre = self.a_0 * np.minimum(eta, 0.0)
-        mid = np.where(
-            eta > 0,
-            -np.log1p(-self.a_0 * self.hubble * np.clip(eta, 0.0, eta_c)) / self.hubble,
-            0.0,
-        )
-        post = self.a_f * np.maximum(eta - eta_c, 0.0)
-        return pre + mid + post
+        mid = 0.0
+        if eta > 0:
+            mid = -np.log1p(-self.a_0 * self.hubble * min(eta, eta_c)) / self.hubble
+        return self.a_0 * min(eta, 0.0) + mid + self.a_f * max(eta - eta_c, 0.0)
 
 
 @dataclass(frozen=True)
@@ -199,17 +196,13 @@ class QuenchProfile:
         if not (self.a_0 > 0 and self.a_f > 0):
             raise ValueError("scale factors must be positive")
 
+    @_per_time
     def scale_factor(self, eta):
-        if isinstance(eta, float):
-            return self.a_0 if eta < 0.0 else self.a_f
-        eta = np.asarray(eta, dtype=float)
-        return np.where(eta < 0.0, self.a_0, self.a_f)
+        return self.a_0 if eta < 0.0 else self.a_f
 
+    @_per_time
     def cosmological_time(self, eta):
-        if isinstance(eta, float):
-            return self.a_0 * eta if eta < 0 else self.a_f * eta
-        eta = np.asarray(eta, dtype=float)
-        return np.where(eta < 0, self.a_0 * eta, self.a_f * eta)
+        return self.a_0 * eta if eta < 0 else self.a_f * eta
 
 
 def preparation_scale(profile, eta0) -> float:
@@ -229,8 +222,9 @@ class DeSitterProfile:
     """Accelerating expansion a(eta) = -1/(H eta) on the chart eta_0 <= eta < 0.
 
     a(eta) diverges at the horizon eta -> 0^-, so a time at or past 0, or
-    NaN, is outside the chart; below eta_0 it allows 1e-12 of slack, as
-    every profile domain does.  The initial scale factor is
+    NaN, is outside the chart, and so is a time short of 0 at which
+    a(eta) or t(eta) is not a finite float; below eta_0 it allows 1e-12 of
+    slack, as every profile domain does.  The initial scale factor is
     a_0 = -1/(H eta_0).  Cosmological time is zero at eta_0, and the chart
     has no kinks.
     """
@@ -250,27 +244,26 @@ class DeSitterProfile:
     def a_0(self) -> float:
         return -1.0 / (self.hubble * self.eta_0)
 
-    def _check_chart(self, eta):
-        # a plain comparison for a float: the mass frame's field reads
-        # t(eta) at every evaluation
-        if isinstance(eta, float):
-            inside = self.eta_0 - 1e-12 <= eta < 0.0
-        else:
-            inside = np.all(eta >= self.eta_0 - 1e-12) and np.all(eta < 0.0)
-        if not inside:
-            raise DomainError(f"eta outside de Sitter chart [{self.eta_0}, 0)")
+    def _chart(self, eta):
+        """``(a(eta), t(eta))`` at a float time of the chart, or
+        :class:`DomainError`; an H eta that underflows to 0, or an a or t
+        that overflows, marks a time past the chart's last float."""
+        if self.eta_0 - 1e-12 <= eta < 0.0 and self.hubble * eta < 0.0:
+            # Python floats overflow to inf without a warning
+            a = -1.0 / (self.hubble * eta)
+            t = float(np.log(self.eta_0 / eta)) / self.hubble
+            if math.isfinite(a) and math.isfinite(t):
+                return a, t
+        raise DomainError(f"eta outside de Sitter chart [{self.eta_0}, 0) "
+                          "of finite a(eta) and t(eta)")
 
+    @_per_time
     def scale_factor(self, eta):
-        if not isinstance(eta, float):
-            eta = np.asarray(eta, dtype=float)
-        self._check_chart(eta)
-        return -1.0 / (self.hubble * eta)
+        return self._chart(eta)[0]
 
+    @_per_time
     def cosmological_time(self, eta):
-        if not isinstance(eta, float):
-            eta = np.asarray(eta, dtype=float)
-        self._check_chart(eta)
-        return np.log(self.eta_0 / eta) / self.hubble
+        return self._chart(eta)[1]
 
 
 @dataclass(frozen=True)
@@ -296,25 +289,28 @@ class TabulatedProfile:
             raise ValueError("scale-factor samples must be positive")
         object.__setattr__(self, "etas", tuple(etas))
         object.__setattr__(self, "values", tuple(vals))
+        # t at each sample: the trapezoids below it, summed in order
+        object.__setattr__(self, "_areas", tuple(np.concatenate(
+            [[0.0], np.cumsum(0.5 * (vals[:-1] + vals[1:]) * np.diff(etas))])))
 
     @property
     def kinks(self) -> tuple:
         return self.etas[1:-1]
 
+    @_per_time
     def scale_factor(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        _check_domain(eta, self.etas[0], self.etas[-1], "tabulated domain")
+        # the samples' span with 1e-12 of slack at each end; NaN fails it
+        if not self.etas[0] - 1e-12 <= eta <= self.etas[-1] + 1e-12:
+            raise DomainError(f"eta outside tabulated domain [{self.etas[0]}, {self.etas[-1]}]")
         return np.interp(eta, self.etas, self.values)
 
+    @_per_time
     def cosmological_time(self, eta):
         """The exact integral of the piecewise-linear a: the trapezoids of
         the samples below eta, and the one from the last of them to eta."""
-        eta = np.asarray(eta, dtype=float)
-        self.scale_factor(eta)  # domain check
-        etas, vals = np.array(self.etas), np.array(self.values)
-        areas = np.concatenate([[0.0], np.cumsum(0.5 * (vals[:-1] + vals[1:]) * np.diff(etas))])
-        i = np.clip(np.searchsorted(etas, eta, side="right") - 1, 0, etas.size - 2)
-        return areas[i] + 0.5 * (vals[i] + np.interp(eta, etas, vals)) * (eta - etas[i])
+        a = self.scale_factor(eta)  # checks the domain
+        i = min(max(bisect_right(self.etas, eta) - 1, 0), len(self.etas) - 2)
+        return self._areas[i] + 0.5 * (self.values[i] + a) * (eta - self.etas[i])
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,14 @@ class TestCLI:
         (lambda t: t.replace("{kind: quench, a_0: 0.01, a_f: 10.0}",
                              "{kind: de_sitter, hubble: 0.1, eta_0: -2.0}")
          .replace("[0.0, 2.0]", "[-2.0, 1.0e-13]"), "evolution.eta_span"),
+        # short of eta = 0, where a(eta) = -1/(H eta) overflows, or only
+        # t(eta) = log(eta_0/eta)/H does: both passed check
+        (lambda t: t.replace("{kind: quench, a_0: 0.01, a_f: 10.0}",
+                             "{kind: de_sitter, hubble: 0.1, eta_0: -2.0}")
+         .replace("[0.0, 2.0]", "[-2.0, -1.0e-310]"), "evolution.eta_span"),
+        (lambda t: t.replace("{kind: quench, a_0: 0.01, a_f: 10.0}",
+                             "{kind: de_sitter, hubble: 10.0, eta_0: -2.0}")
+         .replace("[0.0, 2.0]", "[-2.0, -1.0e-309]"), "evolution.eta_span"),
     ], ids=["deta_nan", "mass_nan", "mass_typo", "symmetry_a_0", "time_stride_0",
             "symmetry_a_f", "symmetry_static_run", "symmetry_contracting_quench",
             "hubble_inf",
@@ -410,7 +418,8 @@ class TestCLI:
             "eta_span_huge_int", "hubble_huge_int", "tabulated_sample_huge_int",
             "n_samples_huge", "sample_spacing_tiny", "repeated_kind",
             "profile_eta_switch", "profile_eta_max", "de_sitter_span_to_0",
-            "de_sitter_span_past_0"])
+            "de_sitter_span_past_0", "de_sitter_span_a_overflows",
+            "de_sitter_span_t_overflows"])
     def test_bad_fields_exit_1_before_evolving(self, tmp_path, capsys, edit, field):
         # each of these used to evolve (or start to) and then die with a
         # traceback, blame the step size, or run with the field ignored;

@@ -1018,14 +1018,19 @@ class TestMassFrame:
         assert not gaussian._takes_mass_frame(massless, state.bloch, 10.0, 20.0)
 
     @pytest.mark.parametrize("profile, etas", [
+        (StaticProfile(2.5), np.linspace(-1.0, 3.0, 41)),
         (ExponentialProfile(0.5, 2.0, hubble=1.0), np.linspace(-1.0, 3.0, 41)),
         (QuenchProfile(0.5, 1.5), np.linspace(-1.0, 3.0, 41)),
         (DeSitterProfile(hubble=0.1, eta_0=-30.0), np.linspace(-30.0, -0.001362, 41)),
-    ], ids=["exponential", "quench", "de_sitter"])
+        (TabulatedProfile((-1.0, 0.5, 3.0), (0.4, 1.6, 0.9)), np.linspace(-1.0, 3.0, 41)),
+    ], ids=["static", "exponential", "quench", "de_sitter", "tabulated"])
     def test_cosmological_time_has_a_scalar_path_to_the_bit(self, profile, etas):
+        # the mass frame's field reads t(eta) at every evaluation, as a float
         times = profile.cosmological_time(etas)
-        scalar = [profile.cosmological_time(float(eta)) for eta in etas]
-        assert np.array_equal(times, scalar)
+        for as_float in (float, np.float64):
+            scalar = [profile.cosmological_time(as_float(eta)) for eta in etas]
+            assert not any(isinstance(t, np.ndarray) for t in scalar)
+            assert np.array_equal(times, scalar)
 
 
 # ---------------------------------------------------------------------------

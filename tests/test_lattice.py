@@ -114,12 +114,16 @@ class TestProfiles:
         with pytest.raises(DomainError):
             prof.scale_factor(-31.0)
 
-    @pytest.mark.parametrize("eta", [0.0, -0.0, 1e-13, 1e-12, 0.5, np.nan])
+    @pytest.mark.parametrize("eta", [0.0, -0.0, 1e-13, 1e-12, 0.5, np.nan,
+                                     -1e-307, -1e-310, -5e-324])
     def test_de_sitter_chart_ends_short_of_eta_zero(self, eta):
         # the chart is eta_0 <= eta < 0: a(eta) = -1/(H eta) diverges at 0
         # and is negative past it, where the 1e-12 of slack a domain allows
         # at its ends would have let 1e-13 and 1e-12 through, and a NaN
-        # passed every comparison
+        # passed every comparison.  Short of 0 it ends where a float does:
+        # t(eta) = log(eta_0/eta)/H overflows at -1e-307, a(eta) at -1e-310
+        # (a float read inf, an np.float64 warned), and at -5e-324 H eta
+        # underflows to 0 (a float raised ZeroDivisionError)
         prof = DeSitterProfile(hubble=0.1, eta_0=-30.0)
         for x in (eta, np.float64(eta), np.array([-1.0, eta])):
             for method in (prof.scale_factor, prof.cosmological_time):
@@ -215,27 +219,37 @@ SCALAR_CASES = {
     "quench": (QuenchProfile(a_0=0.7, a_f=1.3),
                [-1.0, np.nextafter(0.0, -1.0), -0.0, 0.0, 2.0]),
     "de_sitter": (DeSitterProfile(hubble=0.1, eta_0=-30.0),
-                  [-30.0 - 5e-13, *np.linspace(-30.0, -0.001362, 41), -1e-9]),
+                  [-30.0 - 5e-13, *np.linspace(-30.0, -0.001362, 41), -1e-9, -1e-300]),
     "tabulated": (TabulatedProfile(etas=(0.0, 1.0, 3.0), values=(1.0, 2.0, 2.5)),
                   [-5e-13, *np.linspace(0.0, 3.0, 31), 0.1, 2.9, 3.0 + 5e-13]),
 }
 
 
 class TestScalarScaleFactor:
-    """A float eta gives the array path's value to the bit; the profiles an
-    adaptive solve reads at every evaluation take a scalar path for it."""
+    """Each profile method is one formula for a float time: a float gives the
+    array path's value to the bit and builds no array, and an array of any
+    shape is that formula time by time."""
 
+    @pytest.mark.parametrize("method", ["scale_factor", "cosmological_time"])
     @pytest.mark.parametrize("kind", SCALAR_CASES)
-    def test_scalar_path_is_the_array_path(self, kind):
+    def test_scalar_path_is_the_array_path(self, kind, method):
         profile, etas = SCALAR_CASES[kind]
-        expected = profile.scale_factor(np.array(etas))
-        for eta, a in zip(etas, expected):
-            # solve_ivp hands the right-hand side an np.float64
+        of = getattr(profile, method)
+        expected = of(np.array(etas))
+        for eta, value in zip(etas, expected):
+            # the DOP853 stages hand the field an np.float64
             for x in (float(eta), np.float64(eta)):
-                got = profile.scale_factor(x)
-                if kind in ("exponential", "quench", "de_sitter"):
-                    assert not isinstance(got, np.ndarray), (kind, x)
-                assert float(got).hex() == float(a).hex(), (kind, x)
+                got = of(x)
+                assert not isinstance(got, np.ndarray), (kind, x)
+                assert float(got).hex() == float(value).hex(), (kind, x)
+        m = len(etas) // 2
+        for shaped in (np.array(etas), np.array(etas[-1]), np.array([]),
+                       np.array(etas[:2 * m]).reshape(2, m)):
+            got = of(shaped)
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64, (kind, shaped)
+            assert got.shape == shaped.shape, (kind, shaped)
+            assert [v.hex() for v in got.ravel().tolist()] == [
+                float(of(x)).hex() for x in shaped.ravel().tolist()], (kind, shaped)
 
     @pytest.mark.parametrize("kind, eta", [("de_sitter", -30.0 - 2e-12),
                                            ("de_sitter", 0.0),
